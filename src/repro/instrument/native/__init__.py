@@ -11,15 +11,18 @@ specializer (:mod:`repro.instrument.specialize`) and the batched vectorizer
   bit-casts, int64 wrap-around, guarded truncation, exception-to-freeze
   semantics and the NaN-per-direction distance constants.
 * :mod:`repro.instrument.native.c_backend` -- the C99 backend.  Renders the
-  IR into a translation unit exposing a scalar entry point and a batch
-  ``for``-loop entry point.
+  IR into a translation unit exposing a scalar entry point, batch
+  ``for``-loop entry points and the ``sp_meta`` shape constant.
 * :mod:`repro.instrument.native.cache` -- compiler discovery, out-of-process
   compilation via the system ``cc`` and a content-addressed, FIFO-bounded
   shared-object cache on disk, loaded with :mod:`ctypes`.
 * :mod:`repro.instrument.native.kernel` -- :class:`NativeKernel`, the
   runtime object the representing function dispatches to, with a per-row
   fallback onto the scalar :class:`SpecializedVariant` for inputs the native
-  code cannot replicate bit-exactly (``sp_bail``).
+  code cannot replicate bit-exactly (``sp_bail``; the variant is built at
+  the first bail).  A kernel already on disk is loaded by digest without
+  re-emitting its C source; its exported ``sp_meta`` constant supplies the
+  shape and rejects stale or foreign shared objects.
 
 ``r`` stays bit-identical to the scalar ``PENALTY_SPECIALIZED`` tier: every
 construct either compiles to arithmetic proven to match CPython's, freezes

@@ -1,6 +1,13 @@
 """C99 backend: renders the typed native IR into one translation unit.
 
-The generated file exposes two entry points with a fixed ABI:
+The generated file exposes three entry points and one constant with a
+fixed ABI:
+
+``const long long sp_meta[5]``
+    ``{ABI version, arity, n_words, bail sites, freeze sites}``.  A warm
+    load reads the kernel's shape from this constant instead of re-emitting
+    the C source, and rejects a shared object whose ABI, arity or
+    covered-word count disagree with the requesting program.
 
 ``int sp_entry(const double *x, double *r_out, uint64_t *cov_out)``
     One row.  Returns 0 on completion (``r_out``/``cov_out`` valid, frozen
@@ -38,6 +45,7 @@ from __future__ import annotations
 
 import math
 
+from repro.instrument.native.cache import ABI_VERSION
 from repro.instrument.native.emit import (
     ArrRef,
     Bin,
@@ -66,6 +74,9 @@ from repro.instrument.native.emit import (
 )
 
 BACKEND_NAME = "c99"
+
+#: Field order of the exported ``sp_meta`` constant.
+SP_META_FIELDS = ("abi", "arity", "n_words", "bail_sites", "freeze_sites")
 
 _CTYPES = {T_BOOL: "int", T_I64: "int64_t", T_F64: "double"}
 _CZEROS = {T_BOOL: "0", T_I64: "0", T_F64: "0.0"}
@@ -293,6 +304,12 @@ def render_c(ir: ProgramIR) -> str:
             f"static const {_CTYPES[elem_type]} "
             f"{c_name}[{len(values)}] = {{ {lits} }};"
         )
+    meta = (ABI_VERSION, len(ir.entry.params), ir.n_words, ir.bail_sites,
+            ir.freeze_sites)
+    lines.append(
+        f"const long long sp_meta[{len(SP_META_FIELDS)}] = "
+        f"{{ {', '.join(_i64_lit(v) for v in meta)} }};"
+    )
     lines.append("")
     for fn in ir.functions:
         lines.append(_signature(fn) + ";")

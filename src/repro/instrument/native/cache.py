@@ -5,8 +5,14 @@ cache directory keyed by a sha256 digest of everything that affects the
 generated code: per-unit ``(source sha256, function, start label)`` triples,
 the saturation mask, epsilon, the backend name, the compiler version and
 the codegen ABI version.  Identical programs under identical masks reuse
-the ``.so`` across processes and sessions; the directory is FIFO-bounded
-by mtime like the in-memory compiled caches.
+the ``.so`` across processes and sessions: a warm request computes the
+digest and loads ``<digest>.so`` directly, checking the kernel's exported
+``sp_meta`` shape instead of re-emitting its C source (see
+:mod:`repro.instrument.native.kernel`).  The directory is FIFO-bounded by
+mtime like the in-memory compiled caches; builds write hidden
+``.<digest>.*`` temp files and rename them into place, so listing and
+pruning skip dot-prefixed names and tolerate files that vanish under a
+concurrent builder.
 """
 
 from __future__ import annotations
@@ -21,7 +27,8 @@ from pathlib import Path
 
 #: Bump when the emitter/backend changes generated code or the entry ABI.
 #: 2: sp_batch_mt threaded entry + in/out cov accumulator + restrict loop.
-ABI_VERSION = 2
+#: 3: exported ``sp_meta`` constant (ABI, arity, n_words, bail/freeze sites).
+ABI_VERSION = 3
 
 #: Default upper bound on cached shared objects on disk (each entry keeps
 #: its .c source next to the .so for debuggability).  Overridable per
@@ -155,19 +162,32 @@ def native_cache_dir() -> Path:
     return base / "repro" / "native-kernels"
 
 
+def _kernel_files(directory: Path) -> list:
+    """``(path, stat)`` of every finished kernel in ``directory``, oldest first.
+
+    Hidden ``.<digest>.*.so`` names are builds still in flight (pathlib's
+    ``*`` matches them) and are skipped; a kernel that a concurrent process
+    prunes between the listing and its ``stat`` is skipped too."""
+    files = []
+    for so_path in directory.glob("*.so"):
+        if so_path.name.startswith("."):
+            continue
+        try:
+            files.append((so_path, so_path.stat()))
+        except FileNotFoundError:
+            continue
+    files.sort(key=lambda item: item[1].st_mtime)
+    return files
+
+
 def _prune_disk_cache(directory: Path) -> int:
     """FIFO-by-mtime bound on the number of cached kernels."""
     bound = disk_cache_max()
-    sos = sorted(directory.glob("*.so"), key=lambda p: p.stat().st_mtime)
+    sos = [so_path for so_path, _stat in _kernel_files(directory)]
     evicted = 0
     while len(sos) - evicted > bound:
-        victim = sos[evicted]
+        discard_kernel(sos[evicted])
         evicted += 1
-        for path in (victim, victim.with_suffix(".c")):
-            try:
-                path.unlink()
-            except OSError:
-                pass
     return evicted
 
 
@@ -214,6 +234,11 @@ def compile_kernel(c_source: str, digest: str) -> Path:
     return so_path
 
 
+def discard_kernel(so_path: Path) -> None:
+    """Delete one cached kernel and its C source (missing files are fine)."""
+    _cleanup(so_path, so_path.with_suffix(".c"))
+
+
 def _cleanup(*paths) -> None:
     for path in paths:
         try:
@@ -250,6 +275,14 @@ def _bg_worker() -> None:
             outcome = ("done", path)
         except NativeUnavailable as exc:
             outcome = ("failed", exc)
+        except Exception as exc:  # the worker must outlive any job
+            # An unexpected error must not kill the thread: the digest
+            # would stay "pending" forever and pin its callers to the
+            # specialized tier.  Record it as a permanent failure, keeping
+            # the original traceback as the cause.
+            failure = NativeUnavailable(f"background compile failed: {exc!r}")
+            failure.__cause__ = exc
+            outcome = ("failed", failure)
         with _BG_LOCK:
             _BG_JOBS[digest] = outcome
             _BG_STATE["compiled" if outcome[0] == "done" else "failed"] += 1
@@ -351,9 +384,7 @@ def native_cache_entries() -> list[dict]:
     if not directory.is_dir():
         return []
     entries = []
-    for so_path in sorted(directory.glob("*.so"),
-                          key=lambda p: p.stat().st_mtime, reverse=True):
-        stat = so_path.stat()
+    for so_path, stat in reversed(_kernel_files(directory)):
         entries.append({
             "digest": so_path.stem,
             "size": stat.st_size,
@@ -369,8 +400,8 @@ def native_clean_disk_cache() -> int:
     if not directory.is_dir():
         return 0
     removed = 0
-    for so_path in list(directory.glob("*.so")):
-        _cleanup(so_path, so_path.with_suffix(".c"))
+    for so_path, _stat in _kernel_files(directory):
+        discard_kernel(so_path)
         removed += 1
     for stray in list(directory.glob(".*")):
         _cleanup(stray)

@@ -209,6 +209,12 @@ class ProgramIR:
     freeze_sites: int = 0
 
 
+def covered_words(n_conditionals: int) -> int:
+    """64-bit words of a kernel's covered-branch bitset (two bits per
+    conditional, at least one word)."""
+    return max(1, (2 * n_conditionals + 63) // 64)
+
+
 # -- emitter -----------------------------------------------------------------------------
 
 
@@ -367,7 +373,7 @@ class ProgramEmitter:
             raise NativeUnavailable("type inference did not converge")
         entry_fn = next(f for f in functions if f.py_name == self.entry_name)
         self._check_entry_viable(entry_fn)
-        n_words = max(1, (2 * self.n_conditionals + 63) // 64)
+        n_words = covered_words(self.n_conditionals)
         return ProgramIR(
             functions=functions,
             entry=entry_fn,

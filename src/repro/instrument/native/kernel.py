@@ -1,71 +1,90 @@
 """Build, cache and run native penalty kernels (``PENALTY_NATIVE``).
 
-:func:`build_native_kernel` mirrors :func:`~repro.instrument.batch.build_batch_kernel`:
-the scalar :class:`~repro.instrument.program.SpecializedVariant` is built
-first (it is the per-row bail target and supplies the namespace whose
-constants the emitter folds), then the typed IR is emitted, rendered to C99,
-compiled into the content-addressed disk cache and loaded with
-:mod:`ctypes`.  Loaded kernels are cached module-wide per digest with the
-same hit/miss/evict bookkeeping as the specialized and batched caches.
+:func:`build_native_kernel` asks for the kernel of one program under one
+saturation mask by its content digest (:func:`kernel_digest`).  A *warm*
+request -- ``<digest>.so`` already in the on-disk cache -- loads the shared
+object with :mod:`ctypes` and reads the kernel's arity, covered-word count
+and bail/freeze site counts from its exported ``sp_meta`` constant; it runs
+neither the emitter nor the C renderer.  A shared object that fails to load,
+lacks ``sp_meta`` or disagrees with the program (ABI version, arity,
+``n_words``) is deleted and rebuilt.  A *cold* request builds the scalar
+:class:`~repro.instrument.program.SpecializedVariant` (its namespace
+supplies the constants the emitter folds), emits the typed IR, renders it
+to C99 and compiles it into the disk cache, in the foreground or on the
+background worker.  Loaded kernels are cached module-wide per digest with
+the same hit/miss/evict bookkeeping as the specialized and batched caches.
+
+The specialized variant is also the per-row bail target.  It is built
+lazily, at a kernel's first bail, so a kernel that never bails costs no
+variant build on the warm path.
 
 The generated code keeps all state in a per-call stack context, so one
 loaded kernel is safely shared across threads; worker processes re-open the
-same ``.so`` from disk without recompiling.
+same ``.so`` from disk without recompiling.  The per-call ctypes buffers
+live on the per-program :class:`NativeKernel` (programs are one per
+thread), never on the shared :class:`_LoadedKernel`.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import struct
+import sys
 import threading
 
-try:  # pragma: no cover - exercised by monkeypatching in tests
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
+import _ctypes
+import numpy as np
 
 from repro.core.branch_distance import DEFAULT_EPSILON
-from repro.instrument.native.c_backend import BACKEND_NAME, render_c
+from repro.instrument.native.c_backend import (
+    BACKEND_NAME,
+    SP_META_FIELDS,
+    render_c,
+)
 from repro.instrument.native.cache import (
     ABI_VERSION,
     NativeUnavailable,
     compile_kernel,
     compile_kernel_background,
     cc_version,
+    discard_kernel,
     find_cc,
     native_cache_dir,
     native_cache_entries,
     opt_tier,
 )
-from repro.instrument.native.emit import emit_program_ir
+from repro.instrument.native.emit import covered_words, emit_program_ir
 
 _C_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 _C_U64_P = ctypes.POINTER(ctypes.c_uint64)
 _C_U8_P = ctypes.POINTER(ctypes.c_ubyte)
 
-#: Exceptions the scalar tiers swallow (the bail re-run must too).
-_SWALLOWED = (ArithmeticError, ValueError, OverflowError)
-
 
 class _LoadedKernel:
-    """One compiled-and-loaded shared object (immutable, thread-shareable)."""
+    """One compiled-and-loaded shared object (immutable, thread-shareable).
+
+    The shape fields come from the kernel's own ``sp_meta`` constant."""
 
     __slots__ = ("digest", "so_path", "lib", "sp_entry", "sp_batch",
                  "sp_batch_mt", "arity", "n_words", "bail_sites",
                  "freeze_sites")
 
-    def __init__(self, digest, so_path, lib, arity, n_words,
-                 bail_sites, freeze_sites):
+    def __init__(self, digest, so_path, lib, meta):
         self.digest = digest
         self.so_path = so_path
         self.lib = lib
-        self.arity = arity
-        self.n_words = n_words
-        self.bail_sites = bail_sites
-        self.freeze_sites = freeze_sites
+        fields = dict(zip(SP_META_FIELDS, meta))
+        self.arity = fields["arity"]
+        self.n_words = fields["n_words"]
+        self.bail_sites = fields["bail_sites"]
+        self.freeze_sites = fields["freeze_sites"]
+        # The scalar entry takes raw buffer addresses: NativeKernel.scalar
+        # passes the addresses of its own long-lived buffers, which skips
+        # the per-call pointer conversions of typed arguments.
         entry = lib.sp_entry
         entry.restype = ctypes.c_int
-        entry.argtypes = [_C_DOUBLE_P, _C_DOUBLE_P, _C_U64_P]
+        entry.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
         batch = lib.sp_batch
         batch.restype = None
         batch.argtypes = [_C_DOUBLE_P, ctypes.c_longlong, _C_DOUBLE_P,
@@ -140,9 +159,106 @@ def clear_native_cache() -> None:
             _NATIVE_CACHE_STATS[key] = 0
 
 
-def _load(units, entry_name, arity, n_conditionals, namespace,
-          saturated_mask, epsilon, wait: bool = True) -> _LoadedKernel:
-    digest = kernel_digest(units, saturated_mask, epsilon)
+def _elf_truncated(so_path) -> bool:
+    """Is ``so_path`` an ELF object cut short?
+
+    ``dlopen`` maps segments past the end of a truncated file and the
+    process dies with SIGBUS on first touch, so a load first checks that
+    the segments and the section header table lie within the file.
+    Non-ELF files are left to ``dlopen``, which rejects them cleanly."""
+    size = so_path.stat().st_size
+    with open(so_path, "rb") as handle:
+        ident = handle.read(16)
+        if ident[:4] != b"\x7fELF":
+            return False
+        wide = ident[4] == 2  # ELFCLASS64
+        order = "<" if ident[5] == 1 else ">"
+        try:
+            header = struct.unpack(
+                order + ("HHIQQQIHHHHHH" if wide else "HHIIIIIHHHHHH"),
+                handle.read(48 if wide else 36),
+            )
+        except struct.error:
+            return True
+        phoff, shoff = header[4], header[5]
+        phentsize, phnum, shentsize, shnum = header[8:12]
+        if phoff + phentsize * phnum > size or shoff + shentsize * shnum > size:
+            return True
+        handle.seek(phoff)
+        # (p_offset, p_filesz) positions inside one program header.
+        word, offset_at, filesz_at = ("Q", 8, 32) if wide else ("I", 4, 16)
+        for _ in range(phnum):
+            entry = handle.read(phentsize)
+            (offset,) = struct.unpack_from(order + word, entry, offset_at)
+            (filesz,) = struct.unpack_from(order + word, entry, filesz_at)
+            if offset + filesz > size:
+                return True
+    return False
+
+
+def _open(so_path, digest, arity, n_words):
+    """``dlopen`` a cached kernel and check its ``sp_meta`` against the
+    requesting program.
+
+    Returns ``None`` -- with the handle closed again, so a rebuilt file at
+    the same path is really re-read by the next ``dlopen`` -- when the file
+    is truncated or does not load, lacks ``sp_meta`` or one of the entry
+    points, or was built for another ABI version, arity or covered-word
+    count."""
+    try:
+        if _elf_truncated(so_path):
+            return None
+        lib = ctypes.CDLL(str(so_path))
+    except OSError:
+        return None
+    try:
+        meta = tuple(
+            (ctypes.c_longlong * len(SP_META_FIELDS)).in_dll(lib, "sp_meta")
+        )
+        if meta[:3] == (ABI_VERSION, arity, n_words):
+            return _LoadedKernel(digest, so_path, lib, meta)
+    except (ValueError, AttributeError):  # missing symbol
+        pass
+    _ctypes.dlclose(lib._handle)
+    return None
+
+
+def _emit_and_compile(program, digest, saturated_mask, epsilon, wait):
+    """The cold path: emit, render and compile one kernel, then load it."""
+    namespace = program.specialize(saturated_mask, epsilon).namespace
+    ir = emit_program_ir(program.units, program.name, program.arity,
+                         program.n_conditionals, namespace, saturated_mask,
+                         epsilon)
+    if len(ir.entry.params) != program.arity:
+        # The kernel reads one double per entry parameter; a signature of
+        # another width would misalign every row.
+        raise NativeUnavailable(
+            f"entry {program.name!r} takes {len(ir.entry.params)} parameters "
+            f"but the program's arity is {program.arity}"
+        )
+    c_source = render_c(ir)
+    if wait:
+        so_path = compile_kernel(c_source, digest)
+    else:
+        # Raises NativeCompiling while the background build runs; that
+        # transient state is never negatively cached (it is not a
+        # NativeUnavailable), so the next poll can pick the kernel up.
+        so_path = compile_kernel_background(c_source, digest)
+    loaded = _open(so_path, digest, program.arity, ir.n_words)
+    if loaded is None:
+        # The .so can vanish between the build and the load when a
+        # concurrent build FIFO-prunes the directory; rebuild once in the
+        # foreground rather than degrading permanently.
+        discard_kernel(so_path)
+        so_path = compile_kernel(c_source, digest)
+        loaded = _open(so_path, digest, program.arity, ir.n_words)
+        if loaded is None:
+            raise NativeUnavailable(f"kernel {digest[:12]} does not load")
+    return loaded
+
+
+def _load(program, saturated_mask, epsilon, wait: bool = True) -> _LoadedKernel:
+    digest = kernel_digest(program.units, saturated_mask, epsilon)
     with _NATIVE_CACHE_LOCK:
         cached = _NATIVE_CACHE.get(digest)
         if cached is not None:
@@ -153,39 +269,37 @@ def _load(units, entry_name, arity, n_conditionals, namespace,
         if isinstance(cached, NativeUnavailable):
             raise cached
         return cached
-    try:
-        ir = emit_program_ir(units, entry_name, arity, n_conditionals,
-                             namespace, saturated_mask, epsilon)
-        c_source = render_c(ir)
-        if wait:
-            so_path = compile_kernel(c_source, digest)
-        else:
-            # Raises NativeCompiling while the background build runs; that
-            # transient state is never negatively cached (it is not a
-            # NativeUnavailable), so the next poll can pick the kernel up.
-            so_path = compile_kernel_background(c_source, digest)
+    so_path = native_cache_dir() / f"{digest}.so"
+    loaded = None
+    if so_path.exists():
+        loaded = _open(so_path, digest, program.arity,
+                       covered_words(program.n_conditionals))
+        if loaded is None:
+            discard_kernel(so_path)  # stale or corrupt: rebuild below
+    if loaded is None:
         try:
-            lib = ctypes.CDLL(str(so_path))
-        except OSError:
-            # The .so can vanish between the cache lookup and the load when
-            # a concurrent build FIFO-prunes the directory; rebuild once in
-            # the foreground rather than degrading permanently.
-            so_path = compile_kernel(c_source, digest)
-            lib = ctypes.CDLL(str(so_path))
-        loaded = _LoadedKernel(
-            digest, so_path, lib, len(ir.entry.params), ir.n_words,
-            ir.bail_sites, ir.freeze_sites,
-        )
-    except NativeUnavailable as exc:
-        with _NATIVE_CACHE_LOCK:
-            _NATIVE_CACHE[digest] = exc
-        raise
+            loaded = _emit_and_compile(program, digest, saturated_mask,
+                                       epsilon, wait)
+        except NativeUnavailable as exc:
+            with _NATIVE_CACHE_LOCK:
+                _NATIVE_CACHE[digest] = exc
+            raise
     with _NATIVE_CACHE_LOCK:
         while len(_NATIVE_CACHE) >= _NATIVE_CACHE_MAX:
             _NATIVE_CACHE.pop(next(iter(_NATIVE_CACHE)))
             _NATIVE_CACHE_STATS["evictions"] += 1
         _NATIVE_CACHE[digest] = loaded
     return loaded
+
+
+def _mask_of_words(words) -> int:
+    """The covered-bit mask of a uint64 word buffer (word 0 lowest)."""
+    if sys.byteorder == "little":
+        return int.from_bytes(words, "little")  # one C call, any width
+    covered = 0
+    for word_index, word in enumerate(words):
+        covered |= int(word) << (64 * word_index)
+    return covered
 
 
 class CovAccumulator:
@@ -204,14 +318,12 @@ class CovAccumulator:
 
     def __init__(self, n_words: int):
         self.n_words = n_words
-        self.words = (
-            np.zeros(n_words, dtype=np.uint64) if np is not None else None
-        )
+        self.words = np.zeros(n_words, dtype=np.uint64)
         self.covered = 0  # running union, including scalar-fallback bits
 
 
 class NativeKernel:
-    """One loaded native evaluator bound to a program's specialized variant.
+    """One loaded native evaluator of a program under one saturation mask.
 
     ``kernel(X)`` has exactly the :class:`~repro.instrument.batch.BatchKernel`
     contract: an ``(N, arity)`` float64 array in, ``(r, covered)`` out, where
@@ -224,38 +336,60 @@ class NativeKernel:
     flags as bailed (a construct whose bit-exact CPython semantics the
     emitter could not prove) are transparently re-run on the scalar
     specialized variant, so results never depend on the emitter's coverage
-    being perfect.  :meth:`scalar` is the one-row entry point used by
-    ``evaluate``.
+    being perfect; that variant is built at the first bail (:attr:`variant`).
+    :meth:`scalar` is the one-row entry point used by ``evaluate``; it
+    reuses this instance's ctypes buffers, so a kernel belongs to one
+    thread, like its program.
     """
 
-    __slots__ = ("variant", "loaded", "saturated_mask", "epsilon",
-                 "arity", "mode")
+    __slots__ = ("program", "loaded", "saturated_mask", "epsilon", "arity",
+                 "mode", "_variant", "_x", "_r", "_cov", "_addresses",
+                 "_unary", "_one_word")
 
-    def __init__(self, variant, loaded: _LoadedKernel):
-        self.variant = variant
+    def __init__(self, program, saturated_mask: int, epsilon: float,
+                 loaded: _LoadedKernel):
+        self.program = program
         self.loaded = loaded
-        self.saturated_mask = variant.saturated_mask
-        self.epsilon = variant.epsilon
+        self.saturated_mask = saturated_mask
+        self.epsilon = epsilon
         self.arity = loaded.arity
         self.mode = "native"
+        self._variant = None
+        # Per-instance scalar buffers (input row, r, covered words), reused
+        # by every call and passed to sp_entry by address.
+        self._x = (ctypes.c_double * loaded.arity)()
+        self._r = ctypes.c_double(0.0)
+        self._cov = (ctypes.c_uint64 * loaded.n_words)()
+        self._addresses = (ctypes.addressof(self._x),
+                           ctypes.addressof(self._r),
+                           ctypes.addressof(self._cov))
+        self._unary = loaded.arity == 1
+        self._one_word = loaded.n_words == 1
 
     @property
     def digest(self) -> str:
         return self.loaded.digest
 
+    @property
+    def variant(self):
+        """The scalar specialized variant rows bail to (built on first use)."""
+        variant = self._variant
+        if variant is None:
+            variant = self.program.specialize(self.saturated_mask, self.epsilon)
+            self._variant = variant
+        return variant
+
     def scalar(self, args) -> tuple[float, int]:
         """Evaluate one row, returning ``(r, covered_mask)`` (raw ``r``)."""
-        arity = self.arity
-        buf = (ctypes.c_double * arity)(*[float(v) for v in args])
-        r_out = ctypes.c_double(0.0)
-        cov = (ctypes.c_uint64 * self.loaded.n_words)()
-        bailed = self.loaded.sp_entry(buf, ctypes.byref(r_out), cov)
-        if bailed:
+        if self._unary:
+            self._x[0] = args[0]
+        else:
+            self._x[:] = args
+        if self.loaded.sp_entry(*self._addresses):
             return self._scalar_fallback(args)
-        covered = 0
-        for word_index in range(self.loaded.n_words):
-            covered |= int(cov[word_index]) << (64 * word_index)
-        return r_out.value, covered
+        if self._one_word:
+            return self._r.value, self._cov[0]
+        return self._r.value, _mask_of_words(self._cov)
 
     def _scalar_fallback(self, args) -> tuple[float, int]:
         variant = self.variant
@@ -273,8 +407,6 @@ class NativeKernel:
         rows.  With one, the native code ORs into the accumulator's word
         buffer (never zeroed) and ``covered`` is only the newly-set mask;
         ``accumulator.covered`` holds the running union."""
-        if np is None:
-            return self._call_rows(X, accumulator=accumulator)
         X = np.ascontiguousarray(np.atleast_2d(np.asarray(X, dtype=np.float64)))
         n = X.shape[0]
         if X.shape[1] != self.arity:
@@ -294,9 +426,7 @@ class NativeKernel:
             cov.ctypes.data_as(_C_U64_P),
             bail.ctypes.data_as(_C_U8_P),
         )
-        covered = 0
-        for word_index in range(n_words):
-            covered |= int(cov[word_index]) << (64 * word_index)
+        covered = _mask_of_words(cov)
         if bail.any():
             for row_index in np.nonzero(bail)[0]:
                 row_r, row_cov = self._scalar_fallback(X[row_index].tolist())
@@ -308,32 +438,19 @@ class NativeKernel:
         accumulator.covered |= covered
         return r, new_mask
 
-    def _call_rows(self, X, accumulator=None):
-        """No-numpy fallback: per-row native scalar calls, union coverage."""
-        rows = [[float(v) for v in row] for row in X]
-        out = [0.0] * len(rows)
-        covered = 0
-        for row_index, row in enumerate(rows):
-            row_r, row_cov = self.scalar(row)
-            out[row_index] = row_r
-            covered |= row_cov
-        if accumulator is None:
-            return out, covered
-        new_mask = covered & ~accumulator.covered
-        accumulator.covered |= covered
-        return out, new_mask
-
 
 def build_native_kernel(program, saturated_mask: int,
                         epsilon: float = DEFAULT_EPSILON,
                         wait: bool = True) -> NativeKernel:
     """Build (or fetch from cache) the native kernel for one program/mask.
 
+    A kernel already on disk is loaded by digest without emitting C; the
+    specialized bail target is built only at the kernel's first bail.
     Raises :class:`NativeUnavailable` when no C compiler is present, the
     program has no source units, or the emitter cannot produce a useful
     kernel (the entry would bail unconditionally); callers degrade to the
-    scalar specialized tier.  With ``wait=False`` the compile is handed to
-    the background worker and
+    scalar specialized tier.  With ``wait=False`` a cold compile is handed
+    to the background worker and
     :class:`~repro.instrument.native.cache.NativeCompiling` is raised while
     it runs — a transient state callers serve the specialized tier through.
     """
@@ -341,18 +458,9 @@ def build_native_kernel(program, saturated_mask: int,
         raise NativeUnavailable(
             f"program {program.name!r} carries no source units"
         )
-    variant = program.specialize(saturated_mask, epsilon)
-    loaded = _load(
-        program.units,
-        program.name,
-        program.arity,
-        program.n_conditionals,
-        variant.namespace,
-        variant.saturated_mask,
-        variant.epsilon,
-        wait=wait,
-    )
-    return NativeKernel(variant, loaded)
+    mask = saturated_mask & ((1 << (2 * program.n_conditionals)) - 1)
+    loaded = _load(program, mask, epsilon, wait=wait)
+    return NativeKernel(program, mask, epsilon, loaded)
 
 
 __all__ = [

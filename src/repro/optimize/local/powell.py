@@ -65,7 +65,6 @@ def powell(
                 return evaluate(x + t * d)
 
             t_best, f_best, used = minimize_scalar(along, t0=0.0, step=step)
-            nfev += 0  # evaluations already counted through ``evaluate``
             if f_best < f_current:
                 x = x + t_best * direction
                 f_current = f_best

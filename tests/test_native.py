@@ -8,9 +8,14 @@ entry point (serial *and* threaded, ``n_threads`` in {1, 2, 4}), the scalar
 :class:`~repro.instrument.runtime.FastRuntime` must compute the same ``r``
 bit-for-bit and the same covered-branch sets.  On top of that sit the
 caller-held covered-bit accumulator (incremental reduction), the
-kernel/digest caches (including the ``-O3`` flag tier), the background
-compiler (kernel absent: the specialized tier serves, no warning, and the
-kernel swaps in once ``cc`` lands), the ``NativeUnavailable`` degradation
+kernel/digest caches (including the ``-O3`` flag tier), the warm path (a
+kernel already on disk loads by digest without emitting C, its shape read
+from the exported ``sp_meta``; the specialized bail target is built only at
+the first bail), the stale/corrupt shared-object fallback (rejected, rebuilt,
+bit-identical), the disk cache's tolerance of concurrent builders' temp
+files, the background compiler (kernel absent: the specialized tier serves,
+no warning, and the kernel swaps in once ``cc`` lands), the
+``NativeUnavailable`` degradation
 (no compiler: one per-instance warning, identical results through the
 specialized tier), the ``repro native-cache`` CLI and the engine-level
 identity of ``penalty-native`` vs ``penalty-specialized`` runs across
@@ -24,9 +29,14 @@ the load there.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import os
+import pathlib
+import re
 import struct
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -40,19 +50,27 @@ from repro.engine.core import SearchEngine
 from repro.experiments.pipeline import _TOOL_FP_EXCLUDE, tool_fingerprint
 from repro.experiments.runner import instrument_case
 from repro.fdlibm.suite import BENCHMARKS
+from repro.instrument.native import cache as cache_module
+from repro.instrument.native import kernel as kernel_module
 from repro.instrument.native.cache import (
+    NativeCompiling,
     NativeUnavailable,
+    _prune_disk_cache,
     _reset_background_for_tests,
     _reset_cc_probe_for_tests,
     background_compile_stats,
     cc_available,
     compile_kernel,
+    compile_kernel_background,
     disk_cache_max,
     find_cc,
+    native_cache_dir,
     native_cache_entries,
+    native_clean_disk_cache,
     opt_tier,
     wait_for_background,
 )
+from repro.instrument.native.emit import covered_words, emit_program_ir
 from repro.instrument.native.kernel import (
     build_native_kernel,
     clear_native_cache,
@@ -65,6 +83,7 @@ from repro.instrument.program import (
     instrument,
 )
 from repro.instrument.runtime import ExecutionProfile
+from repro.instrument.signature import ProgramSignature
 from tests import sample_programs as sp
 from tests.test_specialize import PARITY_TARGETS, _run_fast, _unsaturated_bits
 
@@ -508,6 +527,369 @@ class TestBackgroundCompile:
         wait_for_background(digest)
         assert compile_kernel_background(source, digest) == so_path
         assert so_path.exists()
+        _reset_background_for_tests()
+
+
+def default_second_arg(x, y=2.0):
+    if x > y:
+        return 1.0
+    return 0.0
+
+
+def _kernel_outputs(kernel, X: np.ndarray):
+    """Bit patterns of ``(r, covered)``: the batch entry, then every row
+    through the scalar entry."""
+    r_batch, cov_batch = kernel(X)
+    scalars = [kernel.scalar(row) for row in X.tolist()]
+    return (
+        r_batch.view(np.uint64).tolist(),
+        cov_batch,
+        [(_bits(r), covered) for r, covered in scalars],
+    )
+
+
+@pytest.fixture
+def counted_emits(monkeypatch):
+    """Count calls of the emitter made by the kernel loader."""
+    calls = []
+    original = kernel_module.emit_program_ir
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kernel_module, "emit_program_ir", counting)
+    return calls
+
+
+@pytest.fixture
+def private_cache(tmp_path, monkeypatch):
+    """An empty on-disk kernel cache and an empty loaded-kernel cache."""
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+    clear_native_cache()
+    yield tmp_path
+    clear_native_cache()
+
+
+def _warm_program(target, mask: int = 0):
+    """Build ``target``'s kernel onto disk, then return a fresh program
+    whose next kernel request is a disk hit (the loaded-kernel cache is
+    emptied, so it goes through the warm load path)."""
+    instrument(target).native_kernel(mask)
+    clear_native_cache()
+    return instrument(target)
+
+
+_WARM_ROWS = (0.0, -0.0, 2.5, -7.5, 11.0, 1e19, -1e19, 5e-324, float("nan"))
+
+
+def _rows(program) -> np.ndarray:
+    return np.ascontiguousarray(
+        [[v] * program.arity for v in _WARM_ROWS], dtype=np.float64
+    )
+
+
+@requires_cc
+class TestWarmLoad:
+    def test_warm_request_emits_nothing_and_builds_no_variant(
+        self, private_cache, counted_emits
+    ):
+        program = _warm_program(sp.paper_foo)
+        kernel = program.native_kernel(0)
+        assert counted_emits == ["paper_foo"]  # the cold build only
+        assert kernel.loaded.bail_sites == 0  # can never bail
+        _kernel_outputs(kernel, _rows(program))
+        assert program.specialization_builds == 0
+
+    def test_bail_target_is_built_once_at_the_first_bail(
+        self, private_cache, counted_emits
+    ):
+        program = _warm_program(trunc_overflows)
+        kernel = program.native_kernel(0)
+        assert len(counted_emits) == 1
+        kernel.scalar([2.5])
+        kernel(np.array([[-3.0], [4.0]]))
+        assert program.specialization_builds == 0  # no bail yet
+        r_bail, cov_bail = kernel.scalar([1e19])
+        assert program.specialization_builds == 1
+        kernel.scalar([-1e19])
+        kernel(np.array([[1e19], [2.0]]))
+        assert program.specialization_builds == 1  # built once, reused
+        _, r_sp, cov_sp = program.run_specialized([1e19], 0)
+        assert _bits(r_bail) == _bits(r_sp) and cov_bail == cov_sp
+
+    @pytest.mark.parametrize(
+        "target", (trunc_overflows, sp.raises_for_small, sp.three_dimensional),
+        ids=lambda f: f.__name__,
+    )
+    def test_sp_meta_matches_a_fresh_emission(self, private_cache, target):
+        program = _warm_program(target)
+        loaded = program.native_kernel(0).loaded
+        variant = program.specialize(0)
+        ir = emit_program_ir(program.units, program.name, program.arity,
+                             program.n_conditionals, variant.namespace, 0,
+                             variant.epsilon)
+        assert (loaded.arity, loaded.n_words) == (len(ir.entry.params), ir.n_words)
+        assert (loaded.bail_sites, loaded.freeze_sites) == (
+            ir.bail_sites, ir.freeze_sites)
+        if target is trunc_overflows:
+            assert loaded.bail_sites >= 1
+
+    @pytest.mark.parametrize("target", PARITY_TARGETS, ids=lambda f: f.__name__)
+    def test_warm_and_cold_kernels_agree(self, private_cache, counted_emits, target):
+        rng = np.random.default_rng(59)
+        cold_program = instrument(target)
+        X = _adversarial_rows(rng, target, cold_program.arity, n_random=4)
+        cold = _kernel_outputs(cold_program.native_kernel(0), X)
+        clear_native_cache()
+        warm_program = instrument(target)
+        warm = _kernel_outputs(warm_program.native_kernel(0), X)
+        assert len(counted_emits) == 1  # the warm request did not emit
+        assert warm == cold
+
+    def test_second_process_does_not_emit(self, tmp_path):
+        """Two processes share one on-disk cache: the second loads every
+        kernel by digest, calls the emitter zero times and computes the
+        same ``(r, covered)``."""
+        script = (
+            "import json\n"
+            "import numpy as np\n"
+            "from repro.instrument.native import kernel as kernel_module\n"
+            "from repro.instrument.program import instrument\n"
+            "from tests import sample_programs as sp\n"
+            "emits = []\n"
+            "original = kernel_module.emit_program_ir\n"
+            "def counting(*args, **kwargs):\n"
+            "    emits.append(args[1])\n"
+            "    return original(*args, **kwargs)\n"
+            "kernel_module.emit_program_ir = counting\n"
+            "results = {}\n"
+            "for target in (sp.paper_foo, sp.nested_branches, sp.raises_for_small,\n"
+            "               sp.three_dimensional):\n"
+            "    program = instrument(target)\n"
+            "    kernel = program.native_kernel(0)\n"
+            "    X = np.array([[v] * program.arity for v in\n"
+            "                  (0.0, -0.0, 0.5, 2.5, -7.5, 1e19, float('nan'))])\n"
+            "    r, covered = kernel(X)\n"
+            "    scalars = [kernel.scalar(row) for row in X.tolist()]\n"
+            "    results[target.__name__] = [\n"
+            "        [v.hex() for v in r.tolist()], covered,\n"
+            "        [[v.hex(), c] for v, c in scalars]]\n"
+            "print(json.dumps({'emits': emits, 'results': results}))\n"
+        )
+        root = pathlib.Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["REPRO_NATIVE_CACHE"] = str(tmp_path)
+        env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root)])
+        runs = []
+        for _ in range(2):
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env, cwd=str(root),
+                capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs.append(json.loads(proc.stdout.splitlines()[-1]))
+        cold, warm = runs
+        assert len(cold["emits"]) == 4
+        assert warm["emits"] == []
+        assert warm["results"] == cold["results"]
+
+    def test_entry_wider_than_the_signature_is_unavailable(self, private_cache):
+        # The kernel reads one double per entry parameter; an explicit
+        # signature of another width must degrade, not misalign rows.
+        program = instrument(
+            default_second_arg,
+            signature=ProgramSignature("default_second_arg", arity=1),
+        )
+        with pytest.raises(NativeUnavailable, match="arity"):
+            build_native_kernel(program, 0)
+
+
+def _meta_line(c_source: str) -> re.Match:
+    match = re.search(r"const long long sp_meta\[5\] = \{ ([^}]*) \};", c_source)
+    assert match is not None
+    return match
+
+
+def _with_meta(c_source: str, **changes) -> str:
+    """``c_source`` with some ``sp_meta`` fields replaced."""
+    match = _meta_line(c_source)
+    values = [int(v.rstrip("L")) for v in match.group(1).split(", ")]
+    fields = ("abi", "arity", "n_words", "bail_sites", "freeze_sites")
+    for name, value in changes.items():
+        values[fields.index(name)] = value
+    line = "const long long sp_meta[5] = { %s };" % ", ".join(f"{v}LL" for v in values)
+    return c_source[: match.start()] + line + c_source[match.end():]
+
+
+@requires_cc
+class TestStaleKernelFallback:
+    """A file at ``<digest>.so`` that is not this program's kernel under
+    this ABI is rejected, deleted and rebuilt; the rebuilt kernel computes
+    exactly what a clean build does and is never loaded with a wrong
+    ``n_words``."""
+
+    _CORRUPTIONS = ("truncated", "no_sp_meta", "old_abi", "wrong_n_words",
+                    "wrong_arity")
+
+    def _plant(self, corruption, digest, so_bytes, c_source):
+        so_path = native_cache_dir() / f"{digest}.so"
+        so_path.parent.mkdir(parents=True, exist_ok=True)
+        if corruption == "truncated":
+            so_path.write_bytes(so_bytes[: len(so_bytes) // 2])
+            return
+        if corruption == "no_sp_meta":
+            # Exports the entry symbols but no shape: loading it blindly
+            # would call sp_entry with the wrong signature.
+            source = ("int sp_entry(void) { return 0; }\n"
+                      "void sp_batch(void) {}\nvoid sp_batch_mt(void) {}\n")
+        elif corruption == "old_abi":
+            source = _with_meta(c_source, abi=2)
+        elif corruption == "wrong_n_words":
+            n_words = int(_meta_line(c_source).group(1).split(", ")[2].rstrip("L"))
+            source = _with_meta(c_source, n_words=n_words + 1)
+        else:
+            source = _with_meta(c_source, arity=9)
+        assert compile_kernel(source, digest) == so_path
+
+    @pytest.mark.parametrize("corruption", _CORRUPTIONS)
+    def test_bad_shared_object_is_rejected_and_rebuilt(
+        self, tmp_path, monkeypatch, counted_emits, corruption
+    ):
+        target = sp.three_dimensional
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "clean"))
+        clear_native_cache()
+        clean_program = instrument(target)
+        clean_kernel = clean_program.native_kernel(0)
+        X = _adversarial_rows(np.random.default_rng(61), target,
+                              clean_program.arity, n_random=4)
+        reference = _kernel_outputs(clean_kernel, X)
+        digest = clean_kernel.digest
+        so_bytes = clean_kernel.loaded.so_path.read_bytes()
+        c_source = clean_kernel.loaded.so_path.with_suffix(".c").read_text()
+
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "planted"))
+        clear_native_cache()
+        self._plant(corruption, digest, so_bytes, c_source)
+        emits_before = len(counted_emits)
+        program = instrument(target)
+        kernel = program.native_kernel(0)
+        assert len(counted_emits) == emits_before + 1  # rejected: rebuilt
+        assert kernel.loaded.n_words == covered_words(program.n_conditionals)
+        assert kernel.loaded.arity == program.arity
+        assert _kernel_outputs(kernel, X) == reference
+        # The rebuilt file replaced the bad one: the next process-level
+        # request loads it warm.
+        clear_native_cache()
+        warm = instrument(target).native_kernel(0)
+        assert len(counted_emits) == emits_before + 1
+        assert _kernel_outputs(warm, X) == reference
+        clear_native_cache()
+
+    def test_background_path_rebuilds_a_bad_file(
+        self, tmp_path, monkeypatch, counted_emits
+    ):
+        """Under the non-blocking request a bad file triggers a background
+        rebuild: the specialized tier serves meanwhile, then the rebuilt
+        kernel swaps in with identical results."""
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        clear_native_cache()
+        _reset_background_for_tests()
+        program = instrument(sp.paper_foo)
+        digest = kernel_digest(program.units, 0, program.specialize(0).epsilon)
+        self._plant("no_sp_meta", digest, b"", "")
+        native = RepresentingFunction(
+            program, SaturationTracker(program), profile=ExecutionProfile.PENALTY_NATIVE
+        )
+        specialized = RepresentingFunction(
+            program, SaturationTracker(program),
+            profile=ExecutionProfile.PENALTY_SPECIALIZED,
+        )
+        first = native([4.0])
+        assert native.native_pending_calls == 1
+        wait_for_background(native._native_pending)
+        second = native([4.0])
+        assert native.native_respecializations == 1
+        assert _bits(first) == _bits(second) == _bits(specialized([4.0]))
+        assert native._native_kernel.loaded.n_words == covered_words(
+            program.n_conditionals)
+        _reset_background_for_tests()
+        clear_native_cache()
+
+
+class TestDiskCacheRace:
+    """Builders publish ``<digest>.so`` by renaming a hidden
+    ``.<digest>.*.so`` temp file; the cache's listing and pruning must
+    neither see nor evict those, nor die on a file renamed or pruned
+    between the listing and its ``stat``."""
+
+    @requires_cc
+    def test_in_flight_temp_files_are_neither_listed_nor_pruned(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        monkeypatch.setenv("REPRO_NATIVE_CACHE_MAX", "1")
+        in_flight = tmp_path / f".{'cd' * 32}.k3x9q1.so"
+        in_flight.write_bytes(b"half-written object")
+        os.utime(in_flight, (0, 0))  # the oldest file in FIFO order
+        for index in range(2):
+            path = compile_kernel(
+                f"int sp_dummy{index}(void) {{ return {index}; }}\n",
+                f"{index:02d}" * 32,
+            )
+            os.utime(path, (10 + index, 10 + index))
+        _prune_disk_cache(tmp_path)
+        assert in_flight.exists()  # another builder's file: not evicted
+        assert [e["digest"] for e in native_cache_entries()] == ["01" * 32]
+
+    def test_listing_tolerates_kernels_that_vanish(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        for name in ("aa" * 32, "bb" * 32):
+            (tmp_path / f"{name}.so").write_bytes(b"\x7fELF")
+        vanished = f"{'aa' * 32}.so"
+        original_stat = pathlib.Path.stat
+
+        def racing_stat(self, *args, **kwargs):
+            # A concurrent prune removes the file after the directory
+            # listing but before its stat.
+            if self.name == vanished:
+                raise FileNotFoundError(str(self))
+            return original_stat(self, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "stat", racing_stat)
+        assert [e["digest"] for e in native_cache_entries()] == ["bb" * 32]
+        assert _prune_disk_cache(tmp_path) == 0
+        assert native_clean_disk_cache() == 1
+
+    @requires_cc
+    def test_background_worker_records_unexpected_errors(
+        self, tmp_path, monkeypatch
+    ):
+        """An unexpected exception in a background build is a ``failed``
+        outcome, not a dead worker and a digest pending forever."""
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        _reset_background_for_tests()
+        real_compile = cache_module.compile_kernel
+
+        def vanishing_compile(c_source, digest):
+            raise FileNotFoundError("renamed by a concurrent builder")
+
+        monkeypatch.setattr(cache_module, "compile_kernel", vanishing_compile)
+        digest = "ef" * 32
+        source = "int sp_dummy_bg(void) { return 1; }\n"
+        with pytest.raises(NativeCompiling):
+            compile_kernel_background(source, digest)
+        wait_for_background(digest, timeout=30)
+        assert background_compile_stats()["failed"] == 1
+        with pytest.raises(NativeUnavailable, match="background compile failed"):
+            compile_kernel_background(source, digest)
+        # The worker keeps serving later jobs.
+        monkeypatch.setattr(cache_module, "compile_kernel", real_compile)
+        other = "fe" * 32
+        with pytest.raises(NativeCompiling):
+            compile_kernel_background(source, other)
+        wait_for_background(other, timeout=60)
+        assert compile_kernel_background(source, other).exists()
         _reset_background_for_tests()
 
 
