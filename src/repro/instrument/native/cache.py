@@ -28,7 +28,9 @@ from pathlib import Path
 #: Bump when the emitter/backend changes generated code or the entry ABI.
 #: 2: sp_batch_mt threaded entry + in/out cov accumulator + restrict loop.
 #: 3: exported ``sp_meta`` constant (ABI, arity, n_words, bail/freeze sites).
-ABI_VERSION = 3
+#: 4: adopted helpers emitted against their own module globals; the digest
+#:    covers helper sources and the global constants the code names.
+ABI_VERSION = 4
 
 #: Default upper bound on cached shared objects on disk (each entry keeps
 #: its .c source next to the .so for debuggability).  Overridable per

@@ -249,7 +249,7 @@ _BITS_INTRINSICS = {
 _LIBM_1 = {
     "sin", "cos", "tan", "asin", "acos", "atan",
     "sinh", "cosh", "tanh", "exp", "expm1", "log1p",
-    "sqrt", "log", "log2", "log10", "fabs",
+    "sqrt", "log", "log2", "log10", "fabs", "erf", "erfc",
 }
 
 
@@ -264,7 +264,10 @@ class _FnInfo:
     params: list  # arg names in order
     defaults: dict  # arg name -> constant default
     assigned: set  # names stored anywhere in the unit
+    returns_value: bool  # some ``return <value>`` statement in the body
     tree: ast.FunctionDef
+    namespace: dict  # globals the body runs against
+    adopted: bool = False  # uninstrumented helper, not a program unit
     var_types: dict = field(default_factory=dict)
     var_maybool: set = field(default_factory=set)
     param_maybool: set = field(default_factory=set)
@@ -277,6 +280,15 @@ class _FnInfo:
 class _AssignedNames(ast.NodeVisitor):
     def __init__(self):
         self.names = set()
+        self.returns_value = False
+
+    def visit_Return(self, node):
+        value = node.value
+        if value is not None and not (
+            isinstance(value, ast.Constant) and value.value is None
+        ):
+            self.returns_value = True
+        self.generic_visit(node)
 
     def visit_Name(self, node):
         if isinstance(node.ctx, (ast.Store, ast.Del)):
@@ -294,6 +306,33 @@ def _sanitize(name: str) -> str:
     return "v_" + "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in name)
 
 
+def _fn_info(func: ast.FunctionDef, py_name: str, c_name: str,
+             namespace: dict, **flags) -> _FnInfo:
+    scan = _AssignedNames()
+    for stmt in func.body:
+        scan.visit(stmt)
+    arguments = func.args.args
+    params = [a.arg for a in arguments]
+    defaults = {}
+    for arg, default in zip(arguments[len(arguments) - len(func.args.defaults):],
+                            func.args.defaults):
+        try:
+            defaults[arg.arg] = ast.literal_eval(default)
+        except (ValueError, TypeError):
+            pass
+    return _FnInfo(
+        py_name=py_name,
+        c_name=c_name,
+        params=params,
+        defaults=defaults,
+        assigned=scan.names | set(params),
+        returns_value=scan.returns_value,
+        tree=func,
+        namespace=namespace,
+        **flags,
+    )
+
+
 class ProgramEmitter:
     """Emits one instrumented program (all units) against one mask."""
 
@@ -301,6 +340,10 @@ class ProgramEmitter:
 
     def __init__(self, units, entry_name, arity, n_conditionals, namespace,
                  saturated_mask, epsilon):
+        # Program units run against the program namespace, exactly as
+        # ``instrument()`` execs them; each adopted helper runs against its
+        # own module globals.  ``self.namespace`` follows the unit being
+        # emitted.
         self.namespace = namespace
         self.saturated_mask = saturated_mask
         self.epsilon = epsilon
@@ -311,8 +354,9 @@ class ProgramEmitter:
         self.freeze_sites = 0
         self.arrays: dict = {}
         self._array_names: dict = {}
-        self.infos: dict = {}
-        order = []
+        self.infos: dict = {}  # unit name -> _FnInfo
+        self._helpers: dict = {}  # helper function object -> _FnInfo | None
+        self.order: list = []  # every _FnInfo in emission order
         for index, (source, name, start_label) in enumerate(units):
             tree, _ = specialize_source(
                 source,
@@ -325,36 +369,15 @@ class ProgramEmitter:
                 s for s in tree.body
                 if isinstance(s, ast.FunctionDef) and s.name == name
             )
-            scan = _AssignedNames()
-            for stmt in func.body:
-                scan.visit(stmt)
-            params = [a.arg for a in func.args.args]
-            defaults = {}
-            for arg, default in zip(
-                func.args.args[len(func.args.args) - len(func.args.defaults):],
-                func.args.defaults,
-            ):
-                try:
-                    defaults[arg.arg] = ast.literal_eval(default)
-                except (ValueError, TypeError):
-                    pass
-            info = _FnInfo(
-                py_name=name,
-                c_name=f"sp_u{index}_{name}",
-                params=params,
-                defaults=defaults,
-                assigned=scan.names | set(params),
-                tree=func,
-                is_entry=(name == entry_name),
-            )
+            info = _fn_info(func, name, f"sp_u{index}_{name}", namespace,
+                            is_entry=(name == entry_name))
             if info.is_entry:
-                for p in params:
+                for p in info.params:
                     info.var_types[p] = T_F64
             self.infos[name] = info
-            order.append(name)
+            self.order.append(info)
         if entry_name not in self.infos:
             raise NativeUnavailable(f"entry unit {entry_name!r} not found")
-        self.order = order
 
     # -- driver ---------------------------------------------------------------------
 
@@ -364,14 +387,16 @@ class ProgramEmitter:
             self._changed = False
             self.bail_sites = 0
             self.freeze_sites = 0
-            functions = [self._emit_unit(self.infos[name]) for name in self.order]
+            # Helpers adopted mid-pass are appended to ``self.order`` and
+            # emitted in the same pass.
+            functions = [self._emit_unit(info) for info in self.order]
             if not self._changed:
                 break
         if self._changed:
             # A stable pass is required: caller argument conversions and
             # callee parameter declarations must agree on every type.
             raise NativeUnavailable("type inference did not converge")
-        entry_fn = next(f for f in functions if f.py_name == self.entry_name)
+        entry_fn = next(f for f in functions if f.is_entry)
         self._check_entry_viable(entry_fn)
         n_words = covered_words(self.n_conditionals)
         return ProgramIR(
@@ -401,11 +426,15 @@ class ProgramEmitter:
 
     def _emit_unit(self, info: _FnInfo) -> FnIR:
         self.fn = info
+        self.namespace = info.namespace
         self._temp_counter = 0
         self._temps: list = []
         self._loop_depth = 0
         body = self._emit_block(info.tree.body)
-        if info.ret_arity == -1:
+        if info.ret_arity == -1 and not info.returns_value:
+            # Only a function with no ``return <value>`` at all is void; one
+            # whose value returns all bailed this pass (operand types not
+            # known yet) stays unknown until a later pass types them.
             info.ret_arity = 0
             self._changed = True
         elif info.ret_arity > 0 and not info.is_entry:
@@ -561,9 +590,11 @@ class ProgramEmitter:
         if any(isinstance(t, ast.Tuple) for t in targets):
             raise _StmtBail("chained tuple assignment")
         value = self._expr(node.value)
-        value = self._materialize(value) if len(targets) > 1 else value
+        maybool = self._maybool(value)
+        if len(targets) > 1:
+            value = self._materialize(value)
         for name in targets:
-            self._store(name, value)
+            self._store(name, value, maybool=maybool)
 
     def _stmt_tuple_assign(self, target: ast.Tuple, value) -> None:
         names = []
@@ -583,9 +614,16 @@ class ProgramEmitter:
         if isinstance(value, ast.Tuple):
             if len(value.elts) != len(names):
                 raise _StmtBail("tuple unpack arity mismatch")
-            vals = [self._materialize(self._expr(e)) for e in value.elts]
-            for name, v in zip(names, vals):
-                self._store(name, v)
+            # Python evaluates the whole right-hand side before the first
+            # store, so ``a, b = b, a`` must read ``a`` before it changes:
+            # every non-constant element is copied into a fresh temp.
+            vals, maybools = [], []
+            for elt in value.elts:
+                v = self._expr(elt)
+                maybools.append(self._maybool(v))
+                vals.append(self._snapshot(v))
+            for name, v, mb in zip(names, vals, maybools):
+                self._store(name, v, maybool=mb)
             return
         raise _StmtBail("unsupported tuple assignment")
 
@@ -642,11 +680,8 @@ class ProgramEmitter:
         if value is None or (
             isinstance(value, ast.Constant) and value.value is None
         ):
-            if info.ret_arity > 0 and not info.is_entry:
+            if info.returns_value and not info.is_entry:
                 raise _StmtBail("bare return from value-returning helper")
-            if info.ret_arity == -1 and not info.is_entry:
-                info.ret_arity = 0
-                self._changed = True
             self._push(SReturn([]))
             return
         elts = value.elts if isinstance(value, ast.Tuple) else [value]
@@ -657,11 +692,11 @@ class ProgramEmitter:
                 elts = None
                 vals = outs
         if elts is not None:
-            if len(elts) > 1:
-                vals = [self._materialize(self._expr(e)) for e in elts]
-            else:
-                vals = [self._expr(elts[0])]
-            maybools = [self._maybool(v) for v in vals]
+            vals, maybools = [], []
+            for elt in elts:
+                v = self._expr(elt)
+                maybools.append(self._maybool(v))
+                vals.append(self._materialize(v) if len(elts) > 1 else v)
         if info.ret_arity == -1:
             info.ret_arity = len(vals)
             info.ret_types = [T_NONE] * len(vals)
@@ -689,7 +724,14 @@ class ProgramEmitter:
         return VarRef(type_, name)
 
     def _materialize(self, expr):
-        if isinstance(expr, (VarRef, Const)):
+        if isinstance(expr, VarRef):
+            return expr
+        return self._snapshot(expr)
+
+    def _snapshot(self, expr):
+        """Like :meth:`_materialize`, but a variable read is copied too, so
+        later stores to that variable cannot change the value."""
+        if isinstance(expr, Const):
             return expr
         var = self._fresh(expr.type)
         self._push(SAssign(var, expr))
@@ -1155,7 +1197,9 @@ class ProgramEmitter:
         return ArrRef(elem_type, c_name, wrapped)
 
     def _register_array(self, name: str, table: tuple):
-        cached = self._array_names.get(name)
+        # Keyed by the tuple itself: one name can be bound to different
+        # tables in different modules' globals.
+        cached = self._array_names.get(id(table))
         if cached is not None:
             return cached
         if all(type(v) is int for v in table):
@@ -1174,7 +1218,7 @@ class ProgramEmitter:
             raise _StmtBail("non-numeric tuple constant")
         c_name = f"sp_arr{len(self.arrays)}_{_sanitize(name)[2:]}"
         self.arrays[c_name] = (elem_type, values)
-        self._array_names[name] = (c_name, elem_type)
+        self._array_names[id(table)] = (c_name, elem_type)
         return c_name, elem_type
 
     # -- calls -----------------------------------------------------------------------
@@ -1197,11 +1241,14 @@ class ProgramEmitter:
         return handler(node.args)
 
     def _unit_call(self, node: ast.Call):
-        """Emit a call to another unit of the program; returns (outs,
-        maybools) or None when the callee is not a unit."""
+        """Emit a call to another unit of the program or to an adopted
+        helper; returns (outs, maybools) or None when the callee is
+        neither."""
         if not isinstance(node.func, ast.Name):
             return None
-        callee = self.infos.get(node.func.id)
+        # A unit name means the unit only inside the program namespace; an
+        # adopted helper's globals bind it to the uninstrumented original.
+        callee = None if self.fn.adopted else self.infos.get(node.func.id)
         if callee is None:
             callee = self._register_helper(node.func.id)
         if callee is None:
@@ -1241,15 +1288,29 @@ class ProgramEmitter:
 
         Programs may call uninstrumented module-level helpers (e.g.
         ``e_scalb``'s ``_isnan``).  The scalar tier executes their raw
-        Python, so emitting the unmodified AST through the same statement
-        machinery is exactly equivalent: no probes, no ``r``/coverage
-        writes, same freeze/bail taxonomy inside.  Returns the registered
-        :class:`_FnInfo` or ``None`` when the object is not adoptable (the
-        caller then bails the statement)."""
+        Python against their own module globals, so emitting the unmodified
+        AST through the same statement machinery, with names resolved in
+        ``obj.__globals__``, is exactly equivalent: no probes, no
+        ``r``/coverage writes, same freeze/bail taxonomy inside.  Helpers
+        are keyed by function object, so one reachable from several modules
+        is emitted once.  Returns the registered :class:`_FnInfo` or
+        ``None`` when the object is not adoptable (the caller then bails
+        the statement)."""
         if name in self.fn.assigned:
             return None
         obj = self.namespace.get(name)
-        if not inspect.isfunction(obj) or obj.__closure__ is not None:
+        if not inspect.isfunction(obj):
+            return None
+        if obj in self._helpers:
+            return self._helpers[obj]
+        self._helpers[obj] = info = self._adopt(obj)
+        if info is not None:
+            self.order.append(info)
+            self._changed = True
+        return info
+
+    def _adopt(self, obj):
+        if obj.__closure__ is not None:
             return None
         mod = getattr(obj, "__module__", "") or ""
         if mod == "math" or mod.endswith("fdlibm.bits"):
@@ -1270,31 +1331,9 @@ class ProgramEmitter:
         if arguments.vararg or arguments.kwarg or arguments.kwonlyargs \
                 or arguments.posonlyargs:
             return None
-        scan = _AssignedNames()
-        for stmt in func.body:
-            scan.visit(stmt)
-        params = [a.arg for a in arguments.args]
-        defaults = {}
-        for arg, default in zip(
-            arguments.args[len(arguments.args) - len(arguments.defaults):],
-            arguments.defaults,
-        ):
-            try:
-                defaults[arg.arg] = ast.literal_eval(default)
-            except (ValueError, TypeError):
-                pass
-        info = _FnInfo(
-            py_name=name,
-            c_name=f"sp_h{len(self.infos)}_{name}",
-            params=params,
-            defaults=defaults,
-            assigned=scan.names | set(params),
-            tree=func,
-        )
-        self.infos[name] = info
-        self.order.append(name)
-        self._changed = True
-        return info
+        return _fn_info(func, obj.__name__,
+                        f"sp_h{len(self.order)}_{obj.__name__}",
+                        obj.__globals__, adopted=True)
 
     def _resolve_callable(self, func):
         if isinstance(func, ast.Name):

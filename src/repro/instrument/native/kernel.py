@@ -29,9 +29,12 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import inspect
 import struct
 import sys
 import threading
+import types
+import weakref
 
 import _ctypes
 import numpy as np
@@ -99,19 +102,21 @@ class _LoadedKernel:
         self.sp_batch_mt = batch_mt
 
 
-def kernel_digest(units, saturated_mask: int, epsilon: float) -> str:
+def kernel_digest(units, saturated_mask: int, epsilon: float,
+                  helpers: str = "") -> str:
     """Content digest of one native kernel build.
 
     Everything that affects the generated machine code participates: the
     per-unit (source sha256, function name, start label) triples, the
-    saturation mask, epsilon (hex, bit-exact), the backend name, the
-    compiler version line, the optimization flag tier and the codegen ABI
-    version."""
+    program's :func:`helper_digest` (``helpers``), the saturation mask,
+    epsilon (hex, bit-exact), the backend name, the compiler version line,
+    the optimization flag tier and the codegen ABI version."""
     _cc, version = find_cc()
     hasher = hashlib.sha256()
     for source, function_name, start_label in units:
         source_sha = hashlib.sha256(source.encode("utf-8")).hexdigest()
         hasher.update(f"{source_sha}:{function_name}:{start_label}\n".encode())
+    hasher.update(f"helpers={helpers}\n".encode())
     hasher.update(f"mask={saturated_mask:x}\n".encode())
     hasher.update(f"eps={float(epsilon).hex()}\n".encode())
     hasher.update(f"backend={BACKEND_NAME}\n".encode())
@@ -119,6 +124,77 @@ def kernel_digest(units, saturated_mask: int, epsilon: float) -> str:
     hasher.update(f"opt={opt_tier()}\n".encode())
     hasher.update(f"abi={ABI_VERSION}\n".encode())
     return hasher.hexdigest()
+
+
+def _code_names(code) -> set:
+    """Every name a code object (nested code included) looks up."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _code_names(const)
+    return names
+
+
+#: sha256 of a helper function's source, per function object.
+_SOURCE_SHAS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _source_sha(func) -> str:
+    sha = _SOURCE_SHAS.get(func)
+    if sha is None:
+        try:
+            source = inspect.getsource(func)
+        except (OSError, TypeError):
+            source = ""  # not adoptable: the emitter bails its calls
+        sha = hashlib.sha256(source.encode("utf-8")).hexdigest()
+        _SOURCE_SHAS[func] = sha
+    return sha
+
+
+def helper_digest(program) -> str:
+    """Digest of what a program's kernel reads beyond its unit sources.
+
+    The emitter adopts plain functions the units call and folds global
+    constants, each resolved in the globals of the function that names it.
+    So this hashes the source of every plain function reachable by a
+    global name from the units, transitively through each function's own
+    ``__globals__``, and the value of every ``bool``/``int``/``float``/
+    ``tuple`` constant those functions name, as a global or as an attribute
+    of a global module.  Attribute names count as global names too:
+    over-approximating only costs a rebuild.  Cached on the program; source
+    hashes are cached per function object."""
+    cached = program.native_helper_digest
+    if cached is not None:
+        return cached
+    namespace = program.entry.__globals__
+    unit_names = {name for _source, name, _label in program.units}
+    stack = [(namespace[name].__code__, namespace) for name in unit_names
+             if inspect.isfunction(namespace.get(name))]
+    seen: set = set()
+    parts: set = set()
+    while stack:
+        code, globs = stack.pop()
+        module = globs.get("__name__", "?")
+        names = _code_names(code)
+        for name in names:
+            value = globs.get(name)
+            if isinstance(value, types.ModuleType):
+                for attr in names:
+                    const = getattr(value, attr, None)
+                    if type(const) in (bool, int, float, tuple):
+                        parts.add(f"const {value.__name__}.{attr} {const!r}")
+            elif inspect.isfunction(value):
+                if value in seen or (globs is namespace and name in unit_names):
+                    continue
+                seen.add(value)
+                parts.add(f"fn {value.__module__}.{value.__qualname__} "
+                          f"{_source_sha(value)}")
+                stack.append((value.__code__, value.__globals__))
+            elif type(value) in (bool, int, float, tuple):
+                parts.add(f"const {module}.{name} {value!r}")
+    digest = hashlib.sha256("\n".join(sorted(parts)).encode("utf-8")).hexdigest()
+    program.native_helper_digest = digest
+    return digest
 
 
 #: Module-level loaded-kernel cache: digest -> _LoadedKernel.  Negative
@@ -258,7 +334,8 @@ def _emit_and_compile(program, digest, saturated_mask, epsilon, wait):
 
 
 def _load(program, saturated_mask, epsilon, wait: bool = True) -> _LoadedKernel:
-    digest = kernel_digest(program.units, saturated_mask, epsilon)
+    digest = kernel_digest(program.units, saturated_mask, epsilon,
+                           helper_digest(program))
     with _NATIVE_CACHE_LOCK:
         cached = _NATIVE_CACHE.get(digest)
         if cached is not None:
@@ -336,14 +413,15 @@ class NativeKernel:
     flags as bailed (a construct whose bit-exact CPython semantics the
     emitter could not prove) are transparently re-run on the scalar
     specialized variant, so results never depend on the emitter's coverage
-    being perfect; that variant is built at the first bail (:attr:`variant`).
+    being perfect; that variant is built at the first bail (:attr:`variant`)
+    and :attr:`bails` counts the rows re-run on it.
     :meth:`scalar` is the one-row entry point used by ``evaluate``; it
     reuses this instance's ctypes buffers, so a kernel belongs to one
     thread, like its program.
     """
 
     __slots__ = ("program", "loaded", "saturated_mask", "epsilon", "arity",
-                 "mode", "_variant", "_x", "_r", "_cov", "_addresses",
+                 "mode", "bails", "_variant", "_x", "_r", "_cov", "_addresses",
                  "_unary", "_one_word")
 
     def __init__(self, program, saturated_mask: int, epsilon: float,
@@ -354,6 +432,7 @@ class NativeKernel:
         self.epsilon = epsilon
         self.arity = loaded.arity
         self.mode = "native"
+        self.bails = 0
         self._variant = None
         # Per-instance scalar buffers (input row, r, covered words), reused
         # by every call and passed to sp_entry by address.
@@ -392,6 +471,7 @@ class NativeKernel:
         return self._r.value, _mask_of_words(self._cov)
 
     def _scalar_fallback(self, args) -> tuple[float, int]:
+        self.bails += 1
         variant = self.variant
         _value, r = variant.run(args)
         return r, variant.covered_mask()
@@ -468,6 +548,7 @@ __all__ = [
     "NativeKernel",
     "build_native_kernel",
     "clear_native_cache",
+    "helper_digest",
     "kernel_digest",
     "native_cache_dir",
     "native_cache_info",

@@ -272,6 +272,8 @@ class InstrumentedProgram:
     specialization_builds: int = field(default=0, repr=False)
     batched_kernel_builds: int = field(default=0, repr=False)
     native_kernel_builds: int = field(default=0, repr=False)
+    #: Cached :func:`repro.instrument.native.kernel.helper_digest`.
+    native_helper_digest: Optional[str] = field(default=None, repr=False)
     _variants: dict = field(default_factory=dict, repr=False)
     _batch_kernels: dict = field(default_factory=dict, repr=False)
     _native_kernels: dict = field(default_factory=dict, repr=False)
