@@ -228,6 +228,46 @@ class _StmtBail(Exception):
 
 _MISS = object()
 
+#: Scalar types of a global value (or of an attribute of one) that the
+#: emitter folds into a kernel constant.
+FOLD_TYPES = (bool, int, float)
+
+
+def global_value(namespace: dict, name: str, attr=None):
+    """What a body reads as the global ``name`` -- or as ``name.attr`` when
+    ``attr`` is given -- in ``namespace``, its module globals; ``_MISS``
+    when unbound.  The emitter reads every global it bakes into a kernel
+    through here."""
+    value = namespace.get(name, _MISS)
+    if attr is not None and value is not _MISS:
+        value = getattr(value, attr, _MISS)
+    return value
+
+
+def baked_form(value):
+    """Text of what the emitter bakes into a kernel from a global value it
+    reads, or ``None`` when it bakes nothing from it.
+
+    A :data:`FOLD_TYPES` scalar folds to its value, a tuple of such scalars
+    becomes a constant array (any other tuple still folds its ``len``), a
+    builtin (``math`` intrinsics) is called by name and a plain function is
+    called by identity.  Adopted helper *bodies* are emitted from source,
+    which :func:`repro.instrument.native.kernel.helper_digest` hashes apart.
+    Every form is deterministic text, so a kernel digest over them is stable
+    across processes."""
+    kind = type(value)
+    if kind in FOLD_TYPES:
+        return f"{kind.__name__} {value!r}"
+    if isinstance(value, tuple):
+        if all(type(v) in FOLD_TYPES for v in value):
+            return f"{kind.__name__} {value!r}"
+        return f"{kind.__name__} len {len(value)}"
+    if inspect.isbuiltin(value) or inspect.isfunction(value):
+        module = getattr(value, "__module__", None)
+        return f"{kind.__name__} {module}.{value.__qualname__}"
+    return None
+
+
 _CONVERT_ERROR_NAMES = {"TypeError", "ValueError", "OverflowError"}
 
 _BITS_INTRINSICS = {
@@ -794,15 +834,13 @@ class ProgramEmitter:
         if isinstance(node, ast.Name):
             if node.id in self.fn.assigned or node.id == R_NAME:
                 return _MISS
-            v = self.namespace.get(node.id, _MISS)
-            return v if type(v) in (bool, int, float) else _MISS
+            v = global_value(self.namespace, node.id)
+            return v if type(v) in FOLD_TYPES else _MISS
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-            base = self.namespace.get(node.value.id, _MISS)
-            if base is not _MISS and node.value.id not in self.fn.assigned:
-                v = getattr(base, node.attr, _MISS)
-                if type(v) in (bool, int, float):
-                    return v
-            return _MISS
+            if node.value.id in self.fn.assigned:
+                return _MISS
+            v = global_value(self.namespace, node.value.id, node.attr)
+            return v if type(v) in FOLD_TYPES else _MISS
         if isinstance(node, ast.UnaryOp):
             v = self._try_const(node.operand)
             if v is _MISS:
@@ -1107,7 +1145,7 @@ class ProgramEmitter:
             name = target.id
             info = self.fn
             if name not in info.assigned:
-                const = self.namespace.get(name, _MISS)
+                const = global_value(self.namespace, name)
                 if const is _MISS:
                     raise _StmtBail("class guard on unresolvable name")
                 cls = node.comparators[0].id
@@ -1177,7 +1215,7 @@ class ProgramEmitter:
         name = node.value.id
         if name in self.fn.assigned:
             raise _StmtBail("subscript of local variable")
-        table = self.namespace.get(name, _MISS)
+        table = global_value(self.namespace, name)
         if not isinstance(table, tuple) or not table:
             raise _StmtBail(f"subscript of unsupported object {name!r}")
         c_name, elem_type = self._register_array(name, table)
@@ -1298,7 +1336,7 @@ class ProgramEmitter:
         the statement)."""
         if name in self.fn.assigned:
             return None
-        obj = self.namespace.get(name)
+        obj = global_value(self.namespace, name)
         if not inspect.isfunction(obj):
             return None
         if obj in self._helpers:
@@ -1340,16 +1378,15 @@ class ProgramEmitter:
             name = func.id
             if name in self.fn.assigned:
                 raise _StmtBail("call through local variable")
-            obj = self.namespace.get(name, _MISS)
+            obj = global_value(self.namespace, name)
             if obj is _MISS:
                 if name in ("float", "int", "abs", "min", "max", "bool", "len"):
                     return None, name
                 raise _StmtBail(f"call of unresolvable name {name!r}")
         elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-            base = self.namespace.get(func.value.id, _MISS)
-            if base is _MISS or func.value.id in self.fn.assigned:
+            if func.value.id in self.fn.assigned:
                 raise _StmtBail("call on unresolvable attribute")
-            obj = getattr(base, func.attr, _MISS)
+            obj = global_value(self.namespace, func.value.id, func.attr)
             if obj is _MISS:
                 raise _StmtBail("call on unresolvable attribute")
         else:
@@ -1455,7 +1492,7 @@ class ProgramEmitter:
 
     def _call_len(self, args):
         if len(args) == 1 and isinstance(args[0], ast.Name):
-            table = self.namespace.get(args[0].id, _MISS)
+            table = global_value(self.namespace, args[0].id)
             if isinstance(table, tuple) and args[0].id not in self.fn.assigned:
                 return Const(T_I64, len(table))
         raise _StmtBail("len of non-constant")

@@ -57,7 +57,13 @@ from repro.instrument.native.cache import (
     native_cache_entries,
     opt_tier,
 )
-from repro.instrument.native.emit import covered_words, emit_program_ir
+from repro.instrument.native.emit import (
+    FOLD_TYPES,
+    baked_form,
+    covered_words,
+    emit_program_ir,
+    global_value,
+)
 
 _C_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 _C_U64_P = ctypes.POINTER(ctypes.c_uint64)
@@ -102,21 +108,20 @@ class _LoadedKernel:
         self.sp_batch_mt = batch_mt
 
 
-def kernel_digest(units, saturated_mask: int, epsilon: float,
-                  helpers: str = "") -> str:
-    """Content digest of one native kernel build.
+def kernel_digest(program, saturated_mask: int, epsilon: float) -> str:
+    """Content digest of one native kernel build of ``program``.
 
     Everything that affects the generated machine code participates: the
     per-unit (source sha256, function name, start label) triples, the
-    program's :func:`helper_digest` (``helpers``), the saturation mask,
-    epsilon (hex, bit-exact), the backend name, the compiler version line,
-    the optimization flag tier and the codegen ABI version."""
+    program's :func:`helper_digest`, the saturation mask, epsilon (hex,
+    bit-exact), the backend name, the compiler version line, the
+    optimization flag tier and the codegen ABI version."""
     _cc, version = find_cc()
     hasher = hashlib.sha256()
-    for source, function_name, start_label in units:
+    for source, function_name, start_label in program.units:
         source_sha = hashlib.sha256(source.encode("utf-8")).hexdigest()
         hasher.update(f"{source_sha}:{function_name}:{start_label}\n".encode())
-    hasher.update(f"helpers={helpers}\n".encode())
+    hasher.update(f"helpers={helper_digest(program)}\n".encode())
     hasher.update(f"mask={saturated_mask:x}\n".encode())
     hasher.update(f"eps={float(epsilon).hex()}\n".encode())
     hasher.update(f"backend={BACKEND_NAME}\n".encode())
@@ -126,72 +131,81 @@ def kernel_digest(units, saturated_mask: int, epsilon: float,
     return hasher.hexdigest()
 
 
-def _code_names(code) -> set:
-    """Every name a code object (nested code included) looks up."""
+def _code_names(code) -> frozenset:
+    """Every name a code object (nested code included) looks up: each
+    global a body can read as ``name`` and each attribute it can read as
+    ``name.attr``."""
     names = set(code.co_names)
     for const in code.co_consts:
         if isinstance(const, types.CodeType):
             names |= _code_names(const)
-    return names
+    return frozenset(names)
 
 
-#: sha256 of a helper function's source, per function object.
-_SOURCE_SHAS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+#: (source sha256, looked-up names) of a helper function, per function object.
+_HELPER_SOURCES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _source_sha(func) -> str:
-    sha = _SOURCE_SHAS.get(func)
-    if sha is None:
+def _helper_source(func) -> tuple:
+    cached = _HELPER_SOURCES.get(func)
+    if cached is None:
         try:
             source = inspect.getsource(func)
         except (OSError, TypeError):
             source = ""  # not adoptable: the emitter bails its calls
-        sha = hashlib.sha256(source.encode("utf-8")).hexdigest()
-        _SOURCE_SHAS[func] = sha
-    return sha
+        cached = (hashlib.sha256(source.encode("utf-8")).hexdigest(),
+                  _code_names(func.__code__))
+        _HELPER_SOURCES[func] = cached
+    return cached
 
 
 def helper_digest(program) -> str:
     """Digest of what a program's kernel reads beyond its unit sources.
 
-    The emitter adopts plain functions the units call and folds global
-    constants, each resolved in the globals of the function that names it.
-    So this hashes the source of every plain function reachable by a
-    global name from the units, transitively through each function's own
-    ``__globals__``, and the value of every ``bool``/``int``/``float``/
-    ``tuple`` constant those functions name, as a global or as an attribute
-    of a global module.  Attribute names count as global names too:
-    over-approximating only costs a rebuild.  Cached on the program; source
-    hashes are cached per function object."""
+    The emitter adopts the plain functions the units call and bakes in the
+    globals they read, each resolved in the globals of the function that
+    reads it.  So this hashes the source of every plain function reachable
+    by a global name from the units, transitively through each function's
+    own ``__globals__``, and the emitter's
+    :func:`~repro.instrument.native.emit.baked_form` of every global
+    ``name`` those bodies look up and of every ``name.attr`` pair of looked
+    up names, resolved by the emitter's own
+    :func:`~repro.instrument.native.emit.global_value`.  Pairs the bodies
+    never read only over-approximate, which costs a rebuild at worst.
+    Cached on the program; helper sources are hashed once per function
+    object."""
     cached = program.native_helper_digest
     if cached is not None:
         return cached
     namespace = program.entry.__globals__
     unit_names = {name for _source, name, _label in program.units}
-    stack = [(namespace[name].__code__, namespace) for name in unit_names
-             if inspect.isfunction(namespace.get(name))]
+    stack = [(_code_names(namespace[name].__code__), namespace)
+             for name in unit_names if inspect.isfunction(namespace.get(name))]
     seen: set = set()
     parts: set = set()
     while stack:
-        code, globs = stack.pop()
+        names, globs = stack.pop()
         module = globs.get("__name__", "?")
-        names = _code_names(code)
         for name in names:
-            value = globs.get(name)
-            if isinstance(value, types.ModuleType):
+            if name not in globs:
+                continue
+            value = globs[name]
+            form = baked_form(value)
+            if form is not None:
+                parts.add(f"{module}.{name} {form}")
+            if type(value) not in FOLD_TYPES and not isinstance(value, tuple):
+                # Attributes of a scalar or a tuple follow from its value.
                 for attr in names:
-                    const = getattr(value, attr, None)
-                    if type(const) in (bool, int, float, tuple):
-                        parts.add(f"const {value.__name__}.{attr} {const!r}")
-            elif inspect.isfunction(value):
-                if value in seen or (globs is namespace and name in unit_names):
-                    continue
-                seen.add(value)
-                parts.add(f"fn {value.__module__}.{value.__qualname__} "
-                          f"{_source_sha(value)}")
-                stack.append((value.__code__, value.__globals__))
-            elif type(value) in (bool, int, float, tuple):
-                parts.add(f"const {module}.{name} {value!r}")
+                    form = baked_form(global_value(globs, name, attr))
+                    if form is not None:
+                        parts.add(f"{module}.{name}.{attr} {form}")
+            if not inspect.isfunction(value) or value in seen \
+                    or (globs is namespace and name in unit_names):
+                continue
+            seen.add(value)
+            source_sha, helper_names = _helper_source(value)
+            parts.add(f"fn {value.__module__}.{value.__qualname__} {source_sha}")
+            stack.append((helper_names, value.__globals__))
     digest = hashlib.sha256("\n".join(sorted(parts)).encode("utf-8")).hexdigest()
     program.native_helper_digest = digest
     return digest
@@ -334,8 +348,7 @@ def _emit_and_compile(program, digest, saturated_mask, epsilon, wait):
 
 
 def _load(program, saturated_mask, epsilon, wait: bool = True) -> _LoadedKernel:
-    digest = kernel_digest(program.units, saturated_mask, epsilon,
-                           helper_digest(program))
+    digest = kernel_digest(program, saturated_mask, epsilon)
     with _NATIVE_CACHE_LOCK:
         cached = _NATIVE_CACHE.get(digest)
         if cached is not None:

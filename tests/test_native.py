@@ -372,13 +372,15 @@ class TestAdoptedHelpers:
     @pytest.mark.parametrize("helper_source", (
         "def digest_helper(x):\n    return x * {factor}\n",
         "K = {factor}\n\n\ndef digest_helper(x):\n    return x * K\n",
-    ), ids=("helper-body", "helper-constant"))
+        "class Scale:\n    K = {factor}\n\n\n"
+        "def digest_helper(x):\n    return x * Scale.K\n",
+    ), ids=("helper-body", "helper-constant", "helper-class-attribute"))
     def test_helper_module_edit_changes_the_digest_and_the_kernel_rebuilds(
         self, private_cache, counted_emits, tmp_path_factory, helper_source
     ):
         """Two programs with identical units whose helper modules differ,
-        in a function body or in a module constant the helper reads, must
-        not share a cached kernel."""
+        in a function body or in a constant the helper reads (a module
+        global or a class attribute), must not share a cached kernel."""
         programs = []
         for label, factor in (("a", 2.0), ("b", 4.0)):
             root = tmp_path_factory.mktemp(label)
@@ -389,9 +391,9 @@ class TestAdoptedHelpers:
             programs.append(instrument(entry.digest_entry))
         first, second = programs
         assert first.units == second.units
-        assert kernel_digest(first.units, 0, DEFAULT_EPSILON) == kernel_digest(
-            second.units, 0, DEFAULT_EPSILON)
         assert helper_digest(first) != helper_digest(second)
+        assert kernel_digest(first, 0, DEFAULT_EPSILON) != kernel_digest(
+            second, 0, DEFAULT_EPSILON)
         assert first.native_kernel(0).digest != second.native_kernel(0).digest
         assert counted_emits == ["digest_entry", "digest_entry"]
         X = np.ascontiguousarray([[v] for v in _HELPER_ROWS], dtype=np.float64)
@@ -537,26 +539,25 @@ class TestRepresentingFunctionNative:
 
 @requires_cc
 class TestCachesAndDigest:
-    _UNIT = ("def f(x):\n    return x\n", "f", "L0")
-
     def test_digest_sensitive_to_source_mask_and_epsilon(self):
-        base = kernel_digest((self._UNIT,), 0, 1e-6)
-        assert kernel_digest((self._UNIT,), 0, 1e-6) == base
-        other_source = (("def f(x):\n    return x + 1.0\n", "f", "L0"),)
-        assert kernel_digest(other_source, 0, 1e-6) != base
-        assert kernel_digest((self._UNIT,), 3, 1e-6) != base
-        assert kernel_digest((self._UNIT,), 0, 1e-7) != base
+        program = instrument(sp.paper_foo)
+        base = kernel_digest(program, 0, 1e-6)
+        assert kernel_digest(instrument(sp.paper_foo), 0, 1e-6) == base
+        assert kernel_digest(instrument(sp.three_dimensional), 0, 1e-6) != base
+        assert kernel_digest(program, 3, 1e-6) != base
+        assert kernel_digest(program, 0, 1e-7) != base
 
     def test_o3_flag_tier_folds_into_the_digest(self, monkeypatch):
         monkeypatch.delenv("REPRO_NATIVE_O3", raising=False)
         assert opt_tier() == "O2"
-        base = kernel_digest((self._UNIT,), 0, 1e-6)
+        program = instrument(sp.paper_foo)
+        base = kernel_digest(program, 0, 1e-6)
         monkeypatch.setenv("REPRO_NATIVE_O3", "1")
         assert opt_tier() == "O3"
-        assert kernel_digest((self._UNIT,), 0, 1e-6) != base
+        assert kernel_digest(program, 0, 1e-6) != base
         monkeypatch.setenv("REPRO_NATIVE_O3", "0")  # falsy spellings stay O2
         assert opt_tier() == "O2"
-        assert kernel_digest((self._UNIT,), 0, 1e-6) == base
+        assert kernel_digest(program, 0, 1e-6) == base
 
     def test_o3_tier_compiles_and_stays_bit_identical(self, monkeypatch):
         X = np.ascontiguousarray([[v] for v in _ADVERSARIAL], dtype=np.float64)
@@ -1002,8 +1003,11 @@ class TestStaleKernelFallback:
         clear_native_cache()
         _reset_background_for_tests()
         program = instrument(sp.paper_foo)
-        digest = kernel_digest(program.units, 0, program.specialize(0).epsilon)
+        digest = kernel_digest(program, 0, program.specialize(0).epsilon)
         self._plant("no_sp_meta", digest, b"", "")
+        so_path = native_cache_dir() / f"{digest}.so"
+        planted = so_path.read_bytes()
+        emits_before = len(counted_emits)
         native = RepresentingFunction(
             program, SaturationTracker(program), profile=ExecutionProfile.PENALTY_NATIVE
         )
@@ -1019,6 +1023,11 @@ class TestStaleKernelFallback:
         assert _bits(first) == _bits(second) == _bits(specialized([4.0]))
         assert native._native_kernel.loaded.n_words == covered_words(
             program.n_conditionals)
+        # The loader read the planted file, rejected it and rebuilt it in
+        # place: one emission, and the file at the digest is the new kernel.
+        assert native._native_kernel.digest == digest
+        assert len(counted_emits) == emits_before + 1
+        assert so_path.read_bytes() != planted
         _reset_background_for_tests()
         clear_native_cache()
 
@@ -1106,6 +1115,7 @@ class TestCcProbeCache:
         cached failure without touching the filesystem."""
         import shutil as shutil_module
 
+        program = instrument(sp.paper_foo)
         calls: list[str] = []
 
         def fake_which(name, *args, **kwargs):
@@ -1124,7 +1134,7 @@ class TestCcProbeCache:
                 with pytest.raises(NativeUnavailable, match="no C compiler"):
                     find_cc()
                 with pytest.raises(NativeUnavailable):
-                    kernel_digest((("def f(x):\n    return x\n", "f", "L0"),), 0, 1e-6)
+                    kernel_digest(program, 0, 1e-6)
             assert len(calls) == probe_calls  # no re-probe after the first
         finally:
             _reset_cc_probe_for_tests()
