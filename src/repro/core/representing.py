@@ -160,15 +160,11 @@ class RepresentingFunction:
             # when saturation actually flipped a bit.  Mid-epoch calls are a
             # single int comparison away from the compiled variant (or the
             # loaded machine-code kernel under the native tier).
-            mask = self.tracker.saturated_mask
-            r = None
-            if self._native and self._native_ok:
-                kernel = self._native_kernel
-                if kernel is None or kernel.saturated_mask != mask:
-                    kernel = self._native_kernel_for(mask)
-                if kernel is not None:
-                    r, _cov = kernel.scalar(args)
-            if r is None:
+            kernel = self.native_kernel() if self._native else None
+            if kernel is not None:
+                r, _cov = kernel.scalar(args)
+            else:
+                mask = self.tracker.saturated_mask
                 variant = self._variant
                 if variant is None or variant.saturated_mask != mask:
                     variant = self.program.specialize(mask, self.epsilon)
@@ -219,12 +215,7 @@ class RepresentingFunction:
         if n == 0:
             return np.empty(0, dtype=np.float64)
         if self._specialized and _batch_numpy_available():
-            mask = self.tracker.saturated_mask
-            native = None
-            if self._native and self._native_ok:
-                native = self._native_kernel
-                if native is None or native.saturated_mask != mask:
-                    native = self._native_kernel_for(mask)
+            native = self.native_kernel() if self._native else None
             if native is not None:
                 # Incremental reduction: the accumulator carries covered
                 # words across calls, so each batch reports only newly-set
@@ -239,6 +230,7 @@ class RepresentingFunction:
                 )
                 self.last_new_covered_mask = new_mask
             else:
+                mask = self.tracker.saturated_mask
                 kernel = self._batch_kernel
                 if kernel is None or kernel.saturated_mask != mask:
                     kernel = self.program.batch_kernel(mask, self.epsilon)
@@ -316,6 +308,22 @@ class RepresentingFunction:
             return r, self._fast.snapshot()
         value = self(x)
         return value, self._fast.snapshot()
+
+    def native_kernel(self):
+        """The native kernel for the tracker's current mask, or ``None``.
+
+        ``None`` when the profile is not ``penalty-native`` or the tier
+        cannot serve: the kernel is still compiling (this call is counted
+        in ``native_pending_calls``) or is permanently unavailable.  A
+        kernel is reused while the mask is unchanged (the epoch protocol).
+        """
+        if not (self._native and self._native_ok):
+            return None
+        mask = self.tracker.saturated_mask
+        kernel = self._native_kernel
+        if kernel is None or kernel.saturated_mask != mask:
+            kernel = self._native_kernel_for(mask)
+        return kernel
 
     # -- helpers -------------------------------------------------------------------
 

@@ -45,6 +45,7 @@ import numpy as np
 from repro.core.representing import RepresentingFunction
 from repro.core.saturation import SaturationTracker
 from repro.instrument.batch import numpy_available as batch_numpy_available
+from repro.instrument.native.local_min import native_objective
 from repro.instrument.program import InstrumentedProgram, ProgramOrigin, instrument
 from repro.instrument.runtime import BranchId, ExecutionProfile
 from repro.optimize.memo import BitPatternMemo
@@ -52,6 +53,10 @@ from repro.optimize.registry import get_backend
 
 #: Sub-stream tag keeping worker RNGs disjoint from the scheduler's draws.
 _STREAM_WORKER = 202
+
+#: Profiles whose chunks are primed.  Not ``penalty-native``: a native
+#: start computes ``FOO_R(x0)`` in well under a microsecond itself.
+_PRIMED_PROFILES = (ExecutionProfile.PENALTY_SPECIALIZED,)
 
 
 @dataclass(frozen=True)
@@ -122,10 +127,7 @@ def prime_chunk(
     """
     if not (params.memoize and params.batch_starts) or len(tasks) < 2:
         return None
-    if ExecutionProfile(params.eval_profile) not in (
-        ExecutionProfile.PENALTY_SPECIALIZED,
-        ExecutionProfile.PENALTY_NATIVE,
-    ):
+    if ExecutionProfile(params.eval_profile) not in _PRIMED_PROFILES:
         return None
     if not batch_numpy_available():
         return None
@@ -175,16 +177,23 @@ def run_start(
     # Within one start the saturation snapshot is frozen, so FOO_R is a pure
     # function of the input bits and memoizing it is sound.  The memo wraps
     # the objective *outside* the backend, which keeps the backend protocol
-    # unchanged and works for any registered backend.
-    objective = (
-        BitPatternMemo(representing, arity=program.arity) if params.memoize else representing
+    # unchanged and works for any registered backend.  Under penalty-native
+    # the memo is a C one that also runs whole Powell searches natively
+    # (when the kernel and the fused-search library are loaded); its
+    # misses are counted into ``evaluations`` before it is freed.  Proposal
+    # populations keep the Python memo: its evaluate_batch counts a point
+    # repeated within one batch as several misses, row-by-row calls would not.
+    fused = (
+        native_objective(representing)
+        if params.memoize and params.proposal_population == 1
+        else None
     )
-    if primed is not None and params.memoize:
-        # The batched pass already executed FOO_R(x0); plant the value and
-        # credit the execution so ``evaluations`` is identical to the
-        # scalar path (where the optimizer's opening call is a memo miss).
-        objective.seed(task.x0, primed)
-        representing.evaluations += 1
+    if fused is not None:
+        objective = fused
+    elif params.memoize:
+        objective = BitPatternMemo(representing, arity=program.arity)
+    else:
+        objective = representing
     rng = np.random.default_rng([params.root_seed, _STREAM_WORKER, task.index])
     found: dict[str, np.ndarray] = {}
 
@@ -200,18 +209,30 @@ def run_start(
         # Passed only when non-default so third-party registered backends
         # without the parameter keep working at the default setting.
         extra_kwargs["proposal_population"] = params.proposal_population
-    result = backend(
-        objective,
-        np.asarray(task.x0, dtype=float),
-        n_iter=params.n_iter,
-        local_minimizer=params.local_minimizer,
-        step_size=params.step_size,
-        temperature=params.temperature,
-        rng=rng,
-        callback=callback,
-        local_options={"max_iterations": params.local_max_iterations},
-        **extra_kwargs,
-    )
+    try:
+        if primed is not None and params.memoize:
+            # The batched pass already executed FOO_R(x0); plant the value
+            # and credit the execution so ``evaluations`` is identical to
+            # the scalar path (where the optimizer's opening call is a memo
+            # miss).
+            objective.seed(task.x0, primed)
+            representing.evaluations += 1
+        result = backend(
+            objective,
+            np.asarray(task.x0, dtype=float),
+            n_iter=params.n_iter,
+            local_minimizer=params.local_minimizer,
+            step_size=params.step_size,
+            temperature=params.temperature,
+            rng=rng,
+            callback=callback,
+            local_options={"max_iterations": params.local_max_iterations},
+            **extra_kwargs,
+        )
+    finally:
+        if fused is not None:
+            representing.evaluations += fused.misses
+            fused.close()
     x_star = found["x"] if "x" in found else result.x
     value, coverage = representing.evaluate_with_coverage(x_star)
     return StartResult(

@@ -32,6 +32,13 @@ class DescendantAnalysis:
     """Maps every branch to the conditionals reachable after taking it."""
 
     reachable: dict[BranchId, frozenset[int]] = field(default_factory=dict)
+    #: ``descendant_branches`` of every analysed branch, built once.
+    branches: dict[BranchId, frozenset[BranchId]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self._index_branches()
 
     @classmethod
     def from_function(
@@ -45,11 +52,13 @@ class DescendantAnalysis:
         for label in labels.values():
             analysis.reachable.setdefault(BranchId(label, True), frozenset())
             analysis.reachable.setdefault(BranchId(label, False), frozenset())
+        analysis._index_branches()
         return analysis
 
     def merge(self, other: "DescendantAnalysis") -> None:
         """Merge another function's analysis (used for multi-function programs)."""
         self.reachable.update(other.reachable)
+        self.branches.update(other.branches)
 
     def descendant_conditionals(self, branch: BranchId) -> frozenset[int]:
         """Conditional labels reachable by control flow after taking ``branch``."""
@@ -57,11 +66,19 @@ class DescendantAnalysis:
 
     def descendant_branches(self, branch: BranchId) -> frozenset[BranchId]:
         """Descendant branches of ``branch`` in the sense of Def. 3.2."""
-        result: set[BranchId] = set()
-        for label in self.descendant_conditionals(branch):
-            result.add(BranchId(label, True))
-            result.add(BranchId(label, False))
-        return frozenset(result)
+        return self.branches.get(branch, frozenset())
+
+    def _index_branches(self) -> None:
+        # One BranchId pair per label, shared by every set that holds it.
+        pairs = {
+            label: (BranchId(label, True), BranchId(label, False))
+            for labels in self.reachable.values()
+            for label in labels
+        }
+        self.branches = {
+            branch: frozenset(b for label in labels for b in pairs[label])
+            for branch, labels in self.reachable.items()
+        }
 
     # -- recursive walk ----------------------------------------------------------
 

@@ -14,6 +14,9 @@ from typing import Callable
 
 import numpy as np
 
+# A module import: local_min imports this package back, so its names are
+# looked up at call time.
+from repro.instrument.native import local_min
 from repro.optimize.local.line_search import minimize_scalar
 from repro.optimize.result import OptimizeResult
 
@@ -37,8 +40,13 @@ def powell(
 
     Returns:
         An :class:`~repro.optimize.result.OptimizeResult`.
+
+    A :class:`~repro.instrument.native.local_min.NativeObjective` runs the
+    whole search in one native call, bit-identical to the loop below.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+    if isinstance(func, local_min.NativeObjective) and x.shape == (func.arity,):
+        return func.powell(x, max_iterations=max_iterations, tol=tol, step=step)
     n = x.size
     directions = [np.eye(n)[i] for i in range(n)]
     nfev = 0

@@ -22,7 +22,11 @@ no warning, and the kernel swaps in once ``cc`` lands), the
 (no compiler: one per-instance warning, identical results through the
 specialized tier), the ``repro native-cache`` CLI and the engine-level
 identity of ``penalty-native`` vs ``penalty-specialized`` runs across
-worker pools.
+worker pools.  The fused native Powell search (``local_min.py``) must match
+``powell(BitPatternMemo(...))`` bit for bit, memo counters included, and
+fall back to the Python search -- library compiling or failed, arity above
+7 -- with identical results; exceptions in its bail callback propagate,
+its C memo is freed per start, and native chunks are not primed.
 
 Every test that needs a C compiler self-skips when none is present, so the
 suite passes on compiler-less machines with the degradation tests carrying
@@ -48,18 +52,23 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cli import main as cli_main
 from repro.core.branch_distance import DEFAULT_EPSILON
 from repro.core.config import CoverMeConfig
 from repro.core.representing import RepresentingFunction
 from repro.core.saturation import SaturationTracker
+from repro.engine import pool as pool_module
+from repro.engine import worker as worker_module
 from repro.engine.core import SearchEngine
+from repro.engine.worker import StartParams, StartTask, run_start
 from repro.experiments.pipeline import _TOOL_FP_EXCLUDE, tool_fingerprint
 from repro.experiments.runner import instrument_case
 from repro.fdlibm.suite import BENCHMARKS
 from repro.instrument.native import cache as cache_module
 from repro.instrument.native import kernel as kernel_module
+from repro.instrument.native import local_min
 from repro.instrument.native.cache import (
     NativeCompiling,
     NativeUnavailable,
@@ -87,12 +96,15 @@ from repro.instrument.native.kernel import (
     native_cache_info,
 )
 from repro.instrument.program import (
+    SpecializedVariant,
     clear_compiled_cache,
     compiled_cache_info,
     instrument,
 )
 from repro.instrument.runtime import ExecutionProfile
 from repro.instrument.signature import ProgramSignature
+from repro.optimize.local.powell import powell
+from repro.optimize.memo import DEFAULT_MAX_ENTRIES, BitPatternMemo
 from tests import sample_programs as sp
 from tests.test_specialize import PARITY_TARGETS, _run_fast, _unsaturated_bits
 
@@ -1333,3 +1345,439 @@ class TestFingerprintNeutrality:
             depth: int = 3
 
         assert tool_fingerprint(FakeTool(1)) == tool_fingerprint(FakeTool(4))
+
+
+# -- fused native local search (instrument/native/local_min.py) ----------------
+
+
+def eight_inputs(a, b, c, d, e, f, g, h):
+    if a + b + c + d > e + f + g + h:
+        return 1
+    return 0
+
+
+def curved_valley(x, y, z):
+    """Arity 3 with a curved valley: Powell needs several sweeps and
+    replaces directions on the way down."""
+    a = y - x * x
+    b = 1.0 - x
+    c = z - y
+    if 100.0 * a * a + b * b + c * c < 1e-12:
+        return 1
+    return 0
+
+
+class _FixedMask:
+    """Tracker stand-in pinning ``saturated_mask``, all the optimizer loop reads."""
+
+    def __init__(self, mask: int):
+        self.saturated_mask = mask
+
+
+@pytest.fixture
+def library():
+    """The fused-search library, waiting for its build if it is not on disk."""
+    lib = local_min.local_min_library()
+    if lib is None:
+        wait_for_background(local_min.library_digest())
+        lib = local_min.local_min_library()
+    assert lib is not None
+    return lib
+
+
+def _native_representing(program, mask: int) -> RepresentingFunction:
+    return RepresentingFunction(
+        program, _FixedMask(mask), profile=ExecutionProfile.PENALTY_NATIVE
+    )
+
+
+def _assert_fused_powell_identical(library, program, mask, x0, max_iterations=40,
+                                   max_entries=DEFAULT_MAX_ENTRIES):
+    """``powell`` through a NativeObjective == ``powell`` through a
+    BitPatternMemo: same x and fun bits, nfev, nit, and memo counters.
+    Returns the kernel the fused search ran on."""
+    kernel = program.native_kernel(mask)
+    reference = BitPatternMemo(_native_representing(program, mask),
+                               arity=program.arity, max_entries=max_entries)
+    fused = local_min.NativeObjective(_native_representing(program, mask), kernel,
+                                      library, max_entries)
+    try:
+        with np.errstate(all="ignore"):
+            expected = powell(reference, np.array(x0), max_iterations=max_iterations)
+        got = powell(fused, np.array(x0), max_iterations=max_iterations)
+        context = (program.name, hex(mask), x0, max_iterations, max_entries)
+        assert [_bits(v) for v in got.x] == [_bits(v) for v in expected.x], context
+        assert _bits(got.fun) == _bits(expected.fun), context
+        assert (got.nfev, got.nit, got.message) == (
+            expected.nfev, expected.nit, expected.message), context
+        assert fused.stats() == reference.stats(), context
+    finally:
+        fused.close()
+    return kernel
+
+
+def _dense_mask(program, clear_bit: int = 0) -> int:
+    """Every branch saturated but one: the searches do real work."""
+    full = (1 << (2 * program.n_conditionals)) - 1
+    return full & ~(1 << clear_bit)
+
+
+_FUSED_X0 = (0.0, -0.0, 5e-324, -1e-310, 1.5, -7.25, 1e300, -1e300,
+             float("inf"), -float("inf"), float("nan"))
+#: Every sample form and every suite entry (all have native kernels).
+_FUSED_PROGRAMS = tuple(
+    [(target.__name__, target, None) for target in PARITY_TARGETS]
+    + [(case.function.split("(")[0], None, case) for case in BENCHMARKS]
+)
+_FUSED_CACHE: dict = {}
+
+
+def _fused_program(index: int):
+    name, target, case = _FUSED_PROGRAMS[index]
+    program = _FUSED_CACHE.get(name)
+    if program is None:
+        program = instrument(target) if case is None else instrument_case(case)
+        _FUSED_CACHE[name] = program
+    return program, target
+
+
+@requires_cc
+class TestFusedLocalSearch:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_powell_bit_identical_to_python(self, library, data):
+        program, target = _fused_program(
+            data.draw(st.integers(0, len(_FUSED_PROGRAMS) - 1), label="program"))
+        top = (1 << min(2 * program.n_conditionals, 62)) - 1
+        mask = data.draw(st.integers(0, top), label="mask")
+        if data.draw(st.booleans(), label="dense"):
+            mask |= data.draw(st.integers(0, top)) | data.draw(st.integers(0, top))
+        specials = [v for v in _FUSED_X0
+                    if not (target in _NO_INF and v == float("inf"))]
+        component = st.one_of(
+            st.sampled_from(specials),
+            st.floats(allow_nan=False, allow_infinity=target not in _NO_INF, width=64),
+        )
+        x0 = [data.draw(component, label="x0") for _ in range(program.arity)]
+        _assert_fused_powell_identical(
+            library, program, mask, x0,
+            max_iterations=data.draw(st.sampled_from((0, 1, 40)), label="iterations"),
+            max_entries=data.draw(st.sampled_from((4, DEFAULT_MAX_ENTRIES)),
+                                  label="max_entries"),
+        )
+
+    @pytest.mark.parametrize("target", PARITY_TARGETS, ids=lambda f: f.__name__)
+    def test_fifo_eviction_and_iteration_caps_on_every_sample_form(self, library, target):
+        program = instrument(target)
+        mask = _dense_mask(program)
+        rng = np.random.default_rng(61)
+        for max_iterations in (0, 1, 40):
+            for max_entries in (4, DEFAULT_MAX_ENTRIES):
+                x0 = rng.normal(scale=20.0, size=program.arity).tolist()
+                _assert_fused_powell_identical(library, program, mask, x0,
+                                               max_iterations, max_entries)
+
+    def test_arity_three_pins_the_sum_of_squares_order(self, library):
+        """Powell's direction update sums squares with np.sum, a left fold
+        at this width: summed in another order, the replaced directions
+        and so the trajectory differ in the last bits."""
+        program = instrument(curved_valley)
+        mask = _dense_mask(program, 1)  # only the true branch is open
+        rng = np.random.default_rng(67)
+        for _ in range(6):
+            x0 = rng.normal(scale=3.0, size=3).tolist()
+            _assert_fused_powell_identical(library, program, mask, x0)
+
+    def test_non_finite_r_clamps_like_the_representing_function(self, library):
+        program = instrument(sp.early_return)
+        mask = _dense_mask(program, 0)
+        kernel = program.native_kernel(mask)
+        fused = local_min.NativeObjective(_native_representing(program, mask), kernel,
+                                          library)
+        try:
+            point = [float("inf")]
+            raw, _cov = kernel.scalar(point)
+            assert math.isnan(raw)
+            expected = _native_representing(program, mask)(point)
+            assert _bits(fused(point)) == _bits(expected) == _bits(1e300)
+            # A fused search opening there sees the clamped value too.
+            assert _bits(fused.powell(point, max_iterations=0).fun) == _bits(1e300)
+        finally:
+            fused.close()
+
+    def test_bailing_bessel_entry_runs_the_fallback_through_the_callback(self, library):
+        by_name = {c.function.split("(")[0]: c for c in BENCHMARKS}
+        program = instrument_case(by_name["ieee754_j0"])
+        mask = _dense_mask(program, 3)
+        bails = program.native_kernel(mask).bails
+        for x0 in ([0.75], [3.0], [-12.5], [1e300]):
+            _assert_fused_powell_identical(library, program, mask, x0)
+        assert program.native_kernel(mask).bails > bails
+
+    def test_calls_and_seeds_share_the_memo_like_bit_pattern_memo(self, library):
+        program = instrument(sp.nested_branches)
+        mask = _dense_mask(program)
+        kernel = program.native_kernel(mask)
+        reference = BitPatternMemo(_native_representing(program, mask), arity=2,
+                                   max_entries=4)
+        fused = local_min.NativeObjective(_native_representing(program, mask), kernel,
+                                          library, max_entries=4)
+        try:
+            points = [[1.0, 2.0], [-0.0, 3.0], [0.0, 3.0], [float("nan"), 1.0],
+                      [1.0, 2.0], [5.0, 5.0], [6.0, 6.0], [-0.0, 3.0], [1.0, 2.0]]
+            for i, point in enumerate(points):
+                if i % 3 == 2:
+                    reference.seed(point, 0.5 + i)
+                    fused.seed(point, 0.5 + i)
+                assert _bits(fused(np.array(point))) == _bits(reference(np.array(point)))
+                assert fused.stats() == reference.stats(), i
+            assert fused.hits == reference.hits and fused.misses == reference.misses
+            assert reference.evictions > 0
+        finally:
+            fused.close()
+
+    def test_wrong_arity_raises_the_representing_functions_error(self, library):
+        program = instrument(sp.nested_branches)
+        kernel = program.native_kernel(0)
+        reference = BitPatternMemo(_native_representing(program, 0), arity=2)
+        fused = local_min.NativeObjective(_native_representing(program, 0), kernel,
+                                          library)
+        try:
+            for bad in ([1.0], [1.0, 2.0, 3.0], 4.0):
+                with pytest.raises(ValueError) as expected:
+                    reference(bad)
+                with pytest.raises(ValueError) as got:
+                    fused(bad)
+                assert str(got.value) == str(expected.value)
+        finally:
+            fused.close()
+
+    def test_closed_objective_refuses_work(self, library):
+        program = instrument(sp.paper_foo)
+        fused = local_min.NativeObjective(_native_representing(program, 0),
+                                          program.native_kernel(0), library)
+        fused.close()
+        fused.close()  # idempotent
+        with pytest.raises(ValueError, match="closed"):
+            fused([1.0])
+        with pytest.raises(ValueError, match="closed"):
+            fused.powell([1.0])
+
+
+def _start_params(**overrides) -> StartParams:
+    fields = dict(backend="builtin", local_minimizer="powell", n_iter=2, step_size=1.0,
+                  temperature=1.0, local_max_iterations=40, zero_tolerance=0.0,
+                  epsilon=DEFAULT_EPSILON, root_seed=5,
+                  eval_profile=ExecutionProfile.PENALTY_NATIVE.value)
+    fields.update(overrides)
+    return StartParams(**fields)
+
+
+def _hard_task(program, x0, index: int = 3) -> StartTask:
+    """A start whose snapshot leaves one branch uncovered."""
+    branches = sorted(program.all_branches)
+    covered = frozenset(branches[:-1])
+    return StartTask(index=index, x0=tuple(x0), covered=covered, infeasible=frozenset())
+
+
+def _start_key(result):
+    return ([_bits(v) for v in result.x_star], _bits(result.value),
+            result.covered, result.last_conditional, result.last_outcome,
+            result.evaluations)
+
+
+@pytest.fixture
+def fused_spy(monkeypatch):
+    """Records what ``run_start`` got from ``native_objective``."""
+    seen = []
+    original = worker_module.native_objective
+
+    def spy(representing):
+        objective = original(representing)
+        seen.append(objective is not None)
+        return objective
+
+    monkeypatch.setattr(worker_module, "native_objective", spy)
+    return seen
+
+
+def _prewarm(program, task) -> int:
+    """Build the kernel of ``task``'s snapshot in the foreground; its mask."""
+    tracker = SaturationTracker(program, covered=set(task.covered),
+                                infeasible=set(task.infeasible))
+    program.native_kernel(tracker.saturated_mask)
+    return tracker.saturated_mask
+
+
+@requires_cc
+class TestFusedFallbacks:
+    def test_start_matches_the_python_search(self, library, fused_spy, monkeypatch):
+        by_name = {c.function.split("(")[0]: c for c in BENCHMARKS}
+        for program in (instrument(sp.three_dimensional),
+                        instrument_case(by_name["ieee754_atan2"]),
+                        instrument_case(by_name["ieee754_j0"])):
+            task = _hard_task(program, [2.5] * program.arity)
+            _prewarm(program, task)
+            fused = run_start(program, _start_params(), task)
+            with monkeypatch.context() as patch:
+                patch.setattr(worker_module, "native_objective", lambda representing: None)
+                python = run_start(program, _start_params(), task)
+            assert _start_key(fused) == _start_key(python), program.name
+        assert fused_spy == [True, True, True]
+
+    def test_library_still_compiling_runs_the_python_search(
+        self, library, fused_spy, tmp_path, monkeypatch
+    ):
+        program = instrument(sp.three_dimensional)
+        task = _hard_task(program, [4.0, -1.0, 2.0])
+        _prewarm(program, task)  # the kernel stays loaded in memory
+        fused = run_start(program, _start_params(), task)
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))  # no library on disk
+        local_min.clear_local_min_library()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                compiling = run_start(program, _start_params(), task)
+            assert fused_spy == [True, False]
+            assert _start_key(compiling) == _start_key(fused)
+            wait_for_background(local_min.library_digest())
+            landed = run_start(program, _start_params(), task)
+            assert fused_spy == [True, False, True]
+            assert _start_key(landed) == _start_key(fused)
+        finally:
+            local_min.clear_local_min_library()
+
+    def test_failed_library_build_warns_once_and_runs_python(
+        self, fused_spy, tmp_path, monkeypatch
+    ):
+        program = instrument(sp.three_dimensional)
+        task = _hard_task(program, [4.0, -1.0, 2.0])
+        _prewarm(program, task)
+        with monkeypatch.context() as patch:
+            patch.setattr(worker_module, "native_objective", lambda representing: None)
+            python = run_start(program, _start_params(), task)
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        monkeypatch.setattr(local_min, "_C_SOURCE", "#error deliberately broken\n")
+        local_min.clear_local_min_library()
+        try:
+            assert local_min.local_min_library() is None  # submitted, compiling
+            wait_for_background(local_min.library_digest())
+            with pytest.warns(RuntimeWarning, match="native local search unavailable") as record:
+                first = run_start(program, _start_params(), task)
+            assert len([w for w in record if "native local search" in str(w.message)]) == 1
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                second = run_start(program, _start_params(), task)
+            assert fused_spy[-2:] == [False, False]
+            assert _start_key(first) == _start_key(second) == _start_key(python)
+        finally:
+            local_min.clear_local_min_library()
+
+    def test_arity_above_seven_runs_the_python_search(self, library, fused_spy):
+        program = instrument(eight_inputs)
+        task = _hard_task(program, [float(i) for i in range(8)])
+        representing = _native_representing(program, _prewarm(program, task))
+        assert representing.native_kernel() is not None  # the kernel is there
+        assert local_min.native_objective(representing) is None
+        native = run_start(program, _start_params(), task)
+        specialized = run_start(program, _start_params(
+            eval_profile=ExecutionProfile.PENALTY_SPECIALIZED.value), task)
+        assert fused_spy == [False, False]
+        assert _start_key(native) == _start_key(specialized)
+
+    def test_bail_callback_exception_propagates(self, library, fused_spy, monkeypatch):
+        """An exception in the Python fallback unwinds the C search and is
+        raised again; it never comes back as ctypes' silent 0.0."""
+        program = instrument(trunc_overflows)
+        kernel = program.native_kernel(0)
+        fused = local_min.NativeObjective(_native_representing(program, 0), kernel, library)
+
+        def boom(self, args):
+            raise RuntimeError("fallback exploded")
+
+        try:
+            assert _bits(fused([2.5])) == _bits(
+                _native_representing(program, 0)([2.5]))
+            with monkeypatch.context() as patch:
+                patch.setattr(SpecializedVariant, "run", boom)
+                with pytest.raises(RuntimeError, match="fallback exploded"):
+                    fused([1e19])
+                with pytest.raises(RuntimeError, match="fallback exploded"):
+                    fused.powell([1e19])
+                task = StartTask(index=0, x0=(1e19,), covered=frozenset(),
+                                 infeasible=frozenset())
+                with pytest.raises(RuntimeError, match="fallback exploded"):
+                    run_start(program, _start_params(), task)
+                assert fused_spy == [True]
+            # The memo stays consistent: nothing was stored for the failed row.
+            before = fused.stats()
+            assert _bits(fused([1e19])) == _bits(_native_representing(program, 0)([1e19]))
+            assert fused.stats()["misses"] == before["misses"] + 1
+        finally:
+            fused.close()
+
+    def test_thousand_starts_leave_rss_flat(self, library, fused_spy):
+        """Each start frees its C memo in run_start's ``finally``."""
+
+        def rss_mb() -> float:
+            with open("/proc/self/status") as handle:
+                for line in handle:
+                    if line.startswith("VmRSS:"):
+                        return int(line.split()[1]) / 1024.0
+            pytest.skip("no /proc/self/status")
+
+        program = instrument(sp.three_dimensional)
+        base = _hard_task(program, [0.0, 0.0, 0.0])
+        _prewarm(program, base)
+        params = _start_params(n_iter=1)
+
+        def starts(first: int, count: int) -> None:
+            for index in range(first, first + count):
+                task = dataclasses.replace(base, index=index,
+                                           x0=(float(index % 17), -2.0, 3.5))
+                run_start(program, params, task)
+
+        starts(0, 200)
+        before = rss_mb()
+        starts(200, 1000)
+        # A start's memo holds ~140 entries (~15 KB of C memory); leaking
+        # them all would grow the process by ~14 MB.
+        assert rss_mb() - before < 4.0
+        assert all(fused_spy) and len(fused_spy) == 1200
+
+
+@requires_cc
+class TestNativeChunksAreNotPrimed:
+    def test_results_match_a_primed_run(self, library, monkeypatch):
+        """Priming a native chunk only moved ``FOO_R(x0)`` into a batch call;
+        without it the opening miss is counted in place of the primed
+        credit, so every result is unchanged."""
+        primes = []
+        original = worker_module.prime_chunk
+
+        def counting(program, params, tasks):
+            primed = original(program, params, tasks)
+            primes.append(primed is not None)
+            return primed
+
+        monkeypatch.setattr(pool_module, "prime_chunk", counting)
+
+        def run():
+            program = instrument(sp.nested_branches)
+            config = CoverMeConfig(n_start=16, n_iter=3, seed=42,
+                                   eval_profile="penalty-native", worker_mode="serial")
+            result = SearchEngine(program, config).run()
+            return (tuple(result.inputs), result.covered, result.saturated,
+                    result.evaluations,
+                    tuple((t.start, t.minimum_point, t.minimum_value, t.accepted,
+                           t.evaluations) for t in result.traces))
+
+        unprimed = run()
+        assert primes and not any(primes)
+        monkeypatch.setattr(worker_module, "_PRIMED_PROFILES", (
+            ExecutionProfile.PENALTY_SPECIALIZED, ExecutionProfile.PENALTY_NATIVE))
+        primes.clear()
+        primed = run()
+        assert any(primes)  # the old behaviour, seeding the C memo
+        assert unprimed == primed
