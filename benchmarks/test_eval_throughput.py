@@ -46,7 +46,6 @@ from repro.core.representing import RepresentingFunction
 from repro.core.saturation import SaturationTracker
 from repro.experiments.runner import instrument_case
 from repro.fdlibm.suite import BENCHMARKS
-from repro.instrument.batch import numpy_available as batch_numpy_available
 from repro.instrument.native.cache import cc_available
 from repro.instrument.runtime import ExecutionProfile, Runtime
 
@@ -71,14 +70,13 @@ POINTS = 150
 #: Rows per batched-kernel call when timing the batched tier.  Vectorized
 #: evaluation amortizes numpy's per-op dispatch over the whole batch, so its
 #: throughput is a function of batch size; 1024 is a representative
-#: population-scale batch (a proposal population or a primed multi-start
-#: sweep), while the 150-point scalar workload would mostly measure the
+#: population-scale batch (a primed multi-start sweep), while the 150-point
+#: scalar workload would mostly measure the
 #: dispatch constant.  Values are still asserted bit-identical on the exact
 #: scalar point set.
 BATCH_POINTS = 1024
 #: Rows per call for the multi-threaded sweep: large enough that the
-#: per-thread chunks amortize pthread create/join, matching the engine's
-#: primed multi-start sweeps.
+#: per-thread chunks amortize pthread create/join.
 MT_BATCH_POINTS = 4096
 MT_THREAD_SWEEP = (1, 2, 4)
 MT_VS_SINGLE_TARGET = 1.5
@@ -231,9 +229,8 @@ def test_eval_throughput_and_profile_equivalence(bench_report_dir):
     native_vs_batched = []
     native_vs_batched_rows = []
     mt_vs_single = []
-    batched_available = batch_numpy_available()
     force_native = os.environ.get("REPRO_FORCE_NATIVE_BENCH") == "1"
-    native_available = batched_available and (cc_available() or force_native)
+    native_available = cc_available() or force_native
     # The mt gate needs real parallelism to pass: skip it below 4 cores
     # unless forced (CI runners guarantee 4 vCPUs and set the force flag).
     mt_available = native_available and ((os.cpu_count() or 1) >= 4 or force_native)
@@ -269,41 +266,40 @@ def test_eval_throughput_and_profile_equivalence(bench_report_dir):
         ratios.append(ratio)
         specialized_ratios.append(specialized_ratio)
         specialized_vs_penalty.append(specialized_rate / penalty_rate)
-        if batched_available:
-            batched_rate, batched_values, batched_mode = _batched_throughput(
+        batched_rate, batched_values, batched_mode = _batched_throughput(
+            program, tracker, points
+        )
+        assert batched_values == reference, f"{name}: batched diverges from full-trace"
+        per_function[name]["penalty-batched"] = batched_rate
+        per_function[name]["batched_mode"] = batched_mode
+        per_function[name]["batched_vs_specialized"] = batched_rate / specialized_rate
+        batched_vs_specialized.append(batched_rate / specialized_rate)
+        if native_available:
+            native_rate, native_values = _native_batched_throughput(
                 program, tracker, points
             )
-            assert batched_values == reference, f"{name}: batched diverges from full-trace"
-            per_function[name]["penalty-batched"] = batched_rate
-            per_function[name]["batched_mode"] = batched_mode
-            per_function[name]["batched_vs_specialized"] = batched_rate / specialized_rate
-            batched_vs_specialized.append(batched_rate / specialized_rate)
-            if native_available:
-                native_rate, native_values = _native_batched_throughput(
-                    program, tracker, points
-                )
-                assert native_values == reference, (
-                    f"{name}: native diverges from full-trace"
-                )
-                native_ratio = native_rate / batched_rate
-                per_function[name]["penalty-native-batch"] = native_rate
-                per_function[name]["native_vs_batched"] = native_ratio
-                native_vs_batched.append(native_ratio)
-                if batched_mode == "rows":
-                    native_vs_batched_rows.append(native_ratio)
-                if mt_available:
-                    mt_rates = _native_mt_throughput(program, tracker)
-                    mt_ratio = mt_rates[MT_THREAD_SWEEP[-1]] / mt_rates[1]
-                    per_function[name]["native-mt"] = {
-                        str(k): v for k, v in mt_rates.items()
-                    }
-                    per_function[name]["mt_vs_single_thread"] = mt_ratio
-                    mt_vs_single.append(mt_ratio)
+            assert native_values == reference, (
+                f"{name}: native diverges from full-trace"
+            )
+            native_ratio = native_rate / batched_rate
+            per_function[name]["penalty-native-batch"] = native_rate
+            per_function[name]["native_vs_batched"] = native_ratio
+            native_vs_batched.append(native_ratio)
+            if batched_mode == "rows":
+                native_vs_batched_rows.append(native_ratio)
+            if mt_available:
+                mt_rates = _native_mt_throughput(program, tracker)
+                mt_ratio = mt_rates[MT_THREAD_SWEEP[-1]] / mt_rates[1]
+                per_function[name]["native-mt"] = {
+                    str(k): v for k, v in mt_rates.items()
+                }
+                per_function[name]["mt_vs_single_thread"] = mt_ratio
+                mt_vs_single.append(mt_ratio)
 
     geomean = _geomean(ratios)
     specialized_geomean = _geomean(specialized_ratios)
     specialized_vs_penalty_geomean = _geomean(specialized_vs_penalty)
-    batched_geomean = _geomean(batched_vs_specialized) if batched_vs_specialized else None
+    batched_geomean = _geomean(batched_vs_specialized)
     native_geomean = _geomean(native_vs_batched) if native_vs_batched else None
     native_rows_geomean = (
         _geomean(native_vs_batched_rows) if native_vs_batched_rows else None
@@ -317,7 +313,6 @@ def test_eval_throughput_and_profile_equivalence(bench_report_dir):
         "specialized_vs_full_trace_geomean": specialized_geomean,
         "specialized_vs_penalty_geomean": specialized_vs_penalty_geomean,
         "batched_vs_specialized_geomean": batched_geomean,
-        "batched_available": batched_available,
         "native_vs_batched_geomean": native_geomean,
         "native_vs_batched_rows_geomean": native_rows_geomean,
         "native_available": native_available,
@@ -343,11 +338,10 @@ def test_eval_throughput_and_profile_equivalence(bench_report_dir):
         f"specialized vs full-trace: {specialized_geomean:.2f}x "
         f"(vs penalty: {specialized_vs_penalty_geomean:.2f}x) over {len(ratios)} functions"
     )
-    if batched_geomean is not None:
-        print(
-            f"batched vs specialized: geomean {batched_geomean:.2f}x "
-            f"over {len(batched_vs_specialized)} functions"
-        )
+    print(
+        f"batched vs specialized: geomean {batched_geomean:.2f}x "
+        f"over {len(batched_vs_specialized)} functions"
+    )
     if native_geomean is not None:
         rows_note = (
             f" (rows-mode: {native_rows_geomean:.2f}x over "
@@ -397,15 +391,10 @@ def test_eval_throughput_and_profile_equivalence(bench_report_dir):
         f"expected >= {SPECIALIZED_VS_PENALTY_TARGET}x specialized vs penalty-only, "
         f"measured {specialized_vs_penalty_geomean:.2f}x"
     )
-    if batched_geomean is None:
-        # numpy unavailable on this runner: the batched tier degraded to the
-        # scalar path by design, so there is nothing to gate.
-        print("batched gate skipped: numpy unavailable")
-    else:
-        assert batched_geomean >= BATCHED_VS_SPECIALIZED_TARGET, (
-            f"expected >= {BATCHED_VS_SPECIALIZED_TARGET}x batched vs scalar specialized, "
-            f"measured {batched_geomean:.2f}x"
-        )
+    assert batched_geomean >= BATCHED_VS_SPECIALIZED_TARGET, (
+        f"expected >= {BATCHED_VS_SPECIALIZED_TARGET}x batched vs scalar specialized, "
+        f"measured {batched_geomean:.2f}x"
+    )
     if native_geomean is None:
         # No C compiler on this runner (and the run was not forced): the
         # native tier degraded to the batched kernel by design.  CI sets
@@ -442,6 +431,7 @@ def test_eval_throughput_and_profile_equivalence(bench_report_dir):
 def test_memoized_start_reduces_executions():
     """The bit-pattern memo cuts true executions without changing the result."""
     from repro.optimize.basinhopping import basinhopping
+    from repro.optimize.memo import BitPatternMemo
 
     name, case = _workload_cases()[0]
     outcomes = {}
@@ -451,11 +441,10 @@ def test_memoized_start_reduces_executions():
             program, tracker, profile=ExecutionProfile.PENALTY_ONLY
         )
         result = basinhopping(
-            representing,
+            BitPatternMemo(representing, arity=program.arity) if memoize else representing,
             np.full(program.arity, 2.5),
             n_iter=4,
             rng=np.random.default_rng(3),
-            memoize=memoize,
             local_options={"max_iterations": 40},
         )
         key = (float(result.fun), tuple(float(v) for v in result.x))

@@ -20,11 +20,5 @@ setup(
     packages=find_packages("src"),
     python_requires=">=3.10",
     install_requires=["numpy", "scipy"],
-    # The batched vectorized penalty tier (repro.instrument.batch) needs
-    # numpy and nothing else; named here so stripped-down deployments that
-    # trim install_requires can opt back into vectorized kernels explicitly.
-    # Without numpy the tier degrades to scalar specialized evaluation with
-    # a one-time warning.
-    extras_require={"batch": ["numpy"]},
     entry_points={"console_scripts": ["repro=repro.cli:main"]},
 )

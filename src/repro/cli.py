@@ -73,19 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(e.g. penalty-specialized for the compiled tier)",
         )
         p.add_argument(
-            "--batch-starts",
-            action=argparse.BooleanOptionalAction,
-            default=None,
-            help="prime each chunk of starts with one batched kernel call "
-            "(penalty-specialized profile only; --no-batch-starts forces "
-            "scalar first evaluations)",
-        )
-        p.add_argument(
-            "--proposal-population", type=int, default=None, metavar="K",
-            help="basin-hopping perturbation candidates screened per hop "
-            "(default 1 = the paper's single-proposal trajectory)",
-        )
-        p.add_argument(
             "--native-threads", type=int, default=None, metavar="K",
             help="C threads per native batched evaluation (penalty-native "
             "profile; results are bit-identical for every value)",
@@ -260,10 +247,6 @@ def _resolve_profile(args):
         overrides["max_cases"] = args.cases
     if getattr(args, "eval_profile", None) is not None:
         overrides["eval_profile"] = args.eval_profile
-    if getattr(args, "batch_starts", None) is not None:
-        overrides["batch_starts"] = args.batch_starts
-    if getattr(args, "proposal_population", None) is not None:
-        overrides["proposal_population"] = args.proposal_population
     if getattr(args, "native_threads", None) is not None:
         overrides["native_threads"] = args.native_threads
     return dataclasses.replace(profile, **overrides) if overrides else profile
@@ -524,26 +507,6 @@ def _native_cache(args) -> int:
             f"{'yes' if entry['has_source'] else 'no'}"
         )
     return 0
-
-
-def deprecated_main(spec_name: str, argv: Optional[list[str]] = None) -> int:
-    """Shared shim behind the legacy ``python -m repro.experiments.<spec>``
-    entry points: warn, then delegate to ``repro run <spec>``.  Without an
-    explicit ``--store`` the run is in-memory (the historical one-shot
-    semantics); passing ``--store`` opts into persistence as the warning
-    suggests."""
-    import warnings
-
-    warnings.warn(
-        f"`python -m repro.experiments.{spec_name}` is deprecated; use "
-        f"`python -m repro run {spec_name}` (add --store for resumable runs)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if not any(arg == "--store" or arg.startswith("--store=") for arg in argv):
-        argv = ["--ephemeral", *argv]
-    return main(["run", spec_name, *argv])
 
 
 def main(argv: Optional[list[str]] = None) -> int:

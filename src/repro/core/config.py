@@ -79,25 +79,21 @@ class CoverMeConfig:
         memoize: Serve repeated objective evaluations at bit-identical
             inputs from a per-start memo cache instead of re-executing the
             program.  Values and seeded trajectories are unchanged; only the
-            execution count drops.
-        batch_starts: Under the ``penalty-specialized`` profile (with numpy
-            available and ``memoize`` on), prime each chunk of starts with
-            one batched-kernel call over the chunk's start vectors instead
-            of N scalar first evaluations.  Values, seeded trajectories and
-            per-start evaluation counts are unchanged for any worker count;
-            only the Python-dispatch overhead drops.
-        proposal_population: Perturbation candidates screened per
-            basin-hopping Monte-Carlo move (builtin backend).  1 (the
-            default) reproduces the historical single-proposal trajectory
-            exactly; larger values batch-evaluate the whole population per
-            hop and descend from the best candidate.
+            execution count drops.  With the memo on, the engine also primes
+            each chunk of ``penalty-specialized`` starts with one
+            batched-kernel call over the chunk's start vectors, and
+            ``penalty-native`` starts run their local searches in one C call
+            each.
         native_threads: Native-tier batch threads.  Under the
-            ``penalty-native`` profile, batched evaluations run the emitted
-            ``sp_batch_mt`` entry with this many C threads (private
-            covered-bit partials merged in fixed thread-index order, so
-            ``r`` and the covered set are bit-identical for any value).  1
-            (the default) keeps the serial row loop.  Result-neutral, like
-            ``n_workers``, and therefore excluded from store fingerprints.
+            ``penalty-native`` profile,
+            :meth:`~repro.core.representing.RepresentingFunction.evaluate_batch`
+            runs the emitted ``sp_batch_mt`` entry with this many C threads
+            (private covered-bit partials merged in fixed thread-index
+            order, so ``r`` and the covered set are bit-identical for any
+            value).  1 (the default) keeps the serial row loop.  The engine
+            itself issues no native batches (one proposal per hop, native
+            chunks are not primed).  Result-neutral, like ``n_workers``,
+            and therefore excluded from store fingerprints.
         progress: Optional observer called by the engine after each batch
             reduction with a dict of running counters (batch index, starts
             issued/used, evaluations, covered/saturated branch counts).  It
@@ -137,8 +133,6 @@ class CoverMeConfig:
     batch_size: Optional[int] = None
     eval_profile: str = ExecutionProfile.PENALTY_ONLY.value
     memoize: bool = True
-    batch_starts: bool = True
-    proposal_population: int = 1
     native_threads: int = 1
     progress: Optional[Callable[[dict], None]] = field(default=None, repr=False, compare=False)
     pool_factory: Optional[Callable] = field(default=None, repr=False, compare=False)
@@ -183,8 +177,6 @@ class CoverMeConfig:
         if self.eval_profile not in EXECUTION_PROFILES:
             known = ", ".join(EXECUTION_PROFILES)
             raise ValueError(f"unknown eval profile {self.eval_profile!r}; known: {known}")
-        if self.proposal_population < 1:
-            raise ValueError("proposal_population must be >= 1")
         if self.native_threads < 1:
             raise ValueError("native_threads must be >= 1")
         if self.progress is not None and not callable(self.progress):

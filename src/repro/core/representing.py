@@ -53,7 +53,6 @@ import numpy as np
 from repro.core.branch_distance import DEFAULT_EPSILON
 from repro.core.pen import CoverMePenalty
 from repro.core.saturation import SaturationTracker
-from repro.instrument.batch import numpy_available as _batch_numpy_available
 from repro.instrument.native.cache import (
     NativeCompiling,
     NativeUnavailable,
@@ -123,13 +122,6 @@ class RepresentingFunction:
         self._native_ok = True
         self._native_pending: Optional[str] = None
         self.native_pending_calls = 0
-        # Caller-held accumulator for the native tier's incremental covered
-        # reduction, keyed to the kernel it feeds; ``last_new_covered_mask``
-        # is the newly-set bits of the most recent native batch, in the form
-        # SaturationTracker.add_covered_mask consumes.
-        self._native_acc = None
-        self._native_acc_kernel = None
-        self.last_new_covered_mask = 0
         self._warned: set[str] = set()
         self._arity = program.arity
         self._native = self.profile is ExecutionProfile.PENALTY_NATIVE
@@ -192,17 +184,17 @@ class RepresentingFunction:
     def evaluate_batch(self, X) -> np.ndarray:
         """Evaluate ``FOO_R`` at every row of an ``(N, arity)`` array at once.
 
-        Under the ``PENALTY_SPECIALIZED`` profile (with numpy available) the
-        whole batch goes through one
-        :class:`~repro.instrument.batch.BatchKernel` call, following the same
-        epoch protocol as ``__call__``: the kernel is reused verbatim while
-        the tracker's ``saturated_mask`` is unchanged and rebuilt (a cached
-        per-program lookup when the mask was seen before) only when a bit
-        flips.  Every other profile -- and the specialized profile when numpy
-        is missing -- degrades to a per-row loop over ``__call__``, so the
-        returned vector is bit-identical to N sequential scalar calls in all
-        configurations.  Non-finite register values clamp to the same large
-        finite penalty as the scalar path.
+        Under the ``PENALTY_SPECIALIZED`` profile the whole batch goes
+        through one :class:`~repro.instrument.batch.BatchKernel` call (under
+        ``PENALTY_NATIVE``, one native kernel call on ``native_threads``
+        threads), following the same epoch protocol as ``__call__``: the
+        kernel is reused verbatim while the tracker's ``saturated_mask`` is
+        unchanged and rebuilt (a cached per-program lookup when the mask was
+        seen before) only when a bit flips.  Every other profile degrades to
+        a per-row loop over ``__call__``, so the returned vector is
+        bit-identical to N sequential scalar calls in all configurations.
+        Non-finite register values clamp to the same large finite penalty as
+        the scalar path.
         """
         X = np.ascontiguousarray(X, dtype=np.float64)
         if X.ndim == 1:
@@ -214,21 +206,10 @@ class RepresentingFunction:
         n = X.shape[0]
         if n == 0:
             return np.empty(0, dtype=np.float64)
-        if self._specialized and _batch_numpy_available():
+        if self._specialized:
             native = self.native_kernel() if self._native else None
             if native is not None:
-                # Incremental reduction: the accumulator carries covered
-                # words across calls, so each batch reports only newly-set
-                # bits (ready for SaturationTracker.add_covered_mask).
-                acc = self._native_acc
-                if acc is None or self._native_acc_kernel is not native:
-                    acc = native.new_accumulator()
-                    self._native_acc = acc
-                    self._native_acc_kernel = native
-                raw, new_mask = native(
-                    X, n_threads=self.native_threads, accumulator=acc
-                )
-                self.last_new_covered_mask = new_mask
+                raw, _cov = native(X, n_threads=self.native_threads)
             else:
                 mask = self.tracker.saturated_mask
                 kernel = self._batch_kernel
@@ -243,13 +224,6 @@ class RepresentingFunction:
             self.last_record = None
             self.last_value = float(out[-1])
             return out
-        if self._specialized:
-            self._warn_instance(
-                "evaluate-batch-degraded",
-                "numpy is unavailable: evaluate_batch() degrades to per-row "
-                "scalar evaluation (install the [batch] extra for vectorized "
-                "kernels)",
-            )
         out = np.empty(n, dtype=np.float64)
         for i in range(n):
             out[i] = self(X[i])

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.instrument.program import InstrumentedProgram
-from repro.instrument.runtime import BranchId, ExecutionRecord, branch_mask, branches_from_mask
+from repro.instrument.runtime import BranchId, ExecutionRecord, branch_mask
 
 
 @dataclass
@@ -53,17 +53,6 @@ class SaturationTracker:
             self.covered |= new
             self._recompute()
         return new
-
-    def add_covered_mask(self, mask: int) -> set[BranchId]:
-        """Mark the branches of a flat bitmask as covered.
-
-        Convenience for mask-based consumers, e.g. feeding back the bitset a
-        ``PENALTY_ONLY`` :meth:`~repro.instrument.program.InstrumentedProgram.run_profiled`
-        call returned.  The engine's reduction itself folds ``BranchId`` sets
-        from :class:`~repro.instrument.runtime.CoverageOutcome` via
-        :meth:`add_covered`.
-        """
-        return self.add_covered(set(branches_from_mask(mask)))
 
     def mark_infeasible(self, branch: BranchId) -> None:
         """Apply the infeasible-branch heuristic: treat ``branch`` as saturated."""

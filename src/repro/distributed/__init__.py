@@ -4,7 +4,7 @@ machines while preserving the engine's seeded bit-identity guarantee.
 Layering (all over the existing service/engine seams):
 
 * :mod:`repro.distributed.protocol` -- lossless JSON wire forms (hex
-  floats, branch masks, CovAccumulator-style mask deltas with digests);
+  floats, branch masks, mask deltas with digests);
 * :mod:`repro.distributed.leases` -- the lease table (one lease per
   engine batch) with TTL expiry and steal-on-reclaim;
 * :mod:`repro.distributed.coordinator` -- :class:`LeaseCoordinator` (the

@@ -10,17 +10,21 @@ must survive the round trip *bit-exactly* is encoded losslessly:
 * branch sets travel as integer masks (:func:`~repro.instrument.runtime.
   branch_mask` / ``branches_from_mask``, bit = ``(conditional << 1) |
   outcome``), an exact round trip;
-* the per-lease saturation snapshot uses a **delta scheme** modeled on the
-  native tier's ``CovAccumulator``: covered/infeasible sets only grow
-  within a run, so the coordinator tracks which bits each worker has
-  already seen (:class:`MaskSender`) and ships only the newly-set ones,
-  plus a digest of the full mask.  The worker ORs the delta into its
-  accumulator (:class:`MaskReceiver`) and verifies the digest; any
-  mismatch (worker restart, a stolen lease carrying an older snapshot the
-  sender could not express as a delta) raises :class:`MaskResync`, and the
-  worker re-acquires with ``resync=true`` -- the coordinator then resets
-  its sender state and re-sends the full mask.  Correctness never depends
-  on the delta path: the digest gates every decode.
+* the per-lease saturation snapshot uses a **delta scheme**:
+  covered/infeasible sets only grow within a run, so the coordinator
+  tracks which bits each worker has already seen (:class:`MaskSender`)
+  and ships only the newly-set ones, plus a digest of the full mask.  The
+  worker ORs the delta into its accumulator (:class:`MaskReceiver`) and
+  verifies the digest; any mismatch (worker restart, a stolen lease
+  carrying an older snapshot the sender could not express as a delta)
+  raises :class:`MaskResync`, and the worker re-acquires with
+  ``resync=true`` -- the coordinator then resets its sender state and
+  re-sends the full mask.  Correctness never depends on the delta path:
+  the digest gates every decode;
+* start parameters must carry exactly the :class:`StartParams` fields:
+  :func:`decode_params` names any unknown or missing field in a
+  ``ValueError`` (e.g. one sent by a coordinator from before a field was
+  removed), instead of failing inside the dataclass constructor.
 
 The coordinator keys result validation on its *own* lease objects (which
 hold the original frozensets), so wire fidelity matters only for
@@ -75,6 +79,19 @@ def encode_params(params: StartParams) -> dict:
 
 
 def decode_params(data: dict) -> StartParams:
+    params_fields = dataclasses.fields(StartParams)
+    known = {f.name for f in params_fields}
+    required = {
+        f.name
+        for f in params_fields
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+    }
+    unknown = sorted(set(data) - known)
+    if unknown:
+        raise ValueError(f"unknown start parameter(s): {', '.join(unknown)}")
+    missing = sorted(required - set(data))
+    if missing:
+        raise ValueError(f"missing start parameter(s): {', '.join(missing)}")
     fields = dict(data)
     for name in _PARAM_FLOATS:
         if fields.get(name) is not None:
@@ -111,7 +128,7 @@ def decode_result(data: dict) -> StartResult:
 
 
 # ---------------------------------------------------------------------------
-# Mask delta scheme (CovAccumulator-style: send only newly-set bits)
+# Mask delta scheme (send only newly-set bits)
 # ---------------------------------------------------------------------------
 
 

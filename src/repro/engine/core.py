@@ -110,8 +110,6 @@ class SearchEngine:
             deadline=deadline,
             eval_profile=config.eval_profile,
             memoize=config.memoize,
-            batch_starts=config.batch_starts,
-            proposal_population=config.proposal_population,
             native_threads=config.native_threads,
         )
 

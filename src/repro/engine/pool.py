@@ -65,11 +65,6 @@ def process_context():
     return multiprocessing.get_context("spawn")
 
 
-#: Backwards-compatible alias (the helper predates its public use by the
-#: service layer's persistent process workers).
-_process_context = process_context
-
-
 def _origin_importable_in_child(origin) -> bool:
     """Whether a spawn/forkserver child can rebuild the origin by import.
 

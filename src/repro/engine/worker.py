@@ -44,7 +44,6 @@ import numpy as np
 
 from repro.core.representing import RepresentingFunction
 from repro.core.saturation import SaturationTracker
-from repro.instrument.batch import numpy_available as batch_numpy_available
 from repro.instrument.native.local_min import native_objective
 from repro.instrument.program import InstrumentedProgram, ProgramOrigin, instrument
 from repro.instrument.runtime import BranchId, ExecutionProfile
@@ -75,8 +74,6 @@ class StartParams:
     deadline: Optional[float] = None
     eval_profile: str = ExecutionProfile.PENALTY_ONLY.value
     memoize: bool = True
-    batch_starts: bool = True
-    proposal_population: int = 1
     native_threads: int = 1
 
 
@@ -114,22 +111,19 @@ def prime_chunk(
 ) -> Optional[dict[int, float]]:
     """One batched first-evaluation pass over a chunk's start vectors.
 
-    Under the specialized profile (numpy available, memo on) the chunk's
-    ``x0`` vectors go through a single
-    :class:`~repro.instrument.batch.BatchKernel` call; the resulting values
-    seed each start's memo, so the optimizer's opening evaluation at ``x0``
-    is a cache hit instead of a scalar program execution.  Returns
-    ``{task.index: r}`` for the primed tasks, or ``None`` when priming does
-    not apply.  Only tasks sharing the first task's saturation snapshot are
+    Under the specialized profile (memo on) the chunk's ``x0`` vectors go
+    through a single :class:`~repro.instrument.batch.BatchKernel` call; the
+    resulting values seed each start's memo, so the optimizer's opening
+    evaluation at ``x0`` is a cache hit instead of a scalar program
+    execution.  Returns ``{task.index: r}`` for the primed tasks, or
+    ``None`` when priming does not apply.  Only tasks sharing the first task's saturation snapshot are
     primed (batches always do; a defensive guard for hand-built chunks), so
     the planted values are exactly what each start's own representing
     function would compute and seeded trajectories are unchanged.
     """
-    if not (params.memoize and params.batch_starts) or len(tasks) < 2:
+    if not params.memoize or len(tasks) < 2:
         return None
     if ExecutionProfile(params.eval_profile) not in _PRIMED_PROFILES:
-        return None
-    if not batch_numpy_available():
         return None
     if params.deadline is not None and time.time() >= params.deadline:
         return None
@@ -180,14 +174,8 @@ def run_start(
     # unchanged and works for any registered backend.  Under penalty-native
     # the memo is a C one that also runs whole Powell searches natively
     # (when the kernel and the fused-search library are loaded); its
-    # misses are counted into ``evaluations`` before it is freed.  Proposal
-    # populations keep the Python memo: its evaluate_batch counts a point
-    # repeated within one batch as several misses, row-by-row calls would not.
-    fused = (
-        native_objective(representing)
-        if params.memoize and params.proposal_population == 1
-        else None
-    )
+    # misses are counted into ``evaluations`` before it is freed.
+    fused = native_objective(representing) if params.memoize else None
     if fused is not None:
         objective = fused
     elif params.memoize:
@@ -204,11 +192,6 @@ def run_start(
         return False
 
     backend = get_backend(params.backend)
-    extra_kwargs = {}
-    if params.proposal_population != 1:
-        # Passed only when non-default so third-party registered backends
-        # without the parameter keep working at the default setting.
-        extra_kwargs["proposal_population"] = params.proposal_population
     try:
         if primed is not None and params.memoize:
             # The batched pass already executed FOO_R(x0); plant the value
@@ -227,7 +210,6 @@ def run_start(
             rng=rng,
             callback=callback,
             local_options={"max_iterations": params.local_max_iterations},
-            **extra_kwargs,
         )
     finally:
         if fused is not None:

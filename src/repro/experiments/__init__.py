@@ -22,9 +22,7 @@ The layer is split in three:
 
 The unified entry point is the ``repro`` CLI: ``python -m repro run table2
 --profile smoke --store .repro-store --resume`` (see :mod:`repro.cli`).
-Each module still exposes ``run(profile)`` returning structured rows, and
-its legacy ``python -m repro.experiments.tableN`` entry point delegates to
-the CLI with a deprecation warning.
+Each module still exposes ``run(profile)`` returning structured rows.
 """
 
 from repro.experiments.runner import (

@@ -11,7 +11,6 @@ executes each pair once and renders both artifacts from the shared records.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.experiments.pipeline import ExperimentSpec, register_spec
 from repro.experiments.runner import ComparisonRow, Profile
@@ -69,14 +68,3 @@ SPEC = register_spec(
         render=render,
     )
 )
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    """Deprecated entry point; delegates to ``python -m repro run figure5``."""
-    from repro.cli import deprecated_main
-
-    return deprecated_main("figure5", argv)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

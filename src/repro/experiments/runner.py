@@ -45,8 +45,6 @@ class Profile:
     n_workers: int = 1
     start_strategy: str = "random-normal"
     eval_profile: str = "penalty"
-    batch_starts: bool = True
-    proposal_population: int = 1
     native_threads: int = 1
 
     def coverme_config(self) -> CoverMeConfig:
@@ -59,8 +57,6 @@ class Profile:
             n_workers=self.n_workers,
             start_strategy=self.start_strategy,
             eval_profile=self.eval_profile,
-            batch_starts=self.batch_starts,
-            proposal_population=self.proposal_population,
             native_threads=self.native_threads,
         )
 

@@ -111,14 +111,3 @@ SPEC = register_spec(
         script=render_text,
     )
 )
-
-
-def main(argv=None) -> int:
-    """Deprecated entry point; delegates to ``python -m repro run table1``."""
-    from repro.cli import deprecated_main
-
-    return deprecated_main("table1", argv)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -32,10 +32,6 @@ lane-parallel interpreter cannot replicate bit-exactly (a shift count above
 demotes** the kernel to rows mode -- correctness never depends on the
 whitelist being perfect.
 
-numpy is optional here (the ``[batch]`` extra): when it is missing,
-:func:`numpy_available` is ``False`` and callers degrade to the scalar
-specialized tier with a one-time warning.
-
 Compiled kernels are cached at module level per ``(source sha256, function
 name, start label, mask, epsilon)`` exactly like the scalar specialization
 cache, and the statistics surface through
@@ -49,13 +45,9 @@ import builtins
 import hashlib
 import textwrap
 import threading
-import warnings
 from typing import Callable, Optional
 
-try:  # pragma: no cover - exercised by monkeypatching in tests
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.core.branch_distance import DEFAULT_EPSILON
 from repro.instrument.ast_pass import (
@@ -77,24 +69,6 @@ _SWALLOWED = (ArithmeticError, ValueError, OverflowError)
 
 _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
-
-
-def numpy_available() -> bool:
-    """Whether the vectorized path can run at all."""
-    return np is not None
-
-
-_WARNED: set[str] = set()
-_WARNED_LOCK = threading.Lock()
-
-
-def warn_once(key: str, message: str) -> None:
-    """Emit ``message`` as a RuntimeWarning at most once per process."""
-    with _WARNED_LOCK:
-        if key in _WARNED:
-            return
-        _WARNED.add(key)
-    warnings.warn(message, RuntimeWarning, stacklevel=3)
 
 
 class _Unvectorizable(Exception):
@@ -1066,8 +1040,6 @@ def _collect_assigned(func_node) -> set[str]:
 
 def _build_plan(source, function_name, start_label, saturated_mask, epsilon, namespace):
     """Compile one unit into a vector plan, or raise :class:`_Unvectorizable`."""
-    if np is None:
-        raise _Unvectorizable("numpy is not available")
     tree = ast.parse(textwrap.dedent(source))
     func_node = None
     for stmt in tree.body:
@@ -1188,13 +1160,8 @@ class BatchKernel:
         entry = variant.entry
         from repro.instrument.specialize import R_NAME as _r_name
 
-        if np is not None:
-            X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-            rows = X.tolist()
-            out = np.empty(len(rows), dtype=np.float64)
-        else:
-            rows = [[float(v) for v in row] for row in X]
-            out = [0.0] * len(rows)
+        rows = np.atleast_2d(np.asarray(X, dtype=np.float64)).tolist()
+        out = np.empty(len(rows), dtype=np.float64)
         # Reset the covered bytearray once: bits accumulate across rows,
         # which is exactly the union summary the batched contract asks for.
         variant.covered[:] = bytes(2 * variant.n_conditionals)
@@ -1219,7 +1186,7 @@ def build_batch_kernel(program, saturated_mask: int, epsilon: float = DEFAULT_EP
     """
     variant = program.specialize(saturated_mask, epsilon)
     plan = None
-    if np is not None and len(program.units) == 1:
+    if len(program.units) == 1:
         source, function_name, start_label = program.units[0]
         plan = _plan_for(
             source,

@@ -44,7 +44,6 @@ from repro.instrument.native.cache import (
     opt_tier,
 )
 from repro.instrument.native.kernel import (
-    CovAccumulator,
     NativeKernel,
     build_native_kernel,
     clear_native_cache,
@@ -52,7 +51,6 @@ from repro.instrument.native.kernel import (
 )
 
 __all__ = [
-    "CovAccumulator",
     "NativeCompiling",
     "NativeKernel",
     "NativeUnavailable",

@@ -25,11 +25,6 @@ from __future__ import annotations
 import struct
 from typing import Callable
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is an optional dependency
-    _np = None
-
 #: Default bound on distinct cached points per memo (one memo lives for a
 #: single basin-hopping launch, so this is ample and keeps memory O(1)).
 DEFAULT_MAX_ENTRIES = 65536
@@ -94,13 +89,6 @@ class BitPatternMemo:
         cache[key] = value
         return value
 
-    # -- batch APIs -----------------------------------------------------------------
-    #
-    # The engine's batched tier submits whole (N, arity) float64 arrays.  For
-    # a C-contiguous float64 row, ``row.tobytes()`` is byte-for-byte the same
-    # key as ``struct.pack(f"={arity}d", *row)``, so batch and scalar lookups
-    # share one cache without N struct.pack calls.
-
     def seed(self, x, value) -> None:
         """Insert a known value for ``x`` without calling the objective.
 
@@ -118,69 +106,6 @@ class BitPatternMemo:
             del cache[next(iter(cache))]
             self.evictions += 1
         cache[key] = float(value)
-
-    def row_keys(self, X) -> list[bytes]:
-        """Bit-pattern keys for every row of an ``(N, arity)`` float64 array.
-
-        The scalar path keys by ``struct.pack(f"={arity}d", *x)``; for the
-        keys to coincide, the batch bytes must come from a C-contiguous
-        float64 layout.  Caller-provided arrays are normalized through
-        ``np.ascontiguousarray(..., dtype=float64)`` first, so transposed,
-        sliced or otherwise strided views (and non-float64 dtypes) produce
-        the same keys as their scalar counterparts instead of silently
-        mis-keying the cache.
-        """
-        width = 8 * self.arity
-        if _np is not None and isinstance(X, _np.ndarray):
-            X = _np.ascontiguousarray(X, dtype=_np.float64)
-        raw = memoryview(X.tobytes() if hasattr(X, "tobytes") else bytes(X))
-        return [bytes(raw[i : i + width]) for i in range(0, len(raw), width)]
-
-    def get_many(self, X) -> tuple[list, list[int]]:
-        """Probe the cache for every row of ``X``.
-
-        Returns ``(values, miss_indices)`` where ``values[i]`` is the cached
-        value for row ``i`` or ``None``, and ``miss_indices`` lists the rows
-        that must be evaluated.  Counts one hit per served row.
-        """
-        cache = self._cache
-        values: list = []
-        misses: list[int] = []
-        for i, key in enumerate(self.row_keys(X)):
-            value = cache.get(key)
-            if value is None:
-                misses.append(i)
-            else:
-                self.hits += 1
-            values.append(value)
-        return values, misses
-
-    def put_many(self, X, indices, results) -> None:
-        """Insert ``results[j]`` for row ``indices[j]`` of ``X`` (FIFO-bounded)."""
-        cache = self._cache
-        keys = self.row_keys(X)
-        for j, i in enumerate(indices):
-            self.misses += 1
-            if len(cache) >= self.max_entries:
-                del cache[next(iter(cache))]
-                self.evictions += 1
-            cache[keys[i]] = float(results[j])
-
-    def evaluate_batch(self, X):
-        """Batched objective: served rows come from the cache, the rest from
-        one ``func.evaluate_batch`` call (falling back to per-row ``func``
-        calls when the wrapped objective has no batch path)."""
-        values, miss_indices = self.get_many(X)
-        if miss_indices:
-            batch = getattr(self.func, "evaluate_batch", None)
-            if batch is not None:
-                fresh = batch(X[miss_indices])
-            else:
-                fresh = [self.func(X[i]) for i in miss_indices]
-            self.put_many(X, miss_indices, fresh)
-            for j, i in enumerate(miss_indices):
-                values[i] = float(fresh[j])
-        return values
 
     def stats(self) -> dict[str, int]:
         """Hit/miss/evict counters plus the current and maximum size."""

@@ -6,9 +6,8 @@ float64 array returns exactly the penalty vector that N scalar
 ``PENALTY_SPECIALIZED`` executions would return -- bit-for-bit, NaN and
 infinity rows included, in both the whole-array **vector** mode and the
 per-row **rows** fallback -- plus the union of their covered bits.  On top
-of that sit the cache/epoch plumbing, the memo batch APIs, the
-numpy-absence degradation, the vectorized-proposal optimizer path and the
-engine-level identity of batched vs scalar runs.
+of that sit the cache/epoch plumbing, the memo seeding that chunk priming
+uses, and the engine-level identity of primed vs unprimed runs.
 """
 
 from __future__ import annotations
@@ -21,17 +20,17 @@ import pytest
 from repro.core.config import CoverMeConfig
 from repro.core.representing import RepresentingFunction
 from repro.core.saturation import SaturationTracker
+from repro.engine import pool as pool_module
+from repro.engine import worker as worker_module
 from repro.engine.core import SearchEngine
 from repro.experiments.runner import instrument_case
 from repro.fdlibm.suite import BENCHMARKS
-from repro.instrument import batch as batch_module
 from repro.instrument.program import (
     clear_compiled_cache,
     compiled_cache_info,
     instrument,
 )
 from repro.instrument.runtime import ExecutionProfile
-from repro.optimize.basinhopping import basinhopping
 from repro.optimize.memo import BitPatternMemo
 from tests import sample_programs as sp
 from tests.test_specialize import PARITY_TARGETS
@@ -239,159 +238,29 @@ class TestRepresentingEvaluateBatch:
             assert _bits(float(values[i])) == _bits(scalar(row))
 
 
-class TestNumpyAbsentDegradation:
-    def test_falls_back_to_scalar_with_one_warning(self, monkeypatch):
-        program = instrument(sp.paper_foo)
-        representing = RepresentingFunction(
-            program, SaturationTracker(program), profile=ExecutionProfile.PENALTY_SPECIALIZED
-        )
-        scalar = RepresentingFunction(
-            program, SaturationTracker(program), profile=ExecutionProfile.PENALTY_SPECIALIZED
-        )
-        monkeypatch.setattr(batch_module, "np", None)
-        monkeypatch.setattr(batch_module, "_WARNED", set())
-        assert not batch_module.numpy_available()
-        X = np.ascontiguousarray([[4.0], [0.5], [-2.0]], dtype=np.float64)
-        with pytest.warns(RuntimeWarning, match="evaluate_batch"):
-            values = representing.evaluate_batch(X)
-        for i, row in enumerate(X):
-            assert _bits(float(values[i])) == _bits(scalar(row))
-        # Second batch: same values, no second warning.
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")
-            representing.evaluate_batch(X)
-
-    def test_build_batch_kernel_without_numpy_runs_rows(self, monkeypatch):
-        program = instrument(sp.paper_foo)
-        monkeypatch.setattr(batch_module, "np", None)
-        kernel = batch_module.build_batch_kernel(program, 0)
-        assert kernel.mode == "rows"
-        r, cov = kernel([[4.0], [1.0]])
-        _, r0, c0 = program.run_specialized([4.0], 0)
-        _, r1, c1 = program.run_specialized([1.0], 0)
-        assert [_bits(float(v)) for v in r] == [_bits(r0), _bits(r1)]
-        assert cov == c0 | c1
-
-
 class TestMemoBatchAPIs:
-    def _make(self, calls):
+    def test_seed_plants_value_without_counting(self):
+        calls = []
+
         def func(x):
             calls.append(tuple(np.atleast_1d(x)))
             return float(np.sum(np.atleast_1d(x)) * 2.0)
 
-        return BitPatternMemo(func, arity=2, max_entries=8)
-
-    def test_get_many_put_many_roundtrip(self):
-        calls = []
-        memo = self._make(calls)
-        X = np.ascontiguousarray([[1.0, 2.0], [3.0, -0.0], [float("nan"), 1.0]])
-        values, missing = memo.get_many(X)
-        assert values == [None, None, None] and missing == [0, 1, 2]
-        memo.put_many(X, missing, [6.0, 6.0, 99.0])
-        values, missing = memo.get_many(X)
-        assert missing == [] and values == [6.0, 6.0, 99.0]
-        assert memo.hits == 3 and memo.misses == 3
-        # Row-bytes keys are interchangeable with the scalar struct.pack
-        # keys: a scalar call at a stored row is a hit, -0.0 stays distinct
-        # from 0.0 and NaN rows are cacheable.
-        assert memo([1.0, 2.0]) == 6.0
-        assert len(calls) == 0
-        memo([3.0, 0.0])
-        assert len(calls) == 1
-
-    def test_evaluate_batch_serves_hits_and_fills_misses(self):
-        calls = []
-        memo = self._make(calls)
-        X = np.ascontiguousarray([[1.0, 1.0], [2.0, 2.0]])
-        first = memo.evaluate_batch(X)
-        assert first == [4.0, 8.0] and len(calls) == 2
-        X2 = np.ascontiguousarray([[1.0, 1.0], [5.0, 0.0]])
-        second = memo.evaluate_batch(X2)
-        assert second == [4.0, 10.0]
-        assert len(calls) == 3  # only the new row executed
-
-    def test_evaluate_batch_prefers_wrapped_batch_path(self):
-        class Obj:
-            def __init__(self):
-                self.batched = 0
-
-            def __call__(self, x):
-                raise AssertionError("scalar path must not run")
-
-            def evaluate_batch(self, X):
-                self.batched += 1
-                return [float(v[0]) for v in X]
-
-        obj = Obj()
-        memo = BitPatternMemo(obj, arity=1)
-        out = memo.evaluate_batch(np.ascontiguousarray([[1.5], [2.5]]))
-        assert out == [1.5, 2.5] and obj.batched == 1
-
-    def test_seed_plants_value_without_counting(self):
-        calls = []
-        memo = self._make(calls)
+        memo = BitPatternMemo(func, arity=2, max_entries=8)
         memo.seed([1.0, 2.0], 42.0)
         assert memo.hits == 0 and memo.misses == 0
         assert memo([1.0, 2.0]) == 42.0
         assert memo.hits == 1 and len(calls) == 0
 
 
-class TestProposalPopulation:
-    def _objective(self):
-        program = instrument(sp.paper_foo)
-        return RepresentingFunction(
-            program, SaturationTracker(program), profile=ExecutionProfile.PENALTY_SPECIALIZED
-        )
-
-    def test_population_one_is_the_historical_trajectory(self):
-        a = basinhopping(
-            self._objective(), [3.0], n_iter=4, rng=np.random.default_rng(9), memoize=True
-        )
-        b = basinhopping(
-            self._objective(),
-            [3.0],
-            n_iter=4,
-            rng=np.random.default_rng(9),
-            memoize=True,
-            proposal_population=1,
-        )
-        assert a.fun == b.fun and tuple(a.x) == tuple(b.x) and a.nfev == b.nfev
-
-    def test_batched_and_loop_screening_agree(self):
-        results = []
-        for use_batch in (True, False):
-            objective = self._objective()
-            if not use_batch:
-                objective = objective.__call__  # plain callable: loop fallback
-            result = basinhopping(
-                objective,
-                [3.0],
-                n_iter=4,
-                rng=np.random.default_rng(9),
-                proposal_population=5,
-            )
-            results.append((result.fun, tuple(result.x), result.nfev))
-        assert results[0] == results[1]
-
-    def test_population_must_be_positive(self):
-        with pytest.raises(ValueError):
-            basinhopping(lambda x: 0.0, [1.0], proposal_population=0)
-        with pytest.raises(ValueError):
-            CoverMeConfig(proposal_population=0)
-
-
 class TestEngineIdentity:
-    def _run(self, target, *, batch_starts, n_workers, mode, profile, population=1):
+    def _run(self, target, *, n_workers, mode, profile):
         program = instrument(target)
         config = CoverMeConfig(
             n_start=16,
             n_iter=2,
             seed=13,
             eval_profile=profile,
-            batch_starts=batch_starts,
-            proposal_population=population,
             n_workers=n_workers,
             worker_mode=mode,
         )
@@ -410,35 +279,29 @@ class TestEngineIdentity:
         )
 
     @pytest.mark.parametrize("target", (sp.paper_foo, sp.nested_boolean), ids=lambda f: f.__name__)
-    def test_run_sets_identical_batched_vs_scalar(self, target):
+    def test_run_sets_identical_batched_vs_scalar(self, target, monkeypatch):
+        primes = []
+        original = worker_module.prime_chunk
+
+        def counting(program, params, tasks):
+            primed = original(program, params, tasks)
+            primes.append(primed is not None)
+            return primed
+
+        monkeypatch.setattr(pool_module, "prime_chunk", counting)
         for n_workers, mode in ((1, "serial"), (3, "thread")):
+            primes.clear()
             batched = self._run(
-                target,
-                batch_starts=True,
-                n_workers=n_workers,
-                mode=mode,
-                profile="penalty-specialized",
+                target, n_workers=n_workers, mode=mode, profile="penalty-specialized"
             )
-            scalar = self._run(
-                target,
-                batch_starts=False,
-                n_workers=n_workers,
-                mode=mode,
-                profile="penalty-specialized",
-            )
-            generic = self._run(
-                target, batch_starts=True, n_workers=n_workers, mode=mode, profile="penalty"
-            )
+            assert primes and all(primes), (target.__name__, mode)
+            with monkeypatch.context() as unprimed:
+                unprimed.setattr(worker_module, "_PRIMED_PROFILES", ())
+                primes.clear()
+                scalar = self._run(
+                    target, n_workers=n_workers, mode=mode, profile="penalty-specialized"
+                )
+                assert primes and not any(primes), (target.__name__, mode)
+            generic = self._run(target, n_workers=n_workers, mode=mode, profile="penalty")
             assert batched == scalar, (target.__name__, mode)
             assert batched == generic, (target.__name__, mode)
-
-    def test_proposal_population_runs_and_covers(self):
-        outcome = self._run(
-            sp.paper_foo,
-            batch_starts=True,
-            n_workers=1,
-            mode="serial",
-            profile="penalty-specialized",
-            population=4,
-        )
-        assert outcome[1]  # covered branches found

@@ -90,10 +90,27 @@ class TestProtocol:
             backend="scipy", local_minimizer="powell", n_iter=3,
             step_size=1.0 / 3.0, temperature=math.pi, local_max_iterations=7,
             zero_tolerance=5e-324, epsilon=1e-16, root_seed=42,
-            deadline=None, eval_profile="penalty-only", memoize=True,
-            batch_starts=False, proposal_population=2, native_threads=3,
+            deadline=None, eval_profile="penalty-only", memoize=False,
+            native_threads=3,
         )
         assert decode_params(json.loads(json.dumps(encode_params(params)))) == params
+
+    def test_decode_params_names_unknown_and_missing_fields(self):
+        params = StartParams(
+            backend="builtin", local_minimizer="powell", n_iter=5, step_size=1.0,
+            temperature=1.0, local_max_iterations=40, zero_tolerance=0.0,
+            epsilon=1e-16, root_seed=7,
+        )
+        wire = encode_params(params)
+        # A coordinator of another version sends knobs this worker's
+        # StartParams no longer (or does not yet) have; the worker must say
+        # which fields it rejects instead of failing in the constructor.
+        stale = dict(wire, retired_knob=1, another_knob=True)
+        with pytest.raises(ValueError, match="another_knob, retired_knob"):
+            decode_params(stale)
+        incomplete = {k: v for k, v in wire.items() if k not in ("root_seed", "n_iter")}
+        with pytest.raises(ValueError, match="n_iter, root_seed"):
+            decode_params(incomplete)
 
     def test_result_roundtrip_through_json(self):
         result = StartResult(

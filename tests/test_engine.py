@@ -13,9 +13,9 @@ from repro.core.coverme import CoverMe, cover
 from repro.engine.core import SearchEngine
 from repro.engine.pool import (
     _origin_importable_in_child,
-    _process_context,
     chunk_evenly,
     parallel_map,
+    process_context,
     resolve_worker_mode,
 )
 from repro.engine.scheduler import StartScheduler, available_strategies
@@ -251,7 +251,7 @@ class TestEngineBehaviour:
             program = instrument(fake_target)
             assert origin_is_picklable(program.origin)
             assert not _origin_importable_in_child(program.origin)
-            assert _process_context().get_start_method() != "fork"
+            assert process_context().get_start_method() != "fork"
             assert resolve_worker_mode(program, "auto", 4) == "thread"
             with pytest.raises(ValueError, match="__main__"):
                 resolve_worker_mode(program, "process", 4)

@@ -10,8 +10,7 @@ bit-for-bit and the same covered-branch sets, and the suite entries must
 do so without bailing outside their by-design bail sites.  On top of that
 sit emitter semantics the suite exposed (tuple swaps, adopted helpers
 resolved against their own module globals, ``math.erf``/``math.erfc`` as
-libm calls), the caller-held covered-bit accumulator (incremental
-reduction), the kernel/digest caches (including the ``-O3`` flag tier and
+libm calls), the kernel/digest caches (including the ``-O3`` flag tier and
 the helper digest), the warm path (a kernel already on disk loads by digest
 without emitting C, its shape read from the exported ``sp_meta``; the
 specialized bail target is built only at the first bail), the stale/corrupt shared-object fallback (rejected, rebuilt,
@@ -163,12 +162,11 @@ def _adversarial_rows(rng, target, arity: int, n_random: int) -> np.ndarray:
 def _assert_native_parity(program, mask: int, X: np.ndarray) -> list:
     """Native scalar == native batch == specialized == FastRuntime, row for row.
 
-    The batch check runs the threaded entry at ``n_threads`` in {1, 2, 4}
-    and the caller-held accumulator on top of the serial loop: every
-    combination must produce bit-identical ``r`` rows and the same covered
-    set (the accumulator reporting the full union on first use and the
-    empty delta on repetition).  Returns the indices of the rows the scalar
-    entry bailed on."""
+    The batch check runs the threaded entry at ``n_threads`` in {1, 2, 4}:
+    every thread count must produce bit-identical ``r`` rows and the same
+    covered set, and a repeated call reports the full union again (each
+    call starts from a zeroed coverage buffer).  Returns the indices of the
+    rows the scalar entry bailed on."""
     kernel = program.native_kernel(mask)
     r_batch, cov_batch = kernel(X)
     r_bits = r_batch.view(np.uint64)
@@ -177,12 +175,9 @@ def _assert_native_parity(program, mask: int, X: np.ndarray) -> list:
         context = (program.name, hex(mask), n_threads)
         assert np.array_equal(r_bits, r_mt.view(np.uint64)), context
         assert cov_mt == cov_batch, context
-    acc = kernel.new_accumulator()
-    r_acc, new_mask = kernel(X, n_threads=2, accumulator=acc)
-    assert np.array_equal(r_bits, r_acc.view(np.uint64))
-    assert new_mask == cov_batch and acc.covered == cov_batch
-    _r_again, again = kernel(X, n_threads=4, accumulator=acc)
-    assert again == 0  # incremental: nothing newly set on a repeat batch
+    r_again, cov_again = kernel(X, n_threads=2)
+    assert np.array_equal(r_bits, r_again.view(np.uint64))
+    assert cov_again == cov_batch  # no coverage carried over between calls
     cov_union = 0
     bailed = []
     for i, row in enumerate(X):

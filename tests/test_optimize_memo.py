@@ -104,57 +104,6 @@ class TestBitPatternMemo:
         assert len(memo) == 0
 
 
-class TestRowKeyContiguity:
-    """Regression: batch keys must match scalar ``struct.pack`` keys even for
-    transposed/strided views and non-float64 dtypes (``tobytes`` on such
-    inputs used to produce differently laid-out bytes and mis-key the memo)."""
-
-    def _scalar_keys(self, rows):
-        import struct
-
-        return [struct.pack(f"={len(row)}d", *row) for row in rows]
-
-    def test_strided_view_keys_match_scalar_keys(self):
-        memo = BitPatternMemo(CountingObjective(), arity=2)
-        base = np.arange(12, dtype=np.float64).reshape(3, 4)
-        X = base[:, ::2]  # logical rows [[0,2],[4,6],[8,10]], non-contiguous
-        assert not X.flags["C_CONTIGUOUS"]
-        assert memo.row_keys(X) == self._scalar_keys(X.tolist())
-
-    def test_transposed_view_keys_match_scalar_keys(self):
-        memo = BitPatternMemo(CountingObjective(), arity=3)
-        X = np.arange(6, dtype=np.float64).reshape(3, 2).T  # (2, 3) transposed
-        assert not X.flags["C_CONTIGUOUS"]
-        assert memo.row_keys(X) == self._scalar_keys(X.tolist())
-
-    def test_get_many_hits_scalar_entries_through_views(self):
-        objective = CountingObjective()
-        memo = BitPatternMemo(objective, arity=2)
-        rows = [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
-        for row in rows:
-            memo(np.array(row))
-        base = np.zeros((3, 4), dtype=np.float64)
-        base[:, ::2] = rows
-        values, missing = memo.get_many(base[:, ::2])
-        assert missing == []
-        assert values == [memo.func(np.array(r)) for r in rows]
-
-    def test_put_many_through_view_serves_scalar_calls(self):
-        objective = CountingObjective()
-        memo = BitPatternMemo(objective, arity=2)
-        X = np.arange(8, dtype=np.float64).reshape(2, 4)[:, ::2]
-        memo.put_many(X, [0, 1], [10.0, 20.0])
-        assert memo(np.array(X[0])) == 10.0
-        assert memo(np.array(X[1])) == 20.0
-        assert objective.calls == 0
-
-    def test_non_float64_dtype_is_normalized(self):
-        memo = BitPatternMemo(CountingObjective(), arity=2)
-        memo(np.array([1.0, 2.0]))
-        values, missing = memo.get_many(np.array([[1, 2]], dtype=np.int64))
-        assert missing == [] and values[0] is not None
-
-
 class TestBasinhoppingMemoization:
     @pytest.mark.parametrize("backend_kwargs", [{}, {"local_options": {"max_iterations": 30}}])
     def test_memoized_run_matches_unmemoized(self, backend_kwargs):
@@ -162,12 +111,12 @@ class TestBasinhoppingMemoization:
         counts = {}
         for memoize in (False, True):
             objective = CountingObjective()
+            func = BitPatternMemo(objective, arity=2) if memoize else objective
             result = basinhopping(
-                objective,
+                func,
                 np.array([8.0, -3.0]),
                 n_iter=5,
                 rng=np.random.default_rng(11),
-                memoize=memoize,
                 **backend_kwargs,
             )
             results[memoize] = (float(result.fun), tuple(float(v) for v in result.x), result.nfev)

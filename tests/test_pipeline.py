@@ -356,30 +356,6 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["run", "table2", "--store", str(tmp_path / "s"), "--ephemeral"])
 
-    def test_deprecated_module_entry_point_delegates(self, monkeypatch):
-        import repro.cli as cli
-
-        calls = []
-        monkeypatch.setattr(cli, "main", lambda argv: calls.append(argv) or 0)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            rc = table2.main(["--profile", "smoke", "--cases", "1"])
-        assert rc == 0
-        assert calls == [["run", "table2", "--ephemeral", "--profile", "smoke", "--cases", "1"]]
-
-    def test_deprecated_entry_point_honors_explicit_store(self, monkeypatch):
-        import repro.cli as cli
-
-        calls = []
-        monkeypatch.setattr(cli, "main", lambda argv: calls.append(argv) or 0)
-        with pytest.warns(DeprecationWarning):
-            table2.main(["--store", "my-store"])
-        # An explicit --store must not be silently overridden by --ephemeral.
-        assert calls == [["run", "table2", "--store", "my-store"]]
-        calls.clear()
-        with pytest.warns(DeprecationWarning):
-            table2.main(["--store=my-store"])  # the `=` form counts too
-        assert calls == [["run", "table2", "--store=my-store"]]
-
 
 def _banded(x: float) -> int:
     if x > 15.0:

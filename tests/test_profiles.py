@@ -126,12 +126,3 @@ class TestRepresentingProfiles:
         _, _, record = program.run((0.7,), runtime=Runtime())
         tracker.add_execution(record)
         assert tracker.saturated_mask == branch_mask(tracker.saturated)
-
-    def test_add_covered_mask_roundtrip(self):
-        from repro.instrument.runtime import BranchId, branch_mask
-
-        program = instrument(sp.paper_foo)
-        tracker = SaturationTracker(program)
-        new = tracker.add_covered_mask(branch_mask({BranchId(0, True), BranchId(1, False)}))
-        assert new == {BranchId(0, True), BranchId(1, False)}
-        assert tracker.covered == {BranchId(0, True), BranchId(1, False)}
