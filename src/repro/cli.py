@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--eval-profile", choices=sorted(EXECUTION_PROFILES), default=None,
             help="override the optimizer inner-loop execution profile "
-            "(e.g. penalty-specialized for the compiled tier)",
+            "(the shipped profiles use penalty-native)",
         )
         p.add_argument(
             "--native-threads", type=int, default=None, metavar="K",

@@ -31,7 +31,9 @@ class Profile:
 
     ``smoke`` keeps the whole harness in CI-friendly time; ``default`` covers
     every benchmark with moderate budgets; ``full`` restores the paper's
-    ``n_start = 500`` and the 10x budget for the baseline tools.
+    ``n_start = 500`` and the 10x budget for the baseline tools.  All of
+    them evaluate on the native tier, which degrades to the specialized
+    tier without a C compiler; the tier never changes results.
     """
 
     name: str
@@ -44,7 +46,7 @@ class Profile:
     seed: int = 0
     n_workers: int = 1
     start_strategy: str = "random-normal"
-    eval_profile: str = "penalty"
+    eval_profile: str = "penalty-native"
     native_threads: int = 1
 
     def coverme_config(self) -> CoverMeConfig:

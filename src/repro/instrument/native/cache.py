@@ -12,17 +12,23 @@ digest and loads ``<digest>.so`` directly, checking the kernel's exported
 mtime like the in-memory compiled caches; builds write hidden
 ``.<digest>.*`` temp files and rename them into place, so listing and
 pruning skip dot-prefixed names and tolerate files that vanish under a
-concurrent builder.
+concurrent builder.  Temp files older than :data:`COMPILE_TIMEOUT_S` are
+leftovers of killed builds and are pruned.  A process that started the
+background compiler finishes its queued builds before it exits, so a kernel
+requested late in one run is on disk for the next.
 """
 
 from __future__ import annotations
 
+import atexit
+import multiprocessing.util
 import os
 import queue
 import shutil
 import subprocess
 import tempfile
 import threading
+import time
 from pathlib import Path
 
 #: Bump when the emitter/backend changes generated code or the entry ABI.
@@ -33,9 +39,15 @@ from pathlib import Path
 ABI_VERSION = 4
 
 #: Default upper bound on cached shared objects on disk (each entry keeps
-#: its .c source next to the .so for debuggability).  Overridable per
-#: process via ``$REPRO_NATIVE_CACHE_MAX`` — see :func:`disk_cache_max`.
-DISK_CACHE_MAX = 256
+#: its .c source next to the .so for debuggability; ~45 KB together).  One
+#: ``default``-profile seed requests ~160 kernels, so this keeps several
+#: seeds warm.  Overridable per process via ``$REPRO_NATIVE_CACHE_MAX`` —
+#: see :func:`disk_cache_max`.
+DISK_CACHE_MAX = 1024
+
+#: Seconds one compiler invocation may take.  A hidden temp file older
+#: than this belongs to no live build.
+COMPILE_TIMEOUT_S = 120
 
 _CC_LOCK = threading.Lock()
 _CC_STATE: dict = {
@@ -183,7 +195,17 @@ def _kernel_files(directory: Path) -> list:
 
 
 def _prune_disk_cache(directory: Path) -> int:
-    """FIFO-by-mtime bound on the number of cached kernels."""
+    """FIFO-by-mtime bound on the number of cached kernels; also deletes
+    the hidden temp files of builds killed before their rename."""
+    stale = time.time() - COMPILE_TIMEOUT_S
+    for temp in directory.glob(".*"):
+        if temp.suffix not in (".c", ".so"):
+            continue
+        try:
+            if temp.stat().st_mtime < stale:
+                temp.unlink()
+        except FileNotFoundError:
+            continue
     bound = disk_cache_max()
     sos = [so_path for so_path, _stat in _kernel_files(directory)]
     evicted = 0
@@ -221,7 +243,7 @@ def compile_kernel(c_source: str, digest: str) -> Path:
             [cc, *_cflags(), "-o", tmp_so, str(tmp_c), "-lm"],
             capture_output=True,
             text=True,
-            timeout=120,
+            timeout=COMPILE_TIMEOUT_S,
         )
     except (OSError, subprocess.SubprocessError) as exc:
         _cleanup(tmp_c, tmp_so)
@@ -262,6 +284,7 @@ _BG_JOBS: dict = {}  # digest -> ("pending",) | ("done", Path) | ("failed", exc)
 _BG_STATE: dict = {
     "thread": None,
     "queue": None,
+    "drain_pid": None,
     "submitted": 0,
     "compiled": 0,
     "failed": 0,
@@ -300,6 +323,29 @@ def _ensure_bg_worker() -> None:
         )
         _BG_STATE["thread"] = worker
         worker.start()
+        if _BG_STATE["drain_pid"] != os.getpid():
+            # The worker is a daemon thread, killed mid-build at exit.  A
+            # main process drains through atexit; a multiprocessing child
+            # leaves through os._exit after running only its exit
+            # finalizers, so it drains through one of those.
+            _BG_STATE["drain_pid"] = os.getpid()
+            atexit.register(_drain_background)
+            multiprocessing.util.Finalize(None, _drain_background, exitpriority=0)
+
+
+def _drain_background() -> None:
+    """Wait until this process's queued background builds have landed.
+
+    Runs at exit, so a kernel requested late in one process is on disk for
+    the next one instead of dying with its build.  A forked child inherits
+    the parent's thread object, dead in the child: nothing to wait for."""
+    worker = _BG_STATE["thread"]
+    if worker is None or not worker.is_alive():
+        return
+    jobs = _BG_STATE["queue"]
+    with jobs.all_tasks_done:
+        while jobs.unfinished_tasks and worker.is_alive():
+            jobs.all_tasks_done.wait(0.1)
 
 
 def compile_kernel_background(c_source: str, digest: str) -> Path:
@@ -361,8 +407,6 @@ def background_compile_stats() -> dict:
 
 def wait_for_background(digest: str, timeout: float = 120.0) -> None:
     """Block until the background build for ``digest`` resolves (tests)."""
-    import time
-
     deadline = time.monotonic() + timeout
     while not background_ready(digest):
         if time.monotonic() >= deadline:
@@ -372,9 +416,7 @@ def wait_for_background(digest: str, timeout: float = 120.0) -> None:
 
 def _reset_background_for_tests() -> None:
     """Testing hook: drain in-flight builds and forget recorded outcomes."""
-    jobs = _BG_STATE["queue"]
-    if jobs is not None:
-        jobs.join()
+    _drain_background()
     with _BG_LOCK:
         _BG_JOBS.clear()
         _BG_STATE.update({"submitted": 0, "compiled": 0, "failed": 0})

@@ -11,8 +11,11 @@ lacks ``sp_meta`` or disagrees with the program (ABI version, arity,
 :class:`~repro.instrument.program.SpecializedVariant` (its namespace
 supplies the constants the emitter folds), emits the typed IR, renders it
 to C99 and compiles it into the disk cache, in the foreground or on the
-background worker.  Loaded kernels are cached module-wide per digest with
-the same hit/miss/evict bookkeeping as the specialized and batched caches.
+background worker.  A background request whose build is still queued
+raises ``NativeCompiling`` without emitting again, so each cold kernel is
+emitted once per process.  Loaded kernels are cached module-wide per digest
+with the same hit/miss/evict bookkeeping as the specialized and batched
+caches.
 
 The specialized variant is also the per-row bail target.  It is built
 lazily, at a kernel's first bail, so a kernel that never bails costs no
@@ -47,7 +50,9 @@ from repro.instrument.native.c_backend import (
 )
 from repro.instrument.native.cache import (
     ABI_VERSION,
+    NativeCompiling,
     NativeUnavailable,
+    background_ready,
     compile_kernel,
     compile_kernel_background,
     cc_version,
@@ -367,6 +372,10 @@ def _load(program, saturated_mask, epsilon, wait: bool = True) -> _LoadedKernel:
         if loaded is None:
             discard_kernel(so_path)  # stale or corrupt: rebuild below
     if loaded is None:
+        if not wait and not background_ready(digest):
+            # Its build is already queued: emitting the C again would only
+            # be thrown away.
+            raise NativeCompiling(digest)
         try:
             loaded = _emit_and_compile(program, digest, saturated_mask,
                                        epsilon, wait)

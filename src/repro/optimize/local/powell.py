@@ -68,13 +68,20 @@ def powell(
         largest_index = 0
         for index, direction in enumerate(directions):
             f_before = f_current
+            x_values, d_values = x.tolist(), direction.tolist()
 
-            def along(t: float, d=direction) -> float:
-                return evaluate(x + t * d)
+            def point(t: float) -> np.ndarray:
+                # x + t * d in Python floats: the same IEEE operations as
+                # numpy's, without its warnings where a line reaches
+                # t = inf (inf * 0 is NaN) or overflows, and without the
+                # cost of an errstate block per evaluation.
+                return np.array([xi + t * di for xi, di in zip(x_values, d_values)])
 
-            t_best, f_best, used = minimize_scalar(along, t0=0.0, step=step)
+            t_best, f_best, used = minimize_scalar(
+                lambda t: evaluate(point(t)), t0=0.0, step=step
+            )
             if f_best < f_current:
-                x = x + t_best * direction
+                x = point(t_best)
                 f_current = f_best
             decrease = f_before - f_current
             if decrease > largest_decrease:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import optimize as _scipy_optimize
 
 from repro.optimize.result import OptimizeResult
 
@@ -29,6 +28,10 @@ def scipy_basinhopping(
     local_options: Optional[dict] = None,
 ) -> OptimizeResult:
     """Run ``scipy.optimize.basinhopping`` with the paper's configuration."""
+    # Imported here: scipy.optimize doubles the resident size of every
+    # process that imports the engine, and only this backend uses it.
+    from scipy import optimize as _scipy_optimize
+
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     seed = None
     if rng is not None:

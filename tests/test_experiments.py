@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.experiments import figure2, figure5, table1, table2, table3, table4, table5
@@ -27,6 +29,20 @@ class TestProfiles:
     def test_profile_builds_config(self):
         config = PROFILES["smoke"].coverme_config()
         assert config.local_minimizer == "powell"
+
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    def test_shipped_profiles_run_native_under_unchanged_job_keys(self, name):
+        from repro.service.jobs import JobRequest, build_job_key, derive_budget
+
+        profile = PROFILES[name]
+        assert profile.eval_profile == "penalty-native"
+        assert profile.coverme_config().eval_profile == "penalty-native"
+        penalty = dataclasses.replace(profile, eval_profile="penalty")
+        for tool in ("CoverMe", "Rand"):
+            requests = [JobRequest(case=BENCHMARKS[0], tool=tool, profile=p)
+                        for p in (profile, penalty)]
+            keys = [build_job_key(r, derive_budget(r)).fingerprint() for r in requests]
+            assert keys[0] == keys[1], tool
 
 
 class TestRunnerInfrastructure:

@@ -15,8 +15,11 @@ the helper digest), the warm path (a kernel already on disk loads by digest
 without emitting C, its shape read from the exported ``sp_meta``; the
 specialized bail target is built only at the first bail), the stale/corrupt shared-object fallback (rejected, rebuilt,
 bit-identical), the disk cache's tolerance of concurrent builders' temp
-files, the background compiler (kernel absent: the specialized tier serves,
-no warning, and the kernel swaps in once ``cc`` lands), the
+files (and the pruning of killed builds' stale ones), the background
+compiler (kernel absent: the specialized tier serves, no warning, and the
+kernel swaps in once ``cc`` lands; a queued kernel is emitted once; a main
+process or a forkserver pool worker finishes its queued builds before it
+exits, and a forked child does not wait for its parent's), the
 ``NativeUnavailable`` degradation
 (no compiler: one per-instance warning, identical results through the
 specialized tier), the ``repro native-cache`` CLI and the engine-level
@@ -40,6 +43,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+import multiprocessing
 import os
 import pathlib
 import re
@@ -47,7 +51,10 @@ import struct
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -69,6 +76,8 @@ from repro.instrument.native import cache as cache_module
 from repro.instrument.native import kernel as kernel_module
 from repro.instrument.native import local_min
 from repro.instrument.native.cache import (
+    COMPILE_TIMEOUT_S,
+    DISK_CACHE_MAX,
     NativeCompiling,
     NativeUnavailable,
     _prune_disk_cache,
@@ -713,6 +722,36 @@ class TestBackgroundCompile:
             wait_for_background(pending)
         clear_native_cache()
 
+    def test_queued_kernel_is_emitted_once(
+        self, private_cache, counted_emits, monkeypatch
+    ):
+        """While a kernel's background build is queued, another request for
+        it raises ``NativeCompiling`` without emitting its C again."""
+        _reset_background_for_tests()
+        release = threading.Event()
+        real_compile = cache_module.compile_kernel
+
+        def held_compile(c_source, digest):
+            release.wait(60)
+            return real_compile(c_source, digest)
+
+        monkeypatch.setattr(cache_module, "compile_kernel", held_compile)
+        program = instrument(sp.paper_foo)
+        try:
+            with pytest.raises(NativeCompiling) as first:
+                build_native_kernel(program, 0, wait=False)
+            with pytest.raises(NativeCompiling) as second:
+                build_native_kernel(program, 0, wait=False)
+        finally:
+            release.set()
+        assert second.value.digest == first.value.digest
+        assert counted_emits == ["paper_foo"]
+        wait_for_background(first.value.digest)
+        kernel = build_native_kernel(program, 0, wait=False)
+        assert kernel.digest == first.value.digest
+        assert counted_emits == ["paper_foo"]  # loaded from disk
+        _reset_background_for_tests()
+
     def test_pruned_done_outcome_is_rebuilt_not_served_stale(
         self, tmp_path, monkeypatch
     ):
@@ -742,6 +781,91 @@ class TestBackgroundCompile:
         assert compile_kernel_background(source, digest) == so_path
         assert so_path.exists()
         _reset_background_for_tests()
+
+
+def _queue_build_in_worker(cache_dir: str):
+    """Request one kernel's background build and return its digest
+    (``None`` if it was already built)."""
+    os.environ["REPRO_NATIVE_CACHE"] = cache_dir
+    try:
+        build_native_kernel(instrument(sp.three_dimensional), 0, wait=False)
+    except NativeCompiling as exc:
+        return exc.digest
+    return None
+
+
+def _assert_build_landed(directory: pathlib.Path, digest) -> None:
+    assert digest is not None  # the request really queued a build
+    assert (directory / f"{digest}.so").exists()
+    assert [p.name for p in directory.iterdir() if p.name.startswith(".")] == []
+
+
+@requires_cc
+class TestBuildsFinishBeforeExit:
+    """A process that queued background builds finishes them before it
+    exits, so the next process finds the kernels on disk."""
+
+    def test_main_process_drains_at_exit(self, tmp_path):
+        script = textwrap.dedent(
+            """
+            import sys
+            from tests.test_native import _queue_build_in_worker
+            print(_queue_build_in_worker(sys.argv[1]))
+            """
+        )
+        root = pathlib.Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root)])
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)], env=env,
+            cwd=str(root), capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        _assert_build_landed(tmp_path, proc.stdout.split()[-1])
+
+    def test_forkserver_pool_worker_drains_at_exit(self, tmp_path):
+        context = multiprocessing.get_context("forkserver")
+        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+            digest = pool.submit(_queue_build_in_worker, str(tmp_path)).result(timeout=300)
+        _assert_build_landed(tmp_path, digest)
+
+    def test_forked_child_does_not_wait_for_a_dead_thread(self, tmp_path):
+        """The compile thread does not survive ``fork``: a child that exits
+        with its parent's build still queued must not block on it."""
+        script = textwrap.dedent(
+            """
+            import os, sys, time
+            from repro.instrument.native import cache
+
+            def held_compile(c_source, digest):
+                time.sleep(600)
+
+            cache.compile_kernel = held_compile
+            try:
+                cache.compile_kernel_background("int f(void) { return 0; }", "9a" * 32)
+            except cache.NativeCompiling:
+                pass
+            t0 = time.monotonic()
+            pid = os.fork()
+            if pid == 0:
+                sys.exit(0)  # a normal exit: the inherited exit hooks run
+            _, status = os.waitpid(pid, 0)
+            print(os.waitstatus_to_exitcode(status), time.monotonic() - t0)
+            os._exit(0)  # the parent's own build is held: skip its drain
+            """
+        )
+        root = pathlib.Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(root / "src")
+        env["REPRO_NATIVE_CACHE"] = str(tmp_path)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, cwd=str(root),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        exit_code, elapsed = proc.stdout.split()
+        assert exit_code == "0"
+        assert float(elapsed) < 30
 
 
 def default_second_arg(x, y=2.0):
@@ -1053,16 +1177,31 @@ class TestDiskCacheRace:
         monkeypatch.setenv("REPRO_NATIVE_CACHE_MAX", "1")
         in_flight = tmp_path / f".{'cd' * 32}.k3x9q1.so"
         in_flight.write_bytes(b"half-written object")
-        os.utime(in_flight, (0, 0))  # the oldest file in FIFO order
+        now = time.time()
+        os.utime(in_flight, (now - 10, now - 10))  # the oldest in FIFO order
         for index in range(2):
             path = compile_kernel(
                 f"int sp_dummy{index}(void) {{ return {index}; }}\n",
                 f"{index:02d}" * 32,
             )
-            os.utime(path, (10 + index, 10 + index))
+            os.utime(path, (now - 5 + index, now - 5 + index))
         _prune_disk_cache(tmp_path)
         assert in_flight.exists()  # another builder's file: not evicted
         assert [e["digest"] for e in native_cache_entries()] == ["01" * 32]
+
+    def test_prune_deletes_temp_files_of_killed_builds(self, tmp_path):
+        """A temp file older than the compile timeout belongs to no live
+        build; a fresh one may, and stays."""
+        stale = [tmp_path / f".{'ab' * 32}.x1{suffix}" for suffix in (".c", ".so")]
+        fresh = tmp_path / f".{'ab' * 32}.y2.so"
+        for path in (*stale, fresh):
+            path.write_bytes(b"partial")
+        old = time.time() - COMPILE_TIMEOUT_S - 60
+        for path in stale:
+            os.utime(path, (old, old))
+        _prune_disk_cache(tmp_path)
+        assert [path.exists() for path in stale] == [False, False]
+        assert fresh.exists()
 
     def test_listing_tolerates_kernels_that_vanish(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
@@ -1315,7 +1454,7 @@ class TestNativeCacheCLI:
         assert cli_main(["native-cache", "ls"]) == 0
         assert "(bound 2)" in capsys.readouterr().out
         monkeypatch.setenv("REPRO_NATIVE_CACHE_MAX", "not-a-number")
-        assert disk_cache_max() == 256  # malformed override falls back
+        assert disk_cache_max() == DISK_CACHE_MAX  # malformed override falls back
 
 
 class TestFingerprintNeutrality:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,20 @@ class TestLocalMinimizers:
         result = powell(nan_for_negative, np.array([5.0]))
         assert math.isfinite(result.fun)
         assert result.fun == pytest.approx(0.0, abs=1e-6)
+
+    def test_powell_from_an_infinite_start_raises_no_numpy_warning(self):
+        # Lines from x0 = (inf, 0) run to t = inf, where inf * 0 is NaN.
+        def flattening(x):
+            return 1.0 / (1.0 + abs(float(x[1])))
+
+        x0 = np.array([math.inf, 0.0])
+        with np.errstate(all="ignore"):
+            expected = powell(flattening, x0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = powell(flattening, x0)
+        assert result.x.tobytes() == expected.x.tobytes()
+        assert (result.fun, result.nfev) == (expected.fun, expected.nfev)
 
     def test_registry_lookup(self):
         assert get_local_minimizer("powell") is powell

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.config import CoverMeConfig
@@ -142,3 +146,20 @@ class TestConfigValidation:
     def test_effective_batch_size(self):
         assert CoverMeConfig().effective_batch_size() >= 1
         assert CoverMeConfig(batch_size=3).effective_batch_size() == 3
+
+
+def test_engine_imports_leave_scipy_optimize_unloaded():
+    """scipy.optimize is imported by the scipy backend when it runs, not by
+    every process that imports the engine or the experiment pipeline."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import repro.core.coverme, repro.experiments.pipeline\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
