@@ -678,15 +678,17 @@ class NativeObjective:
 def native_objective(representing):
     """A :class:`NativeObjective` for one start, or ``None`` when the start
     runs the Python search: another profile, arity above
-    :data:`MAX_ARITY`, or the kernel or the library not loaded (yet)."""
+    :data:`MAX_ARITY`, or the kernel or the library not loaded (yet).
+
+    The library is requested before the kernel is looked at, so its build
+    is queued at a process's first native start even when every kernel is
+    still compiling."""
     if representing.profile is not ExecutionProfile.PENALTY_NATIVE \
             or representing.arity > MAX_ARITY:
         return None
-    kernel = representing.native_kernel()
-    if kernel is None:
-        return None
     library = local_min_library()
-    if library is None:
+    kernel = representing.native_kernel()
+    if kernel is None or library is None:
         return None
     return NativeObjective(representing, kernel, library)
 

@@ -1782,6 +1782,24 @@ class TestFusedFallbacks:
         finally:
             local_min.clear_local_min_library()
 
+    def test_library_is_queued_while_the_kernel_compiles(
+        self, private_cache, fused_spy
+    ):
+        """A process whose kernels are all still compiling at its starts
+        still queues the library, so its exit drain builds it too."""
+        local_min.clear_local_min_library()
+        _reset_background_for_tests()
+        program = instrument(sp.three_dimensional)
+        task = _hard_task(program, [4.0, -1.0, 2.0])
+        try:
+            run_start(program, _start_params(), task)
+            assert fused_spy == [False]  # the kernel was not there yet
+            wait_for_background(local_min.library_digest())
+            assert (private_cache / f"{local_min.library_digest()}.so").exists()
+        finally:
+            _reset_background_for_tests()
+            local_min.clear_local_min_library()
+
     def test_failed_library_build_warns_once_and_runs_python(
         self, fused_spy, tmp_path, monkeypatch
     ):
