@@ -15,7 +15,8 @@ pruning skip dot-prefixed names and tolerate files that vanish under a
 concurrent builder.  Temp files older than :data:`COMPILE_TIMEOUT_S` are
 leftovers of killed builds and are pruned.  A process that started the
 background compiler finishes its queued builds before it exits, so a kernel
-requested late in one run is on disk for the next.
+requested late in one run is on disk for the next; a process worker also
+finishes them at the end of each job.
 """
 
 from __future__ import annotations
@@ -329,15 +330,17 @@ def _ensure_bg_worker() -> None:
             # leaves through os._exit after running only its exit
             # finalizers, so it drains through one of those.
             _BG_STATE["drain_pid"] = os.getpid()
-            atexit.register(_drain_background)
-            multiprocessing.util.Finalize(None, _drain_background, exitpriority=0)
+            atexit.register(finish_background_compiles)
+            multiprocessing.util.Finalize(None, finish_background_compiles, exitpriority=0)
 
 
-def _drain_background() -> None:
+def finish_background_compiles() -> None:
     """Wait until this process's queued background builds have landed.
 
     Runs at exit, so a kernel requested late in one process is on disk for
-    the next one instead of dying with its build.  A forked child inherits
+    the next one instead of dying with its build, and at the end of every
+    job a process worker runs (:func:`repro.service.jobs.execute_job_remote`),
+    so no build outlives the job that queued it.  A forked child inherits
     the parent's thread object, dead in the child: nothing to wait for."""
     worker = _BG_STATE["thread"]
     if worker is None or not worker.is_alive():
@@ -416,7 +419,7 @@ def wait_for_background(digest: str, timeout: float = 120.0) -> None:
 
 def _reset_background_for_tests() -> None:
     """Testing hook: drain in-flight builds and forget recorded outcomes."""
-    _drain_background()
+    finish_background_compiles()
     with _BG_LOCK:
         _BG_JOBS.clear()
         _BG_STATE.update({"submitted": 0, "compiled": 0, "failed": 0})

@@ -39,6 +39,7 @@ from repro.baselines.random_testing import RandomTester
 from repro.core.config import CoverMeConfig
 from repro.experiments.runner import CoverMeTool, Profile, coverme_tool, instrument_case
 from repro.fdlibm.suite import BenchmarkCase
+from repro.instrument.native.cache import finish_background_compiles
 from repro.store import JobKey, canonical_json, fingerprint_of, summary_to_dict
 
 # ---------------------------------------------------------------------------
@@ -330,6 +331,12 @@ def execute_job_remote(request: JobRequest, budget: Budget) -> tuple[dict, list[
     the instrumented programs) stays warm across the jobs routed to it.
     Progress streaming is not available across the process boundary; the
     coordinating service still emits queued/running/done events.
+
+    The job finishes the native kernel builds it queued in the background
+    before it returns: a compiler left running under an idle worker would
+    otherwise overlap the next job, or the caller's measurements, by
+    however far the build queue happened to have got.
     """
     executed = execute_job(request, budget)
+    finish_background_compiles()
     return executed.payload, executed.warnings

@@ -19,7 +19,8 @@ files (and the pruning of killed builds' stale ones), the background
 compiler (kernel absent: the specialized tier serves, no warning, and the
 kernel swaps in once ``cc`` lands; a queued kernel is emitted once; a main
 process or a forkserver pool worker finishes its queued builds before it
-exits, and a forked child does not wait for its parent's), the
+exits, a process worker's job before it returns, and a forked child does
+not wait for its parent's), the
 ``NativeUnavailable`` degradation
 (no compiler: one per-instance warning, identical results through the
 specialized tier), the ``repro native-cache`` CLI and the engine-level
@@ -866,6 +867,34 @@ class TestBuildsFinishBeforeExit:
         exit_code, elapsed = proc.stdout.split()
         assert exit_code == "0"
         assert float(elapsed) < 30
+
+    def test_process_worker_job_finishes_its_builds(self, tmp_path, monkeypatch):
+        """A process worker's job returns only once the builds it queued
+        have landed: no compiler keeps running under the idle worker."""
+        from repro.service import jobs as jobs_module
+
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        _reset_background_for_tests()
+        real_compile = cache_module.compile_kernel
+
+        def slow_compile(c_source, digest):
+            time.sleep(0.5)
+            return real_compile(c_source, digest)
+
+        digest = "5e" * 32
+
+        def queue_build(request, budget):
+            with pytest.raises(NativeCompiling):
+                compile_kernel_background("int sp_job_drain(void) { return 3; }\n", digest)
+            return jobs_module.ExecutedJob(payload={"queued": digest})
+
+        monkeypatch.setattr(cache_module, "compile_kernel", slow_compile)
+        monkeypatch.setattr(jobs_module, "execute_job", queue_build)
+        payload, _ = jobs_module.execute_job_remote(None, None)
+        assert payload == {"queued": digest}
+        assert background_compile_stats()["pending"] == 0
+        _assert_build_landed(tmp_path, digest)
+        _reset_background_for_tests()
 
 
 def default_second_arg(x, y=2.0):
