@@ -229,11 +229,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     native_p = sub.add_parser(
         "native-cache",
-        help="inspect or clean the on-disk native-kernel (.so) cache",
+        help="inspect or clean the on-disk native-kernel (.so) cache and "
+        "its instrumented-unit entries",
     )
     native_sub = native_p.add_subparsers(dest="native_command", required=True)
-    native_sub.add_parser("ls", help="list cached native kernels, newest first")
-    native_sub.add_parser("clean", help="remove every cached native kernel")
+    native_sub.add_parser(
+        "ls", help="count the instrumented entries; list cached native kernels, newest first"
+    )
+    native_sub.add_parser(
+        "clean", help="remove every cached native kernel, instrumented entry and temp file"
+    )
 
     return parser
 
@@ -484,12 +489,24 @@ def _native_cache(args) -> int:
         native_cache_entries,
         native_clean_disk_cache,
     )
+    from repro.instrument.unit_cache import (
+        clean_instrumented_cache,
+        instrumented_cache_dir,
+        instrumented_cache_info,
+    )
 
     directory = native_cache_dir()
     if args.native_command == "clean":
         removed = native_clean_disk_cache()
         print(f"native cache {directory}: removed {removed} kernels")
+        removed = clean_instrumented_cache()
+        print(f"instrumented cache {instrumented_cache_dir()}: removed {removed} entries")
         return 0
+    instrumented = instrumented_cache_info()
+    print(
+        f"instrumented cache {instrumented_cache_dir()}: {instrumented['entries']} "
+        f"entries, {instrumented['bytes']} bytes total (bound {instrumented['max_entries']})"
+    )
     bound = disk_cache_max()
     entries = native_cache_entries()
     if not entries:

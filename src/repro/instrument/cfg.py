@@ -69,6 +69,11 @@ class DescendantAnalysis:
         return self.branches.get(branch, frozenset())
 
     def _index_branches(self) -> None:
+        # Rebuild each label set in sorted order, so its iteration order
+        # does not depend on how it was computed or deserialized.
+        self.reachable = {
+            branch: frozenset(sorted(labels)) for branch, labels in self.reachable.items()
+        }
         # One BranchId pair per label, shared by every set that holds it.
         pairs = {
             label: (BranchId(label, True), BranchId(label, False))

@@ -69,6 +69,7 @@ from repro.instrument.native.emit import (
     emit_program_ir,
     global_value,
 )
+from repro.instrument import unit_cache
 
 _C_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 _C_U64_P = ctypes.POINTER(ctypes.c_uint64)
@@ -155,7 +156,7 @@ def _helper_source(func) -> tuple:
     cached = _HELPER_SOURCES.get(func)
     if cached is None:
         try:
-            source = inspect.getsource(func)
+            source = unit_cache.function_source(func)
         except (OSError, TypeError):
             source = ""  # not adoptable: the emitter bails its calls
         cached = (hashlib.sha256(source.encode("utf-8")).hexdigest(),
@@ -178,7 +179,8 @@ def helper_digest(program) -> str:
     :func:`~repro.instrument.native.emit.global_value`.  Pairs the bodies
     never read only over-approximate, which costs a rebuild at worst.
     Cached on the program; helper sources are hashed once per function
-    object."""
+    object and come from the content-keyed disk cache when it is warm
+    (:func:`repro.instrument.unit_cache.function_source`)."""
     cached = program.native_helper_digest
     if cached is not None:
         return cached

@@ -9,18 +9,20 @@ program through :meth:`InstrumentedProgram.run` with a
 value of the injected register ``r`` and the coverage record -- everything the
 representing function and the coverage substrate need.
 
-Instrumentation and ``compile()`` are paid once per distinct source: a
-module-level cache keyed by the SHA-256 of the (dedented) source text maps to
-the immutable compiled artifacts (code object, conditional metadata,
-descendant analysis).  :meth:`InstrumentedProgram.clone` and per-process
-engine workers therefore only re-``exec`` the cached code object into a fresh
-namespace, which is orders of magnitude cheaper than re-parsing and
-re-compiling.
+Instrumentation and ``compile()`` are paid once per machine, not once per
+process: the immutable compiled artifacts of each target function (code
+object, conditional metadata, descendant analysis, unparsed source) are kept
+in a module-level cache in front of the content-keyed disk cache of
+:mod:`repro.instrument.unit_cache`.  :meth:`InstrumentedProgram.clone`
+executes the cached code object in a fresh namespace, and a fresh
+process (a process worker, a daemon, the next run) loads it from disk
+without calling ``inspect.getsource`` or running the pass.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import hashlib
 import inspect
 import textwrap
@@ -30,6 +32,7 @@ from types import CodeType
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.core.branch_distance import DEFAULT_EPSILON
+from repro.instrument import ast_pass
 from repro.instrument.ast_pass import (
     HANDLE_NAME,
     ConditionalInfo,
@@ -66,6 +69,13 @@ from repro.instrument.specialize import (
     specialized_cache_info,
     specialized_unit,
 )
+from repro.instrument.unit_cache import (
+    entry_key,
+    instrumented_cache_info,
+    load_entry,
+    reset_instrumented_stats,
+    store_entry,
+)
 
 
 class InstrumentationError(RuntimeError):
@@ -97,11 +107,13 @@ class CompiledUnit:
     unparsed: str = field(repr=False)
 
 
-#: Module-level compiled-code cache: (source sha256, function name,
-#: start label) -> CompiledUnit.  Code objects are immutable, so one cached
-#: unit can back any number of program namespaces (clones, worker processes
-#: after fork, repeated instrument() calls).
-_CODE_CACHE: dict[tuple[str, str, int], CompiledUnit] = {}
+#: Module-level compiled-code cache: unit key -> (dedented source,
+#: CompiledUnit).  The key is the disk cache's content key
+#: (:func:`repro.instrument.unit_cache.entry_key`), or for a function
+#: without a source file a digest of its source.  Code objects are immutable,
+#: so one cached unit can back any number of program namespaces (clones,
+#: worker processes after fork, repeated instrument() calls).
+_CODE_CACHE: dict[str, tuple[str, CompiledUnit]] = {}
 _CODE_CACHE_LOCK = threading.Lock()
 _CODE_CACHE_MAX = 512
 
@@ -110,15 +122,18 @@ def compiled_cache_info() -> dict:
     """Statistics of both compile-tier caches (for tests/diagnostics).
 
     The top-level ``entries``/``max_entries`` keys describe the generic
-    compiled-unit cache (backwards compatible); ``specialized`` nests the
-    per-mask specialization cache's size and hit/miss/evict counters,
-    ``batched`` nests the batched-kernel plan cache's, and ``native`` the
-    loaded native-kernel cache's (plus its disk-cache entry count and the
-    detected compiler version).
+    compiled-unit cache (backwards compatible); ``instrumented`` nests its
+    disk layer's entry count, bytes and bound and this process's disk
+    hits/misses/writes, ``specialized`` nests the per-mask specialization
+    cache's size and hit/miss/evict counters, ``batched`` nests the
+    batched-kernel plan cache's, and ``native`` the loaded native-kernel
+    cache's (plus its disk-cache entry count and the detected compiler
+    version).
     """
     return {
         "entries": len(_CODE_CACHE),
         "max_entries": _CODE_CACHE_MAX,
+        "instrumented": instrumented_cache_info(),
         "specialized": specialized_cache_info(),
         "batched": batched_cache_info(),
         "native": native_cache_info(),
@@ -127,39 +142,88 @@ def compiled_cache_info() -> dict:
 
 def clear_compiled_cache() -> None:
     """Drop every cached compiled unit, specialization, batched kernel plan
-    and loaded native kernel (primarily for tests)."""
+    and loaded native kernel, and zero the disk layer's counters (primarily
+    for tests; the disk entries stay)."""
     with _CODE_CACHE_LOCK:
         _CODE_CACHE.clear()
+    reset_instrumented_stats()
     clear_specialized_cache()
     clear_batched_cache()
     clear_native_cache()
 
 
-def _compiled_unit(source: str, function_name: str, start_label: int) -> CompiledUnit:
-    """Instrument + compile ``source``, memoized on its hash."""
-    digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
-    key = (digest, function_name, start_label)
-    unit = _CODE_CACHE.get(key)
-    if unit is not None:
-        return unit
+def _compile_unit(source: str, function_name: str, start_label: int) -> CompiledUnit:
+    """Run the AST pass on ``source`` and compile the result."""
     tree, conds, labels, func_node = instrument_source(
         source, function_name=function_name, start_label=start_label
     )
     code = compile(tree, filename=f"<instrumented:{function_name}>", mode="exec")
-    unit = CompiledUnit(
+    return CompiledUnit(
         code=code,
         conditionals=tuple(conds),
         analysis=DescendantAnalysis.from_function(func_node, labels),
         unparsed=ast.unparse(tree),
     )
+
+
+def _encode_unit(source: str, unit: CompiledUnit) -> tuple:
+    """A unit as marshallable plain data (see :func:`_decode_unit`)."""
+    return (
+        source,
+        unit.code,
+        tuple(dataclasses.astuple(cond) for cond in unit.conditionals),
+        tuple((b.conditional, b.outcome, labels) for b, labels in unit.analysis.reachable.items()),
+        unit.unparsed,
+    )
+
+
+def _decode_unit(value) -> tuple[str, CompiledUnit]:
+    source, code, conditionals, reachable, unparsed = value
+    if not isinstance(code, CodeType):
+        raise TypeError(f"unit entry holds {type(code).__name__}, not code")
+    return source, CompiledUnit(
+        code=code,
+        conditionals=tuple(ConditionalInfo(*fields) for fields in conditionals),
+        analysis=DescendantAnalysis(
+            reachable={BranchId(label, outcome): labels for label, outcome, labels in reachable}
+        ),
+        unparsed=unparsed,
+    )
+
+
+def _target_unit(target: Callable, start_label: int) -> tuple[str, CompiledUnit]:
+    """``(dedented source, compiled unit)`` of one target at ``start_label``.
+
+    Served from memory, else from the disk cache (no ``inspect.getsource``),
+    else by running the pass, whose result is then written to disk.  The
+    key covers the pass parameters as they are at call time."""
+    name = getattr(target, "__name__", "")
+    params = ("unit", name, start_label, ast_pass.MAX_TREE_LEAVES, ast_pass.MAX_TREE_TOKENS)
+    key = entry_key(target, *params)
+    cached = None
+    if key is not None:
+        cached = _CODE_CACHE.get(key) or load_entry(key, _decode_unit)
+    if cached is None:
+        try:
+            source = textwrap.dedent(inspect.getsource(target))
+        except (OSError, TypeError) as exc:
+            raise InstrumentationError(
+                f"cannot obtain source for {getattr(target, '__name__', target)!r}: {exc}"
+            ) from exc
+        if key is None:  # no source file: key memory on the source itself
+            key = hashlib.sha256(repr((source, *params)).encode("utf-8")).hexdigest()
+            cached = _CODE_CACHE.get(key)
+        if cached is None:
+            cached = (source, _compile_unit(source, name, start_label))
+            store_entry(key, _encode_unit(*cached), target, *params)
     with _CODE_CACHE_LOCK:
-        if len(_CODE_CACHE) >= _CODE_CACHE_MAX:
+        if key not in _CODE_CACHE and len(_CODE_CACHE) >= _CODE_CACHE_MAX:
             # Simple bound: the cache is tiny in practice (one entry per
             # distinct target function); dropping everything on overflow
             # costs one recompile burst and keeps the logic race-free.
             _CODE_CACHE.clear()
-        _CODE_CACHE[key] = unit
-    return unit
+        _CODE_CACHE[key] = cached
+    return cached
 
 
 #: Bound on cached specialized variants per program instance.  Masks evolve
@@ -572,7 +636,8 @@ def instrument(
 
     Args:
         func: The entry function under test.  Its source must be available
-            through :func:`inspect.getsource`.
+            through :func:`inspect.getsource` (which a warm disk cache
+            entry spares).
         extra_functions: Helper functions called by ``func`` whose branches
             should also be instrumented and counted (Sect. 5.3, "Handling
             Function Calls").  They are compiled into the same namespace so
@@ -602,14 +667,8 @@ def instrument(
     units: list[tuple[str, str, int]] = []
 
     for target in targets:
-        try:
-            source = textwrap.dedent(inspect.getsource(target))
-        except (OSError, TypeError) as exc:
-            raise InstrumentationError(
-                f"cannot obtain source for {getattr(target, '__name__', target)!r}: {exc}"
-            ) from exc
+        source, unit = _target_unit(target, next_label)
         units.append((source, target.__name__, next_label))
-        unit = _compiled_unit(source, target.__name__, next_label)
         next_label += len(unit.conditionals)
         conditionals.extend(unit.conditionals)
         analysis.merge(unit.analysis)
