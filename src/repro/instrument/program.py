@@ -199,10 +199,10 @@ def _target_unit(target: Callable, start_label: int) -> tuple[str, CompiledUnit]
     key covers the pass parameters as they are at call time."""
     name = getattr(target, "__name__", "")
     params = ("unit", name, start_label, ast_pass.MAX_TREE_LEAVES, ast_pass.MAX_TREE_TOKENS)
-    key = entry_key(target, *params)
+    key = disk_key = entry_key(target, *params)
     cached = None
-    if key is not None:
-        cached = _CODE_CACHE.get(key) or load_entry(key, _decode_unit)
+    if disk_key is not None:
+        cached = _CODE_CACHE.get(disk_key) or load_entry(disk_key, _decode_unit)
     if cached is None:
         try:
             source = textwrap.dedent(inspect.getsource(target))
@@ -210,12 +210,13 @@ def _target_unit(target: Callable, start_label: int) -> tuple[str, CompiledUnit]
             raise InstrumentationError(
                 f"cannot obtain source for {getattr(target, '__name__', target)!r}: {exc}"
             ) from exc
-        if key is None:  # no source file: key memory on the source itself
+        if disk_key is None:  # no source file: memory only, keyed on the source
             key = hashlib.sha256(repr((source, *params)).encode("utf-8")).hexdigest()
             cached = _CODE_CACHE.get(key)
         if cached is None:
             cached = (source, _compile_unit(source, name, start_label))
-            store_entry(key, _encode_unit(*cached), target, *params)
+            if disk_key is not None:
+                store_entry(disk_key, _encode_unit(*cached), target, *params)
     with _CODE_CACHE_LOCK:
         if key not in _CODE_CACHE and len(_CODE_CACHE) >= _CODE_CACHE_MAX:
             # Simple bound: the cache is tiny in practice (one entry per

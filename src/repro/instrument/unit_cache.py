@@ -122,7 +122,7 @@ def entry_key(func: Callable, *params) -> Optional[str]:
     return hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()
 
 
-def load_entry(key: str, decode: Callable = lambda value: value):
+def load_entry(key: str, decode: Callable):
     """``decode`` of the value stored under ``key``, or ``None`` on a miss.
 
     A missing, truncated or corrupt entry, or one ``decode`` rejects with
@@ -207,8 +207,6 @@ def _entry_files(directory: Path) -> list:
     concurrent prune removes while listing are skipped)."""
     files = []
     for path in directory.glob("*" + _SUFFIX):
-        if path.name.startswith("."):
-            continue
         try:
             files.append((path, path.stat()))
         except FileNotFoundError:

@@ -259,18 +259,29 @@ class TestRobustness:
         for path in cache_dir.iterdir():
             path.unlink()
         _forget_in_memory()
-        start = threading.Barrier(4)
+        start = threading.Barrier(8)
+        programs = []
 
         def worker():
-            start.wait()
-            instrument(sp.nested_branches)
+            start.wait(timeout=60)
+            programs.append(instrument(sp.nested_branches))
 
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(programs) == 8
         assert _entries(cache_dir) == expected
+        # Every disk miss wrote, and no counter update was lost.
+        assert 1 <= _disk()["misses"] == _disk()["writes"]
+        assert _disk()["hits"] + _disk()["misses"] <= 8
 
 
 class TestDiskBound:
