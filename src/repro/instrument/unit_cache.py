@@ -37,6 +37,7 @@ with ``dlopen``: only its owner may write it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib.util
 import inspect
@@ -70,7 +71,6 @@ _DIGEST_BYTES = 32
 
 _LOCK = threading.Lock()
 _STATS = {"hits": 0, "misses": 0, "writes": 0}
-_TOOLCHAIN_DIGEST: list = []  # [digest or None], computed once per process
 
 
 def instrumented_cache_dir() -> Path:
@@ -78,21 +78,20 @@ def instrumented_cache_dir() -> Path:
     return native_cache_dir() / "instrumented"
 
 
+@functools.cache
 def _toolchain_digest() -> Optional[str]:
     """Digest of the instrumenter's modules and the interpreter, or ``None``
-    when a module file cannot be read (the cache is then off)."""
-    if not _TOOLCHAIN_DIGEST:
-        hasher = hashlib.sha256()
-        hasher.update(importlib.util.MAGIC_NUMBER + sys.version.encode())
-        here = Path(__file__).parent
-        try:
-            for name in TOOLCHAIN:
-                hasher.update(name.encode() + b"\0" + (here / name).read_bytes())
-            digest: Optional[str] = hasher.hexdigest()
-        except OSError:
-            digest = None
-        _TOOLCHAIN_DIGEST.append(digest)
-    return _TOOLCHAIN_DIGEST[0]
+    when a module file cannot be read (the cache is then off).  Computed
+    once per process."""
+    hasher = hashlib.sha256()
+    hasher.update(importlib.util.MAGIC_NUMBER + sys.version.encode())
+    here = Path(__file__).parent
+    try:
+        for name in TOOLCHAIN:
+            hasher.update(name.encode() + b"\0" + (here / name).read_bytes())
+    except OSError:
+        return None
+    return hasher.hexdigest()
 
 
 def entry_key(func: Callable, *params) -> Optional[str]:
@@ -169,7 +168,7 @@ def store_entry(key: str, value, func: Callable, *params) -> None:
         _STATS["writes"] += 1
         prune = _STATS["writes"] % _PRUNE_EVERY == 1
     if prune:
-        prune_entries(directory)
+        prune_entries()
 
 
 def function_source(func: Callable) -> str:
@@ -215,10 +214,10 @@ def _entry_files(directory: Path) -> list:
     return files
 
 
-def prune_entries(directory: Optional[Path] = None) -> int:
+def prune_entries() -> int:
     """Delete stale temp files, then evict the oldest entries beyond
     :data:`DISK_ENTRIES_MAX`; returns the number evicted."""
-    directory = directory if directory is not None else instrumented_cache_dir()
+    directory = instrumented_cache_dir()
     if not directory.is_dir():
         return 0
     stale = time.time() - TEMP_STALE_S

@@ -184,7 +184,7 @@ class TestInvalidation:
 
     def test_instrumenter_digest_is_part_of_the_key(self, cache_dir, monkeypatch):
         instrument(sp.paper_foo)
-        monkeypatch.setattr(unit_cache, "_TOOLCHAIN_DIGEST", ["0" * 64])
+        monkeypatch.setattr(unit_cache, "_toolchain_digest", lambda: "0" * 64)
         _forget_in_memory()
         instrument(sp.paper_foo)
         assert (_disk()["hits"], _disk()["misses"]) == (0, 1)
