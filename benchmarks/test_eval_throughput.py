@@ -6,11 +6,9 @@ engine issues millions of them.  This bench measures evaluations/sec of
 ``FOO_R`` under each :class:`~repro.instrument.runtime.ExecutionProfile` on
 branch-dense Fdlibm functions and asserts the runtime guarantees:
 
-* the allocation-free ``PENALTY_ONLY`` profile is at least 3x faster than
-  the recording ``FULL_TRACE`` profile (geometric mean over the workload);
 * the compile-time ``PENALTY_SPECIALIZED`` tier is at least 6x faster than
-  ``FULL_TRACE`` *and* at least 1.5x faster than ``PENALTY_ONLY`` -- the
-  specializer must beat the fast runtime it replaces, not just the recorder;
+  the recording ``FULL_TRACE`` profile (geometric mean over the workload);
+* the batched kernel is at least 2x faster than the scalar specialized tier;
 * the machine-code ``PENALTY_NATIVE`` tier is at least 1.2x faster than the
   batched kernel overall and at least 2x on rows-mode programs (loops,
   helpers) at 1024-row batches -- those are the programs vectorization gains
@@ -46,7 +44,7 @@ from repro.core.representing import RepresentingFunction
 from repro.core.saturation import SaturationTracker
 from repro.experiments.runner import instrument_case
 from repro.fdlibm.suite import BENCHMARKS
-from repro.instrument.native.cache import cc_available
+from repro.instrument.native.cache import cc_available, finish_background_compiles
 from repro.instrument.runtime import ExecutionProfile, Runtime
 
 #: Branch-dense workload: functions whose conditionals (not their arithmetic)
@@ -60,9 +58,7 @@ WORKLOAD_FUNCTIONS = (
     "ieee754_rem_pio2",
     "expm1",
 )
-TARGET_SPEEDUP = 3.0
 SPECIALIZED_TARGET_SPEEDUP = 6.0
-SPECIALIZED_VS_PENALTY_TARGET = 1.5
 BATCHED_VS_SPECIALIZED_TARGET = 2.0
 NATIVE_VS_BATCHED_TARGET = 1.2
 NATIVE_VS_BATCHED_ROWS_TARGET = 2.0
@@ -222,9 +218,7 @@ def test_eval_throughput_and_profile_equivalence(bench_report_dir):
     assert cases, "workload functions missing from the suite"
 
     per_function: dict[str, dict[str, float]] = {}
-    ratios = []
     specialized_ratios = []
-    specialized_vs_penalty = []
     batched_vs_specialized = []
     native_vs_batched = []
     native_vs_batched_rows = []
@@ -234,8 +228,13 @@ def test_eval_throughput_and_profile_equivalence(bench_report_dir):
     # The mt gate needs real parallelism to pass: skip it below 4 cores
     # unless forced (CI runners guarantee 4 vCPUs and set the force flag).
     mt_available = native_available and ((os.cpu_count() or 1) >= 4 or force_native)
+    # Earlier benches run the native default and may have queued kernel
+    # builds; a ``cc`` running beside the timed loops would skew the ratios.
+    finish_background_compiles()
     for name, case in cases:
         program, tracker, points = _prepared(case)
+        if cc_available():
+            program.native_kernel(tracker.saturated_mask)  # built now, not while timing
         rates: dict[str, float] = {}
         values_by_profile = {}
         for profile in ExecutionProfile:
@@ -253,19 +252,10 @@ def test_eval_throughput_and_profile_equivalence(bench_report_dir):
         for profile, values in values_by_profile.items():
             assert values == reference, f"{name}: {profile.value} diverges from full-trace"
         full_rate = rates[ExecutionProfile.FULL_TRACE.value]
-        penalty_rate = rates[ExecutionProfile.PENALTY_ONLY.value]
         specialized_rate = rates[ExecutionProfile.PENALTY_SPECIALIZED.value]
-        ratio = penalty_rate / full_rate
         specialized_ratio = specialized_rate / full_rate
-        per_function[name] = {
-            **rates,
-            "penalty_vs_full_trace": ratio,
-            "specialized_vs_full_trace": specialized_ratio,
-            "specialized_vs_penalty": specialized_rate / penalty_rate,
-        }
-        ratios.append(ratio)
+        per_function[name] = {**rates, "specialized_vs_full_trace": specialized_ratio}
         specialized_ratios.append(specialized_ratio)
-        specialized_vs_penalty.append(specialized_rate / penalty_rate)
         batched_rate, batched_values, batched_mode = _batched_throughput(
             program, tracker, points
         )
@@ -296,9 +286,7 @@ def test_eval_throughput_and_profile_equivalence(bench_report_dir):
                 per_function[name]["mt_vs_single_thread"] = mt_ratio
                 mt_vs_single.append(mt_ratio)
 
-    geomean = _geomean(ratios)
     specialized_geomean = _geomean(specialized_ratios)
-    specialized_vs_penalty_geomean = _geomean(specialized_vs_penalty)
     batched_geomean = _geomean(batched_vs_specialized)
     native_geomean = _geomean(native_vs_batched) if native_vs_batched else None
     native_rows_geomean = (
@@ -309,9 +297,7 @@ def test_eval_throughput_and_profile_equivalence(bench_report_dir):
         "workload": [name for name, _ in cases],
         "points_per_function": POINTS * (REPEATS + 1),
         "evals_per_sec": per_function,
-        "penalty_vs_full_trace_geomean": geomean,
         "specialized_vs_full_trace_geomean": specialized_geomean,
-        "specialized_vs_penalty_geomean": specialized_vs_penalty_geomean,
         "batched_vs_specialized_geomean": batched_geomean,
         "native_vs_batched_geomean": native_geomean,
         "native_vs_batched_rows_geomean": native_rows_geomean,
@@ -321,9 +307,7 @@ def test_eval_throughput_and_profile_equivalence(bench_report_dir):
         "mt_batch_points": MT_BATCH_POINTS,
         "mt_available": mt_available,
         "mt_target_speedup": MT_VS_SINGLE_TARGET,
-        "target_speedup": TARGET_SPEEDUP,
         "specialized_target_speedup": SPECIALIZED_TARGET_SPEEDUP,
-        "specialized_vs_penalty_target": SPECIALIZED_VS_PENALTY_TARGET,
         "batched_target_speedup": BATCHED_VS_SPECIALIZED_TARGET,
         "native_target_speedup": NATIVE_VS_BATCHED_TARGET,
         "native_rows_target_speedup": NATIVE_VS_BATCHED_ROWS_TARGET,
@@ -334,9 +318,8 @@ def test_eval_throughput_and_profile_equivalence(bench_report_dir):
     if out_dir:  # CI sets this to collect the artifact across PRs
         (Path(out_dir) / "BENCH_eval_throughput.json").write_text(payload)
     print(
-        f"\npenalty-only vs full-trace: geomean {geomean:.2f}x; "
-        f"specialized vs full-trace: {specialized_geomean:.2f}x "
-        f"(vs penalty: {specialized_vs_penalty_geomean:.2f}x) over {len(ratios)} functions"
+        f"\nspecialized vs full-trace: geomean {specialized_geomean:.2f}x "
+        f"over {len(specialized_ratios)} functions"
     )
     print(
         f"batched vs specialized: geomean {batched_geomean:.2f}x "
@@ -375,21 +358,14 @@ def test_eval_throughput_and_profile_equivalence(bench_report_dir):
             batched_note = f"mt {stats['mt_vs_single_thread']:.2f}x  " + batched_note
         print(
             f"  {name:20s} {batched_note}"
+            f"native-scalar {stats['penalty-native']:>10,.0f}/s  "
             f"specialized {stats['penalty-specialized']:>10,.0f}/s  "
-            f"penalty {stats['penalty']:>10,.0f}/s  "
             f"full-trace {stats['full-trace']:>9,.0f}/s  "
-            f"({stats['specialized_vs_full_trace']:.2f}x / {stats['penalty_vs_full_trace']:.2f}x)"
+            f"({stats['specialized_vs_full_trace']:.2f}x)"
         )
-    assert geomean >= TARGET_SPEEDUP, (
-        f"expected >= {TARGET_SPEEDUP}x penalty-only vs full-trace, measured {geomean:.2f}x"
-    )
     assert specialized_geomean >= SPECIALIZED_TARGET_SPEEDUP, (
         f"expected >= {SPECIALIZED_TARGET_SPEEDUP}x specialized vs full-trace, "
         f"measured {specialized_geomean:.2f}x"
-    )
-    assert specialized_vs_penalty_geomean >= SPECIALIZED_VS_PENALTY_TARGET, (
-        f"expected >= {SPECIALIZED_VS_PENALTY_TARGET}x specialized vs penalty-only, "
-        f"measured {specialized_vs_penalty_geomean:.2f}x"
     )
     assert batched_geomean >= BATCHED_VS_SPECIALIZED_TARGET, (
         f"expected >= {BATCHED_VS_SPECIALIZED_TARGET}x batched vs scalar specialized, "
@@ -438,7 +414,7 @@ def test_memoized_start_reduces_executions():
     for memoize in (False, True):
         program, tracker, _ = _prepared(case)
         representing = RepresentingFunction(
-            program, tracker, profile=ExecutionProfile.PENALTY_ONLY
+            program, tracker, profile=ExecutionProfile.PENALTY_SPECIALIZED
         )
         result = basinhopping(
             BitPatternMemo(representing, arity=program.arity) if memoize else representing,

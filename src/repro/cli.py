@@ -37,7 +37,6 @@ from pathlib import Path
 from typing import Optional
 
 from repro.experiments.runner import PROFILES
-from repro.instrument.runtime import EXECUTION_PROFILES
 from repro.store import RunStore
 
 DEFAULT_STORE = ".repro-store"
@@ -66,16 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--cases", type=int, default=None, metavar="N",
             help="limit the run to the first N suite cases",
-        )
-        p.add_argument(
-            "--eval-profile", choices=sorted(EXECUTION_PROFILES), default=None,
-            help="override the optimizer inner-loop execution profile "
-            "(the shipped profiles use penalty-native)",
-        )
-        p.add_argument(
-            "--native-threads", type=int, default=None, metavar="K",
-            help="C threads per native batched evaluation (penalty-native "
-            "profile; results are bit-identical for every value)",
         )
 
     run_p = sub.add_parser("run", help="execute specs (resuming from the store) and render them")
@@ -250,10 +239,6 @@ def _resolve_profile(args):
         overrides["seed"] = args.seed
     if args.cases is not None:
         overrides["max_cases"] = args.cases
-    if getattr(args, "eval_profile", None) is not None:
-        overrides["eval_profile"] = args.eval_profile
-    if getattr(args, "native_threads", None) is not None:
-        overrides["native_threads"] = args.native_threads
     return dataclasses.replace(profile, **overrides) if overrides else profile
 
 

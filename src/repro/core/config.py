@@ -62,28 +62,22 @@ class CoverMeConfig:
             Must not depend on ``n_workers`` or seeded runs lose their
             worker-count independence.
         eval_profile: Execution profile of the optimizer inner loop --
-            ``"penalty-native"`` (the machine-code tier: the specialized
-            lowering is emitted as C, compiled with the system ``cc`` and
-            called through ctypes; degrades to ``penalty-specialized`` with
-            a one-time warning when no compiler is present),
+            ``"penalty-native"`` (the default, the machine-code tier: the
+            specialized lowering is emitted as C, compiled with the system
+            ``cc`` and called through ctypes, and each local search runs in
+            one C call; degrades to ``penalty-specialized`` with a one-time
+            warning when no compiler is present),
             ``"penalty-specialized"`` (the compile-time tier: the saturation
             mask is baked into re-generated instrumented source, re-compiled
-            only when saturation flips a bit), ``"penalty"`` (allocation-free
-            fast runtime, the default), ``"coverage"`` or ``"full-trace"``
-            (the recording runtime).  All profiles compute bit-identical
-            representing-function values and produce identical seeded
-            results; richer profiles only retain more per-execution data
-            (and run slower).  Accepted minima are always re-executed under
-            at least the coverage profile, so the reduction sees the same
-            branch sets regardless of this setting.
-        memoize: Serve repeated objective evaluations at bit-identical
-            inputs from a per-start memo cache instead of re-executing the
-            program.  Values and seeded trajectories are unchanged; only the
-            execution count drops.  With the memo on, the engine also primes
-            each chunk of ``penalty-specialized`` starts with one
-            batched-kernel call over the chunk's start vectors, and
-            ``penalty-native`` starts run their local searches in one C call
-            each.
+            only when saturation flips a bit; the engine primes each chunk
+            of starts with one batched-kernel call) or ``"full-trace"`` (the
+            recording runtime, the reference).  All profiles compute
+            bit-identical representing-function values and produce
+            identical seeded results.  Every start serves repeated
+            evaluations at bit-identical inputs from a per-start memo, and
+            accepted minima are re-executed on the allocation-free fast
+            runtime, so the reduction sees the same branch sets regardless
+            of this setting.
         native_threads: Native-tier batch threads.  Under the
             ``penalty-native`` profile,
             :meth:`~repro.core.representing.RepresentingFunction.evaluate_batch`
@@ -131,8 +125,7 @@ class CoverMeConfig:
     worker_mode: str = "auto"
     start_strategy: str = "random-normal"
     batch_size: Optional[int] = None
-    eval_profile: str = ExecutionProfile.PENALTY_ONLY.value
-    memoize: bool = True
+    eval_profile: str = ExecutionProfile.PENALTY_NATIVE.value
     native_threads: int = 1
     progress: Optional[Callable[[dict], None]] = field(default=None, repr=False, compare=False)
     pool_factory: Optional[Callable] = field(default=None, repr=False, compare=False)

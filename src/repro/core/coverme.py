@@ -11,10 +11,11 @@ three steps of the approach:
    reduces the results deterministically -- collecting every zero-valued
    minimum point as a test input and applying the infeasible-branch
    heuristic of Sect. 5.3 when a minimization bottoms out above zero.
-   The inner loop's execution tier is ``CoverMeConfig.eval_profile``; with
-   ``"penalty-specialized"`` the saturation mask is compiled into the
-   instrumented source per batch epoch (:mod:`repro.instrument.specialize`)
-   while results stay bit-identical to every other profile.
+   The inner loop's execution tier is ``CoverMeConfig.eval_profile``: the
+   saturation mask is compiled per batch epoch into machine code
+   (``"penalty-native"``, the default) or into the instrumented source
+   (``"penalty-specialized"``, :mod:`repro.instrument.specialize`), while
+   results stay bit-identical to the recording ``"full-trace"`` tier.
 
 The optimization backend is resolved by name through the registry of
 :mod:`repro.optimize.registry`; any registered unconstrained-programming

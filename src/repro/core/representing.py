@@ -14,13 +14,11 @@ programming backend can minimize it as a black box.
 
 Evaluation runs under a configurable
 :class:`~repro.instrument.runtime.ExecutionProfile`.  ``FULL_TRACE`` (the
-default) keeps today's recording behavior: every call leaves a complete
+wrapper's default, the reference tier) records: every call leaves a complete
 :class:`ExecutionRecord` in :attr:`RepresentingFunction.last_record`.  The
-``PENALTY_ONLY`` and ``COVERAGE`` profiles run on the allocation-free
-:class:`~repro.instrument.runtime.FastRuntime` -- the optimizer inner loop
-only consumes the scalar ``r``, so per-conditional trace objects are pure
-overhead there.  ``PENALTY_SPECIALIZED`` goes one tier further: the program
-is re-compiled with the saturation mask resolved per probe site
+optimizer inner loop only consumes the scalar ``r``, so it runs a compiled
+tier instead.  Under ``PENALTY_SPECIALIZED`` the program is re-compiled with
+the saturation mask resolved per probe site
 (:mod:`repro.instrument.specialize`), and this wrapper implements the *epoch
 protocol* -- the compiled variant is reused verbatim while the tracker's
 ``saturated_mask`` is unchanged and transparently re-specialized (a cached
@@ -34,11 +32,11 @@ program cannot be emitted.  Cold compiles do not block: the build runs on
 the background worker while calls are served by the specialized tier (no
 warning — that state is transient, counted in ``native_pending_calls``)
 and the kernel swaps in at the next call/batch boundary once the build
-lands.  All profiles compute bit-identical values;
-callers that need coverage
-from a specific point (e.g. an accepted minimum) re-execute it via
+lands.  All profiles compute bit-identical values; callers that need
+coverage from a specific point (e.g. an accepted minimum) re-execute it via
 :meth:`RepresentingFunction.evaluate_with_coverage`, which under the
-specialized tier runs the generic fast runtime so the coverage outcome stays
+compiled tiers runs the allocation-free
+:class:`~repro.instrument.runtime.FastRuntime` so the coverage outcome stays
 complete and identical across profiles.
 """
 
@@ -125,18 +123,16 @@ class RepresentingFunction:
         self._warned: set[str] = set()
         self._arity = program.arity
         self._native = self.profile is ExecutionProfile.PENALTY_NATIVE
-        self._specialized = self.profile in (
-            ExecutionProfile.PENALTY_SPECIALIZED,
-            ExecutionProfile.PENALTY_NATIVE,
-        )
-        if self.profile is ExecutionProfile.FULL_TRACE:
-            self._fast: Optional[FastRuntime] = None
-            self._runtime = Runtime(policy=CoverMePenalty(self.tracker, epsilon), epsilon=epsilon)
-        else:
-            # The specialized tier keeps a fast runtime too: it backs
-            # evaluate_with_coverage(), whose outcome must stay complete.
-            self._fast = FastRuntime(program.n_conditionals, epsilon=epsilon)
+        self._specialized = self.profile is not ExecutionProfile.FULL_TRACE
+        if self._specialized:
+            # The compiled tiers' covered bitsets are partial, so a fast
+            # runtime backs evaluate_with_coverage(), whose outcome must
+            # stay complete.
+            self._fast: Optional[FastRuntime] = FastRuntime(program.n_conditionals, epsilon=epsilon)
             self._runtime = None
+        else:
+            self._fast = None
+            self._runtime = Runtime(policy=CoverMePenalty(self.tracker, epsilon), epsilon=epsilon)
 
     @property
     def arity(self) -> int:
@@ -147,11 +143,11 @@ class RepresentingFunction:
         args = self._coerce(x)
         self.evaluations += 1
         if self._specialized:
-            # Specialized tier: re-read the mask every call (like the fast
-            # profiles resynchronize at begin()), but only touch the compiler
-            # when saturation actually flipped a bit.  Mid-epoch calls are a
-            # single int comparison away from the compiled variant (or the
-            # loaded machine-code kernel under the native tier).
+            # Compiled tiers: re-read the mask every call, but only touch
+            # the compiler when saturation actually flipped a bit.  Mid-epoch
+            # calls are a single int comparison away from the compiled
+            # variant (or the loaded machine-code kernel under the native
+            # tier).
             kernel = self.native_kernel() if self._native else None
             if kernel is not None:
                 r, _cov = kernel.scalar(args)
@@ -163,9 +159,6 @@ class RepresentingFunction:
                     self._variant = variant
                     self.respecializations += 1
                 _, r = variant.run(args)
-            self.last_record = None
-        elif self._fast is not None:
-            r = self._run_fast(args)
             self.last_record = None
         else:
             _, r, record = self.program.run(args, runtime=self._runtime)
@@ -190,8 +183,8 @@ class RepresentingFunction:
         threads), following the same epoch protocol as ``__call__``: the
         kernel is reused verbatim while the tracker's ``saturated_mask`` is
         unchanged and rebuilt (a cached per-program lookup when the mask was
-        seen before) only when a bit flips.  Every other profile degrades to
-        a per-row loop over ``__call__``, so the returned vector is
+        seen before) only when a bit flips.  ``FULL_TRACE`` degrades to a
+        per-row loop over ``__call__``, so the returned vector is
         bit-identical to N sequential scalar calls in all configurations.
         Non-finite register values clamp to the same large finite penalty as
         the scalar path.
@@ -236,7 +229,7 @@ class RepresentingFunction:
         configured profile, so trace consumers keep working; prefer
         :meth:`evaluate_with_coverage` when the path is not needed.
         """
-        if self._fast is None:
+        if not self._specialized:
             value = self(x)
             assert self.last_record is not None
             return value, self.last_record
@@ -251,7 +244,7 @@ class RepresentingFunction:
         return r, record
 
     def evaluate_with_coverage(self, x) -> tuple[float, CoverageOutcome]:
-        """Evaluate and return the coverage-profile outcome.
+        """Evaluate and return the covered branches at ``x``.
 
         This is what the engine calls on an accepted minimum: the covered
         branches plus the last executed conditional (for the
@@ -259,7 +252,7 @@ class RepresentingFunction:
         ``FULL_TRACE`` the same data is distilled from the record so every
         profile returns identical outcomes.
         """
-        if self._fast is None:
+        if not self._specialized:
             value, record = self.evaluate_with_record(x)
             last = record.last
             return value, CoverageOutcome(
@@ -267,21 +260,27 @@ class RepresentingFunction:
                 last_conditional=None if last is None else last.conditional,
                 last_outcome=None if last is None else last.outcome,
             )
-        if self._specialized:
-            # The specialized variant's covered bitset is partial (stripped
-            # probes record nothing) and it tracks no last conditional, so
-            # coverage harvesting runs the generic fast runtime against the
-            # same mask -- values stay bit-identical, outcomes complete.
-            args = self._coerce(x)
-            self.evaluations += 1
-            r = self._run_fast(args)
-            if r != r or r == _INF or r == -_INF:
-                r = _CLAMP
-            self.last_record = None
-            self.last_value = r
-            return r, self._fast.snapshot()
-        value = self(x)
-        return value, self._fast.snapshot()
+        # The compiled variant's covered bitset is partial (stripped probes
+        # record nothing) and it tracks no last conditional, so the harvest
+        # runs the generic fast runtime against the same mask -- values stay
+        # bit-identical, outcomes complete.  install + begin resynchronize
+        # the saturation snapshot from the (possibly updated) tracker.
+        args = self._coerce(x)
+        self.evaluations += 1
+        fast = self._fast
+        program = self.program
+        program.handle.install(fast)
+        fast.begin(self.tracker.saturated_mask)
+        try:
+            program.entry(*args)
+        except _SWALLOWED:
+            pass
+        r = fast.r
+        if r != r or r == _INF or r == -_INF:
+            r = _CLAMP
+        self.last_record = None
+        self.last_value = r
+        return r, fast.snapshot()
 
     def native_kernel(self):
         """The native kernel for the tracker's current mask, or ``None``.
@@ -346,25 +345,6 @@ class RepresentingFunction:
             return
         self._warned.add(key)
         warnings.warn(message, RuntimeWarning, stacklevel=3)
-
-    def _run_fast(self, args) -> float:
-        """One generic fast-runtime execution against the current mask.
-
-        install + begin resynchronize the saturation snapshot from the
-        (possibly updated) tracker, then the program body runs with zero
-        per-conditional allocations.  Shared by the penalty/coverage call
-        path and the specialized tier's coverage harvest so the bit-sensitive
-        execution body exists exactly once.
-        """
-        fast = self._fast
-        program = self.program
-        program.handle.install(fast)
-        fast.begin(self.tracker.saturated_mask)
-        try:
-            program.entry(*args)
-        except _SWALLOWED:
-            pass
-        return fast.r
 
     def _coerce(self, x) -> Sequence[float]:
         if x.__class__ is np.ndarray:

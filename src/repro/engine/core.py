@@ -109,7 +109,6 @@ class SearchEngine:
             root_seed=self.root_seed,
             deadline=deadline,
             eval_profile=config.eval_profile,
-            memoize=config.memoize,
             native_threads=config.native_threads,
         )
 

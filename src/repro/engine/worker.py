@@ -4,11 +4,11 @@ A *start* is one basin-hopping launch of Algorithm 1's loop body (lines
 9-13): minimize the representing function from one starting point against a
 frozen snapshot of the saturation state, then evaluate the found minimum once
 more to obtain its coverage outcome.  The minimization loop runs under the
-cheapest sufficient execution profile (``PENALTY_ONLY`` by default -- the
-optimizer only reads the scalar objective) with an optional bit-pattern memo
-cache in front of the objective; the final evaluation always retains at
-least ``COVERAGE`` so the reduction sees the covered branches and the
-infeasible heuristic's last conditional.  Starts within a batch share the
+configured execution profile (``PENALTY_NATIVE`` by default -- the optimizer
+only reads the scalar objective) with a bit-pattern memo in front of the
+objective; the final evaluation runs on the allocation-free fast runtime so
+the reduction sees the covered branches and the infeasible heuristic's last
+conditional.  Starts within a batch share the
 same snapshot, which makes them independent of one another -- the property
 that lets the engine run them on any number of workers and still merge the
 results deterministically.
@@ -46,7 +46,7 @@ from repro.core.representing import RepresentingFunction
 from repro.core.saturation import SaturationTracker
 from repro.instrument.native.local_min import native_objective
 from repro.instrument.program import InstrumentedProgram, ProgramOrigin, instrument
-from repro.instrument.runtime import BranchId, ExecutionProfile
+from repro.instrument.runtime import EXECUTION_PROFILES, BranchId, ExecutionProfile
 from repro.optimize.memo import BitPatternMemo
 from repro.optimize.registry import get_backend
 
@@ -72,9 +72,15 @@ class StartParams:
     epsilon: float
     root_seed: int
     deadline: Optional[float] = None
-    eval_profile: str = ExecutionProfile.PENALTY_ONLY.value
-    memoize: bool = True
+    eval_profile: str = ExecutionProfile.PENALTY_NATIVE.value
     native_threads: int = 1
+
+    def __post_init__(self) -> None:
+        # Checked here so a coordinator's unknown profile is refused when
+        # the worker decodes the lease, not deep inside a leased start.
+        if self.eval_profile not in EXECUTION_PROFILES:
+            known = ", ".join(EXECUTION_PROFILES)
+            raise ValueError(f"unknown eval profile {self.eval_profile!r}; known: {known}")
 
 
 @dataclass(frozen=True)
@@ -111,7 +117,7 @@ def prime_chunk(
 ) -> Optional[dict[int, float]]:
     """One batched first-evaluation pass over a chunk's start vectors.
 
-    Under the specialized profile (memo on) the chunk's ``x0`` vectors go
+    Under the specialized profile the chunk's ``x0`` vectors go
     through a single :class:`~repro.instrument.batch.BatchKernel` call; the
     resulting values seed each start's memo, so the optimizer's opening
     evaluation at ``x0`` is a cache hit instead of a scalar program
@@ -121,7 +127,7 @@ def prime_chunk(
     the planted values are exactly what each start's own representing
     function would compute and seeded trajectories are unchanged.
     """
-    if not params.memoize or len(tasks) < 2:
+    if len(tasks) < 2:
         return None
     if ExecutionProfile(params.eval_profile) not in _PRIMED_PROFILES:
         return None
@@ -150,7 +156,7 @@ def run_start(
     """Execute one start against ``task``'s saturation snapshot.
 
     ``primed`` is the pre-computed ``FOO_R(x0)`` from :func:`prime_chunk`;
-    when present (memo on) it is planted in the memo and one evaluation is
+    when present it is planted in the memo and one evaluation is
     credited, so the reported evaluation count matches the unprimed run.
     """
     if params.deadline is not None and time.time() >= params.deadline:
@@ -159,11 +165,11 @@ def run_start(
     tracker = SaturationTracker(
         program, covered=set(task.covered), infeasible=set(task.infeasible)
     )
-    # The optimizer inner loop requests the cheapest sufficient profile: it
-    # only consumes the scalar objective, so the configured profile (default
-    # PENALTY_ONLY) drives the loop, and the accepted minimum is re-executed
-    # below with at least COVERAGE to harvest branches.  All profiles compute
-    # bit-identical values, so this choice never changes seeded results.
+    # The optimizer inner loop only consumes the scalar objective, so the
+    # configured profile (default PENALTY_NATIVE) drives the loop, and the
+    # accepted minimum is re-executed below on the fast runtime to harvest
+    # branches.  All profiles compute bit-identical values, so this choice
+    # never changes seeded results.
     representing = RepresentingFunction(
         program, tracker, epsilon=params.epsilon, profile=params.eval_profile,
         native_threads=params.native_threads,
@@ -175,13 +181,8 @@ def run_start(
     # the memo is a C one that also runs whole Powell searches natively
     # (when the kernel and the fused-search library are loaded); its
     # misses are counted into ``evaluations`` before it is freed.
-    fused = native_objective(representing) if params.memoize else None
-    if fused is not None:
-        objective = fused
-    elif params.memoize:
-        objective = BitPatternMemo(representing, arity=program.arity)
-    else:
-        objective = representing
+    fused = native_objective(representing)
+    objective = fused if fused is not None else BitPatternMemo(representing, arity=program.arity)
     rng = np.random.default_rng([params.root_seed, _STREAM_WORKER, task.index])
     found: dict[str, np.ndarray] = {}
 
@@ -193,7 +194,7 @@ def run_start(
 
     backend = get_backend(params.backend)
     try:
-        if primed is not None and params.memoize:
+        if primed is not None:
             # The batched pass already executed FOO_R(x0); plant the value
             # and credit the execution so ``evaluations`` is identical to
             # the scalar path (where the optimizer's opening call is a memo

@@ -32,8 +32,9 @@ class Profile:
     ``smoke`` keeps the whole harness in CI-friendly time; ``default`` covers
     every benchmark with moderate budgets; ``full`` restores the paper's
     ``n_start = 500`` and the 10x budget for the baseline tools.  All of
-    them evaluate on the native tier, which degrades to the specialized
-    tier without a C compiler; the tier never changes results.
+    them evaluate on :class:`CoverMeConfig`'s default native tier, which
+    degrades to the specialized tier without a C compiler; the tier never
+    changes results.
     """
 
     name: str
@@ -46,8 +47,6 @@ class Profile:
     seed: int = 0
     n_workers: int = 1
     start_strategy: str = "random-normal"
-    eval_profile: str = "penalty-native"
-    native_threads: int = 1
 
     def coverme_config(self) -> CoverMeConfig:
         return CoverMeConfig(
@@ -58,8 +57,6 @@ class Profile:
             time_budget=self.coverme_time_budget,
             n_workers=self.n_workers,
             start_strategy=self.start_strategy,
-            eval_profile=self.eval_profile,
-            native_threads=self.native_threads,
         )
 
 

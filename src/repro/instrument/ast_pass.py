@@ -46,7 +46,9 @@ from __future__ import annotations
 
 import ast
 import textwrap
+import threading
 from dataclasses import dataclass
+from types import CodeType
 from typing import Iterator
 
 from repro.instrument.runtime import TREE_NOT, tree_and, tree_or
@@ -63,6 +65,26 @@ TEMP_NAME_PREFIX = "__coverme_tmp"
 #: composition stacks small; real code never comes close).
 MAX_TREE_LEAVES = 64
 MAX_TREE_TOKENS = 512
+
+#: CPython 3.11 keeps the recursion counter of its conversion between AST
+#: objects and the compiler's tree in interpreter-wide state, so a thread
+#: switch inside ``ast.parse`` or ``compile(tree)`` while another thread
+#: converts corrupts it ("SystemError: AST constructor recursion depth
+#: mismatch").  Every conversion of the instrumenter and its compiled tiers
+#: goes through :func:`parse` and :func:`compile_tree`, which hold this lock.
+_AST_LOCK = threading.Lock()
+
+
+def parse(source: str) -> ast.Module:
+    """``ast.parse(source)``, serialized with every other AST conversion."""
+    with _AST_LOCK:
+        return ast.parse(source)
+
+
+def compile_tree(tree: ast.Module, filename: str) -> CodeType:
+    """``compile(tree, filename, "exec")``, serialized like :func:`parse`."""
+    with _AST_LOCK:
+        return compile(tree, filename, "exec")
 
 _AST_OPS = {
     ast.Eq: "==",
@@ -476,7 +498,7 @@ def instrument_source(
     mapping (on the *original* statement objects, which are mutated in place
     by the transformer but keep their identity), and the function node.
     """
-    tree = ast.parse(textwrap.dedent(source))
+    tree = parse(textwrap.dedent(source))
     func_node = None
     for stmt in tree.body:
         if isinstance(stmt, ast.FunctionDef) and (

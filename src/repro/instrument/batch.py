@@ -60,6 +60,7 @@ from repro.instrument.ast_pass import (
     as_simple_comparison,
     assign_labels,
     is_chain,
+    parse,
     strip_not,
 )
 from repro.instrument.runtime import BIG_DISTANCE
@@ -1040,7 +1041,7 @@ def _collect_assigned(func_node) -> set[str]:
 
 def _build_plan(source, function_name, start_label, saturated_mask, epsilon, namespace):
     """Compile one unit into a vector plan, or raise :class:`_Unvectorizable`."""
-    tree = ast.parse(textwrap.dedent(source))
+    tree = parse(textwrap.dedent(source))
     func_node = None
     for stmt in tree.body:
         if isinstance(stmt, ast.FunctionDef) and stmt.name == function_name:

@@ -32,6 +32,7 @@ import inspect
 import textwrap
 from dataclasses import dataclass, field
 
+from repro.instrument.ast_pass import parse
 from repro.instrument.native.cache import NativeUnavailable
 from repro.instrument.specialize import COV_NAME, R_NAME, specialize_source
 
@@ -1355,7 +1356,7 @@ class ProgramEmitter:
             return None  # intrinsic surface, not a helper body
         try:
             source = textwrap.dedent(inspect.getsource(obj))
-            tree = ast.parse(source)
+            tree = parse(source)
         except (OSError, TypeError, SyntaxError):
             return None
         func = next(

@@ -36,15 +36,13 @@ from repro.instrument import ast_pass
 from repro.instrument.ast_pass import (
     HANDLE_NAME,
     ConditionalInfo,
+    compile_tree,
     instrument_source,
 )
 from repro.instrument.cfg import DescendantAnalysis
 from repro.instrument.runtime import (
     BranchId,
-    CoverageOutcome,
-    ExecutionProfile,
     ExecutionRecord,
-    FastRuntime,
     Runtime,
     RuntimeHandle,
 )
@@ -157,7 +155,7 @@ def _compile_unit(source: str, function_name: str, start_label: int) -> Compiled
     tree, conds, labels, func_node = instrument_source(
         source, function_name=function_name, start_label=start_label
     )
-    code = compile(tree, filename=f"<instrumented:{function_name}>", mode="exec")
+    code = compile_tree(tree, f"<instrumented:{function_name}>")
     return CompiledUnit(
         code=code,
         conditionals=tuple(conds),
@@ -396,8 +394,8 @@ class InstrumentedProgram:
         exceptions) are swallowed: the execution record up to the fault is
         still meaningful and the representing function must stay total.
 
-        This is the recording entry point; profile-aware callers use
-        :meth:`run_profiled`.
+        This is the recording entry point; the penalty tiers run through
+        :meth:`run_specialized` and :meth:`run_native`.
         """
         runtime = runtime if runtime is not None else Runtime()
         self.handle.install(runtime)
@@ -409,59 +407,6 @@ class InstrumentedProgram:
             value = None
         r, record = runtime.end()
         return value, r, record
-
-    def run_profiled(
-        self,
-        args: Sequence[float],
-        profile: ExecutionProfile = ExecutionProfile.FULL_TRACE,
-        runtime: Optional["Runtime | FastRuntime"] = None,
-        saturated_mask: Optional[int] = None,
-    ) -> tuple[object, float, "ExecutionRecord | CoverageOutcome | int"]:
-        """Execute on ``args`` under an explicit execution profile.
-
-        Returns ``(return_value, r, outcome)`` where ``outcome`` is the full
-        :class:`ExecutionRecord` under ``FULL_TRACE``, a
-        :class:`CoverageOutcome` under ``COVERAGE``, and just the flat
-        covered-branch bitmask (an ``int``) under ``PENALTY_ONLY`` -- that
-        profile's contract is "``r`` plus a bitset", so no per-call branch
-        objects are materialized.  ``saturated_mask`` feeds the fast
-        runtime's inlined penalty; when omitted, a reused runtime keeps the
-        mask it was configured with (ignored under ``FULL_TRACE``, where the
-        caller installs a policy on the runtime).
-        """
-        profile = ExecutionProfile(profile)
-        if profile is ExecutionProfile.FULL_TRACE:
-            return self.run(args, runtime=runtime)  # type: ignore[arg-type]
-        if profile is ExecutionProfile.PENALTY_NATIVE:
-            if saturated_mask is None:
-                saturated_mask = getattr(runtime, "saturated_mask", 0)
-            return self.run_native(
-                args,
-                saturated_mask,
-                epsilon=getattr(runtime, "epsilon", DEFAULT_EPSILON),
-            )
-        if profile is ExecutionProfile.PENALTY_SPECIALIZED:
-            if saturated_mask is None:
-                saturated_mask = getattr(runtime, "saturated_mask", 0)
-            return self.run_specialized(
-                args,
-                saturated_mask,
-                # A passed (fast) runtime configures the tier -- its epsilon
-                # is baked into the specialized code, keeping r bit-identical
-                # to what that runtime would compute.
-                epsilon=getattr(runtime, "epsilon", DEFAULT_EPSILON),
-            )
-        fast = runtime if runtime is not None else FastRuntime(self.n_conditionals)
-        self.handle.install(fast)
-        fast.begin(saturated_mask)
-        value: object = None
-        try:
-            value = self.entry(*args)
-        except (ArithmeticError, ValueError, OverflowError):
-            value = None
-        if profile is ExecutionProfile.PENALTY_ONLY:
-            return value, fast.r, fast.covered_mask()
-        return value, fast.r, fast.snapshot()
 
     def specialize(
         self, saturated_mask: int, epsilon: float = DEFAULT_EPSILON

@@ -44,34 +44,31 @@ by :meth:`Runtime.resolve`.  Tokens are small ints:
 Both runtimes execute the same token semantics with identical arithmetic
 ordering, so composed distances (and therefore ``r``) stay bit-identical
 across execution profiles.  :class:`FastRuntime` composes on preallocated
-stacks with stamp-validated leaf slots, keeping the optimizer's penalty
-fast path allocation-free.
+stacks with stamp-validated leaf slots, keeping the coverage harvest
+allocation-free.
 
 Execution profiles
 ------------------
 
-Minimizing the representing function issues millions of executions, so the
-runtime comes in two implementations selected through
-:class:`ExecutionProfile`:
+Minimizing the representing function issues millions of executions.  The
+optimizer inner loop runs on the compiled tiers selected through
+:class:`ExecutionProfile` (``PENALTY_NATIVE``, ``PENALTY_SPECIALIZED``);
+the two runtimes of this module serve everything else:
 
 * ``FULL_TRACE`` -- the recording :class:`Runtime`: every conditional
   evaluation is appended to an :class:`ExecutionRecord` as a
   :class:`ConditionalOutcome`, and the penalty is delegated to a pluggable
-  :class:`PenaltyPolicy`.  This is the only profile that preserves the
-  *path*, so it is required by anything that inspects per-conditional
-  distances or the order of conditionals (trace-based tooling, debugging,
-  the line-coverage substrate's record consumers).
-* ``COVERAGE`` -- the allocation-free :class:`FastRuntime`: only the final
-  ``r``, a flat covered-branch bitset and the last executed conditional are
-  retained.  Sound whenever the consumer needs coverage and the infeasible
-  heuristic's last-conditional datum but not the path: this is everything
-  Algorithm 1's reduction consumes from an accepted minimum.
-* ``PENALTY_ONLY`` -- the same :class:`FastRuntime`, but the caller promises
-  to read only ``r`` (the covered bitset is still maintained -- it is two
-  machine operations per conditional -- but nothing per-execution is
-  snapshotted).  Sound for the optimizer inner loop, where the scalar
-  objective is the only output; any accepted minimum must be re-executed
-  under at least ``COVERAGE`` to harvest its branches.
+  :class:`PenaltyPolicy`.  It preserves the *path*, so it is required by
+  anything that inspects per-conditional distances or the order of
+  conditionals (trace-based tooling, debugging, the line-coverage
+  substrate's record consumers), and it is the reference the other tiers
+  are checked against.
+* :class:`FastRuntime` -- the allocation-free harvest runtime: only the
+  final ``r``, a flat covered-branch bitset and the last executed
+  conditional are retained (a :class:`CoverageOutcome`).  That is
+  everything Algorithm 1's reduction consumes from an accepted minimum, so
+  the compiled tiers re-execute each accepted minimum on it (their own
+  covered bitsets are partial).
 
 Both implementations compute bit-identical ``r`` values for the CoverMe
 penalty (Def. 4.2): :class:`FastRuntime` inlines that exact policy against a
@@ -127,24 +124,25 @@ class ExecutionProfile(str, enum.Enum):
     ``PENALTY_SPECIALIZED`` is the compile-time tier: the saturation mask is
     resolved per probe site by :mod:`repro.instrument.specialize` and the
     program re-compiled, so mid-epoch evaluations pay no per-conditional
-    runtime dispatch at all.  Its contract is the same as ``PENALTY_ONLY``
-    minus the covered bitset completeness: both-saturated conditionals have
-    their probes stripped entirely, so only unsaturated conditionals record
-    covered bits (sound for the optimizer inner loop; accepted minima are
-    re-executed under ``COVERAGE`` to harvest branches).
+    runtime dispatch at all.  Only ``r`` is complete: both-saturated
+    conditionals have their probes stripped entirely, so only unsaturated
+    conditionals record covered bits (sound for the optimizer inner loop;
+    accepted minima are re-executed on :class:`FastRuntime` to harvest
+    branches).
 
     ``PENALTY_NATIVE`` goes below that: the specialized lowering is emitted
     as C (:mod:`repro.instrument.native`), compiled with the system ``cc``
     and called through ``ctypes``.  Same contract as ``PENALTY_SPECIALIZED``
     (bit-identical ``r``, partial covered bitset); machines without a C
     compiler -- or programs with non-emittable constructs -- degrade to the
-    specialized tier with a one-time warning.
+    specialized tier with a one-time warning.  It is the default.
+
+    ``FULL_TRACE`` runs the recording :class:`Runtime` on every evaluation:
+    the reference the compiled tiers must match bit for bit.
     """
 
     PENALTY_NATIVE = "penalty-native"
     PENALTY_SPECIALIZED = "penalty-specialized"
-    PENALTY_ONLY = "penalty"
-    COVERAGE = "coverage"
     FULL_TRACE = "full-trace"
 
 
@@ -238,7 +236,7 @@ class ExecutionRecord:
 
 @dataclass(frozen=True)
 class CoverageOutcome:
-    """What one :data:`~ExecutionProfile.COVERAGE` execution retains.
+    """What one :class:`FastRuntime` execution retains.
 
     A single small object built once per execution (never per conditional):
     the covered-branch set plus the last executed conditional, which is all
@@ -446,7 +444,7 @@ class Runtime:
 
 
 class FastRuntime:
-    """The allocation-free runtime behind ``PENALTY_ONLY`` and ``COVERAGE``.
+    """The allocation-free runtime that harvests an accepted minimum.
 
     Hardwires CoverMe's ``pen`` (Def. 4.2) against a *saturated-branch
     bitmask* frozen at :meth:`begin`:

@@ -35,8 +35,9 @@ bytearray indexed by :func:`~repro.instrument.runtime.branch_bit`).  Only
 non-stripped sites write covered bits, so the covered bitset of a specialized
 execution is *partial*: exactly the conditionals that are not yet
 both-saturated record coverage (which is precisely the set whose coverage can
-still make progress).  Consumers that need full coverage re-execute under the
-``COVERAGE`` profile, as the engine already does for accepted minima.
+still make progress).  Consumers that need full coverage re-execute on the
+generic :class:`~repro.instrument.runtime.FastRuntime`, as the engine does
+for accepted minima.
 
 Bit-identical ``r``
 -------------------
@@ -76,7 +77,9 @@ from repro.instrument.ast_pass import (
     _TreeLowering,
     as_simple_comparison,
     assign_labels,
+    compile_tree,
     is_chain,
+    parse,
     strip_not,
 )
 from repro.instrument.runtime import BIG_DISTANCE
@@ -1122,7 +1125,7 @@ def specialize_source(
     generic and the specialized tier.  Returns the transformed module AST and
     the number of labeled conditionals.
     """
-    tree = ast.parse(textwrap.dedent(source))
+    tree = parse(textwrap.dedent(source))
     func_node = None
     for stmt in tree.body:
         if isinstance(stmt, ast.FunctionDef) and (
@@ -1182,9 +1185,7 @@ def specialized_unit(
         saturated_mask=saturated_mask,
         epsilon=epsilon,
     )
-    code = compile(
-        tree, filename=f"<specialized:{function_name}:{saturated_mask:x}>", mode="exec"
-    )
+    code = compile_tree(tree, f"<specialized:{function_name}:{saturated_mask:x}>")
     unit = SpecializedUnit(code=code, n_conditionals=n_conditionals)
     with _SPECIALIZED_CACHE_LOCK:
         while len(_SPECIALIZED_CACHE) >= _SPECIALIZED_CACHE_MAX:

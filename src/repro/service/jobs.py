@@ -81,9 +81,7 @@ TOOL_FACTORIES: dict[str, Callable[[Profile], object]] = {
 #: label (two profiles with the same values are the same work), ``max_cases``
 #: selects *which* jobs run, and the engine guarantees seeded results are
 #: identical for every worker count.
-_PROFILE_FP_EXCLUDE = frozenset(
-    {"name", "max_cases", "n_workers", "eval_profile", "native_threads"}
-)
+_PROFILE_FP_EXCLUDE = frozenset({"name", "max_cases", "n_workers"})
 
 #: Tool state excluded from fingerprints: mutable run-to-run scratch, and
 #: CoverMe knobs the engine guarantees are result-neutral (every execution

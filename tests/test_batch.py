@@ -227,12 +227,13 @@ class TestRepresentingEvaluateBatch:
     def test_non_specialized_profile_loops_per_row(self):
         program = instrument(sp.paper_foo)
         representing = RepresentingFunction(
-            program, SaturationTracker(program), profile=ExecutionProfile.PENALTY_ONLY
+            program, SaturationTracker(program), profile=ExecutionProfile.FULL_TRACE
         )
         X = np.ascontiguousarray([[4.0], [0.0], [-1.0]], dtype=np.float64)
         values = representing.evaluate_batch(X)
+        assert representing.batched_calls == 0
         scalar = RepresentingFunction(
-            program, SaturationTracker(program), profile=ExecutionProfile.PENALTY_ONLY
+            program, SaturationTracker(program), profile=ExecutionProfile.FULL_TRACE
         )
         for i, row in enumerate(X):
             assert _bits(float(values[i])) == _bits(scalar(row))
@@ -302,6 +303,6 @@ class TestEngineIdentity:
                     target, n_workers=n_workers, mode=mode, profile="penalty-specialized"
                 )
                 assert primes and not any(primes), (target.__name__, mode)
-            generic = self._run(target, n_workers=n_workers, mode=mode, profile="penalty")
+            generic = self._run(target, n_workers=n_workers, mode=mode, profile="full-trace")
             assert batched == scalar, (target.__name__, mode)
             assert batched == generic, (target.__name__, mode)

@@ -6,8 +6,8 @@ inputs.  Two properties must hold on every execution:
 
 * **Eq. 8** -- the composed ``(d_true, d_false)`` of the whole test is
   non-negative and zero exactly on the side the test actually took;
-* **profile parity** -- :class:`FastRuntime` (the ``penalty``/``coverage``
-  profiles) computes bit-identical ``r`` and coverage to the recording
+* **profile parity** -- :class:`FastRuntime` (the coverage harvest of the
+  compiled tiers) computes bit-identical ``r`` and coverage to the recording
   :class:`Runtime` + ``CoverMePenalty`` (the ``full-trace`` profile) under
   random saturation states.
 """

@@ -90,10 +90,21 @@ class TestProtocol:
             backend="scipy", local_minimizer="powell", n_iter=3,
             step_size=1.0 / 3.0, temperature=math.pi, local_max_iterations=7,
             zero_tolerance=5e-324, epsilon=1e-16, root_seed=42,
-            deadline=None, eval_profile="penalty-only", memoize=False,
-            native_threads=3,
+            deadline=None, eval_profile="penalty-specialized", native_threads=3,
         )
         assert decode_params(json.loads(json.dumps(encode_params(params)))) == params
+
+    def test_decode_params_rejects_an_unknown_eval_profile(self):
+        params = StartParams(
+            backend="builtin", local_minimizer="powell", n_iter=5, step_size=1.0,
+            temperature=1.0, local_max_iterations=40, zero_tolerance=0.0,
+            epsilon=1e-16, root_seed=7,
+        )
+        assert params.eval_profile == "penalty-native"
+        for retired in ("penalty", "coverage", "penalty-only"):
+            wire = dict(encode_params(params), eval_profile=retired)
+            with pytest.raises(ValueError, match=f"unknown eval profile '{retired}'"):
+                decode_params(json.loads(json.dumps(wire)))
 
     def test_decode_params_names_unknown_and_missing_fields(self):
         params = StartParams(

@@ -7,8 +7,17 @@ import dataclasses
 import pytest
 
 from repro.experiments import figure2, figure5, table1, table2, table3, table4, table5
-from repro.experiments.runner import PROFILES, Profile, compare_tools, coverme_tool, format_table, mean
+from repro.experiments.runner import (
+    PROFILES,
+    CoverMeTool,
+    Profile,
+    compare_tools,
+    coverme_tool,
+    format_table,
+    mean,
+)
 from repro.fdlibm.suite import BENCHMARKS
+from repro.instrument.runtime import EXECUTION_PROFILES
 
 TINY_PROFILE = Profile(
     name="tiny",
@@ -30,19 +39,34 @@ class TestProfiles:
         config = PROFILES["smoke"].coverme_config()
         assert config.local_minimizer == "powell"
 
+    #: Rand job keys of the first suite case under each shipped profile, as
+    #: recorded before the optimizer's evaluation tiers were cut to three.
+    #: The cut changed every CoverMe key once (``memoize`` left the CoverMe
+    #: tool fingerprint) but must not move a baseline key.
+    RAND_KEYS = {
+        "default": "ee4a176934a0815a51b8abe82273255fe08a79bfb48d27d7f3fd00f5ab2f7d4b",
+        "full": "3e56273b0fd8552a7ce6efb4d6d8bf37afa186872f0ede395cbf8e54e0540d24",
+        "smoke": "98af472891bf5a38f970132fe3d207f29ef6bbecc16a50918203001b4e9d2510",
+    }
+
     @pytest.mark.parametrize("name", sorted(PROFILES))
     def test_shipped_profiles_run_native_under_unchanged_job_keys(self, name):
         from repro.service.jobs import JobRequest, build_job_key, derive_budget
 
         profile = PROFILES[name]
-        assert profile.eval_profile == "penalty-native"
-        assert profile.coverme_config().eval_profile == "penalty-native"
-        penalty = dataclasses.replace(profile, eval_profile="penalty")
-        for tool in ("CoverMe", "Rand"):
-            requests = [JobRequest(case=BENCHMARKS[0], tool=tool, profile=p)
-                        for p in (profile, penalty)]
-            keys = [build_job_key(r, derive_budget(r)).fingerprint() for r in requests]
-            assert keys[0] == keys[1], tool
+        config = profile.coverme_config()
+        assert config.eval_profile == "penalty-native"
+        request = JobRequest(case=BENCHMARKS[0], tool="CoverMe", profile=profile)
+        keys = [
+            build_job_key(
+                request, derive_budget(request),
+                tool=CoverMeTool(dataclasses.replace(config, eval_profile=tier)),
+            ).fingerprint()
+            for tier in EXECUTION_PROFILES
+        ]
+        assert keys == [build_job_key(request, derive_budget(request)).fingerprint()] * 3
+        rand = JobRequest(case=BENCHMARKS[0], tool="Rand", profile=profile)
+        assert build_job_key(rand, derive_budget(rand)).fingerprint() == self.RAND_KEYS[name]
 
 
 class TestRunnerInfrastructure:

@@ -14,7 +14,6 @@ from repro.instrument.program import (
 from repro.instrument.runtime import (
     BranchId,
     CoverageOutcome,
-    ExecutionProfile,
     FastRuntime,
     Runtime,
 )
@@ -83,16 +82,23 @@ class TestExecution:
         assert sp.paper_foo(1.0) == 1
 
 
+def _run_fast(program, args, runtime):
+    """One execution of ``program`` on the allocation-free ``runtime``."""
+    program.handle.install(runtime)
+    runtime.begin()
+    return program.entry(*args)
+
+
 class TestProfiledExecution:
     def test_full_trace_returns_record(self, paper_foo_program):
-        value, r, record = paper_foo_program.run_profiled((0.5,))
+        value, r, record = paper_foo_program.run((0.5,))
         assert value == sp.paper_foo(0.5)
         assert record.covered == {BranchId(0, True), BranchId(1, False)}
 
     def test_coverage_profile_returns_coverage_outcome(self, paper_foo_program):
-        value, r, outcome = paper_foo_program.run_profiled(
-            (0.5,), profile=ExecutionProfile.COVERAGE
-        )
+        runtime = FastRuntime(paper_foo_program.n_conditionals)
+        value = _run_fast(paper_foo_program, (0.5,), runtime)
+        outcome = runtime.snapshot()
         assert value == sp.paper_foo(0.5)
         assert isinstance(outcome, CoverageOutcome)
         assert outcome.covered == {BranchId(0, True), BranchId(1, False)}
@@ -102,54 +108,50 @@ class TestProfiledExecution:
     def test_penalty_profile_returns_flat_bitmask(self, paper_foo_program):
         from repro.instrument.runtime import branch_mask
 
-        value, r, mask = paper_foo_program.run_profiled(
-            (0.5,), profile=ExecutionProfile.PENALTY_ONLY
-        )
+        runtime = FastRuntime(paper_foo_program.n_conditionals)
+        value = _run_fast(paper_foo_program, (0.5,), runtime)
+        mask = runtime.covered_mask()
         assert value == sp.paper_foo(0.5)
         assert isinstance(mask, int)
         assert mask == branch_mask({BranchId(0, True), BranchId(1, False)})
 
     def test_reused_runtime_keeps_configured_mask(self, paper_foo_program):
-        """Regression: the mask default must not clobber a reused runtime's."""
+        """Regression: a begin() without a mask must not clobber the runtime's."""
         from repro.instrument.runtime import branch_mask
 
         mask = branch_mask(paper_foo_program.all_branches)
         runtime = FastRuntime(paper_foo_program.n_conditionals, saturated_mask=mask)
-        _, r, _ = paper_foo_program.run_profiled(
-            (0.5,), profile=ExecutionProfile.PENALTY_ONLY, runtime=runtime
-        )
+        _run_fast(paper_foo_program, (0.5,), runtime)
         # Everything saturated: pen case (c) keeps r at 1, and the runtime's
         # configured mask survives the call.
-        assert r == 1.0
+        assert runtime.r == 1.0
         assert runtime.saturated_mask == mask
 
     def test_profiles_agree_on_coverage(self, paper_foo_program):
+        runtime = FastRuntime(paper_foo_program.n_conditionals)
         for x in (0.5, 1.0, -3.0, 7.7):
-            _, r_trace, record = paper_foo_program.run_profiled((x,))
-            _, r_fast, outcome = paper_foo_program.run_profiled(
-                (x,), profile=ExecutionProfile.COVERAGE
-            )
-            assert outcome.covered == frozenset(record.covered)
+            _, r_trace, record = paper_foo_program.run((x,))
+            _run_fast(paper_foo_program, (x,), runtime)
+            assert runtime.snapshot().covered == frozenset(record.covered)
             # The fast runtime hardwires CoverMe's pen: with an empty
             # saturation mask every conditional is case (a), so r is 0; the
             # recording default (policy=None) leaves r at 1.
             assert r_trace == 1.0
-            assert r_fast == 0.0
+            assert runtime.r == 0.0
 
     def test_explicit_fast_runtime_is_reused(self, paper_foo_program):
         runtime = FastRuntime(paper_foo_program.n_conditionals)
-        paper_foo_program.run_profiled(
-            (0.5,), profile=ExecutionProfile.PENALTY_ONLY, runtime=runtime
-        )
-        paper_foo_program.run_profiled(
-            (2.0,), profile=ExecutionProfile.PENALTY_ONLY, runtime=runtime
-        )
+        _run_fast(paper_foo_program, (0.5,), runtime)
+        _run_fast(paper_foo_program, (2.0,), runtime)
         assert runtime.total_evaluations == 2
 
     def test_exceptions_swallowed_in_fast_profile(self):
+        """The coverage harvest runs on the fast runtime and keeps FOO_R total."""
+        from repro.core.representing import RepresentingFunction
+
         program = instrument(sp.raises_for_small)
-        value, _, outcome = program.run_profiled((0.5,), profile=ExecutionProfile.COVERAGE)
-        assert value is None
+        representing = RepresentingFunction(program, profile="penalty-specialized")
+        _, outcome = representing.evaluate_with_coverage([0.5])
         assert BranchId(0, True) in outcome.covered
 
 

@@ -634,11 +634,9 @@ class TestCachesAndDigest:
         assert info["misses"] == misses  # second failure served from cache
         assert info["hits"] >= 1
 
-    def test_run_profiled_dispatches_to_native(self):
+    def test_run_native_matches_run_specialized(self):
         program = instrument(sp.paper_foo)
-        value, r, covered = program.run_profiled(
-            [4.0], ExecutionProfile.PENALTY_NATIVE, saturated_mask=0
-        )
+        value, r, covered = program.run_native([4.0], 0)
         _, r_sp, cov_sp = program.run_specialized([4.0], 0)
         assert value is None  # the native kernel computes only r and coverage
         assert _bits(r) == _bits(r_sp)

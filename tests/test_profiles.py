@@ -2,8 +2,8 @@
 
 The contract: execution profiles are a pure performance knob.  Seeded engine
 runs must produce bit-identical covered/saturated branch sets and generated
-inputs for every profile, every worker count and with or without the
-bit-pattern memo cache.
+inputs for every profile and every worker count, with the recording
+``full-trace`` tier as the baseline.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from repro.core.config import CoverMeConfig
 from repro.core.coverme import cover
 from repro.core.representing import RepresentingFunction
 from repro.core.saturation import SaturationTracker
+from repro.experiments.runner import PROFILES
 from repro.fdlibm.k_cos import kernel_cos
 from repro.fdlibm.s_tanh import fdlibm_tanh
 from repro.instrument.program import instrument
@@ -38,23 +39,29 @@ class TestEngineProfileDeterminism:
     def test_profiles_and_workers_compose(self):
         baseline = run_sets(fdlibm_tanh, eval_profile="full-trace", n_workers=1)
         for profile in EXECUTION_PROFILES:
-            for n_workers, mode in ((2, "thread"), (4, "process")):
+            for n_workers, mode in ((1, "serial"), (2, "thread"), (4, "process")):
                 got = run_sets(
                     fdlibm_tanh, eval_profile=profile, n_workers=n_workers, worker_mode=mode
                 )
                 assert got == baseline, (profile, n_workers, mode)
 
-    def test_memoization_does_not_change_results(self):
-        with_memo = run_sets(kernel_cos, memoize=True)
-        without = run_sets(kernel_cos, memoize=False)
-        assert with_memo == without
+    def test_three_profiles_remain(self):
+        assert EXECUTION_PROFILES == ("penalty-native", "penalty-specialized", "full-trace")
 
-    def test_default_profile_is_penalty_only(self):
-        assert CoverMeConfig().eval_profile == ExecutionProfile.PENALTY_ONLY.value
+    def test_default_profile_is_penalty_native(self):
+        for name, profile in PROFILES.items():
+            default = CoverMeConfig().eval_profile
+            assert default == profile.coverme_config().eval_profile == "penalty-native", name
 
     def test_unknown_profile_rejected(self):
         with pytest.raises(ValueError, match="unknown eval profile"):
             CoverMeConfig(eval_profile="fastest")
+
+    @pytest.mark.parametrize("name", ["penalty", "coverage"])
+    def test_deleted_profiles_rejected_with_the_known_names(self, name):
+        known = "penalty-native, penalty-specialized, full-trace"
+        with pytest.raises(ValueError, match=f"unknown eval profile '{name}'; known: {known}"):
+            CoverMeConfig(eval_profile=name)
 
 
 class TestRepresentingProfiles:
@@ -85,7 +92,7 @@ class TestRepresentingProfiles:
         program = instrument(sp.paper_foo)
         tracker = SaturationTracker(program)
         fast = RepresentingFunction(
-            program, tracker, profile=ExecutionProfile.PENALTY_ONLY
+            program, tracker, profile=ExecutionProfile.PENALTY_SPECIALIZED
         )
         assert fast([0.7]) == 0.0  # nothing saturated: pen case (a)
         for x in (0.7, 1.0, 1.1, -5.2):
@@ -107,10 +114,10 @@ class TestRepresentingProfiles:
         assert len(set(outcomes.values())) == 1, outcomes
 
     def test_evaluate_with_record_works_under_fast_profile(self):
-        """Trace consumers get a real record even on a penalty-only instance."""
+        """Trace consumers get a real record even on a compiled-tier instance."""
         program = instrument(sp.paper_foo)
         representing = RepresentingFunction(
-            program, SaturationTracker(program), profile=ExecutionProfile.PENALTY_ONLY
+            program, SaturationTracker(program), profile=ExecutionProfile.PENALTY_SPECIALIZED
         )
         value, record = representing.evaluate_with_record([0.5])
         assert record.path  # full trace materialized on demand

@@ -373,8 +373,7 @@ class TestWarningSurfacing:
         monkeypatch.setattr(InstrumentedProgram, "native_kernel", unavailable)
         instrument_for_lookup.cache_clear()  # fresh program, fresh warn-once state
         try:
-            profile = dataclasses.replace(DET, eval_profile="penalty-native")
-            request = JobRequest(case=CASE, tool="CoverMe", profile=profile)
+            request = JobRequest(case=CASE, tool="CoverMe", profile=DET)
             with CoverageService(store=tmp_path / "store", worker_mode="inline") as service:
                 outcome = service.run(request)
         finally:

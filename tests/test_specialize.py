@@ -157,13 +157,13 @@ class TestSpecializedParity:
             clear_compiled_cache()
 
     def test_pointwise_equal_to_penalty_profile(self):
-        """RepresentingFunction values match across the fast tiers mid-search."""
+        """RepresentingFunction values match the recording penalty tier mid-search."""
         program = instrument(sp.nested_boolean)
         tracker = SaturationTracker(program)
         specialized = RepresentingFunction(
             program, tracker, profile=ExecutionProfile.PENALTY_SPECIALIZED
         )
-        penalty = RepresentingFunction(program, tracker, profile=ExecutionProfile.PENALTY_ONLY)
+        penalty = RepresentingFunction(program, tracker, profile=ExecutionProfile.FULL_TRACE)
         rng = np.random.default_rng(5)
         for index in range(120):
             x = rng.normal(scale=10.0, size=program.arity)
@@ -237,16 +237,15 @@ class TestEpochProtocol:
 
 
 class TestSpecializedProgramAPI:
-    def test_run_profiled_dispatches_specialized(self):
+    def test_run_specialized_matches_variant_run(self):
         program = instrument(sp.paper_foo)
-        value, r, covered = program.run_profiled(
-            [0.5], ExecutionProfile.PENALTY_SPECIALIZED, saturated_mask=0
-        )
-        ref_value, ref_r, ref_covered = program.run_specialized([0.5], 0)
-        assert (value, r, covered) == (ref_value, ref_r, ref_covered)
+        value, r, covered = program.run_specialized([0.5], 0)
+        variant = program.specialize(0)
+        assert (value, r) == variant.run([0.5])
+        assert covered == variant.covered_mask()
 
-    def test_run_profiled_honors_runtime_epsilon_and_mask(self):
-        """A passed fast runtime configures the specialized tier (epsilon+mask)."""
+    def test_run_specialized_honors_epsilon_and_mask(self):
+        """The specialized tier bakes in epsilon and the mask like a fast runtime."""
         program = instrument(sp.paper_foo)
         custom = FastRuntime(program.n_conditionals, saturated_mask=0b1000, epsilon=0.5)
         for point in ([-3.0], [0.7], [1.0]):
@@ -256,9 +255,7 @@ class TestSpecializedProgramAPI:
                 program.entry(*point)
             except (ArithmeticError, ValueError, OverflowError):
                 pass
-            _, r, _ = program.run_profiled(
-                point, ExecutionProfile.PENALTY_SPECIALIZED, runtime=custom
-            )
+            _, r, _ = program.run_specialized(point, 0b1000, epsilon=0.5)
             assert _bits(r) == _bits(custom.r), point
 
     def test_programs_without_units_cannot_specialize(self, paper_foo_program):
