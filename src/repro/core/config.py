@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.core.branch_distance import DEFAULT_EPSILON
-from repro.instrument.runtime import EXECUTION_PROFILES, ExecutionProfile
+from repro.instrument.runtime import ExecutionProfile, check_execution_profile
 
 #: Fixed default batch size of the search engine.  The batch is the unit of
 #: snapshot freshness *and* the unit of parallel dispatch; it is a constant
@@ -167,9 +167,7 @@ class CoverMeConfig:
             raise ValueError(f"unknown start strategy {self.start_strategy!r}; known: {known}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.eval_profile not in EXECUTION_PROFILES:
-            known = ", ".join(EXECUTION_PROFILES)
-            raise ValueError(f"unknown eval profile {self.eval_profile!r}; known: {known}")
+        check_execution_profile(self.eval_profile)
         if self.native_threads < 1:
             raise ValueError("native_threads must be >= 1")
         if self.progress is not None and not callable(self.progress):

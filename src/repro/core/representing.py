@@ -128,7 +128,9 @@ class RepresentingFunction:
             # The compiled tiers' covered bitsets are partial, so a fast
             # runtime backs evaluate_with_coverage(), whose outcome must
             # stay complete.
-            self._fast: Optional[FastRuntime] = FastRuntime(program.n_conditionals, epsilon=epsilon)
+            self._fast: Optional[FastRuntime] = FastRuntime(
+                program.n_conditionals, epsilon=epsilon
+            )
             self._runtime = None
         else:
             self._fast = None

@@ -24,7 +24,9 @@ must survive the round trip *bit-exactly* is encoded losslessly:
 * start parameters must carry exactly the :class:`StartParams` fields:
   :func:`decode_params` names any unknown or missing field in a
   ``ValueError`` (e.g. one sent by a coordinator from before a field was
-  removed), instead of failing inside the dataclass constructor.
+  removed), instead of failing inside the dataclass constructor, and
+  ``StartParams`` itself refuses an unknown ``eval_profile`` by name, so a
+  lease never fails deep inside a start.
 
 The coordinator keys result validation on its *own* lease objects (which
 hold the original frozensets), so wire fidelity matters only for

@@ -8,10 +8,9 @@ configured execution profile (``PENALTY_NATIVE`` by default -- the optimizer
 only reads the scalar objective) with a bit-pattern memo in front of the
 objective; the final evaluation runs on the allocation-free fast runtime so
 the reduction sees the covered branches and the infeasible heuristic's last
-conditional.  Starts within a batch share the
-same snapshot, which makes them independent of one another -- the property
-that lets the engine run them on any number of workers and still merge the
-results deterministically.
+conditional.  Starts within a batch share the same snapshot, which makes them
+independent of one another -- the property that lets the engine run them on
+any number of workers and still merge the results deterministically.
 
 Under the ``PENALTY_SPECIALIZED`` profile the epoch protocol composes with
 this structure for free: the per-start tracker snapshot freezes the
@@ -46,7 +45,7 @@ from repro.core.representing import RepresentingFunction
 from repro.core.saturation import SaturationTracker
 from repro.instrument.native.local_min import native_objective
 from repro.instrument.program import InstrumentedProgram, ProgramOrigin, instrument
-from repro.instrument.runtime import EXECUTION_PROFILES, BranchId, ExecutionProfile
+from repro.instrument.runtime import BranchId, ExecutionProfile, check_execution_profile
 from repro.optimize.memo import BitPatternMemo
 from repro.optimize.registry import get_backend
 
@@ -78,9 +77,7 @@ class StartParams:
     def __post_init__(self) -> None:
         # Checked here so a coordinator's unknown profile is refused when
         # the worker decodes the lease, not deep inside a leased start.
-        if self.eval_profile not in EXECUTION_PROFILES:
-            known = ", ".join(EXECUTION_PROFILES)
-            raise ValueError(f"unknown eval profile {self.eval_profile!r}; known: {known}")
+        check_execution_profile(self.eval_profile)
 
 
 @dataclass(frozen=True)
@@ -117,11 +114,10 @@ def prime_chunk(
 ) -> Optional[dict[int, float]]:
     """One batched first-evaluation pass over a chunk's start vectors.
 
-    Under the specialized profile the chunk's ``x0`` vectors go
-    through a single :class:`~repro.instrument.batch.BatchKernel` call; the
-    resulting values seed each start's memo, so the optimizer's opening
-    evaluation at ``x0`` is a cache hit instead of a scalar program
-    execution.  Returns ``{task.index: r}`` for the primed tasks, or
+    Under the specialized profile the chunk's ``x0`` vectors go through a
+    single :class:`~repro.instrument.batch.BatchKernel` call; the resulting
+    values seed each start's memo, so the optimizer's opening evaluation at
+    ``x0`` is a cache hit instead of a scalar program execution.  Returns ``{task.index: r}`` for the primed tasks, or
     ``None`` when priming does not apply.  Only tasks sharing the first task's saturation snapshot are
     primed (batches always do; a defensive guard for hand-built chunks), so
     the planted values are exactly what each start's own representing
@@ -156,8 +152,8 @@ def run_start(
     """Execute one start against ``task``'s saturation snapshot.
 
     ``primed`` is the pre-computed ``FOO_R(x0)`` from :func:`prime_chunk`;
-    when present it is planted in the memo and one evaluation is
-    credited, so the reported evaluation count matches the unprimed run.
+    when present it is planted in the memo and one evaluation is credited,
+    so the reported evaluation count matches the unprimed run.
     """
     if params.deadline is not None and time.time() >= params.deadline:
         return StartResult.deadline_skip(task)

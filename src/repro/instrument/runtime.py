@@ -150,6 +150,14 @@ class ExecutionProfile(str, enum.Enum):
 EXECUTION_PROFILES: tuple[str, ...] = tuple(p.value for p in ExecutionProfile)
 
 
+def check_execution_profile(name: str) -> None:
+    """Raise a ``ValueError`` naming ``name`` and the known profiles unless
+    ``name`` is one of :data:`EXECUTION_PROFILES`."""
+    if name not in EXECUTION_PROFILES:
+        known = ", ".join(EXECUTION_PROFILES)
+        raise ValueError(f"unknown eval profile {name!r}; known: {known}")
+
+
 @dataclass(frozen=True, order=True)
 class BranchId:
     """Identifies one branch: conditional label plus outcome (True/False arm)."""
