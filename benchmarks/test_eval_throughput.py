@@ -8,13 +8,11 @@ branch-dense Fdlibm functions and asserts the runtime guarantees:
 
 * the compile-time ``PENALTY_SPECIALIZED`` tier is at least 6x faster than
   the recording ``FULL_TRACE`` profile (geometric mean over the workload);
-* the batched kernel is at least 2x faster than the scalar specialized tier;
-* the machine-code ``PENALTY_NATIVE`` tier is at least 1.2x faster than the
-  batched kernel overall and at least 2x on rows-mode programs (loops,
-  helpers) at 1024-row batches -- those are the programs vectorization gains
-  nothing, so the native tier must carry them (the gate self-skips when no C
-  compiler is present; ``REPRO_FORCE_NATIVE_BENCH=1`` forces it, e.g. in CI
-  where a toolchain is guaranteed);
+* the machine-code ``PENALTY_NATIVE`` tier is at least 2x faster than the
+  batched kernel (a per-row loop over the specialized variant) at 1024-row
+  batches (the gate self-skips when no C compiler is present;
+  ``REPRO_FORCE_NATIVE_BENCH=1`` forces it, e.g. in CI where a toolchain is
+  guaranteed);
 * the threaded ``sp_batch_mt`` entry at 4096-row batches is at least 1.5x
   faster at 4 threads than at 1 (geomean over the workload), with the sweep
   asserted bit-identical across thread counts -- this gate additionally
@@ -59,17 +57,11 @@ WORKLOAD_FUNCTIONS = (
     "expm1",
 )
 SPECIALIZED_TARGET_SPEEDUP = 6.0
-BATCHED_VS_SPECIALIZED_TARGET = 2.0
-NATIVE_VS_BATCHED_TARGET = 1.2
-NATIVE_VS_BATCHED_ROWS_TARGET = 2.0
+NATIVE_VS_BATCHED_TARGET = 2.0
 POINTS = 150
-#: Rows per batched-kernel call when timing the batched tier.  Vectorized
-#: evaluation amortizes numpy's per-op dispatch over the whole batch, so its
-#: throughput is a function of batch size; 1024 is a representative
-#: population-scale batch (a primed multi-start sweep), while the 150-point
-#: scalar workload would mostly measure the
-#: dispatch constant.  Values are still asserted bit-identical on the exact
-#: scalar point set.
+#: Rows per call when timing the batched tiers: large enough that the native
+#: kernel's per-call ctypes constant does not dominate.  Values are still
+#: asserted bit-identical on the exact scalar point set.
 BATCH_POINTS = 1024
 #: Rows per call for the multi-threaded sweep: large enough that the
 #: per-thread chunks amortize pthread create/join.
@@ -116,12 +108,11 @@ def _throughput(program, tracker, points, profile) -> tuple[float, list[float], 
     return len(points) / best, values, representing
 
 
-def _batched_throughput(program, tracker, points) -> tuple[float, list[float], str]:
+def _batched_throughput(program, tracker, points) -> tuple[float, list[float]]:
     """One batched-kernel call over the whole point set, timed like _throughput.
 
-    Returns the rate, the per-row values (for the bit-identity assertion
-    against the scalar tiers) and the kernel's execution mode ("vector" for
-    whole-array numpy lanes, "rows" for the per-row fallback loop).
+    Returns the rate and the per-row values (for the bit-identity assertion
+    against the scalar tiers).
     """
     representing = RepresentingFunction(
         program, tracker, profile=ExecutionProfile.PENALTY_SPECIALIZED
@@ -140,9 +131,7 @@ def _batched_throughput(program, tracker, points) -> tuple[float, list[float], s
     # Epoch protocol holds for the batched tier too: the mask never changed,
     # so exactly one kernel was built/looked up across all repeats.
     assert representing.batch_respecializations == 1
-    kernel = representing._batch_kernel
-    mode = kernel.mode if kernel is not None else "scalar"
-    return BATCH_POINTS / best, [float(v) for v in values], mode
+    return BATCH_POINTS / best, [float(v) for v in values]
 
 
 def _native_batched_throughput(program, tracker, points) -> tuple[float, list[float]]:
@@ -221,7 +210,6 @@ def test_eval_throughput_and_profile_equivalence(bench_report_dir):
     specialized_ratios = []
     batched_vs_specialized = []
     native_vs_batched = []
-    native_vs_batched_rows = []
     mt_vs_single = []
     force_native = os.environ.get("REPRO_FORCE_NATIVE_BENCH") == "1"
     native_available = cc_available() or force_native
@@ -256,12 +244,9 @@ def test_eval_throughput_and_profile_equivalence(bench_report_dir):
         specialized_ratio = specialized_rate / full_rate
         per_function[name] = {**rates, "specialized_vs_full_trace": specialized_ratio}
         specialized_ratios.append(specialized_ratio)
-        batched_rate, batched_values, batched_mode = _batched_throughput(
-            program, tracker, points
-        )
+        batched_rate, batched_values = _batched_throughput(program, tracker, points)
         assert batched_values == reference, f"{name}: batched diverges from full-trace"
         per_function[name]["penalty-batched"] = batched_rate
-        per_function[name]["batched_mode"] = batched_mode
         per_function[name]["batched_vs_specialized"] = batched_rate / specialized_rate
         batched_vs_specialized.append(batched_rate / specialized_rate)
         if native_available:
@@ -275,8 +260,6 @@ def test_eval_throughput_and_profile_equivalence(bench_report_dir):
             per_function[name]["penalty-native-batch"] = native_rate
             per_function[name]["native_vs_batched"] = native_ratio
             native_vs_batched.append(native_ratio)
-            if batched_mode == "rows":
-                native_vs_batched_rows.append(native_ratio)
             if mt_available:
                 mt_rates = _native_mt_throughput(program, tracker)
                 mt_ratio = mt_rates[MT_THREAD_SWEEP[-1]] / mt_rates[1]
@@ -289,9 +272,6 @@ def test_eval_throughput_and_profile_equivalence(bench_report_dir):
     specialized_geomean = _geomean(specialized_ratios)
     batched_geomean = _geomean(batched_vs_specialized)
     native_geomean = _geomean(native_vs_batched) if native_vs_batched else None
-    native_rows_geomean = (
-        _geomean(native_vs_batched_rows) if native_vs_batched_rows else None
-    )
     mt_geomean = _geomean(mt_vs_single) if mt_vs_single else None
     report = {
         "workload": [name for name, _ in cases],
@@ -300,7 +280,6 @@ def test_eval_throughput_and_profile_equivalence(bench_report_dir):
         "specialized_vs_full_trace_geomean": specialized_geomean,
         "batched_vs_specialized_geomean": batched_geomean,
         "native_vs_batched_geomean": native_geomean,
-        "native_vs_batched_rows_geomean": native_rows_geomean,
         "native_available": native_available,
         "mt_vs_single_thread_geomean": mt_geomean,
         "mt_thread_sweep": list(MT_THREAD_SWEEP),
@@ -308,9 +287,7 @@ def test_eval_throughput_and_profile_equivalence(bench_report_dir):
         "mt_available": mt_available,
         "mt_target_speedup": MT_VS_SINGLE_TARGET,
         "specialized_target_speedup": SPECIALIZED_TARGET_SPEEDUP,
-        "batched_target_speedup": BATCHED_VS_SPECIALIZED_TARGET,
         "native_target_speedup": NATIVE_VS_BATCHED_TARGET,
-        "native_rows_target_speedup": NATIVE_VS_BATCHED_ROWS_TARGET,
     }
     payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
     (bench_report_dir / "BENCH_eval_throughput.json").write_text(payload)
@@ -326,15 +303,9 @@ def test_eval_throughput_and_profile_equivalence(bench_report_dir):
         f"over {len(batched_vs_specialized)} functions"
     )
     if native_geomean is not None:
-        rows_note = (
-            f" (rows-mode: {native_rows_geomean:.2f}x over "
-            f"{len(native_vs_batched_rows)})"
-            if native_rows_geomean is not None
-            else ""
-        )
         print(
             f"native vs batched: geomean {native_geomean:.2f}x "
-            f"over {len(native_vs_batched)} functions{rows_note}"
+            f"over {len(native_vs_batched)} functions"
         )
     if mt_geomean is not None:
         print(
@@ -347,7 +318,7 @@ def test_eval_throughput_and_profile_equivalence(bench_report_dir):
         if "penalty-batched" in stats:
             batched_note = (
                 f"batched {stats['penalty-batched']:>11,.0f}/s "
-                f"[{stats['batched_mode']}] {stats['batched_vs_specialized']:.2f}x  "
+                f"{stats['batched_vs_specialized']:.2f}x  "
             )
         if "penalty-native-batch" in stats:
             batched_note = (
@@ -367,10 +338,6 @@ def test_eval_throughput_and_profile_equivalence(bench_report_dir):
         f"expected >= {SPECIALIZED_TARGET_SPEEDUP}x specialized vs full-trace, "
         f"measured {specialized_geomean:.2f}x"
     )
-    assert batched_geomean >= BATCHED_VS_SPECIALIZED_TARGET, (
-        f"expected >= {BATCHED_VS_SPECIALIZED_TARGET}x batched vs scalar specialized, "
-        f"measured {batched_geomean:.2f}x"
-    )
     if native_geomean is None:
         # No C compiler on this runner (and the run was not forced): the
         # native tier degraded to the batched kernel by design.  CI sets
@@ -379,13 +346,8 @@ def test_eval_throughput_and_profile_equivalence(bench_report_dir):
         print("native gate skipped: no C compiler (set REPRO_FORCE_NATIVE_BENCH=1 to force)")
     else:
         assert native_geomean >= NATIVE_VS_BATCHED_TARGET, (
-            f"expected >= {NATIVE_VS_BATCHED_TARGET}x native vs batched overall, "
+            f"expected >= {NATIVE_VS_BATCHED_TARGET}x native vs batched, "
             f"measured {native_geomean:.2f}x"
-        )
-        assert native_rows_geomean is not None, "workload lost its rows-mode functions"
-        assert native_rows_geomean >= NATIVE_VS_BATCHED_ROWS_TARGET, (
-            f"expected >= {NATIVE_VS_BATCHED_ROWS_TARGET}x native vs batched on "
-            f"rows-mode programs, measured {native_rows_geomean:.2f}x"
         )
     if mt_geomean is None:
         # Fewer than 4 cores (or no native tier at all): the threaded entry

@@ -69,15 +69,17 @@ class CoverMeConfig:
             warning when no compiler is present),
             ``"penalty-specialized"`` (the compile-time tier: the saturation
             mask is baked into re-generated instrumented source, re-compiled
-            only when saturation flips a bit; the engine primes each chunk
-            of starts with one batched-kernel call) or ``"full-trace"`` (the
-            recording runtime, the reference).  All profiles compute
-            bit-identical representing-function values and produce
-            identical seeded results.  Every start serves repeated
+            only when saturation flips a bit; the engine evaluates the
+            ``x0`` vectors of each chunk of two or more starts in one
+            batched call, a per-row loop over the compiled variant) or
+            ``"full-trace"`` (the recording runtime, the reference).  All
+            profiles compute bit-identical representing-function values and
+            produce identical seeded results.  Every start serves repeated
             evaluations at bit-identical inputs from a per-start memo, and
-            accepted minima are re-executed on the allocation-free fast
-            runtime, so the reduction sees the same branch sets regardless
-            of this setting.
+            accepted minima are re-executed to harvest their branches (on
+            the allocation-free fast runtime under the compiled profiles),
+            so the reduction sees the same branch sets regardless of this
+            setting.
         native_threads: Native-tier batch threads.  Under the
             ``penalty-native`` profile,
             :meth:`~repro.core.representing.RepresentingFunction.evaluate_batch`

@@ -85,18 +85,6 @@ class CoverageReport:
             return 100.0
         return 100.0 * self.covered_lines / self.n_lines
 
-    def merged_with(self, other: "CoverageReport") -> "CoverageReport":
-        """Combine two reports of the same program (used when pooling tools)."""
-        if other.name != self.name:
-            raise ValueError("cannot merge coverage reports of different programs")
-        return CoverageReport(
-            name=self.name,
-            n_branches=max(self.n_branches, other.n_branches),
-            covered_branches=max(self.covered_branches, other.covered_branches),
-            n_lines=max(self.n_lines, other.n_lines),
-            covered_lines=max(self.covered_lines, other.covered_lines),
-        )
-
 
 @dataclass
 class ToolRunSummary:

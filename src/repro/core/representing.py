@@ -180,12 +180,13 @@ class RepresentingFunction:
         """Evaluate ``FOO_R`` at every row of an ``(N, arity)`` array at once.
 
         Under the ``PENALTY_SPECIALIZED`` profile the whole batch goes
-        through one :class:`~repro.instrument.batch.BatchKernel` call (under
-        ``PENALTY_NATIVE``, one native kernel call on ``native_threads``
-        threads), following the same epoch protocol as ``__call__``: the
-        kernel is reused verbatim while the tracker's ``saturated_mask`` is
-        unchanged and rebuilt (a cached per-program lookup when the mask was
-        seen before) only when a bit flips.  ``FULL_TRACE`` degrades to a
+        through one :class:`~repro.instrument.batch.BatchKernel` call, a
+        per-row loop over the specialized variant (under ``PENALTY_NATIVE``,
+        one native kernel call on ``native_threads`` threads), following the
+        same epoch protocol as ``__call__``: the kernel is reused verbatim
+        while the tracker's ``saturated_mask`` is unchanged and re-fetched
+        (around the program's cached variant when the mask was seen before)
+        only when a bit flips.  ``FULL_TRACE`` degrades to a
         per-row loop over ``__call__``, so the returned vector is
         bit-identical to N sequential scalar calls in all configurations.
         Non-finite register values clamp to the same large finite penalty as

@@ -6,8 +6,7 @@ Layers:
   (random-normal, Latin-hypercube, signature-box).
 * :mod:`repro.engine.worker` -- one basin-hopping start against a frozen
   saturation snapshot; shared by every execution mode.
-* :mod:`repro.engine.pool` -- serial / thread / process worker pools plus
-  :func:`~repro.engine.pool.parallel_map` for batching whole experiments.
+* :mod:`repro.engine.pool` -- serial / thread / process worker pools.
 * :mod:`repro.engine.core` -- :class:`~repro.engine.core.SearchEngine`, the
   batched multi-start loop with deterministic in-order reduction.
 """
@@ -17,7 +16,6 @@ from repro.engine.worker import StartParams, StartResult, StartTask, run_start
 from repro.engine.pool import (
     StartPool,
     available_worker_modes,
-    parallel_map,
     resolve_worker_mode,
 )
 from repro.engine.core import SearchEngine
@@ -31,7 +29,6 @@ __all__ = [
     "StartTask",
     "available_strategies",
     "available_worker_modes",
-    "parallel_map",
     "resolve_worker_mode",
     "run_start",
 ]

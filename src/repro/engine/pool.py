@@ -1,4 +1,4 @@
-"""Worker-pool plumbing for the search engine and the experiment harness.
+"""Worker-pool plumbing for the search engine.
 
 Three execution modes share one semantic contract -- a batch of independent
 :class:`~repro.engine.worker.StartTask`s in, their
@@ -24,7 +24,7 @@ from __future__ import annotations
 import multiprocessing
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Iterator, Sequence, TypeVar
 
 from repro.instrument.program import InstrumentedProgram
 from repro.engine.worker import (
@@ -38,7 +38,6 @@ from repro.engine.worker import (
 )
 
 T = TypeVar("T")
-R = TypeVar("R")
 
 WORKER_MODES: tuple[str, ...] = ("auto", "process", "thread", "serial")
 
@@ -185,8 +184,7 @@ class StartPool:
             # Chunk priming (one batched kernel call over the batch's start
             # vectors) happens here, inside the generator, so an abandoned
             # iterator never pays for it.  A consumer that stops early wastes
-            # the primed tail values, but they are vectorized lanes, not
-            # scalar program executions.
+            # the primed tail values: one specialized execution per row.
             primed = prime_chunk(self.program, params, tasks)
             for task in tasks:
                 yield run_start(
@@ -234,28 +232,3 @@ class StartPool:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    n_workers: int = 1,
-    mode: str = "thread",
-) -> list[R]:
-    """Order-preserving map used for batching whole experiments across cases.
-
-    With ``mode="serial"`` or ``n_workers <= 1`` this is a plain loop;
-    otherwise the items are dispatched to a thread or process pool and the
-    results are returned in input order, so tables built from the output are
-    identical regardless of worker count.
-    """
-    if mode not in ("serial", "thread", "process"):
-        raise ValueError(f"unknown worker mode {mode!r}; known: serial, thread, process")
-    items = list(items)
-    if n_workers <= 1 or len(items) <= 1 or mode == "serial":
-        return [fn(item) for item in items]
-    if mode == "process":
-        with ProcessPoolExecutor(max_workers=n_workers, mp_context=process_context()) as executor:
-            return list(executor.map(fn, items))
-    with ThreadPoolExecutor(max_workers=n_workers) as executor:
-        return list(executor.map(fn, items))

@@ -115,13 +115,15 @@ def prime_chunk(
     """One batched first-evaluation pass over a chunk's start vectors.
 
     Under the specialized profile the chunk's ``x0`` vectors go through a
-    single :class:`~repro.instrument.batch.BatchKernel` call; the resulting
-    values seed each start's memo, so the optimizer's opening evaluation at
-    ``x0`` is a cache hit instead of a scalar program execution.  Returns ``{task.index: r}`` for the primed tasks, or
-    ``None`` when priming does not apply.  Only tasks sharing the first task's saturation snapshot are
-    primed (batches always do; a defensive guard for hand-built chunks), so
-    the planted values are exactly what each start's own representing
-    function would compute and seeded trajectories are unchanged.
+    single :class:`~repro.instrument.batch.BatchKernel` call (one execution
+    of the specialized variant per row); the resulting values seed each
+    start's memo, so the optimizer's opening evaluation at ``x0`` is a cache
+    hit instead of a second execution.  Returns ``{task.index: r}`` for the
+    primed tasks, or ``None`` when priming does not apply.  Only tasks
+    sharing the first task's saturation snapshot are primed (batches always
+    do; a defensive guard for hand-built chunks), so the planted values are
+    exactly what each start's own representing function would compute and
+    seeded trajectories are unchanged.
     """
     if len(tasks) < 2:
         return None

@@ -46,12 +46,7 @@ from repro.instrument.runtime import (
     Runtime,
     RuntimeHandle,
 )
-from repro.instrument.batch import (
-    BatchKernel,
-    batched_cache_info,
-    build_batch_kernel,
-    clear_batched_cache,
-)
+from repro.instrument.batch import BatchKernel, build_batch_kernel
 from repro.instrument.native.cache import NativeUnavailable
 from repro.instrument.native.kernel import (
     NativeKernel,
@@ -123,30 +118,27 @@ def compiled_cache_info() -> dict:
     compiled-unit cache (backwards compatible); ``instrumented`` nests its
     disk layer's entry count, bytes and bound and this process's disk
     hits/misses/writes, ``specialized`` nests the per-mask specialization
-    cache's size and hit/miss/evict counters, ``batched`` nests the
-    batched-kernel plan cache's, and ``native`` the loaded native-kernel
-    cache's (plus its disk-cache entry count and the detected compiler
-    version).
+    cache's size and hit/miss/evict counters, and ``native`` the loaded
+    native-kernel cache's (plus its disk-cache entry count and the detected
+    compiler version).
     """
     return {
         "entries": len(_CODE_CACHE),
         "max_entries": _CODE_CACHE_MAX,
         "instrumented": instrumented_cache_info(),
         "specialized": specialized_cache_info(),
-        "batched": batched_cache_info(),
         "native": native_cache_info(),
     }
 
 
 def clear_compiled_cache() -> None:
-    """Drop every cached compiled unit, specialization, batched kernel plan
-    and loaded native kernel, and zero the disk layer's counters (primarily
-    for tests; the disk entries stay)."""
+    """Drop every cached compiled unit, specialization and loaded native
+    kernel, and zero the disk layer's counters (primarily for tests; the
+    disk entries stay)."""
     with _CODE_CACHE_LOCK:
         _CODE_CACHE.clear()
     reset_instrumented_stats()
     clear_specialized_cache()
-    clear_batched_cache()
     clear_native_cache()
 
 
@@ -229,9 +221,6 @@ def _target_unit(target: Callable, start_label: int) -> tuple[str, CompiledUnit]
 #: monotonically within one search, so live masks are few; the FIFO bound only
 #: protects pathological callers cycling through many masks.
 _VARIANTS_MAX = 64
-
-#: Bound on cached batched kernels per program instance (same rationale).
-_BATCH_KERNELS_MAX = 64
 
 #: Bound on cached native kernels per program instance (same rationale).
 _NATIVE_KERNELS_MAX = 64
@@ -333,12 +322,10 @@ class InstrumentedProgram:
     origin: Optional[ProgramOrigin] = field(repr=False, default=None)
     units: tuple[tuple[str, str, int], ...] = field(repr=False, default=())
     specialization_builds: int = field(default=0, repr=False)
-    batched_kernel_builds: int = field(default=0, repr=False)
     native_kernel_builds: int = field(default=0, repr=False)
     #: Cached :func:`repro.instrument.native.kernel.helper_digest`.
     native_helper_digest: Optional[str] = field(default=None, repr=False)
     _variants: dict = field(default_factory=dict, repr=False)
-    _batch_kernels: dict = field(default_factory=dict, repr=False)
     _native_kernels: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -454,29 +441,10 @@ class InstrumentedProgram:
     def batch_kernel(
         self, saturated_mask: int, epsilon: float = DEFAULT_EPSILON
     ) -> BatchKernel:
-        """The batched kernel of this program for ``saturated_mask``.
-
-        Kernels join the per-program variant cache with the same
-        epoch/re-specialization protocol as :meth:`specialize`: re-requesting
-        a mask an epoch already used is a dictionary lookup, and the plan
-        compile behind a new mask is memoized module-wide.
-        ``batched_kernel_builds`` counts true kernel constructions.
-        """
-        if not self.units:
-            raise InstrumentationError(
-                f"program {self.name!r} carries no source units and cannot be batched"
-            )
-        mask = saturated_mask & ((1 << (2 * self.n_conditionals)) - 1)
-        key = (mask, epsilon)
-        kernel = self._batch_kernels.get(key)
-        if kernel is not None:
-            return kernel
-        kernel = build_batch_kernel(self, mask, epsilon)
-        self.batched_kernel_builds += 1
-        while len(self._batch_kernels) >= _BATCH_KERNELS_MAX:
-            self._batch_kernels.pop(next(iter(self._batch_kernels)))
-        self._batch_kernels[key] = kernel
-        return kernel
+        """The batched kernel of this program for ``saturated_mask``: the
+        cached :meth:`specialize` variant behind a per-row loop, so a mask an
+        epoch already used costs a dictionary lookup."""
+        return build_batch_kernel(self, saturated_mask, epsilon)
 
     def native_kernel(
         self, saturated_mask: int, epsilon: float = DEFAULT_EPSILON,
@@ -486,9 +454,9 @@ class InstrumentedProgram:
         ``saturated_mask``.
 
         Kernels join the per-program variant cache with the same
-        epoch/re-specialization protocol as :meth:`specialize` and
-        :meth:`batch_kernel`; the out-of-process ``cc`` compile behind a new
-        mask is content-addressed on disk and memoized module-wide.
+        epoch/re-specialization protocol as :meth:`specialize`; the
+        out-of-process ``cc`` compile behind a new mask is content-addressed
+        on disk and memoized module-wide.
         ``native_kernel_builds`` counts true kernel constructions.  Raises
         :class:`~repro.instrument.native.cache.NativeUnavailable` when no C
         compiler is present or the program cannot be emitted; callers

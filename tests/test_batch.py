@@ -1,13 +1,13 @@
-"""Tests of the batched vectorized penalty tier (``instrument/batch.py``).
+"""Tests of the batched penalty tier (``instrument/batch.py``).
 
 The contract under test is the one the engine relies on: one
 :class:`~repro.instrument.batch.BatchKernel` call over an ``(N, arity)``
 float64 array returns exactly the penalty vector that N scalar
-``PENALTY_SPECIALIZED`` executions would return -- bit-for-bit, NaN and
-infinity rows included, in both the whole-array **vector** mode and the
-per-row **rows** fallback -- plus the union of their covered bits.  On top
-of that sit the cache/epoch plumbing, the memo seeding that chunk priming
-uses, and the engine-level identity of primed vs unprimed runs.
+``PENALTY_SPECIALIZED`` executions would return -- bit-for-bit, NaN,
+infinity and int64-overflow rows included -- plus the union of their
+covered bits.  On top of that sit the cache/epoch plumbing, the memo
+seeding that chunk priming uses, and the engine-level identity of primed vs
+unprimed runs.
 """
 
 from __future__ import annotations
@@ -25,17 +25,17 @@ from repro.engine import worker as worker_module
 from repro.engine.core import SearchEngine
 from repro.experiments.runner import instrument_case
 from repro.fdlibm.suite import BENCHMARKS
-from repro.instrument.program import (
-    clear_compiled_cache,
-    compiled_cache_info,
-    instrument,
-)
+from repro.instrument.program import instrument
 from repro.instrument.runtime import ExecutionProfile
 from repro.optimize.memo import BitPatternMemo
 from tests import sample_programs as sp
 from tests.test_specialize import PARITY_TARGETS
 
-_SPECIAL_VALUES = (0.0, -0.0, float("nan"), float("inf"), -float("inf"), 1e308, 1e-320, 2.0)
+_SPECIAL_VALUES = (
+    0.0, -0.0, float("nan"), float("inf"), -float("inf"), 1e308, 1e-320, 2.0,
+    # int() of these leaves int64 range (2**63 ~ 9.22e18) or sits on its edge.
+    2.0**63, -(2.0**63), 1e19, -1e19,
+)
 
 #: Programs whose loops never terminate on +inf input (in every tier alike).
 _NO_INF = (sp.loop_program, sp.while_else_loop)
@@ -65,16 +65,24 @@ def _assert_batch_parity(program, mask: int, X: np.ndarray) -> None:
         assert _bits(float(r_batch[i])) == _bits(r_scalar), (
             program.name,
             hex(mask),
-            kernel.mode,
             row,
             float(r_batch[i]),
             r_scalar,
         )
-    assert cov_batch == cov_expected, (program.name, hex(mask), kernel.mode)
+    assert cov_batch == cov_expected, (program.name, hex(mask))
+
+
+def trunc_overflows(x):
+    k = int(x)
+    if k > 10:
+        return 1.0
+    return 0.0
 
 
 class TestSampleFormParity:
-    @pytest.mark.parametrize("target", PARITY_TARGETS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize(
+        "target", (*PARITY_TARGETS, trunc_overflows), ids=lambda f: f.__name__
+    )
     def test_bit_identical_over_random_masks(self, target):
         program = instrument(target)
         rng = np.random.default_rng(29)
@@ -109,79 +117,15 @@ class TestFdlibmSuiteParity:
             _assert_batch_parity(program, mask, X)
 
 
-class TestModeSelection:
-    def test_vectorizable_suite_entries_compile_to_vector_mode(self):
-        by_name = {c.function.split("(")[0]: c for c in BENCHMARKS}
-        for name in ("floor", "nextafter", "expm1"):
-            program = instrument_case(by_name[name])
-            assert program.batch_kernel(0).mode == "vector", name
-
-    def test_loops_and_helpers_fall_back_to_rows(self):
-        for target in (sp.loop_program, sp.huge_int_guard):
-            program = instrument(target)
-            assert program.batch_kernel(0).mode == "rows", target.__name__
-        # Multi-unit programs (instrumented helpers) always run per-row.
-        multi = instrument(sp.calls_helper, extra_functions=[sp.helper_goo])
-        assert multi.batch_kernel(0).mode == "rows"
-
-    def test_simple_branch_is_vector(self):
-        program = instrument(sp.paper_foo)
-        assert program.batch_kernel(0).mode == "vector"
-
-
-def trunc_overflows(x):
-    k = int(x)
-    if k > 10:
-        return 1.0
-    return 0.0
-
-
-class TestRuntimeDemotion:
-    def test_int64_overflow_demotes_to_rows_with_identical_values(self):
-        """int() of a double >= 2**63 cannot be replicated in int64 lanes:
-        the kernel bails out of vector mode mid-call, re-runs the batch
-        through the per-row path and stays demoted (sticky)."""
-        program = instrument(trunc_overflows)
-        kernel = program.batch_kernel(0)
-        assert kernel.mode == "vector"
-        X = np.ascontiguousarray([[2.5], [1e19], [-3.0]], dtype=np.float64)
-        _assert_batch_parity(program, 0, X)
-        assert kernel.mode == "rows"
-        # Still correct (and still one kernel) after demotion.
-        _assert_batch_parity(program, 0, X)
-
-
 class TestCaches:
-    def test_program_kernel_cache_and_build_counter(self):
+    def test_kernel_reuses_the_program_variant_cache(self):
         program = instrument(sp.paper_foo)
-        first = program.batch_kernel(0)
-        assert program.batch_kernel(0) is first
-        assert program.batched_kernel_builds == 1
+        kernel = program.batch_kernel(0)
+        assert kernel.variant is program.specialize(0)
+        assert program.batch_kernel(0).variant is kernel.variant
+        assert program.specialization_builds == 1
         program.batch_kernel(3)
-        assert program.batched_kernel_builds == 2
-
-    def test_compiled_cache_info_reports_batched_and_clear_clears_it(self):
-        clear_compiled_cache()
-        info = compiled_cache_info()
-        assert "batched" in info
-        assert {"hits", "misses", "evictions", "entries"} <= set(info["batched"])
-        baseline = compiled_cache_info()["batched"]["entries"]
-        program = instrument(sp.paper_foo)
-        program.batch_kernel(0)
-        assert compiled_cache_info()["batched"]["entries"] > baseline
-        clear_compiled_cache()
-        after = compiled_cache_info()["batched"]
-        assert after["entries"] == 0
-        assert after["hits"] == 0 and after["misses"] == 0
-
-    def test_module_cache_hits_across_program_instances(self):
-        clear_compiled_cache()
-        instrument(sp.paper_foo).batch_kernel(0)
-        misses_before = compiled_cache_info()["batched"]["misses"]
-        instrument(sp.paper_foo).batch_kernel(0)
-        info = compiled_cache_info()["batched"]
-        assert info["misses"] == misses_before
-        assert info["hits"] >= 1
+        assert program.specialization_builds == 2
 
 
 class TestRepresentingEvaluateBatch:
@@ -215,14 +159,14 @@ class TestRepresentingEvaluateBatch:
         representing.evaluate_batch(X)
         representing.evaluate_batch(X)
         assert representing.batch_respecializations == 1
-        builds = program.batched_kernel_builds
+        builds = program.specialization_builds
         # Flip a saturation bit: the next batch must pick up a new kernel.
         _, coverage = representing.evaluate_with_coverage([4.0])
         tracker.add_covered(set(coverage.covered))
         if tracker.saturated_mask != 0:
             representing.evaluate_batch(X)
             assert representing.batch_respecializations == 2
-            assert program.batched_kernel_builds >= builds
+            assert program.specialization_builds >= builds
 
     def test_non_specialized_profile_loops_per_row(self):
         program = instrument(sp.paper_foo)

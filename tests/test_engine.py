@@ -14,7 +14,6 @@ from repro.engine.core import SearchEngine
 from repro.engine.pool import (
     _origin_importable_in_child,
     chunk_evenly,
-    parallel_map,
     process_context,
     resolve_worker_mode,
 )
@@ -210,19 +209,6 @@ class TestEngineBehaviour:
         assert chunk_evenly([1, 2, 3, 4, 5], 2) == [[1, 2, 3], [4, 5]]
         assert chunk_evenly([1], 4) == [[1]]
         assert chunk_evenly([], 3) == []
-
-    def test_parallel_map_preserves_order(self):
-        items = list(range(20))
-        assert parallel_map(lambda v: v * v, items, n_workers=4) == [v * v for v in items]
-        assert parallel_map(lambda v: v + 1, items, n_workers=1) == [v + 1 for v in items]
-
-    def test_parallel_map_honors_serial_and_rejects_typos(self):
-        items = list(range(5))
-        assert parallel_map(lambda v: v * 2, items, n_workers=4, mode="serial") == [
-            v * 2 for v in items
-        ]
-        with pytest.raises(ValueError, match="unknown worker mode"):
-            parallel_map(lambda v: v, items, n_workers=4, mode="proces")
 
     def test_main_module_origin_never_gets_process_workers(self):
         # A __main__-defined target (REPL, notebook) pickles fine by
