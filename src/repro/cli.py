@@ -7,10 +7,6 @@ experiment pipelines.
     python -m repro run table2 table5 figure5 --profile smoke --store .repro-store
     python -m repro render table2 --profile smoke --store .repro-store
     python -m repro serve --store .repro-store --port 8642
-    python -m repro serve --role coordinator --store .repro-store --token T
-    python -m repro serve --role worker --coordinator http://coord:8642 --token T
-    python -m repro run table2 --profile smoke --coordinator http://coord:8642
-    python -m repro merge --store .repro-store shard-a/ shard-b/
     python -m repro ls --store .repro-store
     python -m repro clean --store .repro-store
 
@@ -20,12 +16,7 @@ rest, and prints each spec's rendered artifact.  ``render`` is the read-only
 view: it renders purely from stored records and fails (listing the missing
 jobs) rather than executing anything.  ``serve`` exposes the same service
 layer as a long-running HTTP daemon over the same store (see
-:mod:`repro.service.http` for the endpoints); ``--role coordinator`` also
-leases engine batches to registered shard workers, ``--role worker`` pulls
-and executes leases from a coordinator, and ``run --coordinator URL``
-drives the pipeline through a remote daemon.  ``merge`` collects per-shard
-``runs.jsonl`` segments into one canonical store (see
-:mod:`repro.distributed`).
+:mod:`repro.service.http` for the endpoints).
 """
 
 from __future__ import annotations
@@ -100,16 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None, metavar="DIR",
         help="also write each rendered artifact to DIR/<spec>_<profile>.txt",
     )
-    run_p.add_argument(
-        "--coordinator", default=None, metavar="URL",
-        help="execute jobs on a remote coordinator daemon (repro serve "
-        "--role coordinator) instead of locally; records land in the "
-        "daemon's store",
-    )
-    run_p.add_argument(
-        "--token", default=None,
-        help="bearer token for a coordinator that requires one",
-    )
 
     render_p = sub.add_parser("render", help="render specs purely from stored records")
     render_p.add_argument("specs", nargs="+", choices=available_specs(), metavar="SPEC")
@@ -160,62 +141,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="max pending admissions before submissions get HTTP 429",
     )
     serve_p.add_argument(
-        "--role", choices=("standalone", "coordinator", "worker"), default="standalone",
-        help="standalone: plain service daemon; coordinator: also lease "
-        "engine batches to registered shard workers; worker: pull and "
-        "execute leases from --coordinator (no local daemon)",
-    )
-    serve_p.add_argument(
-        "--coordinator", default=None, metavar="URL",
-        help="coordinator base URL (required for --role worker)",
-    )
-    serve_p.add_argument(
         "--token", default=None,
-        help="bearer token: required from clients when serving, presented "
-        "to the coordinator when --role worker",
+        help="bearer token required from clients on every route but /healthz",
     )
     serve_p.add_argument(
         "--rate-limit", default=None, metavar="N[/SECONDS]",
         help="per-client sliding-window rate limit, e.g. 100/10 "
         "(100 requests per 10 s); excess requests get 429 + Retry-After",
     )
-    serve_p.add_argument(
-        "--lease-ttl", type=float, default=None, metavar="SECONDS",
-        help="coordinator: seconds before an unheartbeated lease becomes "
-        "stealable (default 10)",
-    )
-    serve_p.add_argument(
-        "--worker-ttl", type=float, default=None, metavar="SECONDS",
-        help="coordinator: seconds of silence before a worker is presumed "
-        "dead and pending leases fall back to local execution (default 30)",
-    )
-    serve_p.add_argument(
-        "--speculate", type=int, default=None, metavar="K",
-        help="coordinator: lease up to K future batches speculatively "
-        "under the current snapshot (mispredictions cost wall-clock, "
-        "never correctness; default 2)",
-    )
-    serve_p.add_argument(
-        "--worker-id", default=None,
-        help="worker: stable identity to register under (default: "
-        "host+pid derived)",
-    )
-    serve_p.add_argument(
-        "--max-leases", type=int, default=None, metavar="N",
-        help="worker: exit after completing N leases (smoke tests)",
-    )
-
-    merge_p = sub.add_parser(
-        "merge",
-        help="merge per-shard runs.jsonl segments into one store "
-        "(order-independent, torn-tail tolerant, idempotent)",
-    )
-    add_store_arg(merge_p)
-    merge_p.add_argument(
-        "segments", nargs="+", metavar="SEGMENT",
-        help="runs.jsonl files or store directories to merge in",
-    )
-
     native_p = sub.add_parser(
         "native-cache",
         help="inspect or clean the on-disk native-kernel (.so) cache and "
@@ -266,15 +199,6 @@ def _run_or_render(args, execute: bool) -> int:
         print("error: --resume and --fresh contradict each other", file=sys.stderr)
         return 2
     resume = not fresh if explicit_resume is None else explicit_resume
-    coordinator = getattr(args, "coordinator", None)
-    service = None
-    if coordinator is not None and execute:
-        from repro.distributed import RemoteServiceAdapter
-        from repro.service.client import ServiceClient
-
-        service = RemoteServiceAdapter(
-            ServiceClient(coordinator, token=getattr(args, "token", None))
-        )
     store = RunStore(None if ephemeral else args.store)
     specs = [get_spec(name) for name in args.specs]
     try:
@@ -286,7 +210,6 @@ def _run_or_render(args, execute: bool) -> int:
             execute=execute,
             n_workers=getattr(args, "jobs", 1),
             worker_mode=getattr(args, "mode", "thread"),
-            service=service,
         )
     finally:
         store.close()
@@ -372,61 +295,12 @@ def _parse_rate_limit(spec: Optional[str]) -> Optional[tuple[int, float]]:
         raise SystemExit(f"error: bad --rate-limit {spec!r} (expected N or N/SECONDS)") from None
 
 
-def _serve_worker(args) -> int:
-    """``repro serve --role worker``: a lease-pulling shard worker."""
-    import os
-    import socket
-
-    from repro.distributed import HTTPTransport, run_worker
-    from repro.service.client import ClientError, ServiceClient
-
-    if args.coordinator is None:
-        print("error: --role worker requires --coordinator URL", file=sys.stderr)
-        return 2
-    worker_id = args.worker_id or f"{socket.gethostname()}-{os.getpid()}"
-    transport = HTTPTransport(ServiceClient(args.coordinator, token=args.token))
-    try:
-        completed = run_worker(
-            transport, worker_id, announce=print, max_leases=args.max_leases
-        )
-    except KeyboardInterrupt:
-        # The in-flight lease (if any) stops heartbeating and gets stolen.
-        print(f"repro worker {worker_id}: interrupted")
-        return 0
-    except (ClientError, OSError) as exc:
-        print(f"error: worker {worker_id} lost the coordinator: {exc}", file=sys.stderr)
-        return 1
-    print(f"repro worker {worker_id}: done ({completed} leases)")
-    return 0
-
-
 def _serve(args) -> int:
     # Imported lazily: the service stack (and its instrumentation imports)
     # should not tax `repro ls`-style invocations.
-    if args.role == "worker":
-        return _serve_worker(args)
     from repro.service import CoverageService
     from repro.service.http import serve
 
-    distributed = None
-    if args.role == "coordinator":
-        if args.worker_mode == "process":
-            print(
-                "error: --role coordinator requires --worker-mode thread "
-                "(leases are issued by this process)",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.distributed import LeaseCoordinator
-
-        kwargs = {}
-        if args.lease_ttl is not None:
-            kwargs["lease_ttl"] = args.lease_ttl
-        if args.worker_ttl is not None:
-            kwargs["worker_ttl"] = args.worker_ttl
-        if args.speculate is not None:
-            kwargs["speculate"] = args.speculate
-        distributed = LeaseCoordinator(**kwargs)
     store = None if args.ephemeral else args.store
     # The daemon always uses real workers: inline execution would run jobs
     # on the asyncio thread and freeze every other client mid-job.
@@ -437,7 +311,6 @@ def _serve(args) -> int:
         n_shards=args.shards,
         queue_limit=args.queue_limit,
         resume=True,
-        distributed=distributed,
     )
     try:
         serve(
@@ -449,21 +322,6 @@ def _serve(args) -> int:
         )
     finally:
         service.close()
-    return 0
-
-
-def _merge(args) -> int:
-    store = RunStore(args.store)
-    try:
-        stats = store.merge_segments(args.segments)
-    finally:
-        store.close()
-    print(
-        f"store {args.store}: merged {stats['merged']} of {stats['records']} records "
-        f"from {stats['segments']} segments "
-        f"({stats['present']} already present, {stats['duplicates']} cross-segment "
-        f"duplicates, {stats['torn']} torn lines skipped)"
-    )
     return 0
 
 
@@ -526,8 +384,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             return _clean(args)
         if args.command == "serve":
             return _serve(args)
-        if args.command == "merge":
-            return _merge(args)
         if args.command == "native-cache":
             return _native_cache(args)
     except SchemaVersionError as exc:

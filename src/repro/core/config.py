@@ -98,14 +98,6 @@ class CoverMeConfig:
             job progress to daemon clients); it is excluded from store
             fingerprints for the same reason.  The callback runs on the
             engine's reduction thread and should return quickly.
-        pool_factory: Optional factory substituting the engine's execution
-            pool.  Called with the :class:`~repro.engine.core.SearchEngine`
-            and must return a context manager yielding an object with the
-            ``run_batch(params, tasks)`` / ``streams_lazily`` contract of
-            :class:`~repro.engine.pool.StartPool`.  The distributed
-            coordinator injects its lease pool here.  Like ``n_workers``,
-            any conforming pool is result-neutral by contract, so the field
-            is excluded from store fingerprints.
     """
 
     n_start: int = 100
@@ -130,7 +122,6 @@ class CoverMeConfig:
     eval_profile: str = ExecutionProfile.PENALTY_NATIVE.value
     native_threads: int = 1
     progress: Optional[Callable[[dict], None]] = field(default=None, repr=False, compare=False)
-    pool_factory: Optional[Callable] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Imported lazily: the registries live above repro.core in the layer
@@ -174,8 +165,6 @@ class CoverMeConfig:
             raise ValueError("native_threads must be >= 1")
         if self.progress is not None and not callable(self.progress):
             raise ValueError("progress must be a callable (or None)")
-        if self.pool_factory is not None and not callable(self.pool_factory):
-            raise ValueError("pool_factory must be a callable (or None)")
 
     def effective_batch_size(self) -> int:
         """The batch size the engine actually uses."""

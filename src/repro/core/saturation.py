@@ -77,9 +77,6 @@ class SaturationTracker:
         """
         return self._saturated_mask
 
-    def is_saturated(self, branch: BranchId) -> bool:
-        return branch in self._saturated
-
     def all_saturated(self) -> bool:
         """True when every branch of the program is saturated (Lemma 3.3)."""
         return len(self._saturated) >= self.program.n_branches

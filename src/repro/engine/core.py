@@ -121,7 +121,7 @@ class SearchEngine:
         stop = False
 
         with self._make_pool() as pool:
-            lazy = bool(getattr(pool, "streams_lazily", False))
+            lazy = pool.streams_lazily
             while not stop and issued < config.n_start:
                 if self.tracker.all_saturated():
                     break
@@ -210,48 +210,16 @@ class SearchEngine:
             }
         )
 
-    def _make_pool(self):
-        """Build the execution pool for this run.
-
-        ``config.pool_factory`` is the seam the distributed coordinator uses
-        to substitute a lease-backed pool; when unset the engine creates the
-        ordinary in-process :class:`StartPool`.  The factory receives the
-        engine so it can reach the scheduler and batch plan (for speculative
-        lease construction) and must return a context manager whose value
-        honors the ``run_batch``/``streams_lazily`` contract.
-        """
-        if self.config.pool_factory is not None:
-            return self.config.pool_factory(self)
+    def _make_pool(self) -> StartPool:
+        """Build the in-process execution pool for this run."""
         return StartPool(
             self.program, self.resolved_mode, self.config.n_workers, mp_context=self.mp_context
         )
 
-    def batch_plan(self, batch_index: int) -> tuple[int, int]:
-        """``(first_index, count)`` of the given batch under this config.
-
-        Batch boundaries are a pure function of ``n_start`` and the batch
-        size -- batch ``k`` always starts at ``k * batch_size`` -- so remote
-        coordinators can enumerate future batches without running the loop.
-        """
-        size = self.config.effective_batch_size()
-        first = batch_index * size
-        return first, max(0, min(size, self.config.n_start - first))
-
-    def tasks_for_batch(
-        self,
-        batch_index: int,
-        covered: frozenset[BranchId],
-        infeasible: frozenset[BranchId],
-    ) -> list[StartTask]:
-        """Draw the batch's seeded starting points under an explicit snapshot.
-
-        The scheduler is a pure function of ``(batch_index, first_index,
-        count)``, so this can be called ahead of the main loop -- the
-        distributed lease pool uses it to issue *speculative* leases for
-        future batches under a predicted saturation snapshot, validating the
-        prediction when the engine actually reaches that batch.
-        """
-        first_index, count = self.batch_plan(batch_index)
+    def _schedule_batch(self, batch_index: int, first_index: int, count: int) -> list[StartTask]:
+        """Freeze the saturation snapshot and draw the batch's starting points."""
+        covered = frozenset(self.tracker.covered)
+        infeasible = frozenset(self.tracker.infeasible)
         points = self.scheduler.batch(batch_index, first_index, count)
         return [
             StartTask(
@@ -262,15 +230,6 @@ class SearchEngine:
             )
             for offset in range(count)
         ]
-
-    def _schedule_batch(self, batch_index: int, first_index: int, count: int) -> list[StartTask]:
-        """Freeze the saturation snapshot and draw the batch's starting points."""
-        del first_index, count  # implied by the batch plan
-        return self.tasks_for_batch(
-            batch_index,
-            frozenset(self.tracker.covered),
-            frozenset(self.tracker.infeasible),
-        )
 
     def _reduce(self, result: StartResult, inputs: list[tuple[float, ...]]) -> MinimizationTrace:
         """Fold one start's outcome into the shared tracker (Algorithm 1, lines 11-13)."""

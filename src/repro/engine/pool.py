@@ -167,9 +167,7 @@ class StartPool:
         an abandoned iterator means the remaining starts never executed and
         their evaluations must not be accounted.  Pooled modes dispatch the
         whole batch eagerly; every result's cost counts even after the
-        reduction stops.  The engine keys its accounting on this flag rather
-        than on the mode name so alternative pools (e.g. the distributed
-        lease pool) can pick either contract.
+        reduction stops.
         """
         return self.mode == "serial"
 

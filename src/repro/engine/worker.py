@@ -45,7 +45,7 @@ from repro.core.representing import RepresentingFunction
 from repro.core.saturation import SaturationTracker
 from repro.instrument.native.local_min import native_objective
 from repro.instrument.program import InstrumentedProgram, ProgramOrigin, instrument
-from repro.instrument.runtime import BranchId, ExecutionProfile, check_execution_profile
+from repro.instrument.runtime import BranchId, ExecutionProfile
 from repro.optimize.memo import BitPatternMemo
 from repro.optimize.registry import get_backend
 
@@ -73,11 +73,6 @@ class StartParams:
     deadline: Optional[float] = None
     eval_profile: str = ExecutionProfile.PENALTY_NATIVE.value
     native_threads: int = 1
-
-    def __post_init__(self) -> None:
-        # Checked here so a coordinator's unknown profile is refused when
-        # the worker decodes the lease, not deep inside a leased start.
-        check_execution_profile(self.eval_profile)
 
 
 @dataclass(frozen=True)

@@ -530,10 +530,9 @@ def run_specs(
     absent jobs are listed in ``missing_jobs`` instead of being run, and
     script specs (which have no stored records) are reported as missing.
     ``service`` overrides the locally-constructed
-    :class:`~repro.service.CoverageService` -- this is how ``repro run
-    --coordinator URL`` swaps in a
-    :class:`~repro.distributed.remote.RemoteServiceAdapter` and executes
-    the identical two-wave plan against a daemon.
+    :class:`~repro.service.CoverageService` (anything with its
+    ``submit``/``wait`` surface) and is left open afterwards; the caller
+    owns it.
     """
     report = RunReport(profile=profile)
     suite_specs = [spec for spec in specs if spec.is_suite]

@@ -294,10 +294,6 @@ _LIBM_1 = {
 }
 
 
-class _MaybeBool:
-    """Sentinel namespace: tracks vars that may hold a runtime ``bool``."""
-
-
 @dataclass
 class _FnInfo:
     py_name: str

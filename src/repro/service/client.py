@@ -112,24 +112,3 @@ class ServiceClient:
 
     def shutdown(self) -> dict:
         return self._request("POST", "/shutdown")
-
-    # -- distributed (lease protocol) --------------------------------------
-
-    def register_worker(self, worker_id: str) -> dict:
-        return self._request("POST", "/distributed/register", {"worker": worker_id})
-
-    def acquire_lease(self, worker_id: str, resync: bool = False) -> dict:
-        return self._request(
-            "POST", "/distributed/lease", {"worker": worker_id, "resync": resync}
-        )
-
-    def lease_heartbeat(self, worker_id: str, lease_id: str) -> dict:
-        return self._request(
-            "POST", "/distributed/heartbeat", {"worker": worker_id, "lease": lease_id}
-        )
-
-    def submit_lease(self, body: dict) -> dict:
-        return self._request("POST", "/distributed/result", body)
-
-    def distributed_stats(self) -> dict:
-        return self._request("GET", "/distributed/stats")

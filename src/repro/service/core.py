@@ -209,15 +209,6 @@ class CoverageService:
             Results are bit-identical for every value (property-tested).
         queue_limit: Bound on pending admissions; ``None`` is unbounded.
         resume: Default result-cache policy for submissions.
-        distributed: An optional
-            :class:`~repro.distributed.coordinator.LeaseCoordinator` (or
-            anything with its ``pool_factory``/``stats`` surface).  When
-            set, CoverMe jobs run on a distributed :class:`LeasePool` --
-            each engine batch becomes a lease that registered shard
-            workers can execute -- instead of a local start pool.
-            Incompatible with ``worker_mode="process"``: leases are
-            issued by the coordinator living in *this* process, and a
-            pool factory cannot cross the pickle boundary.
     """
 
     def __init__(
@@ -228,16 +219,10 @@ class CoverageService:
         n_shards: Optional[int] = None,
         queue_limit: Optional[int] = 256,
         resume: bool = True,
-        distributed=None,
     ):
         if worker_mode not in WORKER_MODES:
             known = ", ".join(WORKER_MODES)
             raise ValueError(f"unknown service worker mode {worker_mode!r}; known: {known}")
-        if distributed is not None and worker_mode == "process":
-            raise ValueError(
-                "distributed coordination requires inline or thread worker mode "
-                "(the lease coordinator cannot cross the process-pool boundary)"
-            )
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         if isinstance(store, (str, Path)):
@@ -251,7 +236,6 @@ class CoverageService:
             self._owns_store = False
         self.mode = worker_mode
         self.resume = resume
-        self.distributed = distributed
         self._unjoined: list[str] = []
         self.n_workers = 1 if worker_mode == "inline" else n_workers
         self.n_shards = n_shards if n_shards is not None else self.n_workers
@@ -377,13 +361,7 @@ class CoverageService:
             if self.mode == "process":
                 payload, warning_list = self._execute_remote(job)
             else:
-                pool_factory = None
-                if self.distributed is not None and job.request.tool == "CoverMe":
-                    pool_factory = self.distributed.pool_factory(case_key=job.request.case.key)
-                executed = execute_job(
-                    job.request, job.budget, progress=job.add_progress,
-                    pool_factory=pool_factory,
-                )
+                executed = execute_job(job.request, job.budget, progress=job.add_progress)
                 payload, warning_list = executed.payload, executed.warnings
             job.warnings.extend(warning_list)
             for message in warning_list:
@@ -443,7 +421,7 @@ class CoverageService:
             counters = dict(self._counters)
         with self._lock:
             in_flight = sum(1 for j in self._jobs.values() if j.state in (QUEUED, RUNNING))
-        body = {
+        return {
             "mode": self.mode,
             "workers": self.n_workers,
             "shards": self.n_shards,
@@ -457,9 +435,6 @@ class CoverageService:
                 "records": len(self.store),
             },
         }
-        if self.distributed is not None:
-            body["distributed"] = self.distributed.stats()
-        return body
 
     # -- lifecycle ---------------------------------------------------------
 

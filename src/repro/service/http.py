@@ -29,23 +29,6 @@ Endpoints (all JSON unless noted):
   finishes.  ``?from=N`` skips the first N events.
 * ``POST /shutdown`` -- graceful stop (the smoke-test/CI hook).
 
-When the service carries a :class:`~repro.distributed.coordinator.\
-LeaseCoordinator` (``repro serve --role coordinator``), four more routes
-expose the lease protocol to shard workers:
-
-* ``POST /distributed/register`` -- ``{"worker": "<id>"}``; replies with
-  the lease TTL and the heartbeat interval the worker must keep.
-* ``POST /distributed/lease`` -- ``{"worker": "<id>", "resync": false}``;
-  replies ``{"lease": <payload>|null}`` (null: nothing pending -- poll
-  again; polling *is* the work-stealing mechanism).
-* ``POST /distributed/heartbeat`` -- ``{"worker", "lease"}``; ``ok:
-  false`` means the lease was reclaimed (stolen) and the worker should
-  abandon it.
-* ``POST /distributed/result`` -- the worker's completed-lease body;
-  ``accepted: false`` means a competing completion (steal) or a
-  cancelled speculative lease won.
-* ``GET /distributed/stats`` -- lease table + worker registry counters.
-
 **Auth and backpressure.**  ``--token`` gates every route except
 ``GET /healthz`` behind ``Authorization: Bearer <token>`` (401
 otherwise).  An optional per-client sliding-window rate limit answers
@@ -311,8 +294,6 @@ class ServiceHTTPServer:
                 await self._stream_events(writer, rest[: -len("/events")].rstrip("/"), query)
             else:
                 await self._poll(writer, rest)
-        elif path.startswith("/distributed/"):
-            await self._distributed(writer, method, path[len("/distributed/"):], body)
         elif path == "/shutdown" and method == "POST":
             await self._respond(writer, 200, {"ok": True, "shutting_down": True})
             self.request_shutdown()
@@ -370,55 +351,6 @@ class ServiceHTTPServer:
 
     async def _poll(self, writer, fingerprint: str) -> None:
         await self._respond(writer, 200, self._find_job(fingerprint).snapshot())
-
-    # -- distributed (lease protocol) --------------------------------------
-
-    @staticmethod
-    def _parse_json(body: bytes) -> dict:
-        try:
-            data = json.loads(body or b"{}")
-        except json.JSONDecodeError as exc:
-            raise HTTPError(400, f"invalid JSON body: {exc}") from exc
-        if not isinstance(data, dict):
-            raise HTTPError(400, "body must be a JSON object")
-        return data
-
-    async def _distributed(self, writer, method: str, action: str, body: bytes) -> None:
-        coordinator = getattr(self.service, "distributed", None)
-        if coordinator is None:
-            raise HTTPError(404, "this daemon is not a coordinator (serve --role coordinator)")
-        if action == "stats" and method == "GET":
-            await self._respond(writer, 200, coordinator.stats())
-            return
-        if method != "POST":
-            raise HTTPError(405, f"no route for {method} /distributed/{action}")
-        data = self._parse_json(body)
-        worker = data.get("worker")
-        if action != "result" and not isinstance(worker, str):
-            raise HTTPError(400, 'missing required field "worker"')
-        if action == "register":
-            await self._respond(writer, 200, coordinator.register_worker(worker))
-        elif action == "lease":
-            # Lease execution and result submission happen on worker
-            # machines; the coordinator-side calls here are registry and
-            # table bookkeeping, cheap enough for the event loop.
-            lease = coordinator.acquire(worker, resync=bool(data.get("resync")))
-            await self._respond(writer, 200, {"lease": lease})
-        elif action == "heartbeat":
-            ok = coordinator.heartbeat(worker, data.get("lease", ""))
-            await self._respond(writer, 200, {"ok": ok})
-        elif action == "result":
-            from repro.distributed.worker import submit_payload  # lazy: optional subsystem
-
-            if not isinstance(data.get("worker"), str) or not isinstance(data.get("lease"), str):
-                raise HTTPError(400, 'result body needs "worker" and "lease"')
-            try:
-                accepted = submit_payload(coordinator, data)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise HTTPError(400, f"malformed result body: {exc}") from exc
-            await self._respond(writer, 200, {"accepted": accepted})
-        else:
-            raise HTTPError(404, f"no route for POST /distributed/{action}")
 
     async def _stream_events(self, writer, fingerprint: str, query: str) -> None:
         job = self._find_job(fingerprint)

@@ -90,7 +90,7 @@ _PROFILE_FP_EXCLUDE = frozenset({"name", "max_cases", "n_workers"})
 #: ``progress`` is a pure observer the service attaches to stream events).
 _TOOL_FP_EXCLUDE = frozenset(
     {"last_evaluations", "n_workers", "worker_mode", "verbose", "eval_profile",
-     "native_threads", "progress", "pool_factory"}
+     "native_threads", "progress"}
 )
 
 
@@ -275,7 +275,6 @@ def execute_job(
     request: JobRequest,
     budget: Budget,
     progress: Optional[Callable[[dict], None]] = None,
-    pool_factory: Optional[Callable] = None,
 ) -> ExecutedJob:
     """Execute one job and return its storable payload.
 
@@ -290,22 +289,13 @@ def execute_job(
     payload itself is never affected.
 
     ``progress`` (when given and the tool is CoverMe) is attached as the
-    engine's result-neutral batch observer; ``pool_factory`` (same
-    condition) is attached as the engine's start-pool seam -- this is how
-    a coordinator daemon swaps in its distributed
-    :class:`~repro.distributed.coordinator.LeasePool`.  Both are excluded
-    from fingerprints: they are result-neutral by the engine's contract.
+    engine's result-neutral batch observer; it is excluded from
+    fingerprints.
     """
     program = instrument_for_lookup(request.case)
     tool = request.resolve_factory()(request.profile)
-    if isinstance(getattr(tool, "config", None), CoverMeConfig):
-        attach = {}
-        if progress is not None:
-            attach["progress"] = progress
-        if pool_factory is not None:
-            attach["pool_factory"] = pool_factory
-        if attach:
-            tool.config = dataclasses.replace(tool.config, **attach)
+    if progress is not None and isinstance(getattr(tool, "config", None), CoverMeConfig):
+        tool.config = dataclasses.replace(tool.config, progress=progress)
     captured: list[str] = []
     with _warnings.catch_warnings(record=True) as seen:
         _warnings.simplefilter("always")

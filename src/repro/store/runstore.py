@@ -98,7 +98,7 @@ class RunStore:
     without tearing or merging each other's lines.  Each writer's in-memory
     index only reflects records it loaded or wrote itself; cross-process
     visibility requires reopening the store (the service layer therefore
-    funnels all writes of one coordinator through one process).
+    funnels all writes of one service through its own process).
     """
 
     def __init__(self, root: "Path | str | None" = None):
@@ -259,79 +259,6 @@ class RunStore:
                     os.fsync(self._handle.fileno())
                 finally:
                     self._funlock(self._handle)
-
-    def merge_segments(self, segments) -> dict:
-        """Merge per-shard ``runs.jsonl`` segments into this store.
-
-        ``segments`` is an iterable of paths -- each either a ``runs.jsonl``
-        file or a store directory containing one.  Designed for collecting
-        the per-worker stores of a distributed run back into one canonical
-        store, with two guarantees the property tests pin down:
-
-        * **Order independence**: records are deduplicated by fingerprint
-          and written in sorted-fingerprint order through the locked
-          :meth:`put` path, so merging the same segments in any order (or
-          shard partitioning) produces a byte-identical ``runs.jsonl``.
-        * **Torn-tail tolerance**: an unparseable line in a segment (a
-          worker killed mid-append) is counted and skipped; it can never
-          corrupt the merged store because every merged line is
-          re-serialized canonically from the parsed record.
-
-        Fingerprints already present in this store are skipped (their
-        record exists; re-appending would duplicate lines), which also
-        makes the merge idempotent.  Records are content-addressed, so two
-        segments disagreeing on one fingerprint's payload cannot happen in
-        healthy operation; if it does, the lexicographically smallest
-        canonical line wins -- deterministic, whatever the segment order.
-
-        Returns counters: ``segments``, ``records`` (parsed), ``merged``
-        (newly written), ``duplicates`` (cross-segment repeats),
-        ``present`` (already in this store), ``torn`` (skipped lines).
-        """
-        stats = {"segments": 0, "records": 0, "merged": 0,
-                 "duplicates": 0, "present": 0, "torn": 0}
-        chosen: dict[str, tuple[str, JobKey, dict]] = {}
-        for segment in segments:
-            path = Path(segment)
-            if path.is_dir():
-                path = path / "runs.jsonl"
-            stats["segments"] += 1
-            if not path.exists():
-                continue
-            with path.open("r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                        key = JobKey.from_dict(record["key"])
-                        payload = record["payload"]
-                    except (json.JSONDecodeError, KeyError, TypeError):
-                        stats["torn"] += 1
-                        continue
-                    if record.get("schema") != SCHEMA_VERSION:
-                        raise SchemaVersionError(
-                            f"record in {path} has schema {record.get('schema')!r}; "
-                            f"expected {SCHEMA_VERSION}"
-                        )
-                    stats["records"] += 1
-                    fp = record.get("fingerprint") or key.fingerprint()
-                    candidate = (canonical_json(record), key, payload)
-                    if fp in chosen:
-                        stats["duplicates"] += 1
-                        if candidate[0] < chosen[fp][0]:
-                            chosen[fp] = candidate
-                    else:
-                        chosen[fp] = candidate
-        for fp in sorted(chosen):
-            if fp in self._records:
-                stats["present"] += 1
-                continue
-            _, key, payload = chosen[fp]
-            self.put(key, payload)
-            stats["merged"] += 1
-        return stats
 
     def __len__(self) -> int:
         return len(self._records)

@@ -48,6 +48,11 @@ class TestProfiles:
         "full": "3e56273b0fd8552a7ce6efb4d6d8bf37afa186872f0ede395cbf8e54e0540d24",
         "smoke": "98af472891bf5a38f970132fe3d207f29ef6bbecc16a50918203001b4e9d2510",
     }
+    COVERME_KEYS = {
+        "default": "701ce2edf5eccdb261694280cd6c354a6e1f1fa6322c7247a3a1e511fa6c316b",
+        "full": "f048eafa27c5ebf8b8517b7d5dd57c456dd41f647830e03553108980915e622c",
+        "smoke": "c43b8607aff4ea82dae6600fcc928e363fa261b74dec5f36cd2a5166141d67f5",
+    }
 
     @pytest.mark.parametrize("name", sorted(PROFILES))
     def test_shipped_profiles_run_native_under_unchanged_job_keys(self, name):
@@ -65,6 +70,7 @@ class TestProfiles:
             for tier in EXECUTION_PROFILES
         ]
         assert keys == [build_job_key(request, derive_budget(request)).fingerprint()] * 3
+        assert keys[0] == self.COVERME_KEYS[name]
         rand = JobRequest(case=BENCHMARKS[0], tool="Rand", profile=profile)
         assert build_job_key(rand, derive_budget(rand)).fingerprint() == self.RAND_KEYS[name]
 

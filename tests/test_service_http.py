@@ -131,9 +131,10 @@ class TestEndpoints:
 class TestRejections:
     def test_unknown_route_is_404(self, daemon):
         client, _ = daemon
-        with pytest.raises(ClientError) as excinfo:
-            client._request("GET", "/nope")
-        assert excinfo.value.status == 404
+        for method, path in (("GET", "/nope"), ("POST", "/distributed/lease")):
+            with pytest.raises(ClientError) as excinfo:
+                client._request(method, path)
+            assert excinfo.value.status == 404, (method, path)
 
     def test_unknown_job_is_404(self, daemon):
         client, _ = daemon
@@ -244,8 +245,8 @@ class TestShutdown:
 
 
 class TestAuthAndRateLimit:
-    """Per-client bearer auth + sliding-window rate limit (satellite for the
-    distributed coordinator: these gate the worker-registration endpoints)."""
+    """Per-client bearer auth + sliding-window rate limit: both gate every
+    route of the daemon except ``GET /healthz``, reads and writes alike."""
 
     TOKEN = "hunter2"
 
@@ -286,12 +287,13 @@ class TestAuthAndRateLimit:
         stats = ServiceClient(address, token=self.TOKEN).stats()
         assert stats["mode"] == "thread"
 
-    def test_distributed_register_requires_token(self, secured):
-        # The worker-registration route sits behind the same gate.
-        address, _ = secured
+    def test_submit_requires_token(self, secured):
+        # A POST route sits behind the same gate as the reads.
+        address, service = secured
         with pytest.raises(ClientError) as err:
-            ServiceClient(address).register_worker("w1")
+            ServiceClient(address).submit(CASE_KEY, profile="det-http")
         assert err.value.status == 401
+        assert service.stats()["counters"]["submitted"] == 0
 
     def test_sixth_rapid_request_is_429_with_retry_after(self, secured):
         address, _ = secured
