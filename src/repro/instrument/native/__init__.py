@@ -9,10 +9,12 @@ saturation mask down to machine code:
   into a small typed IR with explicit float64/int64 semantics, spelling out
   everything CPython does implicitly: fdlibm word intrinsics as uint64
   bit-casts, int64 wrap-around, guarded truncation, exception-to-freeze
-  semantics and the NaN-per-direction distance constants.
+  semantics and the NaN-per-direction distance constants -- then slices
+  away every value that reaches no test.
 * :mod:`repro.instrument.native.c_backend` -- the C99 backend.  Renders the
   IR into a translation unit exposing a scalar entry point, batch
-  ``for``-loop entry points and the ``sp_meta`` shape constant.
+  ``for``-loop entry points, the ``sp_meta`` shape constant and the
+  ``sp_bail_reasons`` texts.
 * :mod:`repro.instrument.native.cache` -- compiler discovery, out-of-process
   compilation via the system ``cc`` and a content-addressed, FIFO-bounded
   shared-object cache on disk, loaded with :mod:`ctypes`.

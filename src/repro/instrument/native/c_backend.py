@@ -1,6 +1,6 @@
 """C99 backend: renders the typed native IR into one translation unit.
 
-The generated file exposes three entry points and one constant with a
+The generated file exposes three entry points and two constants with a
 fixed ABI:
 
 ``const long long sp_meta[5]``
@@ -9,19 +9,23 @@ fixed ABI:
     the C source, and rejects a shared object whose ABI, arity or
     covered-word count disagree with the requesting program.
 
+``const char *const sp_bail_reasons[]``
+    The reason text of each bail site, by site index (diagnostics).
+
 ``int sp_entry(const double *x, double *r_out, uint64_t *cov_out)``
     One row.  Returns 0 on completion (``r_out``/``cov_out`` valid, frozen
-    rows included) and 1 on a *bail* (the caller re-runs the row on the
-    scalar specialized variant).
+    rows included) and ``1 + site`` on a *bail* at bail site ``site`` (the
+    caller re-runs the row on the scalar specialized variant).
 
 ``void sp_batch(const double *rows, long long n, double *r_out,
-uint64_t *cov_out, unsigned char *bail_out)``
+uint64_t *cov_out, int32_t *bail_out)``
     ``n`` rows, row-major, ``arity`` doubles each.  ``cov_out`` receives the
-    union of covered bits over the non-bailed rows; ``bail_out[i]`` flags
-    rows the caller must redo.
+    union of covered bits over the non-bailed rows; ``bail_out[i]`` is
+    ``sp_entry``'s return code of row ``i``, nonzero for rows the caller
+    must redo.
 
 ``void sp_batch_mt(const double *rows, long long n, long long n_threads,
-double *r_out, uint64_t *cov_out, unsigned char *bail_out)``
+double *r_out, uint64_t *cov_out, int32_t *bail_out)``
     Same row semantics, but the row range is partitioned across pthread
     workers (the same size+rest split as the engine's ``chunk_evenly``).
     Each worker accumulates covered bits into a private
@@ -94,6 +98,7 @@ typedef struct {
     double r;
     uint64_t cov[SP_NWORDS];
     int status; /* 0 ok, 1 frozen (swallowed exception), 2 bail */
+    int bail_site; /* the bail site that fired, when status is 2 */
 } SpCtx;
 
 static uint64_t sp_bits(double x) { uint64_t u; memcpy(&u, &x, 8); return u; }
@@ -124,6 +129,16 @@ static int sp_i64_exact(int64_t v) {
 }
 static int sp_f64_fits_i64(double v) {
     return v >= -9223372036854775808.0 && v < 9223372036854775808.0;
+}
+/* The low 64 bits (two's complement) of the int of a finite double that is
+   integral or fits int64: Python's int(v) modulo 2**64, any magnitude. */
+static int64_t sp_f64_low64(double v) {
+    if (sp_f64_fits_i64(v)) return (int64_t)v;
+    uint64_t b = sp_bits(v);
+    int e = (int)((b >> 52) & 0x7ff) - 1075; /* v = m * 2**e, e >= 11 */
+    uint64_t m = (b & 0xfffffffffffffULL) | 0x10000000000000ULL;
+    uint64_t low = e < 64 ? m << e : 0;
+    return (int64_t)((b >> 63) ? 0 - low : low);
 }
 /* Portable arithmetic right shift for 0 <= s <= 63. */
 static int64_t sp_sar(int64_t a, int64_t s) {
@@ -199,6 +214,12 @@ def _comment(text: str) -> str:
     return text.replace("*/", "* /").replace("\n", " ")
 
 
+def _c_string(text: str) -> str:
+    escaped = text.replace("\\", "\\\\").replace('"', '\\"').replace("?", "\\?")
+    escaped = escaped.replace("\n", " ")
+    return f'"{escaped}"'
+
+
 class _FnRenderer:
     def __init__(self, fn: FnIR, lines: list):
         self.fn = fn
@@ -244,10 +265,12 @@ class _FnRenderer:
                  f"{{ ctx->status = 1; return; }} /* {_comment(s.reason)} */")
         elif isinstance(s, SBail):
             emit(indent,
-                 f"{{ ctx->status = 2; return; }} /* {_comment(s.reason)} */")
+                 f"{{ ctx->status = 2; ctx->bail_site = {s.site}; return; }} "
+                 f"/* {_comment(s.reason)} */")
         elif isinstance(s, SReturn):
             for index, value in enumerate(s.values):
-                emit(indent, f"*sp_ret{index} = {_rx(value)};")
+                if value is not None:  # a slot no caller reads
+                    emit(indent, f"*sp_ret{index} = {_rx(value)};")
             emit(indent, "return;")
         elif isinstance(s, SCall):
             args = ["ctx"] + [_rx(a) for a in s.args]
@@ -310,6 +333,11 @@ def render_c(ir: ProgramIR) -> str:
         f"const long long sp_meta[{len(SP_META_FIELDS)}] = "
         f"{{ {', '.join(_i64_lit(v) for v in meta)} }};"
     )
+    reasons = [_c_string(reason) for reason in ir.bail_reasons] or ["0"]
+    lines.append(
+        f"const char *const sp_bail_reasons[{len(reasons)}] = "
+        f"{{ {', '.join(reasons)} }};"
+    )
     lines.append("")
     for fn in ir.functions:
         lines.append(_signature(fn) + ";")
@@ -326,7 +354,7 @@ def render_c(ir: ProgramIR) -> str:
     ]
     _render_entry_call(ir, lines, "    ", lambda k: f"x[{k}]")
     lines += [
-        "    if (ctx.status == 2) return 1;",
+        "    if (ctx.status == 2) return 1 + ctx.bail_site;",
         "    *r_out = ctx.r;",
         "    for (int w = 0; w < SP_NWORDS; w++) cov_out[w] = ctx.cov[w];",
         "    return 0;",
@@ -339,7 +367,7 @@ def render_c(ir: ProgramIR) -> str:
         "                           long long start, long long end,",
         "                           double *restrict r_out,",
         "                           uint64_t *restrict cov,",
-        "                           unsigned char *restrict bail_out) {",
+        "                           int32_t *restrict bail_out) {",
         "    SpCtx ctx;",
         "    memset(ctx.cov, 0, sizeof ctx.cov);",
         "    for (long long i = start; i < end; i++) {",
@@ -350,7 +378,7 @@ def render_c(ir: ProgramIR) -> str:
     _render_entry_call(ir, lines, "        ", lambda k: f"row[{k}]")
     lines += [
         "        if (ctx.status == 2) {",
-        "            bail_out[i] = 1;",
+        "            bail_out[i] = 1 + ctx.bail_site;",
         "            r_out[i] = 0.0;",
         "            /* Drop this row's partial coverage (bailed rows are",
         "               redone by the caller on the scalar tier). */",
@@ -367,7 +395,7 @@ def render_c(ir: ProgramIR) -> str:
         "}",
         "",
         "void sp_batch(const double *rows, long long n, double *r_out,",
-        "              uint64_t *cov_out, unsigned char *bail_out) {",
+        "              uint64_t *cov_out, int32_t *bail_out) {",
         "    for (int w = 0; w < SP_NWORDS; w++) cov_out[w] = 0;",
         "    sp_batch_range(rows, 0, n, r_out, cov_out, bail_out);",
         "}",
@@ -377,7 +405,7 @@ def render_c(ir: ProgramIR) -> str:
         "    long long start;",
         "    long long end;",
         "    double *r_out;",
-        "    unsigned char *bail_out;",
+        "    int32_t *bail_out;",
         "    uint64_t cov[SP_NWORDS];",
         "} SpMtChunk;",
         "",
@@ -395,7 +423,7 @@ def render_c(ir: ProgramIR) -> str:
         "   never zeroed here. */",
         "void sp_batch_mt(const double *rows, long long n, long long n_threads,",
         "                 double *r_out, uint64_t *cov_out,",
-        "                 unsigned char *bail_out) {",
+        "                 int32_t *bail_out) {",
         "    if (n_threads > n) n_threads = n;",
         "    if (n_threads > SP_MT_MAX) n_threads = SP_MT_MAX;",
         "    if (n_threads <= 1) {",

@@ -37,7 +37,9 @@ from pathlib import Path
 #: 3: exported ``sp_meta`` constant (ABI, arity, n_words, bail/freeze sites).
 #: 4: adopted helpers emitted against their own module globals; the digest
 #:    covers helper sources and the global constants the code names.
-ABI_VERSION = 4
+#: 5: dead values sliced away, huge ints masked exactly; ``sp_entry`` and
+#:    ``bail_out`` report the bail site, ``sp_bail_reasons`` names each.
+ABI_VERSION = 5
 
 #: Default upper bound on cached shared objects on disk (each entry keeps
 #: its .c source next to the .so for debuggability; ~45 KB together).  One

@@ -14,23 +14,46 @@ bit-for-bit:
   ``ValueError``) become *freeze* statements that end the row keeping the
   current ``r`` and covered bits -- exactly what the scalar tier's
   ``except (ArithmeticError, ValueError, OverflowError)`` does,
-* constructs whose native semantics could diverge from CPython (huge ints,
-  unknown calls, ``scipy`` leaves, ...) become *bail* statements: the row
-  unwinds and the runtime re-evaluates it on the scalar specialized variant.
+* constructs whose native semantics could diverge from CPython (unknown
+  calls, live :data:`OPAQUE_CALLS` values, huge ints outside ``& C``, ...)
+  become *bail* statements: the row unwinds and the runtime re-evaluates it
+  on the scalar specialized variant.
+
+Two rules keep rows that only *compute* such values native:
+
+* **Huge ints from doubles.**  ``int(x)`` and ``math.floor/ceil/trunc(x)``
+  of a double carry the low 64 bits of the exact integer (two's complement)
+  and a flag set when it lies beyond int64.  Masking with ``& C``,
+  ``0 <= C < 2**63``, is exact from those bits and clears the flag; every
+  other use (comparison, ``float()``, shifts, ``//``, ``%``, ``abs``, a
+  return or call argument) first bails when the flag is set.
+* **Dead values are sliced away** (:func:`slice_dead_values`).  After
+  lowering, a backward liveness pass deletes every computation whose value
+  reaches no probe, conditional test, ``r`` or covered-bit write, loop
+  condition, call into a program unit, or return value some caller uses (a
+  fixpoint over the call graph; the entry's return value is dead).  IR
+  values cannot raise -- each Python exception is an explicit freeze or
+  bail guard, and guards are kept -- so a row still freezes exactly where
+  the scalar tier swallows an exception.  A dead call into an adopted
+  helper keeps only what can freeze or bail, and a dead
+  :data:`OPAQUE_CALLS` value disappears (a live one bails).
 
 Typing is a flow-insensitive join over ``{none < bool < i64 < f64}`` run to
 a global fixpoint across all units (helper parameter/return types are joined
 from call sites).  The specializer's dynamic type guards (``x.__class__ is
 float``, ``isinstance(v, (int, float))``, the ``float()`` conversion
-``try``) are folded statically against those types.
+``try``) are folded statically against those types.  Bail sites are numbered
+in the final IR; a bailing row reports its site, whose reason text the
+kernel exports.
 """
 
 from __future__ import annotations
 
 import ast
 import inspect
+import sys
 import textwrap
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.instrument.ast_pass import parse
 from repro.instrument.native.cache import NativeUnavailable
@@ -55,6 +78,11 @@ _I64_MAX = (1 << 63) - 1
 
 def _join(a: int, b: int) -> int:
     return a if a >= b else b
+
+
+def _is_mask(expr) -> bool:
+    """An int64 constant ``C`` with ``0 <= C < 2**63``."""
+    return isinstance(expr, Const) and expr.type == T_I64 and expr.value >= 0
 
 
 # -- IR expressions ----------------------------------------------------------------------
@@ -122,6 +150,17 @@ class ArrRef:
     index: object
 
 
+@dataclass
+class Opaque:
+    """The value of ``float(f(x))`` for an :data:`OPAQUE_CALLS` callable ``f``.
+
+    No backend renders it: :func:`slice_dead_values` deletes it when the
+    value is dead and turns a live one into a bail."""
+
+    type: int
+    fn: str
+
+
 # -- IR statements -----------------------------------------------------------------------
 
 
@@ -176,6 +215,7 @@ class SFreeze:
 @dataclass
 class SBail:
     reason: str
+    site: int = -1  # index into ProgramIR.bail_reasons, set once sliced
 
 
 @dataclass
@@ -196,6 +236,7 @@ class FnIR:
     body: list
     local_vars: list  # of (c_name, type), params excluded
     is_entry: bool = False
+    adopted: bool = False  # uninstrumented helper, not a program unit
 
 
 @dataclass
@@ -206,8 +247,12 @@ class ProgramIR:
     n_conditionals: int
     n_words: int
     arrays: dict  # c_name -> (elem_type, tuple_of_values)
-    bail_sites: int = 0
+    bail_reasons: list = field(default_factory=list)  # by bail site
     freeze_sites: int = 0
+
+    @property
+    def bail_sites(self) -> int:
+        return len(self.bail_reasons)
 
 
 def covered_words(n_conditionals: int) -> int:
@@ -233,6 +278,27 @@ _MISS = object()
 #: emitter folds into a kernel constant.
 FOLD_TYPES = (bool, int, float)
 
+#: Callables whose ``float(f(x))`` value a kernel may drop when it is dead:
+#: each returns a value and, under scipy's default error handling, cannot
+#: raise on a float argument.  A live value still bails.  The list is part
+#: of every kernel digest.
+OPAQUE_CALLS = (
+    "scipy.special.j0",
+    "scipy.special.j1",
+    "scipy.special.y0",
+    "scipy.special.y1",
+)
+
+
+def opaque_name(value):
+    """The :data:`OPAQUE_CALLS` entry that ``value`` is, or ``None``."""
+    for name in OPAQUE_CALLS:
+        module, _, attr = name.rpartition(".")
+        loaded = sys.modules.get(module)
+        if loaded is not None and getattr(loaded, attr, None) is value:
+            return name
+    return None
+
 
 def global_value(namespace: dict, name: str, attr=None):
     """What a body reads as the global ``name`` -- or as ``name.attr`` when
@@ -251,8 +317,9 @@ def baked_form(value):
 
     A :data:`FOLD_TYPES` scalar folds to its value, a tuple of such scalars
     becomes a constant array (any other tuple still folds its ``len``), a
-    builtin (``math`` intrinsics) is called by name and a plain function is
-    called by identity.  Adopted helper *bodies* are emitted from source,
+    builtin (``math`` intrinsics) is called by name, a plain function is
+    called by identity and an :data:`OPAQUE_CALLS` callable may be sliced
+    away.  Adopted helper *bodies* are emitted from source,
     which :func:`repro.instrument.native.kernel.helper_digest` hashes apart.
     Every form is deterministic text, so a kernel digest over them is stable
     across processes."""
@@ -266,6 +333,9 @@ def baked_form(value):
     if inspect.isbuiltin(value) or inspect.isfunction(value):
         module = getattr(value, "__module__", None)
         return f"{kind.__name__} {module}.{value.__qualname__}"
+    opaque = opaque_name(value)
+    if opaque is not None:
+        return f"opaque {opaque}"
     return None
 
 
@@ -303,10 +373,12 @@ class _FnInfo:
     assigned: set  # names stored anywhere in the unit
     returns_value: bool  # some ``return <value>`` statement in the body
     tree: ast.FunctionDef
-    namespace: dict  # globals the body runs against
+    namespace: dict  # globals the body runs against, leading imports bound
     adopted: bool = False  # uninstrumented helper, not a program unit
+    imports: list = field(default_factory=list)  # leading ``import`` nodes
     var_types: dict = field(default_factory=dict)
     var_maybool: set = field(default_factory=set)
+    var_wide: dict = field(default_factory=dict)  # name -> bail reason
     param_maybool: set = field(default_factory=set)
     ret_arity: int = -1  # -1 unknown, 0 none, n values
     ret_types: list = field(default_factory=list)
@@ -343,11 +415,44 @@ def _sanitize(name: str) -> str:
     return "v_" + "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in name)
 
 
+def _wide_flag(name: str) -> str:
+    """C name of the flag set while variable ``name`` holds an int beyond
+    int64 (see :class:`_Wide`)."""
+    return "w" + _sanitize(name)[1:]
+
+
+@dataclass
+class _Wide:
+    """An int converted from a double that may lie beyond int64: ``low``
+    holds the low 64 bits of the exact value (two's complement) and the
+    bool ``flag`` is set when it does not fit.  Only ``& C`` with
+    ``0 <= C < 2**63`` is exact from ``low``; every other use settles the
+    value first, bailing with ``reason`` when ``flag`` is set."""
+
+    low: VarRef
+    flag: VarRef
+    reason: str
+
+
 def _fn_info(func: ast.FunctionDef, py_name: str, c_name: str,
              namespace: dict, **flags) -> _FnInfo:
     scan = _AssignedNames()
     for stmt in func.body:
         scan.visit(stmt)
+    # ``import math`` at the top of a body binds a module already loaded:
+    # it cannot raise, and reads through it resolve like global ones.
+    imports, bound = [], {}
+    for stmt in func.body:
+        if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant):
+            continue  # docstring
+        if not isinstance(stmt, ast.Import) or not all(
+            "." not in alias.name and alias.name in sys.modules
+            for alias in stmt.names
+        ):
+            break
+        imports.append(stmt)
+        for alias in stmt.names:
+            bound[alias.asname or alias.name] = sys.modules[alias.name]
     arguments = func.args.args
     params = [a.arg for a in arguments]
     defaults = {}
@@ -365,7 +470,8 @@ def _fn_info(func: ast.FunctionDef, py_name: str, c_name: str,
         assigned=scan.names | set(params),
         returns_value=scan.returns_value,
         tree=func,
-        namespace=namespace,
+        namespace={**namespace, **bound} if bound else namespace,
+        imports=imports,
         **flags,
     )
 
@@ -387,8 +493,6 @@ class ProgramEmitter:
         self.arity = arity
         self.n_conditionals = n_conditionals
         self.entry_name = entry_name
-        self.bail_sites = 0
-        self.freeze_sites = 0
         self.arrays: dict = {}
         self._array_names: dict = {}
         self.infos: dict = {}  # unit name -> _FnInfo
@@ -422,8 +526,6 @@ class ProgramEmitter:
         functions = []
         for _ in range(self.MAX_PASSES):
             self._changed = False
-            self.bail_sites = 0
-            self.freeze_sites = 0
             # Helpers adopted mid-pass are appended to ``self.order`` and
             # emitted in the same pass.
             functions = [self._emit_unit(info) for info in self.order]
@@ -433,18 +535,19 @@ class ProgramEmitter:
             # A stable pass is required: caller argument conversions and
             # callee parameter declarations must agree on every type.
             raise NativeUnavailable("type inference did not converge")
+        functions = slice_dead_values(functions)
         entry_fn = next(f for f in functions if f.is_entry)
         self._check_entry_viable(entry_fn)
-        n_words = covered_words(self.n_conditionals)
+        bail_reasons, freeze_sites = _number_sites(functions)
         return ProgramIR(
             functions=functions,
             entry=entry_fn,
             arity=self.arity,
             n_conditionals=self.n_conditionals,
-            n_words=n_words,
+            n_words=covered_words(self.n_conditionals),
             arrays=dict(self.arrays),
-            bail_sites=self.bail_sites,
-            freeze_sites=self.freeze_sites,
+            bail_reasons=bail_reasons,
+            freeze_sites=freeze_sites,
         )
 
     def _check_entry_viable(self, fn: FnIR) -> None:
@@ -491,6 +594,7 @@ class ProgramEmitter:
             for n, t in sorted(info.var_types.items())
             if n not in info.params and t != T_NONE
         ]
+        local_vars.extend((_wide_flag(n), T_BOOL) for n in sorted(info.var_wide))
         local_vars.extend(self._temps)
         return FnIR(
             py_name=info.py_name,
@@ -500,6 +604,7 @@ class ProgramEmitter:
             body=body,
             local_vars=local_vars,
             is_entry=info.is_entry,
+            adopted=info.adopted,
         )
 
     # -- blocks and statements ------------------------------------------------------
@@ -515,15 +620,10 @@ class ProgramEmitter:
                 # left-to-right evaluation; the bail unwinds before any
                 # further observable effect.
                 out.append(SBail(exc.reason))
-                self.bail_sites += 1
         self._block = prev
         return out
 
     def _push(self, stmt) -> None:
-        if isinstance(stmt, SBail):
-            self.bail_sites += 1
-        elif isinstance(stmt, SFreeze):
-            self.freeze_sites += 1
         self._block.append(stmt)
 
     def _capture(self, fn) -> list:
@@ -564,6 +664,8 @@ class ProgramEmitter:
                 raise _StmtBail("continue outside loop")
             return self._push(SContinue())
         if isinstance(node, ast.Global):
+            return None
+        if isinstance(node, ast.Import) and any(node is i for i in self.fn.imports):
             return None
         if isinstance(node, ast.Pass):
             return None
@@ -626,7 +728,11 @@ class ProgramEmitter:
             return self._stmt_tuple_assign(targets[0], node.value)
         if any(isinstance(t, ast.Tuple) for t in targets):
             raise _StmtBail("chained tuple assignment")
-        value = self._expr(node.value)
+        value = self._wide_expr(node.value)
+        if isinstance(value, _Wide):
+            if len(targets) == 1 and targets[0] != R_NAME:
+                return self._store_wide(targets[0], value)
+            value = self._settle(value)
         maybool = self._maybool(value)
         if len(targets) > 1:
             value = self._materialize(value)
@@ -803,6 +909,19 @@ class ProgramEmitter:
             self._changed = True
         value = self._convert(expr, joined, f"store to {name}")
         self._push(SAssign(VarRef(joined, _sanitize(name)), value))
+        if name in info.var_wide:
+            self._push(SAssign(VarRef(T_BOOL, _wide_flag(name)),
+                               Const(T_BOOL, False)))
+
+    def _store_wide(self, name: str, wide: _Wide) -> None:
+        """Store a maybe-huge int: the variable keeps its flag, so a later
+        read can still mask it exactly or settle it."""
+        info = self.fn
+        if name not in info.var_wide:
+            info.var_wide[name] = wide.reason
+            self._changed = True
+        self._store(name, wide.low)  # its flag reset is a dead store
+        self._push(SAssign(VarRef(T_BOOL, _wide_flag(name)), wide.flag))
 
     def _convert(self, expr, target: int, what: str):
         """Implicit store conversion.  Runtime int64 -> float64 is a bail:
@@ -896,6 +1015,19 @@ class ProgramEmitter:
     # -- expressions ----------------------------------------------------------------
 
     def _expr(self, node):
+        value = self._wide_expr(node)
+        if isinstance(value, _Wide):
+            return self._settle(value)
+        return value
+
+    def _settle(self, wide: _Wide):
+        """The int64 value of a maybe-huge int, bailing when it is huge."""
+        self._push(SIf(wide.flag, [SBail(wide.reason)], []))
+        return wide.low
+
+    def _wide_expr(self, node):
+        """Like :meth:`_expr`, but an int converted from a double may come
+        back unsettled, as a :class:`_Wide`."""
         folded = self._try_const(node)
         if folded is not _MISS:
             return self._const_expr(folded)
@@ -932,6 +1064,10 @@ class ProgramEmitter:
             t = info.var_types.get(name, T_NONE)
             if t == T_NONE:
                 raise _StmtBail(f"read of untyped variable {name!r}")
+            if t == T_I64 and name in info.var_wide:
+                return _Wide(VarRef(t, _sanitize(name)),
+                             VarRef(T_BOOL, _wide_flag(name)),
+                             info.var_wide[name])
             return VarRef(t, _sanitize(name))
         raise _StmtBail(f"unresolvable name {name!r}")
 
@@ -963,11 +1099,12 @@ class ProgramEmitter:
         var = self._materialize(self._as_i64(expr))
         self._push(SIf(Un(T_BOOL, "!", CallE(T_BOOL, "sp_i64_exact", [var])),
                        [SBail(why)], []))
-        self.bail_sites += 1
         return Cast(T_F64, var)
 
     def _binop(self, node: ast.BinOp):
         op = type(node.op)
+        if op is ast.BitAnd:
+            return self._bitand(node)
         left = self._expr(node.left)
         right = self._expr(node.right)
         if op in (ast.Add, ast.Sub, ast.Mult):
@@ -983,7 +1120,6 @@ class ProgramEmitter:
             self._push(SIf(Bin(T_BOOL, "==", self._as_f64_arith(b)
                                if b.type == T_F64 else self._as_i64(b), zero),
                            [SFreeze("division by zero")], []))
-            self.freeze_sites += 1
             if left.type == T_F64 or right.type == T_F64:
                 return Bin(T_F64, "/", self._as_f64_arith(left),
                            self._as_f64_arith(b))
@@ -998,43 +1134,60 @@ class ProgramEmitter:
             b = self._materialize(self._as_i64(right))
             self._push(SIf(Bin(T_BOOL, "==", b, Const(T_I64, 0)),
                            [SFreeze("integer division by zero")], []))
-            self.freeze_sites += 1
             self._push(SIf(
                 Bin(T_BOOL, "&&",
                     Bin(T_BOOL, "==", a, Const(T_I64, _I64_MIN)),
                     Bin(T_BOOL, "==", b, Const(T_I64, -1))),
                 [SBail("int64 division overflow")], []))
-            self.bail_sites += 1
             fn = "sp_ifdiv" if op is ast.FloorDiv else "sp_imod"
             return CallE(T_I64, fn, [a, b])
-        if op in (ast.BitAnd, ast.BitOr, ast.BitXor):
-            sym = {ast.BitAnd: "&", ast.BitOr: "|", ast.BitXor: "^"}[op]
+        if op in (ast.BitOr, ast.BitXor):
+            sym = {ast.BitOr: "|", ast.BitXor: "^"}[op]
             return Bin(T_I64, sym, self._as_i64(left), self._as_i64(right))
         if op is ast.LShift:
             a = self._materialize(self._as_i64(left))
             s = self._materialize(self._as_i64(right))
             self._push(SIf(Bin(T_BOOL, "<", s, Const(T_I64, 0)),
                            [SFreeze("negative shift count")], []))
-            self.freeze_sites += 1
             self._push(SIf(Bin(T_BOOL, ">", s, Const(T_I64, 63)),
                            [SBail("shift beyond int64")], []))
-            self.bail_sites += 1
             res = self._materialize(Bin(T_I64, "<<", a, s))
             self._push(SIf(Bin(T_BOOL, "!=", CallE(T_I64, "sp_sar", [res, s]), a),
                            [SBail("int64 left-shift overflow")], []))
-            self.bail_sites += 1
             return res
         if op is ast.RShift:
             a = self._materialize(self._as_i64(left))
             s = self._materialize(self._as_i64(right))
             self._push(SIf(Bin(T_BOOL, "<", s, Const(T_I64, 0)),
                            [SFreeze("negative shift count")], []))
-            self.freeze_sites += 1
             saturated = Sel(T_I64, Bin(T_BOOL, "<", a, Const(T_I64, 0)),
                             Const(T_I64, -1), Const(T_I64, 0))
             return Sel(T_I64, Bin(T_BOOL, ">", s, Const(T_I64, 63)),
                        saturated, CallE(T_I64, "sp_sar", [a, s]))
         raise _StmtBail(f"unsupported operator {op.__name__}")
+
+    def _bitand(self, node: ast.BinOp):
+        """``a & C`` with ``0 <= C < 2**63`` depends only on the low 64 bits
+        of ``a`` and fits int64, so a maybe-huge ``a`` is masked unsettled."""
+        left = self._wide_expr(node.left)
+        right = self._wide_expr(node.right)
+        if isinstance(left, _Wide) and _is_mask(right):
+            return Bin(T_I64, "&", left.low, right)
+        if isinstance(right, _Wide) and _is_mask(left):
+            return Bin(T_I64, "&", left, right.low)
+        if isinstance(left, _Wide):
+            left = self._settle(left)
+        if isinstance(right, _Wide):
+            right = self._settle(right)
+        return Bin(T_I64, "&", self._as_i64(left), self._as_i64(right))
+
+    def _wide_int(self, x, reason: str) -> _Wide:
+        """The int of a float64 ``x`` that is integral or fits int64 (C
+        truncates like ``int()`` there), as a maybe-huge int."""
+        flag = self._snapshot(
+            Un(T_BOOL, "!", CallE(T_BOOL, "sp_f64_fits_i64", [x])))
+        low = self._snapshot(CallE(T_I64, "sp_f64_low64", [x]))
+        return _Wide(low, flag, reason)
 
     def _unaryop(self, node: ast.UnaryOp):
         if isinstance(node.op, ast.Not):
@@ -1050,7 +1203,6 @@ class ProgramEmitter:
             v = self._materialize(self._as_i64(operand))
             self._push(SIf(Bin(T_BOOL, "==", v, Const(T_I64, _I64_MIN)),
                            [SBail("negate int64 min")], []))
-            self.bail_sites += 1
             return Un(T_I64, "-", v)
         if isinstance(node.op, ast.Invert):
             return Un(T_I64, "~", self._as_i64(operand))
@@ -1228,7 +1380,6 @@ class ProgramEmitter:
                 Bin(T_BOOL, "<", wrapped, Const(T_I64, 0)),
                 Bin(T_BOOL, ">=", wrapped, length)),
             [SBail("tuple index out of range")], []))
-        self.bail_sites += 1
         return ArrRef(elem_type, c_name, wrapped)
 
     def _register_array(self, name: str, table: tuple):
@@ -1433,10 +1584,40 @@ class ProgramEmitter:
                 return Const(T_F64, float(args[0].value))
             except ValueError:
                 raise _StmtBail("unparsable float() string") from None
+        if len(args) == 1 and isinstance(args[0], ast.Call):
+            opaque = self._opaque_call(args[0])
+            if opaque is not None:
+                return opaque
         return self._f64_arg(self._one(args, "float"))
 
+    def _opaque_call(self, node: ast.Call):
+        """``float(f(x))`` for an :data:`OPAQUE_CALLS` callable ``f`` and a
+        float ``x``: a temp holding an :class:`Opaque` value, or ``None``
+        when ``f`` is not one of them."""
+        func = node.func
+        if isinstance(func, ast.Name):
+            owner, attr = func.id, None
+        elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            owner, attr = func.value.id, func.attr
+        else:
+            return None
+        if owner in self.fn.assigned:
+            return None
+        name = opaque_name(global_value(self.namespace, owner, attr))
+        if name is None or node.keywords or len(node.args) != 1 \
+                or isinstance(node.args[0], ast.Starred):
+            return None
+        # The argument is evaluated for its guards; only its type matters.
+        if self._expr(node.args[0]).type != T_F64:
+            raise _StmtBail(f"{name} of a non-float argument")
+        return self._snapshot(Opaque(T_F64, name))
+
     def _call_int(self, args):
-        v = self._one(args, "int")
+        if len(args) != 1:
+            raise _StmtBail("int expects one argument")
+        v = self._wide_expr(args[0])
+        if isinstance(v, _Wide):
+            return v
         if v.type in (T_I64, T_BOOL):
             return self._as_i64(v)
         x = self._materialize(v)
@@ -1444,11 +1625,7 @@ class ProgramEmitter:
                        [SFreeze("int() of nan")], []))
         self._push(SIf(CallE(T_BOOL, "sp_isinf", [x]),
                        [SFreeze("int() of infinity")], []))
-        self.freeze_sites += 2
-        self._push(SIf(Un(T_BOOL, "!", CallE(T_BOOL, "sp_f64_fits_i64", [x])),
-                       [SBail("int() beyond int64")], []))
-        self.bail_sites += 1
-        return Cast(T_I64, x)
+        return self._wide_int(x, "int() beyond int64")
 
     def _call_bool(self, args):
         return self._truthy(self._one(args, "bool"))
@@ -1460,7 +1637,6 @@ class ProgramEmitter:
         x = self._materialize(self._as_i64(v))
         self._push(SIf(Bin(T_BOOL, "==", x, Const(T_I64, _I64_MIN)),
                        [SBail("abs of int64 min")], []))
-        self.bail_sites += 1
         return Sel(T_I64, Bin(T_BOOL, "<", x, Const(T_I64, 0)),
                    Un(T_I64, "-", x), x)
 
@@ -1514,7 +1690,6 @@ class ProgramEmitter:
                     Bin(T_BOOL, "!=", res, res),
                     Bin(T_BOOL, "==", x, x)),
                 [SFreeze(f"math.{name} domain error")], []))
-            self.freeze_sites += 2
         return res
 
     def _call_libm2(self, args):
@@ -1539,7 +1714,6 @@ class ProgramEmitter:
                     CallE(T_BOOL, "sp_isinf", [res]),
                     Bin(T_BOOL, "&&", both_nonnan, both_finite)),
                 [SFreeze(f"math.{name} overflow/domain")], []))
-            self.freeze_sites += 2
         return res
 
     def _call_round(self, args):
@@ -1552,15 +1726,8 @@ class ProgramEmitter:
                        [SFreeze(f"math.{name} of nan")], []))
         self._push(SIf(CallE(T_BOOL, "sp_isinf", [x]),
                        [SFreeze(f"math.{name} of infinity")], []))
-        self.freeze_sites += 2
-        rounded = self._materialize(
-            CallE(T_F64, {"floor": "floor", "ceil": "ceil",
-                          "trunc": "trunc"}[name], [x]))
-        self._push(SIf(Un(T_BOOL, "!",
-                          CallE(T_BOOL, "sp_f64_fits_i64", [rounded])),
-                       [SBail(f"math.{name} beyond int64")], []))
-        self.bail_sites += 1
-        return Cast(T_I64, rounded)
+        rounded = self._materialize(CallE(T_F64, name, [x]))
+        return self._wide_int(rounded, f"math.{name} beyond int64")
 
     def _call_isnan(self, args):
         x = self._f64_arg(self._one(args, "isnan"))
@@ -1605,7 +1772,6 @@ class ProgramEmitter:
                 Bin(T_BOOL, "!=", x, x)))
         self._push(SIf(is_special, [SAssign(res, x)],
                        [SFreeze("ldexp overflow")]))
-        self.freeze_sites += 1
 
     def _ldexp_main(self, x, e, res):
         self._push(SAssign(res, CallE(T_F64, "sp_ldexp", [x, e])))
@@ -1616,7 +1782,6 @@ class ProgramEmitter:
                     Un(T_BOOL, "!", CallE(T_BOOL, "sp_isinf", [x])),
                     Bin(T_BOOL, "==", x, x))),
             [SFreeze("ldexp overflow")], []))
-        self.freeze_sites += 1
 
     def _call_remainder(self, args):
         a, b = self._two(args, "remainder")
@@ -1631,7 +1796,6 @@ class ProgramEmitter:
                             [SIf(CallE(T_BOOL, "sp_isinf", [x]),
                                  [SFreeze("remainder of infinity")],
                                  finite)])]))
-        self.freeze_sites += 1
         return res
 
     def _remainder_finite(self, x, y, res):
@@ -1639,7 +1803,6 @@ class ProgramEmitter:
                        [SIf(Bin(T_BOOL, "==", y, Const(T_F64, 0.0)),
                             [SFreeze("remainder by zero")],
                             [SAssign(res, CallE(T_F64, "remainder", [x, y]))])]))
-        self.freeze_sites += 1
 
     # fdlibm word intrinsics ------------------------------------------------------
 
@@ -1686,6 +1849,190 @@ class ProgramEmitter:
 
     def _call_bits_bits_to_double(self, args):
         raise _StmtBail("bits_to_double in native tier")
+
+
+# -- dead-value slice ---------------------------------------------------------------------
+
+
+def _uses(expr, live: set) -> set:
+    """Add the variables ``expr`` reads to ``live``; returns ``live``."""
+    if isinstance(expr, VarRef):
+        if not expr.is_r:
+            live.add(expr.name)
+    elif isinstance(expr, Bin):
+        _uses(expr.left, live)
+        _uses(expr.right, live)
+    elif isinstance(expr, (Un, Cast)):
+        _uses(expr.operand, live)
+    elif isinstance(expr, CallE):
+        for arg in expr.args:
+            _uses(arg, live)
+    elif isinstance(expr, Sel):
+        _uses(expr.cond, live)
+        _uses(expr.a, live)
+        _uses(expr.b, live)
+    elif isinstance(expr, ArrRef):
+        _uses(expr.index, live)
+    return live
+
+
+def _walk(stmts):
+    """Every statement of a body, nested ones included, in order."""
+    for stmt in stmts:
+        yield stmt
+        if isinstance(stmt, SIf):
+            yield from _walk(stmt.body)
+            yield from _walk(stmt.orelse)
+        elif isinstance(stmt, SLoop):
+            yield from _walk(stmt.body)
+
+
+class _Slicer:
+    """Backward liveness over one function body, dropping dead statements.
+
+    Given the function's live return slots, :meth:`block` returns the body
+    without the assignments to dead variables, ``if`` statements left with
+    two empty branches and the calls into adopted helpers whose results are
+    dead and which cannot freeze or bail; :attr:`demanded` collects the
+    return slots each callee must still fill.  Every other statement stays:
+    ``r`` and covered-bit writes, freezes, bails, loops, returns and calls
+    into program units."""
+
+    def __init__(self, ret_live: set, functions: dict, effectful: dict):
+        self.ret_live = ret_live
+        self.functions = functions
+        self.effectful = effectful
+        self.demanded: dict = {}  # callee c_name -> live return slots
+        self._loops: list = []  # (live after the loop, live at its head)
+
+    def block(self, stmts, live: set):
+        kept = []
+        for stmt in reversed(stmts):
+            stmt, live = self.stmt(stmt, live)
+            if stmt is not None:
+                kept.append(stmt)
+        kept.reverse()
+        return kept, live
+
+    def stmt(self, s, live: set):
+        if isinstance(s, SAssign):
+            if s.var.name not in live:
+                return None, live
+            if isinstance(s.value, Opaque):
+                return SBail(f"unsupported callable {s.value.fn}"), set()
+            return s, _uses(s.value, live - {s.var.name})
+        if isinstance(s, SSetR):
+            return s, _uses(s.value, set(live))
+        if isinstance(s, SCov):
+            return s, _uses(s.index, set(live))
+        if isinstance(s, SIf):
+            body, live_body = self.block(s.body, live)
+            orelse, live_else = self.block(s.orelse, live)
+            if not body and not orelse:
+                return None, live
+            return SIf(s.cond, body, orelse), _uses(s.cond, live_body | live_else)
+        if isinstance(s, SLoop):
+            # The least fixpoint of the variables live at the loop head.
+            head: set = set()
+            while True:
+                self._loops.append((live, head))
+                body, entry = self.block(s.body, head)
+                self._loops.pop()
+                if entry <= head:
+                    return SLoop(body), head
+                head = head | entry
+        if isinstance(s, SBreak):
+            return s, set(self._loops[-1][0])
+        if isinstance(s, SContinue):
+            return s, set(self._loops[-1][1])
+        if isinstance(s, SReturn):
+            values = [v if i in self.ret_live else None
+                      for i, v in enumerate(s.values)]
+            live = set()
+            for value in values:
+                if value is not None:
+                    _uses(value, live)
+            return SReturn(values), live
+        if isinstance(s, (SFreeze, SBail)):
+            return s, set()
+        if isinstance(s, SCall):
+            outs = {i for i, out in enumerate(s.outs) if out.name in live}
+            self.demanded.setdefault(s.fn, set()).update(outs)
+            if not outs and not _keeps_call(s.fn, self.functions,
+                                            self.effectful):
+                return None, live
+            live = live - {out.name for out in s.outs}
+            for arg in s.args:
+                _uses(arg, live)
+            return s, live
+        raise TypeError(f"unknown IR statement {type(s).__name__}")
+
+
+def _keeps_call(c_name: str, functions: dict, effectful: dict) -> bool:
+    """Must a call whose results are all dead stay?  A call into a program
+    unit always does (coverage and ``r``); one into an adopted helper only
+    when its sliced body can freeze or bail."""
+    return not functions[c_name].adopted or effectful[c_name]
+
+
+def _has_effects(stmts, functions: dict, effectful: dict) -> bool:
+    for s in _walk(stmts):
+        if isinstance(s, SCall):
+            if _keeps_call(s.fn, functions, effectful):
+                return True
+        elif not isinstance(s, (SAssign, SIf, SReturn, SBreak, SContinue)):
+            return True  # a write of r or coverage, a freeze, a bail, a loop
+    return False
+
+
+def slice_dead_values(functions: list) -> list:
+    """Delete every computation whose value reaches no test or effect.
+
+    A fixpoint over the call graph: each function is sliced given the
+    return slots its callers use and whether the helpers it calls can
+    freeze or bail; both only grow, so the loop ends.  Functions the entry
+    no longer reaches are dropped."""
+    by_name = {fn.c_name: fn for fn in functions}
+    ret_live = {name: set() for name in by_name}
+    effectful = {name: False for name in by_name}
+    while True:
+        bodies = {}
+        demanded = {name: set(slots) for name, slots in ret_live.items()}
+        for fn in functions:
+            slicer = _Slicer(ret_live[fn.c_name], by_name, effectful)
+            bodies[fn.c_name], _ = slicer.block(fn.body, set())
+            for callee, slots in slicer.demanded.items():
+                demanded[callee] |= slots
+        effects = {
+            name: effectful[name] or _has_effects(bodies[name], by_name, effectful)
+            for name in by_name
+        }
+        if demanded == ret_live and effects == effectful:
+            break
+        ret_live, effectful = demanded, effects
+    entry = next(fn.c_name for fn in functions if fn.is_entry)
+    reached, stack = {entry}, [entry]
+    while stack:
+        for s in _walk(bodies[stack.pop()]):
+            if isinstance(s, SCall) and s.fn not in reached:
+                reached.add(s.fn)
+                stack.append(s.fn)
+    return [replace(fn, body=bodies[fn.c_name])
+            for fn in functions if fn.c_name in reached]
+
+
+def _number_sites(functions: list):
+    """Number the bail sites in emission order; returns their reasons (by
+    site) and the count of freeze sites."""
+    reasons, freezes = [], 0
+    for fn in functions:
+        for s in _walk(fn.body):
+            if isinstance(s, SBail):
+                s.site = len(reasons)
+                reasons.append(s.reason)
+            elif isinstance(s, SFreeze):
+                freezes += 1
+    return reasons, freezes
 
 
 # -- module entry point -------------------------------------------------------------------

@@ -64,6 +64,7 @@ from repro.instrument.native.cache import (
 )
 from repro.instrument.native.emit import (
     FOLD_TYPES,
+    OPAQUE_CALLS,
     baked_form,
     covered_words,
     emit_program_ir,
@@ -73,7 +74,7 @@ from repro.instrument import unit_cache
 
 _C_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 _C_U64_P = ctypes.POINTER(ctypes.c_uint64)
-_C_U8_P = ctypes.POINTER(ctypes.c_ubyte)
+_C_I32_P = ctypes.POINTER(ctypes.c_int32)
 
 
 class _LoadedKernel:
@@ -83,7 +84,7 @@ class _LoadedKernel:
 
     __slots__ = ("digest", "so_path", "lib", "sp_entry", "sp_batch",
                  "sp_batch_mt", "arity", "n_words", "bail_sites",
-                 "freeze_sites")
+                 "freeze_sites", "_bail_reasons")
 
     def __init__(self, digest, so_path, lib, meta):
         self.digest = digest
@@ -94,6 +95,7 @@ class _LoadedKernel:
         self.n_words = fields["n_words"]
         self.bail_sites = fields["bail_sites"]
         self.freeze_sites = fields["freeze_sites"]
+        self._bail_reasons = None
         # The scalar entry takes raw buffer addresses: NativeKernel.scalar
         # passes the addresses of its own long-lived buffers, which skips
         # the per-call pointer conversions of typed arguments.
@@ -103,15 +105,26 @@ class _LoadedKernel:
         batch = lib.sp_batch
         batch.restype = None
         batch.argtypes = [_C_DOUBLE_P, ctypes.c_longlong, _C_DOUBLE_P,
-                          _C_U64_P, _C_U8_P]
+                          _C_U64_P, _C_I32_P]
         batch_mt = lib.sp_batch_mt
         batch_mt.restype = None
         batch_mt.argtypes = [_C_DOUBLE_P, ctypes.c_longlong,
                              ctypes.c_longlong, _C_DOUBLE_P, _C_U64_P,
-                             _C_U8_P]
+                             _C_I32_P]
         self.sp_entry = entry
         self.sp_batch = batch
         self.sp_batch_mt = batch_mt
+
+    def bail_reason(self, site: int) -> str:
+        """The reason text of bail site ``site`` (read from the kernel's
+        ``sp_bail_reasons`` at the first bail)."""
+        reasons = self._bail_reasons
+        if reasons is None:
+            array = (ctypes.c_char_p * max(1, self.bail_sites)).in_dll(
+                self.lib, "sp_bail_reasons")
+            reasons = tuple(array[i].decode() for i in range(self.bail_sites))
+            self._bail_reasons = reasons
+        return reasons[site]
 
 
 def kernel_digest(program, saturated_mask: int, epsilon: float) -> str:
@@ -121,7 +134,8 @@ def kernel_digest(program, saturated_mask: int, epsilon: float) -> str:
     per-unit (source sha256, function name, start label) triples, the
     program's :func:`helper_digest`, the saturation mask, epsilon (hex,
     bit-exact), the backend name, the compiler version line, the
-    optimization flag tier and the codegen ABI version."""
+    optimization flag tier, the codegen ABI version and the callables the
+    emitter may slice away (:data:`~repro.instrument.native.emit.OPAQUE_CALLS`)."""
     _cc, version = find_cc()
     hasher = hashlib.sha256()
     for source, function_name, start_label in program.units:
@@ -134,6 +148,7 @@ def kernel_digest(program, saturated_mask: int, epsilon: float) -> str:
     hasher.update(f"cc={version}\n".encode())
     hasher.update(f"opt={opt_tier()}\n".encode())
     hasher.update(f"abi={ABI_VERSION}\n".encode())
+    hasher.update(f"opaque={','.join(OPAQUE_CALLS)}\n".encode())
     return hasher.hexdigest()
 
 
@@ -416,15 +431,17 @@ class NativeKernel:
     semantics the emitter could not prove) are transparently re-run on the
     scalar specialized variant, so results never depend on the emitter's
     coverage being perfect; that variant is built at the first bail
-    (:attr:`variant`) and :attr:`bails` counts the rows re-run on it.
+    (:attr:`variant`), :attr:`bails` counts the rows re-run on it and
+    :attr:`bail_reasons` counts them per bail reason (a diagnostic: no
+    record, fingerprint or digest reads it).
     :meth:`scalar` is the one-row entry point used by ``evaluate``; it
     reuses this instance's ctypes buffers, so a kernel belongs to one
     thread, like its program.
     """
 
     __slots__ = ("program", "loaded", "saturated_mask", "epsilon", "arity",
-                 "mode", "bails", "_variant", "_x", "_r", "_cov", "_addresses",
-                 "_unary", "_one_word")
+                 "mode", "bails", "bail_reasons", "_variant", "_x", "_r", "_cov",
+                 "_addresses", "_unary", "_one_word")
 
     def __init__(self, program, saturated_mask: int, epsilon: float,
                  loaded: _LoadedKernel):
@@ -435,6 +452,7 @@ class NativeKernel:
         self.arity = loaded.arity
         self.mode = "native"
         self.bails = 0
+        self.bail_reasons: dict[str, int] = {}
         self._variant = None
         # Per-instance scalar buffers (input row, r, covered words), reused
         # by every call and passed to sp_entry by address.
@@ -466,14 +484,18 @@ class NativeKernel:
             self._x[0] = args[0]
         else:
             self._x[:] = args
-        if self.loaded.sp_entry(*self._addresses):
-            return self._scalar_fallback(args)
+        code = self.loaded.sp_entry(*self._addresses)
+        if code:
+            return self._scalar_fallback(args, code - 1)
         if self._one_word:
             return self._r.value, self._cov[0]
         return self._r.value, _mask_of_words(self._cov)
 
-    def _scalar_fallback(self, args) -> tuple[float, int]:
+    def _scalar_fallback(self, args, site: int) -> tuple[float, int]:
+        """Re-run a row that bailed at bail site ``site`` on the variant."""
         self.bails += 1
+        reason = self.loaded.bail_reason(site)
+        self.bail_reasons[reason] = self.bail_reasons.get(reason, 0) + 1
         variant = self.variant
         _value, r = variant.run(args)
         return r, variant.covered_mask()
@@ -491,19 +513,20 @@ class NativeKernel:
         # a zeroed buffer; results are bit-identical to sp_batch for any
         # thread count.
         cov = np.zeros(n_words, dtype=np.uint64)
-        bail = np.empty(n, dtype=np.uint8)
+        bail = np.empty(n, dtype=np.int32)
         self.loaded.sp_batch_mt(
             X.ctypes.data_as(_C_DOUBLE_P),
             ctypes.c_longlong(n),
             ctypes.c_longlong(max(1, int(n_threads))),
             r.ctypes.data_as(_C_DOUBLE_P),
             cov.ctypes.data_as(_C_U64_P),
-            bail.ctypes.data_as(_C_U8_P),
+            bail.ctypes.data_as(_C_I32_P),
         )
         covered = _mask_of_words(cov)
         if bail.any():
             for row_index in np.nonzero(bail)[0]:
-                row_r, row_cov = self._scalar_fallback(X[row_index].tolist())
+                row_r, row_cov = self._scalar_fallback(
+                    X[row_index].tolist(), int(bail[row_index]) - 1)
                 r[row_index] = row_r
                 covered |= row_cov
         return r, covered

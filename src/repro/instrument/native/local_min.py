@@ -76,9 +76,10 @@ _C_SOURCE = r"""
 #define LM_GOLDEN @GOLDEN@
 #define LM_CLAMP 1.0e300
 
+/* Returns 0, or 1 + the bail site of a bailed row. */
 typedef int (*lm_entry_fn)(const double *x, double *r_out, uint64_t *cov_out);
 /* Returns 0 with *r_out set, or nonzero when the Python fallback raised. */
-typedef int (*lm_bail_fn)(const double *x, double *r_out);
+typedef int (*lm_bail_fn)(const double *x, double *r_out, int site);
 
 typedef struct {
     int n;
@@ -188,7 +189,8 @@ static double lm_value(lm_ctx *c, const double *x) {
         return c->values[e];
     }
     double r;
-    if (c->entry(x, &r, c->cov) && c->bail(x, &r)) lm_fail(c, 1);
+    int code = c->entry(x, &r, c->cov);
+    if (code && c->bail(x, &r, code - 1)) lm_fail(c, 1);
     if (r != r || r == INFINITY || r == -INFINITY) r = LM_CLAMP;
     c->misses++;
     lm_insert(c, key, h, r);
@@ -441,7 +443,7 @@ int lm_powell(lm_ctx *c, double *x, long long max_iterations, double tol,
 """.replace("@MAX_ARITY@", str(MAX_ARITY)).replace("@GOLDEN@", _GOLDEN.hex())
 
 _C_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
-_BAIL_FN = ctypes.CFUNCTYPE(ctypes.c_int, _C_DOUBLE_P, _C_DOUBLE_P)
+_BAIL_FN = ctypes.CFUNCTYPE(ctypes.c_int, _C_DOUBLE_P, _C_DOUBLE_P, ctypes.c_int)
 _STATS_FIELDS = ("hits", "misses", "evictions", "entries", "max_entries")
 
 #: Loaded libraries (or the build failure) by (source, cc version, opt
@@ -568,9 +570,9 @@ class NativeObjective:
         errors: list = []
         fallback = kernel._scalar_fallback
 
-        def bail(x, r_out):
+        def bail(x, r_out, site):
             try:
-                r_out[0] = fallback(x[:arity])[0]
+                r_out[0] = fallback(x[:arity], site)[0]
             except BaseException as exc:  # raised again once C unwinds
                 errors.append(exc)
                 return 1

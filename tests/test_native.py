@@ -7,10 +7,12 @@ entry point (serial *and* threaded, ``n_threads`` in {1, 2, 4}), the scalar
 ``PENALTY_SPECIALIZED`` variant and the generic
 :class:`~repro.instrument.runtime.FastRuntime` must compute the same ``r``
 bit-for-bit and the same covered-branch sets, and the suite entries must
-do so without bailing outside their by-design bail sites.  On top of that
-sit emitter semantics the suite exposed (tuple swaps, adopted helpers
-resolved against their own module globals, ``math.erf``/``math.erfc`` as
-libm calls), the kernel/digest caches (including the ``-O3`` flag tier and
+do so without bailing outside their by-design bail sites (``scalb`` only).
+On top of that sit emitter semantics the suite exposed (tuple swaps,
+adopted helpers resolved against their own module globals,
+``math.erf``/``math.erfc`` as libm calls, dead values sliced away with
+their freeze guards kept, ``int(math.floor(x)) & C`` exact beyond int64,
+bail reasons counted per site), the kernel/digest caches (including the ``-O3`` flag tier and
 the helper digest), the warm path (a kernel already on disk loads by digest
 without emitting C, its shape read from the exported ``sp_meta``; the
 specialized bail target is built only at the first bail), the stale/corrupt shared-object fallback (rejected, rebuilt,
@@ -60,6 +62,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from scipy import special as _special
 
 from repro.cli import main as cli_main
 from repro.core.branch_distance import DEFAULT_EPSILON
@@ -96,6 +99,7 @@ from repro.instrument.native.cache import (
     opt_tier,
     wait_for_background,
 )
+from repro.instrument.native.c_backend import render_c
 from repro.instrument.native.emit import covered_words, emit_program_ir
 from repro.instrument.native.kernel import (
     build_native_kernel,
@@ -235,12 +239,15 @@ class TestSampleFormParity:
             _assert_native_parity(program, mask, X)
 
 
-#: Suite entries whose native kernels bail by design on every row that
-#: reaches their scipy-computed values.
-_SCIPY_ENTRIES = {"ieee754_j0", "ieee754_j1", "ieee754_y0", "ieee754_y1"}
-#: Suite entries that take ``int()`` of an input-sized double: rows with an
-#: input beyond int64 bail by design (Python promotes to a big int there).
-_BIG_INT_ENTRIES = {"ieee754_rem_pio2", "ieee754_scalb", "cos", "sin", "tan"}
+#: Suite entries that pass ``int()`` of an input-sized double on to a
+#: comparison: rows with an input beyond int64 bail by design (Python
+#: promotes to a big int there).
+_BIG_INT_ENTRIES = {"ieee754_scalb"}
+
+#: Magnitudes around and far beyond int64: ``rem_pio2``'s large-argument
+#: path masks ``int(math.floor(...))`` of them (cos, sin, tan, the Bessel
+#: entries), which must stay native.
+_HUGE = tuple(sign * 2.0 ** e for e in (62, 64, 100, 1000) for sign in (1, -1))
 
 
 @requires_cc
@@ -254,13 +261,11 @@ class TestFdlibmSuiteParity:
         rng = np.random.default_rng(53)
         n_bits = 2 * program.n_conditionals
         rows = [rng.uniform(-50, 50, size=program.arity) for _ in range(6)]
-        rows += [[s] * program.arity for s in _ADVERSARIAL]
+        rows += [[s] * program.arity for s in _ADVERSARIAL + _HUGE]
         X = np.ascontiguousarray(rows, dtype=np.float64)
         for trial in range(2):
             mask = int(rng.integers(0, 1 << min(n_bits, 62))) if trial else 0
             bailed = _assert_native_parity(program, mask, X)
-            if name in _SCIPY_ENTRIES:
-                continue
             if name in _BIG_INT_ENTRIES:
                 assert all(np.max(np.abs(X[i])) >= 2.0 ** 63 for i in bailed), (
                     name, X[bailed].tolist())
@@ -286,6 +291,17 @@ class TestRuntimeBail:
         _assert_native_parity(program, 0, X)
         kernel = program.native_kernel(0)
         assert kernel.loaded.bail_sites >= 1
+
+    def test_bail_reasons_are_counted_per_site(self, private_cache):
+        """A bailing row reports its bail site; the kernel counts the site's
+        reason, read from the shared object itself on a warm load."""
+        program = _warm_program(trunc_overflows)
+        kernel = program.native_kernel(0)
+        kernel.scalar([1e19])
+        kernel.scalar([2.5])
+        kernel(np.array([[-1e19], [3.0], [2.0 ** 1000]]))
+        assert kernel.bails == 3
+        assert kernel.bail_reasons == {"int() beyond int64": 3}
 
     def test_swallowed_exceptions_freeze_like_the_scalar_tier(self):
         # raises_for_small raises for |x| < 1: the native code must freeze
@@ -319,6 +335,113 @@ class TestTupleAssignment:
         rows += [[s, -s] for s in _ADVERSARIAL]
         X = np.ascontiguousarray(rows, dtype=np.float64)
         for mask in range(1 << (2 * program.n_conditionals)):
+            assert _assert_native_parity(program, mask, X) == [], hex(mask)
+            assert program.native_kernel(mask).bails == 0, hex(mask)
+
+
+def bessel_leaf_dead(x):
+    z = float(_special.j0(x))
+    if x > 1.0:
+        return z
+    return -z
+
+
+def bessel_leaf_tested(x):
+    if x > 4.0:
+        z = float(_special.j0(x))
+        if z > 0.0:
+            return 1.0
+    return 0.0
+
+
+def dead_quotient(x):
+    if x > 1.0:
+        y = 1.0
+    else:
+        y = -1.0
+    q = y / (x - 2.0)
+    if x < 3.0:
+        return q
+    return 0.0
+
+
+def _kernel_ir(program, mask: int = 0):
+    variant = program.specialize(mask)
+    return emit_program_ir(program.units, program.name, program.arity,
+                           program.n_conditionals, variant.namespace, mask,
+                           variant.epsilon)
+
+
+_SLICE_ROWS = (0.5, 1.5, 2.0, 2.5, 3.0, 4.5, 6.0, 9.75, -2.0)
+
+
+@requires_cc
+class TestDeadValueSlice:
+    """Values that reach no test, ``r`` or coverage write are deleted from
+    the kernel; what could freeze or bail stays where it was."""
+
+    def _rows(self):
+        rows = [[v] for v in _SLICE_ROWS + _ADVERSARIAL]
+        return np.ascontiguousarray(rows, dtype=np.float64)
+
+    def test_dead_opaque_call_does_not_bail(self):
+        program = instrument(bessel_leaf_dead)
+        assert not any("j0" in reason for reason in _kernel_ir(program).bail_reasons)
+        for mask in range(1 << (2 * program.n_conditionals)):
+            assert _assert_native_parity(program, mask, self._rows()) == [], hex(mask)
+            assert program.native_kernel(mask).bails == 0, hex(mask)
+
+    def test_opaque_call_bails_once_its_value_reaches_a_test(self):
+        program = instrument(bessel_leaf_tested)
+        X = self._rows()
+        for mask in (0, 1, 4):
+            bailed = _assert_native_parity(program, mask, X)
+            assert bailed == [i for i, row in enumerate(X) if row[0] > 4.0], hex(mask)
+            assert set(program.native_kernel(mask).bail_reasons) == {
+                "unsupported callable scipy.special.j0"}
+
+    def test_dead_division_by_zero_still_freezes_at_the_same_point(self):
+        program = instrument(dead_quotient)
+        ir = _kernel_ir(program)
+        assert ir.freeze_sites == 1 and ir.bail_sites == 0
+        assert ") / (" not in render_c(ir)  # the quotient is gone
+        X = self._rows()
+        for mask in range(1 << (2 * program.n_conditionals)):
+            assert _assert_native_parity(program, mask, X) == [], hex(mask)
+            # At x == 2 the scalar tier swallows ZeroDivisionError after the
+            # first conditional: same r, same single covered branch.
+            _, r_sp, cov_sp = program.run_specialized([2.0], mask)
+            r_native, cov_native = program.native_kernel(mask).scalar([2.0])
+            assert (_bits(r_native), cov_native) == (_bits(r_sp), cov_sp)
+
+
+def floor_low_bits(x):
+    n = int(math.floor(x))
+    n &= 0x7FFFFFFF
+    if n > 0x3FFFFFFF:
+        return 1.0
+    m = math.floor(-x) & 0xFFFFFFFFFFFF
+    if m < 0x800000000000:
+        return 2.0
+    return 0.0
+
+
+@requires_cc
+class TestHugeIntMask:
+    def test_floor_and_mask_match_cpython_beyond_int64(self):
+        """``int(math.floor(x)) & C`` runs natively for any magnitude: the
+        masked low bits reach the branch distances, which must match
+        CPython's big-int arithmetic bit for bit."""
+        program = instrument(floor_low_bits)
+        rng = np.random.default_rng(71)
+        rows = []
+        for e in range(52, 1024):
+            odd = (1 << 52) | int(rng.integers(0, 1 << 51)) << 1 | 1
+            for mantissa in (odd, 1 << 52, (1 << 53) - 1):
+                value = math.ldexp(mantissa, e - 52)
+                rows += [[value], [-value]]
+        X = np.ascontiguousarray(rows, dtype=np.float64)
+        for mask in (0, 1, 2, 4, 8):
             assert _assert_native_parity(program, mask, X) == [], hex(mask)
             assert program.native_kernel(mask).bails == 0, hex(mask)
 
@@ -1667,14 +1790,19 @@ class TestFusedLocalSearch:
         finally:
             fused.close()
 
-    def test_bailing_bessel_entry_runs_the_fallback_through_the_callback(self, library):
-        by_name = {c.function.split("(")[0]: c for c in BENCHMARKS}
-        program = instrument_case(by_name["ieee754_j0"])
-        mask = _dense_mask(program, 3)
-        bails = program.native_kernel(mask).bails
-        for x0 in ([0.75], [3.0], [-12.5], [1e300]):
+    def test_bailing_entry_runs_the_fallback_through_the_callback(self, library):
+        """Starts near +-1e19 take ``int()`` beyond int64 on most points:
+        the C search hands those rows to the Python fallback, with the bail
+        site that fired, and still matches the Python search bit for bit."""
+        program = instrument(trunc_overflows)
+        mask = _dense_mask(program, 0)
+        kernel = program.native_kernel(mask)
+        bails = kernel.bails
+        for x0 in ([1e19], [-1e19], [9.3e18], [-2.0 ** 70]):
             _assert_fused_powell_identical(library, program, mask, x0)
-        assert program.native_kernel(mask).bails > bails
+        assert kernel.bails > bails
+        assert set(kernel.bail_reasons) == {"int() beyond int64"}
+        assert sum(kernel.bail_reasons.values()) == kernel.bails
 
     def test_calls_and_seeds_share_the_memo_like_bit_pattern_memo(self, library):
         program = instrument(sp.nested_branches)
@@ -1775,17 +1903,21 @@ def _prewarm(program, task) -> int:
 class TestFusedFallbacks:
     def test_start_matches_the_python_search(self, library, fused_spy, monkeypatch):
         by_name = {c.function.split("(")[0]: c for c in BENCHMARKS}
-        for program in (instrument(sp.three_dimensional),
-                        instrument_case(by_name["ieee754_atan2"]),
-                        instrument_case(by_name["ieee754_j0"])):
-            task = _hard_task(program, [2.5] * program.arity)
-            _prewarm(program, task)
+        for program, x0 in ((instrument(sp.three_dimensional), [2.5] * 3),
+                            (instrument_case(by_name["ieee754_atan2"]), [2.5] * 2),
+                            (instrument_case(by_name["ieee754_j0"]), [2.5]),
+                            (instrument(trunc_overflows), [1e19])):
+            task = _hard_task(program, x0)
+            kernel = program.native_kernel(_prewarm(program, task))
+            bails = kernel.bails
             fused = run_start(program, _start_params(), task)
+            if program.name == "trunc_overflows":
+                assert kernel.bails > bails  # the fallback ran
             with monkeypatch.context() as patch:
                 patch.setattr(worker_module, "native_objective", lambda representing: None)
                 python = run_start(program, _start_params(), task)
             assert _start_key(fused) == _start_key(python), program.name
-        assert fused_spy == [True, True, True]
+        assert fused_spy == [True, True, True, True]
 
     def test_library_still_compiling_runs_the_python_search(
         self, library, fused_spy, tmp_path, monkeypatch
