@@ -1,7 +1,5 @@
 """Ablation benches: design choices called out in DESIGN.md.
 
-* the local minimizer used inside basin-hopping (Powell vs Nelder-Mead vs
-  compass search),
 * the MCMC chain length ``n_iter`` (0 disables the Monte-Carlo moves),
 * the infeasible-branch heuristic on/off.
 
@@ -17,26 +15,6 @@ from repro.core.config import CoverMeConfig
 from repro.core.coverme import cover
 from repro.experiments.table1 import paper_example_foo
 from repro.fdlibm.suite import get_case
-
-
-@pytest.mark.paper_artifact("ablation_local_minimizer")
-@pytest.mark.parametrize("local_minimizer", ["powell", "nelder-mead", "compass"])
-def test_ablation_local_minimizer(benchmark, local_minimizer, capsys):
-    case = get_case("tanh")
-
-    def run():
-        config = CoverMeConfig(
-            n_start=40, n_iter=5, seed=1, local_minimizer=local_minimizer, time_budget=6.0
-        )
-        return cover(case.entry, config)
-
-    result = benchmark.pedantic(run, iterations=1, rounds=1)
-    with capsys.disabled():
-        print(
-            f"\n[Ablation LM={local_minimizer:<12s}] tanh coverage "
-            f"{result.branch_coverage_percent:5.1f}% with {result.evaluations} evaluations"
-        )
-    assert result.branch_coverage_percent >= 50.0
 
 
 @pytest.mark.paper_artifact("ablation_n_iter")

@@ -10,9 +10,8 @@ The package provides:
 * :mod:`repro.engine` -- the search-engine subsystem: seeded start-point
   scheduling, serial/thread/process worker pools, and the batched
   multi-start loop with deterministic reduction.
-* :mod:`repro.optimize` -- unconstrained programming backends: Powell,
-  Nelder-Mead, compass search, MCMC basin-hopping, a SciPy adapter, and the
-  backend registry that makes Step 3 pluggable.
+* :mod:`repro.optimize` -- unconstrained programming (Step 3): MCMC
+  basin-hopping with Powell's method as the local minimizer.
 * :mod:`repro.coverage` -- Gcov-like branch and line coverage measurement.
 * :mod:`repro.fdlibm` -- a Python port of the Fdlibm 5.3 benchmark functions.
 * :mod:`repro.baselines` -- the compared tools: random testing, an AFL-style
@@ -43,7 +42,6 @@ from repro.core.saturation import SaturationTracker
 from repro.engine import SearchEngine, StartScheduler
 from repro.instrument.program import InstrumentedProgram, instrument
 from repro.instrument.runtime import BranchId, ExecutionProfile
-from repro.optimize.registry import available_backends, get_backend, register_backend
 
 __version__ = "1.2.0"
 
@@ -59,9 +57,6 @@ __all__ = [
     "instrument",
     "BranchId",
     "ExecutionProfile",
-    "available_backends",
     "branch_distance",
-    "get_backend",
-    "register_backend",
     "__version__",
 ]

@@ -5,14 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.core.branch_distance import DEFAULT_EPSILON
 from repro.instrument.runtime import ExecutionProfile, check_execution_profile
-
-#: Fixed default batch size of the search engine.  The batch is the unit of
-#: snapshot freshness *and* the unit of parallel dispatch; it is a constant
-#: (never derived from ``n_workers``) so that seeded runs produce identical
-#: results for any worker count.
-DEFAULT_BATCH_SIZE = 8
 
 
 @dataclass
@@ -26,27 +19,12 @@ class CoverMeConfig:
             profile restores the paper's value.
         n_iter: Number of Monte-Carlo iterations per basin-hopping run
             (``n_iter`` in Algorithm 1; the paper uses 5).
-        local_minimizer: Name of the local optimization algorithm ``LM``;
-            the paper uses Powell.  With the ``builtin`` backend this must
-            be a registered local minimizer ("powell", "nelder-mead",
-            "compass", or anything added via
-            :func:`repro.optimize.local.register_local_minimizer`); other
-            backends interpret the name themselves (e.g. ``scipy`` accepts
-            any ``scipy.optimize.minimize`` method such as "L-BFGS-B").
-        backend: Which basin-hopping implementation drives Step 3.  Any name
-            in :func:`repro.optimize.registry.available_backends`; the
-            defaults are ``"builtin"`` (our MCMC implementation of
-            Algorithm 1 lines 24-34) and ``"scipy"`` (the paper's
-            off-the-shelf SciPy Basinhopping).
-        epsilon: The small positive constant of Def. 4.1.
-        step_size: Scale of the Monte-Carlo perturbation ``delta``.
-        temperature: Metropolis annealing temperature ``T`` (the paper uses 1).
-        start_scale: Standard deviation of the random starting points.
+        local_minimizer: Name of the local optimization algorithm ``LM``,
+            a registered local minimizer: ``"powell"`` (the paper's
+            setting and the one built in) or anything added via
+            :func:`repro.optimize.local.register_local_minimizer`.
         seed: Seed for all pseudo-randomness (None for nondeterministic runs).
         mark_infeasible: Enable the infeasible-branch heuristic of Sect. 5.3.
-        zero_tolerance: Threshold below which ``FOO_R(x*)`` counts as zero.
-            Exact zeros are produced by construction, so 0.0 is faithful; a
-            tiny positive tolerance guards against backend round-off.
         max_evaluations: Optional cap on representing-function evaluations.
         time_budget: Optional wall-clock cap in seconds.
         n_workers: Number of workers running basin-hopping starts in
@@ -55,12 +33,6 @@ class CoverMeConfig:
         worker_mode: How parallel starts execute -- ``"auto"`` (process
             workers when the program's origin is picklable, else thread
             clones, else serial), ``"process"``, ``"thread"`` or ``"serial"``.
-        start_strategy: Start-point strategy of the scheduler
-            (``"random-normal"``, ``"latin-hypercube"``, ``"signature-box"``).
-        batch_size: Starts per scheduling batch; all starts of a batch share
-            one saturation snapshot.  ``None`` selects the engine default.
-            Must not depend on ``n_workers`` or seeded runs lose their
-            worker-count independence.
         eval_profile: Execution profile of the optimizer inner loop --
             ``"penalty-native"`` (the default, the machine-code tier: the
             specialized lowering is emitted as C, compiled with the system
@@ -103,72 +75,40 @@ class CoverMeConfig:
     n_start: int = 100
     n_iter: int = 5
     local_minimizer: str = "powell"
-    backend: str = "builtin"
-    epsilon: float = DEFAULT_EPSILON
-    step_size: float = 1.0
-    temperature: float = 1.0
-    start_scale: float = 10.0
     seed: Optional[int] = None
     mark_infeasible: bool = True
-    zero_tolerance: float = 0.0
     max_evaluations: Optional[int] = None
     time_budget: Optional[float] = None
-    local_max_iterations: int = 40
-    verbose: bool = False
     n_workers: int = 1
     worker_mode: str = "auto"
-    start_strategy: str = "random-normal"
-    batch_size: Optional[int] = None
     eval_profile: str = ExecutionProfile.PENALTY_NATIVE.value
     native_threads: int = 1
     progress: Optional[Callable[[dict], None]] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # Imported lazily: the registries live above repro.core in the layer
-        # diagram and pulling them in at module-import time would be cyclic.
+        # Imported lazily: the optimizer and the engine live above
+        # repro.core in the layer diagram, so a module-level import would
+        # be cyclic.
         from repro.engine.pool import available_worker_modes
-        from repro.engine.scheduler import available_strategies
-        from repro.optimize.registry import available_backends, get_local_minimizer
+        from repro.optimize.local import get_local_minimizer
 
         if self.n_start < 1:
             raise ValueError("n_start must be >= 1")
         if self.n_iter < 0:
             raise ValueError("n_iter must be >= 0")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be > 0")
-        if self.start_scale <= 0:
-            raise ValueError("start_scale must be > 0")
-        if self.backend.lower() not in available_backends():
-            known = ", ".join(available_backends())
-            raise ValueError(f"unknown backend {self.backend!r}; known: {known}")
         if not isinstance(self.local_minimizer, str) or not self.local_minimizer:
             raise ValueError("local_minimizer must be a non-empty string")
-        if self.backend.lower() == "builtin":
-            # Only the builtin backend resolves LM through our registry;
-            # other backends (e.g. scipy) accept their own method names
-            # ("L-BFGS-B", ...) and validate them at run time.
-            get_local_minimizer(self.local_minimizer)  # raises ValueError on unknown names
+        get_local_minimizer(self.local_minimizer)  # raises ValueError on unknown names
         if self.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         if self.worker_mode not in available_worker_modes():
             known = ", ".join(available_worker_modes())
             raise ValueError(f"unknown worker mode {self.worker_mode!r}; known: {known}")
-        if self.start_strategy not in available_strategies():
-            known = ", ".join(available_strategies())
-            raise ValueError(f"unknown start strategy {self.start_strategy!r}; known: {known}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         check_execution_profile(self.eval_profile)
         if self.native_threads < 1:
             raise ValueError("native_threads must be >= 1")
         if self.progress is not None and not callable(self.progress):
             raise ValueError("progress must be a callable (or None)")
-
-    def effective_batch_size(self) -> int:
-        """The batch size the engine actually uses."""
-        return self.batch_size if self.batch_size is not None else DEFAULT_BATCH_SIZE
 
     @classmethod
     def paper(cls, **overrides) -> "CoverMeConfig":

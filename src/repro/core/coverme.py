@@ -17,9 +17,9 @@ three steps of the approach:
    (``"penalty-specialized"``, :mod:`repro.instrument.specialize`), while
    results stay bit-identical to the recording ``"full-trace"`` tier.
 
-The optimization backend is resolved by name through the registry of
-:mod:`repro.optimize.registry`; any registered unconstrained-programming
-algorithm can drive Step 3.
+Step 3 is MCMC basin hopping
+(:func:`~repro.optimize.basinhopping.basinhopping`) with the local minimizer
+named by ``CoverMeConfig.local_minimizer``.
 """
 
 from __future__ import annotations
@@ -66,9 +66,7 @@ class CoverMe:
         # the driver's tracker.  The engine builds its own per-start
         # RepresentingFunction instances, so this one's evaluation counter
         # does not advance during run(); read ``result.evaluations`` instead.
-        self.representing = RepresentingFunction(
-            self.program, self.tracker, epsilon=self.config.epsilon
-        )
+        self.representing = RepresentingFunction(self.program, self.tracker)
 
     def run(self) -> CoverMeResult:
         """Execute Algorithm 1 and return the generated inputs plus coverage."""

@@ -2,8 +2,8 @@
 
 Layers:
 
-* :mod:`repro.engine.scheduler` -- seeded start-point strategies
-  (random-normal, Latin-hypercube, signature-box).
+* :mod:`repro.engine.scheduler` -- seeded normal start points
+  (Algorithm 1, line 9).
 * :mod:`repro.engine.worker` -- one basin-hopping start against a frozen
   saturation snapshot; shared by every execution mode.
 * :mod:`repro.engine.pool` -- serial / thread / process worker pools.
@@ -11,7 +11,7 @@ Layers:
   batched multi-start loop with deterministic in-order reduction.
 """
 
-from repro.engine.scheduler import StartScheduler, available_strategies
+from repro.engine.scheduler import StartScheduler
 from repro.engine.worker import StartParams, StartResult, StartTask, run_start
 from repro.engine.pool import (
     StartPool,
@@ -27,7 +27,6 @@ __all__ = [
     "StartResult",
     "StartScheduler",
     "StartTask",
-    "available_strategies",
     "available_worker_modes",
     "resolve_worker_mode",
     "run_start",

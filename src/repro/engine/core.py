@@ -48,14 +48,20 @@ from repro.engine.worker import StartParams, StartResult, StartTask
 from repro.instrument.program import InstrumentedProgram
 from repro.instrument.runtime import BranchId
 
+#: Starts per batch.  The batch is the unit of snapshot freshness *and* the
+#: unit of parallel dispatch; it is a constant (never derived from
+#: ``n_workers``) so that seeded runs produce identical results for any
+#: worker count.
+DEFAULT_BATCH_SIZE = 8
+
 
 class SearchEngine:
     """Owns the multi-start search over one instrumented program.
 
     Args:
         program: The program under test.
-        config: Algorithm parameters (including ``n_workers``,
-            ``start_strategy`` and ``batch_size``).
+        config: Algorithm parameters (including ``n_workers`` and
+            ``worker_mode``).
         tracker: The shared saturation tracker to reduce into; a fresh one is
             created when omitted.  Passing the driver's tracker lets the
             :class:`~repro.core.coverme.CoverMe` façade keep exposing it.
@@ -75,12 +81,7 @@ class SearchEngine:
             if self.config.seed is not None
             else int(np.random.default_rng().integers(2**31 - 1))
         )
-        self.scheduler = StartScheduler(
-            program.signature,
-            strategy=self.config.start_strategy,
-            root_seed=self.root_seed,
-            start_scale=self.config.start_scale,
-        )
+        self.scheduler = StartScheduler(program.signature, root_seed=self.root_seed)
         # Pin the multiprocessing context now so the fork-safety decision in
         # resolve_worker_mode stays valid for the pool that run() creates,
         # even if other threads start in between.
@@ -94,18 +95,11 @@ class SearchEngine:
     def run(self) -> CoverMeResult:
         """Execute the batched multi-start search and reduce into one result."""
         config = self.config
-        batch_size = config.effective_batch_size()
         start_time = time.perf_counter()
         deadline = time.time() + config.time_budget if config.time_budget is not None else None
         params = StartParams(
-            backend=config.backend,
             local_minimizer=config.local_minimizer,
             n_iter=config.n_iter,
-            step_size=config.step_size,
-            temperature=config.temperature,
-            local_max_iterations=config.local_max_iterations,
-            zero_tolerance=config.zero_tolerance,
-            epsilon=config.epsilon,
             root_seed=self.root_seed,
             deadline=deadline,
             eval_profile=config.eval_profile,
@@ -127,8 +121,8 @@ class SearchEngine:
                     break
                 if self._budget_exhausted(evaluations, start_time):
                     break
-                count = min(batch_size, config.n_start - issued)
-                tasks = self._schedule_batch(batch_index, issued, count)
+                count = min(DEFAULT_BATCH_SIZE, config.n_start - issued)
+                tasks = self._schedule_batch(issued, count)
                 issued += count
                 batch_index += 1
                 for result in pool.run_batch(params, tasks):
@@ -216,11 +210,11 @@ class SearchEngine:
             self.program, self.resolved_mode, self.config.n_workers, mp_context=self.mp_context
         )
 
-    def _schedule_batch(self, batch_index: int, first_index: int, count: int) -> list[StartTask]:
+    def _schedule_batch(self, first_index: int, count: int) -> list[StartTask]:
         """Freeze the saturation snapshot and draw the batch's starting points."""
         covered = frozenset(self.tracker.covered)
         infeasible = frozenset(self.tracker.infeasible)
-        points = self.scheduler.batch(batch_index, first_index, count)
+        points = self.scheduler.batch(first_index, count)
         return [
             StartTask(
                 index=first_index + offset,
@@ -233,7 +227,7 @@ class SearchEngine:
 
     def _reduce(self, result: StartResult, inputs: list[tuple[float, ...]]) -> MinimizationTrace:
         """Fold one start's outcome into the shared tracker (Algorithm 1, lines 11-13)."""
-        if result.value <= self.config.zero_tolerance:
+        if result.value <= 0.0:  # a zero of FOO_R (exact by construction)
             newly = self.tracker.add_covered(set(result.covered))
             inputs.append(result.x_star)
             return MinimizationTrace(

@@ -49,12 +49,12 @@ def available_worker_modes() -> tuple[str, ...]:
 def process_context():
     """Pick a start method that is safe from this exact process.
 
-    fork is the cheapest (workers inherit runtime-registered backends), but
-    forking a *multithreaded* parent can deadlock the children on locks the
-    forking thread never held -- exactly the situation when ``compare_tools``'
-    thread pool nests per-case process pools.  In that case fall back to
-    forkserver (its server was started while single-threaded via fork+exec)
-    or spawn.
+    fork is the cheapest (workers inherit runtime-registered local
+    minimizers), but forking a *multithreaded* parent can deadlock the
+    children on locks the forking thread never held -- exactly the
+    situation when ``compare_tools``' thread pool nests per-case process
+    pools.  In that case fall back to forkserver (its server was started
+    while single-threaded via fork+exec) or spawn.
     """
     methods = multiprocessing.get_all_start_methods()
     if "fork" in methods and threading.active_count() == 1:

@@ -1,22 +1,12 @@
 """Start-point scheduling for the multi-start search (Algorithm 1, line 9).
 
-Algorithm 1 draws every starting point from an isotropic normal distribution.
-Zitoun et al. (arXiv:2002.12447) observe that diversifying the search
-strategy materially changes which branches a floating-point search reaches,
-so the scheduler makes the distribution pluggable:
-
-* ``random-normal`` -- the paper's setting: ``x0 ~ N(0, start_scale^2)``.
-* ``latin-hypercube`` -- a stratified design over the signature's input box;
-  each batch is one Latin-hypercube sample, guaranteeing every batch spreads
-  its starts across the whole box.
-* ``signature-box`` -- uniform samples inside the signature's input box,
-  exercising the domain the benchmark declares instead of a scale-free ball.
+Algorithm 1 draws every starting point from an isotropic normal
+distribution, ``x0 ~ N(0, START_SCALE^2)``.
 
 Determinism contract: point ``i`` of a run depends only on ``(root_seed,
-strategy, i)`` for per-point strategies, or on ``(root_seed, batch_index)``
-for the batch-stratified Latin hypercube.  Nothing depends on how many
-workers later execute the starts, which is what makes seeded runs
-reproducible regardless of ``n_workers``.
+i)``.  Nothing depends on how many workers later execute the starts or on
+where batch boundaries fall, which is what makes seeded runs reproducible
+regardless of ``n_workers``.
 """
 
 from __future__ import annotations
@@ -25,17 +15,11 @@ import numpy as np
 
 from repro.instrument.signature import ProgramSignature
 
-#: Sub-stream tags keeping the scheduler's draws disjoint from the workers'.
+#: Sub-stream tag keeping the scheduler's draws disjoint from the workers'.
 _STREAM_NORMAL = 101
-_STREAM_BOX = 103
-_STREAM_LHS = 105
 
-STRATEGIES: tuple[str, ...] = ("random-normal", "latin-hypercube", "signature-box")
-
-
-def available_strategies() -> tuple[str, ...]:
-    """Names of every start-point strategy the scheduler understands."""
-    return STRATEGIES
+#: Standard deviation of the starting points.
+START_SCALE = 10.0
 
 
 class StartScheduler:
@@ -43,79 +27,29 @@ class StartScheduler:
 
     Args:
         signature: Input-domain description of the program under test
-            (supplies arity and the sampling box).
-        strategy: One of :func:`available_strategies`.
+            (supplies the arity).
         root_seed: Root of the deterministic seed tree.  Every point is drawn
             from its own :func:`numpy.random.default_rng` sub-stream so the
             sequence is independent of execution order.
-        start_scale: Standard deviation used by ``random-normal``.
     """
 
-    def __init__(
-        self,
-        signature: ProgramSignature,
-        strategy: str = "random-normal",
-        root_seed: int = 0,
-        start_scale: float = 10.0,
-    ):
-        if strategy not in STRATEGIES:
-            known = ", ".join(STRATEGIES)
-            raise ValueError(f"unknown start strategy {strategy!r}; known: {known}")
+    def __init__(self, signature: ProgramSignature, root_seed: int = 0):
         self.signature = signature
-        self.strategy = strategy
         self.root_seed = int(root_seed)
-        self.start_scale = float(start_scale)
 
     @property
     def arity(self) -> int:
         return self.signature.arity
 
-    def batch(self, batch_index: int, first_index: int, count: int) -> np.ndarray:
+    def batch(self, first_index: int, count: int) -> np.ndarray:
         """Return a ``(count, arity)`` array of starting points.
 
-        ``first_index`` is the global index of the batch's first start;
-        per-point strategies key their sub-streams on it so that batch
-        boundaries do not change the points.
+        ``first_index`` is the global index of the batch's first start; the
+        sub-streams are keyed on it, so batch boundaries do not change the
+        points.
         """
-        if count < 1:
-            return np.empty((0, self.arity), dtype=float)
-        if self.strategy == "random-normal":
-            return self._per_point(_STREAM_NORMAL, first_index, count, self._normal_point)
-        if self.strategy == "signature-box":
-            return self._per_point(_STREAM_BOX, first_index, count, self._box_point)
-        return self._latin_hypercube(batch_index, count)
-
-    # -- strategies -----------------------------------------------------------------
-
-    def _per_point(self, stream: int, first_index: int, count: int, draw) -> np.ndarray:
         points = np.empty((count, self.arity), dtype=float)
         for offset in range(count):
-            rng = np.random.default_rng([self.root_seed, stream, first_index + offset])
-            points[offset] = draw(rng)
-        return points
-
-    def _normal_point(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.normal(scale=self.start_scale, size=self.arity)
-
-    def _box_point(self, rng: np.random.Generator) -> np.ndarray:
-        low = np.asarray(self.signature.low, dtype=float)
-        high = np.asarray(self.signature.high, dtype=float)
-        return rng.uniform(low, high)
-
-    def _latin_hypercube(self, batch_index: int, count: int) -> np.ndarray:
-        """One stratified sample over the signature box per batch.
-
-        Classic construction: per dimension, permute the ``count`` strata and
-        jitter uniformly inside each stratum, so every one-dimensional
-        projection of the batch covers all strata exactly once.
-        """
-        rng = np.random.default_rng([self.root_seed, _STREAM_LHS, batch_index])
-        low = np.asarray(self.signature.low, dtype=float)
-        high = np.asarray(self.signature.high, dtype=float)
-        points = np.empty((count, self.arity), dtype=float)
-        for dim in range(self.arity):
-            strata = rng.permutation(count)
-            jitter = rng.uniform(size=count)
-            unit = (strata + jitter) / count
-            points[:, dim] = low[dim] + unit * (high[dim] - low[dim])
+            rng = np.random.default_rng([self.root_seed, _STREAM_NORMAL, first_index + offset])
+            points[offset] = rng.normal(scale=START_SCALE, size=self.arity)
         return points

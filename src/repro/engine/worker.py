@@ -46,8 +46,8 @@ from repro.core.saturation import SaturationTracker
 from repro.instrument.native.local_min import native_objective
 from repro.instrument.program import InstrumentedProgram, ProgramOrigin, instrument
 from repro.instrument.runtime import BranchId, ExecutionProfile
+from repro.optimize.basinhopping import basinhopping
 from repro.optimize.memo import BitPatternMemo
-from repro.optimize.registry import get_backend
 
 #: Sub-stream tag keeping worker RNGs disjoint from the scheduler's draws.
 _STREAM_WORKER = 202
@@ -56,19 +56,16 @@ _STREAM_WORKER = 202
 #: start computes ``FOO_R(x0)`` in well under a microsecond itself.
 _PRIMED_PROFILES = (ExecutionProfile.PENALTY_SPECIALIZED,)
 
+#: Direction-set sweeps each local search may take.
+LOCAL_MAX_ITERATIONS = 40
+
 
 @dataclass(frozen=True)
 class StartParams:
     """The per-run constants every start needs (one copy per chunk, not per start)."""
 
-    backend: str
     local_minimizer: str
     n_iter: int
-    step_size: float
-    temperature: float
-    local_max_iterations: int
-    zero_tolerance: float
-    epsilon: float
     root_seed: int
     deadline: Optional[float] = None
     eval_profile: str = ExecutionProfile.PENALTY_NATIVE.value
@@ -132,8 +129,7 @@ def prime_chunk(
         return None
     tracker = SaturationTracker(program, covered=set(covered), infeasible=set(infeasible))
     representing = RepresentingFunction(
-        program, tracker, epsilon=params.epsilon, profile=params.eval_profile,
-        native_threads=params.native_threads,
+        program, tracker, profile=params.eval_profile, native_threads=params.native_threads
     )
     X = np.ascontiguousarray([t.x0 for t in eligible], dtype=np.float64)
     values = representing.evaluate_batch(X)
@@ -164,13 +160,12 @@ def run_start(
     # branches.  All profiles compute bit-identical values, so this choice
     # never changes seeded results.
     representing = RepresentingFunction(
-        program, tracker, epsilon=params.epsilon, profile=params.eval_profile,
-        native_threads=params.native_threads,
+        program, tracker, profile=params.eval_profile, native_threads=params.native_threads
     )
     # Within one start the saturation snapshot is frozen, so FOO_R is a pure
     # function of the input bits and memoizing it is sound.  The memo wraps
-    # the objective *outside* the backend, which keeps the backend protocol
-    # unchanged and works for any registered backend.  Under penalty-native
+    # the objective *outside* basin hopping, which keeps no cache of its
+    # own.  Under penalty-native
     # the memo is a C one that also runs whole Powell searches natively
     # (when the kernel and the fused-search library are loaded); its
     # misses are counted into ``evaluations`` before it is freed.
@@ -180,12 +175,11 @@ def run_start(
     found: dict[str, np.ndarray] = {}
 
     def callback(x: np.ndarray, f: float, _accepted: bool) -> bool:
-        if f <= params.zero_tolerance:
+        if f <= 0.0:  # a zero of FOO_R: stop this start (Sect. 5.2)
             found["x"] = np.array(x, dtype=float, copy=True)
             return True
         return False
 
-    backend = get_backend(params.backend)
     try:
         if primed is not None:
             # The batched pass already executed FOO_R(x0); plant the value
@@ -194,16 +188,14 @@ def run_start(
             # miss).
             objective.seed(task.x0, primed)
             representing.evaluations += 1
-        result = backend(
+        result = basinhopping(
             objective,
             np.asarray(task.x0, dtype=float),
             n_iter=params.n_iter,
             local_minimizer=params.local_minimizer,
-            step_size=params.step_size,
-            temperature=params.temperature,
             rng=rng,
             callback=callback,
-            local_options={"max_iterations": params.local_max_iterations},
+            local_options={"max_iterations": LOCAL_MAX_ITERATIONS},
         )
     finally:
         if fused is not None:

@@ -46,7 +46,6 @@ class Profile:
     baseline_min_executions: int
     seed: int = 0
     n_workers: int = 1
-    start_strategy: str = "random-normal"
 
     def coverme_config(self) -> CoverMeConfig:
         return CoverMeConfig(
@@ -56,7 +55,6 @@ class Profile:
             seed=self.seed,
             time_budget=self.coverme_time_budget,
             n_workers=self.n_workers,
-            start_strategy=self.start_strategy,
         )
 
 

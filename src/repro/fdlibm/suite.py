@@ -91,8 +91,7 @@ class BenchmarkCase:
     narrow band); ``None`` keeps the historical
     ``[-DEFAULT_INPUT_BOUND, DEFAULT_INPUT_BOUND]`` box.  The domain reaches
     every sampler that reads the program signature's box: Rand's uniform
-    inputs, Austin's random restarts, and CoverMe's ``latin-hypercube`` /
-    ``signature-box`` start strategies (``random-normal`` starts and AFL's
+    inputs and Austin's random restarts (CoverMe's normal starts and AFL's
     byte-level mutation are box-free by construction).  It is also part of
     the run store's job fingerprint: changing it invalidates cached runs of
     the case.

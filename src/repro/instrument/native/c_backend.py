@@ -140,6 +140,10 @@ static int64_t sp_f64_low64(double v) {
     uint64_t low = e < 64 ? m << e : 0;
     return (int64_t)((b >> 63) ? 0 - low : low);
 }
+/* Does int64 a op b overflow?  (Python promotes to a big int there.) */
+static int sp_add_ovf(int64_t a, int64_t b) { int64_t r; return __builtin_add_overflow(a, b, &r); }
+static int sp_sub_ovf(int64_t a, int64_t b) { int64_t r; return __builtin_sub_overflow(a, b, &r); }
+static int sp_mul_ovf(int64_t a, int64_t b) { int64_t r; return __builtin_mul_overflow(a, b, &r); }
 /* Portable arithmetic right shift for 0 <= s <= 63. */
 static int64_t sp_sar(int64_t a, int64_t s) {
     return a < 0 ? (int64_t)~(~(uint64_t)a >> s)

@@ -39,7 +39,8 @@ from pathlib import Path
 #:    covers helper sources and the global constants the code names.
 #: 5: dead values sliced away, huge ints masked exactly; ``sp_entry`` and
 #:    ``bail_out`` report the bail site, ``sp_bail_reasons`` names each.
-ABI_VERSION = 5
+#: 6: int ``+ - *`` carry an overflow flag; an unmasked overflowed value bails.
+ABI_VERSION = 6
 
 #: Default upper bound on cached shared objects on disk (each entry keeps
 #: its .c source next to the .so for debuggability; ~45 KB together).  One

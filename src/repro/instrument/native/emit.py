@@ -8,8 +8,8 @@ does implicitly is spelled out here so a C backend can reproduce ``r``
 bit-for-bit:
 
 * fdlibm word intrinsics become uint64 bit-casts and masks,
-* int64 ``+ - * <<`` wrap (with overflow *bails* where Python promotes to
-  big ints),
+* int64 ``+ - * <<`` wrap, with overflow *bails* where Python promotes to
+  big ints (``+ - *`` results carry an overflow flag, see below),
 * swallowed Python exceptions (``ZeroDivisionError``, ``OverflowError``,
   ``ValueError``) become *freeze* statements that end the row keeping the
   current ``r`` and covered bits -- exactly what the scalar tier's
@@ -21,12 +21,14 @@ bit-for-bit:
 
 Two rules keep rows that only *compute* such values native:
 
-* **Huge ints from doubles.**  ``int(x)`` and ``math.floor/ceil/trunc(x)``
-  of a double carry the low 64 bits of the exact integer (two's complement)
-  and a flag set when it lies beyond int64.  Masking with ``& C``,
-  ``0 <= C < 2**63``, is exact from those bits and clears the flag; every
-  other use (comparison, ``float()``, shifts, ``//``, ``%``, ``abs``, a
-  return or call argument) first bails when the flag is set.
+* **Huge ints.**  ``int(x)`` and ``math.floor/ceil/trunc(x)`` of a double
+  carry the low 64 bits of the exact integer (two's complement) and a flag
+  set when it lies beyond int64.  So do int ``+ - *``: the wrapped result
+  is the exact low 64 bits of the Python result, and the flag is set when
+  the operation overflowed or an operand was flagged.  Masking with
+  ``& C``, ``0 <= C < 2**63``, is exact from those bits and clears the
+  flag; every other use (comparison, ``float()``, shifts, ``//``, ``%``,
+  ``abs``, a return or call argument) first bails when the flag is set.
 * **Dead values are sliced away** (:func:`slice_dead_values`).  After
   lowering, a backward liveness pass deletes every computation whose value
   reaches no probe, conditional test, ``r`` or covered-bit write, loop
@@ -74,6 +76,16 @@ EXACT_I64 = 1 << 53
 
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
+
+#: Int ``+ - *``: the C operator and the prelude's overflow predicate.
+_WRAPPING_OPS = {
+    ast.Add: ("+", "sp_add_ovf"),
+    ast.Sub: ("-", "sp_sub_ovf"),
+    ast.Mult: ("*", "sp_mul_ovf"),
+}
+
+#: Bail reason of a variable that holds huge ints from several sources.
+_WIDE_MIXED = "int beyond int64"
 
 
 def _join(a: int, b: int) -> int:
@@ -423,11 +435,12 @@ def _wide_flag(name: str) -> str:
 
 @dataclass
 class _Wide:
-    """An int converted from a double that may lie beyond int64: ``low``
-    holds the low 64 bits of the exact value (two's complement) and the
-    bool ``flag`` is set when it does not fit.  Only ``& C`` with
-    ``0 <= C < 2**63`` is exact from ``low``; every other use settles the
-    value first, bailing with ``reason`` when ``flag`` is set."""
+    """An int that may lie beyond int64 (converted from a double, or an int
+    ``+ - *`` result): ``low`` holds the low 64 bits of the exact value
+    (two's complement) and the bool ``flag`` is set when it may not fit.
+    Only ``& C`` with ``0 <= C < 2**63`` is exact from ``low``; every other
+    use settles the value first, bailing with ``reason`` when ``flag`` is
+    set."""
 
     low: VarRef
     flag: VarRef
@@ -917,8 +930,9 @@ class ProgramEmitter:
         """Store a maybe-huge int: the variable keeps its flag, so a later
         read can still mask it exactly or settle it."""
         info = self.fn
-        if name not in info.var_wide:
-            info.var_wide[name] = wide.reason
+        reason = info.var_wide.get(name)
+        if reason is None or reason not in (wide.reason, _WIDE_MIXED):
+            info.var_wide[name] = wide.reason if reason is None else _WIDE_MIXED
             self._changed = True
         self._store(name, wide.low)  # its flag reset is a dead store
         self._push(SAssign(VarRef(T_BOOL, _wide_flag(name)), wide.flag))
@@ -1105,14 +1119,10 @@ class ProgramEmitter:
         op = type(node.op)
         if op is ast.BitAnd:
             return self._bitand(node)
+        if op in _WRAPPING_OPS:
+            return self._wrapping(node)
         left = self._expr(node.left)
         right = self._expr(node.right)
-        if op in (ast.Add, ast.Sub, ast.Mult):
-            sym = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*"}[op]
-            if left.type == T_F64 or right.type == T_F64:
-                return Bin(T_F64, sym,
-                           self._as_f64_arith(left), self._as_f64_arith(right))
-            return Bin(T_I64, sym, self._as_i64(left), self._as_i64(right))
         if op is ast.Div:
             b = self._materialize(right)
             zero = Const(b.type if b.type != T_BOOL else T_I64,
@@ -1165,6 +1175,29 @@ class ProgramEmitter:
             return Sel(T_I64, Bin(T_BOOL, ">", s, Const(T_I64, 63)),
                        saturated, CallE(T_I64, "sp_sar", [a, s]))
         raise _StmtBail(f"unsupported operator {op.__name__}")
+
+    def _wrapping(self, node: ast.BinOp):
+        """``+ - *``.  An int result is a :class:`_Wide`: the low 64 bits of
+        ``a op b`` depend only on those of ``a`` and ``b``, so they stay exact
+        for flagged operands too, and the flag is set when an operand was
+        flagged or the int64 operation overflowed."""
+        sym, overflows = _WRAPPING_OPS[type(node.op)]
+        left = self._wide_expr(node.left)
+        right = self._wide_expr(node.right)
+        if any(not isinstance(v, _Wide) and v.type == T_F64 for v in (left, right)):
+            left, right = (self._settle(v) if isinstance(v, _Wide) else v
+                           for v in (left, right))
+            return Bin(T_F64, sym,
+                       self._as_f64_arith(left), self._as_f64_arith(right))
+        wide = [v for v in (left, right) if isinstance(v, _Wide)]
+        a, b = (self._materialize(self._as_i64(v.low if isinstance(v, _Wide) else v))
+                for v in (left, right))
+        flag = CallE(T_BOOL, overflows, [a, b])
+        for operand in wide:
+            flag = Bin(T_BOOL, "||", operand.flag, flag)
+        low = self._snapshot(Bin(T_I64, sym, a, b))
+        reason = wide[0].reason if wide else f"int64 {sym} overflow"
+        return _Wide(low, self._snapshot(flag), reason)
 
     def _bitand(self, node: ast.BinOp):
         """``a & C`` with ``0 <= C < 2**63`` depends only on the low 64 bits

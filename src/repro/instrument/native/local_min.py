@@ -542,7 +542,7 @@ class NativeObjective:
 
     Calls are served by a C memo with :class:`~repro.optimize.memo.
     BitPatternMemo`'s semantics (its misses evaluate the kernel), so the
-    object serves any backend or local minimizer; :meth:`powell` runs a
+    object serves any local minimizer; :meth:`powell` runs a
     whole Powell search in one native call against the same memo.  The
     memo lives in C memory owned by this object: :meth:`close` frees it
     and must be called (``run_start`` does so in a ``finally``).  Like its

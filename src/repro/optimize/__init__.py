@@ -1,53 +1,34 @@
-"""Unconstrained-programming backends (Sect. 2 of the paper).
+"""Unconstrained programming: Step 3 of the paper (Sect. 2).
 
-CoverMe treats the optimization backend as a black box: any algorithm that
-searches ``R^n`` for minimum points of the representing function will do.
-This package provides:
+Thm. 4.3 holds for any algorithm that searches ``R^n`` for minimum points
+of the representing function.  This package ships the one the paper uses:
 
-* local optimization: :mod:`repro.optimize.local` (Powell's method -- the
-  paper's ``LM`` -- plus Nelder-Mead and compass search);
+* local optimization: :mod:`repro.optimize.local`, Powell's method (the
+  paper's ``LM``);
 * global optimization: :func:`repro.optimize.basinhopping.basinhopping`, our
   implementation of the MCMC basin-hopping procedure of Algorithm 1
-  (lines 24-34);
-* :mod:`repro.optimize.scipy_backend`, an adapter around SciPy's
-  ``basinhopping`` reproducing the paper's exact backend configuration.
+  (lines 24-34).
 """
 
 from repro.optimize.basinhopping import basinhopping
 from repro.optimize.local import (
     available_local_minimizers,
-    compass_search,
     get_local_minimizer,
-    nelder_mead,
     powell,
     register_local_minimizer,
     unregister_local_minimizer,
 )
 from repro.optimize.mcmc import metropolis_accept, propose_perturbation
-from repro.optimize.registry import (
-    available_backends,
-    get_backend,
-    register_backend,
-    unregister_backend,
-)
 from repro.optimize.result import OptimizeResult
-from repro.optimize.scipy_backend import scipy_basinhopping
 
 __all__ = [
     "OptimizeResult",
-    "available_backends",
     "available_local_minimizers",
     "basinhopping",
-    "compass_search",
-    "get_backend",
     "get_local_minimizer",
     "metropolis_accept",
-    "nelder_mead",
     "powell",
     "propose_perturbation",
-    "register_backend",
     "register_local_minimizer",
-    "scipy_basinhopping",
-    "unregister_backend",
     "unregister_local_minimizer",
 ]

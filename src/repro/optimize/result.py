@@ -1,4 +1,4 @@
-"""Common result record returned by every optimization backend."""
+"""Common result record returned by the local minimizer and basin hopping."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ class OptimizeResult:
         fun: Objective value at ``x``.
         nfev: Number of objective evaluations performed.
         nit: Number of iterations of the outer loop.
-        success: Whether the backend considers the run successful.
+        success: Whether the optimizer considers the run successful.
         message: Human-readable status.
     """
 

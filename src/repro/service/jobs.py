@@ -89,8 +89,8 @@ _PROFILE_FP_EXCLUDE = frozenset({"name", "max_cases", "n_workers"})
 #: ``eval_profile`` -- like ``n_workers`` -- cannot change stored results;
 #: ``progress`` is a pure observer the service attaches to stream events).
 _TOOL_FP_EXCLUDE = frozenset(
-    {"last_evaluations", "n_workers", "worker_mode", "verbose", "eval_profile",
-     "native_threads", "progress"}
+    {"last_evaluations", "n_workers", "worker_mode", "eval_profile", "native_threads",
+     "progress"}
 )
 
 

@@ -146,6 +146,24 @@ def huge_int_guard(x: float) -> int:
     return 0
 
 
+def int_square(x: float) -> int:
+    """An int product beyond int64 for |x| > 2**31.5 (Python promotes it)."""
+    k = int(x)
+    m = k * k
+    if m > 10:
+        return 1
+    return 0
+
+
+def int_square_masked(x: float) -> int:
+    """The same product masked: exact from its low 64 bits at any size."""
+    k = int(x)
+    m = (k * k) & 0x7FFFFFFF
+    if m > 10:
+        return 1
+    return 0
+
+
 def ternary_in_tree(x: float, y: float) -> int:
     """A ternary nested inside a Boolean tree (composition re-uses cond)."""
     if x > 0.0 and (y < 1.0 if x < 9.0 else y > 2.0):

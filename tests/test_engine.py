@@ -17,7 +17,7 @@ from repro.engine.pool import (
     process_context,
     resolve_worker_mode,
 )
-from repro.engine.scheduler import StartScheduler, available_strategies
+from repro.engine.scheduler import _STREAM_NORMAL, START_SCALE, StartScheduler
 from repro.engine.worker import origin_is_picklable
 from repro.experiments.runner import Profile, compare_tools, coverme_tool
 from repro.fdlibm.k_cos import kernel_cos
@@ -57,64 +57,38 @@ class TestSeededDeterminism:
         assert run_sets(sp.three_dimensional, 2, "thread") == serial
         assert run_sets(sp.three_dimensional, 2, "process") == serial
 
-    def test_strategies_are_deterministic_but_distinct(self):
-        per_strategy = {}
-        for strategy in available_strategies():
-            first = run_sets(sp.nested_branches, 1, "auto", start_strategy=strategy)
-            again = run_sets(sp.nested_branches, 1, "auto", start_strategy=strategy)
-            assert first == again
-            per_strategy[strategy] = first
-        # Different strategies draw different starting points.
-        starts = {
-            strategy: tuple(inputs[:1]) for strategy, (_, _, inputs) in per_strategy.items()
-        }
-        assert len(set(starts.values())) > 1
+    def test_seeded_starts_are_deterministic_and_seed_dependent(self):
+        first = run_sets(sp.nested_branches, 1, "auto")
+        assert run_sets(sp.nested_branches, 1, "auto") == first
+        other = cover(sp.nested_branches, CoverMeConfig(n_start=16, n_iter=3, seed=43))
+        assert tuple(other.inputs[:1]) != tuple(first[2][:1])
 
 
 class TestStartScheduler:
     signature = ProgramSignature(name="s", arity=3, low=(-2.0, 0.0, 5.0), high=(2.0, 1.0, 9.0))
 
     def test_batch_shapes(self):
-        for strategy in available_strategies():
-            scheduler = StartScheduler(self.signature, strategy=strategy, root_seed=1)
-            points = scheduler.batch(0, 0, 6)
-            assert points.shape == (6, 3)
-            assert np.all(np.isfinite(points))
+        points = StartScheduler(self.signature, root_seed=1).batch(0, 6)
+        assert points.shape == (6, 3)
+        assert np.all(np.isfinite(points))
 
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError, match="unknown start strategy"):
-            StartScheduler(self.signature, strategy="sobol")
+    def test_draws_normal_points_from_per_point_streams(self):
+        points = StartScheduler(self.signature, root_seed=1).batch(4, 2)
+        for offset in range(2):
+            rng = np.random.default_rng([1, _STREAM_NORMAL, 4 + offset])
+            expected = rng.normal(scale=START_SCALE, size=3)
+            assert points[offset].tobytes() == expected.tobytes()
 
     def test_per_point_strategies_independent_of_batching(self):
-        for strategy in ("random-normal", "signature-box"):
-            scheduler = StartScheduler(self.signature, strategy=strategy, root_seed=3)
-            whole = scheduler.batch(0, 0, 8)
-            left = scheduler.batch(0, 0, 5)
-            right = scheduler.batch(1, 5, 3)
-            assert np.array_equal(np.vstack([left, right]), whole)
-
-    def test_box_strategies_respect_bounds(self):
-        low = np.asarray(self.signature.low)
-        high = np.asarray(self.signature.high)
-        for strategy in ("signature-box", "latin-hypercube"):
-            scheduler = StartScheduler(self.signature, strategy=strategy, root_seed=5)
-            points = scheduler.batch(0, 0, 16)
-            assert np.all(points >= low) and np.all(points <= high)
-
-    def test_latin_hypercube_stratifies_each_dimension(self):
-        scheduler = StartScheduler(self.signature, strategy="latin-hypercube", root_seed=7)
-        count = 10
-        points = scheduler.batch(0, 0, count)
-        low = np.asarray(self.signature.low)
-        high = np.asarray(self.signature.high)
-        unit = (points - low) / (high - low)
-        for dim in range(3):
-            strata = np.floor(unit[:, dim] * count).astype(int)
-            assert sorted(strata) == list(range(count))
+        scheduler = StartScheduler(self.signature, root_seed=3)
+        whole = scheduler.batch(0, 8)
+        left = scheduler.batch(0, 5)
+        right = scheduler.batch(5, 3)
+        assert np.array_equal(np.vstack([left, right]), whole)
 
     def test_seed_changes_points(self):
-        a = StartScheduler(self.signature, root_seed=1).batch(0, 0, 4)
-        b = StartScheduler(self.signature, root_seed=2).batch(0, 0, 4)
+        a = StartScheduler(self.signature, root_seed=1).batch(0, 4)
+        b = StartScheduler(self.signature, root_seed=2).batch(0, 4)
         assert not np.array_equal(a, b)
 
 

@@ -136,8 +136,9 @@ def _from_word(bits: int) -> float:
 
 #: Adversarial scalar inputs: signed zeros, NaN (quiet and the signaling
 #: 0x7ff0000000000001 word pattern), infinities, near-overflow magnitudes,
-#: denormals down to the smallest, and doubles beyond int64 (``int(x)``
-#: cannot be replicated in an int64 lane -- the native code must bail).
+#: denormals down to the smallest, doubles beyond int64 (``int(x)``
+#: cannot be replicated in an int64 lane -- the native code must bail) and
+#: doubles whose ``int`` squares leave int64.
 _ADVERSARIAL = (
     0.0,
     -0.0,
@@ -153,6 +154,10 @@ _ADVERSARIAL = (
     1e-320,
     1e19,
     -1e19,
+    4e9,  # int(x) * int(x) leaves int64
+    -4e9,
+    2.0 ** 62,
+    -(2.0 ** 62),
     _from_word(0x7FF0000000000001),  # signaling-NaN word pattern
     _from_word(0x000FFFFFFFFFFFFF),  # largest denormal
     _from_word(0x7FEFFFFFFFFFFFFF),  # DBL_MAX
@@ -426,8 +431,43 @@ def floor_low_bits(x):
     return 0.0
 
 
+def wide_sum_low_bits(x):
+    n = int(x) + 1
+    if (n * 3 - 7) & 0xFFFFFFFF > 0x7FFFFFFF:
+        return 1.0
+    return 0.0
+
+
+def wide_sum_tested(x):
+    n = int(x) + 1
+    if n > 10:
+        return 1.0
+    return 0.0
+
+
+#: Inputs whose ``int(x) + 1`` fits int64 while ``3 * (int(x) + 1)`` may
+#: not, then inputs beyond int64 (the last six).
+_WIDE_SUM_ROWS = (5.0, -3e9, 4e9, 2.0 ** 62, -(2.0 ** 62), 3.0e18,
+                  1e19, -1e19, 2.0 ** 64, -(2.0 ** 64), 2.0 ** 100, -(2.0 ** 100))
+
+
 @requires_cc
 class TestHugeIntMask:
+    def test_int_arithmetic_keeps_exact_low_bits_and_bails_when_tested(self):
+        """Int ``+ - *`` results carry their exact low 64 bits and an
+        overflow flag: ``& C`` of them runs natively at any magnitude,
+        and a comparison of one beyond int64 bails -- also when the
+        int64 operation itself did not overflow (``int(2**64) + 1``)."""
+        X = np.ascontiguousarray([[v] for v in _WIDE_SUM_ROWS], dtype=np.float64)
+        masked = instrument(wide_sum_low_bits)
+        for mask in (0, 1, 2):
+            assert _assert_native_parity(masked, mask, X) == [], hex(mask)
+        tested = instrument(wide_sum_tested)
+        beyond = [i for i, v in enumerate(_WIDE_SUM_ROWS) if abs(v) >= 2.0 ** 63]
+        for mask in (0, 1, 2):
+            assert _assert_native_parity(tested, mask, X) == beyond, hex(mask)
+
+
     def test_floor_and_mask_match_cpython_beyond_int64(self):
         """``int(math.floor(x)) & C`` runs natively for any magnitude: the
         masked low bits reach the branch distances, which must match
@@ -1567,6 +1607,55 @@ class TestEngineIdentity:
 
 
 @requires_cc
+class TestCompileFailureMidRun:
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_run_degrades_to_specialized_with_identical_record(
+        self, private_cache, monkeypatch, k
+    ):
+        """``cc`` builds the first ``k`` shared objects of a run, then
+        fails.  Every later kernel request degrades to the specialized
+        tier, and the record is bit-identical to a ``penalty-specialized``
+        run, with one degradation warning under Python's default filter.
+        Builds run synchronously here, so the failure lands mid-run
+        whatever the machine's speed."""
+        real_compile = cache_module.compile_kernel
+        builds = []
+
+        def failing_after_k(c_source, digest):
+            builds.append(digest)
+            if len(builds) > k:
+                raise NativeUnavailable("cc failed mid-run")
+            return real_compile(c_source, digest)
+
+        def synchronous(c_source, digest):
+            return cache_module.compile_kernel(c_source, digest)
+
+        monkeypatch.setattr(cache_module, "compile_kernel", failing_after_k)
+        monkeypatch.setattr(kernel_module, "compile_kernel", failing_after_k)
+        monkeypatch.setattr(kernel_module, "compile_kernel_background", synchronous)
+        monkeypatch.setattr(local_min, "compile_kernel_background", synchronous)
+        local_min.clear_local_min_library()
+        case = next(c for c in BENCHMARKS if c.function.startswith("tanh"))
+
+        def run(profile):
+            config = CoverMeConfig(n_start=40, n_iter=3, seed=3, eval_profile=profile,
+                                   worker_mode="serial")
+            result = SearchEngine(instrument_case(case), config).run()
+            return result.inputs, result.covered, result.infeasible, result.evaluations
+
+        try:
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("default")
+                native = run("penalty-native")
+        finally:
+            local_min.clear_local_min_library()
+        assert len(builds) > k  # the failure happened during the run
+        degraded = [w for w in seen if "native tier permanently unavailable" in str(w.message)]
+        assert len(degraded) == 1
+        assert native == run("penalty-specialized")
+
+
+@requires_cc
 class TestNativeCacheCLI:
     def test_ls_and_clean_roundtrip(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
@@ -1855,9 +1944,7 @@ class TestFusedLocalSearch:
 
 
 def _start_params(**overrides) -> StartParams:
-    fields = dict(backend="builtin", local_minimizer="powell", n_iter=2, step_size=1.0,
-                  temperature=1.0, local_max_iterations=40, zero_tolerance=0.0,
-                  epsilon=DEFAULT_EPSILON, root_seed=5,
+    fields = dict(local_minimizer="powell", n_iter=2, root_seed=5,
                   eval_profile=ExecutionProfile.PENALTY_NATIVE.value)
     fields.update(overrides)
     return StartParams(**fields)

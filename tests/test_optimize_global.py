@@ -1,4 +1,4 @@
-"""Tests for MCMC ingredients, basin-hopping, and the SciPy adapter."""
+"""Tests for MCMC ingredients and basin-hopping."""
 
 from __future__ import annotations
 
@@ -7,9 +7,9 @@ import pytest
 
 from repro.experiments.figure2 import FIGURE2B_MINIMA, figure2b_objective
 from repro.optimize.basinhopping import basinhopping
+from repro.optimize.local.line_search import minimize_scalar
 from repro.optimize.mcmc import metropolis_accept, propose_perturbation
 from repro.optimize.result import OptimizeResult, evaluate_counted
-from repro.optimize.scipy_backend import scipy_basinhopping
 
 
 def multimodal(x):
@@ -76,30 +76,27 @@ class TestBasinhopping:
         assert result.nit == 0
 
     def test_accepts_callable_local_minimizer(self, rng):
-        from repro.optimize.local import nelder_mead
+        calls = []
+
+        def line_minimizer(func, x0, **options):
+            """A 1-D local minimizer: one line search from ``x0``."""
+            calls.append(options)
+            x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+            t, f, nfev = minimize_scalar(lambda t: func(x0 + t))
+            return OptimizeResult(x=x0 + t, fun=f, nfev=nfev)
 
         result = basinhopping(
-            multimodal, np.array([0.0]), n_iter=10, local_minimizer=nelder_mead, rng=rng
+            multimodal, np.array([0.0]), n_iter=10, local_minimizer=line_minimizer, rng=rng,
+            local_options={"max_iterations": 7},
         )
         assert result.fun == pytest.approx(0.0, abs=1e-4)
+        assert calls and all(options == {"max_iterations": 7} for options in calls)
 
     def test_deterministic_given_seed(self):
         a = basinhopping(multimodal, np.array([5.0]), n_iter=10, rng=np.random.default_rng(3))
         b = basinhopping(multimodal, np.array([5.0]), n_iter=10, rng=np.random.default_rng(3))
         assert a.fun == b.fun
         assert np.array_equal(a.x, b.x)
-
-
-class TestSciPyBackend:
-    def test_reaches_global_minimum(self, rng):
-        result = scipy_basinhopping(multimodal, np.array([6.0]), n_iter=25, rng=rng)
-        assert result.fun == pytest.approx(0.0, abs=1e-6)
-
-    def test_callback_early_stop(self, rng):
-        result = scipy_basinhopping(
-            multimodal, np.array([6.0]), n_iter=50, rng=rng, callback=lambda x, f, a: True
-        )
-        assert result.fun is not None
 
 
 class TestOptimizeResult:

@@ -1,4 +1,4 @@
-"""Tests for the local optimization algorithms (line search, Powell, Nelder-Mead, compass)."""
+"""Tests for the local optimization algorithm (line search and Powell)."""
 
 from __future__ import annotations
 
@@ -11,15 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.optimize.local import (
     bracket_minimum,
-    compass_search,
     get_local_minimizer,
     golden_section,
     minimize_scalar,
-    nelder_mead,
     powell,
 )
 
-LOCAL_MINIMIZERS = [powell, nelder_mead, compass_search]
+LOCAL_MINIMIZERS = [powell]
 
 
 def quadratic(x):
@@ -120,6 +118,5 @@ class TestLocalMinimizers:
 
     def test_registry_lookup(self):
         assert get_local_minimizer("powell") is powell
-        assert get_local_minimizer("Nelder-Mead") is nelder_mead
         with pytest.raises(ValueError):
             get_local_minimizer("gradient-descent")

@@ -1,4 +1,4 @@
-"""Tests for the optimizer backend registry and configuration validation."""
+"""Tests for the local-minimizer registry and configuration validation."""
 
 from __future__ import annotations
 
@@ -10,79 +10,47 @@ import pytest
 
 from repro.core.config import CoverMeConfig
 from repro.core.coverme import cover
-from repro.optimize.basinhopping import basinhopping
 from repro.optimize.local import (
     available_local_minimizers,
+    get_local_minimizer,
+    powell,
     register_local_minimizer,
     unregister_local_minimizer,
 )
-from repro.optimize.registry import (
-    available_backends,
-    get_backend,
-    register_backend,
-    unregister_backend,
-)
 from tests import sample_programs as sp
 
-
-class TestBackendRegistry:
-    def test_builtin_backends_registered(self):
-        assert {"builtin", "scipy"} <= set(available_backends())
-        assert callable(get_backend("builtin"))
-        assert callable(get_backend("SCIPY"))  # lookup is case-insensitive
-
-    def test_unknown_backend_error_lists_known(self):
-        with pytest.raises(ValueError, match="builtin"):
-            get_backend("does-not-exist")
-
-    def test_register_and_unregister(self):
-        try:
-            register_backend("probe-backend", basinhopping)
-            assert get_backend("probe-backend") is basinhopping
-            with pytest.raises(ValueError, match="already registered"):
-                register_backend("probe-backend", basinhopping)
-            register_backend("probe-backend", basinhopping, replace=True)
-        finally:
-            unregister_backend("probe-backend")
-        assert "probe-backend" not in available_backends()
-
-    def test_decorator_form(self):
-        try:
-
-            @register_backend("probe-decorated")
-            def my_backend(func, x0, **kwargs):
-                return basinhopping(func, x0, **kwargs)
-
-            assert get_backend("probe-decorated") is my_backend
-        finally:
-            unregister_backend("probe-decorated")
-
-    def test_non_callable_rejected(self):
-        with pytest.raises(TypeError):
-            register_backend("probe-bad", "not callable")
-
-    def test_custom_backend_drives_coverme_end_to_end(self):
-        calls = {"n": 0}
-
-        def counting_backend(func, x0, **kwargs):
-            calls["n"] += 1
-            return basinhopping(func, x0, **kwargs)
-
-        try:
-            register_backend("probe-counting", counting_backend)
-            result = cover(
-                sp.single_branch,
-                CoverMeConfig(n_start=8, seed=0, backend="probe-counting"),
-            )
-            assert result.branch_coverage == 1.0
-            assert calls["n"] > 0
-        finally:
-            unregister_backend("probe-counting")
+#: ``CoverMeConfig`` fields that once chose an alternative search or tuned
+#: one; each is now a constant at its one consumer.  ``backend``,
+#: ``step_size`` and ``start_scale`` have tests of their own below.
+REMOVED_FIELDS = (
+    "start_strategy", "verbose", "zero_tolerance", "batch_size", "epsilon",
+    "temperature", "local_max_iterations",
+)
 
 
 class TestLocalMinimizerRegistry:
     def test_known_names_present(self):
-        assert {"powell", "nelder-mead", "compass"} <= set(available_local_minimizers())
+        assert available_local_minimizers() == ("powell",)
+        assert get_local_minimizer("POWELL") is powell  # lookup is case-insensitive
+
+    def test_unknown_name_error_lists_known(self):
+        with pytest.raises(ValueError, match="unknown local minimizer 'compass'; known: powell"):
+            get_local_minimizer("compass")
+
+    def test_register_replace_and_unregister(self):
+        try:
+            register_local_minimizer("probe-plain", powell)
+            assert get_local_minimizer("probe-plain") is powell
+            with pytest.raises(ValueError, match="already registered"):
+                register_local_minimizer("probe-plain", powell)
+            register_local_minimizer("probe-plain", powell, replace=True)
+        finally:
+            unregister_local_minimizer("probe-plain")
+        assert "probe-plain" not in available_local_minimizers()
+
+    def test_non_callable_rejected(self):
+        with pytest.raises(TypeError):
+            register_local_minimizer("probe-bad", "not callable")
 
     def test_register_local_minimizer(self):
         try:
@@ -99,58 +67,61 @@ class TestLocalMinimizerRegistry:
         finally:
             unregister_local_minimizer("probe-lm")
 
+    def test_replacing_powell_serves_later_runs(self):
+        """A minimizer registered over ``powell`` is looked up when each
+        basin-hopping run starts, so a wrapper sees every local search."""
+        calls = {"n": 0}
+
+        def counting(func, x0, **options):
+            calls["n"] += 1
+            return powell(func, x0, **options)
+
+        try:
+            register_local_minimizer("powell", counting, replace=True)
+            result = cover(sp.single_branch, CoverMeConfig(n_start=6, seed=1))
+        finally:
+            register_local_minimizer("powell", powell, replace=True)
+        assert result.branch_coverage == 1.0
+        assert calls["n"] > 0
+
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("name", REMOVED_FIELDS)
+    def test_removed_search_options_raise(self, name):
+        with pytest.raises(TypeError, match=name):
+            CoverMeConfig(**{name: 1})
+
     def test_rejects_bad_step_size_and_start_scale(self):
-        with pytest.raises(ValueError, match="step_size"):
+        # Both are constants now (basin hopping's step and the scheduler's
+        # START_SCALE); passing either fails loudly instead of being ignored.
+        with pytest.raises(TypeError, match="step_size"):
             CoverMeConfig(step_size=0.0)
-        with pytest.raises(ValueError, match="step_size"):
-            CoverMeConfig(step_size=-1.0)
-        with pytest.raises(ValueError, match="start_scale"):
+        with pytest.raises(TypeError, match="start_scale"):
             CoverMeConfig(start_scale=0.0)
+
+    def test_rejects_unknown_backend(self):
+        # Step 3 has one search; no backend name is known.
+        with pytest.raises(TypeError, match="backend"):
+            CoverMeConfig(backend="scipy")
 
     def test_rejects_unknown_local_minimizer(self):
         with pytest.raises(ValueError, match="unknown local minimizer"):
             CoverMeConfig(local_minimizer="bfgs")
-
-    def test_scipy_backend_accepts_scipy_method_names(self):
-        # The registry only gates the builtin backend's LM names; scipy
-        # interprets the name itself, so any scipy.optimize method is fine.
-        config = CoverMeConfig(backend="scipy", local_minimizer="L-BFGS-B")
-        assert config.local_minimizer == "L-BFGS-B"
+        with pytest.raises(ValueError, match="known: powell"):
+            CoverMeConfig(local_minimizer="compass")
         with pytest.raises(ValueError, match="non-empty"):
-            CoverMeConfig(backend="scipy", local_minimizer="")
-
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            CoverMeConfig(backend="magic")
-
-    def test_accepts_freshly_registered_backend(self):
-        try:
-            register_backend("probe-config", basinhopping)
-            config = CoverMeConfig(backend="probe-config")
-            assert config.backend == "probe-config"
-        finally:
-            unregister_backend("probe-config")
+            CoverMeConfig(local_minimizer="")
 
     def test_rejects_engine_knob_misuse(self):
         with pytest.raises(ValueError, match="n_workers"):
             CoverMeConfig(n_workers=0)
         with pytest.raises(ValueError, match="worker mode"):
             CoverMeConfig(worker_mode="fibers")
-        with pytest.raises(ValueError, match="start strategy"):
-            CoverMeConfig(start_strategy="sobol")
-        with pytest.raises(ValueError, match="batch_size"):
-            CoverMeConfig(batch_size=0)
-
-    def test_effective_batch_size(self):
-        assert CoverMeConfig().effective_batch_size() >= 1
-        assert CoverMeConfig(batch_size=3).effective_batch_size() == 3
 
 
 def test_engine_imports_leave_scipy_optimize_unloaded():
-    """scipy.optimize is imported by the scipy backend when it runs, not by
-    every process that imports the engine or the experiment pipeline."""
+    """scipy.optimize doubles a process's resident size; nothing the engine
+    or the experiment pipeline imports pulls it in."""
     src = Path(__file__).resolve().parents[1] / "src"
     script = (
         "import sys\n"

@@ -159,6 +159,14 @@ class TestRejections:
             client._request("POST", "/jobs", body)
         assert excinfo.value.status == 400
 
+    def test_removed_profile_field_override_is_400_naming_it(self, daemon):
+        client, _ = daemon
+        with pytest.raises(ClientError) as excinfo:
+            client.submit(CASE_KEY, profile="det-http",
+                          overrides={"start_strategy": "latin-hypercube"})
+        assert excinfo.value.status == 400
+        assert "start_strategy" in excinfo.value.payload["error"]
+
     def test_invalid_json_body_is_400(self, daemon):
         client, _ = daemon
         request = urllib.request.Request(

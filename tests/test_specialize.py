@@ -46,6 +46,8 @@ PARITY_TARGETS = (
     sp.mixed_leaves,
     sp.while_else_loop,
     sp.huge_int_guard,
+    sp.int_square,
+    sp.int_square_masked,
     sp.ternary_in_tree,
     sp.three_dimensional,
     sp.raises_for_small,
