@@ -23,21 +23,24 @@ the saturation mask resolved per probe site
 protocol* -- the compiled variant is reused verbatim while the tracker's
 ``saturated_mask`` is unchanged and transparently re-specialized (a cached
 lookup when the mask was seen before) only when saturation actually flips a
-bit.  ``PENALTY_NATIVE`` applies the same protocol to machine code: the
-specialized lowering is compiled to a shared object
-(:mod:`repro.instrument.native`) and both ``__call__`` and
-``evaluate_batch`` dispatch to it, degrading to ``PENALTY_SPECIALIZED``
-with a one-time per-instance warning when no C compiler is present or the
-program cannot be emitted.  Cold compiles do not block: the build runs on
-the background worker while calls are served by the specialized tier (no
-warning — that state is transient, counted in ``native_pending_calls``)
-and the kernel swaps in at the next call/batch boundary once the build
-lands.  All profiles compute bit-identical values; callers that need
-coverage from a specific point (e.g. an accepted minimum) re-execute it via
-:meth:`RepresentingFunction.evaluate_with_coverage`, which under the
-compiled tiers runs the allocation-free
-:class:`~repro.instrument.runtime.FastRuntime` so the coverage outcome stays
-complete and identical across profiles.
+bit.  ``PENALTY_NATIVE`` compiles the program once to a shared object
+(:mod:`repro.instrument.native`) whose probe sites read the saturation mask
+at run time, as ``pen`` reads the saturated set in Algorithm 1: ``__call__``
+and ``evaluate_batch`` dispatch to that one kernel under the tracker's
+current mask, degrading to ``PENALTY_SPECIALIZED`` with one warning per
+program when no C compiler is present or the program cannot be emitted.
+Cold compiles do not block: the build runs on the background worker while
+calls are served by the specialized tier (no warning — that state is
+transient, counted in ``native_pending_calls``) and the kernel swaps in at
+the next call/batch boundary once the build lands.  All profiles compute
+bit-identical values; callers that need coverage from a specific point
+(e.g. an accepted minimum) re-execute it via
+:meth:`RepresentingFunction.evaluate_with_coverage`.  Under
+``PENALTY_NATIVE`` that is one kernel call, whose probe sites all record
+their covered bit and the last conditional; rows the kernel bails on, and
+the specialized profile (whose variants strip saturated probes), run the
+allocation-free :class:`~repro.instrument.runtime.FastRuntime` instead, so
+the coverage outcome stays complete and identical across profiles.
 """
 
 from __future__ import annotations
@@ -105,35 +108,33 @@ class RepresentingFunction:
         self._batch_kernel = None
         self.batch_respecializations = 0
         self.batched_calls = 0
-        # Native-kernel epoch state.  ``_native_ok`` latches False on the
-        # first NativeUnavailable (no compiler, non-emittable program): the
-        # instance degrades to the scalar specialized tier permanently, with
-        # one warning.  A cold compile is *transient* instead: it runs on
-        # the background worker (NativeCompiling), ``_native_pending`` holds
-        # its digest, and calls are served by the specialized tier — no
-        # warning — until the poll sees the build land and the kernel swaps
-        # in at the next call/batch boundary.  Warn-once bookkeeping is
-        # per-instance so a fresh RepresentingFunction (or a cleared cache)
-        # warns again.
+        # Native-kernel state.  The program's one kernel serves every mask;
+        # ``native_respecializations`` counts the times this wrapper bound
+        # it to a new mask.  ``_native_ok`` latches False on the first
+        # NativeUnavailable (no compiler, non-emittable program): the
+        # instance degrades to the scalar specialized tier permanently, and
+        # the first instance of the program to degrade warns.  A cold
+        # compile is *transient* instead: it runs on the background worker
+        # (NativeCompiling), ``_native_pending`` holds its digest, and calls
+        # are served by the specialized tier — no warning — until the poll
+        # sees the build land and the kernel swaps in at the next call/batch
+        # boundary.
         self._native_kernel = None
         self.native_respecializations = 0
         self._native_ok = True
         self._native_pending: Optional[str] = None
         self.native_pending_calls = 0
-        self._warned: set[str] = set()
         self._arity = program.arity
         self._native = self.profile is ExecutionProfile.PENALTY_NATIVE
         self._specialized = self.profile is not ExecutionProfile.FULL_TRACE
+        # The specialized variants' covered bitsets are partial, so a fast
+        # runtime backs evaluate_with_coverage() whenever the native kernel
+        # does not serve it (another profile, a bailed row, no kernel); it
+        # is built at its first harvest.
+        self._fast: Optional[FastRuntime] = None
         if self._specialized:
-            # The compiled tiers' covered bitsets are partial, so a fast
-            # runtime backs evaluate_with_coverage(), whose outcome must
-            # stay complete.
-            self._fast: Optional[FastRuntime] = FastRuntime(
-                program.n_conditionals, epsilon=epsilon
-            )
             self._runtime = None
         else:
-            self._fast = None
             self._runtime = Runtime(policy=CoverMePenalty(self.tracker, epsilon), epsilon=epsilon)
 
     @property
@@ -263,15 +264,35 @@ class RepresentingFunction:
                 last_conditional=None if last is None else last.conditional,
                 last_outcome=None if last is None else last.outcome,
             )
-        # The compiled variant's covered bitset is partial (stripped probes
+        args = self._coerce(x)
+        self.evaluations += 1
+        program = self.program
+        # Only a kernel this wrapper already holds serves the harvest, so a
+        # pending build is not polled (nor counted) once more here.
+        kernel = self.native_kernel() if self._native_kernel is not None else None
+        if kernel is not None:
+            # Every site of the native kernel records its covered bit and
+            # the last conditional, so one call yields the whole outcome.
+            row = kernel.coverage(args)
+            if row is not None:
+                r, covered, last = row
+                if r != r or r == _INF or r == -_INF:
+                    r = _CLAMP
+                self.last_record = None
+                self.last_value = r
+                return r, CoverageOutcome(
+                    covered=program.branches_of(covered),
+                    last_conditional=None if last < 0 else last >> 1,
+                    last_outcome=None if last < 0 else bool(last & 1),
+                )
+        # A specialized variant's covered bitset is partial (stripped probes
         # record nothing) and it tracks no last conditional, so the harvest
         # runs the generic fast runtime against the same mask -- values stay
         # bit-identical, outcomes complete.  install + begin resynchronize
         # the saturation snapshot from the (possibly updated) tracker.
-        args = self._coerce(x)
-        self.evaluations += 1
         fast = self._fast
-        program = self.program
+        if fast is None:
+            fast = self._fast = FastRuntime(program.n_conditionals, epsilon=self.epsilon)
         program.handle.install(fast)
         fast.begin(self.tracker.saturated_mask)
         try:
@@ -286,12 +307,13 @@ class RepresentingFunction:
         return r, fast.snapshot()
 
     def native_kernel(self):
-        """The native kernel for the tracker's current mask, or ``None``.
+        """The program's native kernel, set to the tracker's current mask,
+        or ``None``.
 
         ``None`` when the profile is not ``penalty-native`` or the tier
         cannot serve: the kernel is still compiling (this call is counted
-        in ``native_pending_calls``) or is permanently unavailable.  A
-        kernel is reused while the mask is unchanged (the epoch protocol).
+        in ``native_pending_calls``) or is permanently unavailable.  The
+        kernel is rebound only when the mask changed (the epoch protocol).
         """
         if not (self._native and self._native_ok):
             return None
@@ -304,13 +326,15 @@ class RepresentingFunction:
     # -- helpers -------------------------------------------------------------------
 
     def _native_kernel_for(self, mask):
-        """Fetch/build the native kernel for ``mask``, degrading on failure.
+        """Fetch/build the native kernel and bind it to ``mask``, degrading
+        on failure.
 
         Returns ``None`` when the native tier cannot serve this call; the
         caller falls through to the scalar specialized tier.  The two
         failure states are reported distinctly: a *permanent*
         ``NativeUnavailable`` (no compiler, non-emittable program, failed
-        build) latches ``_native_ok`` False and warns once, while a
+        build) latches ``_native_ok`` False and warns once per program,
+        while a
         *transient* ``NativeCompiling`` (the background ``cc`` is still
         running) never warns — ``native_pending_calls`` counts the calls
         the specialized tier absorbed, and the kernel swaps in at the next
@@ -331,23 +355,21 @@ class RepresentingFunction:
         except NativeUnavailable as exc:
             self._native_ok = False
             self._native_pending = None
-            self._warn_instance(
-                "native-degraded",
-                f"native tier permanently unavailable ({exc}); degrading to "
-                "the scalar specialized tier",
-            )
+            if not self.program.native_degradation_warned:
+                # The kernel is per program, so is its failure: later
+                # instances (one per start) degrade silently.
+                self.program.native_degradation_warned = True
+                warnings.warn(
+                    f"native tier permanently unavailable ({exc}); degrading "
+                    "to the scalar specialized tier",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
             return None
         self._native_pending = None
         self._native_kernel = kernel
         self.native_respecializations += 1
         return kernel
-
-    def _warn_instance(self, key: str, message: str) -> None:
-        """Emit ``message`` at most once per RepresentingFunction instance."""
-        if key in self._warned:
-            return
-        self._warned.add(key)
-        warnings.warn(message, RuntimeWarning, stacklevel=3)
 
     def _coerce(self, x) -> Sequence[float]:
         if x.__class__ is np.ndarray:

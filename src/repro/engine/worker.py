@@ -6,9 +6,12 @@ frozen snapshot of the saturation state, then evaluate the found minimum once
 more to obtain its coverage outcome.  The minimization loop runs under the
 configured execution profile (``PENALTY_NATIVE`` by default -- the optimizer
 only reads the scalar objective) with a bit-pattern memo in front of the
-objective; the final evaluation runs on the allocation-free fast runtime so
-the reduction sees the covered branches and the infeasible heuristic's last
-conditional.  Starts within a batch share the same snapshot, which makes them
+objective; the final evaluation harvests the covered branches and the
+infeasible heuristic's last conditional, in one call of the program's native
+kernel under ``PENALTY_NATIVE`` (whose probe sites all record coverage) and
+on the allocation-free fast runtime otherwise or when the kernel bails on
+the minimum.  A start builds its random generator only when basin hopping
+first draws from it.  Starts within a batch share the same snapshot, which makes them
 independent of one another -- the property that lets the engine run them on
 any number of workers and still merge the results deterministically.
 
@@ -58,6 +61,27 @@ _PRIMED_PROFILES = (ExecutionProfile.PENALTY_SPECIALIZED,)
 
 #: Direction-set sweeps each local search may take.
 LOCAL_MAX_ITERATIONS = 40
+
+
+class _LazyGenerator:
+    """A start's random generator, built at its first draw.
+
+    Most starts stop at their first local search and never draw, so the
+    ``np.random.default_rng`` construction is deferred to the first
+    attribute read; every draw goes to the one generator built from
+    ``seed``, so the stream is bit-identical to an eager one."""
+
+    __slots__ = ("_seed", "_rng")
+
+    def __init__(self, seed: list):
+        self._seed = seed
+        self._rng = None
+
+    def __getattr__(self, name: str):
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = np.random.default_rng(self._seed)
+        return getattr(rng, name)
 
 
 @dataclass(frozen=True)
@@ -156,8 +180,8 @@ def run_start(
     )
     # The optimizer inner loop only consumes the scalar objective, so the
     # configured profile (default PENALTY_NATIVE) drives the loop, and the
-    # accepted minimum is re-executed below on the fast runtime to harvest
-    # branches.  All profiles compute bit-identical values, so this choice
+    # accepted minimum is re-executed below to harvest branches.  All
+    # profiles compute bit-identical values and outcomes, so this choice
     # never changes seeded results.
     representing = RepresentingFunction(
         program, tracker, profile=params.eval_profile, native_threads=params.native_threads
@@ -171,7 +195,7 @@ def run_start(
     # misses are counted into ``evaluations`` before it is freed.
     fused = native_objective(representing)
     objective = fused if fused is not None else BitPatternMemo(representing, arity=program.arity)
-    rng = np.random.default_rng([params.root_seed, _STREAM_WORKER, task.index])
+    rng = _LazyGenerator([params.root_seed, _STREAM_WORKER, task.index])
     found: dict[str, np.ndarray] = {}
 
     def callback(x: np.ndarray, f: float, _accepted: bool) -> bool:

@@ -12,20 +12,29 @@ fixed ABI:
 ``const char *const sp_bail_reasons[]``
     The reason text of each bail site, by site index (diagnostics).
 
-``int sp_entry(const double *x, double *r_out, uint64_t *cov_out)``
-    One row.  Returns 0 on completion (``r_out``/``cov_out`` valid, frozen
-    rows included) and ``1 + site`` on a *bail* at bail site ``site`` (the
-    caller re-runs the row on the scalar specialized variant).
+``int sp_entry(const double *x, const uint64_t *sat, double *r_out,
+uint64_t *cov_out, int64_t *last_out)``
+    One row under the saturation mask ``sat`` (``n_words`` words laid out
+    like the covered bits: bit ``2 * c + outcome`` set when that branch of
+    conditional ``c`` is saturated; every probe site reads its two bits and
+    branches to its Def. 4.2 case).  Returns 0 on completion (``r_out``,
+    ``cov_out`` and ``last_out`` valid, frozen rows included) and
+    ``1 + site`` on a *bail* at bail site ``site`` (the caller re-runs the
+    row on the scalar tier).  ``cov_out`` receives every branch the row
+    took; ``*last_out`` is the covered-bit index ``2 * c + outcome`` of the
+    last conditional executed, or -1 when none ran.
 
-``void sp_batch(const double *rows, long long n, double *r_out,
-uint64_t *cov_out, int32_t *bail_out)``
-    ``n`` rows, row-major, ``arity`` doubles each.  ``cov_out`` receives the
-    union of covered bits over the non-bailed rows; ``bail_out[i]`` is
-    ``sp_entry``'s return code of row ``i``, nonzero for rows the caller
-    must redo.
+``void sp_batch(const double *rows, long long n, const uint64_t *sat,
+double *r_out, uint64_t *cov_out, int32_t *bail_out, int64_t *last_out)``
+    ``n`` rows, row-major, ``arity`` doubles each, under one mask.
+    ``cov_out`` receives the union of covered bits over the non-bailed
+    rows; ``bail_out[i]`` is ``sp_entry``'s return code of row ``i``,
+    nonzero for rows the caller must redo, and ``last_out[i]`` (when
+    ``last_out`` is not null) its last conditional, -1 for a bailed row.
 
 ``void sp_batch_mt(const double *rows, long long n, long long n_threads,
-double *r_out, uint64_t *cov_out, int32_t *bail_out)``
+const uint64_t *sat, double *r_out, uint64_t *cov_out, int32_t *bail_out,
+int64_t *last_out)``
     Same row semantics, but the row range is partitioned across pthread
     workers (the same size+rest split as the engine's ``chunk_evenly``).
     Each worker accumulates covered bits into a private
@@ -69,6 +78,7 @@ from repro.instrument.native.emit import (
     SLoop,
     SReturn,
     SSetR,
+    SatRef,
     Sel,
     T_BOOL,
     T_F64,
@@ -97,6 +107,8 @@ _PRELUDE = r"""
 typedef struct {
     double r;
     uint64_t cov[SP_NWORDS];
+    const uint64_t *sat; /* the saturation mask words of this call */
+    int64_t last; /* covered-bit index of the last conditional, or -1 */
     int status; /* 0 ok, 1 frozen (swallowed exception), 2 bail */
     int bail_site; /* the bail site that fired, when status is 2 */
 } SpCtx;
@@ -211,6 +223,9 @@ def _rx(e) -> str:
         return f"(({_rx(e.cond)}) ? ({_rx(e.a)}) : ({_rx(e.b)}))"
     if isinstance(e, ArrRef):
         return f"{e.array}[{_rx(e.index)}]"
+    if isinstance(e, SatRef):
+        bit = 2 * e.label
+        return f"((int64_t)((ctx->sat[{bit >> 6}] >> {bit & 63}) & 3))"
     raise TypeError(f"unrenderable IR expression {type(e).__name__}")
 
 
@@ -248,6 +263,7 @@ class _FnRenderer:
             emit(indent + 1,
                  "ctx->cov[(uint64_t)sp_ix >> 6] |= "
                  "1ULL << ((uint64_t)sp_ix & 63);")
+            emit(indent + 1, "ctx->last = sp_ix;")
             emit(indent, "}")
         elif isinstance(s, SIf):
             emit(indent, f"if ({_rx(s.cond)}) {{")
@@ -350,10 +366,13 @@ def render_c(ir: ProgramIR) -> str:
         _render_fn(fn, lines)
     arity = len(ir.entry.params)
     lines += [
-        "int sp_entry(const double *x, double *r_out, uint64_t *cov_out) {",
+        "int sp_entry(const double *x, const uint64_t *sat, double *r_out,",
+        "             uint64_t *cov_out, int64_t *last_out) {",
         "    SpCtx ctx;",
         "    ctx.r = 1.0;",
         "    memset(ctx.cov, 0, sizeof ctx.cov);",
+        "    ctx.sat = sat;",
+        "    ctx.last = -1;",
         "    ctx.status = 0;",
     ]
     _render_entry_call(ir, lines, "    ", lambda k: f"x[{k}]")
@@ -361,22 +380,28 @@ def render_c(ir: ProgramIR) -> str:
         "    if (ctx.status == 2) return 1 + ctx.bail_site;",
         "    *r_out = ctx.r;",
         "    for (int w = 0; w < SP_NWORDS; w++) cov_out[w] = ctx.cov[w];",
+        "    *last_out = ctx.last;",
         "    return 0;",
         "}",
         "",
-        "/* Row range [start, end): r/bail per row, covered bits OR-ed into",
-        "   cov (never zeroed here).  The SpCtx is hoisted out of the loop;",
-        "   only the words a row dirtied are cleared before the next row. */",
+        "/* Row range [start, end): r/bail/last per row, covered bits OR-ed",
+        "   into cov (never zeroed here).  The SpCtx is hoisted out of the",
+        "   loop; only the words a row dirtied are cleared before the next",
+        "   row. */",
         "static void sp_batch_range(const double *restrict rows,",
         "                           long long start, long long end,",
+        "                           const uint64_t *sat,",
         "                           double *restrict r_out,",
         "                           uint64_t *restrict cov,",
-        "                           int32_t *restrict bail_out) {",
+        "                           int32_t *restrict bail_out,",
+        "                           int64_t *restrict last_out) {",
         "    SpCtx ctx;",
         "    memset(ctx.cov, 0, sizeof ctx.cov);",
+        "    ctx.sat = sat;",
         "    for (long long i = start; i < end; i++) {",
         f"        const double *restrict row = rows + i * {arity};",
         "        ctx.r = 1.0;",
+        "        ctx.last = -1;",
         "        ctx.status = 0;",
     ]
     _render_entry_call(ir, lines, "        ", lambda k: f"row[{k}]")
@@ -384,6 +409,7 @@ def render_c(ir: ProgramIR) -> str:
         "        if (ctx.status == 2) {",
         "            bail_out[i] = 1 + ctx.bail_site;",
         "            r_out[i] = 0.0;",
+        "            if (last_out) last_out[i] = -1;",
         "            /* Drop this row's partial coverage (bailed rows are",
         "               redone by the caller on the scalar tier). */",
         "            for (int w = 0; w < SP_NWORDS; w++) ctx.cov[w] = 0;",
@@ -391,6 +417,7 @@ def render_c(ir: ProgramIR) -> str:
         "        }",
         "        bail_out[i] = 0;",
         "        r_out[i] = ctx.r;",
+        "        if (last_out) last_out[i] = ctx.last;",
         "        for (int w = 0; w < SP_NWORDS; w++) {",
         "            cov[w] |= ctx.cov[w];",
         "            ctx.cov[w] = 0;",
@@ -398,25 +425,29 @@ def render_c(ir: ProgramIR) -> str:
         "    }",
         "}",
         "",
-        "void sp_batch(const double *rows, long long n, double *r_out,",
-        "              uint64_t *cov_out, int32_t *bail_out) {",
+        "void sp_batch(const double *rows, long long n, const uint64_t *sat,",
+        "              double *r_out, uint64_t *cov_out, int32_t *bail_out,",
+        "              int64_t *last_out) {",
         "    for (int w = 0; w < SP_NWORDS; w++) cov_out[w] = 0;",
-        "    sp_batch_range(rows, 0, n, r_out, cov_out, bail_out);",
+        "    sp_batch_range(rows, 0, n, sat, r_out, cov_out, bail_out, last_out);",
         "}",
         "",
         "typedef struct {",
         "    const double *rows;",
         "    long long start;",
         "    long long end;",
+        "    const uint64_t *sat;",
         "    double *r_out;",
         "    int32_t *bail_out;",
+        "    int64_t *last_out;",
         "    uint64_t cov[SP_NWORDS];",
         "} SpMtChunk;",
         "",
         "static void *sp_mt_main(void *arg) {",
         "    SpMtChunk *chunk = (SpMtChunk *)arg;",
-        "    sp_batch_range(chunk->rows, chunk->start, chunk->end,",
-        "                   chunk->r_out, chunk->cov, chunk->bail_out);",
+        "    sp_batch_range(chunk->rows, chunk->start, chunk->end, chunk->sat,",
+        "                   chunk->r_out, chunk->cov, chunk->bail_out,",
+        "                   chunk->last_out);",
         "    return 0;",
         "}",
         "",
@@ -426,12 +457,13 @@ def render_c(ir: ProgramIR) -> str:
         "   for any thread count.  cov_out is an in/out accumulator and is",
         "   never zeroed here. */",
         "void sp_batch_mt(const double *rows, long long n, long long n_threads,",
-        "                 double *r_out, uint64_t *cov_out,",
-        "                 int32_t *bail_out) {",
+        "                 const uint64_t *sat, double *r_out, uint64_t *cov_out,",
+        "                 int32_t *bail_out, int64_t *last_out) {",
         "    if (n_threads > n) n_threads = n;",
         "    if (n_threads > SP_MT_MAX) n_threads = SP_MT_MAX;",
         "    if (n_threads <= 1) {",
-        "        sp_batch_range(rows, 0, n, r_out, cov_out, bail_out);",
+        "        sp_batch_range(rows, 0, n, sat, r_out, cov_out, bail_out,",
+        "                       last_out);",
         "        return;",
         "    }",
         "    SpMtChunk chunks[SP_MT_MAX];",
@@ -445,8 +477,10 @@ def render_c(ir: ProgramIR) -> str:
         "        chunks[t].rows = rows;",
         "        chunks[t].start = pos;",
         "        chunks[t].end = pos + count;",
+        "        chunks[t].sat = sat;",
         "        chunks[t].r_out = r_out;",
         "        chunks[t].bail_out = bail_out;",
+        "        chunks[t].last_out = last_out;",
         "        memset(chunks[t].cov, 0, sizeof chunks[t].cov);",
         "        pos += count;",
         "    }",

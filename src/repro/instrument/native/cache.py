@@ -40,13 +40,16 @@ from pathlib import Path
 #: 5: dead values sliced away, huge ints masked exactly; ``sp_entry`` and
 #:    ``bail_out`` report the bail site, ``sp_bail_reasons`` names each.
 #: 6: int ``+ - *`` carry an overflow flag; an unmasked overflowed value bails.
-ABI_VERSION = 6
+#: 7: one kernel per program: the saturation mask is a runtime argument of
+#:    every entry, every site writes its covered bit, and ``sp_entry``
+#:    reports the last executed conditional.
+ABI_VERSION = 7
 
 #: Default upper bound on cached shared objects on disk (each entry keeps
-#: its .c source next to the .so for debuggability; ~45 KB together).  One
-#: ``default``-profile seed requests ~160 kernels, so this keeps several
-#: seeds warm.  Overridable per process via ``$REPRO_NATIVE_CACHE_MAX`` —
-#: see :func:`disk_cache_max`.
+#: its .c source next to the .so for debuggability).  A kernel serves every
+#: mask of its program, so one ``default``-profile seed needs one kernel per
+#: suite entry and this keeps many source revisions warm.  Overridable per
+#: process via ``$REPRO_NATIVE_CACHE_MAX`` — see :func:`disk_cache_max`.
 DISK_CACHE_MAX = 1024
 
 #: Seconds one compiler invocation may take.  A hidden temp file older
@@ -277,16 +280,23 @@ def _cleanup(*paths) -> None:
 
 # --- Background (non-blocking) compilation ---------------------------------
 #
-# One lazily-started daemon worker drains a queue of (c_source, digest)
-# jobs through compile_kernel().  Jobs are de-duplicated by digest: N
-# concurrent requests for the same kernel enqueue one build.  Outcomes are
-# kept per digest — ("done", path) or ("failed", NativeUnavailable) — so
-# pollers resolve with a dict lookup, not a recompile.
+# Lazily-started daemon workers (BG_WORKERS of them) drain a queue of
+# (c_source, digest) jobs through compile_kernel().  Jobs are
+# de-duplicated by digest: N concurrent requests for the same kernel
+# enqueue one build.  Outcomes are kept per digest — ("done", path) or
+# ("failed", NativeUnavailable) — so pollers resolve with a dict lookup,
+# not a recompile.
+
+#: Background compiler threads: two builds overlap when the process may run
+#: on a second CPU (a cold suite pass queues one kernel per program, and
+#: the one that is still evaluating on the specialized tier holds a CPU).
+BG_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else (os.cpu_count() or 1))
 
 _BG_LOCK = threading.Lock()
 _BG_JOBS: dict = {}  # digest -> ("pending",) | ("done", Path) | ("failed", exc)
 _BG_STATE: dict = {
-    "thread": None,
+    "threads": (),
     "queue": None,
     "drain_pid": None,
     "submitted": 0,
@@ -320,15 +330,17 @@ def _bg_worker() -> None:
 
 def _ensure_bg_worker() -> None:
     # Caller holds _BG_LOCK.
-    if _BG_STATE["thread"] is None or not _BG_STATE["thread"].is_alive():
+    if not any(worker.is_alive() for worker in _BG_STATE["threads"]):
         _BG_STATE["queue"] = _BG_STATE["queue"] or queue.Queue()
-        worker = threading.Thread(
-            target=_bg_worker, name="repro-native-cc", daemon=True
+        workers = tuple(
+            threading.Thread(target=_bg_worker, name="repro-native-cc", daemon=True)
+            for _ in range(BG_WORKERS)
         )
-        _BG_STATE["thread"] = worker
-        worker.start()
+        _BG_STATE["threads"] = workers
+        for worker in workers:
+            worker.start()
         if _BG_STATE["drain_pid"] != os.getpid():
-            # The worker is a daemon thread, killed mid-build at exit.  A
+            # The workers are daemon threads, killed mid-build at exit.  A
             # main process drains through atexit; a multiprocessing child
             # leaves through os._exit after running only its exit
             # finalizers, so it drains through one of those.
@@ -344,13 +356,13 @@ def finish_background_compiles() -> None:
     the next one instead of dying with its build, and at the end of every
     job a process worker runs (:func:`repro.service.jobs.execute_job_remote`),
     so no build outlives the job that queued it.  A forked child inherits
-    the parent's thread object, dead in the child: nothing to wait for."""
-    worker = _BG_STATE["thread"]
-    if worker is None or not worker.is_alive():
+    the parent's thread objects, dead in the child: nothing to wait for."""
+    workers = _BG_STATE["threads"]
+    if not any(worker.is_alive() for worker in workers):
         return
     jobs = _BG_STATE["queue"]
     with jobs.all_tasks_done:
-        while jobs.unfinished_tasks and worker.is_alive():
+        while jobs.unfinished_tasks and any(worker.is_alive() for worker in workers):
             jobs.all_tasks_done.wait(0.1)
 
 

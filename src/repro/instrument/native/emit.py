@@ -1,11 +1,13 @@
 """Backend-agnostic emitter: specialized units -> typed native IR.
 
-The emitter consumes exactly what the scalar specializer produces --
-:func:`repro.instrument.specialize.specialize_source` ASTs with every probe
-resolved against the saturation mask -- and lowers them into a small typed IR
-with explicit ``float64``/``int64``/``bool`` semantics.  Everything CPython
-does implicitly is spelled out here so a C backend can reproduce ``r``
-bit-for-bit:
+The emitter consumes exactly what the scalar specializer produces for no
+concrete mask -- the *mask-generic*
+:func:`repro.instrument.specialize.specialize_source` ASTs, where every probe
+site reads its two saturation bits at run time (:class:`SatRef`), dispatches
+Def. 4.2 on them and always writes its covered bit -- and lowers them into a
+small typed IR with explicit ``float64``/``int64``/``bool`` semantics, so one
+kernel serves every mask of a program.  Everything CPython does implicitly
+is spelled out here so a C backend can reproduce ``r`` bit-for-bit:
 
 * fdlibm word intrinsics become uint64 bit-casts and masks,
 * int64 ``+ - * <<`` wrap, with overflow *bails* where Python promotes to
@@ -59,7 +61,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.instrument.ast_pass import parse
 from repro.instrument.native.cache import NativeUnavailable
-from repro.instrument.specialize import COV_NAME, R_NAME, specialize_source
+from repro.instrument.specialize import COV_NAME, R_NAME, SAT_NAME, specialize_source
 
 # -- type lattice ------------------------------------------------------------------------
 
@@ -171,6 +173,15 @@ class Opaque:
 
     type: int
     fn: str
+
+
+@dataclass
+class SatRef:
+    """The two saturation-mask bits (0-3) of conditional ``label``, read
+    from the mask words a kernel call is given."""
+
+    type: int
+    label: int
 
 
 # -- IR statements -----------------------------------------------------------------------
@@ -490,18 +501,17 @@ def _fn_info(func: ast.FunctionDef, py_name: str, c_name: str,
 
 
 class ProgramEmitter:
-    """Emits one instrumented program (all units) against one mask."""
+    """Emits one instrumented program (all units), mask-generic."""
 
     MAX_PASSES = 12
 
     def __init__(self, units, entry_name, arity, n_conditionals, namespace,
-                 saturated_mask, epsilon):
+                 epsilon):
         # Program units run against the program namespace, exactly as
         # ``instrument()`` execs them; each adopted helper runs against its
         # own module globals.  ``self.namespace`` follows the unit being
         # emitted.
         self.namespace = namespace
-        self.saturated_mask = saturated_mask
         self.epsilon = epsilon
         self.arity = arity
         self.n_conditionals = n_conditionals
@@ -516,7 +526,7 @@ class ProgramEmitter:
                 source,
                 function_name=name,
                 start_label=start_label,
-                saturated_mask=saturated_mask,
+                saturated_mask=None,
                 epsilon=epsilon,
             )
             func = next(
@@ -1397,6 +1407,8 @@ class ProgramEmitter:
         name = node.value.id
         if name in self.fn.assigned:
             raise _StmtBail("subscript of local variable")
+        if name == SAT_NAME and not self.fn.adopted:
+            return SatRef(T_I64, node.slice.value)
         table = global_value(self.namespace, name)
         if not isinstance(table, tuple) or not table:
             raise _StmtBail(f"subscript of unsupported object {name!r}")
@@ -2072,12 +2084,11 @@ def _number_sites(functions: list):
 
 
 def emit_program_ir(units, entry_name, arity, n_conditionals, namespace,
-                    saturated_mask, epsilon) -> ProgramIR:
-    """Emit the typed IR for one instrumented program under one mask.
+                    epsilon) -> ProgramIR:
+    """Emit the typed IR for one instrumented program, for every mask.
 
     Raises :class:`NativeUnavailable` when the program cannot produce a
     useful native kernel (e.g. the entry bails unconditionally)."""
     emitter = ProgramEmitter(
-        units, entry_name, arity, n_conditionals, namespace,
-        saturated_mask, epsilon)
+        units, entry_name, arity, n_conditionals, namespace, epsilon)
     return emitter.emit()

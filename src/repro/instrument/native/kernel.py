@@ -1,31 +1,35 @@
 """Build, cache and run native penalty kernels (``PENALTY_NATIVE``).
 
-:func:`build_native_kernel` asks for the kernel of one program under one
-saturation mask by its content digest (:func:`kernel_digest`).  A *warm*
-request -- ``<digest>.so`` already in the on-disk cache -- loads the shared
-object with :mod:`ctypes` and reads the kernel's arity, covered-word count
-and bail/freeze site counts from its exported ``sp_meta`` constant; it runs
-neither the emitter nor the C renderer.  A shared object that fails to load,
-lacks ``sp_meta`` or disagrees with the program (ABI version, arity,
-``n_words``) is deleted and rebuilt.  A *cold* request builds the scalar
-:class:`~repro.instrument.program.SpecializedVariant` (its namespace
-supplies the constants the emitter folds), emits the typed IR, renders it
-to C99 and compiles it into the disk cache, in the foreground or on the
-background worker.  A background request whose build is still queued
-raises ``NativeCompiling`` without emitting again, so each cold kernel is
-emitted once per process.  Loaded kernels are cached module-wide per digest
-with the same hit/miss/evict bookkeeping as the specialized and batched
-caches.
+:func:`build_native_kernel` asks for the kernel of one program by its
+content digest (:func:`kernel_digest`).  A kernel is emitted from the
+mask-generic specialization of the program, so it serves every saturation
+mask: the mask is a runtime argument of each call, and the digest depends on
+the program and epsilon only.  A *warm* request -- ``<digest>.so`` already
+in the on-disk cache -- loads the shared object with :mod:`ctypes` and reads
+the kernel's arity, covered-word count and bail/freeze site counts from its
+exported ``sp_meta`` constant; it runs neither the emitter nor the C
+renderer.  A shared object that fails to load, lacks ``sp_meta`` or
+disagrees with the program (ABI version, arity, ``n_words``) is deleted and
+rebuilt.  A *cold* request emits the typed IR, renders it to C99 and
+compiles it into the disk cache, in the foreground or on the background
+worker.  A background request whose build is still queued raises
+``NativeCompiling`` without emitting again, so each cold kernel is emitted
+once per process.  Loaded kernels are cached module-wide per digest with the
+same hit/miss/evict bookkeeping as the specialized and batched caches.
 
-The specialized variant is also the per-row bail target.  It is built
-lazily, at a kernel's first bail, so a kernel that never bails costs no
-variant build on the warm path.
+Every probe site of a kernel writes its covered bit, and the scalar entry
+reports the last executed conditional, so one kernel call also yields a
+complete coverage outcome (:meth:`NativeKernel.coverage`).  The per-mask
+specialized variant is the per-row bail target.  It is built lazily, at a
+kernel's first bail under a mask, so a kernel that never bails costs no
+variant build.
 
 The generated code keeps all state in a per-call stack context, so one
 loaded kernel is safely shared across threads; worker processes re-open the
 same ``.so`` from disk without recompiling.  The per-call ctypes buffers
-live on the per-program :class:`NativeKernel` (programs are one per
-thread), never on the shared :class:`_LoadedKernel`.
+(input row, mask words, outputs) live on the per-program
+:class:`NativeKernel` (programs are one per thread), never on the shared
+:class:`_LoadedKernel`.
 """
 
 from __future__ import annotations
@@ -75,6 +79,7 @@ from repro.instrument import unit_cache
 _C_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 _C_U64_P = ctypes.POINTER(ctypes.c_uint64)
 _C_I32_P = ctypes.POINTER(ctypes.c_int32)
+_C_I64_P = ctypes.POINTER(ctypes.c_int64)
 
 
 class _LoadedKernel:
@@ -101,16 +106,16 @@ class _LoadedKernel:
         # the per-call pointer conversions of typed arguments.
         entry = lib.sp_entry
         entry.restype = ctypes.c_int
-        entry.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
+        entry.argtypes = [ctypes.c_void_p] * 5
         batch = lib.sp_batch
         batch.restype = None
-        batch.argtypes = [_C_DOUBLE_P, ctypes.c_longlong, _C_DOUBLE_P,
-                          _C_U64_P, _C_I32_P]
+        batch.argtypes = [_C_DOUBLE_P, ctypes.c_longlong, _C_U64_P,
+                          _C_DOUBLE_P, _C_U64_P, _C_I32_P, _C_I64_P]
         batch_mt = lib.sp_batch_mt
         batch_mt.restype = None
         batch_mt.argtypes = [_C_DOUBLE_P, ctypes.c_longlong,
-                             ctypes.c_longlong, _C_DOUBLE_P, _C_U64_P,
-                             _C_I32_P]
+                             ctypes.c_longlong, _C_U64_P, _C_DOUBLE_P,
+                             _C_U64_P, _C_I32_P, _C_I64_P]
         self.sp_entry = entry
         self.sp_batch = batch
         self.sp_batch_mt = batch_mt
@@ -127,22 +132,22 @@ class _LoadedKernel:
         return reasons[site]
 
 
-def kernel_digest(program, saturated_mask: int, epsilon: float) -> str:
-    """Content digest of one native kernel build of ``program``.
+def kernel_digest(program, epsilon: float) -> str:
+    """Content digest of the native kernel of ``program``.
 
     Everything that affects the generated machine code participates: the
     per-unit (source sha256, function name, start label) triples, the
-    program's :func:`helper_digest`, the saturation mask, epsilon (hex,
-    bit-exact), the backend name, the compiler version line, the
-    optimization flag tier, the codegen ABI version and the callables the
-    emitter may slice away (:data:`~repro.instrument.native.emit.OPAQUE_CALLS`)."""
+    program's :func:`helper_digest`, epsilon (hex, bit-exact), the backend
+    name, the compiler version line, the optimization flag tier, the codegen
+    ABI version and the callables the emitter may slice away
+    (:data:`~repro.instrument.native.emit.OPAQUE_CALLS`).  The saturation
+    mask does not: it is a runtime argument of the kernel."""
     _cc, version = find_cc()
     hasher = hashlib.sha256()
     for source, function_name, start_label in program.units:
         source_sha = hashlib.sha256(source.encode("utf-8")).hexdigest()
         hasher.update(f"{source_sha}:{function_name}:{start_label}\n".encode())
     hasher.update(f"helpers={helper_digest(program)}\n".encode())
-    hasher.update(f"mask={saturated_mask:x}\n".encode())
     hasher.update(f"eps={float(epsilon).hex()}\n".encode())
     hasher.update(f"backend={BACKEND_NAME}\n".encode())
     hasher.update(f"cc={version}\n".encode())
@@ -335,11 +340,11 @@ def _open(so_path, digest, arity, n_words):
     return None
 
 
-def _emit_and_compile(program, digest, saturated_mask, epsilon, wait):
+def _emit_and_compile(program, digest, epsilon, wait):
     """The cold path: emit, render and compile one kernel, then load it."""
-    namespace = program.specialize(saturated_mask, epsilon).namespace
+    # The emitter folds the constants of the namespace the units run in.
     ir = emit_program_ir(program.units, program.name, program.arity,
-                         program.n_conditionals, namespace, saturated_mask,
+                         program.n_conditionals, program.entry.__globals__,
                          epsilon)
     if len(ir.entry.params) != program.arity:
         # The kernel reads one double per entry parameter; a signature of
@@ -369,8 +374,8 @@ def _emit_and_compile(program, digest, saturated_mask, epsilon, wait):
     return loaded
 
 
-def _load(program, saturated_mask, epsilon, wait: bool = True) -> _LoadedKernel:
-    digest = kernel_digest(program, saturated_mask, epsilon)
+def _load(program, epsilon, wait: bool = True) -> _LoadedKernel:
+    digest = kernel_digest(program, epsilon)
     with _NATIVE_CACHE_LOCK:
         cached = _NATIVE_CACHE.get(digest)
         if cached is not None:
@@ -394,8 +399,7 @@ def _load(program, saturated_mask, epsilon, wait: bool = True) -> _LoadedKernel:
             # be thrown away.
             raise NativeCompiling(digest)
         try:
-            loaded = _emit_and_compile(program, digest, saturated_mask,
-                                       epsilon, wait)
+            loaded = _emit_and_compile(program, digest, epsilon, wait)
         except NativeUnavailable as exc:
             with _NATIVE_CACHE_LOCK:
                 _NATIVE_CACHE[digest] = exc
@@ -418,65 +422,89 @@ def _mask_of_words(words) -> int:
     return covered
 
 
-class NativeKernel:
-    """One loaded native evaluator of a program under one saturation mask.
+def store_mask(words, mask: int) -> None:
+    """Write ``mask`` (bit ``2 * c + outcome`` per saturated branch) into a
+    uint64 word buffer, word 0 lowest; bits beyond the buffer are dropped."""
+    n_words = len(words)
+    mask &= (1 << (64 * n_words)) - 1
+    if sys.byteorder == "little":
+        ctypes.memmove(words, mask.to_bytes(8 * n_words, "little"), 8 * n_words)
+        return
+    for word_index in range(n_words):
+        words[word_index] = (mask >> (64 * word_index)) & 0xFFFFFFFFFFFFFFFF
 
+
+class NativeKernel:
+    """One loaded native evaluator of a program, for every saturation mask.
+
+    Calls evaluate under the mask last set with :meth:`use_mask`
+    (:attr:`saturated_mask`; :meth:`InstrumentedProgram.native_kernel
+    <repro.instrument.program.InstrumentedProgram.native_kernel>` sets it),
+    which the kernel reads from a word buffer at every probe site.
     ``kernel(X)`` has exactly the :class:`~repro.instrument.batch.BatchKernel`
     contract: an ``(N, arity)`` float64 array in, ``(r, covered)`` out, where
     ``r`` is the raw penalty vector (callers clamp) and ``covered`` the union
     covered-bit summary over all rows.  ``kernel(X, n_threads=k)`` evaluates
     the rows on ``k`` native threads with bit-identical results (private
-    per-thread coverage partials, merged in thread-index order).  Rows the
-    native code flags as bailed (a construct whose bit-exact CPython
-    semantics the emitter could not prove) are transparently re-run on the
-    scalar specialized variant, so results never depend on the emitter's
-    coverage being perfect; that variant is built at the first bail
-    (:attr:`variant`), :attr:`bails` counts the rows re-run on it and
-    :attr:`bail_reasons` counts them per bail reason (a diagnostic: no
-    record, fingerprint or digest reads it).
-    :meth:`scalar` is the one-row entry point used by ``evaluate``; it
-    reuses this instance's ctypes buffers, so a kernel belongs to one
-    thread, like its program.
+    per-thread coverage partials, merged in thread-index order).  A row's
+    covered bits are every branch it took, except for rows the native code
+    flags as bailed (a construct whose bit-exact CPython semantics the
+    emitter could not prove): those are transparently re-run on the scalar
+    specialized variant of the mask, whose covered bits are partial, so
+    results never depend on the emitter's coverage being perfect.  That
+    variant is built at the first bail (:attr:`variant`), :attr:`bails`
+    counts the bailed rows and :attr:`bail_reasons` counts them per bail
+    reason (a diagnostic: no record, fingerprint or digest reads it).
+    :meth:`scalar` is the one-row entry point used by ``evaluate`` and
+    :meth:`coverage` the one-row coverage harvest; both reuse this
+    instance's ctypes buffers, so a kernel belongs to one thread, like its
+    program.
     """
 
     __slots__ = ("program", "loaded", "saturated_mask", "epsilon", "arity",
-                 "mode", "bails", "bail_reasons", "_variant", "_x", "_r", "_cov",
-                 "_addresses", "_unary", "_one_word")
+                 "mode", "bails", "bail_reasons", "_x", "_sat", "_r", "_cov",
+                 "_last", "_addresses", "_unary", "_one_word")
 
-    def __init__(self, program, saturated_mask: int, epsilon: float,
-                 loaded: _LoadedKernel):
+    def __init__(self, program, epsilon: float, loaded: _LoadedKernel):
         self.program = program
         self.loaded = loaded
-        self.saturated_mask = saturated_mask
         self.epsilon = epsilon
         self.arity = loaded.arity
         self.mode = "native"
         self.bails = 0
         self.bail_reasons: dict[str, int] = {}
-        self._variant = None
-        # Per-instance scalar buffers (input row, r, covered words), reused
-        # by every call and passed to sp_entry by address.
+        # Per-instance scalar buffers (input row, mask words, r, covered
+        # words, last conditional), reused by every call and passed to
+        # sp_entry by address.
         self._x = (ctypes.c_double * loaded.arity)()
+        self._sat = (ctypes.c_uint64 * loaded.n_words)()
         self._r = ctypes.c_double(0.0)
         self._cov = (ctypes.c_uint64 * loaded.n_words)()
+        self._last = ctypes.c_int64(-1)
         self._addresses = (ctypes.addressof(self._x),
+                           ctypes.addressof(self._sat),
                            ctypes.addressof(self._r),
-                           ctypes.addressof(self._cov))
+                           ctypes.addressof(self._cov),
+                           ctypes.addressof(self._last))
         self._unary = loaded.arity == 1
         self._one_word = loaded.n_words == 1
+        self.saturated_mask = 0
 
     @property
     def digest(self) -> str:
         return self.loaded.digest
 
+    def use_mask(self, saturated_mask: int) -> None:
+        """Evaluate later calls under ``saturated_mask``."""
+        if saturated_mask != self.saturated_mask:
+            store_mask(self._sat, saturated_mask)
+            self.saturated_mask = saturated_mask
+
     @property
     def variant(self):
-        """The scalar specialized variant rows bail to (built on first use)."""
-        variant = self._variant
-        if variant is None:
-            variant = self.program.specialize(self.saturated_mask, self.epsilon)
-            self._variant = variant
-        return variant
+        """The scalar specialized variant of the current mask, which rows
+        bail to (built on first use, cached on the program)."""
+        return self.program.specialize(self.saturated_mask, self.epsilon)
 
     def scalar(self, args) -> tuple[float, int]:
         """Evaluate one row, returning ``(r, covered_mask)`` (raw ``r``)."""
@@ -486,17 +514,40 @@ class NativeKernel:
             self._x[:] = args
         code = self.loaded.sp_entry(*self._addresses)
         if code:
-            return self._scalar_fallback(args, code - 1)
+            return self._scalar_fallback(args, code - 1, self.saturated_mask)
         if self._one_word:
             return self._r.value, self._cov[0]
         return self._r.value, _mask_of_words(self._cov)
 
-    def _scalar_fallback(self, args, site: int) -> tuple[float, int]:
-        """Re-run a row that bailed at bail site ``site`` on the variant."""
+    def coverage(self, args):
+        """Evaluate one row for its coverage outcome.
+
+        Returns ``(r, covered_mask, last)``: the raw ``r``, the covered bits
+        of every branch the row took and the covered-bit index ``2 * c +
+        outcome`` of the last conditional executed (-1 when none ran) --
+        or ``None`` when the row bails (counted like any bail), for the
+        caller to re-run on a runtime that records the whole outcome."""
+        if self._unary:
+            self._x[0] = args[0]
+        else:
+            self._x[:] = args
+        code = self.loaded.sp_entry(*self._addresses)
+        if code:
+            self._count_bail(code - 1)
+            return None
+        covered = self._cov[0] if self._one_word else _mask_of_words(self._cov)
+        return self._r.value, covered, self._last.value
+
+    def _count_bail(self, site: int) -> None:
         self.bails += 1
         reason = self.loaded.bail_reason(site)
         self.bail_reasons[reason] = self.bail_reasons.get(reason, 0) + 1
-        variant = self.variant
+
+    def _scalar_fallback(self, args, site: int, mask: int) -> tuple[float, int]:
+        """Re-run a row that bailed at bail site ``site`` under ``mask`` on
+        that mask's variant."""
+        self._count_bail(site)
+        variant = self.program.specialize(mask, self.epsilon)
         _value, r = variant.run(args)
         return r, variant.covered_mask()
 
@@ -518,32 +569,36 @@ class NativeKernel:
             X.ctypes.data_as(_C_DOUBLE_P),
             ctypes.c_longlong(n),
             ctypes.c_longlong(max(1, int(n_threads))),
+            self._sat,
             r.ctypes.data_as(_C_DOUBLE_P),
             cov.ctypes.data_as(_C_U64_P),
             bail.ctypes.data_as(_C_I32_P),
+            None,
         )
         covered = _mask_of_words(cov)
         if bail.any():
             for row_index in np.nonzero(bail)[0]:
                 row_r, row_cov = self._scalar_fallback(
-                    X[row_index].tolist(), int(bail[row_index]) - 1)
+                    X[row_index].tolist(), int(bail[row_index]) - 1,
+                    self.saturated_mask)
                 r[row_index] = row_r
                 covered |= row_cov
         return r, covered
 
 
-def build_native_kernel(program, saturated_mask: int,
-                        epsilon: float = DEFAULT_EPSILON,
+def build_native_kernel(program, epsilon: float = DEFAULT_EPSILON,
                         wait: bool = True) -> NativeKernel:
-    """Build (or fetch from cache) the native kernel for one program/mask.
+    """Build (or fetch from cache) the native kernel of one program.
 
-    A kernel already on disk is loaded by digest without emitting C; the
-    specialized bail target is built only at the kernel's first bail.
-    Raises :class:`NativeUnavailable` when no C compiler is present, the
-    program has no source units, or the emitter cannot produce a useful
-    kernel (the entry would bail unconditionally); callers degrade to the
-    scalar specialized tier.  With ``wait=False`` a cold compile is handed
-    to the background worker and
+    The kernel serves every saturation mask (set per call sequence with
+    :meth:`NativeKernel.use_mask`; it starts at mask 0).  A kernel already
+    on disk is loaded by digest without emitting C; the specialized bail
+    target is built only at the kernel's first bail.  Raises
+    :class:`NativeUnavailable` when no C compiler is present, the program
+    has no source units, or the emitter cannot produce a useful kernel (the
+    entry would bail unconditionally); callers degrade to the scalar
+    specialized tier.  With ``wait=False`` a cold compile is handed to the
+    background worker and
     :class:`~repro.instrument.native.cache.NativeCompiling` is raised while
     it runs — a transient state callers serve the specialized tier through.
     """
@@ -551,9 +606,8 @@ def build_native_kernel(program, saturated_mask: int,
         raise NativeUnavailable(
             f"program {program.name!r} carries no source units"
         )
-    mask = saturated_mask & ((1 << (2 * program.n_conditionals)) - 1)
-    loaded = _load(program, mask, epsilon, wait=wait)
-    return NativeKernel(program, mask, epsilon, loaded)
+    loaded = _load(program, epsilon, wait=wait)
+    return NativeKernel(program, epsilon, loaded)
 
 
 __all__ = [
@@ -564,4 +618,5 @@ __all__ = [
     "kernel_digest",
     "native_cache_dir",
     "native_cache_info",
+    "store_mask",
 ]

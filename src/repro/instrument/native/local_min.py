@@ -15,8 +15,9 @@ points visited in the same order, same ``x``, ``fun`` and ``nfev``, same
 memo hits and misses.  Basin-hopping's random draws, Metropolis acceptance
 and callback stay in Python, once per hop.
 
-A miss evaluates the kernel's ``sp_entry`` through a function pointer and
-clamps non-finite ``r`` to ``1e300`` exactly as
+A miss evaluates the kernel's ``sp_entry`` through a function pointer,
+under the start's saturation mask (the search keeps its own copy of the mask
+words), and clamps non-finite ``r`` to ``1e300`` exactly as
 :meth:`RepresentingFunction.__call__
 <repro.core.representing.RepresentingFunction.__call__>` does.  A bailed
 row goes to a ctypes callback running :meth:`NativeKernel._scalar_fallback
@@ -53,7 +54,7 @@ from repro.instrument.native.cache import (
     find_cc,
     opt_tier,
 )
-from repro.instrument.native.kernel import _elf_truncated
+from repro.instrument.native.kernel import _elf_truncated, store_mask
 from repro.instrument.runtime import ExecutionProfile
 from repro.optimize.local.line_search import _GOLDEN
 from repro.optimize.memo import DEFAULT_MAX_ENTRIES
@@ -76,8 +77,9 @@ _C_SOURCE = r"""
 #define LM_GOLDEN @GOLDEN@
 #define LM_CLAMP 1.0e300
 
-/* Returns 0, or 1 + the bail site of a bailed row. */
-typedef int (*lm_entry_fn)(const double *x, double *r_out, uint64_t *cov_out);
+/* A kernel's sp_entry: returns 0, or 1 + the bail site of a bailed row. */
+typedef int (*lm_entry_fn)(const double *x, const uint64_t *sat, double *r_out,
+                           uint64_t *cov_out, int64_t *last_out);
 /* Returns 0 with *r_out set, or nonzero when the Python fallback raised. */
 typedef int (*lm_bail_fn)(const double *x, double *r_out, int site);
 
@@ -85,7 +87,9 @@ typedef struct {
     int n;
     lm_entry_fn entry;
     lm_bail_fn bail;
-    uint64_t *cov;
+    uint64_t *sat; /* the start's saturation mask words */
+    uint64_t *cov; /* sp_entry's covered bits and last conditional: unread */
+    int64_t last;
     /* FIFO memo: `count` entries in a ring of `cap` slots, oldest at
        `head`, chained per hash bucket through `next` (-1 ends a chain).
        The ring grows by doubling up to max_entries; it only evicts once
@@ -189,7 +193,7 @@ static double lm_value(lm_ctx *c, const double *x) {
         return c->values[e];
     }
     double r;
-    int code = c->entry(x, &r, c->cov);
+    int code = c->entry(x, c->sat, &r, c->cov, &c->last);
     if (code && c->bail(x, &r, code - 1)) lm_fail(c, 1);
     if (r != r || r == INFINITY || r == -INFINITY) r = LM_CLAMP;
     c->misses++;
@@ -322,24 +326,32 @@ static int lm_all_finite(const double *v, int n) {
     return 1;
 }
 
-lm_ctx *lm_new(int n, int n_words, void *entry, void *bail, long long max_entries) {
+/* The search evaluates the kernel under a copy of the n_words mask words
+   at `sat`. */
+lm_ctx *lm_new(int n, int n_words, void *entry, const uint64_t *sat, void *bail,
+               long long max_entries) {
     lm_ctx *c = calloc(1, sizeof *c);
     if (c == NULL) return NULL;
     c->n = n;
     c->entry = (lm_entry_fn)entry;
     c->bail = (lm_bail_fn)bail;
     c->max_entries = max_entries;
+    c->sat = calloc(n_words > 0 ? n_words : 1, sizeof *c->sat);
     c->cov = calloc(n_words > 0 ? n_words : 1, sizeof *c->cov);
-    if (c->cov == NULL || !lm_reserve(c, max_entries < 64 ? max_entries : 64)) {
-        free(c->cov); free(c->keys); free(c->values); free(c->next); free(c->buckets);
+    if (c->sat == NULL || c->cov == NULL
+            || !lm_reserve(c, max_entries < 64 ? max_entries : 64)) {
+        free(c->sat); free(c->cov); free(c->keys); free(c->values); free(c->next);
+        free(c->buckets);
         free(c);
         return NULL;
     }
+    memcpy(c->sat, sat, n_words * sizeof *c->sat);
     return c;
 }
 
 void lm_free(lm_ctx *c) {
-    free(c->cov); free(c->keys); free(c->values); free(c->next); free(c->buckets);
+    free(c->sat); free(c->cov); free(c->keys); free(c->values); free(c->next);
+    free(c->buckets);
     free(c);
 }
 
@@ -474,7 +486,8 @@ def _bind(so_path):
     c_void_p, c_longlong = ctypes.c_void_p, ctypes.c_longlong
     try:
         lib.lm_new.restype = c_void_p
-        lib.lm_new.argtypes = [ctypes.c_int, ctypes.c_int, c_void_p, _BAIL_FN, c_longlong]
+        lib.lm_new.argtypes = [ctypes.c_int, ctypes.c_int, c_void_p, c_void_p, _BAIL_FN,
+                               c_longlong]
         lib.lm_free.restype = None
         lib.lm_free.argtypes = [c_void_p]
         lib.lm_stats.restype = None
@@ -569,10 +582,13 @@ class NativeObjective:
         # self, so no reference cycle keeps a closed instance alive.
         errors: list = []
         fallback = kernel._scalar_fallback
+        # The start's mask: the kernel's current one, which the
+        # representing function bound to its tracker.
+        mask = kernel.saturated_mask
 
         def bail(x, r_out, site):
             try:
-                r_out[0] = fallback(x[:arity], site)[0]
+                r_out[0] = fallback(x[:arity], site, mask)[0]
             except BaseException as exc:  # raised again once C unwinds
                 errors.append(exc)
                 return 1
@@ -581,8 +597,10 @@ class NativeObjective:
         self._errors = errors
         self._bail = _BAIL_FN(bail)  # must outlive the context
         entry = ctypes.cast(kernel.loaded.sp_entry, ctypes.c_void_p).value
-        self._ctx = library.lm_new(arity, kernel.loaded.n_words, entry, self._bail,
-                                   max_entries)
+        sat = (ctypes.c_uint64 * kernel.loaded.n_words)()
+        store_mask(sat, mask)
+        self._ctx = library.lm_new(arity, kernel.loaded.n_words, entry,
+                                   ctypes.addressof(sat), self._bail, max_entries)
         if not self._ctx:
             raise MemoryError("could not allocate the native local-search memo")
         self._x = (ctypes.c_double * arity)()

@@ -222,9 +222,6 @@ def _target_unit(target: Callable, start_label: int) -> tuple[str, CompiledUnit]
 #: protects pathological callers cycling through many masks.
 _VARIANTS_MAX = 64
 
-#: Bound on cached native kernels per program instance (same rationale).
-_NATIVE_KERNELS_MAX = 64
-
 
 class SpecializedVariant:
     """One compiled specialization of a program against a concrete mask.
@@ -323,10 +320,14 @@ class InstrumentedProgram:
     units: tuple[tuple[str, str, int], ...] = field(repr=False, default=())
     specialization_builds: int = field(default=0, repr=False)
     native_kernel_builds: int = field(default=0, repr=False)
+    #: Set once a representing function warned that this program's native
+    #: kernel is unavailable (one warning per program).
+    native_degradation_warned: bool = field(default=False, repr=False)
     #: Cached :func:`repro.instrument.native.kernel.helper_digest`.
     native_helper_digest: Optional[str] = field(default=None, repr=False)
     _variants: dict = field(default_factory=dict, repr=False)
     _native_kernels: dict = field(default_factory=dict, repr=False)
+    _branch_ids: tuple = field(default=(), repr=False)
 
     @property
     def arity(self) -> int:
@@ -367,6 +368,21 @@ class InstrumentedProgram:
             branches.add(BranchId(cond.label, True))
             branches.add(BranchId(cond.label, False))
         return frozenset(branches)
+
+    def branches_of(self, covered: int) -> frozenset[BranchId]:
+        """The branches of a covered-bit mask (bit ``2 * c + outcome``),
+        decoded through a per-program tuple of ``BranchId``s."""
+        ids = self._branch_ids
+        if len(ids) != 2 * self.n_conditionals:
+            ids = tuple(BranchId(bit >> 1, bool(bit & 1))
+                        for bit in range(2 * self.n_conditionals))
+            self._branch_ids = ids
+        found = []
+        while covered:
+            low = covered & -covered
+            found.append(ids[low.bit_length() - 1])
+            covered ^= low
+        return frozenset(found)
 
     def descendant_branches(self, branch: BranchId) -> frozenset[BranchId]:
         return self.descendants.descendant_branches(branch)
@@ -450,13 +466,13 @@ class InstrumentedProgram:
         self, saturated_mask: int, epsilon: float = DEFAULT_EPSILON,
         wait: bool = True
     ) -> NativeKernel:
-        """The compiled-to-machine-code kernel of this program for
-        ``saturated_mask``.
+        """The compiled-to-machine-code kernel of this program, set to
+        evaluate under ``saturated_mask``.
 
-        Kernels join the per-program variant cache with the same
-        epoch/re-specialization protocol as :meth:`specialize`; the
-        out-of-process ``cc`` compile behind a new mask is content-addressed
-        on disk and memoized module-wide.
+        One kernel serves every mask (the mask is a runtime argument of the
+        machine code), so it is cached on the program per epsilon and a new
+        mask costs a word-buffer write; the out-of-process ``cc`` compile
+        behind it is content-addressed on disk and memoized module-wide.
         ``native_kernel_builds`` counts true kernel constructions.  Raises
         :class:`~repro.instrument.native.cache.NativeUnavailable` when no C
         compiler is present or the program cannot be emitted; callers
@@ -470,16 +486,12 @@ class InstrumentedProgram:
                 f"program {self.name!r} carries no source units and cannot "
                 "be compiled natively"
             )
-        mask = saturated_mask & ((1 << (2 * self.n_conditionals)) - 1)
-        key = (mask, epsilon)
-        kernel = self._native_kernels.get(key)
-        if kernel is not None:
-            return kernel
-        kernel = build_native_kernel(self, mask, epsilon, wait=wait)
-        self.native_kernel_builds += 1
-        while len(self._native_kernels) >= _NATIVE_KERNELS_MAX:
-            self._native_kernels.pop(next(iter(self._native_kernels)))
-        self._native_kernels[key] = kernel
+        kernel = self._native_kernels.get(epsilon)
+        if kernel is None:
+            kernel = build_native_kernel(self, epsilon, wait=wait)
+            self.native_kernel_builds += 1
+            self._native_kernels[epsilon] = kernel
+        kernel.use_mask(saturated_mask)
         return kernel
 
     def run_specialized(
@@ -508,9 +520,10 @@ class InstrumentedProgram:
     ) -> tuple[object, float, int]:
         """Execute under the ``PENALTY_NATIVE`` tier.
 
-        Same contract as :meth:`run_specialized` -- ``r`` bit-identical,
-        ``covered_mask`` partial -- except the return value is ``None``
-        (the machine-code kernel computes ``r`` and coverage only).  When
+        Same contract as :meth:`run_specialized` -- ``r`` bit-identical --
+        except the return value is ``None`` (the machine-code kernel
+        computes ``r`` and coverage only) and ``covered_mask`` holds every
+        branch taken unless the row bailed to the specialized variant.  When
         the native tier is unavailable the call transparently degrades to
         :meth:`run_specialized`, which does return the value.
         """

@@ -60,6 +60,7 @@ statistics through ``compiled_cache_info()``.
 from __future__ import annotations
 
 import ast
+import copy
 import hashlib
 import textwrap
 import threading
@@ -89,6 +90,10 @@ R_NAME = "__sp_r__"
 
 #: Reserved name of the flat covered-branch bytearray.
 COV_NAME = "__sp_cov__"
+
+#: Reserved name of the saturation state a mask-generic specialization reads:
+#: ``__sp_sat__[label]`` is the conditional's two mask bits (0-3).
+SAT_NAME = "__sp_sat__"
 
 #: Prefix of compiler-generated temporaries (function-local).
 TEMP_PREFIX = "__sp_t"
@@ -277,9 +282,10 @@ class _BareOwner:
 
 
 class _Specializer(ast.NodeTransformer):
-    """Rewrites labeled conditionals with the mask resolved per site."""
+    """Rewrites labeled conditionals with the mask resolved per site (or,
+    for ``saturated_mask=None``, dispatched per site at run time)."""
 
-    def __init__(self, labels: dict[int, int], saturated_mask: int, epsilon: float):
+    def __init__(self, labels: dict[int, int], saturated_mask: Optional[int], epsilon: float):
         self.labels = labels
         self.saturated_mask = saturated_mask
         self.epsilon = epsilon
@@ -315,8 +321,8 @@ class _Specializer(ast.NodeTransformer):
         node.orelse = self._block(node.orelse)
         if label is None:
             return node
-        bits = (self.saturated_mask >> (label << 1)) & 3
-        if bits == 3:
+        probe, out = self._site(label, node.test)
+        if probe is None:
             # Def. 4.2(c) resolved at compile time: the probe is stripped
             # entirely and the bare *lowered* test runs (the instrumented
             # tiers fold ``not`` into flipped comparison operators, which is
@@ -324,7 +330,6 @@ class _Specializer(ast.NodeTransformer):
             # identically).
             node.test = self._bare_test(node.test)
             return node
-        probe, out = self._probe(label, bits, node.test)
         node.test = _name(out)
         return probe + [node]
 
@@ -334,15 +339,14 @@ class _Specializer(ast.NodeTransformer):
         node.orelse = self._block(node.orelse)
         if label is None:
             return node
-        bits = (self.saturated_mask >> (label << 1)) & 3
-        if bits == 3:
+        probe, out = self._site(label, node.test)
+        if probe is None:
             node.test = self._bare_test(node.test)
             return node
         # The probe must run once per iteration, so the loop becomes
         # ``while True: <probe>; if not out: break; <body>``.  A ``while ...
         # else`` keeps its semantics through a normal-exit flag checked after
         # the loop (a ``break`` in the body skips it, exactly as before).
-        probe, out = self._probe(label, bits, node.test)
         if node.orelse:
             flag = self._temp()
             guard = _if(_not(_name(out)), [_assign(flag, _const(True)), ast.Break()])
@@ -385,8 +389,39 @@ class _Specializer(ast.NodeTransformer):
         target = ast.Subscript(value=_name(COV_NAME), slice=index, ctx=ast.Store())
         return ast.Assign(targets=[target], value=_const(1))
 
-    def _probe(self, label: int, bits: int, test: ast.expr) -> tuple[list, str]:
-        """Statements computing one specialized probe; returns the outcome var."""
+    def _site(self, label: int, test: ast.expr) -> tuple[Optional[list], Optional[str]]:
+        """The probe statements of one labeled site and its outcome var;
+        ``(None, None)`` when the mask strips the probe (both branches
+        saturated).  Without a mask, the site reads its two bits from
+        :data:`SAT_NAME` and dispatches Def. 4.2 at run time."""
+        if self.saturated_mask is None:
+            bits = self._temp()
+            read = ast.Subscript(value=_name(SAT_NAME), slice=_const(label), ctx=ast.Load())
+            probe, out = self._probe(label, bits, test)
+            return [_assign(bits, read)] + probe, out
+        bits = (self.saturated_mask >> (label << 1)) & 3
+        if bits == 3:
+            return None, None
+        return self._probe(label, bits, test)
+
+    def _per_bits(self, bits, update: Callable[[int], list]) -> list:
+        """``update(bits)`` at a per-mask site.  At a mask-generic site
+        (``bits`` names the variable holding the site's two mask bits) a
+        runtime dispatch over the Def. 4.2 cases: 0 and the one-saturated
+        cases 1 and 2 run their update, 3 keeps ``r``."""
+        if isinstance(bits, int):
+            return update(bits)
+        chain: list = []
+        for case in (2, 1, 0):
+            body = update(case) or [ast.Pass()]
+            chain = [_if(_compare(_name(bits), "==", _const(case)), body, chain)]
+        return chain
+
+    def _probe(self, label: int, bits, test: ast.expr) -> tuple[list, str]:
+        """Statements computing one specialized probe; returns the outcome var.
+
+        ``bits`` is the site's mask bits (0-2) or, mask-generic, the name of
+        the variable holding them."""
         simple = as_simple_comparison(test)
         if simple is not None:
             op, lhs, rhs, _negated = simple
@@ -578,7 +613,7 @@ class _Specializer(ast.NodeTransformer):
     # -- simple comparison sites ------------------------------------------------
 
     def _emit_simple(
-        self, label: int, bits: int, op: str, lhs: ast.expr, rhs: ast.expr
+        self, label: int, bits, op: str, lhs: ast.expr, rhs: ast.expr
     ) -> tuple[list, str]:
         pre_a, a = self._operand(lhs)
         pre_b, b = self._operand(rhs)
@@ -587,9 +622,13 @@ class _Specializer(ast.NodeTransformer):
         # FastRuntime.test writes the covered bit before any distance work
         # (and before a conversion can raise).
         stmts.append(self._cov_write(label, out))
+        stmts += self._per_bits(bits, lambda case: self._simple_update(case, op, a, b))
+        return stmts, out
+
+    def _simple_update(self, bits: int, op: str, a: _Val, b: _Val) -> list:
+        """The ``r`` update of a simple comparison site under ``bits``."""
         if bits == 0:
-            stmts += self._guarded(a, b, lambda fa, fb: [self._set_r(_const(0.0))])
-            return stmts, out
+            return self._guarded(a, b, lambda fa, fb: [self._set_r(_const(0.0))])
         op_eff = op if bits == 1 else negate_op(op)
         if bits == 1:
             nan_r = 0.0 if op == "!=" else BIG_DISTANCE
@@ -604,15 +643,20 @@ class _Specializer(ast.NodeTransformer):
             test = terms[0] if len(terms) == 1 else ast.BoolOp(op=ast.Or(), values=terms)
             return [_if(test, [self._set_r(_const(nan_r))], [dist])]
 
-        stmts += self._guarded(a, b, body)
-        return stmts, out
+        return self._guarded(a, b, body)
 
     # -- promoted truthiness sites ----------------------------------------------
 
-    def _emit_truth(self, label: int, bits: int, test: ast.expr) -> tuple[list, str]:
+    def _emit_truth(self, label: int, bits, test: ast.expr) -> tuple[list, str]:
         value = self._temp()
         out = self._temp()
         stmts = [_assign(value, test), _assign(out, _not(_not(_name(value))))]
+        stmts += self._per_bits(bits, lambda case: self._truth_update(case, value))
+        stmts.append(self._cov_write(label, out))
+        return stmts, out
+
+    def _truth_update(self, bits: int, value: str) -> list:
+        """The ``r`` update of a promoted truthiness site under ``bits``."""
         eps = _const(self.epsilon)
         if bits == 0:
             bool_body = [self._set_r(_const(0.0))]
@@ -655,32 +699,75 @@ class _Specializer(ast.NodeTransformer):
             "isinstance",
             [_name(value), ast.Tuple(elts=[_name("int"), _name("float")], ctx=ast.Load())],
         )
-        stmts.append(_if(is_bool, bool_body, [_if(is_num, [numeric])]))
-        stmts.append(self._cov_write(label, out))
-        return stmts, out
+        return [_if(is_bool, bool_body, [_if(is_num, [numeric])])]
 
     # -- Boolean-tree sites -------------------------------------------------------
 
-    def _emit_tree(self, label: int, bits: int, test: ast.expr) -> tuple[list, str]:
-        spec = self._build_spec(test, False)
-        root_bool = self._temp()
+    def _emit_tree(self, label: int, bits, test: ast.expr) -> tuple[list, str]:
+        root = self._temp()
         if bits == 0:
-            shared_u = self._temp()
-            emitted = self._emit_spec(spec, False, False, shared_u)
-            stmts = [_assign(shared_u, _const(0))] + emitted.stmts
-            stmts.append(_assign(root_bool, _not(_not(_name(emitted.out)))))
-            stmts.append(self._cov_write(label, root_bool))
-            stmts.append(_if(_name(shared_u), [self._set_r(_const(0.0))]))
-            return stmts, root_bool
-        need_t = bits == 1
-        emitted = self._emit_spec(spec, need_t, not need_t, None)
-        stmts = list(emitted.stmts)
-        stmts.append(_assign(root_bool, _not(_not(_name(emitted.out)))))
-        stmts.append(self._cov_write(label, root_bool))
-        steer = emitted.t if need_t else emitted.f
-        assert steer is not None and emitted.u is not None
-        stmts.append(_if(_name(emitted.u), [self._set_r(_name(steer))]))
-        return stmts, root_bool
+            stmts = self._tree_neither(test, root)
+        elif isinstance(bits, int):
+            need_t = bits == 1
+            stmts = self._tree_steer(
+                test, root, need_t, not need_t,
+                lambda emitted: _name(emitted.t if need_t else emitted.f),
+            )
+        else:
+            # Mask-generic: the leaves short-circuit differently per case,
+            # so each case evaluates its own copy of the test.  Both
+            # directions of the steering form are computed independently
+            # of each other, so one copy serves both one-saturated cases.
+            bare = self._bare_test(copy.deepcopy(test))
+            stmts = [
+                _if(
+                    _compare(_name(bits), "==", _const(3)),
+                    [_if(bare, [_assign(root, _const(True))], [_assign(root, _const(False))])],
+                    [
+                        _if(
+                            _compare(_name(bits), "==", _const(0)),
+                            self._tree_neither(copy.deepcopy(test), root),
+                            self._tree_steer(
+                                copy.deepcopy(test), root, True, True,
+                                lambda emitted: ast.IfExp(
+                                    test=_compare(_name(bits), "==", _const(1)),
+                                    body=_name(emitted.t),
+                                    orelse=_name(emitted.f),
+                                ),
+                            ),
+                        )
+                    ],
+                )
+            ]
+        stmts.append(self._cov_write(label, root))
+        return stmts, root
+
+    def _tree_neither(self, test: ast.expr, root: str) -> list:
+        """A tree site with neither branch saturated: ``r = 0`` when some
+        evaluated leaf is float-comparable."""
+        shared_u = self._temp()
+        emitted = self._emit_spec(self._build_spec(test, False), False, False, shared_u)
+        return (
+            [_assign(shared_u, _const(0))]
+            + emitted.stmts
+            + [
+                _assign(root, _not(_not(_name(emitted.out)))),
+                _if(_name(shared_u), [self._set_r(_const(0.0))]),
+            ]
+        )
+
+    def _tree_steer(
+        self, test: ast.expr, root: str, need_t: bool, need_f: bool,
+        steer: Callable[[_Emitted], ast.expr],
+    ) -> list:
+        """A tree site with one branch saturated: ``r`` becomes the composed
+        distance ``steer`` picks, when the composition is usable."""
+        emitted = self._emit_spec(self._build_spec(test, False), need_t, need_f, None)
+        assert emitted.u is not None
+        return list(emitted.stmts) + [
+            _assign(root, _not(_not(_name(emitted.out)))),
+            _if(_name(emitted.u), [self._set_r(steer(emitted))]),
+        ]
 
     def _build_spec(self, node: ast.expr, negated: bool):
         """Mirror of ``_TreeLowering.lower``: same structure, same leaf order."""
@@ -1115,15 +1202,19 @@ def specialize_source(
     source: str,
     function_name: str | None = None,
     start_label: int = 0,
-    saturated_mask: int = 0,
+    saturated_mask: Optional[int] = 0,
     epsilon: float = DEFAULT_EPSILON,
 ) -> tuple[ast.Module, int]:
     """Specialize one function's source against a concrete saturation mask.
 
     Labels are assigned by the same walk as :func:`instrument_source`, so a
     site's label (and therefore its two mask bits) is identical across the
-    generic and the specialized tier.  Returns the transformed module AST and
-    the number of labeled conditionals.
+    generic and the specialized tier.  With ``saturated_mask=None`` the
+    result is *mask-generic*: every site reads its two bits from
+    :data:`SAT_NAME` at run time, branches to the same per-case code a
+    concrete mask would compile to, and always writes its covered bit (the
+    form the native kernels are emitted from).  Returns the transformed
+    module AST and the number of labeled conditionals.
     """
     tree = parse(textwrap.dedent(source))
     func_node = None

@@ -18,7 +18,8 @@ from repro.engine.pool import (
     resolve_worker_mode,
 )
 from repro.engine.scheduler import _STREAM_NORMAL, START_SCALE, StartScheduler
-from repro.engine.worker import origin_is_picklable
+from repro.engine import worker as worker_module
+from repro.engine.worker import StartParams, StartTask, origin_is_picklable, run_start
 from repro.experiments.runner import Profile, compare_tools, coverme_tool
 from repro.fdlibm.k_cos import kernel_cos
 from repro.fdlibm.s_tanh import fdlibm_tanh
@@ -27,6 +28,7 @@ from repro.instrument.program import (
     InstrumentedProgram,
     instrument,
 )
+from repro.instrument.runtime import BranchId
 from repro.instrument.signature import ProgramSignature
 from tests import sample_programs as sp
 
@@ -62,6 +64,46 @@ class TestSeededDeterminism:
         assert run_sets(sp.nested_branches, 1, "auto") == first
         other = cover(sp.nested_branches, CoverMeConfig(n_start=16, n_iter=3, seed=43))
         assert tuple(other.inputs[:1]) != tuple(first[2][:1])
+
+
+class TestLazyStartGenerator:
+    """A start builds its random generator at its first draw."""
+
+    _PARAMS = StartParams(local_minimizer="powell", n_iter=3, root_seed=5,
+                          eval_profile="penalty-specialized")
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        seeds = []
+        real = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            seeds.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        return seeds
+
+    def test_start_whose_first_search_finds_a_zero_builds_no_generator(self, built):
+        program = instrument(sp.single_branch)
+        task = StartTask(index=0, x0=(0.5,), covered=frozenset(), infeasible=frozenset())
+        result = run_start(program, self._PARAMS, task)
+        assert result.value == 0.0
+        assert built == []
+
+    def test_drawing_start_matches_an_eager_generator(self, built, monkeypatch):
+        """A start that hops draws from one generator with the eager seed,
+        so its trajectory is bit-identical to an eagerly built one."""
+        program = instrument(sp.infeasible_inner)
+        covered = frozenset({BranchId(0, True), BranchId(0, False), BranchId(1, False)})
+        task = StartTask(index=7, x0=(3.0,), covered=covered, infeasible=frozenset())
+        lazy = run_start(program, self._PARAMS, task)
+        assert built == [([5, worker_module._STREAM_WORKER, 7],)]
+        monkeypatch.setattr(worker_module, "_LazyGenerator", np.random.default_rng)
+        eager = run_start(program, self._PARAMS, task)
+        assert lazy.value > 0.0
+        assert (lazy.x_star, lazy.value, lazy.evaluations) == (
+            eager.x_star, eager.value, eager.evaluations)
 
 
 class TestStartScheduler:

@@ -24,7 +24,7 @@ process or a forkserver pool worker finishes its queued builds before it
 exits, a process worker's job before it returns, and a forked child does
 not wait for its parent's), the
 ``NativeUnavailable`` degradation
-(no compiler: one per-instance warning, identical results through the
+(no compiler: one warning per program, identical results through the
 specialized tier), the ``repro native-cache`` CLI and the engine-level
 identity of ``penalty-native`` vs ``penalty-specialized`` runs across
 worker pools.  The fused native Powell search (``local_min.py``) must match
@@ -44,6 +44,7 @@ import ctypes
 import ctypes.util
 import dataclasses
 import importlib.util
+import inspect
 import json
 import math
 import multiprocessing
@@ -184,8 +185,10 @@ def _assert_native_parity(program, mask: int, X: np.ndarray) -> list:
     The batch check runs the threaded entry at ``n_threads`` in {1, 2, 4}:
     every thread count must produce bit-identical ``r`` rows and the same
     covered set, and a repeated call reports the full union again (each
-    call starts from a zeroed coverage buffer).  Returns the indices of the
-    rows the scalar entry bailed on."""
+    call starts from a zeroed coverage buffer).  A native row covers every
+    branch it took (the FastRuntime set); a bailed row reports its
+    specialized variant's partial set.  Returns the indices of the rows the
+    scalar entry bailed on."""
     kernel = program.native_kernel(mask)
     r_batch, cov_batch = kernel(X)
     r_bits = r_batch.view(np.uint64)
@@ -204,15 +207,16 @@ def _assert_native_parity(program, mask: int, X: np.ndarray) -> list:
         _, r_sp, cov_sp = program.run_specialized(args, mask)
         bails = kernel.bails
         r_native, cov_native = kernel.scalar(args)
-        if kernel.bails > bails:
+        row_bailed = kernel.bails > bails
+        if row_bailed:
             bailed.append(i)
         _, r_fast, cov_fast = _run_fast(program, mask, args)
         context = (program.name, hex(mask), args)
         assert _bits(r_native) == _bits(r_sp) == _bits(r_fast), context
         assert _bits(float(r_batch[i])) == _bits(r_sp), context
-        assert cov_native == cov_sp, context
+        assert cov_native == (cov_sp if row_bailed else cov_fast), context
         assert cov_sp == _unsaturated_bits(mask, cov_fast, program.n_conditionals), context
-        cov_union |= cov_sp
+        cov_union |= cov_native
     assert cov_batch == cov_union, (program.name, hex(mask))
     return bailed
 
@@ -370,11 +374,10 @@ def dead_quotient(x):
     return 0.0
 
 
-def _kernel_ir(program, mask: int = 0):
-    variant = program.specialize(mask)
+def _kernel_ir(program):
     return emit_program_ir(program.units, program.name, program.arity,
-                           program.n_conditionals, variant.namespace, mask,
-                           variant.epsilon)
+                           program.n_conditionals, program.entry.__globals__,
+                           DEFAULT_EPSILON)
 
 
 _SLICE_ROWS = (0.5, 1.5, 2.0, 2.5, 3.0, 4.5, 6.0, 9.75, -2.0)
@@ -413,11 +416,12 @@ class TestDeadValueSlice:
         X = self._rows()
         for mask in range(1 << (2 * program.n_conditionals)):
             assert _assert_native_parity(program, mask, X) == [], hex(mask)
-            # At x == 2 the scalar tier swallows ZeroDivisionError after the
+            # At x == 2 the scalar tiers swallow ZeroDivisionError after the
             # first conditional: same r, same single covered branch.
-            _, r_sp, cov_sp = program.run_specialized([2.0], mask)
+            _, r_fast, cov_fast = _run_fast(program, mask, [2.0])
             r_native, cov_native = program.native_kernel(mask).scalar([2.0])
-            assert (_bits(r_native), cov_native) == (_bits(r_sp), cov_sp)
+            assert (_bits(r_native), cov_native) == (_bits(r_fast), cov_fast)
+            assert cov_fast == 0b10
 
 
 def floor_low_bits(x):
@@ -572,8 +576,8 @@ class TestAdoptedHelpers:
         first, second = programs
         assert first.units == second.units
         assert helper_digest(first) != helper_digest(second)
-        assert kernel_digest(first, 0, DEFAULT_EPSILON) != kernel_digest(
-            second, 0, DEFAULT_EPSILON)
+        assert kernel_digest(first, DEFAULT_EPSILON) != kernel_digest(
+            second, DEFAULT_EPSILON)
         assert first.native_kernel(0).digest != second.native_kernel(0).digest
         assert counted_emits == ["digest_entry", "digest_entry"]
         X = np.ascontiguousarray([[v] for v in _HELPER_ROWS], dtype=np.float64)
@@ -701,11 +705,12 @@ class TestRepresentingFunctionNative:
         _, coverage = native.evaluate_with_coverage([4.0])
         tracker.add_covered(set(coverage.covered))
         if tracker.saturated_mask != 0:
-            # Pre-warm the flipped mask too (see _pair).
-            program.native_kernel(tracker.saturated_mask)
+            # The flipped mask rebinds the program's one kernel; nothing
+            # is built.
             native([4.0])
             assert native.native_respecializations == 2
             assert native._native_kernel.saturated_mask == tracker.saturated_mask
+            assert program.native_kernel_builds == 1
 
     def test_coverage_harvest_identical_across_profiles(self):
         _, native, specialized = self._pair(sp.nested_branches)
@@ -719,25 +724,27 @@ class TestRepresentingFunctionNative:
 
 @requires_cc
 class TestCachesAndDigest:
-    def test_digest_sensitive_to_source_mask_and_epsilon(self):
+    def test_digest_sensitive_to_source_and_epsilon_not_mask(self):
         program = instrument(sp.paper_foo)
-        base = kernel_digest(program, 0, 1e-6)
-        assert kernel_digest(instrument(sp.paper_foo), 0, 1e-6) == base
-        assert kernel_digest(instrument(sp.three_dimensional), 0, 1e-6) != base
-        assert kernel_digest(program, 3, 1e-6) != base
-        assert kernel_digest(program, 0, 1e-7) != base
+        base = kernel_digest(program, 1e-6)
+        assert kernel_digest(instrument(sp.paper_foo), 1e-6) == base
+        assert kernel_digest(instrument(sp.three_dimensional), 1e-6) != base
+        assert kernel_digest(program, 1e-7) != base
+        # The digest takes no mask: every mask is served by the one kernel.
+        assert list(inspect.signature(kernel_digest).parameters) == ["program", "epsilon"]
+        assert program.native_kernel(0).digest == program.native_kernel(3).digest
 
     def test_o3_flag_tier_folds_into_the_digest(self, monkeypatch):
         monkeypatch.delenv("REPRO_NATIVE_O3", raising=False)
         assert opt_tier() == "O2"
         program = instrument(sp.paper_foo)
-        base = kernel_digest(program, 0, 1e-6)
+        base = kernel_digest(program, 1e-6)
         monkeypatch.setenv("REPRO_NATIVE_O3", "1")
         assert opt_tier() == "O3"
-        assert kernel_digest(program, 0, 1e-6) != base
+        assert kernel_digest(program, 1e-6) != base
         monkeypatch.setenv("REPRO_NATIVE_O3", "0")  # falsy spellings stay O2
         assert opt_tier() == "O2"
-        assert kernel_digest(program, 0, 1e-6) == base
+        assert kernel_digest(program, 1e-6) == base
 
     def test_o3_tier_compiles_and_stays_bit_identical(self, monkeypatch):
         X = np.ascontiguousarray([[v] for v in _ADVERSARIAL], dtype=np.float64)
@@ -756,8 +763,10 @@ class TestCachesAndDigest:
         first = program.native_kernel(0)
         assert program.native_kernel(0) is first
         assert program.native_kernel_builds == 1
-        program.native_kernel(3)
-        assert program.native_kernel_builds == 2
+        # A new mask rebinds the program's one kernel; nothing is built.
+        assert program.native_kernel(3) is first
+        assert first.saturated_mask == 3
+        assert program.native_kernel_builds == 1
 
     def test_module_cache_hits_across_program_instances(self):
         clear_native_cache()
@@ -789,10 +798,10 @@ class TestCachesAndDigest:
         program = instrument(calls_gamma)
         clear_native_cache()
         with pytest.raises(NativeUnavailable):
-            build_native_kernel(program, 0)
+            build_native_kernel(program)
         misses = native_cache_info()["misses"]
         with pytest.raises(NativeUnavailable):
-            build_native_kernel(program, 0)
+            build_native_kernel(program)
         info = native_cache_info()
         assert info["misses"] == misses  # second failure served from cache
         assert info["hits"] >= 1
@@ -901,15 +910,15 @@ class TestBackgroundCompile:
         program = instrument(sp.paper_foo)
         try:
             with pytest.raises(NativeCompiling) as first:
-                build_native_kernel(program, 0, wait=False)
+                build_native_kernel(program, wait=False)
             with pytest.raises(NativeCompiling) as second:
-                build_native_kernel(program, 0, wait=False)
+                build_native_kernel(program, wait=False)
         finally:
             release.set()
         assert second.value.digest == first.value.digest
         assert counted_emits == ["paper_foo"]
         wait_for_background(first.value.digest)
-        kernel = build_native_kernel(program, 0, wait=False)
+        kernel = build_native_kernel(program, wait=False)
         assert kernel.digest == first.value.digest
         assert counted_emits == ["paper_foo"]  # loaded from disk
         _reset_background_for_tests()
@@ -950,7 +959,7 @@ def _queue_build_in_worker(cache_dir: str):
     (``None`` if it was already built)."""
     os.environ["REPRO_NATIVE_CACHE"] = cache_dir
     try:
-        build_native_kernel(instrument(sp.three_dimensional), 0, wait=False)
+        build_native_kernel(instrument(sp.three_dimensional), wait=False)
     except NativeCompiling as exc:
         return exc.digest
     return None
@@ -1153,10 +1162,7 @@ class TestWarmLoad:
     def test_sp_meta_matches_a_fresh_emission(self, private_cache, target):
         program = _warm_program(target)
         loaded = program.native_kernel(0).loaded
-        variant = program.specialize(0)
-        ir = emit_program_ir(program.units, program.name, program.arity,
-                             program.n_conditionals, variant.namespace, 0,
-                             variant.epsilon)
+        ir = _kernel_ir(program)
         assert (loaded.arity, loaded.n_words) == (len(ir.entry.params), ir.n_words)
         assert (loaded.bail_sites, loaded.freeze_sites) == (
             ir.bail_sites, ir.freeze_sites)
@@ -1230,7 +1236,7 @@ class TestWarmLoad:
             signature=ProgramSignature("default_second_arg", arity=1),
         )
         with pytest.raises(NativeUnavailable, match="arity"):
-            build_native_kernel(program, 0)
+            build_native_kernel(program)
 
 
 def _meta_line(c_source: str) -> re.Match:
@@ -1324,7 +1330,7 @@ class TestStaleKernelFallback:
         clear_native_cache()
         _reset_background_for_tests()
         program = instrument(sp.paper_foo)
-        digest = kernel_digest(program, 0, program.specialize(0).epsilon)
+        digest = kernel_digest(program, DEFAULT_EPSILON)
         self._plant("no_sp_meta", digest, b"", "")
         so_path = native_cache_dir() / f"{digest}.so"
         planted = so_path.read_bytes()
@@ -1470,7 +1476,7 @@ class TestCcProbeCache:
                 with pytest.raises(NativeUnavailable, match="no C compiler"):
                     find_cc()
                 with pytest.raises(NativeUnavailable):
-                    kernel_digest(program, 0, 1e-6)
+                    kernel_digest(program, 1e-6)
             assert len(calls) == probe_calls  # no re-probe after the first
         finally:
             _reset_cc_probe_for_tests()
@@ -1518,9 +1524,12 @@ class TestDegradation:
         for i in range(X.shape[0]):
             assert _bits(float(values[i])) == _bits(specialized(X[i]))
 
-    def test_warning_is_per_instance(self, no_cc):
-        program = instrument(sp.paper_foo)
-        for _ in range(2):  # each fresh instance warns once, again
+    def test_warning_is_per_program(self, no_cc):
+        """The kernel is per program, so is its failure: the first
+        representing function of a program warns, later ones (one per
+        start) degrade silently, and another program warns again."""
+        for _ in range(2):
+            program = instrument(sp.paper_foo)
             representing = RepresentingFunction(
                 program,
                 SaturationTracker(program),
@@ -1531,11 +1540,17 @@ class TestDegradation:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 representing([4.0])
+                again = RepresentingFunction(
+                    program,
+                    SaturationTracker(program),
+                    profile=ExecutionProfile.PENALTY_NATIVE,
+                )
+                again([4.0])
 
     def test_build_native_kernel_raises_without_compiler(self, no_cc):
         program = instrument(sp.paper_foo)
         with pytest.raises(NativeUnavailable, match="no C compiler"):
-            build_native_kernel(program, 0)
+            build_native_kernel(program)
 
     def test_engine_run_completes_and_matches_specialized(self, no_cc):
         outcomes = []
@@ -1608,16 +1623,18 @@ class TestEngineIdentity:
 
 @requires_cc
 class TestCompileFailureMidRun:
-    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("k", [0, 1])
     def test_run_degrades_to_specialized_with_identical_record(
         self, private_cache, monkeypatch, k
     ):
         """``cc`` builds the first ``k`` shared objects of a run, then
-        fails.  Every later kernel request degrades to the specialized
-        tier, and the record is bit-identical to a ``penalty-specialized``
-        run, with one degradation warning under Python's default filter.
-        Builds run synchronously here, so the failure lands mid-run
-        whatever the machine's speed."""
+        fails.  A run builds two: the fused-search library, requested
+        first, and the program's one kernel.  Every later kernel request
+        degrades to the specialized tier, and the record is bit-identical
+        to a ``penalty-specialized`` run, with exactly one degradation
+        warning even when every warning is shown (one per program, not one
+        per start).  Builds run synchronously here, so the failure lands
+        mid-run whatever the machine's speed."""
         real_compile = cache_module.compile_kernel
         builds = []
 
@@ -1645,7 +1662,7 @@ class TestCompileFailureMidRun:
 
         try:
             with warnings.catch_warnings(record=True) as seen:
-                warnings.simplefilter("default")
+                warnings.simplefilter("always")
                 native = run("penalty-native")
         finally:
             local_min.clear_local_min_library()
@@ -1653,6 +1670,29 @@ class TestCompileFailureMidRun:
         degraded = [w for w in seen if "native tier permanently unavailable" in str(w.message)]
         assert len(degraded) == 1
         assert native == run("penalty-specialized")
+
+
+@requires_cc
+class TestCacheShape:
+    def test_multi_start_run_writes_one_kernel_per_program(self, private_cache):
+        """A seeded multi-start run over N programs leaves exactly N kernel
+        shared objects plus the fused-search library in an empty cache:
+        saturation changes the mask during each run, never the kernel."""
+        _reset_background_for_tests()
+        local_min.clear_local_min_library()
+        targets = (sp.paper_foo, sp.nested_branches, sp.three_dimensional)
+        try:
+            for target in targets:
+                config = CoverMeConfig(n_start=12, n_iter=2, seed=11, worker_mode="serial")
+                result = SearchEngine(instrument(target), config).run()
+                assert result.saturated  # later batches ran under new masks
+            cache_module.finish_background_compiles()
+        finally:
+            local_min.clear_local_min_library()
+        names = sorted(p.name for p in private_cache.glob("*.so"))
+        kernels = [name for name in names if not name.startswith("local-min-")]
+        assert len(kernels) == len(targets), names
+        assert len(names) == len(targets) + 1, names
 
 
 @requires_cc

@@ -73,7 +73,7 @@ def _snapshot(program) -> tuple:
         kernel.helper_digest(program),
     )
     if cc_available():
-        snapshot += (kernel.kernel_digest(program, 0, DEFAULT_EPSILON),)
+        snapshot += (kernel.kernel_digest(program, DEFAULT_EPSILON),)
     return snapshot
 
 
