@@ -37,7 +37,15 @@ execution is *partial*: exactly the conditionals that are not yet
 both-saturated record coverage (which is precisely the set whose coverage can
 still make progress).  Consumers that need full coverage re-execute on the
 generic :class:`~repro.instrument.runtime.FastRuntime`, as the engine does
-for accepted minima.
+for accepted minima under this tier.
+
+With ``saturated_mask=None`` the rewrite leaves the mask to run time instead
+(the *mask-generic* form): each site reads its two bits from a third reserved
+global, ``__sp_sat__`` (indexed by label), branches to exactly the code a
+concrete mask would compile it to (a Boolean-tree site keeps one copy of its
+test per case), and always writes its covered bit, so its coverage is
+complete.  The native tier compiles this form once per program
+(:mod:`repro.instrument.native.emit`).
 
 Bit-identical ``r``
 -------------------
