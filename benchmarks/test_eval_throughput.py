@@ -19,7 +19,7 @@ branch-dense Fdlibm functions and asserts the runtime guarantees:
   self-skips on machines with fewer than 4 cores, where the speedup cannot
   physically materialize (``REPRO_FORCE_NATIVE_BENCH=1`` forces it too);
 * all profiles compute bit-identical objective values;
-* the epoch protocol compiles exactly one variant per (mask, epsilon) and
+* the epoch protocol compiles exactly one variant per mask and
   performs zero re-specializations while the saturation mask is unchanged.
 
 The measured numbers are written to ``BENCH_eval_throughput.json`` (in
@@ -181,7 +181,7 @@ def _native_mt_throughput(program, tracker) -> dict[int, float]:
     reference = None
     rates: dict[int, float] = {}
     for n_threads in MT_THREAD_SWEEP:
-        r, _ = kernel(X, n_threads=n_threads)  # warm-up + identity capture
+        r = kernel(X, n_threads=n_threads)  # warm-up + identity capture
         bits = r.view(np.uint64).tolist()
         if reference is None:
             reference = bits

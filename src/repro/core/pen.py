@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.branch_distance import DEFAULT_EPSILON
 from repro.core.saturation import SaturationTracker
 from repro.instrument.runtime import BranchId
 
@@ -28,9 +27,8 @@ from repro.instrument.runtime import BranchId
 class CoverMePenalty:
     """Def. 4.2 penalty policy bound to a saturation tracker."""
 
-    def __init__(self, tracker: SaturationTracker, epsilon: float = DEFAULT_EPSILON):
+    def __init__(self, tracker: SaturationTracker):
         self.tracker = tracker
-        self.epsilon = epsilon
 
     def penalty(
         self,

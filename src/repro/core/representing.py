@@ -33,12 +33,13 @@ Cold compiles do not block: the build runs on the background worker while
 calls are served by the specialized tier (no warning — that state is
 transient, counted in ``native_pending_calls``) and the kernel swaps in at
 the next call/batch boundary once the build lands.  All profiles compute
-bit-identical values; callers that need coverage from a specific point
-(e.g. an accepted minimum) re-execute it via
+bit-identical values, and an evaluation under a compiled tier computes
+``r`` only.  Callers that need coverage from a specific point (e.g. an
+accepted minimum) re-execute it via
 :meth:`RepresentingFunction.evaluate_with_coverage`.  Under
 ``PENALTY_NATIVE`` that is one kernel call, whose probe sites all record
 their covered bit and the last conditional; rows the kernel bails on, and
-the specialized profile (whose variants strip saturated probes), run the
+the specialized profile (whose variants record no coverage), run the
 allocation-free :class:`~repro.instrument.runtime.FastRuntime` instead, so
 the coverage outcome stays complete and identical across profiles.
 """
@@ -51,7 +52,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.branch_distance import DEFAULT_EPSILON
 from repro.core.pen import CoverMePenalty
 from repro.core.saturation import SaturationTracker
 from repro.instrument.native.cache import (
@@ -85,13 +85,11 @@ class RepresentingFunction:
         self,
         program: InstrumentedProgram,
         tracker: Optional[SaturationTracker] = None,
-        epsilon: float = DEFAULT_EPSILON,
         profile: ExecutionProfile | str = ExecutionProfile.FULL_TRACE,
         native_threads: int = 1,
     ):
         self.program = program
         self.tracker = tracker if tracker is not None else SaturationTracker(program)
-        self.epsilon = epsilon
         self.profile = ExecutionProfile(profile)
         self.native_threads = max(1, int(native_threads))
         self.evaluations = 0
@@ -127,15 +125,15 @@ class RepresentingFunction:
         self._arity = program.arity
         self._native = self.profile is ExecutionProfile.PENALTY_NATIVE
         self._specialized = self.profile is not ExecutionProfile.FULL_TRACE
-        # The specialized variants' covered bitsets are partial, so a fast
-        # runtime backs evaluate_with_coverage() whenever the native kernel
-        # does not serve it (another profile, a bailed row, no kernel); it
-        # is built at its first harvest.
+        # The specialized variants record no coverage, so a fast runtime
+        # backs evaluate_with_coverage() whenever the native kernel does not
+        # serve it (another profile, a bailed row, no kernel); it is built
+        # at its first harvest.
         self._fast: Optional[FastRuntime] = None
         if self._specialized:
             self._runtime = None
         else:
-            self._runtime = Runtime(policy=CoverMePenalty(self.tracker, epsilon), epsilon=epsilon)
+            self._runtime = Runtime(policy=CoverMePenalty(self.tracker))
 
     @property
     def arity(self) -> int:
@@ -153,12 +151,12 @@ class RepresentingFunction:
             # tier).
             kernel = self.native_kernel() if self._native else None
             if kernel is not None:
-                r, _cov = kernel.scalar(args)
+                r = kernel.scalar(args)
             else:
                 mask = self.tracker.saturated_mask
                 variant = self._variant
                 if variant is None or variant.saturated_mask != mask:
-                    variant = self.program.specialize(mask, self.epsilon)
+                    variant = self.program.specialize(mask)
                     self._variant = variant
                     self.respecializations += 1
                 _, r = variant.run(args)
@@ -206,15 +204,15 @@ class RepresentingFunction:
         if self._specialized:
             native = self.native_kernel() if self._native else None
             if native is not None:
-                raw, _cov = native(X, n_threads=self.native_threads)
+                raw = native(X, n_threads=self.native_threads)
             else:
                 mask = self.tracker.saturated_mask
                 kernel = self._batch_kernel
                 if kernel is None or kernel.saturated_mask != mask:
-                    kernel = self.program.batch_kernel(mask, self.epsilon)
+                    kernel = self.program.batch_kernel(mask)
                     self._batch_kernel = kernel
                     self.batch_respecializations += 1
-                raw, _cov = kernel(X)
+                raw = kernel(X)
             out = np.where(np.isfinite(raw), raw, _CLAMP)
             self.evaluations += n
             self.batched_calls += 1
@@ -239,7 +237,7 @@ class RepresentingFunction:
             return value, self.last_record
         args = self._coerce(x)
         self.evaluations += 1
-        runtime = Runtime(policy=CoverMePenalty(self.tracker, self.epsilon), epsilon=self.epsilon)
+        runtime = Runtime(policy=CoverMePenalty(self.tracker))
         _, r, record = self.program.run(args, runtime=runtime)
         if not math.isfinite(r):
             r = _CLAMP
@@ -285,14 +283,13 @@ class RepresentingFunction:
                     last_conditional=None if last < 0 else last >> 1,
                     last_outcome=None if last < 0 else bool(last & 1),
                 )
-        # A specialized variant's covered bitset is partial (stripped probes
-        # record nothing) and it tracks no last conditional, so the harvest
-        # runs the generic fast runtime against the same mask -- values stay
+        # A specialized variant records no coverage, so the harvest runs
+        # the generic fast runtime against the same mask -- values stay
         # bit-identical, outcomes complete.  install + begin resynchronize
         # the saturation snapshot from the (possibly updated) tracker.
         fast = self._fast
         if fast is None:
-            fast = self._fast = FastRuntime(program.n_conditionals, epsilon=self.epsilon)
+            fast = self._fast = FastRuntime(program.n_conditionals)
         program.handle.install(fast)
         fast.begin(self.tracker.saturated_mask)
         try:
@@ -347,7 +344,7 @@ class RepresentingFunction:
             self.native_pending_calls += 1
             return None
         try:
-            kernel = self.program.native_kernel(mask, self.epsilon, wait=False)
+            kernel = self.program.native_kernel(mask, wait=False)
         except NativeCompiling as exc:
             self._native_pending = exc.digest
             self.native_pending_calls += 1

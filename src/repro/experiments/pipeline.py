@@ -64,11 +64,6 @@ from repro.service.jobs import (  # noqa: F401  (re-exported: legacy import site
 )
 from repro.store import RunStore, summary_from_dict
 
-# Legacy private aliases (kept for older imports; same objects).
-_domain_tag = domain_tag
-_instrument_for_lookup = instrument_for_lookup
-_baseline_budget = baseline_budget
-
 
 def coverme_first(tool_names: Iterable[str]) -> list[str]:
     """Order tool names with ``CoverMe`` first.

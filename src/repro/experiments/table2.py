@@ -18,11 +18,10 @@ from repro.experiments.runner import (
 TOOLS = ("Rand", "AFL", "CoverMe")
 
 
-def tool_factories(seed: int = 0):
+def tool_factories():
     """The Table 2 tool set (CoverMe plus the Rand/AFL baselines).
 
-    The factories derive their seeds from the profile at call time; the
-    ``seed`` parameter is kept for backwards compatibility.
+    The factories derive their seeds from the profile at call time.
     """
     return {name: TOOL_FACTORIES[name] for name in ("CoverMe", "Rand", "AFL")}
 
@@ -41,7 +40,7 @@ def run(
     behavior).
     """
     return compare_tools(
-        tool_factories(profile.seed),
+        tool_factories(),
         profile,
         cases=cases,
         measure_lines=measure_lines,

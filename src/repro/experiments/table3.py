@@ -18,14 +18,14 @@ from repro.experiments.runner import (
 TOOLS = ("Austin", "CoverMe")
 
 
-def tool_factories(seed: int = 0):
-    """The Table 3 tool set; ``seed`` is kept for backwards compatibility."""
+def tool_factories():
+    """The Table 3 tool set (CoverMe plus the Austin baseline)."""
     return {name: TOOL_FACTORIES[name] for name in ("CoverMe", "Austin")}
 
 
 def run(profile: Profile, cases=None, store=None, resume: bool = True) -> list[ComparisonRow]:
     return compare_tools(
-        tool_factories(profile.seed), profile, cases=cases, store=store, resume=resume
+        tool_factories(), profile, cases=cases, store=store, resume=resume
     )
 
 

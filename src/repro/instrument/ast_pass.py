@@ -289,14 +289,14 @@ class InstrumentationPass(ast.NodeTransformer):
         return node
 
     def _rewrite_test(self, label: int, test: ast.expr) -> tuple[ast.expr, str]:
-        simple = self._as_simple_comparison(test)
+        simple = as_simple_comparison(test)
         if simple is not None:
             # Single comparison: one fused probe call (the hot path).
             op, lhs, rhs, negated = simple
             call = self._call("test", [ast.Constant(label), ast.Constant(op), lhs, rhs])
             return call, ("negated" if negated else "simple")
         stripped, _ = strip_not(test)
-        if isinstance(stripped, (ast.BoolOp, ast.IfExp)) or self._is_chain(stripped):
+        if isinstance(stripped, (ast.BoolOp, ast.IfExp)) or is_chain(stripped):
             try:
                 lowering = _TreeLowering(self, label)
                 expr, tokens = lowering.lower(test, negated=False)
@@ -318,12 +318,6 @@ class InstrumentationPass(ast.NodeTransformer):
         # Bare non-comparison test: the fused truth probe promotes numeric
         # values to a ``!= 0`` distance at run time (Sect. 5.3).
         return self._call("truth", [ast.Constant(label), test]), "promoted"
-
-    # Shared shape helpers, kept as (static)methods for backwards
-    # compatibility with existing callers/tests.
-    _strip_not = staticmethod(strip_not)
-    _is_chain = staticmethod(is_chain)
-    _as_simple_comparison = staticmethod(as_simple_comparison)
 
     def _temp_name(self) -> str:
         name = f"{TEMP_NAME_PREFIX}{self._temp_counter}"

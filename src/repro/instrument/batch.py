@@ -1,8 +1,8 @@
 """Batched penalty kernels: one call evaluates ``N`` starts.
 
 A **batched kernel** is a callable taking an ``(N, arity)`` float64 array
-and returning the ``(N,)`` penalty vector ``r`` plus the union of the rows'
-covered bits.  It is a tight per-row loop over the program's cached
+and returning the ``(N,)`` penalty vector ``r``.  It is a tight per-row loop
+over the program's cached
 :class:`~repro.instrument.program.SpecializedVariant`, so ``r`` is
 literally the scalar ``PENALTY_SPECIALIZED`` tier's execution and
 **bit-identical row-for-row** with it (property-tested in
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.branch_distance import DEFAULT_EPSILON
 from repro.instrument.specialize import R_NAME
 
 #: Exceptions the scalar tiers swallow; the row keeps the ``r`` it had.
@@ -25,18 +24,16 @@ _SWALLOWED = (ArithmeticError, ValueError, OverflowError)
 class BatchKernel:
     """One batched evaluator bound to a program's specialized variant.
 
-    ``kernel(X)`` takes an ``(N, arity)`` float64 array and returns
-    ``(r, covered)``: the raw ``(N,)`` penalty vector (callers clamp
-    non-finite values exactly like the scalar tier) and the union of
-    covered-branch bits over all rows.
+    ``kernel(X)`` takes an ``(N, arity)`` float64 array and returns the raw
+    ``(N,)`` penalty vector (callers clamp non-finite values exactly like
+    the scalar tier).
     """
 
-    __slots__ = ("variant", "saturated_mask", "epsilon")
+    __slots__ = ("variant", "saturated_mask")
 
     def __init__(self, variant):
         self.variant = variant
         self.saturated_mask = variant.saturated_mask
-        self.epsilon = variant.epsilon
 
     def __call__(self, X):
         variant = self.variant
@@ -44,9 +41,6 @@ class BatchKernel:
         entry = variant.entry
         rows = np.atleast_2d(np.asarray(X, dtype=np.float64)).tolist()
         out = np.empty(len(rows), dtype=np.float64)
-        # Reset the covered bytearray once: bits accumulate across rows,
-        # which is exactly the union summary the batched contract asks for.
-        variant.covered[:] = bytes(2 * variant.n_conditionals)
         for i, row in enumerate(rows):
             namespace[R_NAME] = 1.0
             try:
@@ -54,10 +48,10 @@ class BatchKernel:
             except _SWALLOWED:
                 pass
             out[i] = namespace[R_NAME]
-        return out, variant.covered_mask()
+        return out
 
 
-def build_batch_kernel(program, saturated_mask: int, epsilon: float = DEFAULT_EPSILON):
+def build_batch_kernel(program, saturated_mask: int):
     """The batched kernel of ``program`` for one mask: its specialized
     variant (a cached lookup unless the mask is new) plus the row loop."""
-    return BatchKernel(program.specialize(saturated_mask, epsilon))
+    return BatchKernel(program.specialize(saturated_mask))

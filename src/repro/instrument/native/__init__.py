@@ -43,7 +43,6 @@ from repro.instrument.native.cache import (
     native_cache_dir,
     native_cache_entries,
     native_clean_disk_cache,
-    opt_tier,
 )
 from repro.instrument.native.kernel import (
     NativeKernel,
@@ -66,5 +65,4 @@ __all__ = [
     "native_cache_entries",
     "native_cache_info",
     "native_clean_disk_cache",
-    "opt_tier",
 ]

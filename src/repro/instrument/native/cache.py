@@ -3,11 +3,13 @@
 Kernels are compiled out-of-process with the system C compiler into a
 cache directory keyed by a sha256 digest of everything that affects the
 generated code: per-unit ``(source sha256, function, start label)`` triples,
-the saturation mask, epsilon, the backend name, the compiler version and
-the codegen ABI version.  Identical programs under identical masks reuse
-the ``.so`` across processes and sessions: a warm request computes the
-digest and loads ``<digest>.so`` directly, checking the kernel's exported
-``sp_meta`` shape instead of re-emitting its C source (see
+the helpers and globals the units read, the Def. 4.1 epsilon the C bakes
+in, the backend name, the compiler version, the compile flags and the
+codegen ABI version (see :func:`repro.instrument.native.kernel.kernel_digest`;
+the saturation mask is a runtime argument, so it is not part of the key).
+Identical programs reuse the ``.so`` across processes and runs: a warm
+request computes the digest and loads ``<digest>.so`` directly, checking the
+kernel's exported ``sp_meta`` shape instead of re-emitting its C source (see
 :mod:`repro.instrument.native.kernel`).  The directory is FIFO-bounded by
 mtime like the in-memory compiled caches; builds write hidden
 ``.<digest>.*`` temp files and rename them into place, so listing and
@@ -85,25 +87,9 @@ class NativeCompiling(RuntimeError):
         self.digest = digest
 
 
-def opt_tier() -> str:
-    """The optimization flag tier: ``"O3"`` when ``$REPRO_NATIVE_O3`` is set
-    to a truthy value, else the default ``"O2"``.
-
-    The tier is folded into the kernel content-address, so O2 and O3 builds
-    of the same program never collide on disk or in memory."""
-    value = os.environ.get("REPRO_NATIVE_O3", "").strip().lower()
-    return "O3" if value not in ("", "0", "false", "no") else "O2"
-
-
-def _cflags() -> list[str]:
-    return [
-        f"-{opt_tier()}",
-        "-fPIC",
-        "-shared",
-        "-std=c99",
-        "-ffp-contract=off",
-        "-pthread",
-    ]
+#: The compiler flags of every build (kernels and the fused-search library);
+#: the content digests of both cover them.
+CFLAGS = ("-O2", "-fPIC", "-shared", "-std=c99", "-ffp-contract=off", "-pthread")
 
 
 def disk_cache_max() -> int:
@@ -247,7 +233,7 @@ def compile_kernel(c_source: str, digest: str) -> Path:
     os.close(fd)
     try:
         proc = subprocess.run(
-            [cc, *_cflags(), "-o", tmp_so, str(tmp_c), "-lm"],
+            [cc, *CFLAGS, "-o", tmp_so, str(tmp_c), "-lm"],
             capture_output=True,
             text=True,
             timeout=COMPILE_TIMEOUT_S,

@@ -505,14 +505,12 @@ class ProgramEmitter:
 
     MAX_PASSES = 12
 
-    def __init__(self, units, entry_name, arity, n_conditionals, namespace,
-                 epsilon):
+    def __init__(self, units, entry_name, arity, n_conditionals, namespace):
         # Program units run against the program namespace, exactly as
         # ``instrument()`` execs them; each adopted helper runs against its
         # own module globals.  ``self.namespace`` follows the unit being
         # emitted.
         self.namespace = namespace
-        self.epsilon = epsilon
         self.arity = arity
         self.n_conditionals = n_conditionals
         self.entry_name = entry_name
@@ -527,7 +525,6 @@ class ProgramEmitter:
                 function_name=name,
                 start_label=start_label,
                 saturated_mask=None,
-                epsilon=epsilon,
             )
             func = next(
                 s for s in tree.body
@@ -2083,12 +2080,10 @@ def _number_sites(functions: list):
 # -- module entry point -------------------------------------------------------------------
 
 
-def emit_program_ir(units, entry_name, arity, n_conditionals, namespace,
-                    epsilon) -> ProgramIR:
+def emit_program_ir(units, entry_name, arity, n_conditionals, namespace) -> ProgramIR:
     """Emit the typed IR for one instrumented program, for every mask.
 
     Raises :class:`NativeUnavailable` when the program cannot produce a
     useful native kernel (e.g. the entry bails unconditionally)."""
-    emitter = ProgramEmitter(
-        units, entry_name, arity, n_conditionals, namespace, epsilon)
+    emitter = ProgramEmitter(units, entry_name, arity, n_conditionals, namespace)
     return emitter.emit()

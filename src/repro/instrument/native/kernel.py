@@ -4,7 +4,7 @@
 content digest (:func:`kernel_digest`).  A kernel is emitted from the
 mask-generic specialization of the program, so it serves every saturation
 mask: the mask is a runtime argument of each call, and the digest depends on
-the program and epsilon only.  A *warm* request -- ``<digest>.so`` already
+the program only.  A *warm* request -- ``<digest>.so`` already
 in the on-disk cache -- loads the shared object with :mod:`ctypes` and reads
 the kernel's arity, covered-word count and bail/freeze site counts from its
 exported ``sp_meta`` constant; it runs neither the emitter nor the C
@@ -17,9 +17,11 @@ worker.  A background request whose build is still queued raises
 once per process.  Loaded kernels are cached module-wide per digest with the
 same hit/miss/evict bookkeeping as the specialized and batched caches.
 
-Every probe site of a kernel writes its covered bit, and the scalar entry
-reports the last executed conditional, so one kernel call also yields a
-complete coverage outcome (:meth:`NativeKernel.coverage`).  The per-mask
+An evaluation (:meth:`NativeKernel.scalar`, :meth:`NativeKernel.__call__`)
+returns ``r`` only.  Every probe site of a kernel writes its covered bit, and
+the scalar entry reports the last executed conditional, so one kernel call
+also yields a complete coverage outcome (:meth:`NativeKernel.coverage`), the
+one place coverage is read from a kernel.  The per-mask
 specialized variant is the per-row bail target.  It is built lazily, at a
 kernel's first bail under a mask, so a kernel that never bails costs no
 variant build.
@@ -54,6 +56,7 @@ from repro.instrument.native.c_backend import (
 )
 from repro.instrument.native.cache import (
     ABI_VERSION,
+    CFLAGS,
     NativeCompiling,
     NativeUnavailable,
     background_ready,
@@ -64,7 +67,6 @@ from repro.instrument.native.cache import (
     find_cc,
     native_cache_dir,
     native_cache_entries,
-    opt_tier,
 )
 from repro.instrument.native.emit import (
     FOLD_TYPES,
@@ -132,14 +134,15 @@ class _LoadedKernel:
         return reasons[site]
 
 
-def kernel_digest(program, epsilon: float) -> str:
+def kernel_digest(program) -> str:
     """Content digest of the native kernel of ``program``.
 
     Everything that affects the generated machine code participates: the
     per-unit (source sha256, function name, start label) triples, the
-    program's :func:`helper_digest`, epsilon (hex, bit-exact), the backend
-    name, the compiler version line, the optimization flag tier, the codegen
-    ABI version and the callables the emitter may slice away
+    program's :func:`helper_digest`, the Def. 4.1 epsilon the C bakes in
+    (hex, bit-exact), the backend name, the compiler version line, the
+    compile flags, the codegen ABI version and the callables the emitter
+    may slice away
     (:data:`~repro.instrument.native.emit.OPAQUE_CALLS`).  The saturation
     mask does not: it is a runtime argument of the kernel."""
     _cc, version = find_cc()
@@ -148,10 +151,10 @@ def kernel_digest(program, epsilon: float) -> str:
         source_sha = hashlib.sha256(source.encode("utf-8")).hexdigest()
         hasher.update(f"{source_sha}:{function_name}:{start_label}\n".encode())
     hasher.update(f"helpers={helper_digest(program)}\n".encode())
-    hasher.update(f"eps={float(epsilon).hex()}\n".encode())
+    hasher.update(f"eps={float(DEFAULT_EPSILON).hex()}\n".encode())
     hasher.update(f"backend={BACKEND_NAME}\n".encode())
     hasher.update(f"cc={version}\n".encode())
-    hasher.update(f"opt={opt_tier()}\n".encode())
+    hasher.update(f"cflags={' '.join(CFLAGS)}\n".encode())
     hasher.update(f"abi={ABI_VERSION}\n".encode())
     hasher.update(f"opaque={','.join(OPAQUE_CALLS)}\n".encode())
     return hasher.hexdigest()
@@ -340,12 +343,11 @@ def _open(so_path, digest, arity, n_words):
     return None
 
 
-def _emit_and_compile(program, digest, epsilon, wait):
+def _emit_and_compile(program, digest, wait):
     """The cold path: emit, render and compile one kernel, then load it."""
     # The emitter folds the constants of the namespace the units run in.
     ir = emit_program_ir(program.units, program.name, program.arity,
-                         program.n_conditionals, program.entry.__globals__,
-                         epsilon)
+                         program.n_conditionals, program.entry.__globals__)
     if len(ir.entry.params) != program.arity:
         # The kernel reads one double per entry parameter; a signature of
         # another width would misalign every row.
@@ -374,8 +376,8 @@ def _emit_and_compile(program, digest, epsilon, wait):
     return loaded
 
 
-def _load(program, epsilon, wait: bool = True) -> _LoadedKernel:
-    digest = kernel_digest(program, epsilon)
+def _load(program, wait: bool = True) -> _LoadedKernel:
+    digest = kernel_digest(program)
     with _NATIVE_CACHE_LOCK:
         cached = _NATIVE_CACHE.get(digest)
         if cached is not None:
@@ -399,7 +401,7 @@ def _load(program, epsilon, wait: bool = True) -> _LoadedKernel:
             # be thrown away.
             raise NativeCompiling(digest)
         try:
-            loaded = _emit_and_compile(program, digest, epsilon, wait)
+            loaded = _emit_and_compile(program, digest, wait)
         except NativeUnavailable as exc:
             with _NATIVE_CACHE_LOCK:
                 _NATIVE_CACHE[digest] = exc
@@ -442,33 +444,28 @@ class NativeKernel:
     <repro.instrument.program.InstrumentedProgram.native_kernel>` sets it),
     which the kernel reads from a word buffer at every probe site.
     ``kernel(X)`` has exactly the :class:`~repro.instrument.batch.BatchKernel`
-    contract: an ``(N, arity)`` float64 array in, ``(r, covered)`` out, where
-    ``r`` is the raw penalty vector (callers clamp) and ``covered`` the union
-    covered-bit summary over all rows.  ``kernel(X, n_threads=k)`` evaluates
-    the rows on ``k`` native threads with bit-identical results (private
-    per-thread coverage partials, merged in thread-index order).  A row's
-    covered bits are every branch it took, except for rows the native code
-    flags as bailed (a construct whose bit-exact CPython semantics the
-    emitter could not prove): those are transparently re-run on the scalar
-    specialized variant of the mask, whose covered bits are partial, so
-    results never depend on the emitter's coverage being perfect.  That
-    variant is built at the first bail (:attr:`variant`), :attr:`bails`
-    counts the bailed rows and :attr:`bail_reasons` counts them per bail
-    reason (a diagnostic: no record, fingerprint or digest reads it).
-    :meth:`scalar` is the one-row entry point used by ``evaluate`` and
-    :meth:`coverage` the one-row coverage harvest; both reuse this
-    instance's ctypes buffers, so a kernel belongs to one thread, like its
-    program.
+    contract: an ``(N, arity)`` float64 array in, the raw ``(N,)`` penalty
+    vector out (callers clamp).  ``kernel(X, n_threads=k)`` evaluates the
+    rows on ``k`` native threads with bit-identical results.  Rows the
+    native code flags as bailed (a construct whose bit-exact CPython
+    semantics the emitter could not prove) are transparently re-run on the
+    scalar specialized variant of the mask, so results never depend on the
+    emitter being complete.  That variant is built at the first bail
+    (:attr:`variant`), :attr:`bails` counts the bailed rows and
+    :attr:`bail_reasons` counts them per bail reason (a diagnostic: no
+    record, fingerprint or digest reads it).  :meth:`scalar` is the one-row
+    entry point used by ``evaluate`` and :meth:`coverage` the one-row
+    coverage harvest; both reuse this instance's ctypes buffers, so a kernel
+    belongs to one thread, like its program.
     """
 
-    __slots__ = ("program", "loaded", "saturated_mask", "epsilon", "arity",
+    __slots__ = ("program", "loaded", "saturated_mask", "arity",
                  "mode", "bails", "bail_reasons", "_x", "_sat", "_r", "_cov",
                  "_last", "_addresses", "_unary", "_one_word")
 
-    def __init__(self, program, epsilon: float, loaded: _LoadedKernel):
+    def __init__(self, program, loaded: _LoadedKernel):
         self.program = program
         self.loaded = loaded
-        self.epsilon = epsilon
         self.arity = loaded.arity
         self.mode = "native"
         self.bails = 0
@@ -504,10 +501,10 @@ class NativeKernel:
     def variant(self):
         """The scalar specialized variant of the current mask, which rows
         bail to (built on first use, cached on the program)."""
-        return self.program.specialize(self.saturated_mask, self.epsilon)
+        return self.program.specialize(self.saturated_mask)
 
-    def scalar(self, args) -> tuple[float, int]:
-        """Evaluate one row, returning ``(r, covered_mask)`` (raw ``r``)."""
+    def scalar(self, args) -> float:
+        """Evaluate one row, returning its raw ``r``."""
         if self._unary:
             self._x[0] = args[0]
         else:
@@ -515,9 +512,7 @@ class NativeKernel:
         code = self.loaded.sp_entry(*self._addresses)
         if code:
             return self._scalar_fallback(args, code - 1, self.saturated_mask)
-        if self._one_word:
-            return self._r.value, self._cov[0]
-        return self._r.value, _mask_of_words(self._cov)
+        return self._r.value
 
     def coverage(self, args):
         """Evaluate one row for its coverage outcome.
@@ -543,51 +538,42 @@ class NativeKernel:
         reason = self.loaded.bail_reason(site)
         self.bail_reasons[reason] = self.bail_reasons.get(reason, 0) + 1
 
-    def _scalar_fallback(self, args, site: int, mask: int) -> tuple[float, int]:
-        """Re-run a row that bailed at bail site ``site`` under ``mask`` on
-        that mask's variant."""
+    def _scalar_fallback(self, args, site: int, mask: int) -> float:
+        """``r`` of a row that bailed at bail site ``site`` under ``mask``,
+        re-run on that mask's variant."""
         self._count_bail(site)
-        variant = self.program.specialize(mask, self.epsilon)
-        _value, r = variant.run(args)
-        return r, variant.covered_mask()
+        return self.program.specialize(mask).run(args)[1]
 
     def __call__(self, X, n_threads: int = 1):
-        """Evaluate a batch: ``(r, covered)``, ``covered`` being the union
-        over this call's rows."""
+        """Evaluate a batch, returning the raw ``(N,)`` penalty vector."""
         X = np.ascontiguousarray(np.atleast_2d(np.asarray(X, dtype=np.float64)))
         n = X.shape[0]
         if X.shape[1] != self.arity:
             raise ValueError(f"expected {self.arity} columns, got {X.shape[1]}")
-        n_words = self.loaded.n_words
         r = np.empty(n, dtype=np.float64)
-        # sp_batch_mt ORs into cov without zeroing it, so each call passes
-        # a zeroed buffer; results are bit-identical to sp_batch for any
-        # thread count.
-        cov = np.zeros(n_words, dtype=np.uint64)
         bail = np.empty(n, dtype=np.int32)
+        # sp_batch_mt ORs the rows' covered bits into its cov argument,
+        # which nothing reads here: the scalar covered buffer serves as
+        # scratch, since sp_entry overwrites it whole before it is read.
         self.loaded.sp_batch_mt(
             X.ctypes.data_as(_C_DOUBLE_P),
             ctypes.c_longlong(n),
             ctypes.c_longlong(max(1, int(n_threads))),
             self._sat,
             r.ctypes.data_as(_C_DOUBLE_P),
-            cov.ctypes.data_as(_C_U64_P),
+            self._cov,
             bail.ctypes.data_as(_C_I32_P),
             None,
         )
-        covered = _mask_of_words(cov)
         if bail.any():
             for row_index in np.nonzero(bail)[0]:
-                row_r, row_cov = self._scalar_fallback(
+                r[row_index] = self._scalar_fallback(
                     X[row_index].tolist(), int(bail[row_index]) - 1,
                     self.saturated_mask)
-                r[row_index] = row_r
-                covered |= row_cov
-        return r, covered
+        return r
 
 
-def build_native_kernel(program, epsilon: float = DEFAULT_EPSILON,
-                        wait: bool = True) -> NativeKernel:
+def build_native_kernel(program, wait: bool = True) -> NativeKernel:
     """Build (or fetch from cache) the native kernel of one program.
 
     The kernel serves every saturation mask (set per call sequence with
@@ -606,8 +592,8 @@ def build_native_kernel(program, epsilon: float = DEFAULT_EPSILON,
         raise NativeUnavailable(
             f"program {program.name!r} carries no source units"
         )
-    loaded = _load(program, epsilon, wait=wait)
-    return NativeKernel(program, epsilon, loaded)
+    loaded = _load(program, wait=wait)
+    return NativeKernel(program, loaded)
 
 
 __all__ = [

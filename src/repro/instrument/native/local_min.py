@@ -47,12 +47,12 @@ import _ctypes
 import numpy as np
 
 from repro.instrument.native.cache import (
+    CFLAGS,
     NativeCompiling,
     NativeUnavailable,
     compile_kernel_background,
     discard_kernel,
     find_cc,
-    opt_tier,
 )
 from repro.instrument.native.kernel import _elf_truncated, store_mask
 from repro.instrument.runtime import ExecutionProfile
@@ -458,19 +458,19 @@ _C_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 _BAIL_FN = ctypes.CFUNCTYPE(ctypes.c_int, _C_DOUBLE_P, _C_DOUBLE_P, ctypes.c_int)
 _STATS_FIELDS = ("hits", "misses", "evictions", "entries", "max_entries")
 
-#: Loaded libraries (or the build failure) by (source, cc version, opt
-#: tier): every start asks, so the lookup does not hash the source.
+#: Loaded libraries (or the build failure) by (source, cc version): every
+#: start asks, so the lookup does not hash the source.
 _LIBRARIES: dict[tuple, object] = {}
 _LIBRARIES_LOCK = threading.Lock()
 
 
 def library_digest() -> str:
     """Content address of the library: its source, the compiler version
-    line and the optimization tier (raises ``NativeUnavailable`` without a
+    line and the compile flags (raises ``NativeUnavailable`` without a
     compiler)."""
     _cc, version = find_cc()
     hasher = hashlib.sha256()
-    for part in (_C_SOURCE, f"cc={version}", f"opt={opt_tier()}"):
+    for part in (_C_SOURCE, f"cc={version}", f"cflags={' '.join(CFLAGS)}"):
         hasher.update(part.encode("utf-8") + b"\n")
     return "local-min-" + hasher.hexdigest()
 
@@ -513,7 +513,7 @@ def local_min_library():
     build, which warns once per process.  A shared object that does not
     load is discarded and rebuilt."""
     try:
-        key = (_C_SOURCE, find_cc()[1], opt_tier())
+        key = (_C_SOURCE, find_cc()[1])
     except NativeUnavailable:
         return None  # no compiler: the kernels are unavailable too
     with _LIBRARIES_LOCK:
@@ -588,7 +588,7 @@ class NativeObjective:
 
         def bail(x, r_out, site):
             try:
-                r_out[0] = fallback(x[:arity], site, mask)[0]
+                r_out[0] = fallback(x[:arity], site, mask)
             except BaseException as exc:  # raised again once C unwinds
                 errors.append(exc)
                 return 1

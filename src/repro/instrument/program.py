@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from types import CodeType
 from typing import Callable, Iterable, Optional, Sequence
 
-from repro.core.branch_distance import DEFAULT_EPSILON
 from repro.instrument import ast_pass
 from repro.instrument.ast_pass import (
     HANDLE_NAME,
@@ -56,7 +55,6 @@ from repro.instrument.native.kernel import (
 )
 from repro.instrument.signature import ProgramSignature
 from repro.instrument.specialize import (
-    COV_NAME,
     R_NAME,
     clear_specialized_cache,
     specialized_cache_info,
@@ -229,39 +227,17 @@ class SpecializedVariant:
     The variant owns a fresh namespace whose function definitions carry the
     Def. 4.2 dispatch resolved per probe site (see
     :mod:`repro.instrument.specialize`); executing it costs no runtime handle,
-    no probe method calls and no mask shifts.  ``covered`` holds the partial
-    covered-branch bytearray: only conditionals that were not both-saturated
-    at specialization time record bits (stripped probes record nothing).
+    no probe method calls and no mask shifts.  It computes ``r`` and records
+    no coverage.
     """
 
-    __slots__ = (
-        "program_name",
-        "saturated_mask",
-        "epsilon",
-        "entry",
-        "namespace",
-        "covered",
-        "_zeros",
-        "n_conditionals",
-    )
+    __slots__ = ("program_name", "saturated_mask", "entry", "namespace")
 
-    def __init__(
-        self,
-        program_name: str,
-        saturated_mask: int,
-        epsilon: float,
-        entry: Callable,
-        namespace: dict,
-        n_conditionals: int,
-    ):
+    def __init__(self, program_name: str, saturated_mask: int, entry: Callable, namespace: dict):
         self.program_name = program_name
         self.saturated_mask = saturated_mask
-        self.epsilon = epsilon
         self.entry = entry
         self.namespace = namespace
-        self.n_conditionals = n_conditionals
-        self._zeros = bytes(2 * n_conditionals)
-        self.covered = namespace[COV_NAME]
 
     def run(self, args: Sequence[float]) -> tuple[object, float]:
         """Execute once, returning ``(return_value, r)``.
@@ -271,7 +247,6 @@ class SpecializedVariant:
         """
         namespace = self.namespace
         namespace[R_NAME] = 1.0
-        self.covered[:] = self._zeros
         value: object = None
         try:
             value = self.entry(*args)
@@ -282,14 +257,6 @@ class SpecializedVariant:
     @property
     def r(self) -> float:
         return self.namespace[R_NAME]
-
-    def covered_mask(self) -> int:
-        """Covered branches of the last run as a flat (partial) bitmask."""
-        mask = 0
-        for bit, hit in enumerate(self.covered):
-            if hit:
-                mask |= 1 << bit
-        return mask
 
 
 @dataclass
@@ -326,7 +293,7 @@ class InstrumentedProgram:
     #: Cached :func:`repro.instrument.native.kernel.helper_digest`.
     native_helper_digest: Optional[str] = field(default=None, repr=False)
     _variants: dict = field(default_factory=dict, repr=False)
-    _native_kernels: dict = field(default_factory=dict, repr=False)
+    _native_kernel: Optional[NativeKernel] = field(default=None, repr=False)
     _branch_ids: tuple = field(default=(), repr=False)
 
     @property
@@ -398,7 +365,8 @@ class InstrumentedProgram:
         still meaningful and the representing function must stay total.
 
         This is the recording entry point; the penalty tiers run through
-        :meth:`run_specialized` and :meth:`run_native`.
+        :meth:`run_specialized` and :meth:`run_native`, which return ``r``
+        only.
         """
         runtime = runtime if runtime is not None else Runtime()
         self.handle.install(runtime)
@@ -411,12 +379,10 @@ class InstrumentedProgram:
         r, record = runtime.end()
         return value, r, record
 
-    def specialize(
-        self, saturated_mask: int, epsilon: float = DEFAULT_EPSILON
-    ) -> SpecializedVariant:
+    def specialize(self, saturated_mask: int) -> SpecializedVariant:
         """The compiled specialization of this program for ``saturated_mask``.
 
-        Variants are cached per ``(mask, epsilon)`` on the program instance
+        Variants are cached per mask on the program instance
         (namespaces are per-program state) on top of the module-level
         compiled-code cache, so re-requesting a mask an epoch already used is
         a dictionary lookup and a repeated mask across programs/workers only
@@ -430,48 +396,34 @@ class InstrumentedProgram:
                 f"program {self.name!r} carries no source units and cannot be specialized"
             )
         mask = saturated_mask & ((1 << (2 * self.n_conditionals)) - 1)
-        key = (mask, epsilon)
-        variant = self._variants.get(key)
+        variant = self._variants.get(mask)
         if variant is not None:
             return variant
         namespace = dict(self.entry.__globals__)
-        namespace[COV_NAME] = bytearray(2 * self.n_conditionals)
         namespace[R_NAME] = 1.0
         for source, function_name, start_label in self.units:
-            unit = specialized_unit(source, function_name, start_label, mask, epsilon)
+            unit = specialized_unit(source, function_name, start_label, mask)
             exec(unit.code, namespace)  # noqa: S102 - recompiling the user's own function
-        variant = SpecializedVariant(
-            program_name=self.name,
-            saturated_mask=mask,
-            epsilon=epsilon,
-            entry=namespace[self.name],
-            namespace=namespace,
-            n_conditionals=self.n_conditionals,
-        )
+        variant = SpecializedVariant(self.name, mask, namespace[self.name], namespace)
         self.specialization_builds += 1
         while len(self._variants) >= _VARIANTS_MAX:
             self._variants.pop(next(iter(self._variants)))
-        self._variants[key] = variant
+        self._variants[mask] = variant
         return variant
 
-    def batch_kernel(
-        self, saturated_mask: int, epsilon: float = DEFAULT_EPSILON
-    ) -> BatchKernel:
+    def batch_kernel(self, saturated_mask: int) -> BatchKernel:
         """The batched kernel of this program for ``saturated_mask``: the
         cached :meth:`specialize` variant behind a per-row loop, so a mask an
         epoch already used costs a dictionary lookup."""
-        return build_batch_kernel(self, saturated_mask, epsilon)
+        return build_batch_kernel(self, saturated_mask)
 
-    def native_kernel(
-        self, saturated_mask: int, epsilon: float = DEFAULT_EPSILON,
-        wait: bool = True
-    ) -> NativeKernel:
+    def native_kernel(self, saturated_mask: int, wait: bool = True) -> NativeKernel:
         """The compiled-to-machine-code kernel of this program, set to
         evaluate under ``saturated_mask``.
 
         One kernel serves every mask (the mask is a runtime argument of the
-        machine code), so it is cached on the program per epsilon and a new
-        mask costs a word-buffer write; the out-of-process ``cc`` compile
+        machine code), so it is cached on the program and a new mask costs a
+        word-buffer write; the out-of-process ``cc`` compile
         behind it is content-addressed on disk and memoized module-wide.
         ``native_kernel_builds`` counts true kernel constructions.  Raises
         :class:`~repro.instrument.native.cache.NativeUnavailable` when no C
@@ -486,53 +438,29 @@ class InstrumentedProgram:
                 f"program {self.name!r} carries no source units and cannot "
                 "be compiled natively"
             )
-        kernel = self._native_kernels.get(epsilon)
+        kernel = self._native_kernel
         if kernel is None:
-            kernel = build_native_kernel(self, epsilon, wait=wait)
+            kernel = build_native_kernel(self, wait=wait)
             self.native_kernel_builds += 1
-            self._native_kernels[epsilon] = kernel
+            self._native_kernel = kernel
         kernel.use_mask(saturated_mask)
         return kernel
 
-    def run_specialized(
-        self,
-        args: Sequence[float],
-        saturated_mask: int,
-        epsilon: float = DEFAULT_EPSILON,
-    ) -> tuple[object, float, int]:
-        """Execute under the ``PENALTY_SPECIALIZED`` tier.
-
-        Returns ``(return_value, r, covered_mask)`` where ``covered_mask`` is
-        *partial*: conditionals that were both-saturated in ``saturated_mask``
-        had their probes stripped and record no bits.  ``r`` is bit-identical
+    def run_specialized(self, args: Sequence[float], saturated_mask: int) -> float:
+        """``r`` at ``args`` under the ``PENALTY_SPECIALIZED`` tier, bit-identical
         to what :class:`~repro.instrument.runtime.FastRuntime` computes for
-        the same mask.
-        """
-        variant = self.specialize(saturated_mask, epsilon)
-        value, r = variant.run(args)
-        return value, r, variant.covered_mask()
+        the same mask."""
+        return self.specialize(saturated_mask).run(args)[1]
 
-    def run_native(
-        self,
-        args: Sequence[float],
-        saturated_mask: int,
-        epsilon: float = DEFAULT_EPSILON,
-    ) -> tuple[object, float, int]:
-        """Execute under the ``PENALTY_NATIVE`` tier.
-
-        Same contract as :meth:`run_specialized` -- ``r`` bit-identical --
-        except the return value is ``None`` (the machine-code kernel
-        computes ``r`` and coverage only) and ``covered_mask`` holds every
-        branch taken unless the row bailed to the specialized variant.  When
-        the native tier is unavailable the call transparently degrades to
-        :meth:`run_specialized`, which does return the value.
-        """
+    def run_native(self, args: Sequence[float], saturated_mask: int) -> float:
+        """``r`` at ``args`` under the ``PENALTY_NATIVE`` tier (bit-identical
+        to :meth:`run_specialized`, to which it degrades when the native tier
+        is unavailable)."""
         try:
-            kernel = self.native_kernel(saturated_mask, epsilon)
+            kernel = self.native_kernel(saturated_mask)
         except NativeUnavailable:
-            return self.run_specialized(args, saturated_mask, epsilon)
-        r, covered = kernel.scalar(args)
-        return None, r, covered
+            return self.run_specialized(args, saturated_mask)
+        return kernel.scalar(args)
 
     def clone(self) -> "InstrumentedProgram":
         """Rebuild this program with a fresh namespace and runtime handle.

@@ -10,8 +10,9 @@ instrumented program is rewritten into calls on an installed runtime:
   coverage and returns the Boolean outcome so the program's control flow is
   unchanged.
 * :meth:`Runtime.cmp` evaluates one arithmetic comparison inside a Boolean
-  combination (``a < b and c < d``) and stashes its distances for
-  :meth:`Runtime.resolve`, which composes them, hands them to the installed
+  combination (``a < b and c < d``) and stashes its distances under its leaf
+  index for :meth:`Runtime.resolve`, which runs the test's composition
+  program over them, hands the composed pair to the installed
   :class:`PenaltyPolicy` (CoverMe's ``pen``) to update ``r``, and records
   branch coverage.
 * :meth:`Runtime.tleaf` evaluates a *non-comparison* leaf inside a Boolean
@@ -66,14 +67,17 @@ the two runtimes of this module serve everything else:
 * :class:`FastRuntime` -- the allocation-free harvest runtime: only the
   final ``r``, a flat covered-branch bitset and the last executed
   conditional are retained (a :class:`CoverageOutcome`).  That is
-  everything Algorithm 1's reduction consumes from an accepted minimum, so
-  the compiled tiers re-execute each accepted minimum on it (their own
-  covered bitsets are partial).
+  everything Algorithm 1's reduction consumes from an accepted minimum.
+  It harvests accepted minima under ``PENALTY_SPECIALIZED`` (whose variants
+  compute ``r`` only) and the rows a native kernel bails on; a native
+  kernel harvests every other row itself.
 
 Both implementations compute bit-identical ``r`` values for the CoverMe
 penalty (Def. 4.2): :class:`FastRuntime` inlines that exact policy against a
 saturated-branch bitmask instead of calling through a policy object, and it
-uses the same :func:`~repro.core.branch_distance.branch_distance` arithmetic.
+uses the same :func:`~repro.core.branch_distance.branch_distance` arithmetic
+with the fixed Def. 4.1 constant
+:data:`~repro.core.branch_distance.DEFAULT_EPSILON`.
 The recording runtime stays policy-agnostic: with ``policy=None`` it only
 records coverage (this is how the baseline tools and the Gcov substrate use
 it); with CoverMe's penalty policy installed it computes the representing
@@ -124,18 +128,19 @@ class ExecutionProfile(str, enum.Enum):
     ``PENALTY_SPECIALIZED`` is the compile-time tier: the saturation mask is
     resolved per probe site by :mod:`repro.instrument.specialize` and the
     program re-compiled, so mid-epoch evaluations pay no per-conditional
-    runtime dispatch at all.  Only ``r`` is complete: both-saturated
-    conditionals have their probes stripped entirely, so only unsaturated
-    conditionals record covered bits (sound for the optimizer inner loop;
+    runtime dispatch at all.  A variant computes ``r`` and nothing else
+    (both-saturated conditionals have their probes stripped entirely);
     accepted minima are re-executed on :class:`FastRuntime` to harvest
-    branches).
+    branches.
 
-    ``PENALTY_NATIVE`` goes below that: the specialized lowering is emitted
+    ``PENALTY_NATIVE`` goes below that: the mask-generic lowering is emitted
     as C (:mod:`repro.instrument.native`), compiled with the system ``cc``
-    and called through ``ctypes``.  Same contract as ``PENALTY_SPECIALIZED``
-    (bit-identical ``r``, partial covered bitset); machines without a C
-    compiler -- or programs with non-emittable constructs -- degrade to the
-    specialized tier with a one-time warning.  It is the default.
+    and called through ``ctypes``, with the mask passed at run time.  An
+    evaluation returns the same bit-identical ``r``; a harvest is one kernel
+    call, because every site records its covered bit and the last
+    conditional.  Machines without a C compiler -- or programs with
+    non-emittable constructs -- degrade to the specialized tier with a
+    one-time warning.  It is the default.
 
     ``FULL_TRACE`` runs the recording :class:`Runtime` on every evaluation:
     the reference the compiled tiers must match bit for bit.
@@ -280,16 +285,12 @@ class Runtime:
     Args:
         policy: Penalty policy deciding how ``r`` evolves at each conditional.
             ``None`` means pure coverage recording (``r`` stays at 1).
-        epsilon: The small positive constant of Def. 4.1 used for strict
-            comparisons.
     """
 
-    def __init__(self, policy: Optional[PenaltyPolicy] = None, epsilon: float = DEFAULT_EPSILON):
+    def __init__(self, policy: Optional[PenaltyPolicy] = None):
         self.policy = policy
-        self.epsilon = epsilon
         self._r = 1.0
         self._record: ExecutionRecord = ExecutionRecord()
-        self._pending: dict[int, list[tuple[Optional[float], Optional[float]]]] = {}
         self._leaves: dict[int, dict[int, tuple[Optional[float], Optional[float]]]] = {}
         self.total_evaluations = 0
 
@@ -299,7 +300,6 @@ class Runtime:
         """Start one execution: reset ``r`` to 1 (Step 2 of the algorithm)."""
         self._r = 1.0
         self._record = ExecutionRecord()
-        self._pending = {}
         self._leaves = {}
         self.total_evaluations += 1
 
@@ -321,8 +321,8 @@ class Runtime:
     def test(self, conditional: int, op: str, lhs, rhs) -> bool:
         """Fused probe for a single-comparison conditional test.
 
-        Equivalent to ``resolve(c, "single", cmp(c, op, lhs, rhs))`` but with
-        no pending stash and no composition scan -- the common case pays for
+        Equivalent to ``resolve(c, (0,), cmp(c, op, lhs, rhs, 0))`` but with
+        no leaf stash and no composition scan -- the common case pays for
         exactly one probe call.
         """
         if op not in _COMPARISON_OPS:
@@ -331,23 +331,18 @@ class Runtime:
         d_true, d_false = self._distances(op, lhs, rhs)
         return self._finish(conditional, outcome, d_true, d_false)
 
-    def cmp(self, conditional: int, op: str, lhs, rhs, leaf: Optional[int] = None) -> bool:
+    def cmp(self, conditional: int, op: str, lhs, rhs, leaf: int) -> bool:
         """Instrumented comparison inside a Boolean combination test.
 
         Computes the branch distances of Def. 4.1 towards the true and the
-        false outcome, stashes them for :meth:`resolve`, and returns the
-        outcome of the comparison so program semantics are preserved.  With a
-        ``leaf`` index the pair is addressed by a composition program; without
-        one it joins the legacy flat ``"and"``/``"or"`` part list.
+        false outcome, stashes them under ``leaf`` (the index the test's
+        composition program pushes them by) for :meth:`resolve`, and returns
+        the outcome of the comparison so program semantics are preserved.
         """
         if op not in _COMPARISON_OPS:
             raise ValueError(f"unsupported comparison operator {op!r}")
         outcome = _evaluate(op, lhs, rhs)
-        d_true, d_false = self._distances(op, lhs, rhs)
-        if leaf is None:
-            self._pending.setdefault(conditional, []).append((d_true, d_false))
-        else:
-            self._leaves.setdefault(conditional, {})[leaf] = (d_true, d_false)
+        self._leaves.setdefault(conditional, {})[leaf] = self._distances(op, lhs, rhs)
         return outcome
 
     def tleaf(self, conditional: int, leaf: int, value, negated: bool = False) -> bool:
@@ -374,25 +369,18 @@ class Runtime:
         outcome, d_true, d_false = self._promoted(value)
         return self._finish(conditional, outcome, d_true, d_false)
 
-    def resolve(self, conditional: int, mode, outcome) -> bool:
+    def resolve(self, conditional: int, program: tuple[int, ...], outcome) -> bool:
         """Finalize the evaluation of ``conditional``'s test.
 
-        ``mode`` is either a postfix composition program (a token tuple, see
-        the module docstring) over leaves stashed by :meth:`cmp`/:meth:`tleaf`,
-        or the legacy flat ``"and"``/``"or"`` string over un-indexed
-        :meth:`cmp` parts (``"single"`` is accepted for backwards
-        compatibility with the pre-fused probe protocol).  The composed
-        distances are handed to the penalty policy which updates ``r``; the
-        branch taken is added to the coverage record.
+        ``program`` is the test's postfix composition program (a token
+        tuple, see the module docstring) over the leaves stashed by
+        :meth:`cmp`/:meth:`tleaf`.  The composed distances are handed to the
+        penalty policy which updates ``r``; the branch taken is added to the
+        coverage record.
         """
-        outcome = bool(outcome)
-        if type(mode) is tuple:
-            leaves = self._leaves.pop(conditional, None)
-            d_true, d_false = _compose_program(mode, leaves if leaves is not None else {})
-        else:
-            parts = self._pending.pop(conditional, [])
-            d_true, d_false = _compose(mode, parts)
-        return self._finish(conditional, outcome, d_true, d_false)
+        leaves = self._leaves.pop(conditional, {})
+        d_true, d_false = _compose_program(program, leaves)
+        return self._finish(conditional, bool(outcome), d_true, d_false)
 
     # -- internals -------------------------------------------------------------
 
@@ -400,8 +388,8 @@ class Runtime:
         """Truthiness outcome plus the Sect. 5.3 promoted distance pair."""
         outcome = bool(value)
         if isinstance(value, bool):
-            d_true: Optional[float] = 0.0 if outcome else self.epsilon
-            d_false: Optional[float] = self.epsilon if outcome else 0.0
+            d_true: Optional[float] = 0.0 if outcome else DEFAULT_EPSILON
+            d_false: Optional[float] = DEFAULT_EPSILON if outcome else 0.0
         elif isinstance(value, (int, float)):
             # _distances converts to float itself and degrades to coverage-only
             # recording when the conversion fails (e.g. OverflowError on a
@@ -446,9 +434,7 @@ class Runtime:
             # gradient, so report a large constant distance.
             big = BIG_DISTANCE
             return (0.0, big) if op == "!=" else (big, 0.0)
-        d_true = branch_distance(op, a, b, self.epsilon)
-        d_false = branch_distance(negate_op(op), a, b, self.epsilon)
-        return d_true, d_false
+        return branch_distance(op, a, b), branch_distance(negate_op(op), a, b)
 
 
 class FastRuntime:
@@ -481,14 +467,12 @@ class FastRuntime:
     """
 
     __slots__ = (
-        "epsilon",
         "n_conditionals",
         "saturated_mask",
         "total_evaluations",
         "_r",
         "_covered",
         "_zeros",
-        "_pending",
         "_leaf_slots",
         "_stack_t",
         "_stack_f",
@@ -497,20 +481,13 @@ class FastRuntime:
         "_last_outcome",
     )
 
-    def __init__(
-        self,
-        n_conditionals: int,
-        saturated_mask: int = 0,
-        epsilon: float = DEFAULT_EPSILON,
-    ):
-        self.epsilon = epsilon
+    def __init__(self, n_conditionals: int, saturated_mask: int = 0):
         self.n_conditionals = n_conditionals
         self.saturated_mask = saturated_mask
         self.total_evaluations = 0
         self._r = 1.0
         self._zeros = bytes(2 * n_conditionals)
         self._covered = bytearray(self._zeros)
-        self._pending: dict[int, list[tuple[Optional[float], Optional[float]]]] = {}
         # Composition-tree state, allocated once per conditional on first use
         # and reused across executions: per-leaf distance slots validated by
         # (execution, resolve-generation) stamps -- begin() stays O(1) and no
@@ -530,8 +507,6 @@ class FastRuntime:
             self.saturated_mask = saturated_mask
         self._r = 1.0
         self._covered[:] = self._zeros
-        if self._pending:
-            self._pending.clear()
         self._last_conditional = -1
         self.total_evaluations += 1
 
@@ -605,20 +580,14 @@ class FastRuntime:
             return outcome
         if bits == 1:
             # Def. 4.2(b): only the false branch saturated; steer to true.
-            self._r = branch_distance(op, lhs, rhs, self.epsilon)
+            self._r = branch_distance(op, lhs, rhs)
         else:
             # Def. 4.2(b): only the true branch saturated; steer to false.
-            self._r = branch_distance(negate_op(op), lhs, rhs, self.epsilon)
+            self._r = branch_distance(negate_op(op), lhs, rhs)
         return outcome
 
-    def cmp(self, conditional: int, op: str, lhs, rhs, leaf: Optional[int] = None) -> bool:
+    def cmp(self, conditional: int, op: str, lhs, rhs, leaf: int) -> bool:
         """Comparison inside a Boolean combination; stashes distances."""
-        if leaf is None:
-            if op not in _COMPARISON_OPS:
-                raise ValueError(f"unsupported comparison operator {op!r}")
-            outcome = _evaluate(op, lhs, rhs)
-            self._pending.setdefault(conditional, []).append(self._distances(op, lhs, rhs))
-            return outcome
         outcome = _evaluate(op, lhs, rhs)  # raises on an unsupported operator
         if (self.saturated_mask >> (conditional << 1)) & 3 == 3:
             # Def. 4.2(c): both branches saturated -- whatever the composed
@@ -659,7 +628,7 @@ class FastRuntime:
             # branch-by-branch cases reproduce branch_distance(op)/
             # branch_distance(negate_op(op)) bit for bit ((b-a)**2 == (a-b)**2
             # exactly, min() keeps a NaN gap like _squared_gap does).
-            eps = self.epsilon
+            eps = DEFAULT_EPSILON
             gap = a - b
             g = BIG_DISTANCE if math.isinf(gap) else min(gap * gap, BIG_DISTANCE)
             if op == "<":
@@ -696,8 +665,8 @@ class FastRuntime:
         execs[leaf] = self.total_evaluations
         gens[leaf] = slots[0]
         if isinstance(value, bool):
-            d_true = 0.0 if outcome else self.epsilon
-            d_false = self.epsilon if outcome else 0.0
+            d_true = 0.0 if outcome else DEFAULT_EPSILON
+            d_false = DEFAULT_EPSILON if outcome else 0.0
         elif isinstance(value, (int, float)):
             try:
                 promoted = float(value)
@@ -707,8 +676,8 @@ class FastRuntime:
             if promoted != promoted:  # NaN is != 0: the test holds
                 d_true, d_false = 0.0, BIG_DISTANCE
             else:
-                d_true = branch_distance("!=", promoted, 0.0, self.epsilon)
-                d_false = branch_distance("==", promoted, 0.0, self.epsilon)
+                d_true = branch_distance("!=", promoted, 0.0)
+                d_false = branch_distance("==", promoted, 0.0)
         else:
             oks[leaf] = 0
             return not outcome if negated else outcome
@@ -724,27 +693,23 @@ class FastRuntime:
         """Non-comparison test; same promotion rules as the recording runtime."""
         outcome = bool(value)
         if isinstance(value, bool):
-            d_true: Optional[float] = 0.0 if outcome else self.epsilon
-            d_false: Optional[float] = self.epsilon if outcome else 0.0
+            d_true: Optional[float] = 0.0 if outcome else DEFAULT_EPSILON
+            d_false: Optional[float] = DEFAULT_EPSILON if outcome else 0.0
         elif isinstance(value, (int, float)):
             d_true, d_false = self._distances("!=", value, 0.0)
         else:
             d_true, d_false = None, None
         return self._finish(conditional, outcome, d_true, d_false)
 
-    def resolve(self, conditional: int, mode, outcome) -> bool:
+    def resolve(self, conditional: int, program: tuple[int, ...], outcome) -> bool:
         """Finalize a Boolean-combination test stashed by :meth:`cmp`/:meth:`tleaf`."""
         outcome = bool(outcome)
-        if type(mode) is tuple:
-            if (self.saturated_mask >> (conditional << 1)) & 3 == 3:
-                # Def. 4.2(c): r is kept whatever the composed pair would be;
-                # the saturation mask is frozen per execution, so the leaves
-                # skipped the stash under the same decision.
-                return self._finish(conditional, outcome, None, None)
-            d_true, d_false = self._compose_tree(conditional, mode)
-            return self._finish(conditional, outcome, d_true, d_false)
-        parts = self._pending.pop(conditional, [])
-        d_true, d_false = _compose(mode, parts)
+        if (self.saturated_mask >> (conditional << 1)) & 3 == 3:
+            # Def. 4.2(c): r is kept whatever the composed pair would be;
+            # the saturation mask is frozen per execution, so the leaves
+            # skipped the stash under the same decision.
+            return self._finish(conditional, outcome, None, None)
+        d_true, d_false = self._compose_tree(conditional, program)
         return self._finish(conditional, outcome, d_true, d_false)
 
     # -- internals -------------------------------------------------------------
@@ -896,10 +861,7 @@ class FastRuntime:
         if math.isnan(a) or math.isnan(b):
             big = BIG_DISTANCE
             return (0.0, big) if op == "!=" else (big, 0.0)
-        return (
-            branch_distance(op, a, b, self.epsilon),
-            branch_distance(negate_op(op), a, b, self.epsilon),
-        )
+        return branch_distance(op, a, b), branch_distance(negate_op(op), a, b)
 
 
 class RuntimeHandle:
@@ -934,7 +896,7 @@ class RuntimeHandle:
     def test(self, conditional: int, op: str, lhs, rhs) -> bool:
         return self.runtime.test(conditional, op, lhs, rhs)
 
-    def cmp(self, conditional: int, op: str, lhs, rhs, leaf: Optional[int] = None) -> bool:
+    def cmp(self, conditional: int, op: str, lhs, rhs, leaf: int) -> bool:
         return self.runtime.cmp(conditional, op, lhs, rhs, leaf)
 
     def tleaf(self, conditional: int, leaf: int, value, negated: bool = False) -> bool:
@@ -943,8 +905,8 @@ class RuntimeHandle:
     def truth(self, conditional: int, value) -> bool:
         return self.runtime.truth(conditional, value)
 
-    def resolve(self, conditional: int, mode, outcome) -> bool:
-        return self.runtime.resolve(conditional, mode, outcome)
+    def resolve(self, conditional: int, program: tuple[int, ...], outcome) -> bool:
+        return self.runtime.resolve(conditional, program, outcome)
 
 
 def _evaluate(op: str, lhs, rhs) -> bool:
@@ -963,40 +925,15 @@ def _evaluate(op: str, lhs, rhs) -> bool:
     raise ValueError(f"unsupported comparison operator {op!r}")
 
 
-def _compose(
-    mode: str, parts: list[tuple[Optional[float], Optional[float]]]
-) -> tuple[Optional[float], Optional[float]]:
-    """Compose sub-comparison distances into distances for the whole test.
-
-    For ``A and B`` the distance to truth adds the evaluated parts' distances
-    (all must hold) while the distance to falsity is the smallest part
-    distance (falsifying any part suffices); ``or`` is dual.  Short-circuited
-    parts simply do not contribute, which matches the information available
-    dynamically.
-    """
-    usable = [(t, f) for t, f in parts if t is not None and f is not None]
-    if not usable:
-        return None, None
-    if mode == "single" or len(usable) == 1:
-        return usable[0]
-    trues = [t for t, _ in usable]
-    falses = [f for _, f in usable]
-    if mode == "and":
-        return sum(trues), min(falses)
-    if mode == "or":
-        return min(trues), sum(falses)
-    raise ValueError(f"unknown composition mode {mode!r}")
-
-
 def _compose_program(
     program: tuple[int, ...],
     leaves: dict[int, tuple[Optional[float], Optional[float]]],
 ) -> tuple[Optional[float], Optional[float]]:
     """Execute a postfix composition program over stashed leaf distances.
 
-    Mirrors :func:`_compose` semantics on arbitrary trees: children without a
-    usable pair (short-circuited or non-numeric) contribute nothing, and a
-    node whose children are all unusable is itself unusable.  The arithmetic
+    Children without a usable pair (short-circuited or non-numeric)
+    contribute nothing, and a node whose children are all unusable is itself
+    unusable.  The arithmetic
     (left-to-right sums, first-wins minima) is ordered identically to
     :meth:`FastRuntime._compose_tree` so both runtimes compose bit-identical
     distances.

@@ -17,9 +17,9 @@ source with Def. 4.2 resolved **at compile time** per probe site:
   entirely; the conditional compiles back to the bare branch of the original
   program, costing exactly what the uninstrumented code costs;
 * **neither branch saturated** (case a -- ``r`` becomes 0): the site reduces
-  to an inlined covered-bit write plus a ``__sp_r__ = 0.0`` store guarded by
-  the same float-comparability degradation the runtimes apply (operands that
-  cannot convert keep ``r``); **zero** distance arithmetic is emitted;
+  to a ``__sp_r__ = 0.0`` store guarded by the same float-comparability
+  degradation the runtimes apply (operands that cannot convert keep ``r``);
+  **zero** distance arithmetic is emitted;
 * **exactly one branch saturated** (case b -- ``r`` becomes the distance
   towards the unsaturated branch): the steering branch-distance arithmetic is
   inlined as straight-line statements -- no runtime method call, no operator
@@ -29,30 +29,30 @@ source with Def. 4.2 resolved **at compile time** per probe site:
   truthiness) is unrolled into short-circuit-preserving statement sequences
   that accumulate the composed distance directly.
 
-The generated code communicates through two reserved module globals:
-``__sp_r__`` (the injected register ``r``) and ``__sp_cov__`` (a flat
-bytearray indexed by :func:`~repro.instrument.runtime.branch_bit`).  Only
-non-stripped sites write covered bits, so the covered bitset of a specialized
-execution is *partial*: exactly the conditionals that are not yet
-both-saturated record coverage (which is precisely the set whose coverage can
-still make progress).  Consumers that need full coverage re-execute on the
-generic :class:`~repro.instrument.runtime.FastRuntime`, as the engine does
-for accepted minima under this tier.
+The generated code of a concrete mask communicates through one reserved
+module global, ``__sp_r__`` (the injected register ``r``): it computes ``r``
+and nothing else.  Consumers that need coverage re-execute on the generic
+:class:`~repro.instrument.runtime.FastRuntime`, as the engine does for
+accepted minima under this tier.
 
 With ``saturated_mask=None`` the rewrite leaves the mask to run time instead
-(the *mask-generic* form): each site reads its two bits from a third reserved
-global, ``__sp_sat__`` (indexed by label), branches to exactly the code a
+(the *mask-generic* form): each site reads its two bits from the reserved
+global ``__sp_sat__`` (indexed by label), branches to exactly the code a
 concrete mask would compile it to (a Boolean-tree site keeps one copy of its
-test per case), and always writes its covered bit, so its coverage is
-complete.  The native tier compiles this form once per program
-(:mod:`repro.instrument.native.emit`).
+test per case), and always writes its covered bit into ``__sp_cov__`` (a
+flat bytearray indexed by :func:`~repro.instrument.runtime.branch_bit`), so
+its coverage is complete.  The native tier compiles this form once per
+program (:mod:`repro.instrument.native.emit`) and harvests coverage from
+those writes.
 
 Bit-identical ``r``
 -------------------
 
 Every inlined fragment mirrors the corresponding :class:`FastRuntime` path
 operation for operation -- same conversion order, same NaN constants, same
-fused distance arithmetic, same composition fold ordering -- so the composed
+fused distance arithmetic with the fixed Def. 4.1 constant
+:data:`~repro.core.branch_distance.DEFAULT_EPSILON`, same composition fold
+ordering -- so the composed
 ``r`` is bit-identical to ``Runtime``/``FastRuntime`` across **all** masks
 (property-tested in ``tests/test_specialize.py``).  The decision whether a
 Boolean tree is lowered or degraded to the distance-blind ``truth`` fallback
@@ -60,7 +60,7 @@ re-runs the instrumentation pass's own ceiling check, so the two tiers can
 never disagree about a site's shape.
 
 Compiled specializations are cached at module level per ``(source sha256,
-function name, start label, mask, epsilon)`` alongside the compiled-unit
+function name, start label, mask)`` alongside the compiled-unit
 cache of :mod:`repro.instrument.program`, which also surfaces this cache's
 statistics through ``compiled_cache_info()``.
 """
@@ -96,7 +96,8 @@ from repro.instrument.runtime import BIG_DISTANCE
 #: Reserved name of the injected register ``r`` in specialized namespaces.
 R_NAME = "__sp_r__"
 
-#: Reserved name of the flat covered-branch bytearray.
+#: Reserved name of the flat covered-branch bytearray a mask-generic
+#: specialization writes.
 COV_NAME = "__sp_cov__"
 
 #: Reserved name of the saturation state a mask-generic specialization reads:
@@ -293,10 +294,9 @@ class _Specializer(ast.NodeTransformer):
     """Rewrites labeled conditionals with the mask resolved per site (or,
     for ``saturated_mask=None``, dispatched per site at run time)."""
 
-    def __init__(self, labels: dict[int, int], saturated_mask: Optional[int], epsilon: float):
+    def __init__(self, labels: dict[int, int], saturated_mask: Optional[int]):
         self.labels = labels
         self.saturated_mask = saturated_mask
-        self.epsilon = epsilon
         self._counter = 0
         self._wrote_r: list[bool] = []
 
@@ -391,11 +391,15 @@ class _Specializer(ast.NodeTransformer):
             self._wrote_r[-1] = True
         return _assign(R_NAME, value)
 
-    def _cov_write(self, label: int, out: str) -> ast.stmt:
-        """``__sp_cov__[2*label | out] = 1`` (mirrors the fast runtime)."""
+    def _cov_write(self, label: int, out: str) -> list:
+        """``__sp_cov__[2*label | out] = 1`` (mirrors the fast runtime) in
+        the mask-generic form; nothing under a concrete mask, whose variants
+        compute ``r`` only."""
+        if self.saturated_mask is not None:
+            return []
         index = ast.BinOp(left=_const(label << 1), op=ast.BitOr(), right=_name(out))
         target = ast.Subscript(value=_name(COV_NAME), slice=index, ctx=ast.Store())
-        return ast.Assign(targets=[target], value=_const(1))
+        return [ast.Assign(targets=[target], value=_const(1))]
 
     def _site(self, label: int, test: ast.expr) -> tuple[Optional[list], Optional[str]]:
         """The probe statements of one labeled site and its outcome var;
@@ -595,8 +599,8 @@ class _Specializer(ast.NodeTransformer):
         )
 
     def _branch_distance_expr(self, op: str, a: _Val, b: _Val) -> ast.expr:
-        """Inline ``branch_distance(op, a, b, epsilon)`` exactly."""
-        eps = _const(self.epsilon)
+        """Inline ``branch_distance(op, a, b)`` exactly."""
+        eps = _const(DEFAULT_EPSILON)
         if op == "==":
             return self._squared_gap_expr(a, b)
         if op == "!=":
@@ -629,7 +633,7 @@ class _Specializer(ast.NodeTransformer):
         stmts = pre_a + pre_b + [_assign(out, _compare(a.node(), op, b.node()))]
         # FastRuntime.test writes the covered bit before any distance work
         # (and before a conversion can raise).
-        stmts.append(self._cov_write(label, out))
+        stmts += self._cov_write(label, out)
         stmts += self._per_bits(bits, lambda case: self._simple_update(case, op, a, b))
         return stmts, out
 
@@ -660,12 +664,12 @@ class _Specializer(ast.NodeTransformer):
         out = self._temp()
         stmts = [_assign(value, test), _assign(out, _not(_not(_name(value))))]
         stmts += self._per_bits(bits, lambda case: self._truth_update(case, value))
-        stmts.append(self._cov_write(label, out))
+        stmts += self._cov_write(label, out)
         return stmts, out
 
     def _truth_update(self, bits: int, value: str) -> list:
         """The ``r`` update of a promoted truthiness site under ``bits``."""
-        eps = _const(self.epsilon)
+        eps = _const(DEFAULT_EPSILON)
         if bits == 0:
             bool_body = [self._set_r(_const(0.0))]
             num_body = [self._set_r(_const(0.0))]
@@ -747,7 +751,7 @@ class _Specializer(ast.NodeTransformer):
                     ],
                 )
             ]
-        stmts.append(self._cov_write(label, root))
+        stmts += self._cov_write(label, root)
         return stmts, root
 
     def _tree_neither(self, test: ast.expr, root: str) -> list:
@@ -852,7 +856,7 @@ class _Specializer(ast.NodeTransformer):
         u_var = self._temp()
         stmts.append(_assign(u_var, _const(0)))
         op = spec.op
-        eps = self.epsilon
+        eps = DEFAULT_EPSILON
 
         def body(fa: _Val, fb: _Val) -> list:
             # The fused FastRuntime.cmp arithmetic, directions on demand.
@@ -945,7 +949,7 @@ class _Specializer(ast.NodeTransformer):
         f_var = self._temp() if need_f else None
         u_var = self._temp()
         stmts.append(_assign(u_var, _const(0)))
-        eps = _const(self.epsilon)
+        eps = _const(DEFAULT_EPSILON)
 
         def assigns(dt_expr, df_expr) -> list:
             # dt_expr/df_expr build the *unnegated* d_true/d_false.
@@ -1211,17 +1215,17 @@ def specialize_source(
     function_name: str | None = None,
     start_label: int = 0,
     saturated_mask: Optional[int] = 0,
-    epsilon: float = DEFAULT_EPSILON,
 ) -> tuple[ast.Module, int]:
     """Specialize one function's source against a concrete saturation mask.
 
     Labels are assigned by the same walk as :func:`instrument_source`, so a
     site's label (and therefore its two mask bits) is identical across the
-    generic and the specialized tier.  With ``saturated_mask=None`` the
-    result is *mask-generic*: every site reads its two bits from
-    :data:`SAT_NAME` at run time, branches to the same per-case code a
-    concrete mask would compile to, and always writes its covered bit (the
-    form the native kernels are emitted from).  Returns the transformed
+    generic and the specialized tier.  Under a concrete mask the result
+    computes ``r`` only.  With ``saturated_mask=None`` it is
+    *mask-generic*: every site reads its two bits from :data:`SAT_NAME` at
+    run time, branches to the same per-case code a concrete mask would
+    compile to, and always writes its covered bit into :data:`COV_NAME`
+    (the form the native kernels are emitted from).  Returns the transformed
     module AST and the number of labeled conditionals.
     """
     tree = parse(textwrap.dedent(source))
@@ -1238,7 +1242,7 @@ def specialize_source(
         )
     func_node.decorator_list = []
     labels, _ = assign_labels(func_node, start=start_label)
-    specializer = _Specializer(labels, saturated_mask, epsilon)
+    specializer = _Specializer(labels, saturated_mask)
     specializer.visit(func_node)
     ast.fix_missing_locations(tree)
     return tree, len(labels)
@@ -1253,7 +1257,7 @@ class SpecializedUnit:
 
 
 #: Module-level specialization cache: (source sha256, function name, start
-#: label, saturated mask, epsilon) -> SpecializedUnit.  Masks repeat across
+#: label, saturated mask) -> SpecializedUnit.  Masks repeat across
 #: starts/epochs and workers, so one compile serves many namespaces.
 _SPECIALIZED_CACHE: dict[tuple, SpecializedUnit] = {}
 _SPECIALIZED_CACHE_LOCK = threading.Lock()
@@ -1266,11 +1270,10 @@ def specialized_unit(
     function_name: str,
     start_label: int,
     saturated_mask: int,
-    epsilon: float = DEFAULT_EPSILON,
 ) -> SpecializedUnit:
     """Specialize + compile ``source``, memoized on its hash and the mask."""
     digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
-    key = (digest, function_name, start_label, saturated_mask, epsilon)
+    key = (digest, function_name, start_label, saturated_mask)
     with _SPECIALIZED_CACHE_LOCK:
         unit = _SPECIALIZED_CACHE.get(key)
         if unit is not None:
@@ -1282,7 +1285,6 @@ def specialized_unit(
         function_name=function_name,
         start_label=start_label,
         saturated_mask=saturated_mask,
-        epsilon=epsilon,
     )
     code = compile_tree(tree, f"<specialized:{function_name}:{saturated_mask:x}>")
     unit = SpecializedUnit(code=code, n_conditionals=n_conditionals)

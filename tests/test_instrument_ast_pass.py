@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import ast
+import inspect
 import textwrap
 
 import pytest
 
+from repro.experiments.runner import instrument_case
+from repro.fdlibm.suite import BENCHMARKS
 from repro.instrument.ast_pass import (
     HANDLE_NAME,
     assign_labels,
@@ -286,3 +289,56 @@ class TestSemanticsPreserved:
         for point in args:
             value, _, _ = program.run(point)
             assert value == func(*point)
+
+
+def _probe_calls(tree: ast.AST, method: str) -> list[ast.Call]:
+    """Every ``<handle>.<method>(...)`` call in an instrumented tree."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == HANDLE_NAME
+        and node.func.attr == method
+    ]
+
+
+def _instrumented_units():
+    """``(where, tree)`` for every instrumented unit of every suite entry
+    (its ``extras`` included) and of every sample form."""
+    samples = [
+        func
+        for _, func in inspect.getmembers(sp, inspect.isfunction)
+        if func.__module__ == sp.__name__
+    ]
+    programs = [instrument_case(case) for case in BENCHMARKS]
+    programs += [instrument(func) for func in samples]
+    for program in programs:
+        for source, name, label in program.units:
+            tree, _, _, _ = instrument_source(source, function_name=name, start_label=label)
+            yield f"{program.name}:{name}", tree
+
+
+class TestProbeProtocol:
+    """The instrumenter emits one composition protocol: each ``cmp`` stashes
+    under a leaf index and each ``resolve`` runs a constant token tuple."""
+
+    def test_cmp_passes_a_leaf_and_resolve_a_token_tuple(self):
+        n_cmp = n_resolve = 0
+        for where, tree in _instrumented_units():
+            for call in _probe_calls(tree, "cmp"):
+                assert len(call.args) == 5 and not call.keywords, where
+                leaf = call.args[4]
+                assert isinstance(leaf, ast.Constant), where
+                assert type(leaf.value) is int and leaf.value >= 0, where
+                n_cmp += 1
+            for call in _probe_calls(tree, "resolve"):
+                assert len(call.args) == 3 and not call.keywords, where
+                program = call.args[1]
+                assert isinstance(program, ast.Tuple) and program.elts, where
+                for token in program.elts:
+                    assert isinstance(token, ast.Constant), where
+                    assert type(token.value) is int, where
+                n_resolve += 1
+        assert n_cmp > 0 and n_resolve > 0  # both probes are exercised

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.branch_distance import DEFAULT_EPSILON
 from repro.instrument.runtime import (
+    BIG_DISTANCE,
     BranchId,
     ConditionalOutcome,
     ExecutionRecord,
@@ -15,6 +16,8 @@ from repro.instrument.runtime import (
     branch_bit,
     branch_mask,
     branches_from_mask,
+    tree_and,
+    tree_or,
 )
 
 
@@ -45,9 +48,9 @@ class TestRuntimeProbes:
     def test_cmp_returns_outcome_and_records_on_resolve(self):
         rt = Runtime()
         rt.begin()
-        outcome = rt.cmp(0, "<=", 1.0, 2.0)
+        outcome = rt.cmp(0, "<=", 1.0, 2.0, 0)
         assert outcome is True
-        assert rt.resolve(0, "single", outcome) is True
+        assert rt.resolve(0, (0,), outcome) is True
         r, record = rt.end()
         assert r == 1.0  # no policy installed
         assert record.covered == {BranchId(0, True)}
@@ -56,13 +59,13 @@ class TestRuntimeProbes:
         rt = Runtime()
         rt.begin()
         with pytest.raises(ValueError):
-            rt.cmp(0, "?", 1.0, 2.0)
+            rt.cmp(0, "?", 1.0, 2.0, 0)
 
     def test_distances_reach_policy(self):
         policy = ConstantPolicy()
         rt = Runtime(policy=policy)
         rt.begin()
-        rt.resolve(0, "single", rt.cmp(0, "==", 3.0, 5.0))
+        rt.test(0, "==", 3.0, 5.0)
         assert len(policy.calls) == 1
         conditional, d_true, d_false, outcome, current_r = policy.calls[0]
         assert conditional == 0
@@ -92,18 +95,19 @@ class TestRuntimeProbes:
     def test_nan_operand_yields_large_distance(self):
         rt = Runtime()
         rt.begin()
-        rt.resolve(0, "single", rt.cmp(0, "<=", float("nan"), 1.0))
+        rt.test(0, "<=", float("nan"), 1.0)
         outcome = rt.record.path[0]
         assert outcome.outcome is False
-        assert outcome.distance_true >= 1.0e300
+        assert outcome.distance_true == BIG_DISTANCE
+        assert outcome.distance_false == 0.0
 
     def test_and_composition_sums_true_distances(self):
         policy = ConstantPolicy()
         rt = Runtime(policy=policy)
         rt.begin()
-        first = rt.cmp(0, ">", 0.0, 1.0)   # false, distance to true = 1 + eps
-        second = rt.cmp(0, ">", -1.0, 1.0)  # false, distance to true = 4 + eps
-        rt.resolve(0, "and", first and second)
+        first = rt.cmp(0, ">", 0.0, 1.0, 0)   # false, distance to true = 1 + eps
+        second = rt.cmp(0, ">", -1.0, 1.0, 1)  # false, distance to true = 4 + eps
+        rt.resolve(0, (0, 1, tree_and(2)), first and second)
         _, d_true, d_false, _, _ = policy.calls[0]
         assert d_true == pytest.approx(5.0 + 2 * DEFAULT_EPSILON)
         assert d_false == 0.0
@@ -112,16 +116,16 @@ class TestRuntimeProbes:
         policy = ConstantPolicy()
         rt = Runtime(policy=policy)
         rt.begin()
-        first = rt.cmp(0, ">", 0.0, 1.0)
-        second = rt.cmp(0, ">", 0.5, 1.0)
-        rt.resolve(0, "or", first or second)
+        first = rt.cmp(0, ">", 0.0, 1.0, 0)
+        second = rt.cmp(0, ">", 0.5, 1.0, 1)
+        rt.resolve(0, (0, 1, tree_or(2)), first or second)
         _, d_true, _, _, _ = policy.calls[0]
         assert d_true == pytest.approx(0.25 + DEFAULT_EPSILON)
 
     def test_begin_resets_state(self):
         rt = Runtime(policy=ConstantPolicy(0.5))
         rt.begin()
-        rt.resolve(0, "single", rt.cmp(0, "==", 1.0, 2.0))
+        rt.test(0, "==", 1.0, 2.0)
         assert rt.r == 0.5
         rt.begin()
         assert rt.r == 1.0
@@ -136,7 +140,7 @@ class TestRuntimeProbes:
 
 
 class TestFusedTestProbe:
-    """The fused single-comparison probe must equal cmp + resolve('single')."""
+    """The fused single-comparison probe must equal cmp + resolve((0,))."""
 
     def test_matches_cmp_resolve_pair(self):
         for op, lhs, rhs in [("==", 3.0, 5.0), ("<", 1.0, 1.0), (">=", 2.0, -1.0)]:
@@ -145,7 +149,7 @@ class TestFusedTestProbe:
             fused.begin()
             paired.begin()
             assert fused.test(0, op, lhs, rhs) == paired.resolve(
-                0, "single", paired.cmp(0, op, lhs, rhs)
+                0, (0,), paired.cmp(0, op, lhs, rhs, 0)
             )
             assert fused_policy.calls == paired_policy.calls
             assert fused.record.covered == paired.record.covered
@@ -161,7 +165,7 @@ class TestFusedTestProbe:
         rt = Runtime()
         rt.begin()
         rt.test(0, "<", 1.0, 2.0)
-        assert rt._pending == {}
+        assert rt._leaves == {}
 
 
 class TestTruthEdgeCases:
@@ -204,15 +208,15 @@ class TestTruthEdgeCases:
 
 
 class TestComposeShortCircuit:
-    """Short-circuited parts of and/or tests must not contribute distances."""
+    """Short-circuited leaves of and/or tests must not contribute distances."""
 
     def test_and_short_circuit_uses_only_evaluated_part(self):
         policy = ConstantPolicy()
         rt = Runtime(policy=policy)
         rt.begin()
-        first = rt.cmp(0, ">", 0.0, 1.0)  # False: second operand never evaluated
+        first = rt.cmp(0, ">", 0.0, 1.0, 0)  # False: leaf 1 never evaluated
         assert first is False
-        rt.resolve(0, "and", first)
+        rt.resolve(0, (0, 1, tree_and(2)), first)
         _, d_true, d_false, outcome, _ = policy.calls[0]
         assert d_true == pytest.approx(1.0 + DEFAULT_EPSILON)
         assert d_false == 0.0
@@ -222,9 +226,9 @@ class TestComposeShortCircuit:
         policy = ConstantPolicy()
         rt = Runtime(policy=policy)
         rt.begin()
-        first = rt.cmp(0, "<", 0.0, 1.0)  # True: second operand short-circuited
+        first = rt.cmp(0, "<", 0.0, 1.0, 0)  # True: leaf 1 short-circuited
         assert first is True
-        rt.resolve(0, "or", first)
+        rt.resolve(0, (0, 1, tree_or(2)), first)
         _, d_true, d_false, outcome, _ = policy.calls[0]
         assert d_true == 0.0
         assert d_false == pytest.approx(1.0 + DEFAULT_EPSILON)
@@ -232,41 +236,50 @@ class TestComposeShortCircuit:
 
     def test_partially_usable_parts_compose_from_usable_only(self):
         """A non-numeric operand contributes nothing; the rest still composes."""
-        policy = ConstantPolicy()
-        rt = Runtime(policy=policy)
-        rt.begin()
-        first = rt.cmp(0, ">", 10**400, 1)  # no usable distance
-        second = rt.cmp(0, ">", 0.0, 1.0)
-        rt.resolve(0, "and", first and second)
-        _, d_true, _, _, _ = policy.calls[0]
-        assert d_true == pytest.approx(1.0 + DEFAULT_EPSILON)  # only the second part
+        for use_or in (False, True):
+            policy = ConstantPolicy()
+            rt = Runtime(policy=policy)
+            rt.begin()
+            first = rt.cmp(0, ">", 10**400, 1, 0)  # no usable distance
+            second = rt.cmp(0, ">", 0.0, 1.0, 1)
+            program = (0, 1, tree_or(2) if use_or else tree_and(2))
+            rt.resolve(0, program, (first or second) if use_or else (first and second))
+            _, d_true, d_false, _, _ = policy.calls[0]
+            # Only the second leaf's pair, whatever the node.
+            assert d_true == pytest.approx(1.0 + DEFAULT_EPSILON)
+            assert d_false == 0.0
 
     def test_all_parts_unusable_leaves_r_alone(self):
         policy = ConstantPolicy()
         rt = Runtime(policy=policy)
         rt.begin()
-        first = rt.cmp(0, ">", 10**400, 1)
-        rt.resolve(0, "and", first)
+        first = rt.cmp(0, ">", 10**400, 1, 0)
+        second = rt.tleaf(0, 1, "opaque")
+        rt.resolve(0, (0, 1, tree_or(2)), first or second)
         assert policy.calls == []
         assert rt.r == 1.0
+        assert BranchId(0, True) in rt.record.covered
 
     def test_unknown_mode_rejected(self):
+        """``resolve`` takes a token tuple; the flat string modes are gone."""
         rt = Runtime()
         rt.begin()
-        rt.cmp(0, "<", 1.0, 2.0)
-        rt.cmp(0, "<", 2.0, 3.0)
-        with pytest.raises(ValueError, match="unknown composition mode"):
-            rt.resolve(0, "xor", True)
+        rt.cmp(0, "<", 1.0, 2.0, 0)
+        rt.cmp(0, "<", 2.0, 3.0, 1)
+        for mode in ("and", "or", "single", "xor"):
+            with pytest.raises(TypeError):
+                rt.resolve(0, mode, True)
 
     def test_single_usable_part_skips_mode_check(self):
-        """With one usable part the composition is that part, whatever the mode."""
-        rt = Runtime()
-        rt.begin()
-        rt.cmp(0, "<", 1.0, 2.0)
-        assert rt.resolve(0, "and", True) is True
-        outcome = rt.record.path[0]
-        assert outcome.distance_true == 0.0
-        assert outcome.distance_false > 0.0
+        """With one usable leaf the composition is that leaf, whatever the node."""
+        for node in (tree_and(2), tree_or(2)):
+            rt = Runtime()
+            rt.begin()
+            rt.cmp(0, "<", 1.0, 2.0, 0)
+            assert rt.resolve(0, (0, 1, node), True) is True
+            outcome = rt.record.path[0]
+            assert outcome.distance_true == 0.0
+            assert outcome.distance_false == pytest.approx(1.0 + DEFAULT_EPSILON)
 
 
 class TestBranchBitHelpers:
@@ -324,8 +337,8 @@ class TestFastRuntimeEquivalence:
         lambda rt: rt.truth(1, "opaque"),
         lambda rt: rt.truth(1, 10**400),
         lambda rt: rt.test(2, ">=", 10**400, 1),
-        lambda rt: rt.resolve(3, "and", rt.cmp(3, ">", 0.0, 1.0)),
-        lambda rt: rt.resolve(3, "or", rt.cmp(3, ">", 0.0, 1.0) or rt.cmp(3, ">", -1.0, 1.0)),
+        lambda rt: rt.resolve(3, (0, 1, -4), rt.cmp(3, ">", 0.0, 1.0, 0)),
+        lambda rt: rt.resolve(3, (0, 1, -5), rt.cmp(3, ">", 0.0, 1.0, 0) or rt.cmp(3, ">", -1.0, 1.0, 1)),
         # Composition programs: nested trees, negation, promoted leaves.
         lambda rt: rt.resolve(
             3, (0, 1, -4), rt.cmp(3, ">", 0.0, 1.0, 0) and rt.cmp(3, ">", 2.0, 1.0, 1)
@@ -401,14 +414,6 @@ class TestFastRuntimeEquivalence:
 
 class TestCompositionPrograms:
     """The postfix tree composition shared by both runtimes."""
-
-    def test_and_program_matches_legacy_flat_compose(self):
-        legacy, tree = Runtime(policy=ConstantPolicy()), Runtime(policy=ConstantPolicy())
-        legacy.begin()
-        tree.begin()
-        legacy.resolve(0, "and", legacy.cmp(0, ">", 0.0, 1.0) and legacy.cmp(0, ">", -1.0, 1.0))
-        tree.resolve(0, (0, 1, -4), tree.cmp(0, ">", 0.0, 1.0, 0) and tree.cmp(0, ">", -1.0, 1.0, 1))
-        assert legacy.policy.calls == tree.policy.calls
 
     def test_nested_or_of_and(self):
         policy = ConstantPolicy()
@@ -551,12 +556,12 @@ class TestRuntimeHandle:
     def test_requires_installation(self):
         handle = RuntimeHandle()
         with pytest.raises(RuntimeError):
-            handle.cmp(0, "<", 1.0, 2.0)
+            handle.cmp(0, "<", 1.0, 2.0, 0)
 
     def test_forwards_to_installed_runtime(self):
         handle = RuntimeHandle()
         rt = Runtime()
         handle.install(rt)
         rt.begin()
-        assert handle.resolve(0, "single", handle.cmp(0, "<", 1.0, 2.0)) is True
+        assert handle.resolve(0, (0,), handle.cmp(0, "<", 1.0, 2.0, 0)) is True
         assert BranchId(0, True) in rt.record.covered

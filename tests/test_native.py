@@ -97,7 +97,6 @@ from repro.instrument.native.cache import (
     native_cache_dir,
     native_cache_entries,
     native_clean_disk_cache,
-    opt_tier,
     wait_for_background,
 )
 from repro.instrument.native.c_backend import render_c
@@ -120,7 +119,7 @@ from repro.instrument.signature import ProgramSignature
 from repro.optimize.local.powell import powell
 from repro.optimize.memo import DEFAULT_MAX_ENTRIES, BitPatternMemo
 from tests import sample_programs as sp
-from tests.test_specialize import PARITY_TARGETS, _run_fast, _unsaturated_bits
+from tests.test_specialize import PARITY_TARGETS, _run_fast
 
 requires_cc = pytest.mark.skipif(
     not cc_available(), reason="no C compiler (cc/gcc/clang) on PATH"
@@ -183,30 +182,26 @@ def _assert_native_parity(program, mask: int, X: np.ndarray) -> list:
     """Native scalar == native batch == specialized == FastRuntime, row for row.
 
     The batch check runs the threaded entry at ``n_threads`` in {1, 2, 4}:
-    every thread count must produce bit-identical ``r`` rows and the same
-    covered set, and a repeated call reports the full union again (each
-    call starts from a zeroed coverage buffer).  A native row covers every
-    branch it took (the FastRuntime set); a bailed row reports its
-    specialized variant's partial set.  Returns the indices of the rows the
-    scalar entry bailed on."""
+    every thread count, and a repeated call, must produce bit-identical
+    ``r`` rows.  The coverage harvest of a native row
+    (:meth:`NativeKernel.coverage`) covers every branch it took (the
+    FastRuntime set); a bailed row harvests ``None``.  Returns the indices
+    of the rows the scalar entry bailed on."""
     kernel = program.native_kernel(mask)
-    r_batch, cov_batch = kernel(X)
+    r_batch = kernel(X)
     r_bits = r_batch.view(np.uint64)
     for n_threads in (2, 4):
-        r_mt, cov_mt = kernel(X, n_threads=n_threads)
+        r_mt = kernel(X, n_threads=n_threads)
         context = (program.name, hex(mask), n_threads)
         assert np.array_equal(r_bits, r_mt.view(np.uint64)), context
-        assert cov_mt == cov_batch, context
-    r_again, cov_again = kernel(X, n_threads=2)
+    r_again = kernel(X, n_threads=2)
     assert np.array_equal(r_bits, r_again.view(np.uint64))
-    assert cov_again == cov_batch  # no coverage carried over between calls
-    cov_union = 0
     bailed = []
     for i, row in enumerate(X):
         args = row.tolist()
-        _, r_sp, cov_sp = program.run_specialized(args, mask)
+        r_sp = program.run_specialized(args, mask)
         bails = kernel.bails
-        r_native, cov_native = kernel.scalar(args)
+        r_native = kernel.scalar(args)
         row_bailed = kernel.bails > bails
         if row_bailed:
             bailed.append(i)
@@ -214,10 +209,12 @@ def _assert_native_parity(program, mask: int, X: np.ndarray) -> list:
         context = (program.name, hex(mask), args)
         assert _bits(r_native) == _bits(r_sp) == _bits(r_fast), context
         assert _bits(float(r_batch[i])) == _bits(r_sp), context
-        assert cov_native == (cov_sp if row_bailed else cov_fast), context
-        assert cov_sp == _unsaturated_bits(mask, cov_fast, program.n_conditionals), context
-        cov_union |= cov_native
-    assert cov_batch == cov_union, (program.name, hex(mask))
+        harvest = kernel.coverage(args)
+        if row_bailed:
+            assert harvest is None, context
+        else:
+            assert _bits(harvest[0]) == _bits(r_fast), context
+            assert harvest[1] == cov_fast, context
     return bailed
 
 
@@ -376,8 +373,7 @@ def dead_quotient(x):
 
 def _kernel_ir(program):
     return emit_program_ir(program.units, program.name, program.arity,
-                           program.n_conditionals, program.entry.__globals__,
-                           DEFAULT_EPSILON)
+                           program.n_conditionals, program.entry.__globals__)
 
 
 _SLICE_ROWS = (0.5, 1.5, 2.0, 2.5, 3.0, 4.5, 6.0, 9.75, -2.0)
@@ -419,7 +415,7 @@ class TestDeadValueSlice:
             # At x == 2 the scalar tiers swallow ZeroDivisionError after the
             # first conditional: same r, same single covered branch.
             _, r_fast, cov_fast = _run_fast(program, mask, [2.0])
-            r_native, cov_native = program.native_kernel(mask).scalar([2.0])
+            r_native, cov_native, _last = program.native_kernel(mask).coverage([2.0])
             assert (_bits(r_native), cov_native) == (_bits(r_fast), cov_fast)
             assert cov_fast == 0b10
 
@@ -576,8 +572,7 @@ class TestAdoptedHelpers:
         first, second = programs
         assert first.units == second.units
         assert helper_digest(first) != helper_digest(second)
-        assert kernel_digest(first, DEFAULT_EPSILON) != kernel_digest(
-            second, DEFAULT_EPSILON)
+        assert kernel_digest(first) != kernel_digest(second)
         assert first.native_kernel(0).digest != second.native_kernel(0).digest
         assert counted_emits == ["digest_entry", "digest_entry"]
         X = np.ascontiguousarray([[v] for v in _HELPER_ROWS], dtype=np.float64)
@@ -724,39 +719,23 @@ class TestRepresentingFunctionNative:
 
 @requires_cc
 class TestCachesAndDigest:
-    def test_digest_sensitive_to_source_and_epsilon_not_mask(self):
+    def test_digest_sensitive_to_source_and_epsilon_not_mask(self, monkeypatch):
         program = instrument(sp.paper_foo)
-        base = kernel_digest(program, 1e-6)
-        assert kernel_digest(instrument(sp.paper_foo), 1e-6) == base
-        assert kernel_digest(instrument(sp.three_dimensional), 1e-6) != base
-        assert kernel_digest(program, 1e-7) != base
+        base = kernel_digest(program)
+        assert kernel_digest(instrument(sp.paper_foo)) == base
+        assert kernel_digest(instrument(sp.three_dimensional)) != base
+        # The C bakes in the fixed Def. 4.1 epsilon and is built with fixed
+        # flags; the digest covers the values of both.
+        monkeypatch.setattr(kernel_module, "DEFAULT_EPSILON", DEFAULT_EPSILON / 2)
+        assert kernel_digest(program) != base
+        monkeypatch.undo()
+        monkeypatch.setattr(kernel_module, "CFLAGS", (*kernel_module.CFLAGS, "-O3"))
+        assert kernel_digest(program) != base
+        monkeypatch.undo()
+        assert kernel_digest(program) == base
         # The digest takes no mask: every mask is served by the one kernel.
-        assert list(inspect.signature(kernel_digest).parameters) == ["program", "epsilon"]
+        assert list(inspect.signature(kernel_digest).parameters) == ["program"]
         assert program.native_kernel(0).digest == program.native_kernel(3).digest
-
-    def test_o3_flag_tier_folds_into_the_digest(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NATIVE_O3", raising=False)
-        assert opt_tier() == "O2"
-        program = instrument(sp.paper_foo)
-        base = kernel_digest(program, 1e-6)
-        monkeypatch.setenv("REPRO_NATIVE_O3", "1")
-        assert opt_tier() == "O3"
-        assert kernel_digest(program, 1e-6) != base
-        monkeypatch.setenv("REPRO_NATIVE_O3", "0")  # falsy spellings stay O2
-        assert opt_tier() == "O2"
-        assert kernel_digest(program, 1e-6) == base
-
-    def test_o3_tier_compiles_and_stays_bit_identical(self, monkeypatch):
-        X = np.ascontiguousarray([[v] for v in _ADVERSARIAL], dtype=np.float64)
-        monkeypatch.delenv("REPRO_NATIVE_O3", raising=False)
-        base_kernel = instrument(sp.paper_foo).native_kernel(0)
-        r_base, cov_base = base_kernel(X)
-        monkeypatch.setenv("REPRO_NATIVE_O3", "1")
-        o3_kernel = instrument(sp.paper_foo).native_kernel(0)
-        assert o3_kernel.digest != base_kernel.digest  # separate cache entry
-        r_o3, cov_o3 = o3_kernel(X)
-        assert np.array_equal(r_base.view(np.uint64), r_o3.view(np.uint64))
-        assert cov_o3 == cov_base
 
     def test_program_kernel_cache_and_build_counter(self):
         program = instrument(sp.paper_foo)
@@ -808,11 +787,10 @@ class TestCachesAndDigest:
 
     def test_run_native_matches_run_specialized(self):
         program = instrument(sp.paper_foo)
-        value, r, covered = program.run_native([4.0], 0)
-        _, r_sp, cov_sp = program.run_specialized([4.0], 0)
-        assert value is None  # the native kernel computes only r and coverage
-        assert _bits(r) == _bits(r_sp)
-        assert covered == cov_sp
+        for mask in (0, 0b01, 0b1000):
+            r = program.run_native([4.0], mask)
+            assert isinstance(r, float)
+            assert _bits(r) == _bits(program.run_specialized([4.0], mask))
 
 
 @requires_cc
@@ -1074,14 +1052,14 @@ def default_second_arg(x, y=2.0):
 
 
 def _kernel_outputs(kernel, X: np.ndarray):
-    """Bit patterns of ``(r, covered)``: the batch entry, then every row
-    through the scalar entry."""
-    r_batch, cov_batch = kernel(X)
-    scalars = [kernel.scalar(row) for row in X.tolist()]
+    """Bit patterns of ``r`` from the batch entry and from the scalar entry
+    row by row, then every row's coverage harvest."""
+    rows = X.tolist()
+    harvests = [kernel.coverage(row) for row in rows]
     return (
-        r_batch.view(np.uint64).tolist(),
-        cov_batch,
-        [(_bits(r), covered) for r, covered in scalars],
+        kernel(X).view(np.uint64).tolist(),
+        [_bits(kernel.scalar(row)) for row in rows],
+        [None if h is None else (_bits(h[0]), h[1], h[2]) for h in harvests],
     )
 
 
@@ -1147,13 +1125,12 @@ class TestWarmLoad:
         kernel.scalar([2.5])
         kernel(np.array([[-3.0], [4.0]]))
         assert program.specialization_builds == 0  # no bail yet
-        r_bail, cov_bail = kernel.scalar([1e19])
+        r_bail = kernel.scalar([1e19])
         assert program.specialization_builds == 1
         kernel.scalar([-1e19])
         kernel(np.array([[1e19], [2.0]]))
         assert program.specialization_builds == 1  # built once, reused
-        _, r_sp, cov_sp = program.run_specialized([1e19], 0)
-        assert _bits(r_bail) == _bits(r_sp) and cov_bail == cov_sp
+        assert _bits(r_bail) == _bits(program.run_specialized([1e19], 0))
 
     @pytest.mark.parametrize(
         "target", (trunc_overflows, sp.raises_for_small, sp.three_dimensional),
@@ -1184,7 +1161,7 @@ class TestWarmLoad:
     def test_second_process_does_not_emit(self, tmp_path):
         """Two processes share one on-disk cache: the second loads every
         kernel by digest, calls the emitter zero times and computes the
-        same ``(r, covered)``."""
+        same ``r`` and coverage harvests."""
         script = (
             "import json\n"
             "import numpy as np\n"
@@ -1204,11 +1181,12 @@ class TestWarmLoad:
             "    kernel = program.native_kernel(0)\n"
             "    X = np.array([[v] * program.arity for v in\n"
             "                  (0.0, -0.0, 0.5, 2.5, -7.5, 1e19, float('nan'))])\n"
-            "    r, covered = kernel(X)\n"
+            "    r = kernel(X)\n"
             "    scalars = [kernel.scalar(row) for row in X.tolist()]\n"
+            "    harvests = [kernel.coverage(row) for row in X.tolist()]\n"
             "    results[target.__name__] = [\n"
-            "        [v.hex() for v in r.tolist()], covered,\n"
-            "        [[v.hex(), c] for v, c in scalars]]\n"
+            "        [v.hex() for v in r.tolist()], [v.hex() for v in scalars],\n"
+            "        [h and [h[0].hex(), h[1], h[2]] for h in harvests]]\n"
             "print(json.dumps({'emits': emits, 'results': results}))\n"
         )
         root = pathlib.Path(__file__).resolve().parents[1]
@@ -1330,7 +1308,7 @@ class TestStaleKernelFallback:
         clear_native_cache()
         _reset_background_for_tests()
         program = instrument(sp.paper_foo)
-        digest = kernel_digest(program, DEFAULT_EPSILON)
+        digest = kernel_digest(program)
         self._plant("no_sp_meta", digest, b"", "")
         so_path = native_cache_dir() / f"{digest}.so"
         planted = so_path.read_bytes()
@@ -1476,7 +1454,7 @@ class TestCcProbeCache:
                 with pytest.raises(NativeUnavailable, match="no C compiler"):
                     find_cc()
                 with pytest.raises(NativeUnavailable):
-                    kernel_digest(program, 1e-6)
+                    kernel_digest(program)
             assert len(calls) == probe_calls  # no re-probe after the first
         finally:
             _reset_cc_probe_for_tests()
@@ -1910,7 +1888,7 @@ class TestFusedLocalSearch:
                                           library)
         try:
             point = [float("inf")]
-            raw, _cov = kernel.scalar(point)
+            raw = kernel.scalar(point)
             assert math.isnan(raw)
             expected = _native_representing(program, mask)(point)
             assert _bits(fused(point)) == _bits(expected) == _bits(1e300)

@@ -401,11 +401,11 @@ class TestSatellites:
         assert pow_case.domain()[1] == (1.0e6, 1100.0)
 
     def test_domain_is_part_of_the_job_fingerprint(self):
-        from repro.experiments.pipeline import _domain_tag
+        from repro.service.jobs import domain_tag
 
         scalb = get_case("e_scalb.c:ieee754_scalb(double,double)")
         default = dataclasses.replace(scalb, low=None, high=None)
-        assert _domain_tag(scalb) != _domain_tag(default)
+        assert domain_tag(scalb) != domain_tag(default)
 
     def test_mismatched_domain_arity_rejected(self):
         case = dataclasses.replace(BENCHMARKS[0], low=(-1.0, -1.0), high=(1.0, 1.0))

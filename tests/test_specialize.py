@@ -1,19 +1,20 @@
 """Tests for the saturation-specialized penalty codegen tier.
 
 The contract under test: for every saturation mask, the specialized variant
-computes a bit-identical ``r`` to the generic runtimes, identical return
-values, and identical covered bits for every conditional that is not
-both-saturated (stripped probes record nothing by design); and the epoch
-protocol recompiles only when the mask actually changes.
+computes a bit-identical ``r`` to the generic runtimes and identical return
+values, and writes no coverage (only the mask-generic form does); and the
+epoch protocol recompiles only when the mask actually changes.
 """
 
 from __future__ import annotations
 
+import ast
 import struct
 
 import numpy as np
 import pytest
 
+from repro.core.branch_distance import DEFAULT_EPSILON
 from repro.core.representing import RepresentingFunction
 from repro.core.saturation import SaturationTracker
 from repro.experiments.runner import instrument_case
@@ -26,6 +27,7 @@ from repro.instrument.program import (
     instrument,
 )
 from repro.instrument.runtime import ExecutionProfile, FastRuntime, Runtime
+from repro.instrument.specialize import COV_NAME, specialize_source
 from tests import sample_programs as sp
 
 #: Sample targets covering every lowered conditional form (simple, negated,
@@ -61,7 +63,8 @@ def _bits(value: float) -> bytes:
 
 
 def _run_fast(program, mask: int, args) -> tuple[object, float, int]:
-    """Reference execution through the generic FastRuntime."""
+    """Reference execution through the generic FastRuntime: the return
+    value, ``r`` and the covered-bit mask."""
     fast = FastRuntime(program.n_conditionals)
     program.handle.install(fast)
     fast.begin(mask)
@@ -73,23 +76,12 @@ def _run_fast(program, mask: int, args) -> tuple[object, float, int]:
     return value, fast.r, fast.covered_mask()
 
 
-def _unsaturated_bits(mask: int, covered: int, n_conditionals: int) -> int:
-    """Restrict ``covered`` to conditionals that are not both-saturated."""
-    out = 0
-    for conditional in range(n_conditionals):
-        if (mask >> (2 * conditional)) & 3 != 3:
-            out |= ((covered >> (2 * conditional)) & 3) << (2 * conditional)
-    return out
-
-
 def _assert_parity(program, mask: int, args) -> None:
-    value_ref, r_ref, covered_ref = _run_fast(program, mask, args)
-    value_sp, r_sp, covered_sp = program.run_specialized(args, mask)
+    value_ref, r_ref, _ = _run_fast(program, mask, args)
+    value_sp, r_sp = program.specialize(mask).run(args)
     assert _bits(r_sp) == _bits(r_ref), (program.name, hex(mask), args, r_sp, r_ref)
     same = value_sp == value_ref or (value_sp != value_sp and value_ref != value_ref)
     assert same, (program.name, hex(mask), args, value_sp, value_ref)
-    expected = _unsaturated_bits(mask, covered_ref, program.n_conditionals)
-    assert covered_sp == expected, (program.name, hex(mask), args)
 
 
 class TestSpecializedParity:
@@ -136,10 +128,18 @@ class TestSpecializedParity:
                 _assert_parity(program, mask, [x])
 
     def test_stripped_sites_record_no_coverage(self):
-        program = instrument(sp.paper_foo)
-        full = (1 << (2 * program.n_conditionals)) - 1
-        _, _, covered = program.run_specialized([0.5], full)
-        assert covered == 0  # every probe stripped: bare branches only
+        """Per-mask variants compute ``r`` only: no site writes a covered
+        bit, under any mask; the mask-generic form writes every one."""
+        for target in PARITY_TARGETS:
+            program = instrument(target)
+            full = (1 << (2 * program.n_conditionals)) - 1
+            for source, name, label in program.units:
+                for mask in (0, 0b01, 0b10, full):
+                    tree, _ = specialize_source(source, name, label, mask)
+                    assert COV_NAME not in ast.unparse(tree), (target.__name__, mask)
+                generic, n_conditionals = specialize_source(source, name, label, None)
+                assert ast.unparse(generic).count(COV_NAME) >= n_conditionals
+            assert COV_NAME not in program.specialize(full).namespace
 
     def test_truth_fallback_degrades_identically(self, monkeypatch):
         """When the AST pass declines a tree, the specializer must too."""
@@ -241,24 +241,26 @@ class TestEpochProtocol:
 class TestSpecializedProgramAPI:
     def test_run_specialized_matches_variant_run(self):
         program = instrument(sp.paper_foo)
-        value, r, covered = program.run_specialized([0.5], 0)
-        variant = program.specialize(0)
-        assert (value, r) == variant.run([0.5])
-        assert covered == variant.covered_mask()
+        r = program.run_specialized([0.5], 0)
+        assert _bits(r) == _bits(program.specialize(0).run([0.5])[1])
 
     def test_run_specialized_honors_epsilon_and_mask(self):
-        """The specialized tier bakes in epsilon and the mask like a fast runtime."""
+        """The specialized tier bakes in the fixed epsilon and the mask like
+        a fast runtime."""
         program = instrument(sp.paper_foo)
-        custom = FastRuntime(program.n_conditionals, saturated_mask=0b1000, epsilon=0.5)
+        fast = FastRuntime(program.n_conditionals, saturated_mask=0b1000)
         for point in ([-3.0], [0.7], [1.0]):
-            program.handle.install(custom)
-            custom.begin()
+            program.handle.install(fast)
+            fast.begin()
             try:
                 program.entry(*point)
             except (ArithmeticError, ValueError, OverflowError):
                 pass
-            _, r, _ = program.run_specialized(point, 0b1000, epsilon=0.5)
-            assert _bits(r) == _bits(custom.r), point
+            r = program.run_specialized(point, 0b1000)
+            assert _bits(r) == _bits(fast.r), point
+        # y == 4.0 holds at x = 1 with its true branch saturated: r is the
+        # distance to falsifying an equality, Def. 4.1's epsilon.
+        assert program.run_specialized([1.0], 0b1000) == DEFAULT_EPSILON
 
     def test_programs_without_units_cannot_specialize(self, paper_foo_program):
         import dataclasses

@@ -27,7 +27,6 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main as cli_main
-from repro.core.branch_distance import DEFAULT_EPSILON
 from repro.experiments.runner import instrument_case
 from repro.fdlibm.suite import BENCHMARKS
 from repro.instrument import ast_pass, unit_cache
@@ -73,7 +72,7 @@ def _snapshot(program) -> tuple:
         kernel.helper_digest(program),
     )
     if cc_available():
-        snapshot += (kernel.kernel_digest(program, DEFAULT_EPSILON),)
+        snapshot += (kernel.kernel_digest(program),)
     return snapshot
 
 
@@ -101,7 +100,6 @@ def counting(obj):
     calls.append(getattr(obj, "__qualname__", repr(obj)))
     return original(obj)
 inspect.getsource = counting
-from repro.core.branch_distance import DEFAULT_EPSILON
 from repro.experiments.runner import instrument_case
 from repro.fdlibm.suite import BENCHMARKS
 from repro.instrument.native.kernel import helper_digest
