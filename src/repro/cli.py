@@ -132,11 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="how workers execute jobs (process = persistent worker processes)",
     )
     serve_p.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="shard count for the job router (default: worker count; results "
-        "are bit-identical for every value)",
-    )
-    serve_p.add_argument(
         "--queue-limit", type=int, default=64, metavar="N",
         help="max pending admissions before submissions get HTTP 429",
     )
@@ -308,7 +303,6 @@ def _serve(args) -> int:
         store=store,
         worker_mode=args.worker_mode,
         n_workers=args.workers,
-        n_shards=args.shards,
         queue_limit=args.queue_limit,
         resume=True,
     )

@@ -31,8 +31,8 @@ class CoverMeConfig:
             parallel.  1 (the default) runs everything in-process; seeded
             results are identical for every value.
         worker_mode: How parallel starts execute -- ``"auto"`` (process
-            workers when the program's origin is picklable, else thread
-            clones, else serial), ``"process"``, ``"thread"`` or ``"serial"``.
+            workers when the program's origin is picklable and importable
+            in a worker, else serial), ``"process"`` or ``"serial"``.
         eval_profile: Execution profile of the optimizer inner loop --
             ``"penalty-native"`` (the default, the machine-code tier: the
             specialized lowering is emitted as C, compiled with the system
@@ -89,7 +89,7 @@ class CoverMeConfig:
         # Imported lazily: the optimizer and the engine live above
         # repro.core in the layer diagram, so a module-level import would
         # be cyclic.
-        from repro.engine.pool import available_worker_modes
+        from repro.engine.pool import WORKER_MODES
         from repro.optimize.local import get_local_minimizer
 
         if self.n_start < 1:
@@ -101,8 +101,8 @@ class CoverMeConfig:
         get_local_minimizer(self.local_minimizer)  # raises ValueError on unknown names
         if self.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if self.worker_mode not in available_worker_modes():
-            known = ", ".join(available_worker_modes())
+        if self.worker_mode not in WORKER_MODES:
+            known = ", ".join(WORKER_MODES)
             raise ValueError(f"unknown worker mode {self.worker_mode!r}; known: {known}")
         check_execution_profile(self.eval_profile)
         if self.native_threads < 1:

@@ -6,18 +6,14 @@ Layers:
   (Algorithm 1, line 9).
 * :mod:`repro.engine.worker` -- one basin-hopping start against a frozen
   saturation snapshot; shared by every execution mode.
-* :mod:`repro.engine.pool` -- serial / thread / process worker pools.
+* :mod:`repro.engine.pool` -- serial / process worker pools.
 * :mod:`repro.engine.core` -- :class:`~repro.engine.core.SearchEngine`, the
   batched multi-start loop with deterministic in-order reduction.
 """
 
 from repro.engine.scheduler import StartScheduler
 from repro.engine.worker import StartParams, StartResult, StartTask, run_start
-from repro.engine.pool import (
-    StartPool,
-    available_worker_modes,
-    resolve_worker_mode,
-)
+from repro.engine.pool import StartPool, resolve_worker_mode
 from repro.engine.core import SearchEngine
 
 __all__ = [
@@ -27,7 +23,6 @@ __all__ = [
     "StartResult",
     "StartScheduler",
     "StartTask",
-    "available_worker_modes",
     "resolve_worker_mode",
     "run_start",
 ]

@@ -132,8 +132,8 @@ class SearchEngine:
                             break
                         continue
                     # Every non-skipped result really executed, so its cost
-                    # counts even once the reduction has stopped -- pooled
-                    # modes compute the whole batch up front, and a worker
+                    # counts even once the reduction has stopped -- process
+                    # workers compute the whole batch up front, and a worker
                     # may have finished its chunk before another hit the
                     # deadline.  Lazily streaming pools never hand over
                     # results the consumer did not pull, so abandoning the

@@ -1,29 +1,26 @@
 """Worker-pool plumbing for the search engine.
 
-Three execution modes share one semantic contract -- a batch of independent
+Two execution modes share one semantic contract -- a batch of independent
 :class:`~repro.engine.worker.StartTask`s in, their
 :class:`~repro.engine.worker.StartResult`s out, reducible in start order:
 
 * ``serial`` -- run in the calling thread.  Results are *streamed* so the
   engine's in-order merge can stop the batch early (budget hit, everything
   saturated) without paying for the remaining starts.
-* ``thread`` -- a :class:`~concurrent.futures.ThreadPoolExecutor`; each
-  worker thread owns a clone of the instrumented program because the
-  compiled namespace's runtime handle is per-program mutable state.
 * ``process`` -- a fork/spawn pool; workers re-instrument from the program's
-  picklable origin (cached per process).  This is the mode that buys real
-  wall-clock speedup for CPU-bound representing functions.
+  picklable origin (cached per process).  It pays off only on heavy cases:
+  worker start-up and re-instrumentation cost more than a light program's
+  whole search.
 
-``auto`` resolves to the strongest mode the program supports: ``process``
-when the origin is picklable, else ``thread`` when the program can be
-cloned, else ``serial``.
+``auto`` resolves to ``process`` when the origin pickles and a worker can
+rebuild it, else to ``serial``.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Iterator, Sequence, TypeVar
 
 from repro.instrument.program import InstrumentedProgram
@@ -39,11 +36,7 @@ from repro.engine.worker import (
 
 T = TypeVar("T")
 
-WORKER_MODES: tuple[str, ...] = ("auto", "process", "thread", "serial")
-
-
-def available_worker_modes() -> tuple[str, ...]:
-    return WORKER_MODES
+WORKER_MODES: tuple[str, ...] = ("auto", "process", "serial")
 
 
 def process_context():
@@ -94,28 +87,21 @@ def resolve_worker_mode(
         raise ValueError(f"unknown worker mode {mode!r}; known: {known}")
     if n_workers <= 1 or mode == "serial":
         return "serial"
-    if mode == "process" or mode == "auto":
-        if origin_is_picklable(program.origin):
-            ctx = mp_context if mp_context is not None else process_context()
-            if ctx.get_start_method() == "fork" or _origin_importable_in_child(program.origin):
-                return "process"
-            if mode == "process":
-                raise ValueError(
-                    f"program {program.name!r} is defined in __main__, which "
-                    "spawn/forkserver workers cannot re-import; move the target "
-                    "to an importable module or use thread workers"
-                )
-        elif mode == "process":
+    if not origin_is_picklable(program.origin):
+        if mode == "process":
             raise ValueError(
                 f"program {program.name!r} has no picklable origin; "
                 "process workers need a module-level target function"
             )
-    if program.origin is not None:
-        return "thread"
-    if mode == "thread":
+        return "serial"
+    ctx = mp_context if mp_context is not None else process_context()
+    if ctx.get_start_method() == "fork" or _origin_importable_in_child(program.origin):
+        return "process"
+    if mode == "process":
         raise ValueError(
-            f"program {program.name!r} has no origin to clone from; "
-            "thread workers need a program built by instrument()"
+            f"program {program.name!r} is defined in __main__, which "
+            "spawn/forkserver workers cannot re-import; move the target "
+            "to an importable module or use serial workers"
         )
     return "serial"
 
@@ -149,15 +135,11 @@ class StartPool:
         self.mode = mode
         self.n_workers = max(1, n_workers)
         self._executor = None
-        self._clones: list[InstrumentedProgram] = []
         if mode == "process":
             self._executor = ProcessPoolExecutor(
                 max_workers=self.n_workers,
                 mp_context=mp_context if mp_context is not None else process_context(),
             )
-        elif mode == "thread":
-            self._executor = ThreadPoolExecutor(max_workers=self.n_workers)
-            self._clones = [program.clone() for _ in range(self.n_workers)]
 
     @property
     def streams_lazily(self) -> bool:
@@ -165,8 +147,8 @@ class StartPool:
 
         Serial mode launches each start only when the consumer pulls it, so
         an abandoned iterator means the remaining starts never executed and
-        their evaluations must not be accounted.  Pooled modes dispatch the
-        whole batch eagerly; every result's cost counts even after the
+        their evaluations must not be accounted.  Process mode dispatches
+        the whole batch eagerly; every result's cost counts even after the
         reduction stops.
         """
         return self.mode == "serial"
@@ -175,8 +157,8 @@ class StartPool:
         """Yield the batch's results in start order.
 
         Serial mode streams lazily (the consumer may abandon the iterator to
-        skip unneeded starts); pooled modes dispatch contiguous chunks and
-        stream each chunk's results as its future completes.
+        skip unneeded starts); process mode dispatches contiguous chunks and
+        streams each chunk's results as its future completes.
         """
         if self.mode == "serial":
             # Chunk priming (one batched kernel call over the batch's start
@@ -192,27 +174,12 @@ class StartPool:
                     primed=None if primed is None else primed.get(task.index),
                 )
             return
-        chunks = chunk_evenly(tasks, self.n_workers)
-        if self.mode == "process":
-            # Process workers prime inside run_chunk_in_worker, against the
-            # per-process program instance.
-            futures = [
-                self._executor.submit(run_chunk_in_worker, self.program.origin, params, chunk)
-                for chunk in chunks
-            ]
-        else:
-            def run_chunk_on_clone(prog, ch):
-                primed = prime_chunk(prog, params, ch)
-                if primed is None:
-                    return [run_start(prog, params, t) for t in ch]
-                return [run_start(prog, params, t, primed=primed.get(t.index)) for t in ch]
-
-            futures = [
-                self._executor.submit(
-                    run_chunk_on_clone, self._clones[i % len(self._clones)], chunk
-                )
-                for i, chunk in enumerate(chunks)
-            ]
+        # Process workers prime inside run_chunk_in_worker, against the
+        # per-process program instance.
+        futures = [
+            self._executor.submit(run_chunk_in_worker, self.program.origin, params, chunk)
+            for chunk in chunk_evenly(tasks, self.n_workers)
+        ]
         # chunk_evenly hands out contiguous ascending index ranges and the
         # futures were submitted in chunk order, so yielding per future
         # preserves start order while letting the consumer begin reducing as

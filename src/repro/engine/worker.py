@@ -19,16 +19,15 @@ Under the ``PENALTY_SPECIALIZED`` profile the epoch protocol composes with
 this structure for free: the per-start tracker snapshot freezes the
 saturation mask, so one start triggers at most one variant lookup, and the
 program-level + module-level specialization caches make that lookup a
-dictionary hit whenever any earlier start of the same worker (thread clones
-and process workers each own a program instance) already ran against the
-same mask.  Epoch invalidation therefore needs no cross-worker coordination:
+dictionary hit whenever any earlier start of the same worker (each process
+worker owns a program instance) already ran against the same mask.  Epoch invalidation therefore needs no cross-worker coordination:
 each worker's representing function re-reads its tracker's mask per call and
 re-specializes exactly when a batch reduction flipped a saturation bit.
 
-The same :func:`run_start` body serves all three execution modes:
+The same :func:`run_start` body serves both execution modes:
 
-* **serial** and **thread** workers call it directly on (clones of) the
-  in-process :class:`~repro.instrument.program.InstrumentedProgram`;
+* **serial** runs call it directly on the in-process
+  :class:`~repro.instrument.program.InstrumentedProgram`;
 * **process** workers receive the *original* callable (picklable by module
   reference), re-instrument it once per worker process, and cache the result
   keyed by the program's origin, so the instrumentation cost is paid once per

@@ -70,10 +70,10 @@ def coverme_first(tool_names: Iterable[str]) -> list[str]:
 
     This ordering is semantic: the baselines' budgets derive from CoverMe's
     measured effort (the paper's "ten times the CoverMe time" rule), so
-    within a case CoverMe must run before them.  Every planner --
-    :func:`plan_jobs`, :func:`repro.experiments.runner.run_case`,
-    :func:`repro.experiments.runner.compare_tools` -- goes through this one
-    helper so the rule cannot drift between entry points.
+    within a case CoverMe must run before them.  Both planners --
+    :func:`plan_jobs` and :func:`repro.experiments.runner.compare_tools` --
+    go through this one helper so the rule cannot drift between entry
+    points.
     """
     return sorted(tool_names, key=lambda name: name != "CoverMe")
 
@@ -82,7 +82,7 @@ def tool_items_for(
     tool_factories: dict[str, Callable[[Profile], object]], measure_lines: bool
 ) -> list[tuple[str, Callable[[Profile], object], bool]]:
     """The ``(name, factory, measure_lines)`` job list for one case, in
-    :func:`coverme_first` order (the shape :func:`execute_case` consumes)."""
+    :func:`coverme_first` order (the shape :func:`_execute_cases` consumes)."""
     return [(name, tool_factories[name], measure_lines) for name in coverme_first(tool_factories)]
 
 
@@ -345,7 +345,7 @@ def _execute_cases(
     independent, so they saturate the worker pool); wave 2 follows each
     case -- in case order -- with its baselines as soon as its CoverMe
     result (which fixes their budgets) lands.  Results are folded back in
-    case order, so rows are deterministic for any worker/shard count.
+    case order, so rows are deterministic for any worker count.
     """
     reference_jobs: dict[str, object] = {}
     for case in cases:
@@ -395,38 +395,6 @@ def _fold(case_outcome: CaseOutcome, tool_name: str, outcome) -> None:
     case_outcome.row.results[tool_name] = outcome.summary
 
 
-def execute_case(
-    item: tuple[BenchmarkCase, list[tuple[str, Callable[[Profile], object], bool]]],
-    profile: Profile,
-    store: Optional[RunStore] = None,
-    resume: bool = True,
-    execute: bool = True,
-    service: Optional[CoverageService] = None,
-) -> CaseOutcome:
-    """Run (or resolve from the store) every job of one benchmark case.
-
-    ``item`` is ``(case, [(tool_name, factory, measure_lines), ...])`` with
-    CoverMe (if present) first.  Jobs go through a
-    :class:`~repro.service.CoverageService` (an inline one over ``store``
-    unless ``service`` is passed): completed jobs load from the result
-    cache, everything else executes and is checkpointed via
-    :meth:`RunStore.put` the moment it finishes.  With ``execute=False``
-    nothing runs; absent jobs are reported in ``missing_jobs`` (the
-    ``repro render`` path).
-    """
-    case, tool_items = item
-    if not execute:
-        return _lookup_case(case, tool_items, profile, store, resume)
-    owns = service is None
-    if owns:
-        service = CoverageService(store=store, worker_mode="inline", resume=resume)
-    try:
-        return _execute_cases([case], {case.key: tool_items}, profile, service, resume)[0]
-    finally:
-        if owns:
-            service.close(close_store=False)
-
-
 def execute_plan(
     plan: JobPlan,
     store: Optional[RunStore] = None,
@@ -435,7 +403,6 @@ def execute_plan(
     execute: bool = True,
     n_workers: int = 1,
     worker_mode: str = "thread",
-    n_shards: Optional[int] = None,
     service: Optional[CoverageService] = None,
 ) -> tuple[dict[str, ComparisonRow], PipelineStats, list[str]]:
     """Execute a job plan through the coverage service.
@@ -448,7 +415,7 @@ def execute_plan(
     flight.  All dispatch modes -- including ``process`` -- work with
     persistent stores: workers return payloads and the coordinating
     process writes them.  Seeded results are bit-identical for every
-    ``n_workers``, ``worker_mode`` and ``n_shards`` (wall-time fields
+    ``n_workers`` and ``worker_mode`` (wall-time fields
     aside, nothing in a stored record depends on scheduling).
     """
     factories = tool_factories if tool_factories is not None else TOOL_FACTORIES
@@ -471,7 +438,6 @@ def execute_plan(
                 store=store,
                 worker_mode=service_worker_mode(worker_mode, n_workers),
                 n_workers=n_workers,
-                n_shards=n_shards,
                 resume=resume,
             )
         try:
@@ -514,7 +480,6 @@ def run_specs(
     execute: bool = True,
     n_workers: int = 1,
     worker_mode: str = "thread",
-    n_shards: Optional[int] = None,
     service=None,
 ) -> RunReport:
     """Plan, execute and render a set of experiment specs as one batch.
@@ -535,7 +500,7 @@ def run_specs(
         plan = plan_jobs(suite_specs, profile, cases=cases)
         rows_by_case, stats, missing = execute_plan(
             plan, store=store, resume=resume, execute=True,
-            n_workers=n_workers, worker_mode=worker_mode, n_shards=n_shards,
+            n_workers=n_workers, worker_mode=worker_mode,
             service=service,
         )
         report.stats = stats

@@ -3,11 +3,10 @@
 This module is the *configuration and rendering* layer of the experiments:
 profiles, the CoverMe tool adapter, row/table formatting.  Planning lives
 in :mod:`repro.experiments.pipeline` and execution in
-:mod:`repro.service`; the legacy :func:`run_case`/:func:`compare_tools`
-entry points remain as thin wrappers that submit through the coverage
-service (against an ephemeral store unless one is passed), so every
-experiment -- old-style, CLI-driven or daemon-served -- goes through the
-same resumable execution path.
+:mod:`repro.service`; :func:`compare_tools` runs a set of tools over the
+suite by submitting through the coverage service (against an ephemeral
+store unless one is passed), the same resumable execution path the CLI and
+the daemon use.
 """
 
 from __future__ import annotations
@@ -138,28 +137,6 @@ def instrument_case(case: BenchmarkCase) -> InstrumentedProgram:
     low, high = case.domain()
     signature = ProgramSignature(name=case.function, arity=case.arity, low=low, high=high)
     return instrument(case.entry, extra_functions=case.extras, signature=signature)
-
-
-def run_case(
-    case: BenchmarkCase,
-    tool_factories: dict[str, Callable[[Profile], object]],
-    profile: Profile,
-    measure_lines: bool = False,
-    store=None,
-    resume: bool = True,
-) -> ComparisonRow:
-    """Run every tool on one benchmark case (one pipeline job per tool).
-
-    ``CoverMe`` (when present) runs first so the baselines can be given a
-    budget proportional to its effort, mirroring the paper's "ten times the
-    CoverMe time" rule with an execution-count analogue.  With a persistent
-    ``store``, completed jobs are loaded instead of re-executed.
-    """
-    from repro.experiments.pipeline import execute_case, tool_items_for
-
-    tool_items = tool_items_for(tool_factories, measure_lines)
-    outcome = execute_case((case, tool_items), profile, store=store, resume=resume)
-    return outcome.row
 
 
 def compare_tools(

@@ -13,7 +13,7 @@ Instrumentation and ``compile()`` are paid once per machine, not once per
 process: the immutable compiled artifacts of each target function (code
 object, conditional metadata, descendant analysis, unparsed source) are kept
 in a module-level cache in front of the content-keyed disk cache of
-:mod:`repro.instrument.unit_cache`.  :meth:`InstrumentedProgram.clone`
+:mod:`repro.instrument.unit_cache`.  A repeated :func:`instrument` call
 executes the cached code object in a fresh namespace, and a fresh
 process (a process worker, a daemon, the next run) loads it from disk
 without calling ``inspect.getsource`` or running the pass.
@@ -77,10 +77,9 @@ class InstrumentationError(RuntimeError):
 class ProgramOrigin:
     """The recipe an :class:`InstrumentedProgram` was built from.
 
-    Keeping the original (uninstrumented) callables around makes the program
-    *clonable*: worker threads get independent compiled namespaces, and
-    worker processes can rebuild the program from the picklable function
-    references instead of shipping compiled code across the process boundary.
+    Keeping the original (uninstrumented) callables around lets worker
+    processes rebuild the program from the picklable function references
+    instead of shipping compiled code across the process boundary.
     """
 
     target: Callable
@@ -102,8 +101,8 @@ class CompiledUnit:
 #: CompiledUnit).  The key is the disk cache's content key
 #: (:func:`repro.instrument.unit_cache.entry_key`), or for a function
 #: without a source file a digest of its source.  Code objects are immutable,
-#: so one cached unit can back any number of program namespaces (clones,
-#: worker processes after fork, repeated instrument() calls).
+#: so one cached unit can back any number of program namespaces (worker
+#: processes after fork, repeated instrument() calls).
 _CODE_CACHE: dict[str, tuple[str, CompiledUnit]] = {}
 _CODE_CACHE_LOCK = threading.Lock()
 _CODE_CACHE_MAX = 512
@@ -268,8 +267,8 @@ class InstrumentedProgram:
         signature: Input-domain description of the entry function.
         conditionals: Static metadata for every instrumented conditional.
         descendants: Descendant-branch analysis used by saturation tracking.
-        origin: Build recipe enabling :meth:`clone`; ``None`` for programs
-            assembled by hand.
+        origin: Build recipe process workers re-instrument from; ``None``
+            for programs assembled by hand.
         units: Per-target ``(original source, function name, start label)``
             triples recorded by :func:`instrument`; the splice points the
             saturation specializer rebuilds from.  Empty for hand-assembled
@@ -461,25 +460,6 @@ class InstrumentedProgram:
         except NativeUnavailable:
             return self.run_specialized(args, saturated_mask)
         return kernel.scalar(args)
-
-    def clone(self) -> "InstrumentedProgram":
-        """Rebuild this program with a fresh namespace and runtime handle.
-
-        Each clone owns its namespace and :class:`RuntimeHandle`, so clones
-        can execute concurrently (one per worker thread) without racing on
-        the installed runtime.  The compiled code objects are shared through
-        the module-level cache, so cloning only re-``exec``s them.  Requires
-        :attr:`origin`.
-        """
-        if self.origin is None:
-            raise InstrumentationError(
-                f"program {self.name!r} was not built by instrument() and cannot be cloned"
-            )
-        return instrument(
-            self.origin.target,
-            extra_functions=self.origin.extra_functions,
-            signature=self.origin.signature,
-        )
 
 
 def instrument(

@@ -4,8 +4,8 @@
 ``repro serve`` HTTP daemon all build :class:`JobRequest`\\ s and submit
 them to a :class:`CoverageService`, which deduplicates in-flight work,
 serves repeats from the shared :class:`~repro.store.RunStore` result
-cache, applies bounded admission (backpressure), and routes jobs to a
-persistent warm worker pool by job-key shard.  See
+cache, applies bounded admission (backpressure), and hands jobs to a
+persistent warm worker pool whose workers all take from one FIFO queue.  See
 :mod:`repro.service.core` for the full submission pipeline and
 :mod:`repro.service.http` for the daemon's wire protocol.
 """
@@ -34,7 +34,6 @@ from repro.service.jobs import (
     tool_fingerprint,
 )
 from repro.service.queue import AdmissionQueue, QueueClosed, QueueFull
-from repro.service.shards import ShardRouter
 from repro.service.workers import WorkerPool
 
 __all__ = [
@@ -51,7 +50,6 @@ __all__ = [
     "RUNNING",
     "ServiceClosed",
     "ServiceJob",
-    "ShardRouter",
     "TOOL_FACTORIES",
     "WorkerPool",
     "baseline_budget",

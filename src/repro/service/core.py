@@ -18,17 +18,18 @@ What one submission goes through, in order:
    consulted (unless ``resume=False``); a hit completes the job instantly
    with zero executions, whether the record was written seconds or weeks
    ago, by this process or another.
-4. **Admission** -- the job enters the bounded queue (non-blocking
+4. **Admission** -- the job enters the bounded FIFO queue (non-blocking
    submitters get :class:`~repro.service.queue.QueueFull`; the daemon maps
-   that to HTTP 429) and is routed to a shard by fingerprint hash.
-5. **Execution** -- the shard's warm worker runs the job (inline, thread,
-   or via a persistent process pool), the *coordinating* process writes
-   the store record (single-writer per service; the store's fcntl lock
-   covers other OS processes), and all waiters observe the same outcome.
+   that to HTTP 429).
+5. **Execution** -- the first idle warm worker takes the oldest queued job
+   and runs it (inline, thread, or via a persistent process pool), the
+   *coordinating* process writes the store record (single-writer per
+   service; the store's fcntl lock covers other OS processes), and all
+   waiters observe the same outcome.
 
 Because jobs are seeded and deterministic, none of this machinery can
 change stored bytes: the bit-identity tests submit the same plan through
-the pipeline, the service, and the daemon under shard counts {1, 2, 4}
+the pipeline, the service, and the daemon under worker counts {1, 2, 4}
 and diff ``runs.jsonl`` records byte-for-byte.
 """
 
@@ -44,7 +45,6 @@ from repro.baselines.harness import Budget
 from repro.core.report import ToolRunSummary
 from repro.service.jobs import JobRequest, build_job_key, derive_budget, execute_job, execute_job_remote
 from repro.service.queue import AdmissionQueue, QueueFull  # noqa: F401  (re-exported)
-from repro.service.shards import ShardRouter
 from repro.service.workers import WorkerPool
 from repro.store import JobKey, RunStore, summary_from_dict
 
@@ -89,12 +89,11 @@ class ServiceJob:
     one ServiceJob all wait on the same event and read the same outcome.
     """
 
-    def __init__(self, request: JobRequest, key: JobKey, budget: Budget, shard: int):
+    def __init__(self, request: JobRequest, key: JobKey, budget: Budget):
         self.request = request
         self.key = key
         self.budget = budget
         self.fingerprint = key.fingerprint()
-        self.shard = shard
         self.state = QUEUED
         self.cached = False
         self.payload: Optional[dict] = None
@@ -179,7 +178,6 @@ class ServiceJob:
                 "profile": self.request.profile.name,
                 "state": self.state,
                 "cached": self.cached,
-                "shard": self.shard,
                 "waiters": self.waiters,
                 "warnings": list(self.warnings),
                 "error": repr(self.error) if self.error is not None else None,
@@ -191,7 +189,7 @@ class ServiceJob:
 
 
 class CoverageService:
-    """Admission + dedup + sharded dispatch over a shared result cache.
+    """Admission + dedup + FIFO dispatch over a shared result cache.
 
     Args:
         store: The shared result cache -- a :class:`RunStore`, a path to
@@ -204,9 +202,9 @@ class CoverageService:
             pool in-process, ``"process"`` keeps the dispatchers but
             forwards execution to a persistent process pool (warm caches
             in each worker process; requests must be picklable).
-        n_workers: Worker count for thread/process modes.
-        n_shards: Shard count for the router; defaults to ``n_workers``.
-            Results are bit-identical for every value (property-tested).
+        n_workers: Worker count for thread/process modes; every worker
+            takes from one FIFO queue.  Results are bit-identical for every
+            value (property-tested).
         queue_limit: Bound on pending admissions; ``None`` is unbounded.
         resume: Default result-cache policy for submissions.
     """
@@ -216,7 +214,6 @@ class CoverageService:
         store: Union[RunStore, Path, str, None] = None,
         worker_mode: str = "inline",
         n_workers: int = 1,
-        n_shards: Optional[int] = None,
         queue_limit: Optional[int] = 256,
         resume: bool = True,
     ):
@@ -238,8 +235,6 @@ class CoverageService:
         self.resume = resume
         self._unjoined: list[str] = []
         self.n_workers = 1 if worker_mode == "inline" else n_workers
-        self.n_shards = n_shards if n_shards is not None else self.n_workers
-        self.router = ShardRouter(self.n_shards)
         self._jobs: dict[str, ServiceJob] = {}
         self._lock = threading.Lock()
         # Counters get their own lock: workers bump them from _handle, and
@@ -263,8 +258,8 @@ class CoverageService:
             self.queue = None
             self.pool = None
         else:
-            self.queue = AdmissionQueue(self.n_shards, limit=queue_limit)
-            self.pool = WorkerPool(self.queue, self._handle, self.n_workers, self.n_shards)
+            self.queue = AdmissionQueue(limit=queue_limit)
+            self.pool = WorkerPool(self.queue, self._handle, self.n_workers)
 
     # -- submission --------------------------------------------------------
 
@@ -298,7 +293,7 @@ class CoverageService:
                     self._counters["coalesced"] += 1
                 existing.add_event("coalesced", waiters=existing.waiters)
                 return existing
-            job = ServiceJob(request, key, budget, shard=self.router.shard_of(fingerprint))
+            job = ServiceJob(request, key, budget)
             if resume:
                 payload = self.store.get_satisfying(key)
                 if payload is not None:
@@ -308,7 +303,7 @@ class CoverageService:
                     job.add_event("cache-hit")
                     job.complete(payload, cached=True)
                     return job
-            job.add_event("queued", shard=job.shard)
+            job.add_event("queued")
             self._register(job)
             with self._stats_lock:
                 self._counters["submitted"] += 1
@@ -317,7 +312,7 @@ class CoverageService:
                 # frees via worker take(), which never needs this lock, so
                 # a blocked submitter cannot deadlock the service.
                 try:
-                    self.queue.put(job, job.shard, block=block, timeout=timeout)
+                    self.queue.put(job, block=block, timeout=timeout)
                 except QueueFull:
                     self._jobs.pop(fingerprint, None)
                     with self._stats_lock:
@@ -424,11 +419,10 @@ class CoverageService:
         return {
             "mode": self.mode,
             "workers": self.n_workers,
-            "shards": self.n_shards,
             "counters": counters,
             "in_flight": in_flight,
             "unjoined_workers": list(self._unjoined),
-            "queue_depths": self.queue.depths() if self.queue is not None else [],
+            "queue_depth": self.queue.pending if self.queue is not None else 0,
             "queue_limit": self.queue.limit if self.queue is not None else None,
             "store": {
                 "persistent": getattr(self.store, "persistent", False),
@@ -449,7 +443,7 @@ class CoverageService:
                 job.fail(ServiceClosed("service closed before the job ran"))
             # Workers that outlive the shared join deadline are recorded,
             # not abandoned silently: stats() keeps reporting them so a
-            # wedged shard stays visible after close().
+            # wedged worker stays visible after close().
             self._unjoined = self.pool.join()
         with self._executor_lock:
             if self._executor is not None:

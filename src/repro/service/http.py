@@ -8,7 +8,8 @@ in-process submissions are indistinguishable below the socket.
 Endpoints (all JSON unless noted):
 
 * ``GET /healthz`` -- liveness probe: ``{"ok": true}``.
-* ``GET /stats`` -- service counters, queue depths, store size.
+* ``GET /stats`` -- service counters, worker mode and count, the number
+  of queued jobs (``queue_depth``) and the queue limit, store size.
 * ``POST /jobs`` -- submit a job.  Body::
 
       {"case": "<file>:<function>",      # required, e.g. "s_sin.c:sin"

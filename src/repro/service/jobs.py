@@ -5,7 +5,7 @@ identity is the :class:`~repro.store.JobKey` fingerprint -- the content
 address covering the instrumented source hash, the tool and profile
 fingerprints, the (possibly derived) budget, the seed, the input domain and
 whether line coverage was measured.  Everything in the service layer (the
-result cache, in-flight coalescing, shard routing) keys on that fingerprint,
+result cache, in-flight coalescing) keys on that fingerprint,
 which is why identical submissions from any entry point -- CLI, pipeline,
 HTTP daemon -- dedupe onto one record.
 
@@ -316,7 +316,7 @@ def execute_job_remote(request: JobRequest, budget: Budget) -> tuple[dict, list[
 
     Runs in a persistent worker process, so the module-level
     instrumentation cache (and the specialization/native caches hanging off
-    the instrumented programs) stays warm across the jobs routed to it.
+    the instrumented programs) stays warm across the jobs it runs.
     Progress streaming is not available across the process boundary; the
     coordinating service still emits queued/running/done events.
 

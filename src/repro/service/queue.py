@@ -1,21 +1,20 @@
-"""Bounded, sharded admission queue.
+"""Bounded admission queue.
 
 Admission is where the service says *no*: the queue holds at most
-``limit`` pending jobs across all shards, and a non-blocking ``put`` on a
-full queue raises :class:`QueueFull` -- which the HTTP daemon translates
-into ``429 Too Many Requests``.  Blocking producers (the pipeline, which
-would rather wait than drop work) park on the same condition until a
-worker drains a slot.
+``limit`` pending jobs, and a non-blocking ``put`` on a full queue raises
+:class:`QueueFull` -- which the HTTP daemon translates into ``429 Too Many
+Requests``.  Blocking producers (the pipeline, which would rather wait than
+drop work) park on the same condition until a worker drains a slot.
 
-Internally one deque per shard keeps per-shard FIFO order; workers take
-from the set of shards they own and sleep when all of them are empty.
+The queue is one FIFO: any idle worker takes the oldest pending job, so no
+worker idles while a job waits.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Optional, Sequence
+from typing import Optional
 
 
 class QueueFull(RuntimeError):
@@ -31,81 +30,65 @@ class QueueClosed(RuntimeError):
 
 
 class AdmissionQueue:
-    """A bounded multi-shard FIFO with blocking and non-blocking admission."""
+    """A bounded FIFO with blocking and non-blocking admission."""
 
-    def __init__(self, n_shards: int, limit: Optional[int] = None):
-        if n_shards < 1:
-            raise ValueError("n_shards must be >= 1")
+    def __init__(self, limit: Optional[int] = None):
         if limit is not None and limit < 1:
             raise ValueError("limit must be >= 1 (or None for unbounded)")
         self.limit = limit
-        self._shards: list[deque] = [deque() for _ in range(n_shards)]
+        self._jobs: deque = deque()
         self._cond = threading.Condition()
-        self._pending = 0
         self._closed = False
 
-    @property
-    def n_shards(self) -> int:
-        return len(self._shards)
+    def _has_room(self) -> bool:
+        return self.limit is None or len(self._jobs) < self.limit
 
-    def put(self, job, shard: int, block: bool = True, timeout: Optional[float] = None) -> None:
-        """Admit ``job`` into ``shard``.
+    def put(self, job, block: bool = True, timeout: Optional[float] = None) -> None:
+        """Admit ``job`` at the tail of the queue.
 
         With ``block=False`` a full queue raises :class:`QueueFull`
         immediately (the daemon's backpressure path).  With ``block=True``
-        the caller waits for a slot, up to ``timeout`` seconds
-        (:class:`QueueFull` on expiry).
+        the caller waits for a slot, up to ``timeout`` seconds in total
+        however often it is woken (:class:`QueueFull` on expiry).
         """
         with self._cond:
             if self._closed:
                 raise QueueClosed("admission queue is closed")
-            while self.limit is not None and self._pending >= self.limit:
+            if not self._has_room():
                 if not block:
                     raise QueueFull(self.limit)
-                if not self._cond.wait(timeout):
+                if not self._cond.wait_for(lambda: self._closed or self._has_room(), timeout):
                     raise QueueFull(self.limit)
                 if self._closed:
                     raise QueueClosed("admission queue is closed")
-            self._shards[shard].append(job)
-            self._pending += 1
+            self._jobs.append(job)
             self._cond.notify_all()
 
-    def take(self, shards: Sequence[int]):
-        """Pop the next job from the first non-empty shard in ``shards``.
+    def take(self):
+        """Pop the oldest pending job.
 
-        Blocks until a job is available on one of the caller's shards or
-        the queue closes; returns ``None`` on close (worker shutdown
-        signal).
+        Blocks until a job is available or the queue closes; returns
+        ``None`` on close (worker shutdown signal).
         """
         with self._cond:
-            while True:
-                for shard in shards:
-                    if self._shards[shard]:
-                        job = self._shards[shard].popleft()
-                        self._pending -= 1
-                        self._cond.notify_all()
-                        return job
-                if self._closed:
-                    return None
-                self._cond.wait()
+            self._cond.wait_for(lambda: self._closed or self._jobs)
+            if not self._jobs:
+                return None
+            job = self._jobs.popleft()
+            self._cond.notify_all()
+            return job
 
     def close(self) -> list:
         """Close the queue, waking all waiters; returns the drained backlog."""
         with self._cond:
             self._closed = True
-            drained = [job for shard in self._shards for job in shard]
-            for shard in self._shards:
-                shard.clear()
-            self._pending = 0
+            drained = list(self._jobs)
+            self._jobs.clear()
             self._cond.notify_all()
         return drained
 
-    def depths(self) -> list[int]:
-        """Pending jobs per shard (a point-in-time snapshot for /stats)."""
-        with self._cond:
-            return [len(shard) for shard in self._shards]
-
     @property
     def pending(self) -> int:
+        """Jobs waiting for a worker (a point-in-time snapshot for /stats)."""
         with self._cond:
-            return self._pending
+            return len(self._jobs)

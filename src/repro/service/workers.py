@@ -1,16 +1,17 @@
-"""The persistent warm worker pool: dispatcher threads owning shards.
+"""The persistent warm worker pool: dispatcher threads sharing one queue.
 
-Each worker is a long-lived thread that owns a fixed subset of shards
-(``shard % n_workers == worker_index``) and loops taking jobs from the
-admission queue and handing them to the service's job handler.  Because
-workers persist across jobs, everything cached at process level -- the
-instrumented-source cache, the specialization cache, the native-kernel
-cache -- stays hot from one job to the next; that is the whole point of a
-*warm* pool versus spawning per job.
+Each worker is a long-lived thread that loops taking the oldest job from
+the admission queue and handing it to the service's job handler, so a job
+waits only while every worker is busy.  Because workers persist across
+jobs, everything cached at process level -- the instrumented-source cache,
+the specialization cache, the native-kernel cache -- stays hot from one job
+to the next; that is the whole point of a *warm* pool versus spawning per
+job.
 
 In ``process`` mode these threads are still the dispatchers; the handler
-forwards execution to a persistent ``ProcessPoolExecutor`` owned by the
-service, so the same warm-cache argument applies to the worker processes.
+forwards execution to one persistent ``ProcessPoolExecutor`` owned by the
+service, so the same warm-cache argument applies to its worker processes
+(each process keeps its own caches, whichever dispatcher sent the job).
 """
 
 from __future__ import annotations
@@ -25,20 +26,19 @@ class WorkerPool:
 
     ``handler(job, worker_id)`` must never raise: job failures are folded
     into the job object by the service, and a handler exception would
-    silently kill a worker thread (and orphan its shards).
+    silently kill a worker thread.
     """
 
-    def __init__(self, queue, handler: Callable, n_workers: int, n_shards: int):
+    def __init__(self, queue, handler: Callable, n_workers: int):
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         self._queue = queue
         self._handler = handler
         self._threads: list[threading.Thread] = []
         for index in range(n_workers):
-            shards = tuple(s for s in range(n_shards) if s % n_workers == index)
             thread = threading.Thread(
                 target=self._loop,
-                args=(index, shards),
+                args=(index,),
                 name=f"repro-service-worker-{index}",
                 daemon=True,
             )
@@ -49,9 +49,9 @@ class WorkerPool:
     def n_workers(self) -> int:
         return len(self._threads)
 
-    def _loop(self, worker_id: int, shards: tuple[int, ...]) -> None:
+    def _loop(self, worker_id: int) -> None:
         while True:
-            job = self._queue.take(shards)
+            job = self._queue.take()
             if job is None:  # queue closed: drain complete, retire
                 return
             self._handler(job, worker_id)
@@ -63,7 +63,7 @@ class WorkerPool:
         thread, so N slow workers could stretch the wait to N x timeout),
         and workers still alive at expiry are returned by name instead of
         being silently abandoned -- the service surfaces them in its stats
-        so a shard wedged on a slow job is observable, not just slow.
+        so a worker wedged on a slow job is observable, not just slow.
         """
         deadline = time.monotonic() + timeout
         unjoined: list[str] = []

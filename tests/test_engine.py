@@ -23,11 +23,7 @@ from repro.engine.worker import StartParams, StartTask, origin_is_picklable, run
 from repro.experiments.runner import Profile, compare_tools, coverme_tool
 from repro.fdlibm.k_cos import kernel_cos
 from repro.fdlibm.s_tanh import fdlibm_tanh
-from repro.instrument.program import (
-    InstrumentationError,
-    InstrumentedProgram,
-    instrument,
-)
+from repro.instrument.program import InstrumentedProgram, instrument
 from repro.instrument.runtime import BranchId
 from repro.instrument.signature import ProgramSignature
 from tests import sample_programs as sp
@@ -45,10 +41,10 @@ class TestSeededDeterminism:
     """Same seed => identical results for every worker count and mode."""
 
     @pytest.mark.parametrize("target", [sp.nested_branches, fdlibm_tanh, kernel_cos])
-    def test_worker_counts_agree_thread(self, target):
+    def test_worker_counts_agree_process(self, target):
         baseline = run_sets(target, 1, "auto")
         for n_workers in (2, 4):
-            assert run_sets(target, n_workers, "thread") == baseline
+            assert run_sets(target, n_workers, "process") == baseline
 
     def test_process_workers_agree_with_serial(self):
         baseline = run_sets(fdlibm_tanh, 1, "serial")
@@ -56,8 +52,8 @@ class TestSeededDeterminism:
 
     def test_all_modes_agree(self):
         serial = run_sets(sp.three_dimensional, 1, "serial")
-        assert run_sets(sp.three_dimensional, 2, "thread") == serial
-        assert run_sets(sp.three_dimensional, 2, "process") == serial
+        assert run_sets(sp.three_dimensional, 2, "auto") == serial
+        assert run_sets(sp.three_dimensional, 4, "process") == serial
 
     def test_seeded_starts_are_deterministic_and_seed_dependent(self):
         first = run_sets(sp.nested_branches, 1, "auto")
@@ -147,14 +143,14 @@ class TestWorkerModeResolution:
         program = instrument(sp.paper_foo)
         assert resolve_worker_mode(program, "serial", 4) == "serial"
 
-    def test_local_function_falls_back_to_thread(self):
+    def test_local_function_falls_back_to_serial(self):
         def local_target(x: float) -> int:
             if x > 0.0:
                 return 1
             return 0
 
         program = instrument(local_target)
-        assert resolve_worker_mode(program, "auto", 2) == "thread"
+        assert resolve_worker_mode(program, "auto", 2) == "serial"
         with pytest.raises(ValueError, match="picklable origin"):
             resolve_worker_mode(program, "process", 2)
 
@@ -170,35 +166,23 @@ class TestWorkerModeResolution:
         )
         assert bare.origin is None
         assert resolve_worker_mode(bare, "auto", 4) == "serial"
-        # An *explicit* thread request must fail loudly, like "process" does,
-        # instead of silently losing the parallelism the caller asked for.
-        with pytest.raises(ValueError, match="no origin"):
-            resolve_worker_mode(bare, "thread", 4)
-        with pytest.raises(InstrumentationError):
-            bare.clone()
+        # An *explicit* process request must fail loudly instead of silently
+        # losing the parallelism the caller asked for.
+        with pytest.raises(ValueError, match="picklable origin"):
+            resolve_worker_mode(bare, "process", 4)
 
     def test_unknown_mode_rejected(self):
         program = instrument(sp.paper_foo)
         with pytest.raises(ValueError, match="unknown worker mode"):
             resolve_worker_mode(program, "fiber", 2)
 
-
-class TestProgramClone:
-    def test_clone_has_independent_runtime_handle(self):
-        program = instrument(sp.paper_foo, extra_functions=())
-        clone = program.clone()
-        assert clone is not program
-        assert clone.handle is not program.handle
-        assert clone.n_branches == program.n_branches
-        _, r, record = clone.run((0.7,))
-        assert record.covered
-
-    def test_clone_preserves_extra_functions(self):
-        program = instrument(sp.calls_helper, extra_functions=[sp.helper_goo])
-        clone = program.clone()
-        assert clone.n_branches == program.n_branches == 2
-        _, _, record = clone.run((0.1,))
-        assert record.covered
+    def test_removed_thread_mode_is_rejected(self):
+        program = instrument(sp.paper_foo)
+        known = "known: auto, process, serial"
+        with pytest.raises(ValueError, match=known):
+            resolve_worker_mode(program, "thread", 2)
+        with pytest.raises(ValueError, match=known):
+            CoverMeConfig(worker_mode="thread")
 
 
 class TestEngineBehaviour:
@@ -209,7 +193,7 @@ class TestEngineBehaviour:
         assert result.branch_coverage == 1.0
 
     def test_parallel_run_on_fdlibm_matches_acceptance_shape(self):
-        config = CoverMeConfig(n_start=12, n_iter=2, seed=3, n_workers=4, worker_mode="thread")
+        config = CoverMeConfig(n_start=12, n_iter=2, seed=3, n_workers=4, worker_mode="process")
         sequential = cover(fdlibm_tanh, CoverMeConfig(n_start=12, n_iter=2, seed=3))
         parallel = cover(fdlibm_tanh, config)
         assert parallel.covered == sequential.covered
@@ -229,7 +213,7 @@ class TestEngineBehaviour:
     def test_main_module_origin_never_gets_process_workers(self):
         # A __main__-defined target (REPL, notebook) pickles fine by
         # module+qualname reference, but a spawn/forkserver child cannot
-        # re-import it; "auto" must fall back to threads whenever fork is
+        # re-import it; "auto" must fall back to serial whenever fork is
         # not the chosen start method.  Simulate the REPL by publishing the
         # target in the real __main__ and the threaded parent (which forces
         # the non-fork context on POSIX) with a keeper thread.
@@ -254,7 +238,7 @@ class TestEngineBehaviour:
             assert origin_is_picklable(program.origin)
             assert not _origin_importable_in_child(program.origin)
             assert process_context().get_start_method() != "fork"
-            assert resolve_worker_mode(program, "auto", 4) == "thread"
+            assert resolve_worker_mode(program, "auto", 4) == "serial"
             with pytest.raises(ValueError, match="__main__"):
                 resolve_worker_mode(program, "process", 4)
         finally:

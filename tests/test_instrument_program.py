@@ -167,17 +167,6 @@ class TestCompiledCodeCache:
         assert first.handle is not second.handle
         assert first.conditionals == second.conditionals
 
-    def test_clone_shares_compiled_code(self):
-        clear_compiled_cache()
-        program = instrument(sp.nested_branches)
-        entries = compiled_cache_info()["entries"]
-        clone = program.clone()
-        assert compiled_cache_info()["entries"] == entries
-        assert clone.entry.__code__ is not None
-        # Clones execute independently (separate handles).
-        _, _, record = clone.run((1.0, 1.0), runtime=Runtime())
-        assert record.covered
-
     def test_cache_key_includes_start_label(self):
         """The same helper at a different label offset must compile separately."""
         clear_compiled_cache()

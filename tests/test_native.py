@@ -1572,7 +1572,7 @@ class TestEngineIdentity:
             ),
         )
 
-    @pytest.mark.parametrize("n_workers,mode", [(1, "serial"), (3, "thread"), (2, "process")])
+    @pytest.mark.parametrize("n_workers,mode", [(1, "serial"), (3, "process"), (2, "process")])
     def test_run_sets_identical_native_vs_specialized(self, n_workers, mode):
         factory = lambda: instrument(sp.paper_foo)  # noqa: E731
         native = self._run(factory, profile="penalty-native", n_workers=n_workers, mode=mode)
@@ -1590,13 +1590,13 @@ class TestEngineIdentity:
             serial = self._run(
                 factory, profile="penalty-native", n_workers=1, mode="serial"
             )
-            threaded = self._run(
-                factory, profile="penalty-native", n_workers=2, mode="thread"
+            pooled = self._run(
+                factory, profile="penalty-native", n_workers=2, mode="process"
             )
         specialized = self._run(
             factory, profile="penalty-specialized", n_workers=1, mode="serial"
         )
-        assert serial == threaded == specialized
+        assert serial == pooled == specialized
 
 
 @requires_cc

@@ -48,7 +48,7 @@ def _normalized_records(runs_path) -> list[str]:
     ``wall_time`` is the single stored field that depends on the clock
     rather than the seed; append order depends on scheduling.  Everything
     else must be byte-identical across entry points, worker modes and
-    shard counts, which is exactly what comparing these lists asserts.
+    worker counts, which is exactly what comparing these lists asserts.
     """
     import json
 

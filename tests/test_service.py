@@ -1,4 +1,4 @@
-"""Tests for the coverage service layer: admission, dedup, shards, workers.
+"""Tests for the coverage service layer: admission, dedup, dispatch, workers.
 
 The acceptance-critical properties live here:
 
@@ -9,7 +9,9 @@ The acceptance-critical properties live here:
 * bit-identity across entry points -- the same seeded plan run via the
   CLI, ``execute_plan`` and the HTTP daemon produces identical
   ``runs.jsonl`` records (modulo the one wall-clock field), property-
-  tested across shard counts {1, 2, 4};
+  tested across service worker counts {1, 2, 4};
+* work conservation -- a job never waits for one busy worker while
+  another worker idles;
 * the native-tier degradation warning surfaces in job outcomes/events.
 """
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -33,7 +36,8 @@ from repro.service import (
     JobRequest,
     QueueFull,
     ServiceClosed,
-    ShardRouter,
+    WorkerPool,
+    build_job_key,
 )
 from repro.store import RunStore, canonical_json
 
@@ -58,7 +62,7 @@ def _normalized_records(runs_path) -> list[str]:
 
     ``wall_time`` is the single stored field that depends on the clock;
     append order depends on scheduling.  Everything else must be identical
-    across entry points, worker modes and shard counts.
+    across entry points, worker modes and worker counts.
     """
     lines = []
     for line in runs_path.read_text().splitlines():
@@ -129,57 +133,64 @@ class Gate:
 
 
 # ---------------------------------------------------------------------------
-# Shards and queue
+# Queue
 # ---------------------------------------------------------------------------
 
 
-class TestShardRouter:
-    def test_routing_is_deterministic_and_in_range(self):
-        router = ShardRouter(4)
-        fp = "deadbeefcafebabe" + "0" * 48
-        assert router.shard_of(fp) == router.shard_of(fp)
-        assert 0 <= router.shard_of(fp) < 4
-        # The documented rule: first 16 hex digits mod shard count.
-        assert router.shard_of(fp) == int(fp[:16], 16) % 4
-
-    def test_single_shard_routes_everything_to_zero(self):
-        router = ShardRouter(1)
-        assert router.shard_of("f" * 64) == 0
-
-    def test_invalid_shard_count_rejected(self):
-        with pytest.raises(ValueError):
-            ShardRouter(0)
-
-
 class TestAdmissionQueue:
-    def test_fifo_within_a_shard(self):
-        queue = AdmissionQueue(n_shards=2, limit=10)
-        queue.put("a", 0)
-        queue.put("b", 0)
-        queue.put("c", 1)
-        assert queue.take([0]) == "a"
-        assert queue.take([0, 1]) == "b"
-        assert queue.take([1]) == "c"
+    def test_fifo(self):
+        queue = AdmissionQueue(limit=10)
+        for job in ("a", "b", "c"):
+            queue.put(job)
+        assert [queue.take() for _ in range(3)] == ["a", "b", "c"]
 
     def test_nonblocking_put_raises_queue_full(self):
-        queue = AdmissionQueue(n_shards=1, limit=1)
-        queue.put("a", 0)
+        queue = AdmissionQueue(limit=1)
+        queue.put("a")
         with pytest.raises(QueueFull):
-            queue.put("b", 0, block=False)
+            queue.put("b", block=False)
         assert queue.pending == 1
 
     def test_blocking_put_times_out(self):
-        queue = AdmissionQueue(n_shards=1, limit=1)
-        queue.put("a", 0)
+        queue = AdmissionQueue(limit=1)
+        queue.put("a")
         with pytest.raises(QueueFull):
-            queue.put("b", 0, block=True, timeout=0.05)
+            queue.put("b", block=True, timeout=0.05)
+
+    def test_blocking_put_waits_at_most_its_timeout_in_total(self):
+        """A producer that loses a freed slot to another producer waits out
+        the rest of its timeout, not a fresh one from its last wake-up."""
+        queue = AdmissionQueue(limit=1)
+        queue.put("a")
+        timeout = 1.0
+        outcomes = {}
+
+        def produce(job):
+            started = time.monotonic()
+            try:
+                queue.put(job, timeout=timeout)
+                outcomes[job] = ("admitted", time.monotonic() - started)
+            except QueueFull:
+                outcomes[job] = ("full", time.monotonic() - started)
+
+        producers = [threading.Thread(target=produce, args=(job,)) for job in ("b", "c")]
+        for producer in producers:
+            producer.start()
+        time.sleep(0.5)  # both producers are parked on the full queue
+        assert queue.take() == "a"
+        for producer in producers:
+            producer.join(5)
+        assert sorted(state for state, _ in outcomes.values()) == ["admitted", "full"]
+        (waited,) = [elapsed for state, elapsed in outcomes.values() if state == "full"]
+        # Restarting the wait at the take (0.5 s in) would expire at ~1.5 s.
+        assert waited < timeout + 0.3
 
     def test_close_drains_backlog_and_wakes_takers(self):
-        queue = AdmissionQueue(n_shards=2, limit=10)
-        queue.put("a", 0)
-        queue.put("b", 1)
+        queue = AdmissionQueue(limit=10)
+        queue.put("a")
+        queue.put("b")
         taken = []
-        thread = threading.Thread(target=lambda: taken.append(queue.take([0, 1])))
+        thread = threading.Thread(target=lambda: taken.append(queue.take()))
         drained = queue.close()
         thread.start()
         thread.join(5)
@@ -249,7 +260,7 @@ class TestCoalescing:
         )
         budget = Budget(max_executions=50)
         store = RunStore(tmp_path / "store")
-        service = CoverageService(store=store, worker_mode="thread", n_workers=2, n_shards=4)
+        service = CoverageService(store=store, worker_mode="thread", n_workers=2)
         try:
             first = service.submit(request, budget=budget)
             assert gate.started.wait(timeout=30)  # the one execution is in flight
@@ -309,6 +320,7 @@ class TestBackpressure:
             jobs.append(service.submit(request_for(0), budget=Budget(max_executions=50)))
             assert gate.started.wait(timeout=30)  # worker busy, gate closed
             jobs.append(service.submit(request_for(1), budget=Budget(max_executions=50)))
+            assert service.stats()["queue_depth"] == 1
             with pytest.raises(QueueFull):
                 service.submit(
                     request_for(2), budget=Budget(max_executions=50), block=False
@@ -324,6 +336,106 @@ class TestBackpressure:
             )
         finally:
             service.close()
+
+
+class TestDispatch:
+    def test_idle_worker_takes_jobs_while_another_is_held(self, tmp_path):
+        """Work conservation: with one of two workers held by a gated job,
+        quick jobs still finish on the other.  The quick jobs are chosen so
+        that ``int(fingerprint[:16], 16) % 2`` matches the gated job's: a
+        router that split jobs between the workers by that rule queued
+        every one of them behind the held worker."""
+        gate = Gate()
+        budget = Budget(max_executions=50)
+        gated = JobRequest(
+            case=CASE, tool="Gate", profile=DET, factory=lambda p: GateTool(gate=gate)
+        )
+
+        def bucket(request: JobRequest) -> int:
+            return int(build_job_key(request, budget).fingerprint()[:16], 16) % 2
+
+        counter = {"executions": 0}
+        quick = []
+        for seed in range(1, 64):
+            request = JobRequest(
+                case=CASE, tool="Counting", profile=dataclasses.replace(DET, seed=seed),
+                factory=lambda p: CountingTool(counter=counter, seed=p.seed),
+            )
+            if bucket(request) == bucket(gated):
+                quick.append(request)
+        quick = quick[:3]
+        assert len(quick) == 3
+
+        service = CoverageService(store=tmp_path / "store", worker_mode="thread", n_workers=2)
+        try:
+            held = service.submit(gated, budget=budget)
+            assert gate.started.wait(timeout=30)
+            jobs = [service.submit(request, budget=budget) for request in quick]
+            for job in jobs:
+                assert job.wait(timeout=10), "a quick job waited behind the held worker"
+            assert counter["executions"] == 3
+            assert not held.finished
+        finally:
+            gate.release.set()
+            service.close()
+        assert held.outcome().payload is not None
+
+
+    def test_every_job_is_taken_exactly_once_under_contention(self):
+        """Four producers and four workers on one bounded queue, with the
+        interpreter switching threads as often as it can: no job is lost
+        or handed out twice."""
+        import sys
+
+        handled, lock = [], threading.Lock()
+
+        def handle(job, worker_id):
+            with lock:
+                handled.append(job)
+
+        def produce(base):
+            for job in range(base, base + 200):
+                queue.put(job, timeout=10)
+
+        queue = AdmissionQueue(limit=4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = WorkerPool(queue, handle, n_workers=4)
+            producers = [
+                threading.Thread(target=produce, args=(base,)) for base in range(0, 800, 200)
+            ]
+            for producer in producers:
+                producer.start()
+            for producer in producers:
+                producer.join(30)
+            deadline = time.monotonic() + 30
+            while len(handled) < 800 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            queue.close()
+            assert pool.join(timeout=10) == []
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(producer.is_alive() for producer in producers)
+        assert sorted(handled) == list(range(800))
+
+
+class TestRemovedOptions:
+    def test_service_rejects_n_shards(self):
+        with pytest.raises(TypeError):
+            CoverageService(n_shards=2)
+
+    def test_serve_rejects_shards_flag(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", "--ephemeral", "--shards", "2"])
+        assert exited.value.code == 2
+        assert "--shards" in capsys.readouterr().err
+
+    def test_stats_report_one_queue_depth(self):
+        with CoverageService(worker_mode="thread", n_workers=2) as service:
+            stats = service.stats()
+        assert stats["workers"] == 2 and stats["queue_depth"] == 0
+        assert "shards" not in stats and "queue_depths" not in stats
 
 
 class TestLifecycle:
@@ -406,14 +518,14 @@ class TestProgressEvents:
 
 
 # ---------------------------------------------------------------------------
-# Bit-identity across entry points and shard counts
+# Bit-identity across entry points and worker counts
 # ---------------------------------------------------------------------------
 
 
 class TestBitIdentityAcrossEntryPoints:
     def test_cli_pipeline_and_daemon_store_identical_records(self, tmp_path, monkeypatch):
         """The tentpole guarantee: the same seeded jobs submitted through
-        ``repro run``, ``execute_plan`` (shard counts 1, 2, 4) and the HTTP
+        ``repro run``, ``execute_plan`` (worker counts 1, 2, 4) and the HTTP
         daemon produce identical ``runs.jsonl`` records -- byte-for-byte
         once the one wall-clock field is zeroed."""
         from repro.service.client import ServiceClient
@@ -428,24 +540,20 @@ class TestBitIdentityAcrossEntryPoints:
         baseline = _normalized_records(cli_store / "runs.jsonl")
         assert baseline
 
-        # Entry point 2: execute_plan through the service, shard counts 1/2/4.
+        # Entry point 2: execute_plan through the service, worker counts 1/2/4.
         plan = plan_jobs([spec], DET)
-        for n_shards in (1, 2, 4):
-            shard_store = tmp_path / f"store-shards-{n_shards}"
-            with RunStore(shard_store) as store:
-                execute_plan(
-                    plan, store=store, n_workers=2, worker_mode="thread", n_shards=n_shards
-                )
-            assert _normalized_records(shard_store / "runs.jsonl") == baseline, (
-                f"records diverged at n_shards={n_shards}"
+        for n_workers in (1, 2, 4):
+            plan_store = tmp_path / f"store-workers-{n_workers}"
+            with RunStore(plan_store) as store:
+                execute_plan(plan, store=store, n_workers=n_workers, worker_mode="thread")
+            assert _normalized_records(plan_store / "runs.jsonl") == baseline, (
+                f"records diverged at n_workers={n_workers}"
             )
 
         # Entry point 3: the HTTP daemon (CoverMe first per case, so the
         # daemon derives the same baseline budgets the pipeline did).
         daemon_store = tmp_path / "store-daemon"
-        service = CoverageService(
-            store=daemon_store, worker_mode="thread", n_workers=2, n_shards=2
-        )
+        service = CoverageService(store=daemon_store, worker_mode="thread", n_workers=2)
         try:
             with serve_in_background(service, profiles={DET.name: DET}) as server:
                 client = ServiceClient(server.address)
@@ -466,10 +574,8 @@ class TestWorkerPoolJoin:
     old per-thread timeout multiplied and the result was discarded)."""
 
     def _pool(self, handler, n_workers=3):
-        from repro.service.workers import WorkerPool
-
-        queue = AdmissionQueue(n_shards=n_workers)
-        pool = WorkerPool(queue, handler, n_workers=n_workers, n_shards=n_workers)
+        queue = AdmissionQueue()
+        pool = WorkerPool(queue, handler, n_workers=n_workers)
         return queue, pool
 
     def test_join_reports_stuck_workers_under_shared_deadline(self):
@@ -477,10 +583,10 @@ class TestWorkerPoolJoin:
 
         release = threading.Event()
         queue, pool = self._pool(lambda job, worker_id: release.wait(10.0))
-        for shard in range(3):
-            queue.put(object(), shard)
+        for _ in range(3):
+            queue.put(object())
         deadline = _time.monotonic() + 5.0
-        while sum(queue.depths()) and _time.monotonic() < deadline:
+        while queue.pending and _time.monotonic() < deadline:
             _time.sleep(0.01)  # wait for every worker to pick up its job
         queue.close()
         started = _time.monotonic()
@@ -503,8 +609,8 @@ class TestWorkerPoolJoin:
 
         handled = []
         queue, pool = self._pool(lambda job, worker_id: handled.append(job))
-        for shard in range(3):
-            queue.put(shard, shard)
+        for job in range(3):
+            queue.put(job)
         deadline = _time.monotonic() + 5.0
         while len(handled) < 3 and _time.monotonic() < deadline:
             _time.sleep(0.01)
