@@ -167,6 +167,22 @@ class TestCompiledCodeCache:
         assert first.handle is not second.handle
         assert first.conditionals == second.conditionals
 
+    def test_clone_shares_compiled_code(self):
+        """A program rebuilt from its origin reuses the cached compiled code."""
+        clear_compiled_cache()
+        program = instrument(sp.nested_branches)
+        entries = compiled_cache_info()["entries"]
+        origin = program.origin
+        rebuilt = instrument(
+            origin.target, extra_functions=origin.extra_functions, signature=origin.signature
+        )
+        assert compiled_cache_info()["entries"] == entries
+        assert rebuilt.entry.__code__ is program.entry.__code__
+        # The rebuilt program executes independently (separate handle).
+        assert rebuilt.handle is not program.handle
+        _, _, record = rebuilt.run((1.0, 1.0), runtime=Runtime())
+        assert record.covered
+
     def test_cache_key_includes_start_label(self):
         """The same helper at a different label offset must compile separately."""
         clear_compiled_cache()
