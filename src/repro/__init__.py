@@ -8,8 +8,8 @@ The package provides:
 * :mod:`repro.instrument` -- a source-level instrumentation pass for Python
   functions (the reproduction's analogue of the paper's LLVM pass).
 * :mod:`repro.engine` -- the search-engine subsystem: seeded start-point
-  scheduling, serial/thread/process worker pools, and the batched
-  multi-start loop with deterministic reduction.
+  scheduling and the batched multi-start loop with deterministic
+  reduction, run in the calling process.
 * :mod:`repro.optimize` -- unconstrained programming (Step 3): MCMC
   basin-hopping with Powell's method as the local minimizer.
 * :mod:`repro.coverage` -- Gcov-like branch and line coverage measurement.

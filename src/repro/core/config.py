@@ -27,12 +27,6 @@ class CoverMeConfig:
         mark_infeasible: Enable the infeasible-branch heuristic of Sect. 5.3.
         max_evaluations: Optional cap on representing-function evaluations.
         time_budget: Optional wall-clock cap in seconds.
-        n_workers: Number of workers running basin-hopping starts in
-            parallel.  1 (the default) runs everything in-process; seeded
-            results are identical for every value.
-        worker_mode: How parallel starts execute -- ``"auto"`` (process
-            workers when the program's origin is picklable and importable
-            in a worker, else serial), ``"process"`` or ``"serial"``.
         eval_profile: Execution profile of the optimizer inner loop --
             ``"penalty-native"`` (the default, the machine-code tier: the
             specialized lowering is emitted as C, compiled with the system
@@ -60,7 +54,7 @@ class CoverMeConfig:
             order, so ``r`` and the covered set are bit-identical for any
             value).  1 (the default) keeps the serial row loop.  The engine
             itself issues no native batches (one proposal per hop, native
-            chunks are not primed).  Result-neutral, like ``n_workers``,
+            chunks are not primed).  Result-neutral, like ``eval_profile``,
             and therefore excluded from store fingerprints.
         progress: Optional observer called by the engine after each batch
             reduction with a dict of running counters (batch index, starts
@@ -68,8 +62,8 @@ class CoverMeConfig:
             is strictly an observer -- it must not mutate engine state, and
             it cannot change results (the service layer uses it to stream
             job progress to daemon clients); it is excluded from store
-            fingerprints for the same reason.  The callback runs on the
-            engine's reduction thread and should return quickly.
+            fingerprints for the same reason.  The callback runs in the
+            thread that runs the search and should return quickly.
     """
 
     n_start: int = 100
@@ -79,17 +73,13 @@ class CoverMeConfig:
     mark_infeasible: bool = True
     max_evaluations: Optional[int] = None
     time_budget: Optional[float] = None
-    n_workers: int = 1
-    worker_mode: str = "auto"
     eval_profile: str = ExecutionProfile.PENALTY_NATIVE.value
     native_threads: int = 1
     progress: Optional[Callable[[dict], None]] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # Imported lazily: the optimizer and the engine live above
-        # repro.core in the layer diagram, so a module-level import would
-        # be cyclic.
-        from repro.engine.pool import WORKER_MODES
+        # Imported lazily: the optimizer lives above repro.core in the layer
+        # diagram, so a module-level import would be cyclic.
         from repro.optimize.local import get_local_minimizer
 
         if self.n_start < 1:
@@ -99,11 +89,6 @@ class CoverMeConfig:
         if not isinstance(self.local_minimizer, str) or not self.local_minimizer:
             raise ValueError("local_minimizer must be a non-empty string")
         get_local_minimizer(self.local_minimizer)  # raises ValueError on unknown names
-        if self.n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        if self.worker_mode not in WORKER_MODES:
-            known = ", ".join(WORKER_MODES)
-            raise ValueError(f"unknown worker mode {self.worker_mode!r}; known: {known}")
         check_execution_profile(self.eval_profile)
         if self.native_threads < 1:
             raise ValueError("native_threads must be >= 1")

@@ -7,7 +7,7 @@ three steps of the approach:
 2. build the representing function ``FOO_R`` (Step 2, :mod:`repro.core.representing`),
 3. hand the multi-start minimization of ``FOO_R`` (Step 3) to
    :class:`~repro.engine.core.SearchEngine`, which schedules seeded starting
-   points, runs basin-hopping launches on the configured worker pool, and
+   points, runs basin-hopping launches in the calling process, and
    reduces the results deterministically -- collecting every zero-valued
    minimum point as a test input and applying the infeasible-branch
    heuristic of Sect. 5.3 when a minimization bottoms out above zero.

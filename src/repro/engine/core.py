@@ -1,10 +1,10 @@
-"""The search engine: Algorithm 1's multi-start loop as a parallel subsystem.
+"""The search engine: Algorithm 1's multi-start loop.
 
-The engine executes ``n_start`` basin-hopping launches in fixed-size batches.
-All starts of a batch minimize against the same frozen snapshot of the
-saturation state, so they are mutually independent and can run on any number
-of workers; the batch's results are then *reduced in start order* into the
-shared :class:`~repro.core.saturation.SaturationTracker`:
+The engine executes ``n_start`` basin-hopping launches in fixed-size batches,
+in the calling process.  All starts of a batch minimize against the same
+frozen snapshot of the saturation state, so they are mutually independent;
+the batch's results are *reduced in start order* into the shared
+:class:`~repro.core.saturation.SaturationTracker`:
 
 * a start whose minimum reaches zero contributes a test input and its
   covered branches (Algorithm 1, line 11),
@@ -16,10 +16,11 @@ shared :class:`~repro.core.saturation.SaturationTracker`:
 
 Because batch boundaries, per-start seeds and the reduction order are all
 functions of the configuration alone, a seeded run produces identical
-covered/saturated branch sets for any ``n_workers`` and any worker mode.
-The one documented exception is ``time_budget``, which is inherently
-wall-clock dependent: workers stop launching new starts once the deadline
-passes, and the reduction stops at the first start that was skipped.
+covered/saturated branch sets and evaluation counts on every run.  The one
+documented exception is ``time_budget``, which is inherently wall-clock
+dependent: no start launches once the deadline passes, and the reduction
+stops at the first start that was skipped.  Parallelism lives in the
+service's case-level workers, one job per case.
 
 The batch is also the specialization *epoch* boundary: under the
 ``penalty-specialized`` evaluation profile every start of a batch minimizes
@@ -42,16 +43,13 @@ import numpy as np
 from repro.core.config import CoverMeConfig
 from repro.core.report import CoverMeResult, MinimizationTrace
 from repro.core.saturation import SaturationTracker
-from repro.engine.pool import StartPool, process_context, resolve_worker_mode
+from repro.engine.pool import StartPool
 from repro.engine.scheduler import StartScheduler
 from repro.engine.worker import StartParams, StartResult, StartTask
 from repro.instrument.program import InstrumentedProgram
 from repro.instrument.runtime import BranchId
 
-#: Starts per batch.  The batch is the unit of snapshot freshness *and* the
-#: unit of parallel dispatch; it is a constant (never derived from
-#: ``n_workers``) so that seeded runs produce identical results for any
-#: worker count.
+#: Starts per batch: the unit of snapshot freshness and of chunk priming.
 DEFAULT_BATCH_SIZE = 8
 
 
@@ -60,8 +58,7 @@ class SearchEngine:
 
     Args:
         program: The program under test.
-        config: Algorithm parameters (including ``n_workers`` and
-            ``worker_mode``).
+        config: Algorithm parameters.
         tracker: The shared saturation tracker to reduce into; a fresh one is
             created when omitted.  Passing the driver's tracker lets the
             :class:`~repro.core.coverme.CoverMe` façade keep exposing it.
@@ -82,13 +79,6 @@ class SearchEngine:
             else int(np.random.default_rng().integers(2**31 - 1))
         )
         self.scheduler = StartScheduler(program.signature, root_seed=self.root_seed)
-        # Pin the multiprocessing context now so the fork-safety decision in
-        # resolve_worker_mode stays valid for the pool that run() creates,
-        # even if other threads start in between.
-        self.mp_context = process_context()
-        self.resolved_mode = resolve_worker_mode(
-            program, self.config.worker_mode, self.config.n_workers, mp_context=self.mp_context
-        )
 
     # -- public API -----------------------------------------------------------------
 
@@ -114,47 +104,34 @@ class SearchEngine:
         batch_index = 0
         stop = False
 
-        with self._make_pool() as pool:
-            lazy = pool.streams_lazily
-            while not stop and issued < config.n_start:
-                if self.tracker.all_saturated():
+        pool = StartPool(self.program)
+        while not stop and issued < config.n_start:
+            if self.tracker.all_saturated():
+                break
+            if self._budget_exhausted(evaluations, start_time):
+                break
+            count = min(DEFAULT_BATCH_SIZE, config.n_start - issued)
+            tasks = self._schedule_batch(issued, count)
+            issued += count
+            batch_index += 1
+            # Each result is computed only when pulled, so leaving the
+            # loop early means the remaining starts never ran and cost
+            # nothing.
+            for result in pool.run_batch(params, tasks):
+                if result.skipped:
+                    stop = True
                     break
-                if self._budget_exhausted(evaluations, start_time):
+                evaluations += result.evaluations
+                starts_used += 1
+                traces.append(self._reduce(result, inputs))
+                if self.tracker.all_saturated() or self._budget_exhausted(
+                    evaluations, start_time
+                ):
+                    stop = True
                     break
-                count = min(DEFAULT_BATCH_SIZE, config.n_start - issued)
-                tasks = self._schedule_batch(issued, count)
-                issued += count
-                batch_index += 1
-                for result in pool.run_batch(params, tasks):
-                    if result.skipped:
-                        stop = True
-                        if lazy:
-                            break
-                        continue
-                    # Every non-skipped result really executed, so its cost
-                    # counts even once the reduction has stopped -- process
-                    # workers compute the whole batch up front, and a worker
-                    # may have finished its chunk before another hit the
-                    # deadline.  Lazily streaming pools never hand over
-                    # results the consumer did not pull, so abandoning the
-                    # iterator (below) correctly accounts for nothing.
-                    evaluations += result.evaluations
-                    if stop:
-                        continue
-                    starts_used += 1
-                    traces.append(self._reduce(result, inputs))
-                    if self.tracker.all_saturated() or self._budget_exhausted(
-                        evaluations, start_time
-                    ):
-                        stop = True
-                        if lazy:
-                            # Abandon the lazy iterator: the remaining
-                            # starts were never launched, so there is
-                            # nothing to account for.
-                            break
-                self._emit_progress(
-                    batch_index - 1, issued, starts_used, evaluations, len(inputs), start_time
-                )
+            self._emit_progress(
+                batch_index - 1, issued, starts_used, evaluations, len(inputs), start_time
+            )
 
         wall_time = time.perf_counter() - start_time
         return CoverMeResult(
@@ -202,12 +179,6 @@ class SearchEngine:
                 "all_saturated": self.tracker.all_saturated(),
                 "elapsed": time.perf_counter() - start_time,
             }
-        )
-
-    def _make_pool(self) -> StartPool:
-        """Build the in-process execution pool for this run."""
-        return StartPool(
-            self.program, self.resolved_mode, self.config.n_workers, mp_context=self.mp_context
         )
 
     def _schedule_batch(self, first_index: int, count: int) -> list[StartTask]:

@@ -4,9 +4,8 @@ Algorithm 1 draws every starting point from an isotropic normal
 distribution, ``x0 ~ N(0, START_SCALE^2)``.
 
 Determinism contract: point ``i`` of a run depends only on ``(root_seed,
-i)``.  Nothing depends on how many workers later execute the starts or on
-where batch boundaries fall, which is what makes seeded runs reproducible
-regardless of ``n_workers``.
+i)``.  Nothing depends on where batch boundaries fall, which is what makes
+seeded runs reproducible.
 """
 
 from __future__ import annotations

@@ -11,32 +11,21 @@ infeasible heuristic's last conditional, in one call of the program's native
 kernel under ``PENALTY_NATIVE`` (whose probe sites all record coverage) and
 on the allocation-free fast runtime otherwise or when the kernel bails on
 the minimum.  A start builds its random generator only when basin hopping
-first draws from it.  Starts within a batch share the same snapshot, which makes them
-independent of one another -- the property that lets the engine run them on
-any number of workers and still merge the results deterministically.
+first draws from it.  Starts within a batch share the same snapshot, so
+:func:`prime_chunk` can evaluate all their starting points in one call.
 
 Under the ``PENALTY_SPECIALIZED`` profile the epoch protocol composes with
 this structure for free: the per-start tracker snapshot freezes the
 saturation mask, so one start triggers at most one variant lookup, and the
 program-level + module-level specialization caches make that lookup a
-dictionary hit whenever any earlier start of the same worker (each process
-worker owns a program instance) already ran against the same mask.  Epoch invalidation therefore needs no cross-worker coordination:
-each worker's representing function re-reads its tracker's mask per call and
-re-specializes exactly when a batch reduction flipped a saturation bit.
-
-The same :func:`run_start` body serves both execution modes:
-
-* **serial** runs call it directly on the in-process
-  :class:`~repro.instrument.program.InstrumentedProgram`;
-* **process** workers receive the *original* callable (picklable by module
-  reference), re-instrument it once per worker process, and cache the result
-  keyed by the program's origin, so the instrumentation cost is paid once per
-  worker rather than once per start.
+dictionary hit whenever any earlier start already ran against the same
+mask.  Each start's representing function re-reads its tracker's mask per
+call and re-specializes exactly when a batch reduction flipped a saturation
+bit.
 """
 
 from __future__ import annotations
 
-import pickle
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -46,12 +35,12 @@ import numpy as np
 from repro.core.representing import RepresentingFunction
 from repro.core.saturation import SaturationTracker
 from repro.instrument.native.local_min import native_objective
-from repro.instrument.program import InstrumentedProgram, ProgramOrigin, instrument
+from repro.instrument.program import InstrumentedProgram
 from repro.instrument.runtime import BranchId, ExecutionProfile
 from repro.optimize.basinhopping import basinhopping
 from repro.optimize.memo import BitPatternMemo
 
-#: Sub-stream tag keeping worker RNGs disjoint from the scheduler's draws.
+#: Sub-stream tag keeping start RNGs disjoint from the scheduler's draws.
 _STREAM_WORKER = 202
 
 #: Profiles whose chunks are primed.  Not ``penalty-native``: a native
@@ -85,7 +74,7 @@ class _LazyGenerator:
 
 @dataclass(frozen=True)
 class StartParams:
-    """The per-run constants every start needs (one copy per chunk, not per start)."""
+    """The per-run constants every start needs (one copy per run, not per start)."""
 
     local_minimizer: str
     n_iter: int
@@ -237,47 +226,3 @@ def run_start(
         evaluations=representing.evaluations,
     )
 
-
-# -- process-pool side ----------------------------------------------------------------
-
-#: Per-worker-process cache of instrumented programs, keyed by origin.
-_PROGRAM_CACHE: dict[tuple, InstrumentedProgram] = {}
-
-
-def _origin_key(origin: ProgramOrigin) -> tuple:
-    return (
-        origin.target.__module__,
-        origin.target.__qualname__,
-        tuple((f.__module__, f.__qualname__) for f in origin.extra_functions),
-        origin.signature,
-    )
-
-
-def run_chunk_in_worker(
-    origin: ProgramOrigin, params: StartParams, tasks: list[StartTask]
-) -> list[StartResult]:
-    """Process-pool entry point: instrument (cached) then run a chunk of starts."""
-    key = _origin_key(origin)
-    program = _PROGRAM_CACHE.get(key)
-    if program is None:
-        program = instrument(
-            origin.target,
-            extra_functions=origin.extra_functions,
-            signature=origin.signature,
-        )
-        _PROGRAM_CACHE[key] = program
-    primed = prime_chunk(program, params, tasks)
-    if primed is None:
-        return [run_start(program, params, task) for task in tasks]
-    return [run_start(program, params, task, primed=primed.get(task.index)) for task in tasks]
-
-
-def origin_is_picklable(origin: Optional[ProgramOrigin]) -> bool:
-    """True when the program's origin can be shipped to a worker process."""
-    if origin is None:
-        return False
-    try:
-        pickle.dumps(origin)
-    except Exception:
-        return False
-    return True

@@ -44,7 +44,6 @@ class Profile:
     baseline_execution_factor: int
     baseline_min_executions: int
     seed: int = 0
-    n_workers: int = 1
 
     def coverme_config(self) -> CoverMeConfig:
         return CoverMeConfig(
@@ -53,7 +52,6 @@ class Profile:
             local_minimizer="powell",
             seed=self.seed,
             time_budget=self.coverme_time_budget,
-            n_workers=self.n_workers,
         )
 
 

@@ -36,7 +36,8 @@ double *r_out, uint64_t *cov_out, int32_t *bail_out, int64_t *last_out)``
 const uint64_t *sat, double *r_out, uint64_t *cov_out, int32_t *bail_out,
 int64_t *last_out)``
     Same row semantics, but the row range is partitioned across pthread
-    workers (the same size+rest split as the engine's ``chunk_evenly``).
+    workers in contiguous near-equal ranges (the first ``n % threads``
+    workers take one row more).
     Each worker accumulates covered bits into a private
     ``uint64_t[SP_NWORDS]`` partial; the coordinator joins and OR-merges
     the partials in fixed thread-index order.  Rows are independent and OR

@@ -74,20 +74,6 @@ class InstrumentationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ProgramOrigin:
-    """The recipe an :class:`InstrumentedProgram` was built from.
-
-    Keeping the original (uninstrumented) callables around lets worker
-    processes rebuild the program from the picklable function references
-    instead of shipping compiled code across the process boundary.
-    """
-
-    target: Callable
-    extra_functions: tuple[Callable, ...] = ()
-    signature: Optional[ProgramSignature] = None
-
-
-@dataclass(frozen=True)
 class CompiledUnit:
     """Immutable compiled artifacts of one instrumented source (cacheable)."""
 
@@ -101,8 +87,8 @@ class CompiledUnit:
 #: CompiledUnit).  The key is the disk cache's content key
 #: (:func:`repro.instrument.unit_cache.entry_key`), or for a function
 #: without a source file a digest of its source.  Code objects are immutable,
-#: so one cached unit can back any number of program namespaces (worker
-#: processes after fork, repeated instrument() calls).
+#: so one cached unit can back any number of program namespaces (repeated
+#: instrument() calls, one per service thread worker).
 _CODE_CACHE: dict[str, tuple[str, CompiledUnit]] = {}
 _CODE_CACHE_LOCK = threading.Lock()
 _CODE_CACHE_MAX = 512
@@ -262,13 +248,17 @@ class SpecializedVariant:
 class InstrumentedProgram:
     """A compiled, instrumented program under test.
 
+    A program holds the state of the run on it: its one ``RuntimeHandle``,
+    its native kernel's mask words and its specialized namespaces.  Runs on
+    one program must therefore not overlap; a thread that runs concurrently
+    with another instruments its own copy (a repeated :func:`instrument`
+    call shares the compiled code and pays only a namespace ``exec``).
+
     Attributes:
         name: Name of the entry function.
         signature: Input-domain description of the entry function.
         conditionals: Static metadata for every instrumented conditional.
         descendants: Descendant-branch analysis used by saturation tracking.
-        origin: Build recipe process workers re-instrument from; ``None``
-            for programs assembled by hand.
         units: Per-target ``(original source, function name, start label)``
             triples recorded by :func:`instrument`; the splice points the
             saturation specializer rebuilds from.  Empty for hand-assembled
@@ -282,7 +272,6 @@ class InstrumentedProgram:
     entry: Callable = field(repr=False)
     handle: RuntimeHandle = field(repr=False)
     source: str = field(repr=False, default="")
-    origin: Optional[ProgramOrigin] = field(repr=False, default=None)
     units: tuple[tuple[str, str, int], ...] = field(repr=False, default=())
     specialization_builds: int = field(default=0, repr=False)
     native_kernel_builds: int = field(default=0, repr=False)
@@ -384,7 +373,7 @@ class InstrumentedProgram:
         Variants are cached per mask on the program instance
         (namespaces are per-program state) on top of the module-level
         compiled-code cache, so re-requesting a mask an epoch already used is
-        a dictionary lookup and a repeated mask across programs/workers only
+        a dictionary lookup and a repeated mask across programs only
         pays a namespace ``exec``, never a re-compile.
         ``specialization_builds`` counts true variant constructions -- the
         epoch protocol's "zero recompiles while the mask is unchanged"
@@ -520,6 +509,5 @@ def instrument(
         entry=entry,
         handle=handle,
         source="\n\n".join(sources),
-        origin=ProgramOrigin(target=func, extra_functions=extra_functions, signature=signature),
         units=tuple(units),
     )

@@ -35,6 +35,7 @@ and diff ``runs.jsonl`` records byte-for-byte.
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 import time
 from dataclasses import dataclass, field
@@ -55,6 +56,24 @@ DONE = "done"
 FAILED = "failed"
 
 WORKER_MODES = ("inline", "thread", "process")
+
+
+def process_context():
+    """The multiprocessing context the service's process workers start from.
+
+    fork is the cheapest start method, but the worker pool is created from
+    a parent that already runs dispatcher threads (and, under ``repro
+    serve``, the HTTP server's), and a child forked from a multithreaded
+    parent can deadlock on a lock another thread held at the fork.  So fork
+    is used only while the parent is single-threaded; otherwise forkserver
+    (whose server starts single-threaded, by fork+exec) or spawn.
+    """
+    methods = multiprocessing.get_all_start_methods()
+    if "fork" in methods and threading.active_count() == 1:
+        return multiprocessing.get_context("fork")
+    if "forkserver" in methods:
+        return multiprocessing.get_context("forkserver")
+    return multiprocessing.get_context("spawn")
 
 
 class ServiceClosed(RuntimeError):
@@ -383,8 +402,6 @@ class CoverageService:
         with self._executor_lock:
             if self._executor is None:
                 from concurrent.futures import ProcessPoolExecutor
-
-                from repro.engine.pool import process_context
 
                 self._executor = ProcessPoolExecutor(
                     max_workers=self.n_workers, mp_context=process_context()

@@ -26,8 +26,8 @@ compatibility; new code should import them from here.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
+import threading
 import warnings as _warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -78,19 +78,17 @@ TOOL_FACTORIES: dict[str, Callable[[Profile], object]] = {
 # ---------------------------------------------------------------------------
 
 #: Profile fields that provably do not change per-job results: ``name`` is a
-#: label (two profiles with the same values are the same work), ``max_cases``
-#: selects *which* jobs run, and the engine guarantees seeded results are
-#: identical for every worker count.
-_PROFILE_FP_EXCLUDE = frozenset({"name", "max_cases", "n_workers"})
+#: label (two profiles with the same values are the same work) and
+#: ``max_cases`` selects *which* jobs run.
+_PROFILE_FP_EXCLUDE = frozenset({"name", "max_cases"})
 
 #: Tool state excluded from fingerprints: mutable run-to-run scratch, and
-#: CoverMe knobs the engine guarantees are result-neutral (every execution
-#: profile computes bit-identical representing-function values, so
-#: ``eval_profile`` -- like ``n_workers`` -- cannot change stored results;
-#: ``progress`` is a pure observer the service attaches to stream events).
+#: CoverMe knobs that are result-neutral (every execution profile computes
+#: bit-identical representing-function values, so neither ``eval_profile``
+#: nor ``native_threads`` can change stored results; ``progress`` is a pure
+#: observer the service attaches to stream events).
 _TOOL_FP_EXCLUDE = frozenset(
-    {"last_evaluations", "n_workers", "worker_mode", "eval_profile", "native_threads",
-     "progress"}
+    {"last_evaluations", "eval_profile", "native_threads", "progress"}
 )
 
 
@@ -130,17 +128,30 @@ def source_hash(program) -> str:
     return hashlib.sha256(program.source.encode("utf-8")).hexdigest()[:16]
 
 
-@functools.lru_cache(maxsize=None)
-def instrument_for_lookup(case: BenchmarkCase):
-    """Instrument a case once per process for key building and store lookups.
+#: This thread's instrumented programs, one per case (see
+#: :func:`instrument_for_lookup`).
+_PROGRAMS = threading.local()
 
-    Key building only reads ``n_branches`` and the source hash, so sharing
-    one instance per case is safe and keeps the AST pass out of the
-    admission path.  :func:`execute_job` reuses it for execution too -- the
-    warm-worker guarantee that instrumented sources (and, downstream, the
-    specialization and native caches keyed on them) stay hot across jobs.
+
+def instrument_for_lookup(case: BenchmarkCase):
+    """Instrument a case once per thread for key building and store lookups.
+
+    Key building only reads ``n_branches`` and the source hash, and keeps
+    the AST pass out of the admission path.  :func:`execute_job` reuses the
+    program for execution too -- the warm-worker guarantee that
+    instrumented sources (and, downstream, the specialization and native
+    caches keyed on them) stay hot across jobs.  The cache is per thread
+    because a run writes to its program: the one ``RuntimeHandle``, the
+    native kernel's mask words and the specialized namespaces.  Two thread
+    workers running jobs on one case therefore each get their own program;
+    inline and process workers run their jobs in one thread, so they still
+    instrument each case once.
     """
-    return instrument_case(case)
+    programs = vars(_PROGRAMS).setdefault("by_case", {})
+    program = programs.get(case)
+    if program is None:
+        program = programs[case] = instrument_case(case)
+    return program
 
 
 def domain_tag(case: BenchmarkCase) -> str:
@@ -280,7 +291,7 @@ def execute_job(
 
     This is the single execution choke point of the service layer: the tool
     is instantiated fresh (per-job seeding), the program comes from the
-    warm per-process instrumentation cache, and warnings raised during the
+    warm per-thread instrumentation cache, and warnings raised during the
     run (notably the one-time native-tier degradation ``RuntimeWarning``)
     are captured and surfaced in :attr:`ExecutedJob.warnings` instead of
     dying on a worker's stderr.  Warning capture uses the process-wide
@@ -314,9 +325,9 @@ def execute_job(
 def execute_job_remote(request: JobRequest, budget: Budget) -> tuple[dict, list[str]]:
     """Process-worker entry point: plain picklable in, plain picklable out.
 
-    Runs in a persistent worker process, so the module-level
-    instrumentation cache (and the specialization/native caches hanging off
-    the instrumented programs) stays warm across the jobs it runs.
+    Runs in a persistent worker process, so the instrumentation cache (and
+    the specialization/native caches hanging off the instrumented programs)
+    stays warm across the jobs it runs.
     Progress streaming is not available across the process boundary; the
     coordinating service still emits queued/running/done events.
 

@@ -194,16 +194,9 @@ class TestMemoBatchAPIs:
 
 
 class TestEngineIdentity:
-    def _run(self, target, *, n_workers, mode, profile):
+    def _run(self, target, *, profile):
         program = instrument(target)
-        config = CoverMeConfig(
-            n_start=16,
-            n_iter=2,
-            seed=13,
-            eval_profile=profile,
-            n_workers=n_workers,
-            worker_mode=mode,
-        )
+        config = CoverMeConfig(n_start=16, n_iter=2, seed=13, eval_profile=profile)
         result = SearchEngine(program, config).run()
         return (
             tuple(result.inputs),
@@ -229,24 +222,13 @@ class TestEngineIdentity:
             return primed
 
         monkeypatch.setattr(pool_module, "prime_chunk", counting)
-        for n_workers, mode in ((1, "serial"), (3, "process")):
-            # Process workers prime in their own processes, out of sight of
-            # this counter, so it is read only in serial mode.
-            observed = mode == "serial"
+        batched = self._run(target, profile="penalty-specialized")
+        assert primes and all(primes), target.__name__
+        with monkeypatch.context() as unprimed:
+            unprimed.setattr(worker_module, "_PRIMED_PROFILES", ())
             primes.clear()
-            batched = self._run(
-                target, n_workers=n_workers, mode=mode, profile="penalty-specialized"
-            )
-            if observed:
-                assert primes and all(primes), target.__name__
-            with monkeypatch.context() as unprimed:
-                unprimed.setattr(worker_module, "_PRIMED_PROFILES", ())
-                primes.clear()
-                scalar = self._run(
-                    target, n_workers=n_workers, mode=mode, profile="penalty-specialized"
-                )
-                if observed:
-                    assert primes and not any(primes), target.__name__
-            generic = self._run(target, n_workers=n_workers, mode=mode, profile="full-trace")
-            assert batched == scalar, (target.__name__, mode)
-            assert batched == generic, (target.__name__, mode)
+            scalar = self._run(target, profile="penalty-specialized")
+            assert primes and not any(primes), target.__name__
+        generic = self._run(target, profile="full-trace")
+        assert batched == scalar, target.__name__
+        assert batched == generic, target.__name__

@@ -168,17 +168,15 @@ class TestCompiledCodeCache:
         assert first.conditionals == second.conditionals
 
     def test_clone_shares_compiled_code(self):
-        """A program rebuilt from its origin reuses the cached compiled code."""
+        """A second program of the same target (what each service thread
+        worker builds) reuses the cached compiled code."""
         clear_compiled_cache()
         program = instrument(sp.nested_branches)
         entries = compiled_cache_info()["entries"]
-        origin = program.origin
-        rebuilt = instrument(
-            origin.target, extra_functions=origin.extra_functions, signature=origin.signature
-        )
+        rebuilt = instrument(sp.nested_branches)
         assert compiled_cache_info()["entries"] == entries
         assert rebuilt.entry.__code__ is program.entry.__code__
-        # The rebuilt program executes independently (separate handle).
+        # The second program executes independently (separate handle).
         assert rebuilt.handle is not program.handle
         _, _, record = rebuilt.run((1.0, 1.0), runtime=Runtime())
         assert record.covered

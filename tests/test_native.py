@@ -1534,9 +1534,7 @@ class TestDegradation:
         outcomes = []
         for profile in ("penalty-native", "penalty-specialized"):
             program = instrument(sp.paper_foo)
-            config = CoverMeConfig(
-                n_start=8, n_iter=2, seed=7, eval_profile=profile, worker_mode="serial"
-            )
+            config = CoverMeConfig(n_start=8, n_iter=2, seed=7, eval_profile=profile)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 result = SearchEngine(program, config).run()
@@ -1548,16 +1546,9 @@ class TestDegradation:
 
 @requires_cc
 class TestEngineIdentity:
-    def _run(self, program_factory, *, profile, n_workers, mode):
+    def _run(self, program_factory, *, profile):
         program = program_factory()
-        config = CoverMeConfig(
-            n_start=16,
-            n_iter=3,
-            seed=42,
-            eval_profile=profile,
-            n_workers=n_workers,
-            worker_mode=mode,
-        )
+        config = CoverMeConfig(n_start=16, n_iter=3, seed=42, eval_profile=profile)
         result = SearchEngine(program, config).run()
         return (
             tuple(result.inputs),
@@ -1572,14 +1563,11 @@ class TestEngineIdentity:
             ),
         )
 
-    @pytest.mark.parametrize("n_workers,mode", [(1, "serial"), (3, "process"), (2, "process")])
-    def test_run_sets_identical_native_vs_specialized(self, n_workers, mode):
+    def test_run_sets_identical_native_vs_specialized(self):
         factory = lambda: instrument(sp.paper_foo)  # noqa: E731
-        native = self._run(factory, profile="penalty-native", n_workers=n_workers, mode=mode)
-        specialized = self._run(
-            factory, profile="penalty-specialized", n_workers=n_workers, mode=mode
-        )
-        assert native == specialized, mode
+        native = self._run(factory, profile="penalty-native")
+        specialized = self._run(factory, profile="penalty-specialized")
+        assert native == specialized
 
     def test_rows_mode_suite_entry_identical_across_pools(self):
         by_name = {c.function.split("(")[0]: c for c in BENCHMARKS}
@@ -1587,16 +1575,9 @@ class TestEngineIdentity:
         with warnings.catch_warnings():
             # Prove no degradation fired anywhere in the run.
             warnings.simplefilter("error", RuntimeWarning)
-            serial = self._run(
-                factory, profile="penalty-native", n_workers=1, mode="serial"
-            )
-            pooled = self._run(
-                factory, profile="penalty-native", n_workers=2, mode="process"
-            )
-        specialized = self._run(
-            factory, profile="penalty-specialized", n_workers=1, mode="serial"
-        )
-        assert serial == pooled == specialized
+            native = self._run(factory, profile="penalty-native")
+        specialized = self._run(factory, profile="penalty-specialized")
+        assert native == specialized
 
 
 @requires_cc
@@ -1633,8 +1614,7 @@ class TestCompileFailureMidRun:
         case = next(c for c in BENCHMARKS if c.function.startswith("tanh"))
 
         def run(profile):
-            config = CoverMeConfig(n_start=40, n_iter=3, seed=3, eval_profile=profile,
-                                   worker_mode="serial")
+            config = CoverMeConfig(n_start=40, n_iter=3, seed=3, eval_profile=profile)
             result = SearchEngine(instrument_case(case), config).run()
             return result.inputs, result.covered, result.infeasible, result.evaluations
 
@@ -1661,7 +1641,7 @@ class TestCacheShape:
         targets = (sp.paper_foo, sp.nested_branches, sp.three_dimensional)
         try:
             for target in targets:
-                config = CoverMeConfig(n_start=12, n_iter=2, seed=11, worker_mode="serial")
+                config = CoverMeConfig(n_start=12, n_iter=2, seed=11)
                 result = SearchEngine(instrument(target), config).run()
                 assert result.saturated  # later batches ran under new masks
             cache_module.finish_background_compiles()
@@ -2181,8 +2161,7 @@ class TestNativeChunksAreNotPrimed:
 
         def run():
             program = instrument(sp.nested_branches)
-            config = CoverMeConfig(n_start=16, n_iter=3, seed=42,
-                                   eval_profile="penalty-native", worker_mode="serial")
+            config = CoverMeConfig(n_start=16, n_iter=3, seed=42, eval_profile="penalty-native")
             result = SearchEngine(program, config).run()
             return (tuple(result.inputs), result.covered, result.saturated,
                     result.evaluations,

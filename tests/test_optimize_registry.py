@@ -113,10 +113,10 @@ class TestConfigValidation:
             CoverMeConfig(local_minimizer="")
 
     def test_rejects_engine_knob_misuse(self):
-        with pytest.raises(ValueError, match="n_workers"):
-            CoverMeConfig(n_workers=0)
-        with pytest.raises(ValueError, match="worker mode"):
-            CoverMeConfig(worker_mode="fibers")
+        with pytest.raises(ValueError, match="native_threads"):
+            CoverMeConfig(native_threads=0)
+        with pytest.raises(ValueError, match="progress"):
+            CoverMeConfig(progress="not callable")
 
 
 def test_engine_imports_leave_scipy_optimize_unloaded():

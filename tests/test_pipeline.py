@@ -80,7 +80,7 @@ class TestPlanning:
 
     def test_profile_fingerprint_ignores_result_neutral_fields(self):
         assert profile_fingerprint(DET_PROFILE) == profile_fingerprint(
-            dataclasses.replace(DET_PROFILE, max_cases=40, n_workers=8)
+            dataclasses.replace(DET_PROFILE, name="renamed", max_cases=40)
         )
         assert profile_fingerprint(DET_PROFILE) != profile_fingerprint(
             dataclasses.replace(DET_PROFILE, n_start=7)

@@ -27,6 +27,7 @@ import pytest
 
 from repro.baselines.harness import Budget
 from repro.cli import main
+from repro.core.config import CoverMeConfig
 from repro.experiments.pipeline import execute_plan, get_spec, plan_jobs
 from repro.experiments.runner import PROFILES, Profile
 from repro.fdlibm.suite import BENCHMARKS
@@ -39,6 +40,8 @@ from repro.service import (
     WorkerPool,
     build_job_key,
 )
+from repro.service.client import ClientError, ServiceClient
+from repro.service.http import serve_in_background
 from repro.store import RunStore, canonical_json
 
 #: Deterministic profile (no wall-clock budgets): every stored field except
@@ -431,11 +434,85 @@ class TestRemovedOptions:
         assert exited.value.code == 2
         assert "--shards" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", [{"n_workers": 2}, {"worker_mode": "process"}])
+    def test_coverme_config_rejects_engine_worker_options(self, option):
+        with pytest.raises(TypeError, match=next(iter(option))):
+            CoverMeConfig(**option)
+
+    def test_profile_rejects_n_workers(self):
+        with pytest.raises(TypeError, match="n_workers"):
+            dataclasses.replace(DET, n_workers=2)
+
+    def test_submit_with_n_workers_override_is_400_naming_it(self):
+        with CoverageService(worker_mode="thread", n_workers=1) as service:
+            with serve_in_background(service, profiles={"det-svc": DET}) as server:
+                with pytest.raises(ClientError) as excinfo:
+                    ServiceClient(server.address).submit(
+                        CASE.key, profile="det-svc", overrides={"n_workers": 2}
+                    )
+        assert excinfo.value.status == 400
+        assert "n_workers" in excinfo.value.payload["error"]
+
     def test_stats_report_one_queue_depth(self):
         with CoverageService(worker_mode="thread", n_workers=2) as service:
             stats = service.stats()
         assert stats["workers"] == 2 and stats["queue_depth"] == 0
         assert "shards" not in stats and "queue_depths" not in stats
+
+
+class TestProgramPerThread:
+    """A run writes to its program, so thread workers never share one."""
+
+    class RecordingGateTool(GateTool):
+        def __init__(self, gate: Gate, programs: list, seed: int = 0):
+            super().__init__(gate, seed)
+            self.programs = programs
+
+        def generate(self, program, budget):
+            with self.gate.lock:
+                self.programs.append(program)
+            return super().generate(program, budget)
+
+    def _requests(self, gate: Gate, programs: list) -> list[JobRequest]:
+        return [
+            JobRequest(
+                case=CASE, tool="Gate", profile=dataclasses.replace(DET, seed=seed),
+                factory=lambda p: self.RecordingGateTool(gate, programs, seed=p.seed),
+            )
+            for seed in (0, 1)
+        ]
+
+    def test_concurrent_thread_workers_get_distinct_programs(self, tmp_path):
+        gate, programs = Gate(), []
+        service = CoverageService(store=tmp_path / "store", worker_mode="thread", n_workers=2)
+        try:
+            jobs = [
+                service.submit(request, budget=Budget(max_executions=50))
+                for request in self._requests(gate, programs)
+            ]
+            deadline = time.monotonic() + 30
+            while len(programs) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            with gate.lock:
+                held = list(programs)
+            gate.release.set()
+            for job in jobs:
+                service.wait(job, timeout=30)
+        finally:
+            service.close()
+        assert len(held) == 2, "both jobs should be held by the gate at once"
+        assert held[0] is not held[1]
+        assert held[0].handle is not held[1].handle
+
+    def test_inline_jobs_share_the_callers_program(self, tmp_path):
+        from repro.service.jobs import instrument_for_lookup
+
+        gate, programs = Gate(), []
+        gate.release.set()
+        with CoverageService(store=tmp_path / "store", worker_mode="inline") as service:
+            for request in self._requests(gate, programs):
+                service.run(request, budget=Budget(max_executions=50))
+        assert programs[0] is programs[1] is instrument_for_lookup(CASE)
 
 
 class TestLifecycle:
@@ -477,19 +554,18 @@ class TestWarningSurfacing:
         reaches job results/events instead of dying on a worker's stderr."""
         from repro.instrument.native.cache import NativeUnavailable
         from repro.instrument.program import InstrumentedProgram
-        from repro.service.jobs import instrument_for_lookup
+        from repro.service import jobs
 
         def unavailable(self, *args, **kwargs):
             raise NativeUnavailable("no C compiler in test")
 
         monkeypatch.setattr(InstrumentedProgram, "native_kernel", unavailable)
-        instrument_for_lookup.cache_clear()  # fresh program, fresh warn-once state
-        try:
-            request = JobRequest(case=CASE, tool="CoverMe", profile=DET)
-            with CoverageService(store=tmp_path / "store", worker_mode="inline") as service:
-                outcome = service.run(request)
-        finally:
-            instrument_for_lookup.cache_clear()
+        # Fresh program, fresh warn-once state; the degraded program leaves
+        # with this cache when monkeypatch restores the shared one.
+        monkeypatch.setattr(jobs, "_PROGRAMS", threading.local())
+        request = JobRequest(case=CASE, tool="CoverMe", profile=DET)
+        with CoverageService(store=tmp_path / "store", worker_mode="inline") as service:
+            outcome = service.run(request)
         assert any("native tier permanently unavailable" in w for w in outcome.warnings)
         warning_events = [e for e in outcome.events if e["event"] == "warning"]
         assert any("native tier permanently unavailable" in e["message"] for e in warning_events)
