@@ -283,6 +283,7 @@ class InstrumentedProgram:
     _variants: dict = field(default_factory=dict, repr=False)
     _native_kernel: Optional[NativeKernel] = field(default=None, repr=False)
     _branch_ids: tuple = field(default=(), repr=False)
+    _all_branches: tuple = field(default=(-1, frozenset()), repr=False)
 
     @property
     def arity(self) -> int:
@@ -318,11 +319,17 @@ class InstrumentedProgram:
 
     @property
     def all_branches(self) -> frozenset[BranchId]:
-        branches: set[BranchId] = set()
-        for cond in self.conditionals:
-            branches.add(BranchId(cond.label, True))
-            branches.add(BranchId(cond.label, False))
-        return frozenset(branches)
+        """Both branches of every conditional, built once per conditional
+        count (like :meth:`branches_of`'s tuple)."""
+        count, branches = self._all_branches
+        if count != len(self.conditionals):
+            branches = frozenset(
+                BranchId(cond.label, outcome)
+                for cond in self.conditionals
+                for outcome in (True, False)
+            )
+            self._all_branches = (len(self.conditionals), branches)
+        return branches
 
     def branches_of(self, covered: int) -> frozenset[BranchId]:
         """The branches of a covered-bit mask (bit ``2 * c + outcome``),

@@ -62,7 +62,10 @@ never disagree about a site's shape.
 Compiled specializations are cached at module level per ``(source sha256,
 function name, start label, mask)`` alongside the compiled-unit
 cache of :mod:`repro.instrument.program`, which also surfaces this cache's
-statistics through ``compiled_cache_info()``.
+statistics through ``compiled_cache_info()``.  Below it, each compiled
+variant is kept in the content-keyed disk cache of
+:mod:`repro.instrument.unit_cache` (its ``variants`` entries), so a fresh
+process loads the code object instead of specializing and compiling again.
 """
 
 from __future__ import annotations
@@ -77,6 +80,7 @@ from types import CodeType
 from typing import Callable, Optional
 
 from repro.core.branch_distance import DEFAULT_EPSILON, negate_op
+from repro.instrument import ast_pass, unit_cache
 from repro.instrument.ast_pass import (
     _AST_OPS,
     _NEGATED,
@@ -1271,7 +1275,11 @@ def specialized_unit(
     start_label: int,
     saturated_mask: int,
 ) -> SpecializedUnit:
-    """Specialize + compile ``source``, memoized on its hash and the mask."""
+    """Specialize + compile ``source``, memoized on its hash and the mask.
+
+    A miss in memory is served from the disk cache when warm; otherwise the
+    variant is specialized, compiled and written to disk.  The disk key
+    also covers the pass's tree ceilings as they are at call time."""
     digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
     key = (digest, function_name, start_label, saturated_mask)
     with _SPECIALIZED_CACHE_LOCK:
@@ -1280,14 +1288,24 @@ def specialized_unit(
             _SPECIALIZED_CACHE_STATS["hits"] += 1
             return unit
         _SPECIALIZED_CACHE_STATS["misses"] += 1
-    tree, n_conditionals = specialize_source(
-        source,
-        function_name=function_name,
-        start_label=start_label,
-        saturated_mask=saturated_mask,
+    disk_key = unit_cache.variant_key(
+        *key, ast_pass.MAX_TREE_LEAVES, ast_pass.MAX_TREE_TOKENS
     )
-    code = compile_tree(tree, f"<specialized:{function_name}:{saturated_mask:x}>")
-    unit = SpecializedUnit(code=code, n_conditionals=n_conditionals)
+    if disk_key is not None:
+        unit = unit_cache.load_entry(disk_key, _decode_variant, unit_cache.VARIANTS)
+    if unit is None:
+        tree, n_conditionals = specialize_source(
+            source,
+            function_name=function_name,
+            start_label=start_label,
+            saturated_mask=saturated_mask,
+        )
+        code = compile_tree(tree, f"<specialized:{function_name}:{saturated_mask:x}>")
+        unit = SpecializedUnit(code=code, n_conditionals=n_conditionals)
+        if disk_key is not None:
+            unit_cache.store_entry(
+                disk_key, (unit.code, unit.n_conditionals), kind=unit_cache.VARIANTS
+            )
     with _SPECIALIZED_CACHE_LOCK:
         while len(_SPECIALIZED_CACHE) >= _SPECIALIZED_CACHE_MAX:
             # FIFO bound: masks from finished epochs age out first.
@@ -1297,19 +1315,31 @@ def specialized_unit(
     return unit
 
 
+def _decode_variant(value) -> SpecializedUnit:
+    code, n_conditionals = value
+    if not isinstance(code, CodeType) or not isinstance(n_conditionals, int):
+        raise TypeError("variant entry does not hold (code, int)")
+    return SpecializedUnit(code=code, n_conditionals=n_conditionals)
+
+
 def specialized_cache_info() -> dict[str, int]:
-    """Size and hit/miss/evict statistics of the specialization cache."""
+    """Size and hit/miss/evict statistics of the specialization cache, and
+    this process's disk hits, misses and writes of variant entries."""
+    disk = unit_cache.instrumented_stats(unit_cache.VARIANTS)
     with _SPECIALIZED_CACHE_LOCK:
         return {
             "entries": len(_SPECIALIZED_CACHE),
             "max_entries": _SPECIALIZED_CACHE_MAX,
             **_SPECIALIZED_CACHE_STATS,
+            **{f"disk_{name}": count for name, count in disk.items()},
         }
 
 
 def clear_specialized_cache() -> None:
-    """Drop every cached specialization and reset its statistics."""
+    """Drop every cached specialization and reset its statistics (the disk
+    entries stay)."""
     with _SPECIALIZED_CACHE_LOCK:
         _SPECIALIZED_CACHE.clear()
         for key in _SPECIALIZED_CACHE_STATS:
             _SPECIALIZED_CACHE_STATS[key] = 0
+    unit_cache.reset_instrumented_stats(unit_cache.VARIANTS)

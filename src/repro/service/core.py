@@ -61,17 +61,15 @@ WORKER_MODES = ("inline", "thread", "process")
 def process_context():
     """The multiprocessing context the service's process workers start from.
 
-    fork is the cheapest start method, but the worker pool is created from
-    a parent that already runs dispatcher threads (and, under ``repro
-    serve``, the HTTP server's), and a child forked from a multithreaded
-    parent can deadlock on a lock another thread held at the fork.  So fork
-    is used only while the parent is single-threaded; otherwise forkserver
-    (whose server starts single-threaded, by fork+exec) or spawn.
+    The pool is created on a dispatcher thread (and, under ``repro serve``,
+    next to the HTTP server's threads), and a child forked from a
+    multithreaded parent can deadlock on a lock another thread held at the
+    fork.  So the workers start from forkserver, whose server starts
+    single-threaded by fork+exec, or from spawn where forkserver is
+    missing.  Either way a worker imports ``repro`` afresh and warms its
+    caches from disk.
     """
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods and threading.active_count() == 1:
-        return multiprocessing.get_context("fork")
-    if "forkserver" in methods:
+    if "forkserver" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("forkserver")
     return multiprocessing.get_context("spawn")
 

@@ -12,6 +12,10 @@ In ``process`` mode these threads are still the dispatchers; the handler
 forwards execution to one persistent ``ProcessPoolExecutor`` owned by the
 service, so the same warm-cache argument applies to its worker processes
 (each process keeps its own caches, whichever dispatcher sent the job).
+The service starts that pool from a dispatcher thread, so its processes
+start from forkserver, or spawn, never fork
+(:func:`repro.service.core.process_context`): each imports ``repro`` afresh
+and loads its instrumented units, variants and kernels from the disk caches.
 """
 
 from __future__ import annotations

@@ -1569,7 +1569,7 @@ class TestEngineIdentity:
         specialized = self._run(factory, profile="penalty-specialized")
         assert native == specialized
 
-    def test_rows_mode_suite_entry_identical_across_pools(self):
+    def test_tanh_suite_entry_native_matches_specialized_without_degradation(self):
         by_name = {c.function.split("(")[0]: c for c in BENCHMARKS}
         factory = lambda: instrument_case(by_name["tanh"])  # noqa: E731
         with warnings.catch_warnings():

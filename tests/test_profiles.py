@@ -2,8 +2,8 @@
 
 The contract: execution profiles are a pure performance knob.  Seeded engine
 runs must produce bit-identical covered/saturated branch sets and generated
-inputs for every profile and every worker count, with the recording
-``full-trace`` tier as the baseline.
+inputs for every profile, with the recording ``full-trace`` tier as the
+baseline.
 """
 
 from __future__ import annotations
@@ -35,11 +35,6 @@ class TestEngineProfileDeterminism:
         baseline = run_sets(target, eval_profile="full-trace")
         for profile in EXECUTION_PROFILES:
             assert run_sets(target, eval_profile=profile) == baseline, profile
-
-    def test_profiles_and_workers_compose(self):
-        baseline = run_sets(fdlibm_tanh, eval_profile="full-trace")
-        for profile in EXECUTION_PROFILES:
-            assert run_sets(fdlibm_tanh, eval_profile=profile) == baseline, profile
 
     def test_three_profiles_remain(self):
         assert EXECUTION_PROFILES == ("penalty-native", "penalty-specialized", "full-trace")

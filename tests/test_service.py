@@ -460,6 +460,18 @@ class TestRemovedOptions:
         assert "shards" not in stats and "queue_depths" not in stats
 
 
+def test_process_pool_never_forks_from_the_running_dispatchers():
+    """The pool is created while the dispatcher threads run, so its workers
+    start from forkserver (spawn where forkserver is missing), never fork."""
+    import multiprocessing
+
+    expected = "forkserver" if "forkserver" in multiprocessing.get_all_start_methods() else "spawn"
+    with CoverageService(worker_mode="process", n_workers=1) as service:
+        assert threading.active_count() > 1
+        executor = service._ensure_executor()
+        assert executor._mp_context.get_start_method() == expected
+
+
 class TestProgramPerThread:
     """A run writes to its program, so thread workers never share one."""
 
