@@ -19,6 +19,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["numpy", "scipy"],
+    install_requires=["numpy"],
     entry_points={"console_scripts": ["repro=repro.cli:main"]},
 )

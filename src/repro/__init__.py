@@ -34,14 +34,21 @@ Quickstart::
     print(result.branch_coverage, result.inputs)
 """
 
-from repro.core.config import CoverMeConfig
-from repro.core.coverme import CoverMe, CoverMeResult
-from repro.core.branch_distance import branch_distance
-from repro.core.representing import RepresentingFunction
-from repro.core.saturation import SaturationTracker
-from repro.engine import SearchEngine, StartScheduler
-from repro.instrument.program import InstrumentedProgram, instrument
-from repro.instrument.runtime import BranchId, ExecutionProfile
+from repro._exports import lazy_exports
+
+# Exports resolve on first use, so importing one submodule loads no other.
+# ``instrument`` is the subpackage: ``repro.instrument.instrument`` is the
+# function.
+__getattr__ = lazy_exports(__name__, {
+    "repro.core.config": ("CoverMeConfig",),
+    "repro.core.coverme": ("CoverMe", "CoverMeResult"),
+    "repro.core.branch_distance": ("branch_distance",),
+    "repro.core.representing": ("RepresentingFunction",),
+    "repro.core.saturation": ("SaturationTracker",),
+    "repro.engine": ("SearchEngine", "StartScheduler"),
+    "repro.instrument.program": ("InstrumentedProgram",),
+    "repro.instrument.runtime": ("BranchId", "ExecutionProfile"),
+})
 
 __version__ = "1.2.0"
 
@@ -54,7 +61,6 @@ __all__ = [
     "SearchEngine",
     "StartScheduler",
     "InstrumentedProgram",
-    "instrument",
     "BranchId",
     "ExecutionProfile",
     "branch_distance",

@@ -11,13 +11,20 @@ Modules:
   result records.
 """
 
+from repro._exports import lazy_exports
+
+# Bound eagerly: ``branch_distance`` also names a submodule, which a lazy
+# export would resolve to once that submodule is imported.
 from repro.core.branch_distance import DEFAULT_EPSILON, branch_distance, negate_op
-from repro.core.config import CoverMeConfig
-from repro.core.coverme import CoverMe, CoverMeResult
-from repro.core.pen import CoverMePenalty
-from repro.core.report import CoverageReport, MinimizationTrace
-from repro.core.representing import RepresentingFunction
-from repro.core.saturation import SaturationTracker
+
+__getattr__ = lazy_exports(__name__, {
+    "repro.core.config": ("CoverMeConfig",),
+    "repro.core.coverme": ("CoverMe", "CoverMeResult"),
+    "repro.core.pen": ("CoverMePenalty",),
+    "repro.core.report": ("CoverageReport", "MinimizationTrace"),
+    "repro.core.representing": ("RepresentingFunction",),
+    "repro.core.saturation": ("SaturationTracker",),
+})
 
 __all__ = [
     "DEFAULT_EPSILON",

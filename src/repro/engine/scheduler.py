@@ -11,6 +11,7 @@ seeded runs reproducible.
 from __future__ import annotations
 
 import numpy as np
+from numpy.random import default_rng
 
 from repro.instrument.signature import ProgramSignature
 
@@ -49,6 +50,6 @@ class StartScheduler:
         """
         points = np.empty((count, self.arity), dtype=float)
         for offset in range(count):
-            rng = np.random.default_rng([self.root_seed, _STREAM_NORMAL, first_index + offset])
+            rng = default_rng([self.root_seed, _STREAM_NORMAL, first_index + offset])
             points[offset] = rng.normal(scale=START_SCALE, size=self.arity)
         return points

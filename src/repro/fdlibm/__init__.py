@@ -14,7 +14,13 @@ only on the conditionals.
 (Table 4).
 """
 
+from repro._exports import lazy_exports
 from repro.fdlibm import bits
-from repro.fdlibm.suite import BENCHMARKS, BenchmarkCase, get_case, iter_cases
+
+# The suite resolves on first use, so importing one port (the native
+# emitter imports :mod:`repro.fdlibm.bessel`) loads no other.
+__getattr__ = lazy_exports(__name__, {
+    "repro.fdlibm.suite": ("BENCHMARKS", "BenchmarkCase", "get_case", "iter_cases"),
+})
 
 __all__ = ["BENCHMARKS", "BenchmarkCase", "bits", "get_case", "iter_cases"]

@@ -2,14 +2,18 @@
 
 The interval dispatch and all conditionals of the original are preserved.
 The rational-approximation leaves (``pzero``/``qzero`` and the small-argument
-polynomials) are straight-line code in the original; the port computes those
-leaf values through ``scipy.special``, which does not affect any branch.
+polynomials) are straight-line code in the original; the port takes those
+leaf values from the C library's ``j0``/``y0`` (:mod:`repro.fdlibm.bessel`),
+which in glibc and FreeBSD msun descend from this very file.  The leaves
+used to come from ``scipy.special`` (cephes), whose values differ from the C
+library's in their low bits at most points, so the return values of
+``ieee754_j0``/``ieee754_y0`` changed in their low bits.  No branch reads a
+leaf: covered branches, branch distances and search results did not change.
 """
 
 from __future__ import annotations
 
-from scipy import special as _special
-
+from repro.fdlibm import bessel as _special
 from repro.fdlibm.bits import fabs, high_word, low_word
 from repro.fdlibm.e_log import ieee754_log
 from repro.fdlibm.e_sqrt import ieee754_sqrt

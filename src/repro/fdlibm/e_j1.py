@@ -1,14 +1,16 @@
 """Port of Fdlibm 5.3 ``e_j1.c``: Bessel functions ``j1`` and ``y1``.
 
 Same porting convention as :mod:`repro.fdlibm.e_j0`: every conditional of the
-original is preserved; straight-line rational-approximation leaves are
-computed through ``scipy.special``.
+original is preserved; straight-line rational-approximation leaves are the
+C library's ``j1``/``y1`` (:mod:`repro.fdlibm.bessel`).  They replaced
+``scipy.special``'s values, which differ in their low bits, so the return
+values of ``ieee754_j1``/``ieee754_y1`` changed there; no branch reads a
+leaf, so covered branches and search results did not.
 """
 
 from __future__ import annotations
 
-from scipy import special as _special
-
+from repro.fdlibm import bessel as _special
 from repro.fdlibm.bits import fabs, high_word, low_word
 from repro.fdlibm.e_sqrt import ieee754_sqrt
 from repro.fdlibm.s_cos import fdlibm_cos

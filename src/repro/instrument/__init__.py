@@ -13,19 +13,23 @@ CoverMe's representing function and plain coverage measurement for the
 baseline tools.
 """
 
-from repro.instrument.ast_pass import InstrumentationPass, instrument_source
-from repro.instrument.cfg import DescendantAnalysis
-from repro.instrument.program import InstrumentedProgram, SpecializedVariant, instrument
-from repro.instrument.runtime import (
-    BranchId,
-    ConditionalOutcome,
-    ExecutionProfile,
-    ExecutionRecord,
-    PenaltyPolicy,
-    Runtime,
-)
-from repro.instrument.signature import ProgramSignature
-from repro.instrument.specialize import specialize_source, specialized_unit
+from repro._exports import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    "repro.instrument.ast_pass": ("InstrumentationPass", "instrument_source"),
+    "repro.instrument.cfg": ("DescendantAnalysis",),
+    "repro.instrument.program": ("InstrumentedProgram", "SpecializedVariant", "instrument"),
+    "repro.instrument.runtime": (
+        "BranchId",
+        "ConditionalOutcome",
+        "ExecutionProfile",
+        "ExecutionRecord",
+        "PenaltyPolicy",
+        "Runtime",
+    ),
+    "repro.instrument.signature": ("ProgramSignature",),
+    "repro.instrument.specialize": ("specialize_source", "specialized_unit"),
+})
 
 __all__ = [
     "BranchId",

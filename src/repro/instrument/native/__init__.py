@@ -33,23 +33,27 @@ the row out to the scalar variant.  Machines without a C compiler degrade to
 ``PENALTY_SPECIALIZED`` with a one-time warning.
 """
 
-from repro.instrument.native.cache import (
-    NativeCompiling,
-    NativeUnavailable,
-    background_compile_stats,
-    background_ready,
-    cc_available,
-    disk_cache_max,
-    native_cache_dir,
-    native_cache_entries,
-    native_clean_disk_cache,
-)
-from repro.instrument.native.kernel import (
-    NativeKernel,
-    build_native_kernel,
-    clear_native_cache,
-    native_cache_info,
-)
+from repro._exports import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    "repro.instrument.native.cache": (
+        "NativeCompiling",
+        "NativeUnavailable",
+        "background_compile_stats",
+        "background_ready",
+        "cc_available",
+        "disk_cache_max",
+        "native_cache_dir",
+        "native_cache_entries",
+        "native_clean_disk_cache",
+    ),
+    "repro.instrument.native.kernel": (
+        "NativeKernel",
+        "build_native_kernel",
+        "clear_native_cache",
+        "native_cache_info",
+    ),
+})
 
 __all__ = [
     "NativeCompiling",

@@ -452,11 +452,11 @@ def render_c(ir: ProgramIR) -> str:
         "    return 0;",
         "}",
         "",
-        "/* Threaded batch: rows split across n_threads pthread workers with",
-        "   the engine's size+rest partition; private coverage partials are",
-        "   OR-merged in thread-index order, so results are bit-identical",
-        "   for any thread count.  cov_out is an in/out accumulator and is",
-        "   never zeroed here. */",
+        "/* Threaded batch: rows split across n_threads pthread workers in",
+        "   contiguous chunks, the first n % n_threads of them one row longer;",
+        "   private coverage partials are OR-merged in thread-index order, so",
+        "   results are bit-identical for any thread count.  cov_out is an",
+        "   in/out accumulator and is never zeroed here. */",
         "void sp_batch_mt(const double *rows, long long n, long long n_threads,",
         "                 const uint64_t *sat, double *r_out, uint64_t *cov_out,",
         "                 int32_t *bail_out, int64_t *last_out) {",

@@ -59,6 +59,7 @@ import sys
 import textwrap
 from dataclasses import dataclass, field, replace
 
+from repro.fdlibm import bessel
 from repro.instrument.ast_pass import parse
 from repro.instrument.native.cache import NativeUnavailable
 from repro.instrument.specialize import COV_NAME, R_NAME, SAT_NAME, specialize_source
@@ -302,25 +303,24 @@ _MISS = object()
 FOLD_TYPES = (bool, int, float)
 
 #: Callables whose ``float(f(x))`` value a kernel may drop when it is dead:
-#: each returns a value and, under scipy's default error handling, cannot
-#: raise on a float argument.  A live value still bails.  The list is part
-#: of every kernel digest.
+#: each is a C library call, which returns a value and cannot raise.  A
+#: live value still bails.  The list is part of every kernel digest.
 OPAQUE_CALLS = (
-    "scipy.special.j0",
-    "scipy.special.j1",
-    "scipy.special.y0",
-    "scipy.special.y1",
+    "repro.fdlibm.bessel.j0",
+    "repro.fdlibm.bessel.j1",
+    "repro.fdlibm.bessel.y0",
+    "repro.fdlibm.bessel.y1",
 )
+
+
+#: ``id`` of each :data:`OPAQUE_CALLS` callable -> its entry.
+_OPAQUE_IDS = {id(getattr(bessel, name.rpartition(".")[2])): name
+               for name in OPAQUE_CALLS}
 
 
 def opaque_name(value):
     """The :data:`OPAQUE_CALLS` entry that ``value`` is, or ``None``."""
-    for name in OPAQUE_CALLS:
-        module, _, attr = name.rpartition(".")
-        loaded = sys.modules.get(module)
-        if loaded is not None and getattr(loaded, attr, None) is value:
-            return name
-    return None
+    return _OPAQUE_IDS.get(id(value))
 
 
 def global_value(namespace: dict, name: str, attr=None):

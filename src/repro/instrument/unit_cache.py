@@ -61,6 +61,8 @@ import time
 from pathlib import Path
 from typing import Callable, Optional
 
+from repro.instrument.native.cache import native_cache_dir
+
 #: FIFO bound on the unit and source entries on disk.  The 40 suite entries
 #: need 78: 50 units (the entries and their helper callees) and the 28
 #: helper sources their kernel digests hash.
@@ -101,10 +103,6 @@ _STATS = {kind: {"hits": 0, "misses": 0, "writes": 0} for kind in (UNITS, VARIAN
 
 def instrumented_cache_dir() -> Path:
     """The unit entry directory, under the native kernel cache directory."""
-    # Imported here: the native package imports the specializer, which
-    # imports this module.
-    from repro.instrument.native.cache import native_cache_dir
-
     return native_cache_dir() / "instrumented"
 
 

@@ -63,7 +63,6 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
-from scipy import special as _special
 
 from repro.cli import main as cli_main
 from repro.core.branch_distance import DEFAULT_EPSILON
@@ -76,6 +75,7 @@ from repro.engine.core import SearchEngine
 from repro.engine.worker import StartParams, StartTask, run_start
 from repro.experiments.pipeline import _TOOL_FP_EXCLUDE, tool_fingerprint
 from repro.experiments.runner import instrument_case
+from repro.fdlibm import bessel as _special
 from repro.fdlibm.suite import BENCHMARKS
 from repro.instrument.native import cache as cache_module
 from repro.instrument.native import kernel as kernel_module
@@ -402,7 +402,7 @@ class TestDeadValueSlice:
             bailed = _assert_native_parity(program, mask, X)
             assert bailed == [i for i, row in enumerate(X) if row[0] > 4.0], hex(mask)
             assert set(program.native_kernel(mask).bail_reasons) == {
-                "unsupported callable scipy.special.j0"}
+                "unsupported callable repro.fdlibm.bessel.j0"}
 
     def test_dead_division_by_zero_still_freezes_at_the_same_point(self):
         program = instrument(dead_quotient)

@@ -18,6 +18,7 @@ from repro.optimize.local import (
     unregister_local_minimizer,
 )
 from tests import sample_programs as sp
+from tests.test_fdlibm_bessel import PINNED
 
 #: ``CoverMeConfig`` fields that once chose an alternative search or tuned
 #: one; each is now a constant at its one consumer.  ``backend``,
@@ -120,17 +121,35 @@ class TestConfigValidation:
 
 
 def test_engine_imports_leave_scipy_optimize_unloaded():
-    """scipy.optimize doubles a process's resident size; nothing the engine
-    or the experiment pipeline imports pulls it in."""
+    """No SciPy module at all is loaded by the engine, the service or the
+    experiment pipeline, not even after seeded runs of the four Bessel
+    entries (whose leaves come from the C library) under every execution
+    profile, each replayed through the tool harness."""
     src = Path(__file__).resolve().parents[1] / "src"
     script = (
         "import sys\n"
         f"sys.path.insert(0, {str(src)!r})\n"
-        "import repro.core.coverme, repro.experiments.pipeline\n"
-        "print('scipy.optimize' in sys.modules)\n"
+        "import repro, repro.service, repro.experiments.pipeline\n"
+        "from repro.baselines.harness import Budget, run_tool\n"
+        "from repro.core.config import CoverMeConfig\n"
+        "from repro.experiments.runner import CoverMeTool, instrument_case\n"
+        "from repro.fdlibm.suite import get_case\n"
+        "for name in ('ieee754_j0', 'ieee754_y0', 'ieee754_j1', 'ieee754_y1'):\n"
+        "    for tier in ('full-trace', 'penalty-specialized', 'penalty-native'):\n"
+        "        config = CoverMeConfig(n_start=20, n_iter=5, seed=0, eval_profile=tier)\n"
+        "        tool = CoverMeTool(config)\n"
+        "        summary = run_tool(tool, instrument_case(get_case(name)), Budget())\n"
+        "        print(name, tier, summary.covered_branches, tool.last_evaluations)\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=600
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+    *runs, loaded = proc.stdout.splitlines()
+    assert loaded == "[]"
+    assert runs == [
+        f"{name} {tier} {len(covered)} {evaluations}"
+        for name, (covered, evaluations, _inputs) in PINNED.items()
+        for tier in ("full-trace", "penalty-specialized", "penalty-native")
+    ]

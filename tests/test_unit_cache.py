@@ -13,6 +13,7 @@ report and remove the entries.
 
 from __future__ import annotations
 
+import importlib
 import importlib.util
 import json
 import linecache
@@ -22,6 +23,7 @@ import sys
 import textwrap
 import threading
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -341,3 +343,31 @@ def test_function_source_matches_inspect(cache_dir):
     for func in (sp.paper_foo, sp.helper_goo, textwrap.dedent):
         assert unit_cache.function_source(func) == inspect.getsource(func)
     assert (_disk()["hits"], _disk()["misses"]) == (3, 0)
+
+
+def test_cache_modules_import_without_the_emitter():
+    """The native package resolves its exports on first use, so the cache
+    directory code (which ``unit_cache`` imports at module level) loads no
+    emitter, backend or kernel module."""
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        "import repro.instrument.native.cache, repro.instrument.unit_cache\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.instrument.native.')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["['repro.instrument.native.cache']"]
+
+
+@pytest.mark.parametrize("package", [
+    "repro", "repro.core", "repro.fdlibm", "repro.instrument", "repro.instrument.native"])
+def test_package_exports_resolve_on_first_use(package):
+    module = importlib.import_module(package)
+    for name in module.__all__:
+        value = getattr(module, name)
+        # ``repro.fdlibm.bits`` is the one export that is a module.
+        assert not isinstance(value, types.ModuleType) or name == "bits", name
+    with pytest.raises(AttributeError, match="no attribute 'missing'"):
+        module.missing
