@@ -369,10 +369,14 @@ class RepresentingFunction:
         return kernel
 
     def _coerce(self, x) -> Sequence[float]:
+        if x.__class__ is list and len(x) == self._arity:
+            # The optimizer hot path: Powell passes each point as a list of
+            # Python floats, which every consumer takes as it is.
+            return x
         if x.__class__ is np.ndarray:
-            # The optimizer hot path: a 1-d float64 vector of the right
-            # length.  tolist() yields Python floats in one C call; the
-            # generic reshaping/conversion below is kept for exotic inputs.
+            # A 1-d float64 vector: tolist() yields Python floats in one C
+            # call; the generic reshaping/conversion below is kept for
+            # exotic inputs.
             if x.dtype is _F64 and x.ndim == 1:
                 values = x.tolist()
             else:

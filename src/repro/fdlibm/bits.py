@@ -29,52 +29,59 @@ HUGE = 1.0e300
 TINY = 1.0e-300
 
 
+# Precompiled little-endian views of one double: its 64-bit pattern, and
+# its two words in memory order (low word first, high word signed).  Every
+# helper is one pack and one unpack; ``float(x)`` keeps an int too large
+# for a double raising ``OverflowError`` rather than ``struct.error``.
+_pack_double = struct.Struct("<d").pack
+_unpack_double = struct.Struct("<d").unpack
+_pack_bits = struct.Struct("<Q").pack
+_unpack_bits = struct.Struct("<Q").unpack
+_unpack_words = struct.Struct("<Ii").unpack
+_pack_words = struct.Struct("<II").pack
+
+
 def double_to_bits(x: float) -> int:
     """Raw 64-bit pattern of ``x`` as an unsigned integer."""
-    return struct.unpack(">Q", struct.pack(">d", float(x)))[0]
+    return _unpack_bits(_pack_double(float(x)))[0]
 
 
 def bits_to_double(bits: int) -> float:
     """Double whose raw 64-bit pattern is ``bits``."""
-    return struct.unpack(">d", struct.pack(">Q", bits & 0xFFFFFFFFFFFFFFFF))[0]
-
-
-def _to_signed32(word: int) -> int:
-    word &= 0xFFFFFFFF
-    return word - 0x100000000 if word >= 0x80000000 else word
+    return _unpack_double(_pack_bits(bits & 0xFFFFFFFFFFFFFFFF))[0]
 
 
 def high_word(x: float) -> int:
     """``__HI(x)``: the high 32-bit word of ``x`` as a signed integer."""
-    return _to_signed32(double_to_bits(x) >> 32)
+    return _unpack_words(_pack_double(float(x)))[1]
 
 
 def low_word(x: float) -> int:
     """``__LO(x)``: the low 32-bit word of ``x`` as an unsigned integer."""
-    return double_to_bits(x) & 0xFFFFFFFF
+    return _unpack_words(_pack_double(float(x)))[0]
 
 
 def words(x: float) -> tuple[int, int]:
     """``(__HI(x), __LO(x))`` in one call."""
-    raw = double_to_bits(x)
-    return _to_signed32(raw >> 32), raw & 0xFFFFFFFF
+    lo, hi = _unpack_words(_pack_double(float(x)))
+    return hi, lo
 
 
 def from_words(hi: int, lo: int) -> float:
     """Build a double from its high and low words (signed or unsigned)."""
-    return bits_to_double(((hi & 0xFFFFFFFF) << 32) | (lo & 0xFFFFFFFF))
+    return _unpack_double(_pack_words(lo & 0xFFFFFFFF, hi & 0xFFFFFFFF))[0]
 
 
 def set_high_word(x: float, hi: int) -> float:
     """Return ``x`` with its high word replaced (``__HI(x) = hi`` in C)."""
-    raw = double_to_bits(x)
-    return bits_to_double(((hi & 0xFFFFFFFF) << 32) | (raw & 0xFFFFFFFF))
+    lo = _unpack_words(_pack_double(float(x)))[0]
+    return _unpack_double(_pack_words(lo, hi & 0xFFFFFFFF))[0]
 
 
 def set_low_word(x: float, lo: int) -> float:
     """Return ``x`` with its low word replaced (``__LO(x) = lo`` in C)."""
-    raw = double_to_bits(x)
-    return bits_to_double((raw & 0xFFFFFFFF00000000) | (lo & 0xFFFFFFFF))
+    hi = _unpack_words(_pack_double(float(x)))[1]
+    return _unpack_double(_pack_words(lo & 0xFFFFFFFF, hi & 0xFFFFFFFF))[0]
 
 
 def abs_high_word(x: float) -> int:

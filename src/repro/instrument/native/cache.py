@@ -4,8 +4,9 @@ Kernels are compiled out-of-process with the system C compiler into a
 cache directory keyed by a sha256 digest of everything that affects the
 generated code: per-unit ``(source sha256, function, start label)`` triples,
 the helpers and globals the units read, the Def. 4.1 epsilon the C bakes
-in, the backend name, the compiler version, the compile flags and the
-codegen ABI version (see :func:`repro.instrument.native.kernel.kernel_digest`;
+in, the backend name, the compiler version, the compile flags, the
+codegen ABI version and the bytes of the modules the C is generated from
+(see :func:`repro.instrument.native.kernel.kernel_digest`;
 the saturation mask is a runtime argument, so it is not part of the key).
 Identical programs reuse the ``.so`` across processes and runs: a warm
 request computes the digest and loads ``<digest>.so`` directly, checking the
@@ -34,7 +35,8 @@ import threading
 import time
 from pathlib import Path
 
-#: Bump when the emitter/backend changes generated code or the entry ABI.
+#: Bump when the entry ABI changes (the kernel digest already covers the
+#: emitter's and backend's bytes, so a codegen change alone needs no bump).
 #: 2: sp_batch_mt threaded entry + in/out cov accumulator + restrict loop.
 #: 3: exported ``sp_meta`` constant (ABI, arity, n_words, bail/freeze sites).
 #: 4: adopted helpers emitted against their own module globals; the digest

@@ -39,6 +39,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import inspect
+import os
 import struct
 import sys
 import threading
@@ -134,6 +135,10 @@ class _LoadedKernel:
         return reasons[site]
 
 
+#: The kernel digest's toolchain part when a toolchain module is unreadable.
+_PROCESS_TOKEN = f"unreadable-{os.urandom(16).hex()}"
+
+
 def kernel_digest(program) -> str:
     """Content digest of the native kernel of ``program``.
 
@@ -141,10 +146,14 @@ def kernel_digest(program) -> str:
     per-unit (source sha256, function name, start label) triples, the
     program's :func:`helper_digest`, the Def. 4.1 epsilon the C bakes in
     (hex, bit-exact), the backend name, the compiler version line, the
-    compile flags, the codegen ABI version and the callables the emitter
+    compile flags, the codegen ABI version, the callables the emitter
     may slice away
-    (:data:`~repro.instrument.native.emit.OPAQUE_CALLS`).  The saturation
-    mask does not: it is a runtime argument of the kernel."""
+    (:data:`~repro.instrument.native.emit.OPAQUE_CALLS`) and the bytes of
+    the modules the C is generated from
+    (:data:`~repro.instrument.unit_cache.KERNEL_TOOLCHAIN`); when one of
+    them cannot be read, a token unique to this process stands in, so no
+    kernel built by another process is reused.  The saturation mask does
+    not: it is a runtime argument of the kernel."""
     _cc, version = find_cc()
     hasher = hashlib.sha256()
     for source, function_name, start_label in program.units:
@@ -157,6 +166,8 @@ def kernel_digest(program) -> str:
     hasher.update(f"cflags={' '.join(CFLAGS)}\n".encode())
     hasher.update(f"abi={ABI_VERSION}\n".encode())
     hasher.update(f"opaque={','.join(OPAQUE_CALLS)}\n".encode())
+    toolchain = unit_cache._modules_digest(unit_cache.KERNEL_TOOLCHAIN)
+    hasher.update(f"toolchain={toolchain or _PROCESS_TOKEN}\n".encode())
     return hasher.hexdigest()
 
 

@@ -83,6 +83,17 @@ TOOLCHAIN = ("ast_pass.py", "cfg.py", "program.py", "runtime.py", "unit_cache.py
 #: part of every variant key.
 VARIANT_TOOLCHAIN = ("ast_pass.py", "runtime.py", "specialize.py", "../core/branch_distance.py")
 
+#: The modules a native kernel's C is generated from: their bytes are part
+#: of every kernel digest (:func:`repro.instrument.native.kernel.kernel_digest`).
+KERNEL_TOOLCHAIN = (
+    "native/emit.py",
+    "native/c_backend.py",
+    "specialize.py",
+    "ast_pass.py",
+    "runtime.py",
+    "../core/branch_distance.py",
+)
+
 #: The two kinds of entry, each in its own directory under its own bound.
 UNITS = "units"
 VARIANTS = "variants"

@@ -16,13 +16,6 @@ from typing import Callable
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # ~0.618
 
 
-def _safe(value: float) -> float:
-    """Map NaN (and -inf, which cannot occur for valid objectives) to +inf."""
-    if math.isnan(value):
-        return math.inf
-    return value
-
-
 def bracket_minimum(
     func: Callable[[float], float],
     t0: float = 0.0,
@@ -43,7 +36,8 @@ def bracket_minimum(
     def f(t: float) -> float:
         nonlocal nfev
         nfev += 1
-        return _safe(func(t))
+        value = func(t)
+        return math.inf if value != value else value
 
     fa = f(t0)
     t_right = t0 + step
@@ -95,7 +89,8 @@ def golden_section(
     def f(t: float) -> float:
         nonlocal nfev
         nfev += 1
-        return _safe(func(t))
+        value = func(t)
+        return math.inf if value != value else value
 
     a, b = float(low), float(high)
     if not math.isfinite(a):
@@ -141,7 +136,10 @@ def minimize_scalar(
     an overflowed position (``inf``), that position wins.
     """
     low, mid, high, nfev_bracket = bracket_minimum(func, t0=t0, step=step)
-    candidates = [(low, _safe(func(low))), (mid, _safe(func(mid))), (high, _safe(func(high)))]
+    candidates = []
+    for t in (low, mid, high):
+        value = func(t)
+        candidates.append((t, math.inf if value != value else value))
     nfev = nfev_bracket + 3
     best_t, best_f = min(candidates, key=lambda item: item[1])
     if best_f > 0.0 and math.isfinite(low) and math.isfinite(high) and low < high:

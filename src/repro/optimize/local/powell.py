@@ -32,7 +32,8 @@ def powell(
     """Minimize ``func`` starting from ``x0`` with Powell's method.
 
     Args:
-        func: Objective ``R^n -> R`` (receives a 1-D numpy array).
+        func: Objective ``R^n -> R``; it receives each point as a ``list``
+            of ``n`` Python floats.
         x0: Starting point.
         max_iterations: Maximum number of direction-set sweeps.
         tol: Relative decrease threshold used as the convergence test.
@@ -51,13 +52,22 @@ def powell(
     directions = [np.eye(n)[i] for i in range(n)]
     nfev = 0
 
-    def evaluate(point: np.ndarray) -> float:
+    def evaluate(values: list) -> float:
         nonlocal nfev
         nfev += 1
-        value = func(point)
-        return math.inf if math.isnan(value) else float(value)
+        value = func(values)
+        return math.inf if value != value else float(value)
 
-    f_current = evaluate(x)
+    def line(t: float) -> float:
+        # FOO at x + t * d in Python floats: the same IEEE operations as
+        # numpy's, without its warnings where a line reaches t = inf
+        # (inf * 0 is NaN) or overflows, and without an array per point.
+        nonlocal nfev
+        nfev += 1
+        value = func([xi + t * di for xi, di in zip(x_values, d_values)])
+        return math.inf if value != value else float(value)
+
+    f_current = evaluate(x.tolist())
     iterations = 0
     for iterations in range(1, max_iterations + 1):
         if f_current == 0.0:
@@ -69,19 +79,9 @@ def powell(
         for index, direction in enumerate(directions):
             f_before = f_current
             x_values, d_values = x.tolist(), direction.tolist()
-
-            def point(t: float) -> np.ndarray:
-                # x + t * d in Python floats: the same IEEE operations as
-                # numpy's, without its warnings where a line reaches
-                # t = inf (inf * 0 is NaN) or overflows, and without the
-                # cost of an errstate block per evaluation.
-                return np.array([xi + t * di for xi, di in zip(x_values, d_values)])
-
-            t_best, f_best, used = minimize_scalar(
-                lambda t: evaluate(point(t)), t0=0.0, step=step
-            )
+            t_best, f_best, used = minimize_scalar(line, t0=0.0, step=step)
             if f_best < f_current:
-                x = point(t_best)
+                x = np.array([xi + t_best * di for xi, di in zip(x_values, d_values)])
                 f_current = f_best
             decrease = f_before - f_current
             if decrease > largest_decrease:
@@ -99,7 +99,7 @@ def powell(
                 norm = float(np.sqrt(np.sum(np.square(displacement / max(np.max(np.abs(displacement)), 1.0)))))
                 norm *= float(np.max(np.abs(displacement)))
             if np.all(np.isfinite(extrapolated)):
-                f_extrapolated = evaluate(extrapolated)
+                f_extrapolated = evaluate(extrapolated.tolist())
                 if f_extrapolated < f_start:
                     if norm > 0.0 and math.isfinite(norm):
                         directions[largest_index] = displacement / norm

@@ -51,6 +51,7 @@ import multiprocessing
 import os
 import pathlib
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -101,6 +102,7 @@ from repro.instrument.native.cache import (
 )
 from repro.instrument.native.c_backend import render_c
 from repro.instrument.native.emit import covered_words, emit_program_ir
+from repro.instrument import unit_cache
 from repro.instrument.native.kernel import (
     build_native_kernel,
     clear_native_cache,
@@ -736,6 +738,48 @@ class TestCachesAndDigest:
         # The digest takes no mask: every mask is served by the one kernel.
         assert list(inspect.signature(kernel_digest).parameters) == ["program"]
         assert program.native_kernel(0).digest == program.native_kernel(3).digest
+
+    @pytest.fixture
+    def toolchain_copy(self, tmp_path, monkeypatch):
+        """A copy of the instrumenter's and core's modules that the
+        toolchain digests read instead of the package's own files."""
+        root = tmp_path / "repro"
+        src = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+        for package in ("instrument", "core"):
+            shutil.copytree(src / package, root / package,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        unit_cache._modules_digest.cache_clear()
+        monkeypatch.setattr(unit_cache, "_HERE", root / "instrument")
+        yield root / "instrument"
+        unit_cache._modules_digest.cache_clear()
+
+    @pytest.mark.parametrize("name", unit_cache.KERNEL_TOOLCHAIN)
+    def test_digest_covers_the_codegen_modules(self, toolchain_copy, name):
+        program = instrument(sp.paper_foo)
+        base = kernel_digest(program)
+        with open(toolchain_copy / name, "ab") as handle:
+            handle.write(b"\n# edited\n")
+        unit_cache._modules_digest.cache_clear()
+        assert kernel_digest(program) != base
+
+    def test_unreadable_codegen_module_reuses_no_kernel(self, toolchain_copy):
+        program = instrument(sp.paper_foo)
+        base = kernel_digest(program)
+        (toolchain_copy / "native" / "emit.py").unlink()
+        unit_cache._modules_digest.cache_clear()
+        unreadable = kernel_digest(program)
+        assert unreadable != base
+        assert kernel_digest(program) == unreadable
+        # The stand-in is drawn per process, so no other process's kernel
+        # is ever found under it.
+        probe = "from repro.instrument.native import kernel; print(kernel._PROCESS_TOKEN)"
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).resolve().parents[1] / "src")}
+        tokens = {
+            subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                           text=True, check=True, timeout=120).stdout.strip()
+            for _ in range(2)
+        } | {kernel_module._PROCESS_TOKEN}
+        assert len(tokens) == 3
 
     def test_program_kernel_cache_and_build_counter(self):
         program = instrument(sp.paper_foo)
