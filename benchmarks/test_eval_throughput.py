@@ -19,8 +19,8 @@ branch-dense Fdlibm functions and asserts the runtime guarantees:
   self-skips on machines with fewer than 4 cores, where the speedup cannot
   physically materialize (``REPRO_FORCE_NATIVE_BENCH=1`` forces it too);
 * all profiles compute bit-identical objective values;
-* the epoch protocol compiles exactly one variant per mask and
-  performs zero re-specializations while the saturation mask is unchanged.
+* the epoch protocol builds exactly one variant per program and
+  performs zero mask rebinds while the saturation mask is unchanged.
 
 The measured numbers are written to ``BENCH_eval_throughput.json`` (in
 ``REPRO_BENCH_OUTPUT_DIR`` or the working directory) with one row per
@@ -231,8 +231,8 @@ def test_eval_throughput_and_profile_equivalence(bench_report_dir):
             )
             if profile is ExecutionProfile.PENALTY_SPECIALIZED:
                 # Epoch protocol: the mask never changed during the timing
-                # loop, so exactly one variant was (looked up or) compiled
-                # and the wrapper never switched variants again.
+                # loop, so the program's one variant was built once and the
+                # wrapper bound it to the mask once.
                 assert representing.respecializations == 1, name
                 assert program.specialization_builds == 1, name
         # Bit-identical objective values across all profiles.

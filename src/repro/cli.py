@@ -147,16 +147,14 @@ def build_parser() -> argparse.ArgumentParser:
     native_p = sub.add_parser(
         "native-cache",
         help="inspect or clean the on-disk native-kernel (.so) cache and "
-        "its instrumented-unit and specialized-variant entries",
+        "its instrumented entries (units, sources and specialized variants)",
     )
     native_sub = native_p.add_subparsers(dest="native_command", required=True)
     native_sub.add_parser(
-        "ls", help="count the instrumented units and specialized variants; list cached "
-        "native kernels, newest first"
+        "ls", help="count the instrumented entries; list cached native kernels, newest first"
     )
     native_sub.add_parser(
-        "clean", help="remove every cached native kernel, instrumented unit, specialized "
-        "variant and temp file"
+        "clean", help="remove every cached native kernel, instrumented entry and temp file"
     )
 
     return parser
@@ -329,9 +327,7 @@ def _native_cache(args) -> int:
         native_clean_disk_cache,
     )
     from repro.instrument.unit_cache import (
-        VARIANTS,
         clean_instrumented_cache,
-        entry_dir,
         instrumented_cache_dir,
         instrumented_cache_info,
     )
@@ -347,11 +343,6 @@ def _native_cache(args) -> int:
     print(
         f"instrumented cache {instrumented_cache_dir()}: {instrumented['entries']} "
         f"entries, {instrumented['bytes']} bytes total (bound {instrumented['max_entries']})"
-    )
-    variants = instrumented_cache_info(VARIANTS)
-    print(
-        f"specialized variants {entry_dir(VARIANTS)}: {variants['entries']} "
-        f"entries, {variants['bytes']} bytes total (bound {variants['max_entries']})"
     )
     bound = disk_cache_max()
     entries = native_cache_entries()

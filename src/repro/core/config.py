@@ -33,11 +33,12 @@ class CoverMeConfig:
             ``cc`` and called through ctypes, and each local search runs in
             one C call; degrades to ``penalty-specialized`` with a one-time
             warning when no compiler is present),
-            ``"penalty-specialized"`` (the compile-time tier: the saturation
-            mask is baked into re-generated instrumented source, re-compiled
-            only when saturation flips a bit; the engine evaluates the
-            ``x0`` vectors of each chunk of two or more starts in one
-            batched call, a per-row loop over the compiled variant) or
+            ``"penalty-specialized"`` (the compile-time tier: the program
+            is re-generated once with the penalty inlined at every
+            conditional, which reads the saturation mask at run time, and
+            compiled to Python bytecode; the engine evaluates the ``x0``
+            vectors of each chunk of two or more starts in one batched
+            call, a per-row loop over the compiled variant) or
             ``"full-trace"`` (the recording runtime, the reference).  All
             profiles compute bit-identical representing-function values and
             produce identical seeded results.  Every start serves repeated

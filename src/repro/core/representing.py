@@ -17,16 +17,16 @@ Evaluation runs under a configurable
 wrapper's default, the reference tier) records: every call leaves a complete
 :class:`ExecutionRecord` in :attr:`RepresentingFunction.last_record`.  The
 optimizer inner loop only consumes the scalar ``r``, so it runs a compiled
-tier instead.  Under ``PENALTY_SPECIALIZED`` the program is re-compiled with
-the saturation mask resolved per probe site
-(:mod:`repro.instrument.specialize`), and this wrapper implements the *epoch
-protocol* -- the compiled variant is reused verbatim while the tracker's
-``saturated_mask`` is unchanged and transparently re-specialized (a cached
-lookup when the mask was seen before) only when saturation actually flips a
-bit.  ``PENALTY_NATIVE`` compiles the program once to a shared object
-(:mod:`repro.instrument.native`) whose probe sites read the saturation mask
-at run time, as ``pen`` reads the saturated set in Algorithm 1: ``__call__``
-and ``evaluate_batch`` dispatch to that one kernel under the tracker's
+tier instead.  Both compile the program once, with Def. 4.2 inlined at
+every probe site and the saturation mask read at run time, as ``pen``
+reads the saturated set in Algorithm 1.  ``PENALTY_SPECIALIZED`` runs the
+program's one compiled Python variant (:mod:`repro.instrument.specialize`);
+``PENALTY_NATIVE`` runs the same form compiled to a shared object
+(:mod:`repro.instrument.native`).  This wrapper implements the *epoch
+protocol*: it rebinds the variant or kernel to the tracker's
+``saturated_mask`` only when the mask differs from the one it holds (a
+write of mask entries, never a compile).  ``__call__`` and
+``evaluate_batch`` dispatch to the native kernel under the tracker's
 current mask, degrading to ``PENALTY_SPECIALIZED`` with one warning per
 program when no C compiler is present or the program cannot be emitted.
 Cold compiles do not block: the build runs on the background worker while
@@ -39,9 +39,9 @@ accepted minimum) re-execute it via
 :meth:`RepresentingFunction.evaluate_with_coverage`.  Under
 ``PENALTY_NATIVE`` that is one kernel call, whose probe sites all record
 their covered bit and the last conditional; rows the kernel bails on, and
-the specialized profile (whose variants record no coverage), run the
-allocation-free :class:`~repro.instrument.runtime.FastRuntime` instead, so
-the coverage outcome stays complete and identical across profiles.
+the specialized profile (whose variant records no last conditional), run
+the allocation-free :class:`~repro.instrument.runtime.FastRuntime` instead,
+so the coverage outcome stays complete and identical across profiles.
 """
 
 from __future__ import annotations
@@ -95,14 +95,15 @@ class RepresentingFunction:
         self.evaluations = 0
         self.last_record: Optional[ExecutionRecord] = None
         self.last_value: Optional[float] = None
-        # Epoch protocol state for the specialized tier: the active compiled
-        # variant plus a counter of variant switches (a switch is a cached
-        # lookup unless the mask is new to the program -- see
-        # ``InstrumentedProgram.specialization_builds`` for true compiles).
+        # Epoch protocol state for the specialized tier: the program's
+        # variant plus a counter of mask rebinds (the variant is built once
+        # per program -- see ``InstrumentedProgram.specialization_builds``).
+        # The variant is shared with every other caller on the program, so
+        # its mask is re-read on every call, never cached here.
         self._variant = None
         self.respecializations = 0
         # Batched-kernel epoch state: mirrors the scalar variant protocol but
-        # with its own counters so the two tiers stay independently auditable.
+        # with its own counters so the two paths stay independently auditable.
         self._batch_kernel = None
         self.batch_respecializations = 0
         self.batched_calls = 0
@@ -125,10 +126,10 @@ class RepresentingFunction:
         self._arity = program.arity
         self._native = self.profile is ExecutionProfile.PENALTY_NATIVE
         self._specialized = self.profile is not ExecutionProfile.FULL_TRACE
-        # The specialized variants record no coverage, so a fast runtime
-        # backs evaluate_with_coverage() whenever the native kernel does not
-        # serve it (another profile, a bailed row, no kernel); it is built
-        # at its first harvest.
+        # The specialized variant records no last conditional, so a fast
+        # runtime backs evaluate_with_coverage() whenever the native kernel
+        # does not serve it (another profile, a bailed row, no kernel); it
+        # is built at its first harvest.
         self._fast: Optional[FastRuntime] = None
         if self._specialized:
             self._runtime = None
@@ -144,11 +145,10 @@ class RepresentingFunction:
         args = self._coerce(x)
         self.evaluations += 1
         if self._specialized:
-            # Compiled tiers: re-read the mask every call, but only touch
-            # the compiler when saturation actually flipped a bit.  Mid-epoch
-            # calls are a single int comparison away from the compiled
-            # variant (or the loaded machine-code kernel under the native
-            # tier).
+            # Compiled tiers: re-read the mask every call, and rebind the
+            # variant only when its mask differs.  Mid-epoch calls are a
+            # single int comparison away from the compiled variant (or the
+            # loaded machine-code kernel under the native tier).
             kernel = self.native_kernel() if self._native else None
             if kernel is not None:
                 r = kernel.scalar(args)
@@ -183,9 +183,9 @@ class RepresentingFunction:
         per-row loop over the specialized variant (under ``PENALTY_NATIVE``,
         one native kernel call on ``native_threads`` threads), following the
         same epoch protocol as ``__call__``: the kernel is reused verbatim
-        while the tracker's ``saturated_mask`` is unchanged and re-fetched
-        (around the program's cached variant when the mask was seen before)
-        only when a bit flips.  ``FULL_TRACE`` degrades to a
+        while its variant holds the tracker's ``saturated_mask`` and
+        re-fetched (around the program's one variant, set to the mask)
+        otherwise.  ``FULL_TRACE`` degrades to a
         per-row loop over ``__call__``, so the returned vector is
         bit-identical to N sequential scalar calls in all configurations.
         Non-finite register values clamp to the same large finite penalty as
@@ -283,10 +283,11 @@ class RepresentingFunction:
                     last_conditional=None if last < 0 else last >> 1,
                     last_outcome=None if last < 0 else bool(last & 1),
                 )
-        # A specialized variant records no coverage, so the harvest runs
-        # the generic fast runtime against the same mask -- values stay
-        # bit-identical, outcomes complete.  install + begin resynchronize
-        # the saturation snapshot from the (possibly updated) tracker.
+        # The specialized variant records no last conditional, so the
+        # harvest runs the generic fast runtime against the same mask --
+        # values stay bit-identical, outcomes complete.  install + begin
+        # resynchronize the saturation snapshot from the (possibly updated)
+        # tracker.
         fast = self._fast
         if fast is None:
             fast = self._fast = FastRuntime(program.n_conditionals)

@@ -2,7 +2,7 @@
 
 A **batched kernel** is a callable taking an ``(N, arity)`` float64 array
 and returning the ``(N,)`` penalty vector ``r``.  It is a tight per-row loop
-over the program's cached
+over the program's one
 :class:`~repro.instrument.program.SpecializedVariant`, so ``r`` is
 literally the scalar ``PENALTY_SPECIALIZED`` tier's execution and
 **bit-identical row-for-row** with it (property-tested in
@@ -26,14 +26,20 @@ class BatchKernel:
 
     ``kernel(X)`` takes an ``(N, arity)`` float64 array and returns the raw
     ``(N,)`` penalty vector (callers clamp non-finite values exactly like
-    the scalar tier).
+    the scalar tier).  It evaluates under the mask the variant holds when
+    it runs: the variant is the program's one, and other callers may set
+    another mask on it in between.
     """
 
-    __slots__ = ("variant", "saturated_mask")
+    __slots__ = ("variant",)
 
     def __init__(self, variant):
         self.variant = variant
-        self.saturated_mask = variant.saturated_mask
+
+    @property
+    def saturated_mask(self) -> int:
+        """The mask the next call evaluates under (the variant's own)."""
+        return self.variant.saturated_mask
 
     def __call__(self, X):
         variant = self.variant
@@ -53,5 +59,5 @@ class BatchKernel:
 
 def build_batch_kernel(program, saturated_mask: int):
     """The batched kernel of ``program`` for one mask: its specialized
-    variant (a cached lookup unless the mask is new) plus the row loop."""
+    variant, set to the mask, plus the row loop."""
     return BatchKernel(program.specialize(saturated_mask))

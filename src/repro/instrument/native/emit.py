@@ -1,8 +1,8 @@
 """Backend-agnostic emitter: specialized units -> typed native IR.
 
-The emitter consumes exactly what the scalar specializer produces for no
-concrete mask -- the *mask-generic*
-:func:`repro.instrument.specialize.specialize_source` ASTs, where every probe
+The emitter consumes exactly what the scalar specializer produces -- the
+*mask-generic* :func:`repro.instrument.specialize.specialize_source` ASTs,
+which the Python tier also runs, where every probe
 site reads its two saturation bits at run time (:class:`SatRef`), dispatches
 Def. 4.2 on them and always writes its covered bit -- and lowers them into a
 small typed IR with explicit ``float64``/``int64``/``bool`` semantics, so one
@@ -520,12 +520,7 @@ class ProgramEmitter:
         self._helpers: dict = {}  # helper function object -> _FnInfo | None
         self.order: list = []  # every _FnInfo in emission order
         for index, (source, name, start_label) in enumerate(units):
-            tree, _ = specialize_source(
-                source,
-                function_name=name,
-                start_label=start_label,
-                saturated_mask=None,
-            )
+            tree, _ = specialize_source(source, function_name=name, start_label=start_label)
             func = next(
                 s for s in tree.body
                 if isinstance(s, ast.FunctionDef) and s.name == name

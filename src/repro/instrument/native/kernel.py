@@ -21,10 +21,10 @@ An evaluation (:meth:`NativeKernel.scalar`, :meth:`NativeKernel.__call__`)
 returns ``r`` only.  Every probe site of a kernel writes its covered bit, and
 the scalar entry reports the last executed conditional, so one kernel call
 also yields a complete coverage outcome (:meth:`NativeKernel.coverage`), the
-one place coverage is read from a kernel.  The per-mask
-specialized variant is the per-row bail target.  It is built lazily, at a
-kernel's first bail under a mask, so a kernel that never bails costs no
-variant build.
+one place coverage is read from a kernel.  The program's specialized
+variant -- the Python form the kernel's C is emitted from -- set to the
+kernel's mask is the per-row bail target.  It is built lazily, at a
+kernel's first bail, so a kernel that never bails costs no variant build.
 
 The generated code keeps all state in a per-call stack context, so one
 loaded kernel is safely shared across threads; worker processes re-open the
@@ -460,9 +460,9 @@ class NativeKernel:
     rows on ``k`` native threads with bit-identical results.  Rows the
     native code flags as bailed (a construct whose bit-exact CPython
     semantics the emitter could not prove) are transparently re-run on the
-    scalar specialized variant of the mask, so results never depend on the
-    emitter being complete.  That variant is built at the first bail
-    (:attr:`variant`), :attr:`bails` counts the bailed rows and
+    program's scalar specialized variant under the same mask, so results
+    never depend on the emitter being complete.  That variant is built at
+    the first bail (:attr:`variant`), :attr:`bails` counts the bailed rows and
     :attr:`bail_reasons` counts them per bail reason (a diagnostic: no
     record, fingerprint or digest reads it).  :meth:`scalar` is the one-row
     entry point used by ``evaluate`` and :meth:`coverage` the one-row
@@ -510,8 +510,9 @@ class NativeKernel:
 
     @property
     def variant(self):
-        """The scalar specialized variant of the current mask, which rows
-        bail to (built on first use, cached on the program)."""
+        """The program's scalar specialized variant, set to the current
+        mask, which rows bail to (built on first use, cached on the
+        program)."""
         return self.program.specialize(self.saturated_mask)
 
     def scalar(self, args) -> float:
@@ -551,7 +552,7 @@ class NativeKernel:
 
     def _scalar_fallback(self, args, site: int, mask: int) -> float:
         """``r`` of a row that bailed at bail site ``site`` under ``mask``,
-        re-run on that mask's variant."""
+        re-run on the specialized variant set to that mask."""
         self._count_bail(site)
         return self.program.specialize(mask).run(args)[1]
 

@@ -55,7 +55,9 @@ from repro.instrument.native.kernel import (
 )
 from repro.instrument.signature import ProgramSignature
 from repro.instrument.specialize import (
+    COV_NAME,
     R_NAME,
+    SAT_NAME,
     clear_specialized_cache,
     specialized_cache_info,
     specialized_unit,
@@ -100,8 +102,9 @@ def compiled_cache_info() -> dict:
     The top-level ``entries``/``max_entries`` keys describe the generic
     compiled-unit cache (backwards compatible); ``instrumented`` nests its
     disk layer's entry count, bytes and bound and this process's disk
-    hits/misses/writes, ``specialized`` nests the per-mask specialization
-    cache's size and hit/miss/evict counters, and ``native`` the loaded
+    hits/misses/writes (unit, source and variant entries alike),
+    ``specialized`` nests the specialization cache's size and
+    hit/miss/evict counters, and ``native`` the loaded
     native-kernel cache's (plus its disk-cache entry count and the detected
     compiler version).
     """
@@ -200,29 +203,36 @@ def _target_unit(target: Callable, start_label: int) -> tuple[str, CompiledUnit]
     return cached
 
 
-#: Bound on cached specialized variants per program instance.  Masks evolve
-#: monotonically within one search, so live masks are few; the FIFO bound only
-#: protects pathological callers cycling through many masks.
-_VARIANTS_MAX = 64
-
-
 class SpecializedVariant:
-    """One compiled specialization of a program against a concrete mask.
+    """The compiled mask-generic specialization of a program.
 
     The variant owns a fresh namespace whose function definitions carry the
-    Def. 4.2 dispatch resolved per probe site (see
-    :mod:`repro.instrument.specialize`); executing it costs no runtime handle,
-    no probe method calls and no mask shifts.  It computes ``r`` and records
-    no coverage.
+    Def. 4.2 dispatch inlined per probe site (see
+    :mod:`repro.instrument.specialize`); executing it costs no runtime
+    handle and no probe method calls.  Each site reads its two saturation
+    bits from the namespace's ``__sp_sat__`` list (one int per
+    conditional), which :meth:`use_mask` rewrites, and writes its covered
+    bit into ``__sp_cov__`` (index ``2 * c + outcome``), which no run
+    clears.  Both are lists, not bytearrays, because CPython specializes
+    the subscripts of a list.  A program has one variant, shared by every
+    caller: a caller sets the mask it needs before it runs.
     """
 
-    __slots__ = ("program_name", "saturated_mask", "entry", "namespace")
+    __slots__ = ("saturated_mask", "entry", "namespace", "_sat")
 
-    def __init__(self, program_name: str, saturated_mask: int, entry: Callable, namespace: dict):
-        self.program_name = program_name
-        self.saturated_mask = saturated_mask
+    def __init__(self, entry: Callable, namespace: dict):
         self.entry = entry
         self.namespace = namespace
+        self._sat = namespace[SAT_NAME]
+        self.saturated_mask = 0
+
+    def use_mask(self, saturated_mask: int) -> None:
+        """Evaluate later runs under ``saturated_mask``."""
+        if saturated_mask != self.saturated_mask:
+            self._sat[:] = [
+                (saturated_mask >> (label << 1)) & 3 for label in range(len(self._sat))
+            ]
+            self.saturated_mask = saturated_mask
 
     def run(self, args: Sequence[float]) -> tuple[object, float]:
         """Execute once, returning ``(return_value, r)``.
@@ -239,17 +249,13 @@ class SpecializedVariant:
             value = None
         return value, namespace[R_NAME]
 
-    @property
-    def r(self) -> float:
-        return self.namespace[R_NAME]
-
 
 @dataclass
 class InstrumentedProgram:
     """A compiled, instrumented program under test.
 
     A program holds the state of the run on it: its one ``RuntimeHandle``,
-    its native kernel's mask words and its specialized namespaces.  Runs on
+    its native kernel's mask words and its specialized variant.  Runs on
     one program must therefore not overlap; a thread that runs concurrently
     with another instruments its own copy (a repeated :func:`instrument`
     call shares the compiled code and pays only a namespace ``exec``).
@@ -280,7 +286,7 @@ class InstrumentedProgram:
     native_degradation_warned: bool = field(default=False, repr=False)
     #: Cached :func:`repro.instrument.native.kernel.helper_digest`.
     native_helper_digest: Optional[str] = field(default=None, repr=False)
-    _variants: dict = field(default_factory=dict, repr=False)
+    _variant: Optional[SpecializedVariant] = field(default=None, repr=False)
     _native_kernel: Optional[NativeKernel] = field(default=None, repr=False)
     _branch_ids: tuple = field(default=(), repr=False)
     _all_branches: tuple = field(default=(-1, frozenset()), repr=False)
@@ -375,41 +381,37 @@ class InstrumentedProgram:
         return value, r, record
 
     def specialize(self, saturated_mask: int) -> SpecializedVariant:
-        """The compiled specialization of this program for ``saturated_mask``.
+        """The program's specialized variant, set to ``saturated_mask``.
 
-        Variants are cached per mask on the program instance
-        (namespaces are per-program state) on top of the module-level
-        compiled-code cache, so re-requesting a mask an epoch already used is
-        a dictionary lookup and a repeated mask across programs only
-        pays a namespace ``exec``, never a re-compile.
-        ``specialization_builds`` counts true variant constructions -- the
-        epoch protocol's "zero recompiles while the mask is unchanged"
-        guarantee is asserted against it.
+        One mask-generic variant serves every mask, as the native kernel
+        does: it is built once per program instance (namespaces are
+        per-program state) on top of the module-level compiled-code cache,
+        and a new mask costs a rewrite of its ``__sp_sat__`` entries.
+        ``specialization_builds`` counts true variant constructions.
         """
         if not self.units:
             raise InstrumentationError(
                 f"program {self.name!r} carries no source units and cannot be specialized"
             )
-        mask = saturated_mask & ((1 << (2 * self.n_conditionals)) - 1)
-        variant = self._variants.get(mask)
-        if variant is not None:
-            return variant
-        namespace = dict(self.entry.__globals__)
-        namespace[R_NAME] = 1.0
-        for source, function_name, start_label in self.units:
-            unit = specialized_unit(source, function_name, start_label, mask)
-            exec(unit.code, namespace)  # noqa: S102 - recompiling the user's own function
-        variant = SpecializedVariant(self.name, mask, namespace[self.name], namespace)
-        self.specialization_builds += 1
-        while len(self._variants) >= _VARIANTS_MAX:
-            self._variants.pop(next(iter(self._variants)))
-        self._variants[mask] = variant
+        variant = self._variant
+        if variant is None:
+            namespace = dict(self.entry.__globals__)
+            namespace[R_NAME] = 1.0
+            namespace[SAT_NAME] = [0] * self.n_conditionals
+            namespace[COV_NAME] = [0] * (2 * self.n_conditionals)
+            for source, function_name, start_label in self.units:
+                unit = specialized_unit(source, function_name, start_label)
+                exec(unit.code, namespace)  # noqa: S102 - recompiling the user's own function
+            variant = SpecializedVariant(namespace[self.name], namespace)
+            self._variant = variant
+            self.specialization_builds += 1
+        variant.use_mask(saturated_mask & ((1 << (2 * self.n_conditionals)) - 1))
         return variant
 
     def batch_kernel(self, saturated_mask: int) -> BatchKernel:
         """The batched kernel of this program for ``saturated_mask``: the
-        cached :meth:`specialize` variant behind a per-row loop, so a mask an
-        epoch already used costs a dictionary lookup."""
+        program's :meth:`specialize` variant, set to the mask, behind a
+        per-row loop."""
         return build_batch_kernel(self, saturated_mask)
 
     def native_kernel(self, saturated_mask: int, wait: bool = True) -> NativeKernel:

@@ -68,9 +68,9 @@ the two runtimes of this module serve everything else:
   final ``r``, a flat covered-branch bitset and the last executed
   conditional are retained (a :class:`CoverageOutcome`).  That is
   everything Algorithm 1's reduction consumes from an accepted minimum.
-  It harvests accepted minima under ``PENALTY_SPECIALIZED`` (whose variants
-  compute ``r`` only) and the rows a native kernel bails on; a native
-  kernel harvests every other row itself.
+  It harvests accepted minima under ``PENALTY_SPECIALIZED`` (whose variant
+  records no last conditional) and the rows a native kernel bails on; a
+  native kernel harvests every other row itself.
 
 Both implementations compute bit-identical ``r`` values for the CoverMe
 penalty (Def. 4.2): :class:`FastRuntime` inlines that exact policy against a
@@ -125,17 +125,17 @@ class ExecutionProfile(str, enum.Enum):
     Ordered from cheapest to most expensive; see the module docstring for
     when each profile is sound.
 
-    ``PENALTY_SPECIALIZED`` is the compile-time tier: the saturation mask is
-    resolved per probe site by :mod:`repro.instrument.specialize` and the
-    program re-compiled, so mid-epoch evaluations pay no per-conditional
-    runtime dispatch at all.  A variant computes ``r`` and nothing else
-    (both-saturated conditionals have their probes stripped entirely);
-    accepted minima are re-executed on :class:`FastRuntime` to harvest
-    branches.
+    ``PENALTY_SPECIALIZED`` is the compile-time tier: the program is
+    re-generated once by :mod:`repro.instrument.specialize` with Def. 4.2
+    inlined at every probe site, where each site reads its two saturation
+    bits at run time, so evaluations pay no probe method call or operator
+    dispatch.  A new mask rewrites the variant's mask entries and compiles
+    nothing.  Accepted minima are re-executed on :class:`FastRuntime` to
+    harvest branches and the last conditional.
 
-    ``PENALTY_NATIVE`` goes below that: the mask-generic lowering is emitted
-    as C (:mod:`repro.instrument.native`), compiled with the system ``cc``
-    and called through ``ctypes``, with the mask passed at run time.  An
+    ``PENALTY_NATIVE`` goes below that: the same mask-generic lowering is
+    emitted as C (:mod:`repro.instrument.native`), compiled with the system
+    ``cc`` and called through ``ctypes``, with the mask passed at run time.  An
     evaluation returns the same bit-identical ``r``; a harvest is one kernel
     call, because every site records its covered bit and the last
     conditional.  Machines without a C compiler -- or programs with

@@ -5,21 +5,20 @@ an execution of the instrumented program": in CoverMe the ``pen`` injection is
 a *code transformation* compiled into the binary, so probes cost almost
 nothing.  The generic runtimes of :mod:`repro.instrument.runtime` instead pay
 a probe method call, a mask shift and a Def. 4.2 dispatch at every conditional
-of every execution -- even though the saturated-branch mask changes only a
-handful of times per search while the engine issues millions of evaluations
-against it.
+of every execution.
 
 This module closes that gap: given the *original* source of an instrumented
-function and a concrete ``saturated_mask``, it regenerates the instrumented
-source with Def. 4.2 resolved **at compile time** per probe site:
+function, it regenerates the instrumented source with Def. 4.2 inlined per
+probe site.  As in Algorithm 1, where ``pen`` is injected once and reads the
+saturated set at run time, the rewrite is *mask-generic*: each site reads its
+two saturation bits from the reserved global ``__sp_sat__`` (a list
+indexed by label) and branches on them:
 
-* **both branches saturated** (case c -- keep ``r``): the probe is stripped
-  entirely; the conditional compiles back to the bare branch of the original
-  program, costing exactly what the uninstrumented code costs;
-* **neither branch saturated** (case a -- ``r`` becomes 0): the site reduces
-  to a ``__sp_r__ = 0.0`` store guarded by the same float-comparability
+* **both branches saturated** (case c -- keep ``r``): the bare *lowered*
+  test runs, with no distance arithmetic;
+* **neither branch saturated** (case a -- ``r`` becomes 0): a
+  ``__sp_r__ = 0.0`` store guarded by the same float-comparability
   degradation the runtimes apply (operands that cannot convert keep ``r``);
-  **zero** distance arithmetic is emitted;
 * **exactly one branch saturated** (case b -- ``r`` becomes the distance
   towards the unsaturated branch): the steering branch-distance arithmetic is
   inlined as straight-line statements -- no runtime method call, no operator
@@ -27,23 +26,19 @@ source with Def. 4.2 resolved **at compile time** per probe site:
   the constant-shape composition of Sect. 5.3 (nested ``and``/``or``,
   De-Morganed ``not``, chained comparisons, ternary tests, promoted
   truthiness) is unrolled into short-circuit-preserving statement sequences
-  that accumulate the composed distance directly.
+  that accumulate the composed distance directly.  A Boolean-tree site keeps
+  one copy of its test per case, because the leaves short-circuit
+  differently in each.
 
-The generated code of a concrete mask communicates through one reserved
-module global, ``__sp_r__`` (the injected register ``r``): it computes ``r``
-and nothing else.  Consumers that need coverage re-execute on the generic
-:class:`~repro.instrument.runtime.FastRuntime`, as the engine does for
-accepted minima under this tier.
-
-With ``saturated_mask=None`` the rewrite leaves the mask to run time instead
-(the *mask-generic* form): each site reads its two bits from the reserved
-global ``__sp_sat__`` (indexed by label), branches to exactly the code a
-concrete mask would compile it to (a Boolean-tree site keeps one copy of its
-test per case), and always writes its covered bit into ``__sp_cov__`` (a
-flat bytearray indexed by :func:`~repro.instrument.runtime.branch_bit`), so
-its coverage is complete.  The native tier compiles this form once per
-program (:mod:`repro.instrument.native.emit`) and harvests coverage from
-those writes.
+Every site also writes its covered bit into ``__sp_cov__`` (a flat list
+indexed by :func:`~repro.instrument.runtime.branch_bit`).  The generated code
+communicates through one more reserved global, ``__sp_r__`` (the injected
+register ``r``).  The Python tier runs this form, one compiled variant per
+program whose mask is a rewrite of ``__sp_sat__``
+(:meth:`~repro.instrument.program.InstrumentedProgram.specialize`), and the
+native tier emits its C from the same form
+(:mod:`repro.instrument.native.emit`), so a native bail re-runs the source
+the kernel was compiled from.
 
 Bit-identical ``r``
 -------------------
@@ -60,12 +55,12 @@ re-runs the instrumentation pass's own ceiling check, so the two tiers can
 never disagree about a site's shape.
 
 Compiled specializations are cached at module level per ``(source sha256,
-function name, start label, mask)`` alongside the compiled-unit
-cache of :mod:`repro.instrument.program`, which also surfaces this cache's
-statistics through ``compiled_cache_info()``.  Below it, each compiled
-variant is kept in the content-keyed disk cache of
-:mod:`repro.instrument.unit_cache` (its ``variants`` entries), so a fresh
-process loads the code object instead of specializing and compiling again.
+function name, start label)`` alongside the compiled-unit cache of
+:mod:`repro.instrument.program`, which also surfaces this cache's statistics
+through ``compiled_cache_info()``.  Below it, each compiled unit is kept in
+the content-keyed disk cache of :mod:`repro.instrument.unit_cache`, so a
+fresh process loads the code object instead of specializing and compiling
+again.
 """
 
 from __future__ import annotations
@@ -100,7 +95,7 @@ from repro.instrument.runtime import BIG_DISTANCE
 #: Reserved name of the injected register ``r`` in specialized namespaces.
 R_NAME = "__sp_r__"
 
-#: Reserved name of the flat covered-branch bytearray a mask-generic
+#: Reserved name of the flat covered-branch list a mask-generic
 #: specialization writes.
 COV_NAME = "__sp_cov__"
 
@@ -295,12 +290,11 @@ class _BareOwner:
 
 
 class _Specializer(ast.NodeTransformer):
-    """Rewrites labeled conditionals with the mask resolved per site (or,
-    for ``saturated_mask=None``, dispatched per site at run time)."""
+    """Rewrites labeled conditionals with Def. 4.2 dispatched per site on the
+    site's two mask bits, read at run time."""
 
-    def __init__(self, labels: dict[int, int], saturated_mask: Optional[int]):
+    def __init__(self, labels: dict[int, int]):
         self.labels = labels
-        self.saturated_mask = saturated_mask
         self._counter = 0
         self._wrote_r: list[bool] = []
 
@@ -334,14 +328,6 @@ class _Specializer(ast.NodeTransformer):
         if label is None:
             return node
         probe, out = self._site(label, node.test)
-        if probe is None:
-            # Def. 4.2(c) resolved at compile time: the probe is stripped
-            # entirely and the bare *lowered* test runs (the instrumented
-            # tiers fold ``not`` into flipped comparison operators, which is
-            # observable on NaN operands -- the stripped site must branch
-            # identically).
-            node.test = self._bare_test(node.test)
-            return node
         node.test = _name(out)
         return probe + [node]
 
@@ -352,9 +338,6 @@ class _Specializer(ast.NodeTransformer):
         if label is None:
             return node
         probe, out = self._site(label, node.test)
-        if probe is None:
-            node.test = self._bare_test(node.test)
-            return node
         # The probe must run once per iteration, so the loop becomes
         # ``while True: <probe>; if not out: break; <body>``.  A ``while ...
         # else`` keeps its semantics through a normal-exit flag checked after
@@ -396,48 +379,34 @@ class _Specializer(ast.NodeTransformer):
         return _assign(R_NAME, value)
 
     def _cov_write(self, label: int, out: str) -> list:
-        """``__sp_cov__[2*label | out] = 1`` (mirrors the fast runtime) in
-        the mask-generic form; nothing under a concrete mask, whose variants
-        compute ``r`` only."""
-        if self.saturated_mask is not None:
-            return []
+        """``__sp_cov__[2*label | out] = 1`` (mirrors the fast runtime)."""
         index = ast.BinOp(left=_const(label << 1), op=ast.BitOr(), right=_name(out))
         target = ast.Subscript(value=_name(COV_NAME), slice=index, ctx=ast.Store())
         return [ast.Assign(targets=[target], value=_const(1))]
 
-    def _site(self, label: int, test: ast.expr) -> tuple[Optional[list], Optional[str]]:
-        """The probe statements of one labeled site and its outcome var;
-        ``(None, None)`` when the mask strips the probe (both branches
-        saturated).  Without a mask, the site reads its two bits from
-        :data:`SAT_NAME` and dispatches Def. 4.2 at run time."""
-        if self.saturated_mask is None:
-            bits = self._temp()
-            read = ast.Subscript(value=_name(SAT_NAME), slice=_const(label), ctx=ast.Load())
-            probe, out = self._probe(label, bits, test)
-            return [_assign(bits, read)] + probe, out
-        bits = (self.saturated_mask >> (label << 1)) & 3
-        if bits == 3:
-            return None, None
-        return self._probe(label, bits, test)
+    def _site(self, label: int, test: ast.expr) -> tuple[list, str]:
+        """The probe statements of one labeled site and its outcome var: the
+        site reads its two bits from :data:`SAT_NAME` and dispatches
+        Def. 4.2 at run time."""
+        bits = self._temp()
+        read = ast.Subscript(value=_name(SAT_NAME), slice=_const(label), ctx=ast.Load())
+        probe, out = self._probe(label, bits, test)
+        return [_assign(bits, read)] + probe, out
 
-    def _per_bits(self, bits, update: Callable[[int], list]) -> list:
-        """``update(bits)`` at a per-mask site.  At a mask-generic site
-        (``bits`` names the variable holding the site's two mask bits) a
-        runtime dispatch over the Def. 4.2 cases: 0 and the one-saturated
-        cases 1 and 2 run their update, 3 keeps ``r``."""
-        if isinstance(bits, int):
-            return update(bits)
+    def _per_bits(self, bits: str, update: Callable[[int], list]) -> list:
+        """A run-time dispatch over the Def. 4.2 cases on the variable
+        ``bits``: 0 and the one-saturated cases 1 and 2 run their
+        ``update(case)``, 3 keeps ``r``."""
         chain: list = []
         for case in (2, 1, 0):
             body = update(case) or [ast.Pass()]
             chain = [_if(_compare(_name(bits), "==", _const(case)), body, chain)]
         return chain
 
-    def _probe(self, label: int, bits, test: ast.expr) -> tuple[list, str]:
+    def _probe(self, label: int, bits: str, test: ast.expr) -> tuple[list, str]:
         """Statements computing one specialized probe; returns the outcome var.
 
-        ``bits`` is the site's mask bits (0-2) or, mask-generic, the name of
-        the variable holding them."""
+        ``bits`` names the variable holding the site's two mask bits."""
         simple = as_simple_comparison(test)
         if simple is not None:
             op, lhs, rhs, _negated = simple
@@ -449,7 +418,7 @@ class _Specializer(ast.NodeTransformer):
         return self._emit_truth(label, bits, test)
 
     def _bare_test(self, test: ast.expr) -> ast.expr:
-        """The probe-free expression a stripped site must branch on.
+        """The probe-free expression a both-saturated tree site branches on.
 
         This is the *lowered* test, not the source test: the instrumentation
         folds ``not`` into flipped comparison operators and De-Morgans trees
@@ -459,20 +428,8 @@ class _Specializer(ast.NodeTransformer):
         operators, chain walrus temporaries, ternary shape) is identical to
         what the generic tiers execute -- minus every probe.
         """
-        simple = as_simple_comparison(test)
-        if simple is not None:
-            op, lhs, rhs, negated = simple
-            if not negated:
-                return test
-            return _compare(lhs, op, rhs)
-        stripped, _ = strip_not(test)
-        if isinstance(stripped, (ast.BoolOp, ast.IfExp)) or is_chain(stripped):
-            if self._tree_accepted(0, test):
-                expr, _ = _TreeLowering(_BareOwner(self), 0).lower(test, negated=False)
-                return expr
-        # Truth fallback/promoted sites branch on the value's truthiness,
-        # which the original expression already provides.
-        return test
+        expr, _ = _TreeLowering(_BareOwner(self), 0).lower(test, negated=False)
+        return expr
 
     def _tree_accepted(self, label: int, test: ast.expr) -> bool:
         """Re-run the instrumentation pass's own ceiling check.
@@ -629,7 +586,7 @@ class _Specializer(ast.NodeTransformer):
     # -- simple comparison sites ------------------------------------------------
 
     def _emit_simple(
-        self, label: int, bits, op: str, lhs: ast.expr, rhs: ast.expr
+        self, label: int, bits: str, op: str, lhs: ast.expr, rhs: ast.expr
     ) -> tuple[list, str]:
         pre_a, a = self._operand(lhs)
         pre_b, b = self._operand(rhs)
@@ -663,7 +620,7 @@ class _Specializer(ast.NodeTransformer):
 
     # -- promoted truthiness sites ----------------------------------------------
 
-    def _emit_truth(self, label: int, bits, test: ast.expr) -> tuple[list, str]:
+    def _emit_truth(self, label: int, bits: str, test: ast.expr) -> tuple[list, str]:
         value = self._temp()
         out = self._temp()
         stmts = [_assign(value, test), _assign(out, _not(_not(_name(value))))]
@@ -719,42 +676,33 @@ class _Specializer(ast.NodeTransformer):
 
     # -- Boolean-tree sites -------------------------------------------------------
 
-    def _emit_tree(self, label: int, bits, test: ast.expr) -> tuple[list, str]:
+    def _emit_tree(self, label: int, bits: str, test: ast.expr) -> tuple[list, str]:
         root = self._temp()
-        if bits == 0:
-            stmts = self._tree_neither(test, root)
-        elif isinstance(bits, int):
-            need_t = bits == 1
-            stmts = self._tree_steer(
-                test, root, need_t, not need_t,
-                lambda emitted: _name(emitted.t if need_t else emitted.f),
-            )
-        else:
-            # Mask-generic: the leaves short-circuit differently per case,
-            # so each case evaluates its own copy of the test.  Both
-            # directions of the steering form are computed independently
-            # of each other, so one copy serves both one-saturated cases.
-            bare = self._bare_test(copy.deepcopy(test))
-            stmts = [
-                _if(
-                    _compare(_name(bits), "==", _const(3)),
-                    [_if(bare, [_assign(root, _const(True))], [_assign(root, _const(False))])],
-                    [
-                        _if(
-                            _compare(_name(bits), "==", _const(0)),
-                            self._tree_neither(copy.deepcopy(test), root),
-                            self._tree_steer(
-                                copy.deepcopy(test), root, True, True,
-                                lambda emitted: ast.IfExp(
-                                    test=_compare(_name(bits), "==", _const(1)),
-                                    body=_name(emitted.t),
-                                    orelse=_name(emitted.f),
-                                ),
+        # The leaves short-circuit differently per case, so each case
+        # evaluates its own copy of the test.  Both directions of the
+        # steering form are computed independently of each other, so one
+        # copy serves both one-saturated cases.
+        bare = self._bare_test(copy.deepcopy(test))
+        stmts = [
+            _if(
+                _compare(_name(bits), "==", _const(3)),
+                [_if(bare, [_assign(root, _const(True))], [_assign(root, _const(False))])],
+                [
+                    _if(
+                        _compare(_name(bits), "==", _const(0)),
+                        self._tree_neither(copy.deepcopy(test), root),
+                        self._tree_steer(
+                            copy.deepcopy(test), root,
+                            lambda emitted: ast.IfExp(
+                                test=_compare(_name(bits), "==", _const(1)),
+                                body=_name(emitted.t),
+                                orelse=_name(emitted.f),
                             ),
-                        )
-                    ],
-                )
-            ]
+                        ),
+                    )
+                ],
+            )
+        ]
         stmts += self._cov_write(label, root)
         return stmts, root
 
@@ -762,7 +710,7 @@ class _Specializer(ast.NodeTransformer):
         """A tree site with neither branch saturated: ``r = 0`` when some
         evaluated leaf is float-comparable."""
         shared_u = self._temp()
-        emitted = self._emit_spec(self._build_spec(test, False), False, False, shared_u)
+        emitted = self._emit_spec(self._build_spec(test, False), shared_u)
         return (
             [_assign(shared_u, _const(0))]
             + emitted.stmts
@@ -773,12 +721,11 @@ class _Specializer(ast.NodeTransformer):
         )
 
     def _tree_steer(
-        self, test: ast.expr, root: str, need_t: bool, need_f: bool,
-        steer: Callable[[_Emitted], ast.expr],
+        self, test: ast.expr, root: str, steer: Callable[[_Emitted], ast.expr]
     ) -> list:
         """A tree site with one branch saturated: ``r`` becomes the composed
         distance ``steer`` picks, when the composition is usable."""
-        emitted = self._emit_spec(self._build_spec(test, False), need_t, need_f, None)
+        emitted = self._emit_spec(self._build_spec(test, False), None)
         assert emitted.u is not None
         return list(emitted.stmts) + [
             _assign(root, _not(_not(_name(emitted.out)))),
@@ -829,22 +776,22 @@ class _Specializer(ast.NodeTransformer):
             return _Bool(not negated, children)
         return _Truth(node, negated)
 
-    def _emit_spec(
-        self, spec, need_t: bool, need_f: bool, shared_u: Optional[str]
-    ) -> _Emitted:
+    def _emit_spec(self, spec, shared_u: Optional[str]) -> _Emitted:
+        """Emit one composition subtree.  With ``shared_u`` set (the
+        neither-saturated case) the leaves only mark ``shared_u`` when they
+        are float-comparable; otherwise each node yields both composed
+        directions ``t``/``f`` and its usable flag ``u``."""
         if isinstance(spec, _Cmp):
-            return self._emit_cmp_leaf(spec, need_t, need_f, shared_u)
+            return self._emit_cmp_leaf(spec, shared_u)
         if isinstance(spec, _Truth):
-            return self._emit_truth_leaf(spec, need_t, need_f, shared_u)
+            return self._emit_truth_leaf(spec, shared_u)
         if isinstance(spec, _Bool):
-            return self._emit_bool(spec, need_t, need_f, shared_u)
+            return self._emit_bool(spec, shared_u)
         if isinstance(spec, _Tern):
-            return self._emit_ternary(spec, need_t, need_f, shared_u)
+            return self._emit_ternary(spec, shared_u)
         raise SpecializationError(f"unknown composition spec {spec!r}")
 
-    def _emit_cmp_leaf(
-        self, spec: _Cmp, need_t: bool, need_f: bool, shared_u: Optional[str]
-    ) -> _Emitted:
+    def _emit_cmp_leaf(self, spec: _Cmp, shared_u: Optional[str]) -> _Emitted:
         pre_a, a = self._operand(spec.lhs)
         pre_b, b = self._operand(spec.rhs)
         # Probe argument order: lhs evaluates before a chain link's walrus
@@ -855,64 +802,44 @@ class _Specializer(ast.NodeTransformer):
         if shared_u is not None:
             stmts += self._guarded(a, b, lambda fa, fb: [_assign(shared_u, _const(1))])
             return _Emitted(stmts, out)
-        t_var = self._temp() if need_t else None
-        f_var = self._temp() if need_f else None
+        t_var = self._temp()
+        f_var = self._temp()
         u_var = self._temp()
         stmts.append(_assign(u_var, _const(0)))
         op = spec.op
         eps = DEFAULT_EPSILON
 
         def body(fa: _Val, fb: _Val) -> list:
-            # The fused FastRuntime.cmp arithmetic, directions on demand.
-            inner: list = []
-            if op == "!=":
-                g_needed = need_f
-            elif op == "==":
-                g_needed = need_t
-            else:
-                g_needed = True
-            g_var = None
-            if g_needed:
-                g_var = self._temp()
-                inner.append(_assign(g_var, self._squared_gap_expr(fa, fb)))
-            g = (lambda: _name(g_var)) if g_var is not None else None
-            g_plus_eps = (
-                (lambda: ast.BinOp(left=_name(g_var), op=ast.Add(), right=_const(eps)))
-                if g_var is not None
-                else None
-            )
+            # The fused FastRuntime.cmp arithmetic.
+            g_var = self._temp()
+            inner: list = [_assign(g_var, self._squared_gap_expr(fa, fb))]
+            g = lambda: _name(g_var)
+            g_plus_eps = lambda: ast.BinOp(left=_name(g_var), op=ast.Add(), right=_const(eps))
             an, bn = fa.node, fb.node
             if op == "<":
-                t_expr = lambda: ast.IfExp(_compare(an(), "<", bn()), _const(0.0), g_plus_eps())
-                f_expr = lambda: ast.IfExp(_compare(bn(), "<=", an()), _const(0.0), g())
+                t_expr = ast.IfExp(_compare(an(), "<", bn()), _const(0.0), g_plus_eps())
+                f_expr = ast.IfExp(_compare(bn(), "<=", an()), _const(0.0), g())
             elif op == "<=":
-                t_expr = lambda: ast.IfExp(_compare(an(), "<=", bn()), _const(0.0), g())
-                f_expr = lambda: ast.IfExp(_compare(bn(), "<", an()), _const(0.0), g_plus_eps())
+                t_expr = ast.IfExp(_compare(an(), "<=", bn()), _const(0.0), g())
+                f_expr = ast.IfExp(_compare(bn(), "<", an()), _const(0.0), g_plus_eps())
             elif op == ">":
-                t_expr = lambda: ast.IfExp(_compare(bn(), "<", an()), _const(0.0), g_plus_eps())
-                f_expr = lambda: ast.IfExp(_compare(an(), "<=", bn()), _const(0.0), g())
+                t_expr = ast.IfExp(_compare(bn(), "<", an()), _const(0.0), g_plus_eps())
+                f_expr = ast.IfExp(_compare(an(), "<=", bn()), _const(0.0), g())
             elif op == ">=":
-                t_expr = lambda: ast.IfExp(_compare(bn(), "<=", an()), _const(0.0), g())
-                f_expr = lambda: ast.IfExp(_compare(an(), "<", bn()), _const(0.0), g_plus_eps())
+                t_expr = ast.IfExp(_compare(bn(), "<=", an()), _const(0.0), g())
+                f_expr = ast.IfExp(_compare(an(), "<", bn()), _const(0.0), g_plus_eps())
             elif op == "==":
-                t_expr = lambda: _name(g_var)
-                f_expr = lambda: ast.IfExp(_compare(an(), "==", bn()), _const(eps), _const(0.0))
+                t_expr = g()
+                f_expr = ast.IfExp(_compare(an(), "==", bn()), _const(eps), _const(0.0))
             else:  # "!="
-                t_expr = lambda: ast.IfExp(_compare(an(), "!=", bn()), _const(0.0), _const(eps))
-                f_expr = lambda: _name(g_var)
-            if need_t:
-                inner.append(_assign(t_var, t_expr()))
-            if need_f:
-                inner.append(_assign(f_var, f_expr()))
+                t_expr = ast.IfExp(_compare(an(), "!=", bn()), _const(0.0), _const(eps))
+                f_expr = g()
+            inner += [_assign(t_var, t_expr), _assign(f_var, f_expr)]
             terms = self._nan_terms(fa, fb)
             if terms:
                 nan_t = 0.0 if op == "!=" else BIG_DISTANCE
                 nan_f = BIG_DISTANCE if op == "!=" else 0.0
-                nan_body: list = []
-                if need_t:
-                    nan_body.append(_assign(t_var, _const(nan_t)))
-                if need_f:
-                    nan_body.append(_assign(f_var, _const(nan_f)))
+                nan_body = [_assign(t_var, _const(nan_t)), _assign(f_var, _const(nan_f))]
                 test = terms[0] if len(terms) == 1 else ast.BoolOp(op=ast.Or(), values=terms)
                 inner = [_if(test, nan_body, inner)]
             return inner + [_assign(u_var, _const(1))]
@@ -920,9 +847,7 @@ class _Specializer(ast.NodeTransformer):
         stmts += self._guarded(a, b, body)
         return _Emitted(stmts, out, t_var, f_var, u_var)
 
-    def _emit_truth_leaf(
-        self, spec: _Truth, need_t: bool, need_f: bool, shared_u: Optional[str]
-    ) -> _Emitted:
+    def _emit_truth_leaf(self, spec: _Truth, shared_u: Optional[str]) -> _Emitted:
         value = self._temp()
         out = self._temp()
         stmts = [_assign(value, spec.value)]
@@ -949,39 +874,30 @@ class _Specializer(ast.NodeTransformer):
             return _Emitted(stmts, out)
         # Unnegated promoted distances; a folded negation swaps which
         # direction each output variable receives (exactly tleaf's swap).
-        t_var = self._temp() if need_t else None
-        f_var = self._temp() if need_f else None
+        t_var = self._temp()
+        f_var = self._temp()
         u_var = self._temp()
         stmts.append(_assign(u_var, _const(0)))
         eps = _const(DEFAULT_EPSILON)
 
-        def assigns(dt_expr, df_expr) -> list:
-            # dt_expr/df_expr build the *unnegated* d_true/d_false.
-            body: list = []
+        def assigns(d_true: ast.expr, d_false: ast.expr) -> list:
+            # The *unnegated* d_true/d_false.
             if spec.negated:
-                if need_t:
-                    body.append(_assign(t_var, df_expr()))
-                if need_f:
-                    body.append(_assign(f_var, dt_expr()))
-            else:
-                if need_t:
-                    body.append(_assign(t_var, dt_expr()))
-                if need_f:
-                    body.append(_assign(f_var, df_expr()))
-            return body
+                d_true, d_false = d_false, d_true
+            return [_assign(t_var, d_true), _assign(f_var, d_false)]
 
         bool_body = assigns(
-            lambda: ast.IfExp(test=_name(value), body=_const(0.0), orelse=eps),
-            lambda: ast.IfExp(test=_name(value), body=eps, orelse=_const(0.0)),
+            ast.IfExp(test=_name(value), body=_const(0.0), orelse=eps),
+            ast.IfExp(test=_name(value), body=eps, orelse=_const(0.0)),
         ) + [_assign(u_var, _const(1))]
         conv = self._temp()
         cval = _Val(ident=conv)
-        nan_body = assigns(lambda: _const(0.0), lambda: _const(BIG_DISTANCE))
+        nan_body = assigns(_const(0.0), _const(BIG_DISTANCE))
         num_dist = assigns(
-            lambda: ast.IfExp(
+            ast.IfExp(
                 test=_compare(_name(conv), "!=", _const(0.0)), body=_const(0.0), orelse=eps
             ),
-            lambda: self._squared_gap_expr(cval, _Val(value=0.0)),
+            self._squared_gap_expr(cval, _Val(value=0.0)),
         )
         num_body = [
             _if(_compare(_name(conv), "!=", _name(conv)), nan_body, num_dist),
@@ -991,62 +907,40 @@ class _Specializer(ast.NodeTransformer):
         stmts.append(_if(is_bool, bool_body, [_if(is_num, [numeric])]))
         return _Emitted(stmts, out, t_var, f_var, u_var)
 
-    def _emit_bool(
-        self, spec: _Bool, need_t: bool, need_f: bool, shared_u: Optional[str]
-    ) -> _Emitted:
+    def _emit_bool(self, spec: _Bool, shared_u: Optional[str]) -> _Emitted:
         out = self._temp()
         if shared_u is not None:
             t_var = f_var = u_var = None
         else:
-            t_var = self._temp() if need_t else None
-            f_var = self._temp() if need_f else None
+            t_var = self._temp()
+            f_var = self._temp()
             u_var = self._temp()
 
         def fold(child: _Emitted) -> list:
             """Fold one child's pair into the node accumulators, in order."""
             if shared_u is not None:
                 return []
-            first: list = []
-            rest: list = []
-            if need_t:
-                first.append(_assign(t_var, _name(child.t)))
-                if spec.is_and:  # d_true adds up
-                    rest.append(
-                        _assign(
-                            t_var,
-                            ast.BinOp(left=_name(t_var), op=ast.Add(), right=_name(child.t)),
-                        )
-                    )
-                else:  # d_true is the running minimum (first wins ties)
-                    rest.append(
-                        _if(
-                            _compare(_name(child.t), "<", _name(t_var)),
-                            [_assign(t_var, _name(child.t))],
-                        )
-                    )
-            if need_f:
-                first.append(_assign(f_var, _name(child.f)))
-                if spec.is_and:
-                    rest.append(
-                        _if(
-                            _compare(_name(child.f), "<", _name(f_var)),
-                            [_assign(f_var, _name(child.f))],
-                        )
-                    )
-                else:
-                    rest.append(
-                        _assign(
-                            f_var,
-                            ast.BinOp(left=_name(f_var), op=ast.Add(), right=_name(child.f)),
-                        )
-                    )
-            first.append(_assign(u_var, _const(1)))
+            first = [
+                _assign(t_var, _name(child.t)),
+                _assign(f_var, _name(child.f)),
+                _assign(u_var, _const(1)),
+            ]
+            running_min = lambda var, value: _if(
+                _compare(_name(value), "<", _name(var)), [_assign(var, _name(value))]
+            )
+            running_sum = lambda var, value: _assign(
+                var, ast.BinOp(left=_name(var), op=ast.Add(), right=_name(value))
+            )
+            if spec.is_and:  # d_true adds up, d_false is the running minimum
+                rest = [running_sum(t_var, child.t), running_min(f_var, child.f)]
+            else:  # the dual (first wins ties)
+                rest = [running_min(t_var, child.t), running_sum(f_var, child.f)]
             return [_if(_name(child.u), [_if(_name(u_var), rest, first)])]
 
         last = len(spec.children) - 1
 
         def build(index: int) -> list:
-            child = self._emit_spec(spec.children[index], need_t, need_f, shared_u)
+            child = self._emit_spec(spec.children[index], shared_u)
             stmts = child.stmts + fold(child)
             if index == last:
                 stmts.append(_assign(out, _name(child.out)))
@@ -1068,11 +962,9 @@ class _Specializer(ast.NodeTransformer):
     def _fold_pair(
         self,
         is_and: bool,
-        x: tuple[Optional[str], Optional[str], str],
-        y: Optional[tuple[Optional[str], Optional[str], str]],
-        need_t: bool,
-        need_f: bool,
-    ) -> tuple[list, tuple[Optional[str], Optional[str], str]]:
+        x: tuple[str, str, str],
+        y: Optional[tuple[str, str, str]],
+    ) -> tuple[list, tuple[str, str, str]]:
         """Two-pair composition fold into fresh accumulators.
 
         ``x``/``y`` are ``(t, f, u)`` variable-name triples; ``y`` may be
@@ -1080,60 +972,35 @@ class _Specializer(ast.NodeTransformer):
         like a short-circuited leaf).  The arithmetic order matches
         ``_compose_tree``: ``x`` is the first pushed pair.
         """
-        t_var = self._temp() if need_t else None
-        f_var = self._temp() if need_f else None
+        t_var = self._temp()
+        f_var = self._temp()
         u_var = self._temp()
         stmts: list = [_assign(u_var, _const(0))]
         if y is None:
-            copy: list = []
-            if need_t:
-                copy.append(_assign(t_var, _name(x[0])))
-            if need_f:
-                copy.append(_assign(f_var, _name(x[1])))
-            copy.append(_assign(u_var, _const(1)))
+            copy = [
+                _assign(t_var, _name(x[0])),
+                _assign(f_var, _name(x[1])),
+                _assign(u_var, _const(1)),
+            ]
             stmts.append(_if(_name(x[2]), copy))
             return stmts, (t_var, f_var, u_var)
-        both: list = []
-        if need_t:
-            if is_and:
-                both.append(
-                    _assign(t_var, ast.BinOp(left=_name(x[0]), op=ast.Add(), right=_name(y[0])))
-                )
-            else:
-                both.append(
-                    _assign(
-                        t_var,
-                        ast.IfExp(
-                            test=_compare(_name(y[0]), "<", _name(x[0])),
-                            body=_name(y[0]),
-                            orelse=_name(x[0]),
-                        ),
-                    )
-                )
-        if need_f:
-            if is_and:
-                both.append(
-                    _assign(
-                        f_var,
-                        ast.IfExp(
-                            test=_compare(_name(y[1]), "<", _name(x[1])),
-                            body=_name(y[1]),
-                            orelse=_name(x[1]),
-                        ),
-                    )
-                )
-            else:
-                both.append(
-                    _assign(f_var, ast.BinOp(left=_name(x[1]), op=ast.Add(), right=_name(y[1])))
-                )
-        x_only: list = []
-        y_only: list = []
-        if need_t:
-            x_only.append(_assign(t_var, _name(x[0])))
-            y_only.append(_assign(t_var, _name(y[0])))
-        if need_f:
-            x_only.append(_assign(f_var, _name(x[1])))
-            y_only.append(_assign(f_var, _name(y[1])))
+        add = lambda var, i: _assign(
+            var, ast.BinOp(left=_name(x[i]), op=ast.Add(), right=_name(y[i]))
+        )
+        smaller = lambda var, i: _assign(
+            var,
+            ast.IfExp(
+                test=_compare(_name(y[i]), "<", _name(x[i])),
+                body=_name(y[i]),
+                orelse=_name(x[i]),
+            ),
+        )
+        if is_and:
+            both = [add(t_var, 0), smaller(f_var, 1)]
+        else:
+            both = [smaller(t_var, 0), add(f_var, 1)]
+        x_only = [_assign(t_var, _name(x[0])), _assign(f_var, _name(x[1]))]
+        y_only = [_assign(t_var, _name(y[0])), _assign(f_var, _name(y[1]))]
         stmts.append(
             _if(
                 _name(x[2]),
@@ -1143,14 +1010,12 @@ class _Specializer(ast.NodeTransformer):
         )
         return stmts, (t_var, f_var, u_var)
 
-    def _emit_ternary(
-        self, spec: _Tern, need_t: bool, need_f: bool, shared_u: Optional[str]
-    ) -> _Emitted:
+    def _emit_ternary(self, spec: _Tern, shared_u: Optional[str]) -> _Emitted:
         out = self._temp()
         if shared_u is not None:
-            cond = self._emit_spec(spec.cond, False, False, shared_u)
-            body = self._emit_spec(spec.body, False, False, shared_u)
-            orelse = self._emit_spec(spec.orelse, False, False, shared_u)
+            cond = self._emit_spec(spec.cond, shared_u)
+            body = self._emit_spec(spec.body, shared_u)
+            orelse = self._emit_spec(spec.orelse, shared_u)
             stmts = cond.stmts + [
                 _if(
                     _name(cond.out),
@@ -1160,30 +1025,26 @@ class _Specializer(ast.NodeTransformer):
             ]
             return _Emitted(stmts, out)
         # ``a if c else b`` composes as ``(c and a) or (not c and b)``; the
-        # condition's distances are shared by both conjuncts, so both of its
-        # directions are needed whatever the parent asked for.
-        cond = self._emit_spec(spec.cond, True, True, None)
-        t_var = self._temp() if need_t else None
-        f_var = self._temp() if need_f else None
+        # condition's distances are shared by both conjuncts.
+        cond = self._emit_spec(spec.cond, None)
+        t_var = self._temp()
+        f_var = self._temp()
         u_var = self._temp()
         cond_pair = (cond.t, cond.f, cond.u)
         cond_swapped = (cond.f, cond.t, cond.u)
 
-        def finish(result: tuple[Optional[str], Optional[str], str]) -> list:
-            copy: list = []
-            if need_t:
-                copy.append(_assign(t_var, _name(result[0])))
-            if need_f:
-                copy.append(_assign(f_var, _name(result[1])))
-            return copy + [_assign(u_var, _name(result[2]))]
+        def finish(result: tuple[str, str, str]) -> list:
+            return [
+                _assign(t_var, _name(result[0])),
+                _assign(f_var, _name(result[1])),
+                _assign(u_var, _name(result[2])),
+            ]
 
         # True branch: and1 = (cond, body); and2 = (not cond) alone.
-        body = self._emit_spec(spec.body, need_t, need_f, None)
-        and1_stmts, and1 = self._fold_pair(
-            True, cond_pair, (body.t, body.f, body.u), need_t, need_f
-        )
-        and2_stmts, and2 = self._fold_pair(True, cond_swapped, None, need_t, need_f)
-        or_stmts, merged = self._fold_pair(False, and1, and2, need_t, need_f)
+        body = self._emit_spec(spec.body, None)
+        and1_stmts, and1 = self._fold_pair(True, cond_pair, (body.t, body.f, body.u))
+        and2_stmts, and2 = self._fold_pair(True, cond_swapped, None)
+        or_stmts, merged = self._fold_pair(False, and1, and2)
         true_branch = (
             body.stmts
             + and1_stmts
@@ -1193,12 +1054,10 @@ class _Specializer(ast.NodeTransformer):
             + [_assign(out, _name(body.out))]
         )
         # False branch: and1 = cond alone; and2 = (not cond, orelse).
-        orelse = self._emit_spec(spec.orelse, need_t, need_f, None)
-        and1_stmts, and1 = self._fold_pair(True, cond_pair, None, need_t, need_f)
-        and2_stmts, and2 = self._fold_pair(
-            True, cond_swapped, (orelse.t, orelse.f, orelse.u), need_t, need_f
-        )
-        or_stmts, merged = self._fold_pair(False, and1, and2, need_t, need_f)
+        orelse = self._emit_spec(spec.orelse, None)
+        and1_stmts, and1 = self._fold_pair(True, cond_pair, None)
+        and2_stmts, and2 = self._fold_pair(True, cond_swapped, (orelse.t, orelse.f, orelse.u))
+        or_stmts, merged = self._fold_pair(False, and1, and2)
         false_branch = (
             orelse.stmts
             + and1_stmts
@@ -1218,18 +1077,15 @@ def specialize_source(
     source: str,
     function_name: str | None = None,
     start_label: int = 0,
-    saturated_mask: Optional[int] = 0,
 ) -> tuple[ast.Module, int]:
-    """Specialize one function's source against a concrete saturation mask.
+    """Specialize one function's source into its mask-generic form.
 
     Labels are assigned by the same walk as :func:`instrument_source`, so a
     site's label (and therefore its two mask bits) is identical across the
-    generic and the specialized tier.  Under a concrete mask the result
-    computes ``r`` only.  With ``saturated_mask=None`` it is
-    *mask-generic*: every site reads its two bits from :data:`SAT_NAME` at
-    run time, branches to the same per-case code a concrete mask would
-    compile to, and always writes its covered bit into :data:`COV_NAME`
-    (the form the native kernels are emitted from).  Returns the transformed
+    generic and the specialized tier.  Every site reads its two bits from
+    :data:`SAT_NAME` at run time, dispatches Def. 4.2 on them and writes
+    its covered bit into :data:`COV_NAME`; the Python tier runs this form
+    and the native kernels are emitted from it.  Returns the transformed
     module AST and the number of labeled conditionals.
     """
     tree = parse(textwrap.dedent(source))
@@ -1246,7 +1102,7 @@ def specialize_source(
         )
     func_node.decorator_list = []
     labels, _ = assign_labels(func_node, start=start_label)
-    specializer = _Specializer(labels, saturated_mask)
+    specializer = _Specializer(labels)
     specializer.visit(func_node)
     ast.fix_missing_locations(tree)
     return tree, len(labels)
@@ -1261,27 +1117,23 @@ class SpecializedUnit:
 
 
 #: Module-level specialization cache: (source sha256, function name, start
-#: label, saturated mask) -> SpecializedUnit.  Masks repeat across
-#: starts/epochs and workers, so one compile serves many namespaces.
+#: label) -> SpecializedUnit.  One compile serves every program namespace
+#: the unit is instrumented into (repeated instrument() calls, one program
+#: per service thread worker).
 _SPECIALIZED_CACHE: dict[tuple, SpecializedUnit] = {}
 _SPECIALIZED_CACHE_LOCK = threading.Lock()
 _SPECIALIZED_CACHE_MAX = 1024
 _SPECIALIZED_CACHE_STATS = {"hits": 0, "misses": 0, "evictions": 0}
 
 
-def specialized_unit(
-    source: str,
-    function_name: str,
-    start_label: int,
-    saturated_mask: int,
-) -> SpecializedUnit:
-    """Specialize + compile ``source``, memoized on its hash and the mask.
+def specialized_unit(source: str, function_name: str, start_label: int) -> SpecializedUnit:
+    """Specialize + compile ``source``, memoized on its hash.
 
     A miss in memory is served from the disk cache when warm; otherwise the
-    variant is specialized, compiled and written to disk.  The disk key
-    also covers the pass's tree ceilings as they are at call time."""
+    unit is specialized, compiled and written to disk.  The disk key also
+    covers the pass's tree ceilings as they are at call time."""
     digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
-    key = (digest, function_name, start_label, saturated_mask)
+    key = (digest, function_name, start_label)
     with _SPECIALIZED_CACHE_LOCK:
         unit = _SPECIALIZED_CACHE.get(key)
         if unit is not None:
@@ -1292,23 +1144,15 @@ def specialized_unit(
         *key, ast_pass.MAX_TREE_LEAVES, ast_pass.MAX_TREE_TOKENS
     )
     if disk_key is not None:
-        unit = unit_cache.load_entry(disk_key, _decode_variant, unit_cache.VARIANTS)
+        unit = unit_cache.load_entry(disk_key, _decode_variant)
     if unit is None:
-        tree, n_conditionals = specialize_source(
-            source,
-            function_name=function_name,
-            start_label=start_label,
-            saturated_mask=saturated_mask,
-        )
-        code = compile_tree(tree, f"<specialized:{function_name}:{saturated_mask:x}>")
+        tree, n_conditionals = specialize_source(source, function_name, start_label)
+        code = compile_tree(tree, f"<specialized:{function_name}>")
         unit = SpecializedUnit(code=code, n_conditionals=n_conditionals)
         if disk_key is not None:
-            unit_cache.store_entry(
-                disk_key, (unit.code, unit.n_conditionals), kind=unit_cache.VARIANTS
-            )
+            unit_cache.store_entry(disk_key, (unit.code, unit.n_conditionals))
     with _SPECIALIZED_CACHE_LOCK:
         while len(_SPECIALIZED_CACHE) >= _SPECIALIZED_CACHE_MAX:
-            # FIFO bound: masks from finished epochs age out first.
             _SPECIALIZED_CACHE.pop(next(iter(_SPECIALIZED_CACHE)))
             _SPECIALIZED_CACHE_STATS["evictions"] += 1
         _SPECIALIZED_CACHE[key] = unit
@@ -1323,15 +1167,13 @@ def _decode_variant(value) -> SpecializedUnit:
 
 
 def specialized_cache_info() -> dict[str, int]:
-    """Size and hit/miss/evict statistics of the specialization cache, and
-    this process's disk hits, misses and writes of variant entries."""
-    disk = unit_cache.instrumented_stats(unit_cache.VARIANTS)
+    """Size and hit/miss/evict statistics of the specialization cache (its
+    disk entries are counted with the instrumented units')."""
     with _SPECIALIZED_CACHE_LOCK:
         return {
             "entries": len(_SPECIALIZED_CACHE),
             "max_entries": _SPECIALIZED_CACHE_MAX,
             **_SPECIALIZED_CACHE_STATS,
-            **{f"disk_{name}": count for name, count in disk.items()},
         }
 
 
@@ -1342,4 +1184,3 @@ def clear_specialized_cache() -> None:
         _SPECIALIZED_CACHE.clear()
         for key in _SPECIALIZED_CACHE_STATS:
             _SPECIALIZED_CACHE_STATS[key] = 0
-    unit_cache.reset_instrumented_stats(unit_cache.VARIANTS)

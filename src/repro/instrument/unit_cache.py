@@ -13,11 +13,7 @@ loads them instead of recomputing them:
   one function, which the native kernel digest hashes for every helper;
 * a *variant* entry (written by
   :func:`repro.instrument.specialize.specialized_unit`) holds the compiled
-  code of one unit specialized against one saturation mask.  Variants live
-  in their own subdirectory under their own bound
-  (:data:`VARIANT_ENTRIES_MAX`): a search makes a new mask each time its
-  saturated set grows, and a shared FIFO would evict the older unit
-  entries first.
+  code of one unit's mask-generic specialization: at most one per unit.
 
 An entry's key (:func:`entry_key`) is a sha256 over everything its value
 depends on: the sha256 of the bytes of the function's source file, read on
@@ -29,18 +25,17 @@ caller's parameters; the bytes of the instrumenter's own modules
 therefore never calls ``inspect.getsource``.  A function without a readable
 ``.py`` file (exec'd or interactive code) has no key: it takes the cold
 path and writes nothing.  A variant's key (:func:`variant_key`) is over
-content alone: the unit's source digest, function name, start label and
-mask, the bytes of the modules a variant bakes in
-(:data:`VARIANT_TOOLCHAIN`), and the interpreter.
+content alone: the unit's source digest, function name and start label,
+the bytes of the modules a variant bakes in (:data:`VARIANT_TOOLCHAIN`),
+and the interpreter.
 
 Values are ``marshal`` version 2 data, which has no back-references, so two
 threads or processes writing one key write the same bytes; an entry is
 written to a hidden temp file and published with ``os.replace``.  Each file
 starts with the sha256 of its payload: a truncated or corrupt entry reads as
 a miss and is overwritten.  An unwritable directory keeps the cold path,
-silently.  Each directory is FIFO-bounded by mtime
-(:data:`DISK_ENTRIES_MAX`, :data:`VARIANT_ENTRIES_MAX`) and temp files of
-killed writers are pruned.
+silently.  The directory is FIFO-bounded by mtime
+(:data:`DISK_ENTRIES_MAX`) and temp files of killed writers are pruned.
 Loading an entry executes marshalled code, so the directory has the trust
 boundary of the shared objects its parent directory holds, which are loaded
 with ``dlopen``: only its owner may write it.
@@ -63,14 +58,10 @@ from typing import Callable, Optional
 
 from repro.instrument.native.cache import native_cache_dir
 
-#: FIFO bound on the unit and source entries on disk.  The 40 suite entries
-#: need 78: 50 units (the entries and their helper callees) and the 28
-#: helper sources their kernel digests hash.
+#: FIFO bound on the entries on disk.  The 40 suite entries need 128: 50
+#: units (the entries and their helper callees), their 50 variants and the
+#: 28 helper sources their kernel digests hash.
 DISK_ENTRIES_MAX = 4096
-
-#: FIFO bound on the variant entries on disk.  A seed-0 ``suite-specialized``
-#: pass writes 206 (1.7 MB; one per unit and mask it specializes).
-VARIANT_ENTRIES_MAX = 8192
 
 #: Seconds after which a hidden temp file belongs to no live writer.
 TEMP_STALE_S = 60
@@ -94,10 +85,6 @@ KERNEL_TOOLCHAIN = (
     "../core/branch_distance.py",
 )
 
-#: The two kinds of entry, each in its own directory under its own bound.
-UNITS = "units"
-VARIANTS = "variants"
-
 #: A process prunes the directory at its first write and every this many
 #: writes after it.
 _PRUNE_EVERY = 64
@@ -109,23 +96,12 @@ _DIGEST_BYTES = 32
 _HERE = Path(__file__).parent
 
 _LOCK = threading.Lock()
-_STATS = {kind: {"hits": 0, "misses": 0, "writes": 0} for kind in (UNITS, VARIANTS)}
+_STATS = {"hits": 0, "misses": 0, "writes": 0}
 
 
 def instrumented_cache_dir() -> Path:
-    """The unit entry directory, under the native kernel cache directory."""
+    """The entry directory, under the native kernel cache directory."""
     return native_cache_dir() / "instrumented"
-
-
-def entry_dir(kind: str = UNITS) -> Path:
-    """The directory of one kind of entry: variants in a subdirectory of
-    the unit directory."""
-    directory = instrumented_cache_dir()
-    return directory if kind == UNITS else directory / VARIANTS
-
-
-def _max_entries(kind: str) -> int:
-    return DISK_ENTRIES_MAX if kind == UNITS else VARIANT_ENTRIES_MAX
 
 
 @functools.cache
@@ -184,12 +160,12 @@ def variant_key(*params) -> Optional[str]:
     return hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()
 
 
-def load_entry(key: str, decode: Callable, kind: str = UNITS):
+def load_entry(key: str, decode: Callable):
     """``decode`` of the value stored under ``key``, or ``None`` on a miss.
 
     A missing, truncated or corrupt entry, or one ``decode`` rejects with
     ``ValueError``/``TypeError``, is a miss."""
-    path = entry_dir(kind) / (key + _SUFFIX)
+    path = instrumented_cache_dir() / (key + _SUFFIX)
     try:
         blob = path.read_bytes()
     except OSError:
@@ -202,14 +178,12 @@ def load_entry(key: str, decode: Callable, kind: str = UNITS):
         except (EOFError, ValueError, TypeError):
             result = None
     with _LOCK:
-        _STATS[kind]["misses" if result is None else "hits"] += 1
+        _STATS["misses" if result is None else "hits"] += 1
     return result
 
 
-def store_entry(
-    key: str, value, func: Optional[Callable] = None, *params, kind: str = UNITS
-) -> None:
-    """Publish ``value`` as ``key`` in the ``kind`` directory.
+def store_entry(key: str, value, func: Optional[Callable] = None, *params) -> None:
+    """Publish ``value`` as ``key``.
 
     A unit or source entry passes the ``func`` and ``params`` it was
     computed for: nothing is written when ``key`` is no longer ``func``'s
@@ -218,7 +192,7 @@ def store_entry(
     stale and passes no ``func``.  Failures to write are ignored."""
     if func is not None and entry_key(func, *params) != key:
         return
-    directory = entry_dir(kind)
+    directory = instrumented_cache_dir()
     payload = marshal.dumps(value, 2)
     tmp = None
     try:
@@ -232,11 +206,10 @@ def store_entry(
             _unlink(Path(tmp))
         return
     with _LOCK:
-        stats = _STATS[kind]
-        stats["writes"] += 1
-        prune = (stats["writes"] - 1) % _PRUNE_EVERY == 0
+        _STATS["writes"] += 1
+        prune = (_STATS["writes"] - 1) % _PRUNE_EVERY == 0
     if prune:
-        prune_entries(kind)
+        prune_entries()
 
 
 def function_source(func: Callable) -> str:
@@ -282,10 +255,10 @@ def _entry_files(directory: Path) -> list:
     return files
 
 
-def prune_entries(kind: str = UNITS) -> int:
+def prune_entries() -> int:
     """Delete stale temp files, then evict the oldest entries beyond the
-    bound of ``kind``; returns the number evicted."""
-    directory = entry_dir(kind)
+    bound; returns the number evicted."""
+    directory = instrumented_cache_dir()
     if not directory.is_dir():
         return 0
     stale = time.time() - TEMP_STALE_S
@@ -296,50 +269,39 @@ def prune_entries(kind: str = UNITS) -> int:
         except OSError:
             continue
     files = _entry_files(directory)
-    excess = max(0, len(files) - _max_entries(kind))
+    excess = max(0, len(files) - DISK_ENTRIES_MAX)
     return sum(_unlink(path) for path, _stat in files[:excess])
 
 
-def instrumented_cache_info(kind: str = UNITS) -> dict:
-    """Entries and bytes on disk of ``kind``, its bound, and this process's
-    disk hits, misses and writes of it."""
-    directory = entry_dir(kind)
+def instrumented_cache_info() -> dict:
+    """Entries and bytes on disk, the bound, and this process's disk hits,
+    misses and writes."""
+    directory = instrumented_cache_dir()
     files = _entry_files(directory) if directory.is_dir() else []
+    with _LOCK:
+        stats = dict(_STATS)
     return {
         "entries": len(files),
         "bytes": sum(stat.st_size for _path, stat in files),
-        "max_entries": _max_entries(kind),
-        **instrumented_stats(kind),
+        "max_entries": DISK_ENTRIES_MAX,
+        **stats,
     }
 
 
-def instrumented_stats(kind: str = UNITS) -> dict:
-    """This process's disk hits, misses and writes of ``kind``."""
+def reset_instrumented_stats() -> None:
+    """Zero this process's hit/miss/write counters (the disk is untouched)."""
     with _LOCK:
-        return dict(_STATS[kind])
-
-
-def reset_instrumented_stats(kind: str = UNITS) -> None:
-    """Zero this process's hit/miss/write counters of ``kind`` (the disk is
-    untouched)."""
-    with _LOCK:
-        for name in _STATS[kind]:
-            _STATS[kind][name] = 0
+        for name in _STATS:
+            _STATS[name] = 0
 
 
 def clean_instrumented_cache() -> int:
-    """Remove every entry and temp file of both kinds; returns the number of
-    entries removed."""
-    removed = 0
-    for kind in (VARIANTS, UNITS):
-        directory = entry_dir(kind)
-        if not directory.is_dir():
-            continue
-        removed += sum(_unlink(path) for path, _stat in _entry_files(directory))
-        for temp in directory.glob(".*"):
-            _unlink(temp)
-    try:
-        entry_dir(VARIANTS).rmdir()
-    except OSError:
-        pass
+    """Remove every entry and temp file; returns the number of entries
+    removed."""
+    directory = instrumented_cache_dir()
+    if not directory.is_dir():
+        return 0
+    removed = sum(_unlink(path) for path, _stat in _entry_files(directory))
+    for temp in directory.glob(".*"):
+        _unlink(temp)
     return removed

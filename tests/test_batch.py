@@ -4,9 +4,9 @@ The contract under test is the one the engine relies on: one
 :class:`~repro.instrument.batch.BatchKernel` call over an ``(N, arity)``
 float64 array returns exactly the penalty vector that N scalar
 ``PENALTY_SPECIALIZED`` executions would return -- bit-for-bit, NaN,
-infinity and int64-overflow rows included.  On top of that sit the cache/epoch plumbing, the memo
-seeding that chunk priming uses, and the engine-level identity of primed vs
-unprimed runs.
+infinity and int64-overflow rows included.  On top of that sit the
+shared-variant/epoch plumbing, the memo seeding that chunk priming uses, and
+the engine-level identity of primed vs unprimed runs.
 """
 
 from __future__ import annotations
@@ -119,8 +119,11 @@ class TestCaches:
         assert kernel.variant is program.specialize(0)
         assert program.batch_kernel(0).variant is kernel.variant
         assert program.specialization_builds == 1
-        program.batch_kernel(3)
-        assert program.specialization_builds == 2
+        # Another mask rebinds the one variant, which every kernel of the
+        # program reads its mask from.
+        assert program.batch_kernel(3).variant is kernel.variant
+        assert program.specialization_builds == 1
+        assert kernel.saturated_mask == 3
 
 
 class TestRepresentingEvaluateBatch:

@@ -8,9 +8,13 @@ and signalling payloads -- the kernel must agree with the generic
 :class:`~repro.instrument.runtime.FastRuntime` bit for bit on ``r``, on the
 covered set and on the last conditional and its outcome: through the serial
 entry (``sp_entry``, which the coverage harvest calls), the batch entry and
-the fused Powell search's memo.  A row the kernel bails on (the sample
+the fused Powell search's memo.  The program's mask-generic Python variant,
+the source the kernel's C is emitted from, must agree with both on ``r``
+and on the covered bits it writes.  A row the kernel bails on (the sample
 forms that compare ints beyond int64) must be harvested on ``FastRuntime``
-instead.  Every test self-skips without a C compiler.
+instead.  The one variant is shared by every caller on a program, so
+callers with different masks must never see each other's mask.  Every test
+self-skips without a C compiler.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from repro.instrument.program import instrument
 from repro.instrument.runtime import ExecutionProfile, FastRuntime
 from tests import sample_programs as sp
 from tests.test_native import _NO_INF, _FixedMask, _bits, _from_word, library
-from tests.test_specialize import PARITY_TARGETS
+from tests.test_specialize import PARITY_TARGETS, run_covered
 
 pytestmark = pytest.mark.skipif(
     not cc_available(), reason="no C compiler (cc/gcc/clang) on PATH"
@@ -140,8 +144,9 @@ def _batch_last(kernel, X: np.ndarray) -> tuple:
 
 
 def _assert_mask_parity(library, name: str, program, mask: int, rows) -> list:
-    """The kernel's serial entry, batch entry, harvest and fused memo agree
-    with FastRuntime on every row; returns the rows that bailed."""
+    """The kernel's serial entry, batch entry, harvest and fused memo and
+    the generic Python variant agree with FastRuntime on every row; returns
+    the rows that bailed."""
     kernel = program.native_kernel(mask)
     X = np.ascontiguousarray(rows, dtype=np.float64)
     r_batch, bail_batch, last_batch = _batch_last(kernel, X)
@@ -155,6 +160,11 @@ def _assert_mask_parity(library, name: str, program, mask: int, rows) -> list:
             context = (name, hex(mask), args)
             r_fast, outcome, covered = _fast(program, mask, args)
             clamped = r_fast if np.isfinite(r_fast) else _CLAMP
+            _, r_python, covered_python = run_covered(program.specialize(mask), args)
+            assert r_python.hex() == r_fast.hex(), context
+            assert _bits(r_python) == _bits(r_fast), context
+            assert covered_python == covered, context
+            assert program.branches_of(covered_python) == outcome.covered, context
             row = kernel.coverage(args)
             fast_runs = representing._fast.total_evaluations if representing._fast else 0
             value, harvested = representing.evaluate_with_coverage(args)
@@ -171,7 +181,7 @@ def _assert_mask_parity(library, name: str, program, mask: int, rows) -> list:
             r_native, cov_native, last_native = row
             assert not ran_fast, context  # one kernel call served it
             assert _bits(r_native) == _bits(r_fast), context
-            assert cov_native == covered, context
+            assert cov_native == covered == covered_python, context
             assert last_native == _last_bit(outcome), context
             assert bail_batch[i] == 0, context
             assert _bits(float(r_batch[i])) == _bits(r_fast), context
@@ -217,3 +227,54 @@ class TestRuntimeMaskParity:
         for mask in (0, top, 1, 2):
             bailed = _assert_mask_parity(library, name, program, mask, rows)
             assert bailed == expected, hex(mask)
+
+
+class TestSharedVariantMask:
+    def test_interleaved_callers_never_see_a_stale_mask(self):
+        """Two specialized representing functions with different trackers
+        and a native one share ``int_square``'s one variant: scalar calls,
+        batches and native bail fallbacks (rows beyond int64) interleave,
+        and every value equals a fresh program's at the caller's mask."""
+        program = _program("int_square")
+        top = (1 << (2 * program.n_conditionals)) - 1
+        fresh: dict = {}
+
+        def expected(mask: int, args) -> float:
+            reference = fresh.get(mask)
+            if reference is None:
+                reference = fresh[mask] = instrument(sp.int_square)
+            r = reference.run_specialized(args, mask)
+            return r if np.isfinite(r) else _CLAMP
+
+        specialized = [
+            RepresentingFunction(program, _FixedMask(0),
+                                 profile=ExecutionProfile.PENALTY_SPECIALIZED)
+            for _ in range(2)
+        ]
+        native = RepresentingFunction(program, _FixedMask(top),
+                                      profile=ExecutionProfile.PENALTY_NATIVE)
+        rows = [[3.0], [4e9], [-7.5], [-2.0 ** 40], [float("nan")], [1e300]]
+        X = np.ascontiguousarray(rows, dtype=np.float64)
+        rng = np.random.default_rng(17)
+        bails = 0
+        for step in range(48):
+            # A new mask for one caller at a time, so the callers' masks
+            # differ most of the time.
+            representing = specialized[step % 2]
+            mask = representing.tracker.saturated_mask = int(rng.integers(0, top + 1))
+            if step % 3 == 0:
+                values = representing.evaluate_batch(X)
+                for row, value in zip(rows, values):
+                    assert _bits(float(value)) == _bits(expected(mask, row)), (step, row)
+            else:
+                args = rows[step % len(rows)]
+                assert _bits(representing(args)) == _bits(expected(mask, args)), step
+            mask = native.tracker.saturated_mask = int(rng.integers(0, top + 1))
+            kernel = native.native_kernel()
+            before = kernel.bails
+            value = native([4e9])  # int(4e9) ** 2 leaves int64: a bail
+            bails += kernel.bails - before
+            assert _bits(value) == _bits(expected(mask, [4e9])), step
+        assert bails == 48
+        assert program.specialization_builds == 1
+        assert len({expected(mask, [3.0]) for mask in range(top + 1)}) > 2

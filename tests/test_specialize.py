@@ -1,14 +1,13 @@
 """Tests for the saturation-specialized penalty codegen tier.
 
-The contract under test: for every saturation mask, the specialized variant
-computes a bit-identical ``r`` to the generic runtimes and identical return
-values, and writes no coverage (only the mask-generic form does); and the
-epoch protocol recompiles only when the mask actually changes.
+The contract under test: for every saturation mask, the program's one
+mask-generic variant computes a bit-identical ``r`` to the generic runtimes,
+identical return values and the same covered bits; it is built once per
+program, and a mask change only rewrites its mask entries.
 """
 
 from __future__ import annotations
 
-import ast
 import struct
 
 import numpy as np
@@ -27,7 +26,7 @@ from repro.instrument.program import (
     instrument,
 )
 from repro.instrument.runtime import ExecutionProfile, FastRuntime, Runtime
-from repro.instrument.specialize import COV_NAME, specialize_source
+from repro.instrument.specialize import COV_NAME, SAT_NAME
 from tests import sample_programs as sp
 
 #: Sample targets covering every lowered conditional form (simple, negated,
@@ -76,12 +75,27 @@ def _run_fast(program, mask: int, args) -> tuple[object, float, int]:
     return value, fast.r, fast.covered_mask()
 
 
+def covered_bits(variant) -> int:
+    """The covered-bit mask a variant's runs wrote into ``__sp_cov__``."""
+    return sum(1 << bit for bit, hit in enumerate(variant.namespace[COV_NAME]) if hit)
+
+
+def run_covered(variant, args) -> tuple[object, float, int]:
+    """One run of ``variant`` from a cleared ``__sp_cov__``: the return
+    value, ``r`` and the covered-bit mask."""
+    cov = variant.namespace[COV_NAME]
+    cov[:] = [0] * len(cov)
+    value, r = variant.run(args)
+    return value, r, covered_bits(variant)
+
+
 def _assert_parity(program, mask: int, args) -> None:
-    value_ref, r_ref, _ = _run_fast(program, mask, args)
-    value_sp, r_sp = program.specialize(mask).run(args)
+    value_ref, r_ref, covered_ref = _run_fast(program, mask, args)
+    value_sp, r_sp, covered_sp = run_covered(program.specialize(mask), args)
     assert _bits(r_sp) == _bits(r_ref), (program.name, hex(mask), args, r_sp, r_ref)
     same = value_sp == value_ref or (value_sp != value_sp and value_ref != value_ref)
     assert same, (program.name, hex(mask), args, value_sp, value_ref)
+    assert covered_sp == covered_ref, (program.name, hex(mask), args)
 
 
 class TestSpecializedParity:
@@ -126,20 +140,6 @@ class TestSpecializedParity:
         for mask in (0, 0b01, 0b11):
             for x in (-1.0, 0.1, 0.6, 7.0):
                 _assert_parity(program, mask, [x])
-
-    def test_stripped_sites_record_no_coverage(self):
-        """Per-mask variants compute ``r`` only: no site writes a covered
-        bit, under any mask; the mask-generic form writes every one."""
-        for target in PARITY_TARGETS:
-            program = instrument(target)
-            full = (1 << (2 * program.n_conditionals)) - 1
-            for source, name, label in program.units:
-                for mask in (0, 0b01, 0b10, full):
-                    tree, _ = specialize_source(source, name, label, mask)
-                    assert COV_NAME not in ast.unparse(tree), (target.__name__, mask)
-                generic, n_conditionals = specialize_source(source, name, label, None)
-                assert ast.unparse(generic).count(COV_NAME) >= n_conditionals
-            assert COV_NAME not in program.specialize(full).namespace
 
     def test_truth_fallback_degrades_identically(self, monkeypatch):
         """When the AST pass declines a tree, the specializer must too."""
@@ -202,13 +202,28 @@ class TestEpochProtocol:
         assert tracker.saturated_mask != before
         representing([0.7])
         representing([0.9])
-        assert (representing.respecializations, program.specialization_builds) == (2, 2)
+        # One rebind of the program's one variant; nothing is compiled.
+        assert (representing.respecializations, program.specialization_builds) == (2, 1)
+        assert representing._variant.saturated_mask == tracker.saturated_mask
 
     def test_seen_masks_are_cache_hits(self):
         program = instrument(sp.paper_foo)
         first = program.specialize(0b0110)
         again = program.specialize(0b0110)
         assert first is again
+        assert program.specialization_builds == 1
+
+    def test_every_mask_shares_one_variant(self):
+        """A mask is a rewrite of the variant's ``__sp_sat__`` entries (the
+        two mask bits of each conditional label), never a build."""
+        program = instrument(sp.three_dimensional)  # 3 conditionals: 64 masks
+        variant = program.specialize(0)
+        for mask in range(1 << (2 * program.n_conditionals)):
+            assert program.specialize(mask) is variant
+            assert variant.saturated_mask == mask
+            assert list(variant.namespace[SAT_NAME]) == [
+                (mask >> (2 * label)) & 3 for label in range(program.n_conditionals)
+            ]
         assert program.specialization_builds == 1
 
     def test_pen_cases_behave_like_fast_runtime(self):
@@ -282,17 +297,6 @@ class TestSpecializedProgramAPI:
         assert cleared["entries"] == 0
         assert cleared["specialized"]["entries"] == 0
         assert cleared["specialized"]["misses"] == 0
-
-    def test_variant_cache_is_bounded(self):
-        from repro.instrument import program as program_module
-
-        program = instrument(sp.three_dimensional)  # 3 conditionals: 64 masks
-        limit = program_module._VARIANTS_MAX
-        n_masks = 1 << (2 * program.n_conditionals)
-        for mask in range(n_masks):
-            program.specialize(mask)
-        assert len(program._variants) <= limit
-        assert program.specialization_builds == n_masks
 
 
 class TestRepresentingSpecialized:

@@ -1,13 +1,13 @@
-"""Tests of the disk layer under the per-mask specialization cache.
+"""Tests of the disk layer under the specialization cache.
 
-A specialized variant (one unit compiled against one saturation mask) is
-kept in ``instrumented/variants`` of the content-keyed disk cache, so a
-fresh process with a warm directory runs a ``penalty-specialized`` search
-without specializing or compiling any variant, and gets the same result.
-A truncated or corrupt entry is a miss and is overwritten; changing any
-keyed module or the pass's tree ceilings misses; an unwritable directory
-keeps the cold path; variants have their own bound and never evict a unit
-entry; ``repro native-cache ls|clean`` report and remove them.
+A program's specialized variant (each unit compiled in its mask-generic
+form) is kept in the content-keyed disk cache next to the instrumented
+units, one entry per unit, so a fresh process with a warm directory runs a
+``penalty-specialized`` search without specializing or compiling any unit,
+and gets the same result.  A truncated or corrupt entry is a miss and is
+overwritten; changing any keyed module or the pass's tree ceilings misses;
+an unwritable directory keeps the cold path; ``repro native-cache ls|clean``
+count and remove the entries with the units.
 """
 
 from __future__ import annotations
@@ -31,17 +31,18 @@ from tests import sample_programs as sp
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: Masks of ``nested_boolean`` (2 conditionals) that specialize differently.
+#: Masks of ``nested_boolean`` (2 conditionals) that take different paths
+#: through its probe sites.
 MASKS = (0b0000, 0b0001, 0b0110, 0b1011, 0b1111)
 
 
 @pytest.fixture
 def cache_dir(tmp_path, monkeypatch):
     """An empty cache directory and cold in-memory caches; yields the
-    variant entry directory."""
+    instrumented entry directory."""
     monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
     _forget_in_memory()
-    yield tmp_path / "instrumented" / "variants"
+    yield tmp_path / "instrumented"
     _forget_in_memory()
 
 
@@ -51,8 +52,27 @@ def _forget_in_memory() -> None:
 
 
 def _disk() -> tuple:
-    info = compiled_cache_info()["specialized"]
-    return info["disk_hits"], info["disk_misses"], info["disk_writes"]
+    info = compiled_cache_info()["instrumented"]
+    return info["hits"], info["misses"], info["writes"]
+
+
+def _specialize_disk(program, mask: int = 0b0110) -> tuple:
+    """The disk hits, misses and writes of ``program``'s variant build
+    alone (the units' own lookups are counted before it)."""
+    unit_cache.reset_instrumented_stats()
+    program.specialize(mask)
+    return _disk()
+
+
+def _variant_entries(program, directory: Path) -> list:
+    """The entry file of each unit's variant."""
+    return [
+        directory / (unit_cache.variant_key(
+            hashlib.sha256(source.encode("utf-8")).hexdigest(), name, label,
+            ast_pass.MAX_TREE_LEAVES, ast_pass.MAX_TREE_TOKENS,
+        ) + ".entry")
+        for source, name, label in program.units
+    ]
 
 
 def _values(program, mask) -> list:
@@ -77,15 +97,23 @@ def counting(source, function_name=None, *args, **kwargs):
 specialize.specialize_source = counting
 
 results = []
+programs = []
 for key in ("s_tanh.c:tanh(double)", "e_scalb.c:ieee754_scalb(double,double)"):
     case = next(case for case in BENCHMARKS if case.key == key)
     config = CoverMeConfig(n_start=16, n_iter=3, seed=42, eval_profile="penalty-specialized")
-    result = SearchEngine(instrument_case(case), config).run()
+    program = instrument_case(case)
+    programs.append(program)
+    result = SearchEngine(program, config).run()
     results.append([
         [x.hex() for x in point] for point in result.inputs
     ] + [sorted(map(repr, result.covered)), sorted(map(repr, result.saturated)),
          result.evaluations])
-print(json.dumps({"built": built, "results": results, **compiled_cache_info()["specialized"]}))
+info = compiled_cache_info()
+print(json.dumps({
+    "built": built, "results": results, "units": sum(len(p.units) for p in programs),
+    "builds": [p.specialization_builds for p in programs],
+    "specialized": info["specialized"], **info["instrumented"],
+}))
 """
 
 
@@ -101,39 +129,63 @@ def _fresh_process(cache: Path) -> dict:
 
 def test_fresh_process_with_warm_cache_compiles_no_variant(tmp_path):
     first = _fresh_process(tmp_path)
-    assert first["built"]
-    assert first["disk_misses"] == first["disk_writes"] == first["misses"] == len(first["built"])
+    # One build per program, one specialization per unit.
+    assert first["builds"] == [1, 1]
+    assert len(first["built"]) == first["specialized"]["misses"] == first["units"]
+    # Every unit and variant entry missed and was written once.
+    assert first["hits"] == 0 and first["misses"] == first["writes"] == 2 * first["units"]
     second = _fresh_process(tmp_path)
     assert second["built"] == []
-    assert (second["disk_misses"], second["disk_writes"]) == (0, 0)
-    # Every lookup that missed in memory was served from disk.
-    assert second["disk_hits"] == second["misses"] == first["misses"]
+    assert (second["misses"], second["writes"]) == (0, 0)
+    # Every entry the cold process wrote was served from disk.
+    assert second["hits"] == first["writes"]
     assert second["results"] == first["results"]
 
 
 def test_warm_variants_are_bit_identical(cache_dir):
     program = instrument(sp.nested_boolean)
+    unit_cache.reset_instrumented_stats()
     cold = {mask: _values(program, mask) for mask in MASKS}
-    assert _disk() == (0, len(MASKS), len(MASKS))
-    assert len(list(cache_dir.iterdir())) == len(MASKS)
+    assert _disk() == (0, 1, 1)  # one variant entry serves every mask
+    (entry,) = _variant_entries(program, cache_dir)
+    assert entry.is_file()
     _forget_in_memory()
     program = instrument(sp.nested_boolean)
+    unit_cache.reset_instrumented_stats()
     assert {mask: _values(program, mask) for mask in MASKS} == cold
-    assert _disk() == (len(MASKS), 0, 0)
+    assert _disk() == (1, 0, 0)
+
+
+def test_one_variant_entry_per_unit(cache_dir):
+    program = instrument(sp.paper_foo, extra_functions=[sp.helper_goo])
+    units = sorted(path.name for path in cache_dir.glob("*.entry"))
+    assert len(units) == 2
+    for mask in range(6):
+        program.specialize(mask)
+    variants = _variant_entries(program, cache_dir)
+    assert all(path.is_file() for path in variants)
+    assert sorted(path.name for path in cache_dir.glob("*.entry")) == sorted(
+        units + [path.name for path in variants]
+    )
 
 
 class TestRobustness:
     def _one_entry(self, cache_dir) -> tuple:
         program = instrument(sp.nested_boolean)
         values = _values(program, 0b0110)
-        (entry,) = cache_dir.iterdir()
+        (entry,) = _variant_entries(program, cache_dir)
         _forget_in_memory()
         return entry, entry.read_bytes(), values
+
+    def _rerun(self) -> list:
+        program = instrument(sp.nested_boolean)
+        unit_cache.reset_instrumented_stats()
+        return _values(program, 0b0110)
 
     def test_truncated_entry_is_a_miss_and_overwritten(self, cache_dir):
         entry, original, values = self._one_entry(cache_dir)
         entry.write_bytes(original[: len(original) // 2])
-        assert _values(instrument(sp.nested_boolean), 0b0110) == values
+        assert self._rerun() == values
         assert _disk() == (0, 1, 1)
         assert entry.read_bytes() == original
 
@@ -142,7 +194,7 @@ class TestRobustness:
         blob = bytearray(original)
         blob[-1] ^= 0xFF
         entry.write_bytes(bytes(blob))
-        assert _values(instrument(sp.nested_boolean), 0b0110) == values
+        assert self._rerun() == values
         assert _disk() == (0, 1, 1)
         assert entry.read_bytes() == original
 
@@ -150,7 +202,7 @@ class TestRobustness:
         entry, original, values = self._one_entry(cache_dir)
         payload = marshal.dumps(("not code", 2), 2)
         entry.write_bytes(hashlib.sha256(payload).digest() + payload)
-        assert _values(instrument(sp.nested_boolean), 0b0110) == values
+        assert self._rerun() == values
         assert _disk() == (0, 1, 1)
         assert entry.read_bytes() == original
 
@@ -160,32 +212,33 @@ class TestRobustness:
         monkeypatch.setenv("REPRO_NATIVE_CACHE", str(blocker))
         _forget_in_memory()
         try:
-            values = _values(instrument(sp.nested_boolean), 0b0110)
+            values = self._rerun()
             assert _disk() == (0, 1, 0)
             monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "writable"))
             _forget_in_memory()
-            assert _values(instrument(sp.nested_boolean), 0b0110) == values
+            assert self._rerun() == values
             assert _disk() == (0, 1, 1)
         finally:
             _forget_in_memory()
 
-    def test_unwritable_variant_directory_keeps_units_cached(self, cache_dir):
-        cache_dir.parent.mkdir(parents=True)
-        cache_dir.write_text("")  # a file where the variant directory goes
+    def test_unwritable_variant_entry_keeps_units_cached(self, cache_dir):
         program = instrument(sp.nested_boolean)
+        (entry,) = _variant_entries(program, cache_dir)
+        entry.mkdir()  # a directory where the variant entry goes
+        assert _specialize_disk(program) == (0, 1, 0)  # missed, not written
         values = _values(program, 0b0110)
-        assert _disk() == (0, 1, 0)
-        assert compiled_cache_info()["instrumented"]["writes"] == 1
         _forget_in_memory()
-        assert _values(instrument(sp.nested_boolean), 0b0110) == values
+        program = instrument(sp.nested_boolean)
+        assert _disk() == (1, 0, 0)  # the unit is still served from disk
+        assert _values(program, 0b0110) == values
+        assert _disk() == (1, 1, 0)
 
 
 class TestKey:
     def _warm(self) -> None:
         instrument(sp.nested_boolean).specialize(0b0110)
         _forget_in_memory()
-        instrument(sp.nested_boolean).specialize(0b0110)
-        assert _disk() == (1, 0, 0)
+        assert _specialize_disk(instrument(sp.nested_boolean)) == (1, 0, 0)
         _forget_in_memory()
 
     @pytest.fixture
@@ -207,55 +260,36 @@ class TestKey:
         with open(copied_modules / name, "ab") as handle:
             handle.write(b"\n# edited\n")
         unit_cache._modules_digest.cache_clear()
-        instrument(sp.nested_boolean).specialize(0b0110)
-        assert _disk() == (0, 1, 1)
+        assert _specialize_disk(instrument(sp.nested_boolean)) == (0, 1, 1)
 
     def test_editing_an_unkeyed_module_hits(self, cache_dir, copied_modules):
         self._warm()
         with open(copied_modules / "cfg.py", "ab") as handle:
             handle.write(b"\n# edited\n")
         unit_cache._modules_digest.cache_clear()
-        instrument(sp.nested_boolean).specialize(0b0110)
-        assert _disk() == (1, 0, 0)
+        assert _specialize_disk(instrument(sp.nested_boolean)) == (1, 0, 0)
 
     def test_tree_ceilings_are_part_of_the_key(self, cache_dir, monkeypatch):
         self._warm()
         monkeypatch.setattr(ast_pass, "MAX_TREE_TOKENS", 2)
         degraded = instrument(sp.nested_boolean)
-        degraded.specialize(0b0110)
-        assert _disk() == (0, 1, 1)
+        assert _specialize_disk(degraded) == (0, 1, 1)
         assert any(cond.form == "truth" for cond in degraded.conditionals)
-
-
-def test_variant_bound_evicts_no_unit_entry(cache_dir, monkeypatch):
-    units = cache_dir.parent
-    monkeypatch.setattr(unit_cache, "VARIANT_ENTRIES_MAX", 2)
-    monkeypatch.setattr(unit_cache, "_PRUNE_EVERY", 1)
-    program = instrument(sp.paper_foo, extra_functions=[sp.helper_goo])
-    unit_entries = sorted(path.name for path in units.glob("*.entry"))
-    assert len(unit_entries) == 2
-    for path in units.glob("*.entry"):
-        os.utime(path, (0, 0))  # older than every variant
-    for mask in range(6):
-        program.specialize(mask)
-    assert len(list(cache_dir.glob("*.entry"))) == 2
-    assert sorted(path.name for path in units.glob("*.entry")) == unit_entries
-    assert unit_cache.prune_entries() == 0
 
 
 def test_cli_reports_and_cleans_variant_entries(cache_dir, capsys):
     program = instrument(sp.nested_boolean)
     for mask in MASKS[:2]:
         program.specialize(mask)
-    info = unit_cache.instrumented_cache_info(unit_cache.VARIANTS)
-    assert info["entries"] == 2
+    info = unit_cache.instrumented_cache_info()
+    assert info["entries"] == 2  # the unit and its variant
     assert cli_main(["native-cache", "ls"]) == 0
     out = capsys.readouterr().out
     assert (
-        f"specialized variants {cache_dir}: 2 entries, {info['bytes']} bytes total "
-        f"(bound {unit_cache.VARIANT_ENTRIES_MAX})"
+        f"instrumented cache {cache_dir}: 2 entries, {info['bytes']} bytes total "
+        f"(bound {unit_cache.DISK_ENTRIES_MAX})"
     ) in out
+    assert "variants" not in out
     assert cli_main(["native-cache", "clean"]) == 0
-    assert "removed 3 entries" in capsys.readouterr().out  # one unit, two variants
-    assert not cache_dir.exists()
-    assert list(cache_dir.parent.iterdir()) == []
+    assert "removed 2 entries" in capsys.readouterr().out
+    assert list(cache_dir.iterdir()) == []
