@@ -105,33 +105,36 @@ class SearchEngine:
         stop = False
 
         pool = StartPool(self.program)
-        while not stop and issued < config.n_start:
-            if self.tracker.all_saturated():
-                break
-            if self._budget_exhausted(evaluations, start_time):
-                break
-            count = min(DEFAULT_BATCH_SIZE, config.n_start - issued)
-            tasks = self._schedule_batch(issued, count)
-            issued += count
-            batch_index += 1
-            # Each result is computed only when pulled, so leaving the
-            # loop early means the remaining starts never ran and cost
-            # nothing.
-            for result in pool.run_batch(params, tasks):
-                if result.skipped:
-                    stop = True
+        try:
+            while not stop and issued < config.n_start:
+                if self.tracker.all_saturated():
                     break
-                evaluations += result.evaluations
-                starts_used += 1
-                traces.append(self._reduce(result, inputs))
-                if self.tracker.all_saturated() or self._budget_exhausted(
-                    evaluations, start_time
-                ):
-                    stop = True
+                if self._budget_exhausted(evaluations, start_time):
                     break
-            self._emit_progress(
-                batch_index - 1, issued, starts_used, evaluations, len(inputs), start_time
-            )
+                count = min(DEFAULT_BATCH_SIZE, config.n_start - issued)
+                tasks = self._schedule_batch(issued, count)
+                issued += count
+                batch_index += 1
+                # Each result is computed only when pulled, so leaving the
+                # loop early means the remaining starts never ran and cost
+                # nothing.
+                for result in pool.run_batch(params, tasks):
+                    if result.skipped:
+                        stop = True
+                        break
+                    evaluations += result.evaluations
+                    starts_used += 1
+                    traces.append(self._reduce(result, inputs))
+                    if self.tracker.all_saturated() or self._budget_exhausted(
+                        evaluations, start_time
+                    ):
+                        stop = True
+                        break
+                self._emit_progress(
+                    batch_index - 1, issued, starts_used, evaluations, len(inputs), start_time
+                )
+        finally:
+            pool.close()
 
         wall_time = time.perf_counter() - start_time
         return CoverMeResult(

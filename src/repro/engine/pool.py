@@ -15,14 +15,26 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.instrument.program import InstrumentedProgram
-from repro.engine.worker import StartParams, StartResult, StartTask, prime_chunk, run_start
+from repro.engine.worker import (
+    RunContext,
+    StartParams,
+    StartResult,
+    StartTask,
+    prime_chunk,
+    run_start,
+)
 
 
 class StartPool:
-    """Runs batches of starts in the calling thread, one start per pull."""
+    """Runs batches of starts in the calling thread, one start per pull.
+
+    One pool serves one engine run: its :class:`RunContext` carries the
+    batch's saturation snapshot and the fused search's C context from start
+    to start, and :meth:`close` frees that context when the run ends."""
 
     def __init__(self, program: InstrumentedProgram):
         self.program = program
+        self.context = RunContext(program)
 
     def run_batch(self, params: StartParams, tasks: list[StartTask]) -> Iterator[StartResult]:
         """Yield the batch's results in start order, lazily.
@@ -39,4 +51,9 @@ class StartPool:
                 params,
                 task,
                 primed=None if primed is None else primed.get(task.index),
+                context=self.context,
             )
+
+    def close(self) -> None:
+        """Free the run's fused-search context (idempotent)."""
+        self.context.close()

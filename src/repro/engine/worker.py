@@ -14,8 +14,14 @@ the minimum.  A start builds its random generator only when basin hopping
 first draws from it.  Starts within a batch share the same snapshot, so
 :func:`prime_chunk` can evaluate all their starting points in one call.
 
+What does not change from start to start is built once per run, in a
+:class:`RunContext`: the tracker of a batch's snapshot (starts only read
+it) and, under ``PENALTY_NATIVE``, the fused search's C context, which each
+start re-arms with its own mask and an empty memo.  A start still gets its
+own representing function and random generator.
+
 Under the ``PENALTY_SPECIALIZED`` profile the epoch protocol composes with
-this structure for free: the per-start tracker snapshot freezes the
+this structure for free: the batch's tracker snapshot freezes the
 saturation mask, so one start triggers at most one variant lookup, and the
 program-level + module-level specialization caches make that lookup a
 dictionary hit whenever any earlier start already ran against the same
@@ -148,47 +154,107 @@ def prime_chunk(
     return {t.index: float(v) for t, v in zip(eligible, values)}
 
 
+class RunContext:
+    """What the starts of one engine run on one program share.
+
+    :meth:`tracker` computes a saturation snapshot once and hands it to
+    every start of the batch it belongs to (starts only read it), and
+    :meth:`objective` builds the fused search's
+    :class:`~repro.instrument.native.local_min.NativeObjective` at the run's
+    first start that can take the fused path and re-arms it for each later
+    one, so a run holds one C context.  :meth:`close` frees it; the owner
+    calls it when the run ends (``StartPool.close``), and :func:`run_start`
+    called without a context builds and closes one of its own.
+    """
+
+    __slots__ = ("program", "_snapshot", "_tracker", "_fused")
+
+    def __init__(self, program: InstrumentedProgram):
+        self.program = program
+        self._snapshot: Optional[tuple] = None  # (covered, infeasible) of _tracker
+        self._tracker: Optional[SaturationTracker] = None
+        self._fused = None
+
+    def tracker(self, task: StartTask) -> SaturationTracker:
+        """The saturation snapshot of ``task``: the previous start's when
+        it froze the same covered and infeasible sets."""
+        snapshot = (task.covered, task.infeasible)
+        if snapshot != self._snapshot:
+            self._tracker = SaturationTracker(
+                self.program, covered=set(task.covered), infeasible=set(task.infeasible)
+            )
+            self._snapshot = snapshot
+        return self._tracker
+
+    def objective(self, representing: RepresentingFunction):
+        """The fused search armed for ``representing``'s start, or ``None``
+        when the start runs the Python search."""
+        fused = self._fused
+        if fused is None:
+            fused = self._fused = native_objective(representing)
+        else:
+            fused.rearm(representing)
+        return fused
+
+    def close(self) -> None:
+        """Free the fused search's C context (idempotent)."""
+        fused, self._fused = self._fused, None
+        if fused is not None:
+            fused.close()
+
+
 def run_start(
     program: InstrumentedProgram,
     params: StartParams,
     task: StartTask,
     primed: Optional[float] = None,
+    context: Optional[RunContext] = None,
 ) -> StartResult:
     """Execute one start against ``task``'s saturation snapshot.
 
     ``primed`` is the pre-computed ``FOO_R(x0)`` from :func:`prime_chunk`;
     when present it is planted in the memo and one evaluation is credited,
-    so the reported evaluation count matches the unprimed run.
+    so the reported evaluation count matches the unprimed run.  ``context``
+    is the run's :class:`RunContext`; without one the start builds its own
+    and frees it before returning.
     """
     if params.deadline is not None and time.time() >= params.deadline:
         return StartResult.deadline_skip(task)
+    own_context = context is None
+    if own_context:
+        context = RunContext(program)
+    try:
+        return _run_start(program, params, task, primed, context)
+    finally:
+        if own_context:
+            context.close()
 
-    tracker = SaturationTracker(
-        program, covered=set(task.covered), infeasible=set(task.infeasible)
-    )
+
+def _run_start(program, params, task, primed, context) -> StartResult:
     # The optimizer inner loop only consumes the scalar objective, so the
     # configured profile (default PENALTY_NATIVE) drives the loop, and the
     # accepted minimum is re-executed below to harvest branches.  All
     # profiles compute bit-identical values and outcomes, so this choice
     # never changes seeded results.
     representing = RepresentingFunction(
-        program, tracker, profile=params.eval_profile, native_threads=params.native_threads
+        program, context.tracker(task), profile=params.eval_profile,
+        native_threads=params.native_threads,
     )
     # Within one start the saturation snapshot is frozen, so FOO_R is a pure
     # function of the input bits and memoizing it is sound.  The memo wraps
     # the objective *outside* basin hopping, which keeps no cache of its
-    # own.  Under penalty-native
-    # the memo is a C one that also runs whole Powell searches natively
-    # (when the kernel and the fused-search library are loaded); its
-    # misses are counted into ``evaluations`` before it is freed.
-    fused = native_objective(representing)
+    # own.  Under penalty-native the memo is the run's C one, armed for this
+    # start, which also runs whole Powell searches natively (when the
+    # kernel and the fused-search library are loaded); its misses are
+    # counted into ``evaluations``.
+    fused = context.objective(representing)
     objective = fused if fused is not None else BitPatternMemo(representing, arity=program.arity)
     rng = _LazyGenerator([params.root_seed, _STREAM_WORKER, task.index])
-    found: dict[str, np.ndarray] = {}
+    found: list = []
 
     def callback(x: np.ndarray, f: float, _accepted: bool) -> bool:
         if f <= 0.0:  # a zero of FOO_R: stop this start (Sect. 5.2)
-            found["x"] = np.array(x, dtype=float, copy=True)
+            found.append(x.tolist())
             return True
         return False
 
@@ -202,7 +268,7 @@ def run_start(
             representing.evaluations += 1
         result = basinhopping(
             objective,
-            np.asarray(task.x0, dtype=float),
+            task.x0,
             n_iter=params.n_iter,
             local_minimizer=params.local_minimizer,
             rng=rng,
@@ -212,17 +278,15 @@ def run_start(
     finally:
         if fused is not None:
             representing.evaluations += fused.misses
-            fused.close()
-    x_star = found["x"] if "x" in found else result.x
+    x_star = found[0] if found else result.x.tolist()
     value, coverage = representing.evaluate_with_coverage(x_star)
     return StartResult(
         index=task.index,
         x0=task.x0,
-        x_star=tuple(float(v) for v in np.atleast_1d(x_star)),
+        x_star=tuple(x_star),
         value=float(value),
         covered=coverage.covered,
         last_conditional=coverage.last_conditional,
         last_outcome=coverage.last_outcome,
         evaluations=representing.evaluations,
     )
-

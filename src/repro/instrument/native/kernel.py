@@ -182,19 +182,50 @@ def _code_names(code) -> frozenset:
     return frozenset(names)
 
 
-#: (source sha256, looked-up names) of a helper function, per function object.
+def _walk_names(names, globs, skip=frozenset()) -> tuple:
+    """The digest parts of the global ``names`` a body looks up in
+    ``globs``, and the plain functions among them outside ``skip``."""
+    module = globs.get("__name__", "?")
+    parts = []
+    functions = []
+    for name in names:
+        if name not in globs:
+            continue
+        value = globs[name]
+        form = baked_form(value)
+        if form is not None:
+            parts.append(f"{module}.{name} {form}")
+        if type(value) not in FOLD_TYPES and not isinstance(value, tuple):
+            # Attributes of a scalar or a tuple follow from its value.
+            for attr in names:
+                form = baked_form(global_value(globs, name, attr))
+                if form is not None:
+                    parts.append(f"{module}.{name}.{attr} {form}")
+        if inspect.isfunction(value) and name not in skip:
+            functions.append(value)
+    return parts, functions
+
+
+#: (own digest parts, plain functions it reads) of a helper function, per
+#: function object.
 _HELPER_SOURCES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _helper_source(func) -> tuple:
+def _helper_walk(func) -> tuple:
+    """A helper's own digest parts -- its source sha256 and what its body
+    reads from its module's globals -- and the functions it reaches, walked
+    once per function object: helper modules are shared by every program
+    that adopts them."""
     cached = _HELPER_SOURCES.get(func)
     if cached is None:
         try:
             source = unit_cache.function_source(func)
         except (OSError, TypeError):
             source = ""  # not adoptable: the emitter bails its calls
-        cached = (hashlib.sha256(source.encode("utf-8")).hexdigest(),
-                  _code_names(func.__code__))
+        source_sha = hashlib.sha256(source.encode("utf-8")).hexdigest()
+        parts, functions = _walk_names(_code_names(func.__code__), func.__globals__)
+        parts.append(f"fn {func.__module__}.{func.__qualname__} {source_sha}")
+        cached = (frozenset(parts), tuple(functions))
         _HELPER_SOURCES[func] = cached
     return cached
 
@@ -212,41 +243,34 @@ def helper_digest(program) -> str:
     up names, resolved by the emitter's own
     :func:`~repro.instrument.native.emit.global_value`.  Pairs the bodies
     never read only over-approximate, which costs a rebuild at worst.
-    Cached on the program; helper sources are hashed once per function
-    object and come from the content-keyed disk cache when it is warm
+    Cached on the program; each helper function is walked once per process
+    (its module's globals are read then, so rebinding them later does not
+    reach the digests of programs built afterwards), and helper sources
+    come from the content-keyed disk cache when it is warm
     (:func:`repro.instrument.unit_cache.function_source`)."""
     cached = program.native_helper_digest
     if cached is not None:
         return cached
     namespace = program.entry.__globals__
-    unit_names = {name for _source, name, _label in program.units}
-    stack = [(_code_names(namespace[name].__code__), namespace)
-             for name in unit_names if inspect.isfunction(namespace.get(name))]
-    seen: set = set()
+    unit_names = frozenset(name for _source, name, _label in program.units)
     parts: set = set()
+    stack: list = []
+    for name in unit_names:
+        unit = namespace.get(name)
+        if inspect.isfunction(unit):
+            unit_parts, functions = _walk_names(_code_names(unit.__code__), namespace,
+                                                skip=unit_names)
+            parts.update(unit_parts)
+            stack.extend(functions)
+    seen: set = set()
     while stack:
-        names, globs = stack.pop()
-        module = globs.get("__name__", "?")
-        for name in names:
-            if name not in globs:
-                continue
-            value = globs[name]
-            form = baked_form(value)
-            if form is not None:
-                parts.add(f"{module}.{name} {form}")
-            if type(value) not in FOLD_TYPES and not isinstance(value, tuple):
-                # Attributes of a scalar or a tuple follow from its value.
-                for attr in names:
-                    form = baked_form(global_value(globs, name, attr))
-                    if form is not None:
-                        parts.add(f"{module}.{name}.{attr} {form}")
-            if not inspect.isfunction(value) or value in seen \
-                    or (globs is namespace and name in unit_names):
-                continue
-            seen.add(value)
-            source_sha, helper_names = _helper_source(value)
-            parts.add(f"fn {value.__module__}.{value.__qualname__} {source_sha}")
-            stack.append((helper_names, value.__globals__))
+        func = stack.pop()
+        if func in seen:
+            continue
+        seen.add(func)
+        func_parts, functions = _helper_walk(func)
+        parts |= func_parts
+        stack.extend(functions)
     digest = hashlib.sha256("\n".join(sorted(parts)).encode("utf-8")).hexdigest()
     program.native_helper_digest = digest
     return digest
@@ -462,7 +486,7 @@ class NativeKernel:
     semantics the emitter could not prove) are transparently re-run on the
     program's scalar specialized variant under the same mask, so results
     never depend on the emitter being complete.  That variant is built at
-    the first bail (:attr:`variant`), :attr:`bails` counts the bailed rows and
+    the first bail, :attr:`bails` counts the bailed rows and
     :attr:`bail_reasons` counts them per bail reason (a diagnostic: no
     record, fingerprint or digest reads it).  :meth:`scalar` is the one-row
     entry point used by ``evaluate`` and :meth:`coverage` the one-row
@@ -507,13 +531,6 @@ class NativeKernel:
         if saturated_mask != self.saturated_mask:
             store_mask(self._sat, saturated_mask)
             self.saturated_mask = saturated_mask
-
-    @property
-    def variant(self):
-        """The program's scalar specialized variant, set to the current
-        mask, which rows bail to (built on first use, cached on the
-        program)."""
-        return self.program.specialize(self.saturated_mask)
 
     def scalar(self, args) -> float:
         """Evaluate one row, returning its raw ``r``."""

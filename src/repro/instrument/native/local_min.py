@@ -25,6 +25,13 @@ row goes to a ctypes callback running :meth:`NativeKernel._scalar_fallback
 exception raised there unwinds the C search and is raised again from the
 Python call that started it.
 
+The C context (memo, mask words, bail callback) is built once per engine
+run, at its first start that takes the fused path, and re-armed for each
+later start: ``lm_reset`` empties the memo, zeroes its counters and copies
+in that start's mask, which the callback reads from a cell the re-arm sets.
+The owner frees the context when its run ends
+(:class:`~repro.engine.worker.RunContext`).
+
 Powell's direction update sums squares with ``np.sum``, which is a plain
 left fold only for up to 7 elements (numpy switches to 8-way pairwise sums
 beyond), so the fused search serves programs of arity <= :data:`MAX_ARITY`.
@@ -84,10 +91,10 @@ typedef int (*lm_entry_fn)(const double *x, const uint64_t *sat, double *r_out,
 typedef int (*lm_bail_fn)(const double *x, double *r_out, int site);
 
 typedef struct {
-    int n;
+    int n, n_words;
     lm_entry_fn entry;
     lm_bail_fn bail;
-    uint64_t *sat; /* the start's saturation mask words */
+    uint64_t *sat; /* the current start's saturation mask words */
     uint64_t *cov; /* sp_entry's covered bits and last conditional: unread */
     int64_t last;
     /* FIFO memo: `count` entries in a ring of `cap` slots, oldest at
@@ -333,6 +340,7 @@ lm_ctx *lm_new(int n, int n_words, void *entry, const uint64_t *sat, void *bail,
     lm_ctx *c = calloc(1, sizeof *c);
     if (c == NULL) return NULL;
     c->n = n;
+    c->n_words = n_words;
     c->entry = (lm_entry_fn)entry;
     c->bail = (lm_bail_fn)bail;
     c->max_entries = max_entries;
@@ -347,6 +355,18 @@ lm_ctx *lm_new(int n, int n_words, void *entry, const uint64_t *sat, void *bail,
     }
     memcpy(c->sat, sat, n_words * sizeof *c->sat);
     return c;
+}
+
+/* Ready the context for the next start: an empty memo (the ring keeps the
+   capacity it grew to) with zeroed counters, evaluating the kernel under a
+   copy of the n_words mask words at `sat`. */
+void lm_reset(lm_ctx *c, const uint64_t *sat) {
+    for (long long e = 0; e < c->count; e++)
+        c->buckets[lm_hash(c->keys + e * c->n, c->n) & c->mask] = -1;
+    c->count = 0;
+    c->head = 0;
+    c->hits = c->misses = c->evictions = 0;
+    memcpy(c->sat, sat, c->n_words * sizeof *c->sat);
 }
 
 void lm_free(lm_ctx *c) {
@@ -488,6 +508,8 @@ def _bind(so_path):
         lib.lm_new.restype = c_void_p
         lib.lm_new.argtypes = [ctypes.c_int, ctypes.c_int, c_void_p, c_void_p, _BAIL_FN,
                                c_longlong]
+        lib.lm_reset.restype = None
+        lib.lm_reset.argtypes = [c_void_p, c_void_p]
         lib.lm_free.restype = None
         lib.lm_free.argtypes = [c_void_p]
         lib.lm_stats.restype = None
@@ -551,23 +573,29 @@ def clear_local_min_library() -> None:
 
 
 class NativeObjective:
-    """One start's memoized objective, with Powell run in C.
+    """A memoized objective with Powell run in C, armed for one start at a
+    time.
 
     Calls are served by a C memo with :class:`~repro.optimize.memo.
     BitPatternMemo`'s semantics (its misses evaluate the kernel), so the
     object serves any local minimizer; :meth:`powell` runs a
-    whole Powell search in one native call against the same memo.  The
-    memo lives in C memory owned by this object: :meth:`close` frees it
-    and must be called (``run_start`` does so in a ``finally``).  Like its
-    kernel, an instance belongs to one thread.
+    whole Powell search in one native call against the same memo.
+    Construction arms the memo for ``representing``'s start; :meth:`rearm`
+    empties it, zeroes its counters and arms it for another start on the
+    same kernel, so the starts of a run share one C context, one bail
+    callback and one set of buffers.  The context lives in C memory owned
+    by this object: :meth:`close` frees it and must be called
+    (:class:`~repro.engine.worker.RunContext` does so when its run ends).
+    Like its kernel, an instance belongs to one thread.
 
     Input that is not ``arity`` numbers goes to the representing function
     uncached, exactly as :class:`BitPatternMemo` forwards it, so a wrong
     arity raises the same ``ValueError``.
     """
 
-    __slots__ = ("representing", "arity", "_lib", "_ctx", "_errors", "_bail",
-                 "_x", "_out", "_fun", "_nfev", "_nit", "_stats")
+    __slots__ = ("representing", "arity", "_lib", "_kernel", "_ctx", "_errors",
+                 "_armed", "_bail", "_sat", "_sat_address", "_x", "_out", "_fun",
+                 "_nfev", "_nit", "_stats", "_xa", "_xa_address", "_result_addresses")
 
     def __init__(self, representing, kernel, library,
                  max_entries: int = DEFAULT_MAX_ENTRIES):
@@ -578,29 +606,33 @@ class NativeObjective:
         self.representing = representing
         self.arity = arity = kernel.arity
         self._lib = library
-        # The callback closes over the kernel and an error list, not over
-        # self, so no reference cycle keeps a closed instance alive.
+        self._kernel = kernel
+        # The callback closes over the kernel, an error list and the cell
+        # holding the armed start's mask, not over self, so no reference
+        # cycle keeps a closed instance alive.  The start's mask is the
+        # kernel's current one, which the representing function bound to
+        # its tracker.
         errors: list = []
+        armed = [kernel.saturated_mask]
         fallback = kernel._scalar_fallback
-        # The start's mask: the kernel's current one, which the
-        # representing function bound to its tracker.
-        mask = kernel.saturated_mask
 
         def bail(x, r_out, site):
             try:
-                r_out[0] = fallback(x[:arity], site, mask)
+                r_out[0] = fallback(x[:arity], site, armed[0])
             except BaseException as exc:  # raised again once C unwinds
                 errors.append(exc)
                 return 1
             return 0
 
         self._errors = errors
+        self._armed = armed
         self._bail = _BAIL_FN(bail)  # must outlive the context
         entry = ctypes.cast(kernel.loaded.sp_entry, ctypes.c_void_p).value
-        sat = (ctypes.c_uint64 * kernel.loaded.n_words)()
-        store_mask(sat, mask)
+        self._sat = (ctypes.c_uint64 * kernel.loaded.n_words)()
+        self._sat_address = ctypes.addressof(self._sat)
+        store_mask(self._sat, armed[0])
         self._ctx = library.lm_new(arity, kernel.loaded.n_words, entry,
-                                   ctypes.addressof(sat), self._bail, max_entries)
+                                   self._sat_address, self._bail, max_entries)
         if not self._ctx:
             raise MemoryError("could not allocate the native local-search memo")
         self._x = (ctypes.c_double * arity)()
@@ -609,6 +641,32 @@ class NativeObjective:
         self._nfev = ctypes.c_longlong()
         self._nit = ctypes.c_longlong()
         self._stats = (ctypes.c_longlong * len(_STATS_FIELDS))()
+        # A Powell search's start point, which C turns into its result in
+        # place, and its outputs, passed by addresses taken once.
+        self._xa = np.zeros(arity)
+        self._xa_address = self._xa.ctypes.data
+        self._result_addresses = (ctypes.addressof(self._fun), ctypes.addressof(self._nfev),
+                                  ctypes.addressof(self._nit))
+
+    def rearm(self, representing) -> None:
+        """Arm the memo for ``representing``'s start: empty it, zero its
+        counters and evaluate under that start's mask.
+
+        ``representing`` must run on this objective's kernel (a start of
+        the same program under ``penalty-native``); this binds its kernel
+        to its tracker's mask, as :func:`native_objective` does."""
+        ctx = self._context()
+        kernel = representing.native_kernel()
+        if kernel is not self._kernel:
+            raise ValueError("the start does not run on this objective's kernel")
+        mask = kernel.saturated_mask
+        armed = self._armed
+        if mask != armed[0]:
+            store_mask(self._sat, mask)
+            armed[0] = mask
+        self._errors.clear()
+        self._lib.lm_reset(ctx, self._sat_address)
+        self.representing = representing
 
     def _context(self):
         ctx = self._ctx
@@ -652,19 +710,18 @@ class NativeObjective:
         """:func:`~repro.optimize.local.powell.powell` from ``x0`` (a length-
         ``arity`` vector), run in one native call against this memo."""
         ctx = self._context()
-        x = np.array(x0, dtype=np.float64)
-        if x.shape != (self.arity,):
-            raise ValueError(f"expected a vector of {self.arity} values, got shape {x.shape}")
-        status = self._lib.lm_powell(
-            ctx, x.ctypes.data, int(max_iterations), float(tol), float(step),
-            ctypes.addressof(self._fun), ctypes.addressof(self._nfev),
-            ctypes.addressof(self._nit),
-        )
+        x = self._xa
+        x0 = np.asarray(x0, dtype=np.float64)
+        if x0.shape != x.shape:
+            raise ValueError(f"expected a vector of {self.arity} values, got shape {x0.shape}")
+        x[:] = x0
+        status = self._lib.lm_powell(ctx, self._xa_address, int(max_iterations),
+                                     float(tol), float(step), *self._result_addresses)
         if status:
             self._raise(status)
         fun = self._fun.value
         return OptimizeResult(
-            x=x,
+            x=x.copy(),
             fun=fun,
             nfev=self._nfev.value,
             nit=self._nit.value,
@@ -696,9 +753,11 @@ class NativeObjective:
 
 
 def native_objective(representing):
-    """A :class:`NativeObjective` for one start, or ``None`` when the start
-    runs the Python search: another profile, arity above
-    :data:`MAX_ARITY`, or the kernel or the library not loaded (yet).
+    """A :class:`NativeObjective` armed for ``representing``'s start, or
+    ``None`` when the start runs the Python search: another profile, arity
+    above :data:`MAX_ARITY`, or the kernel or the library not loaded (yet).
+    Later starts of a run on the same program :meth:`~NativeObjective.rearm`
+    the objective instead of asking again.
 
     The library is requested before the kernel is looked at, so its build
     is queued at a process's first native start even when every kernel is

@@ -45,7 +45,7 @@ def powell(
     A :class:`~repro.instrument.native.local_min.NativeObjective` runs the
     whole search in one native call, bit-identical to the loop below.
     """
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+    x = np.array(x0, dtype=float, ndmin=1)
     if isinstance(func, local_min.NativeObjective) and x.shape == (func.arity,):
         return func.powell(x, max_iterations=max_iterations, tol=tol, step=step)
     n = x.size

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_F64 = np.dtype(np.float64)
+
 
 @dataclass
 class OptimizeResult:
@@ -28,7 +30,9 @@ class OptimizeResult:
     message: str = ""
 
     def __post_init__(self) -> None:
-        self.x = np.atleast_1d(np.asarray(self.x, dtype=float))
+        x = self.x
+        if x.__class__ is not np.ndarray or x.dtype is not _F64 or x.ndim != 1:
+            self.x = np.atleast_1d(np.asarray(x, dtype=float))
         self.fun = float(self.fun)
 
     def better_than(self, other: "OptimizeResult") -> bool:

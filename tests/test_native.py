@@ -116,7 +116,7 @@ from repro.instrument.program import (
     compiled_cache_info,
     instrument,
 )
-from repro.instrument.runtime import ExecutionProfile
+from repro.instrument.runtime import BranchId, ExecutionProfile
 from repro.instrument.signature import ProgramSignature
 from repro.optimize.local.powell import powell
 from repro.optimize.memo import DEFAULT_MAX_ENTRIES, BitPatternMemo
@@ -580,6 +580,26 @@ class TestAdoptedHelpers:
         X = np.ascontiguousarray([[v] for v in _HELPER_ROWS], dtype=np.float64)
         for program in programs:
             assert _assert_native_parity(program, 0, X) == []
+
+    def test_helper_walks_shared_across_programs_keep_every_digest(self):
+        """Each helper function is walked once per process and shared by
+        every program adopting it: the digests of the suite and sample
+        programs equal those of walks from scratch, one program at a time."""
+        programs = [instrument_case(case) for case in BENCHMARKS]
+        programs += [instrument(target) for target in PARITY_TARGETS]
+        programs.append(instrument(sp.calls_helper, extra_functions=[sp.helper_goo]))
+
+        def digest(program):
+            program.native_helper_digest = None
+            return helper_digest(program)
+
+        kernel_module._HELPER_SOURCES.clear()
+        shared = [digest(program) for program in programs]
+        alone = []
+        for program in programs:
+            kernel_module._HELPER_SOURCES.clear()
+            alone.append(digest(program))
+        assert shared == alone
 
     def test_helper_digest_is_cached_on_the_program(self):
         program = instrument(sp.calls_helper, extra_functions=[sp.helper_goo])
@@ -2185,6 +2205,149 @@ class TestFusedFallbacks:
         # them all would grow the process by ~14 MB.
         assert rss_mb() - before < 4.0
         assert all(fused_spy) and len(fused_spy) == 1200
+
+
+class _CountingLibrary:
+    """The fused-search library, counting context allocations and frees."""
+
+    def __init__(self, lib):
+        self._lib = lib
+        self.calls = {"lm_new": 0, "lm_free": 0}
+
+    def __getattr__(self, name):
+        function = getattr(self._lib, name)
+        if name not in self.calls:
+            return function
+
+        def counted(*args):
+            self.calls[name] += 1
+            return function(*args)
+
+        return counted
+
+
+@pytest.fixture
+def counting_library(library, monkeypatch):
+    counting = _CountingLibrary(library)
+    monkeypatch.setattr(local_min, "local_min_library", lambda: counting)
+    return counting
+
+
+def _raise_in_fallback(self, args):
+    raise RuntimeError("fallback exploded")
+
+
+@requires_cc
+class TestRunContext:
+    """The starts of a run share one fused-search context, re-armed per start."""
+
+    def test_rearm_forgets_the_previous_starts_memo(self, library):
+        """The same point under another mask is a miss with that mask's
+        ``r``: a memo kept across starts would serve the first value."""
+        program = instrument(sp.paper_foo)
+        dense = _dense_mask(program, 1)  # only x <= 1.0 is open
+        point = [3.0]
+        kernel = program.native_kernel(0)
+        fused = local_min.NativeObjective(_native_representing(program, 0), kernel, library)
+        try:
+            first = fused(point)
+            assert _bits(first) == _bits(_native_representing(program, 0)(point))
+            fused.rearm(_native_representing(program, dense))
+            second = fused(point)
+            assert _bits(second) == _bits(_native_representing(program, dense)(point))
+            assert _bits(first) != _bits(second)
+            assert fused.stats() == {"hits": 0, "misses": 1, "evictions": 0,
+                                     "entries": 1, "max_entries": DEFAULT_MAX_ENTRIES}
+        finally:
+            fused.close()
+
+    def test_rearm_refuses_another_programs_start(self, library):
+        program, other = instrument(sp.paper_foo), instrument(sp.nested_branches)
+        fused = local_min.NativeObjective(_native_representing(program, 0),
+                                          program.native_kernel(0), library)
+        other.native_kernel(0)
+        try:
+            with pytest.raises(ValueError, match="kernel"):
+                fused.rearm(_native_representing(other, 0))
+        finally:
+            fused.close()
+
+    def test_run_matches_a_context_per_start(self, library, fused_spy):
+        """Evaluations, minima and outcomes of starts sharing a context are
+        those of starts with a context each, across a snapshot change."""
+        for program, scale in ((instrument(sp.three_dimensional), 4.0),
+                               (instrument(curved_valley), 2.0),
+                               (instrument(trunc_overflows), 3e18)):
+            hard = _hard_task(program, [0.0] * program.arity)
+            program.native_kernel(_prewarm(program, hard))
+            rng = np.random.default_rng(71)
+            points = [tuple(rng.normal(scale=scale, size=program.arity).tolist())
+                      for _ in range(4)]
+            tasks = []
+            for index in range(8):
+                # Starts 2k and 2k+1 share their x0; starts 4 and 5 across
+                # the snapshot change.
+                snapshot = hard if index < 5 else dataclasses.replace(hard, covered=frozenset())
+                tasks.append(dataclasses.replace(snapshot, index=index, x0=points[index // 2]))
+            context = worker_module.RunContext(program)
+            try:
+                shared = [run_start(program, _start_params(), task, context=context)
+                          for task in tasks]
+            finally:
+                context.close()
+            alone = [run_start(program, _start_params(), task) for task in tasks]
+            assert [_start_key(r) for r in shared] == [_start_key(r) for r in alone], \
+                program.name
+        assert all(fused_spy)
+
+    @pytest.mark.parametrize("target, raising_x0, next_x0", (
+        (sp.int_square, 1e19, 4e9),
+        (trunc_overflows, 1e19, 9.3e18),
+    ), ids=("int_square", "trunc_overflows"))
+    def test_start_after_a_raising_fallback_matches_a_fresh_context(
+        self, library, fused_spy, target, raising_x0, next_x0
+    ):
+        program = instrument(target)
+        raising = StartTask(index=0, x0=(raising_x0,), covered=frozenset(),
+                            infeasible=frozenset())
+        # ``next_x0`` bails and takes the saturated true branch, so its ``r``
+        # (a distance) shows whether the fallback ran under this start's mask.
+        following = StartTask(index=1, x0=(next_x0,),
+                              covered=frozenset({BranchId(0, True)}), infeasible=frozenset())
+        program.native_kernel(_prewarm(program, following))
+        context = worker_module.RunContext(program)
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(SpecializedVariant, "run", _raise_in_fallback)
+                with pytest.raises(RuntimeError, match="fallback exploded"):
+                    run_start(program, _start_params(), raising, context=context)
+            bails = program.native_kernel(0).bails
+            after = run_start(program, _start_params(), following, context=context)
+            assert program.native_kernel(0).bails > bails  # the fallback ran again
+        finally:
+            context.close()
+        fresh = run_start(program, _start_params(), following)
+        assert _start_key(after) == _start_key(fresh)
+        assert fused_spy == [True, True]
+
+    def test_run_allocates_one_context_and_frees_it(self, counting_library):
+        program = instrument(sp.three_dimensional)
+        program.native_kernel(0)
+        config = CoverMeConfig(n_start=20, n_iter=2, seed=3, time_budget=None)
+        result = SearchEngine(program, config).run()
+        assert result.n_starts_used > 1
+        assert counting_library.calls == {"lm_new": 1, "lm_free": 1}
+
+    def test_run_frees_its_context_when_a_start_raises(self, counting_library, monkeypatch):
+        program = instrument(trunc_overflows)
+        program.native_kernel(0)
+        engine = SearchEngine(program, CoverMeConfig(n_start=8, n_iter=2, seed=3,
+                                                     time_budget=None))
+        engine.scheduler.batch = lambda first_index, count: np.full((count, 1), 1e19)
+        monkeypatch.setattr(SpecializedVariant, "run", _raise_in_fallback)
+        with pytest.raises(RuntimeError, match="fallback exploded"):
+            engine.run()
+        assert counting_library.calls == {"lm_new": 1, "lm_free": 1}
 
 
 @requires_cc
