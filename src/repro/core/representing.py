@@ -42,6 +42,8 @@ their covered bit and the last conditional; rows the kernel bails on, and
 the specialized profile (whose variant records no last conditional), run
 the allocation-free :class:`~repro.instrument.runtime.FastRuntime` instead,
 so the coverage outcome stays complete and identical across profiles.
+Both keep the covered branches as the bit word they produced
+(:class:`CoverageWord`), decoded to ``BranchId`` sets only when read.
 """
 
 from __future__ import annotations
@@ -76,6 +78,45 @@ _SWALLOWED = (ArithmeticError, ValueError, OverflowError)
 
 _INF = math.inf
 _F64 = np.dtype(np.float64)
+
+
+class CoverageWord(CoverageOutcome):
+    """A compiled tier's coverage outcome, holding the covered word (bit
+    ``2 * c + outcome``) as the native kernel or the fast runtime produced
+    it.
+
+    :meth:`covered_mask` returns the word as it is, which is all the
+    engine's reduction reads; ``covered`` decodes it to ``BranchId`` objects
+    at its first read.  It equals any :class:`CoverageOutcome` with the same
+    branches and last conditional.
+    """
+
+    def __init__(self, program: InstrumentedProgram, covered: int,
+                 last_conditional: Optional[int], last_outcome: Optional[bool]):
+        set_ = object.__setattr__  # the dataclass is frozen
+        set_(self, "_program", program)
+        set_(self, "_covered", covered)
+        set_(self, "last_conditional", last_conditional)
+        set_(self, "last_outcome", last_outcome)
+
+    def __getattr__(self, name: str):
+        # Reached only while ``covered`` is not decoded yet.
+        if name != "covered":
+            raise AttributeError(name)
+        covered = self._program.branches_of(self._covered)
+        object.__setattr__(self, "covered", covered)
+        return covered
+
+    def covered_mask(self) -> int:
+        return self._covered
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CoverageOutcome):
+            return NotImplemented
+        return (self.covered_mask(), self.last_conditional, self.last_outcome) == (
+            other.covered_mask(), other.last_conditional, other.last_outcome)
+
+    __hash__ = CoverageOutcome.__hash__
 
 
 class RepresentingFunction:
@@ -278,10 +319,11 @@ class RepresentingFunction:
                     r = _CLAMP
                 self.last_record = None
                 self.last_value = r
-                return r, CoverageOutcome(
-                    covered=program.branches_of(covered),
-                    last_conditional=None if last < 0 else last >> 1,
-                    last_outcome=None if last < 0 else bool(last & 1),
+                return r, CoverageWord(
+                    program,
+                    covered,
+                    None if last < 0 else last >> 1,
+                    None if last < 0 else bool(last & 1),
                 )
         # The specialized variant records no last conditional, so the
         # harvest runs the generic fast runtime against the same mask --
@@ -302,7 +344,8 @@ class RepresentingFunction:
             r = _CLAMP
         self.last_record = None
         self.last_value = r
-        return r, fast.snapshot()
+        return r, CoverageWord(program, fast.covered_mask(), fast.last_conditional,
+                               fast.last_outcome)
 
     def native_kernel(self):
         """The program's native kernel, set to the tracker's current mask,

@@ -10,27 +10,81 @@ zero of the representing function makes progress.
 The tracker also records branches *deemed infeasible* by the heuristic of
 Sect. 5.3: those are treated as saturated (they stop attracting the search)
 but are never counted as covered in the reported coverage.
+
+All three sets are held as flat bit masks (bit ``2 * c + outcome``, see
+:func:`~repro.instrument.runtime.branch_bit`), the form the penalty tiers
+and the native coverage harvest use; the ``BranchId`` sets are views
+decoded when read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from typing import Iterable
 
 from repro.instrument.program import InstrumentedProgram
-from repro.instrument.runtime import BranchId, ExecutionRecord, branch_mask
+from repro.instrument.runtime import (
+    BranchId,
+    ExecutionRecord,
+    branch_mask,
+    branches_from_mask,
+)
+
+#: ``id(program) -> (weak program ref, descendant-branch dict, masks)``: a
+#: program is a mutable dataclass, so it cannot key a weak dictionary.  An
+#: entry is dropped when its program is collected.
+_PROGRAM_MASKS: dict[int, tuple] = {}
 
 
-@dataclass
+def _program_masks(program: InstrumentedProgram) -> tuple[tuple[int, ...], int]:
+    """``(descendant mask of each branch bit, mask of every branch)``, built
+    once per program from its descendant analysis."""
+    branches = program.descendants.branches
+    key = id(program)
+    entry = _PROGRAM_MASKS.get(key)
+    if entry is not None and entry[0]() is program and entry[1] is branches:
+        return entry[2]
+    descendants = [0] * (2 * max((b.conditional for b in branches), default=-1) + 2)
+    for branch, below in branches.items():
+        descendants[branch.bit] = branch_mask(below)
+    masks = (tuple(descendants), branch_mask(program.all_branches))
+    ref = weakref.ref(program, lambda _, key=key: _PROGRAM_MASKS.pop(key, None))
+    _PROGRAM_MASKS[key] = (ref, branches, masks)
+    return masks
+
+
 class SaturationTracker:
-    """Tracks covered, saturated and deemed-infeasible branches of a program."""
+    """Tracks covered, saturated and deemed-infeasible branches of a program.
 
-    program: InstrumentedProgram
-    covered: set[BranchId] = field(default_factory=set)
-    infeasible: set[BranchId] = field(default_factory=set)
-    _saturated: frozenset[BranchId] = field(default_factory=frozenset)
-    _saturated_mask: int = 0
+    ``covered`` and ``infeasible`` seed the state from ``BranchId`` sets;
+    :meth:`from_masks` seeds it from bit masks.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ("program", "_descendants", "_all", "_covered", "_infeasible",
+                 "_saturated", "_views")
+
+    def __init__(
+        self,
+        program: InstrumentedProgram,
+        covered: Iterable[BranchId] = (),
+        infeasible: Iterable[BranchId] = (),
+    ):
+        self._init(program, branch_mask(covered), branch_mask(infeasible))
+
+    @classmethod
+    def from_masks(
+        cls, program: InstrumentedProgram, covered: int, infeasible: int
+    ) -> "SaturationTracker":
+        """A tracker whose covered and infeasible branches are bit masks."""
+        tracker = cls.__new__(cls)
+        tracker._init(program, covered, infeasible)
+        return tracker
+
+    def _init(self, program: InstrumentedProgram, covered: int, infeasible: int) -> None:
+        self.program = program
+        self._descendants, self._all = _program_masks(program)
+        self._covered = covered
+        self._infeasible = infeasible
         self._recompute()
 
     # -- updates -----------------------------------------------------------------
@@ -40,49 +94,70 @@ class SaturationTracker:
 
         Returns the set of newly covered branches.
         """
-        new = record.covered - self.covered
-        if new:
-            self.covered |= new
-            self._recompute()
-        return new
+        return set(self.branches(self.add_covered_mask(branch_mask(record.covered))))
 
-    def add_covered(self, branches: set[BranchId]) -> set[BranchId]:
+    def add_covered(self, branches: Iterable[BranchId]) -> set[BranchId]:
         """Mark branches as covered directly (used by replaying stored inputs)."""
-        new = branches - self.covered
+        return set(self.branches(self.add_covered_mask(branch_mask(branches))))
+
+    def add_covered_mask(self, mask: int) -> int:
+        """Mark the branches of a bit mask as covered; returns the newly
+        covered ones as a mask."""
+        new = mask & ~self._covered
         if new:
-            self.covered |= new
+            self._covered |= new
             self._recompute()
         return new
 
     def mark_infeasible(self, branch: BranchId) -> None:
         """Apply the infeasible-branch heuristic: treat ``branch`` as saturated."""
-        if branch not in self.infeasible:
-            self.infeasible.add(branch)
+        bit = 1 << branch.bit
+        if not self._infeasible & bit:
+            self._infeasible |= bit
             self._recompute()
 
     # -- queries -----------------------------------------------------------------
 
     @property
+    def covered(self) -> frozenset[BranchId]:
+        """Branches covered by an accepted input (infeasible marks excluded)."""
+        return self._view("covered", self._covered)
+
+    @property
+    def infeasible(self) -> frozenset[BranchId]:
+        """Branches deemed infeasible by the heuristic of Sect. 5.3."""
+        return self._view("infeasible", self._infeasible)
+
+    @property
     def saturated(self) -> frozenset[BranchId]:
         """The set ``Saturate`` used by the penalty function."""
-        return self._saturated
+        return self._view("saturated", self._saturated)
+
+    @property
+    def covered_mask(self) -> int:
+        return self._covered
+
+    @property
+    def infeasible_mask(self) -> int:
+        return self._infeasible
 
     @property
     def saturated_mask(self) -> int:
-        """``Saturate`` as a flat bitmask, maintained incrementally.
+        """``Saturate`` as a flat bitmask, recomputed when the tracker's
+        state changes, never per evaluation.
 
-        This is what the allocation-free runtime's inlined penalty consumes
-        (:class:`~repro.instrument.runtime.FastRuntime`); it is recomputed
-        only when the tracker's state changes, never per evaluation.
+        This is what the compiled tiers' inlined penalty consumes
+        (:class:`~repro.instrument.runtime.FastRuntime`, the specialized
+        variant and the native kernel).
         """
-        return self._saturated_mask
+        return self._saturated
 
     def all_saturated(self) -> bool:
         """True when every branch of the program is saturated (Lemma 3.3)."""
-        return len(self._saturated) >= self.program.n_branches
+        return self._saturated.bit_count() >= self.program.n_branches
 
     def all_covered(self) -> bool:
-        return self.covered >= self.program.all_branches
+        return self._covered & self._all == self._all
 
     @property
     def n_branches(self) -> int:
@@ -90,7 +165,7 @@ class SaturationTracker:
 
     @property
     def n_covered(self) -> int:
-        return len(self.covered & self.program.all_branches)
+        return (self._covered & self._all).bit_count()
 
     def branch_coverage(self) -> float:
         """Fraction of branches genuinely covered (infeasible marks excluded)."""
@@ -99,23 +174,42 @@ class SaturationTracker:
         return self.n_covered / self.program.n_branches
 
     def uncovered(self) -> frozenset[BranchId]:
-        return frozenset(self.program.all_branches - self.covered)
+        return self.branches(self._all & ~self._covered)
+
+    def branches(self, mask: int) -> frozenset[BranchId]:
+        """The branches of a bit mask of this program."""
+        if mask >> (2 * self.program.n_conditionals):
+            return branches_from_mask(mask)
+        return self.program.branches_of(mask)
 
     # -- internals ---------------------------------------------------------------
 
+    def _view(self, name: str, mask: int) -> frozenset[BranchId]:
+        view = self._views.get(name)
+        if view is None:
+            view = self._views[name] = self.branches(mask)
+        return view
+
     def _recompute(self) -> None:
-        """Recompute the saturation set from covered and infeasible branches.
+        """Recompute the saturation mask from covered and infeasible branches.
 
         A branch is saturated when it is covered (or deemed infeasible) and
         all its descendant branches are covered or deemed infeasible.
         Branches deemed infeasible are saturated outright, matching how
-        CoverMe adds them to ``Saturate`` (Sect. 5.3).
+        CoverMe adds them to ``Saturate`` (Sect. 5.3).  A branch outside the
+        descendant analysis has no descendants.
         """
-        effective = self.covered | self.infeasible
-        saturated: set[BranchId] = set(self.infeasible)
-        for branch in effective:
-            descendants = self.program.descendant_branches(branch)
-            if descendants <= effective:
-                saturated.add(branch)
-        self._saturated = frozenset(saturated)
-        self._saturated_mask = branch_mask(saturated)
+        effective = self._covered | self._infeasible
+        missing = ~effective
+        descendants = self._descendants
+        n_bits = len(descendants)
+        saturated = self._infeasible
+        rest = effective & ~saturated
+        while rest:
+            low = rest & -rest
+            bit = low.bit_length() - 1
+            if bit >= n_bits or not descendants[bit] & missing:
+                saturated |= low
+            rest ^= low
+        self._saturated = saturated
+        self._views = {}

@@ -22,15 +22,16 @@ dependent: no start launches once the deadline passes, and the reduction
 stops at the first start that was skipped.  Parallelism lives in the
 service's case-level workers, one job per case.
 
-The batch is also the specialization *epoch* boundary: under the
-``penalty-specialized`` evaluation profile every start of a batch minimizes
-against a compiled variant of the program whose probe sites have the batch's
-frozen saturation mask resolved at compile time
-(:mod:`repro.instrument.specialize`).  The reduction between batches is the
-only place saturation bits flip, so re-specialization happens at most once
-per program per new mask -- and is a cache hit whenever the mask did not
-actually change, which the throughput benchmark asserts as "zero recompiles
-while the mask is unchanged".
+The batch is also the *epoch* boundary of the compiled tiers: every start
+of a batch evaluates against the batch's frozen saturation mask, and the
+reduction between batches is the only place saturation bits flip.  Each
+program has one mask-generic specialized variant and one native kernel;
+a flipped bit rewrites their mask entries at the next call (the variant's
+``__sp_sat__`` list, the kernel's mask words), never a compile, and an
+unchanged mask rewrites nothing.  The reduction works on bit masks
+(bit ``2 * c + outcome``) from the harvest's covered word to the tracker;
+``BranchId`` sets are decoded only for the result and for a trace that
+newly covered something.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from repro.engine.pool import StartPool
 from repro.engine.scheduler import StartScheduler
 from repro.engine.worker import StartParams, StartResult, StartTask
 from repro.instrument.program import InstrumentedProgram
-from repro.instrument.runtime import BranchId
+from repro.instrument.runtime import BranchId, branch_bit
 
 #: Starts per batch: the unit of snapshot freshness and of chunk priming.
 DEFAULT_BATCH_SIZE = 8
@@ -177,7 +178,7 @@ class SearchEngine:
                 "starts_used": starts_used,
                 "evaluations": evaluations,
                 "inputs": n_inputs,
-                "covered": len(self.tracker.covered & self.program.all_branches),
+                "covered": self.tracker.n_covered,
                 "n_branches": self.program.n_branches,
                 "all_saturated": self.tracker.all_saturated(),
                 "elapsed": time.perf_counter() - start_time,
@@ -186,30 +187,30 @@ class SearchEngine:
 
     def _schedule_batch(self, first_index: int, count: int) -> list[StartTask]:
         """Freeze the saturation snapshot and draw the batch's starting points."""
-        covered = frozenset(self.tracker.covered)
-        infeasible = frozenset(self.tracker.infeasible)
-        points = self.scheduler.batch(first_index, count)
+        covered = self.tracker.covered_mask
+        infeasible = self.tracker.infeasible_mask
+        points = self.scheduler.batch(first_index, count).tolist()
         return [
             StartTask(
                 index=first_index + offset,
-                x0=tuple(float(v) for v in points[offset]),
+                x0=tuple(row),
                 covered=covered,
                 infeasible=infeasible,
             )
-            for offset in range(count)
+            for offset, row in enumerate(points)
         ]
 
     def _reduce(self, result: StartResult, inputs: list[tuple[float, ...]]) -> MinimizationTrace:
         """Fold one start's outcome into the shared tracker (Algorithm 1, lines 11-13)."""
         if result.value <= 0.0:  # a zero of FOO_R (exact by construction)
-            newly = self.tracker.add_covered(set(result.covered))
+            newly = self.tracker.add_covered_mask(result.covered)
             inputs.append(result.x_star)
             return MinimizationTrace(
                 start=result.x0,
                 minimum_point=result.x_star,
                 minimum_value=result.value,
                 accepted=True,
-                newly_covered=frozenset(newly),
+                newly_covered=self.tracker.branches(newly) if newly else frozenset(),
                 evaluations=result.evaluations,
             )
         marked = self._apply_infeasible_heuristic(result)
@@ -228,9 +229,10 @@ class SearchEngine:
             return None
         if result.last_conditional is None or result.last_outcome is None:
             return None
-        candidate = BranchId(result.last_conditional, not result.last_outcome)
-        if candidate in self.tracker.covered or candidate in self.tracker.infeasible:
+        bit = branch_bit(result.last_conditional, not result.last_outcome)
+        if (self.tracker.covered_mask | self.tracker.infeasible_mask) >> bit & 1:
             return None
+        candidate = BranchId(result.last_conditional, not result.last_outcome)
         self.tracker.mark_infeasible(candidate)
         return candidate
 

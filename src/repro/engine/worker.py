@@ -20,14 +20,16 @@ it) and, under ``PENALTY_NATIVE``, the fused search's C context, which each
 start re-arms with its own mask and an empty memo.  A start still gets its
 own representing function and random generator.
 
-Under the ``PENALTY_SPECIALIZED`` profile the epoch protocol composes with
-this structure for free: the batch's tracker snapshot freezes the
-saturation mask, so one start triggers at most one variant lookup, and the
-program-level + module-level specialization caches make that lookup a
-dictionary hit whenever any earlier start already ran against the same
-mask.  Each start's representing function re-reads its tracker's mask per
-call and re-specializes exactly when a batch reduction flipped a saturation
-bit.
+Under the ``PENALTY_SPECIALIZED`` profile the batch's tracker snapshot
+freezes the saturation mask, and each start's representing function runs
+the program's one mask-generic variant, built once per program: it
+compares the variant's mask with its tracker's on every call and rewrites
+the variant's ``__sp_sat__`` list only when a batch reduction flipped a
+saturation bit (the native kernel's mask words follow the same rule).
+
+Snapshots and harvests stay bit masks (bit ``2 * c + outcome``): a task
+carries its snapshot's covered and infeasible masks, and a result its
+covered word as the kernel or fast runtime produced it.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from repro.core.representing import RepresentingFunction
 from repro.core.saturation import SaturationTracker
 from repro.instrument.native.local_min import native_objective
 from repro.instrument.program import InstrumentedProgram
-from repro.instrument.runtime import BranchId, ExecutionProfile
+from repro.instrument.runtime import ExecutionProfile
 from repro.optimize.basinhopping import basinhopping
 from repro.optimize.memo import BitPatternMemo
 
@@ -92,12 +94,13 @@ class StartParams:
 
 @dataclass(frozen=True)
 class StartTask:
-    """One scheduled start: its global index, starting point and snapshot."""
+    """One scheduled start: its global index, starting point and snapshot
+    (its covered and infeasible branches as bit masks)."""
 
     index: int
     x0: tuple[float, ...]
-    covered: frozenset[BranchId]
-    infeasible: frozenset[BranchId]
+    covered: int
+    infeasible: int
 
 
 @dataclass
@@ -108,7 +111,7 @@ class StartResult:
     x0: tuple[float, ...]
     x_star: tuple[float, ...]
     value: float
-    covered: frozenset[BranchId] = frozenset()
+    covered: int = 0  # the covered word of x_star (bit 2 * c + outcome)
     last_conditional: Optional[int] = None
     last_outcome: Optional[bool] = None
     evaluations: int = 0
@@ -145,7 +148,7 @@ def prime_chunk(
     eligible = [t for t in tasks if t.covered == covered and t.infeasible == infeasible]
     if len(eligible) < 2:
         return None
-    tracker = SaturationTracker(program, covered=set(covered), infeasible=set(infeasible))
+    tracker = SaturationTracker.from_masks(program, covered, infeasible)
     representing = RepresentingFunction(
         program, tracker, profile=params.eval_profile, native_threads=params.native_threads
     )
@@ -171,18 +174,16 @@ class RunContext:
 
     def __init__(self, program: InstrumentedProgram):
         self.program = program
-        self._snapshot: Optional[tuple] = None  # (covered, infeasible) of _tracker
+        self._snapshot: Optional[tuple[int, int]] = None  # (covered, infeasible) of _tracker
         self._tracker: Optional[SaturationTracker] = None
         self._fused = None
 
     def tracker(self, task: StartTask) -> SaturationTracker:
         """The saturation snapshot of ``task``: the previous start's when
-        it froze the same covered and infeasible sets."""
+        it froze the same covered and infeasible masks."""
         snapshot = (task.covered, task.infeasible)
         if snapshot != self._snapshot:
-            self._tracker = SaturationTracker(
-                self.program, covered=set(task.covered), infeasible=set(task.infeasible)
-            )
+            self._tracker = SaturationTracker.from_masks(self.program, *snapshot)
             self._snapshot = snapshot
         return self._tracker
 
@@ -285,7 +286,7 @@ def _run_start(program, params, task, primed, context) -> StartResult:
         x0=task.x0,
         x_star=tuple(x_star),
         value=float(value),
-        covered=coverage.covered,
+        covered=coverage.covered_mask(),
         last_conditional=coverage.last_conditional,
         last_outcome=coverage.last_outcome,
         evaluations=representing.evaluations,

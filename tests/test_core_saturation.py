@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+from hypothesis import given, settings, strategies as st
+
 from repro.core.saturation import SaturationTracker
+from repro.experiments.runner import instrument_case
+from repro.fdlibm.suite import BENCHMARKS
 from repro.instrument.program import instrument
-from repro.instrument.runtime import BranchId, Runtime
+from repro.instrument.runtime import BranchId, Runtime, branch_mask
 from tests import sample_programs as sp
 
 
@@ -76,3 +82,63 @@ class TestInfeasibleMarks:
         tracker.mark_infeasible(BranchId(1, True))
         tracker.mark_infeasible(BranchId(1, True))
         assert tracker.infeasible == {BranchId(1, True)}
+
+
+def _oracle_saturated(program, covered, infeasible):
+    """Def. 3.2 over ``BranchId`` sets: the tracker's former recompute."""
+    effective = covered | infeasible
+    saturated = set(infeasible)
+    for branch in effective:
+        if program.descendant_branches(branch) <= effective:
+            saturated.add(branch)
+    return frozenset(saturated)
+
+
+_SAMPLES = (sp.single_branch, sp.paper_foo, sp.nested_branches, sp.early_return,
+            sp.loop_program, sp.equality_chain, sp.nested_boolean, sp.while_else_loop,
+            sp.infeasible_inner, sp.demorgan, sp.mixed_leaves, sp.three_dimensional)
+
+
+@lru_cache(maxsize=None)
+def _programs():
+    suite = [instrument_case(case) for case in BENCHMARKS]
+    return tuple(suite) + tuple(instrument(target) for target in _SAMPLES)
+
+
+class TestMaskTrackerAgainstDef32:
+    """The mask tracker agrees with the set-based Def. 3.2 formula."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_subsets_agree_with_the_oracle(self, data):
+        program = data.draw(st.sampled_from(_programs()), label="program")
+        branches = sorted(program.all_branches, key=lambda b: b.bit)
+        covered = frozenset(data.draw(st.sets(st.sampled_from(branches)), label="covered"))
+        infeasible = frozenset(data.draw(st.sets(st.sampled_from(branches)), label="infeasible"))
+        oracle = _oracle_saturated(program, covered, infeasible)
+
+        built = SaturationTracker(program, covered=covered, infeasible=infeasible)
+        grown = SaturationTracker(program)
+        ordered = sorted(covered, key=lambda b: b.bit)
+        grown.add_covered(set(ordered[::2]))
+        grown.add_covered_mask(branch_mask(ordered[1::2]))
+        for branch in infeasible:
+            grown.mark_infeasible(branch)
+        from_masks = SaturationTracker.from_masks(
+            program, branch_mask(covered), branch_mask(infeasible))
+        for tracker in (built, grown, from_masks):
+            assert tracker.saturated == oracle, program.name
+            assert tracker.saturated_mask == branch_mask(oracle), program.name
+            assert tracker.all_saturated() == (len(oracle) >= program.n_branches)
+            assert tracker.n_covered == len(covered & program.all_branches)
+            assert tracker.uncovered() == program.all_branches - covered
+            assert tracker.covered == covered and tracker.infeasible == infeasible
+
+    def test_saturating_everything_is_covering_everything(self):
+        """Lemma 3.3 on every suite program and sample."""
+        for program in _programs():
+            tracker = SaturationTracker(program)
+            tracker.add_covered(set(program.all_branches))
+            assert tracker.all_saturated() and tracker.all_covered(), program.name
+            assert tracker.saturated == _oracle_saturated(
+                program, program.all_branches, frozenset()), program.name

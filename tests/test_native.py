@@ -116,7 +116,7 @@ from repro.instrument.program import (
     compiled_cache_info,
     instrument,
 )
-from repro.instrument.runtime import BranchId, ExecutionProfile
+from repro.instrument.runtime import BranchId, ExecutionProfile, branch_mask
 from repro.instrument.signature import ProgramSignature
 from repro.optimize.local.powell import powell
 from repro.optimize.memo import DEFAULT_MAX_ENTRIES, BitPatternMemo
@@ -2016,7 +2016,7 @@ def _hard_task(program, x0, index: int = 3) -> StartTask:
     """A start whose snapshot leaves one branch uncovered."""
     branches = sorted(program.all_branches)
     covered = frozenset(branches[:-1])
-    return StartTask(index=index, x0=tuple(x0), covered=covered, infeasible=frozenset())
+    return StartTask(index=index, x0=tuple(x0), covered=branch_mask(covered), infeasible=0)
 
 
 def _start_key(result):
@@ -2042,8 +2042,7 @@ def fused_spy(monkeypatch):
 
 def _prewarm(program, task) -> int:
     """Build the kernel of ``task``'s snapshot in the foreground; its mask."""
-    tracker = SaturationTracker(program, covered=set(task.covered),
-                                infeasible=set(task.infeasible))
+    tracker = SaturationTracker.from_masks(program, task.covered, task.infeasible)
     program.native_kernel(tracker.saturated_mask)
     return tracker.saturated_mask
 
@@ -2165,8 +2164,7 @@ class TestFusedFallbacks:
                     fused([1e19])
                 with pytest.raises(RuntimeError, match="fallback exploded"):
                     fused.powell([1e19])
-                task = StartTask(index=0, x0=(1e19,), covered=frozenset(),
-                                 infeasible=frozenset())
+                task = StartTask(index=0, x0=(1e19,), covered=0, infeasible=0)
                 with pytest.raises(RuntimeError, match="fallback exploded"):
                     run_start(program, _start_params(), task)
                 assert fused_spy == [True]
@@ -2287,7 +2285,7 @@ class TestRunContext:
             for index in range(8):
                 # Starts 2k and 2k+1 share their x0; starts 4 and 5 across
                 # the snapshot change.
-                snapshot = hard if index < 5 else dataclasses.replace(hard, covered=frozenset())
+                snapshot = hard if index < 5 else dataclasses.replace(hard, covered=0)
                 tasks.append(dataclasses.replace(snapshot, index=index, x0=points[index // 2]))
             context = worker_module.RunContext(program)
             try:
@@ -2308,12 +2306,11 @@ class TestRunContext:
         self, library, fused_spy, target, raising_x0, next_x0
     ):
         program = instrument(target)
-        raising = StartTask(index=0, x0=(raising_x0,), covered=frozenset(),
-                            infeasible=frozenset())
+        raising = StartTask(index=0, x0=(raising_x0,), covered=0, infeasible=0)
         # ``next_x0`` bails and takes the saturated true branch, so its ``r``
         # (a distance) shows whether the fallback ran under this start's mask.
         following = StartTask(index=1, x0=(next_x0,),
-                              covered=frozenset({BranchId(0, True)}), infeasible=frozenset())
+                              covered=branch_mask({BranchId(0, True)}), infeasible=0)
         program.native_kernel(_prewarm(program, following))
         context = worker_module.RunContext(program)
         try:
