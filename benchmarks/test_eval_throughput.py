@@ -42,7 +42,7 @@ from repro.core.representing import RepresentingFunction
 from repro.core.saturation import SaturationTracker
 from repro.experiments.runner import instrument_case
 from repro.fdlibm.suite import BENCHMARKS
-from repro.instrument.native.cache import cc_available, finish_background_compiles
+from repro.instrument.native.cache import cc_available
 from repro.instrument.runtime import ExecutionProfile, Runtime
 
 #: Branch-dense workload: functions whose conditionals (not their arithmetic)
@@ -216,9 +216,6 @@ def test_eval_throughput_and_profile_equivalence(bench_report_dir):
     # The mt gate needs real parallelism to pass: skip it below 4 cores
     # unless forced (CI runners guarantee 4 vCPUs and set the force flag).
     mt_available = native_available and ((os.cpu_count() or 1) >= 4 or force_native)
-    # Earlier benches run the native default and may have queued kernel
-    # builds; a ``cc`` running beside the timed loops would skew the ratios.
-    finish_background_compiles()
     for name, case in cases:
         program, tracker, points = _prepared(case)
         if cc_available():

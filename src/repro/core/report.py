@@ -5,20 +5,28 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.instrument.runtime import BranchId
+from repro.instrument.runtime import BranchId, branches_from_mask
 
 
 @dataclass
 class MinimizationTrace:
-    """Outcome of one basin-hopping launch (one iteration of Algorithm 1's loop)."""
+    """Outcome of one basin-hopping launch (one iteration of Algorithm 1's loop).
+
+    The branches the launch covered first are kept as their bit mask (bit
+    ``2 * c + outcome``) and decoded only when :attr:`newly_covered` is read.
+    """
 
     start: tuple[float, ...]
     minimum_point: tuple[float, ...]
     minimum_value: float
     accepted: bool
-    newly_covered: frozenset[BranchId] = frozenset()
+    newly_covered_mask: int = 0
     marked_infeasible: Optional[BranchId] = None
     evaluations: int = 0
+
+    @property
+    def newly_covered(self) -> frozenset[BranchId]:
+        return branches_from_mask(self.newly_covered_mask)
 
 
 @dataclass

@@ -28,11 +28,9 @@ protocol*: it rebinds the variant or kernel to the tracker's
 write of mask entries, never a compile).  ``__call__`` and
 ``evaluate_batch`` dispatch to the native kernel under the tracker's
 current mask, degrading to ``PENALTY_SPECIALIZED`` with one warning per
-program when no C compiler is present or the program cannot be emitted.
-Cold compiles do not block: the build runs on the background worker while
-calls are served by the specialized tier (no warning — that state is
-transient, counted in ``native_pending_calls``) and the kernel swaps in at
-the next call/batch boundary once the build lands.  All profiles compute
+program when no C compiler is present, the program cannot be emitted or
+its build fails.  A kernel not on disk is compiled in the first native
+call that needs it, which the kernel then serves.  All profiles compute
 bit-identical values, and an evaluation under a compiled tier computes
 ``r`` only.  Callers that need coverage from a specific point (e.g. an
 accepted minimum) re-execute it via
@@ -56,11 +54,7 @@ import numpy as np
 
 from repro.core.pen import CoverMePenalty
 from repro.core.saturation import SaturationTracker
-from repro.instrument.native.cache import (
-    NativeCompiling,
-    NativeUnavailable,
-    background_ready,
-)
+from repro.instrument.native.cache import NativeUnavailable
 from repro.instrument.program import InstrumentedProgram
 from repro.instrument.runtime import (
     CoverageOutcome,
@@ -122,6 +116,11 @@ class CoverageWord(CoverageOutcome):
 class RepresentingFunction:
     """Callable wrapper computing ``FOO_R`` for an instrumented program."""
 
+    #: Always 0: a native call never waits on a build, which runs in the
+    #: first request.  Kept only because the benchmark tracer still adds it
+    #: to its ``native.pending_calls`` counter.
+    native_pending_calls = 0
+
     def __init__(
         self,
         program: InstrumentedProgram,
@@ -153,17 +152,10 @@ class RepresentingFunction:
         # it to a new mask.  ``_native_ok`` latches False on the first
         # NativeUnavailable (no compiler, non-emittable program): the
         # instance degrades to the scalar specialized tier permanently, and
-        # the first instance of the program to degrade warns.  A cold
-        # compile is *transient* instead: it runs on the background worker
-        # (NativeCompiling), ``_native_pending`` holds its digest, and calls
-        # are served by the specialized tier — no warning — until the poll
-        # sees the build land and the kernel swaps in at the next call/batch
-        # boundary.
+        # the first instance of the program to degrade warns.
         self._native_kernel = None
         self.native_respecializations = 0
         self._native_ok = True
-        self._native_pending: Optional[str] = None
-        self.native_pending_calls = 0
         self._arity = program.arity
         self._native = self.profile is ExecutionProfile.PENALTY_NATIVE
         self._specialized = self.profile is not ExecutionProfile.FULL_TRACE
@@ -306,8 +298,8 @@ class RepresentingFunction:
         args = self._coerce(x)
         self.evaluations += 1
         program = self.program
-        # Only a kernel this wrapper already holds serves the harvest, so a
-        # pending build is not polled (nor counted) once more here.
+        # Only a kernel this wrapper already holds serves the harvest: a
+        # harvest never starts a kernel build.
         kernel = self.native_kernel() if self._native_kernel is not None else None
         if kernel is not None:
             # Every site of the native kernel records its covered bit and
@@ -351,10 +343,9 @@ class RepresentingFunction:
         """The program's native kernel, set to the tracker's current mask,
         or ``None``.
 
-        ``None`` when the profile is not ``penalty-native`` or the tier
-        cannot serve: the kernel is still compiling (this call is counted
-        in ``native_pending_calls``) or is permanently unavailable.  The
-        kernel is rebound only when the mask changed (the epoch protocol).
+        ``None`` when the profile is not ``penalty-native`` or the tier is
+        unavailable.  The kernel is rebound only when the mask changed (the
+        epoch protocol).
         """
         if not (self._native and self._native_ok):
             return None
@@ -370,32 +361,15 @@ class RepresentingFunction:
         """Fetch/build the native kernel and bind it to ``mask``, degrading
         on failure.
 
-        Returns ``None`` when the native tier cannot serve this call; the
-        caller falls through to the scalar specialized tier.  The two
-        failure states are reported distinctly: a *permanent*
-        ``NativeUnavailable`` (no compiler, non-emittable program, failed
-        build) latches ``_native_ok`` False and warns once per program,
-        while a
-        *transient* ``NativeCompiling`` (the background ``cc`` is still
-        running) never warns — ``native_pending_calls`` counts the calls
-        the specialized tier absorbed, and the kernel swaps in at the next
-        boundary once :func:`background_ready` sees the build land.
+        Returns ``None`` when the native tier cannot serve; the caller falls
+        through to the scalar specialized tier.  A ``NativeUnavailable`` (no
+        compiler, non-emittable program, failed build) latches
+        ``_native_ok`` False and warns once per program.
         """
-        pending = self._native_pending
-        if pending is not None and not background_ready(pending):
-            # Cheap poll: the background build is still running; don't
-            # re-enter the emitter on every evaluation.
-            self.native_pending_calls += 1
-            return None
         try:
-            kernel = self.program.native_kernel(mask, wait=False)
-        except NativeCompiling as exc:
-            self._native_pending = exc.digest
-            self.native_pending_calls += 1
-            return None
+            kernel = self.program.native_kernel(mask)
         except NativeUnavailable as exc:
             self._native_ok = False
-            self._native_pending = None
             if not self.program.native_degradation_warned:
                 # The kernel is per program, so is its failure: later
                 # instances (one per start) degrade silently.
@@ -407,7 +381,6 @@ class RepresentingFunction:
                     stacklevel=3,
                 )
             return None
-        self._native_pending = None
         self._native_kernel = kernel
         self.native_respecializations += 1
         return kernel

@@ -210,7 +210,7 @@ class SearchEngine:
                 minimum_point=result.x_star,
                 minimum_value=result.value,
                 accepted=True,
-                newly_covered=self.tracker.branches(newly) if newly else frozenset(),
+                newly_covered_mask=newly,
                 evaluations=result.evaluations,
             )
         marked = self._apply_infeasible_heuristic(result)

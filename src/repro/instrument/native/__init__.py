@@ -37,10 +37,7 @@ from repro._exports import lazy_exports
 
 __getattr__ = lazy_exports(__name__, {
     "repro.instrument.native.cache": (
-        "NativeCompiling",
         "NativeUnavailable",
-        "background_compile_stats",
-        "background_ready",
         "cc_available",
         "disk_cache_max",
         "native_cache_dir",
@@ -56,11 +53,8 @@ __getattr__ = lazy_exports(__name__, {
 })
 
 __all__ = [
-    "NativeCompiling",
     "NativeKernel",
     "NativeUnavailable",
-    "background_compile_stats",
-    "background_ready",
     "build_native_kernel",
     "cc_available",
     "clear_native_cache",

@@ -16,18 +16,14 @@ mtime like the in-memory compiled caches; builds write hidden
 ``.<digest>.*`` temp files and rename them into place, so listing and
 pruning skip dot-prefixed names and tolerate files that vanish under a
 concurrent builder.  Temp files older than :data:`COMPILE_TIMEOUT_S` are
-leftovers of killed builds and are pruned.  A process that started the
-background compiler finishes its queued builds before it exits, so a kernel
-requested late in one run is on disk for the next; a process worker also
-finishes them at the end of each job.
+leftovers of killed builds and are pruned.  Every build runs in the call
+that asks for it and is on disk when that call returns; a cache directory
+that cannot be written is a :class:`NativeUnavailable` like a failed build.
 """
 
 from __future__ import annotations
 
-import atexit
-import multiprocessing.util
 import os
-import queue
 import shutil
 import subprocess
 import tempfile
@@ -73,20 +69,8 @@ _CC_STATE: dict = {
 class NativeUnavailable(RuntimeError):
     """The native tier cannot be used; callers degrade to the scalar tier.
 
-    This is the *permanent* failure (no compiler, non-emittable program,
-    failed build) — distinct from the transient :class:`NativeCompiling`."""
-
-
-class NativeCompiling(RuntimeError):
-    """Transient: the kernel's background build has not finished yet.
-
-    Callers serve the specialized tier for now and poll
-    :func:`background_ready` to pick the kernel up at the next epoch
-    boundary.  Never cached negatively."""
-
-    def __init__(self, digest: str):
-        super().__init__(f"native kernel {digest[:12]}… still compiling")
-        self.digest = digest
+    Raised for no compiler, a non-emittable program, a failed build and an
+    unusable cache directory."""
 
 
 #: The compiler flags of every build (kernels and the fused-search library);
@@ -214,41 +198,43 @@ def compile_kernel(c_source: str, digest: str) -> Path:
     """Compile ``c_source`` into ``<digest>.so``, reusing a cached build.
 
     The write is atomic (temp file + rename), so concurrent builders of the
-    same digest race benignly."""
+    same digest race benignly.  A failed build and a cache directory that
+    cannot be created or written both raise :class:`NativeUnavailable`."""
     cc, _version = find_cc()
     directory = native_cache_dir()
     so_path = directory / f"{digest}.so"
     if so_path.exists():
         return so_path
-    directory.mkdir(parents=True, exist_ok=True)
-    c_path = directory / f"{digest}.c"
-    # mkstemp for both temp files: the same digest can be compiled
-    # concurrently by the background worker and a blocking caller in one
-    # process, so pid-keyed names would collide.
-    fd_c, tmp_c_name = tempfile.mkstemp(suffix=".c", prefix=f".{digest}.",
-                                        dir=str(directory))
-    with open(fd_c, "w") as tmp_c_file:
-        tmp_c_file.write(c_source)
-    tmp_c = Path(tmp_c_name)
-    fd, tmp_so = tempfile.mkstemp(suffix=".so", prefix=f".{digest}.",
-                                  dir=str(directory))
-    os.close(fd)
+    temps = []
     try:
+        directory.mkdir(parents=True, exist_ok=True)
+        # mkstemp names: two threads of one process may build one digest.
+        fd_c, tmp_c = tempfile.mkstemp(suffix=".c", prefix=f".{digest}.",
+                                       dir=str(directory))
+        temps.append(tmp_c)
+        with open(fd_c, "w") as tmp_c_file:
+            tmp_c_file.write(c_source)
+        fd, tmp_so = tempfile.mkstemp(suffix=".so", prefix=f".{digest}.",
+                                      dir=str(directory))
+        temps.append(tmp_so)
+        os.close(fd)
         proc = subprocess.run(
-            [cc, *CFLAGS, "-o", tmp_so, str(tmp_c), "-lm"],
+            [cc, *CFLAGS, "-o", tmp_so, tmp_c, "-lm"],
             capture_output=True,
             text=True,
             timeout=COMPILE_TIMEOUT_S,
         )
+        if proc.returncode != 0:
+            tail = "\n".join(proc.stderr.strip().splitlines()[-8:])
+            raise NativeUnavailable(f"compilation failed:\n{tail}")
+        os.replace(tmp_c, directory / f"{digest}.c")
+        os.replace(tmp_so, so_path)
     except (OSError, subprocess.SubprocessError) as exc:
-        _cleanup(tmp_c, tmp_so)
-        raise NativeUnavailable(f"compiler invocation failed: {exc}") from exc
-    if proc.returncode != 0:
-        tail = "\n".join(proc.stderr.strip().splitlines()[-8:])
-        _cleanup(tmp_c, tmp_so)
-        raise NativeUnavailable(f"compilation failed:\n{tail}")
-    os.replace(tmp_c, c_path)
-    os.replace(tmp_so, so_path)
+        _cleanup(*temps)
+        raise NativeUnavailable(f"cannot build {digest[:12]} in {directory}: {exc!r}") from exc
+    except NativeUnavailable:
+        _cleanup(*temps)
+        raise
     _prune_disk_cache(directory)
     return so_path
 
@@ -266,166 +252,11 @@ def _cleanup(*paths) -> None:
             pass
 
 
-# --- Background (non-blocking) compilation ---------------------------------
-#
-# Lazily-started daemon workers (BG_WORKERS of them) drain a queue of
-# (c_source, digest) jobs through compile_kernel().  Jobs are
-# de-duplicated by digest: N concurrent requests for the same kernel
-# enqueue one build.  Outcomes are kept per digest — ("done", path) or
-# ("failed", NativeUnavailable) — so pollers resolve with a dict lookup,
-# not a recompile.
-
-#: Background compiler threads: two builds overlap when the process may run
-#: on a second CPU (a cold suite pass queues one kernel per program, and
-#: the one that is still evaluating on the specialized tier holds a CPU).
-BG_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                 else (os.cpu_count() or 1))
-
-_BG_LOCK = threading.Lock()
-_BG_JOBS: dict = {}  # digest -> ("pending",) | ("done", Path) | ("failed", exc)
-_BG_STATE: dict = {
-    "threads": (),
-    "queue": None,
-    "drain_pid": None,
-    "submitted": 0,
-    "compiled": 0,
-    "failed": 0,
-}
-
-
-def _bg_worker() -> None:
-    jobs = _BG_STATE["queue"]
-    while True:
-        c_source, digest = jobs.get()
-        try:
-            path = compile_kernel(c_source, digest)
-            outcome = ("done", path)
-        except NativeUnavailable as exc:
-            outcome = ("failed", exc)
-        except Exception as exc:  # the worker must outlive any job
-            # An unexpected error must not kill the thread: the digest
-            # would stay "pending" forever and pin its callers to the
-            # specialized tier.  Record it as a permanent failure, keeping
-            # the original traceback as the cause.
-            failure = NativeUnavailable(f"background compile failed: {exc!r}")
-            failure.__cause__ = exc
-            outcome = ("failed", failure)
-        with _BG_LOCK:
-            _BG_JOBS[digest] = outcome
-            _BG_STATE["compiled" if outcome[0] == "done" else "failed"] += 1
-        jobs.task_done()
-
-
-def _ensure_bg_worker() -> None:
-    # Caller holds _BG_LOCK.
-    if not any(worker.is_alive() for worker in _BG_STATE["threads"]):
-        _BG_STATE["queue"] = _BG_STATE["queue"] or queue.Queue()
-        workers = tuple(
-            threading.Thread(target=_bg_worker, name="repro-native-cc", daemon=True)
-            for _ in range(BG_WORKERS)
-        )
-        _BG_STATE["threads"] = workers
-        for worker in workers:
-            worker.start()
-        if _BG_STATE["drain_pid"] != os.getpid():
-            # The workers are daemon threads, killed mid-build at exit.  A
-            # main process drains through atexit; a multiprocessing child
-            # leaves through os._exit after running only its exit
-            # finalizers, so it drains through one of those.
-            _BG_STATE["drain_pid"] = os.getpid()
-            atexit.register(finish_background_compiles)
-            multiprocessing.util.Finalize(None, finish_background_compiles, exitpriority=0)
-
-
-def finish_background_compiles() -> None:
-    """Wait until this process's queued background builds have landed.
-
-    Runs at exit, so a kernel requested late in one process is on disk for
-    the next one instead of dying with its build, and at the end of every
-    job a process worker runs (:func:`repro.service.jobs.execute_job_remote`),
-    so no build outlives the job that queued it.  A forked child inherits
-    the parent's thread objects, dead in the child: nothing to wait for."""
-    workers = _BG_STATE["threads"]
-    if not any(worker.is_alive() for worker in workers):
-        return
-    jobs = _BG_STATE["queue"]
-    with jobs.all_tasks_done:
-        while jobs.unfinished_tasks and any(worker.is_alive() for worker in workers):
-            jobs.all_tasks_done.wait(0.1)
-
-
-def compile_kernel_background(c_source: str, digest: str) -> Path:
-    """Non-blocking :func:`compile_kernel`: return the ``.so`` if it is
-    already built, else hand the build to the background worker and raise.
-
-    Raises :class:`NativeCompiling` while the build is in flight (submitting
-    at most one job per digest) and the stored :class:`NativeUnavailable`
-    once a build has failed permanently."""
-    so_path = native_cache_dir() / f"{digest}.so"
-    if so_path.exists():
-        with _BG_LOCK:
-            _BG_JOBS.pop(digest, None)
-        return so_path
-    find_cc()  # no compiler is a permanent failure; fail fast, don't enqueue
-    with _BG_LOCK:
-        job = _BG_JOBS.get(digest)
-        if job is not None:
-            if job[0] == "done":
-                if job[1].exists():
-                    return job[1]
-                # The built .so was FIFO-pruned from disk after the job
-                # finished: forget the stale outcome and rebuild below.
-                del _BG_JOBS[digest]
-            elif job[0] == "failed":
-                raise job[1]
-            else:
-                raise NativeCompiling(digest)
-        _BG_JOBS[digest] = ("pending",)
-        _ensure_bg_worker()
-        _BG_STATE["submitted"] += 1
-        _BG_STATE["queue"].put((c_source, digest))
-    raise NativeCompiling(digest)
-
-
-def background_ready(digest: str) -> bool:
-    """Cheap poll: has the background build for ``digest`` resolved?
-
-    True once the build finished (either outcome) or was never submitted;
-    the caller then re-enters the load path, which either gets the kernel
-    or the permanent error.  False only while a build is in flight."""
-    with _BG_LOCK:
-        job = _BG_JOBS.get(digest)
-    return job is None or job[0] != "pending"
-
-
 def background_compile_stats() -> dict:
-    """Counters for the background compiler (submitted/compiled/failed)."""
-    with _BG_LOCK:
-        return {
-            "submitted": _BG_STATE["submitted"],
-            "compiled": _BG_STATE["compiled"],
-            "failed": _BG_STATE["failed"],
-            "pending": sum(
-                1 for job in _BG_JOBS.values() if job[0] == "pending"
-            ),
-        }
-
-
-def wait_for_background(digest: str, timeout: float = 120.0) -> None:
-    """Block until the background build for ``digest`` resolves (tests)."""
-    deadline = time.monotonic() + timeout
-    while not background_ready(digest):
-        if time.monotonic() >= deadline:
-            raise TimeoutError(f"background build of {digest[:12]} timed out")
-        time.sleep(0.005)
-
-
-def _reset_background_for_tests() -> None:
-    """Testing hook: drain in-flight builds and forget recorded outcomes."""
-    finish_background_compiles()
-    with _BG_LOCK:
-        _BG_JOBS.clear()
-        _BG_STATE.update({"submitted": 0, "compiled": 0, "failed": 0})
+    """All zeros: every build runs in the requesting call, so none is ever
+    queued.  Kept only because the benchmark harness still reads its
+    ``compiled``, ``failed`` and ``pending`` keys in every pass."""
+    return {"submitted": 0, "compiled": 0, "failed": 0, "pending": 0}
 
 
 def native_cache_entries() -> list[dict]:

@@ -11,11 +11,10 @@ exported ``sp_meta`` constant; it runs neither the emitter nor the C
 renderer.  A shared object that fails to load, lacks ``sp_meta`` or
 disagrees with the program (ABI version, arity, ``n_words``) is deleted and
 rebuilt.  A *cold* request emits the typed IR, renders it to C99 and
-compiles it into the disk cache, in the foreground or on the background
-worker.  A background request whose build is still queued raises
-``NativeCompiling`` without emitting again, so each cold kernel is emitted
-once per process.  Loaded kernels are cached module-wide per digest with the
-same hit/miss/evict bookkeeping as the specialized and batched caches.
+compiles it into the disk cache before it returns, so each cold kernel is
+emitted once per process.  Loaded kernels are cached module-wide per digest
+with the same hit/miss/evict bookkeeping as the specialized and batched
+caches.
 
 An evaluation (:meth:`NativeKernel.scalar`, :meth:`NativeKernel.__call__`)
 returns ``r`` only.  Every probe site of a kernel writes its covered bit, and
@@ -58,11 +57,8 @@ from repro.instrument.native.c_backend import (
 from repro.instrument.native.cache import (
     ABI_VERSION,
     CFLAGS,
-    NativeCompiling,
     NativeUnavailable,
-    background_ready,
     compile_kernel,
-    compile_kernel_background,
     cc_version,
     discard_kernel,
     find_cc,
@@ -378,7 +374,7 @@ def _open(so_path, digest, arity, n_words):
     return None
 
 
-def _emit_and_compile(program, digest, wait):
+def _emit_and_compile(program, digest):
     """The cold path: emit, render and compile one kernel, then load it."""
     # The emitter folds the constants of the namespace the units run in.
     ir = emit_program_ir(program.units, program.name, program.arity,
@@ -391,18 +387,12 @@ def _emit_and_compile(program, digest, wait):
             f"but the program's arity is {program.arity}"
         )
     c_source = render_c(ir)
-    if wait:
-        so_path = compile_kernel(c_source, digest)
-    else:
-        # Raises NativeCompiling while the background build runs; that
-        # transient state is never negatively cached (it is not a
-        # NativeUnavailable), so the next poll can pick the kernel up.
-        so_path = compile_kernel_background(c_source, digest)
+    so_path = compile_kernel(c_source, digest)
     loaded = _open(so_path, digest, program.arity, ir.n_words)
     if loaded is None:
         # The .so can vanish between the build and the load when a
-        # concurrent build FIFO-prunes the directory; rebuild once in the
-        # foreground rather than degrading permanently.
+        # concurrent build FIFO-prunes the directory; rebuild once rather
+        # than degrading permanently.
         discard_kernel(so_path)
         so_path = compile_kernel(c_source, digest)
         loaded = _open(so_path, digest, program.arity, ir.n_words)
@@ -411,7 +401,7 @@ def _emit_and_compile(program, digest, wait):
     return loaded
 
 
-def _load(program, wait: bool = True) -> _LoadedKernel:
+def _load(program) -> _LoadedKernel:
     digest = kernel_digest(program)
     with _NATIVE_CACHE_LOCK:
         cached = _NATIVE_CACHE.get(digest)
@@ -431,12 +421,8 @@ def _load(program, wait: bool = True) -> _LoadedKernel:
         if loaded is None:
             discard_kernel(so_path)  # stale or corrupt: rebuild below
     if loaded is None:
-        if not wait and not background_ready(digest):
-            # Its build is already queued: emitting the C again would only
-            # be thrown away.
-            raise NativeCompiling(digest)
         try:
-            loaded = _emit_and_compile(program, digest, wait)
+            loaded = _emit_and_compile(program, digest)
         except NativeUnavailable as exc:
             with _NATIVE_CACHE_LOCK:
                 _NATIVE_CACHE[digest] = exc
@@ -602,26 +588,24 @@ class NativeKernel:
         return r
 
 
-def build_native_kernel(program, wait: bool = True) -> NativeKernel:
+def build_native_kernel(program) -> NativeKernel:
     """Build (or fetch from cache) the native kernel of one program.
 
     The kernel serves every saturation mask (set per call sequence with
     :meth:`NativeKernel.use_mask`; it starts at mask 0).  A kernel already
     on disk is loaded by digest without emitting C; the specialized bail
-    target is built only at the kernel's first bail.  Raises
+    target is built only at the kernel's first bail.  A kernel not on disk
+    is emitted and compiled before this returns.  Raises
     :class:`NativeUnavailable` when no C compiler is present, the program
-    has no source units, or the emitter cannot produce a useful kernel (the
-    entry would bail unconditionally); callers degrade to the scalar
-    specialized tier.  With ``wait=False`` a cold compile is handed to the
-    background worker and
-    :class:`~repro.instrument.native.cache.NativeCompiling` is raised while
-    it runs — a transient state callers serve the specialized tier through.
+    has no source units, the emitter cannot produce a useful kernel (the
+    entry would bail unconditionally) or the build fails; callers degrade to
+    the scalar specialized tier.
     """
     if not program.units:
         raise NativeUnavailable(
             f"program {program.name!r} carries no source units"
         )
-    loaded = _load(program, wait=wait)
+    loaded = _load(program)
     return NativeKernel(program, loaded)
 
 

@@ -38,9 +38,9 @@ beyond), so the fused search serves programs of arity <= :data:`MAX_ARITY`.
 
 The library is one C99 source string, content-addressed by its text, the
 compiler version and the optimization tier, and compiled into the native
-cache directory with the same background protocol as the kernels: a start
-that finds it missing or still compiling runs the Python search.  A build
-that fails is reported once per process with a ``RuntimeWarning``.
+cache directory as the kernels are, at the first request that finds it
+missing.  A build that fails is reported once per process with a
+``RuntimeWarning``, and starts then run the Python search.
 """
 
 from __future__ import annotations
@@ -55,9 +55,8 @@ import numpy as np
 
 from repro.instrument.native.cache import (
     CFLAGS,
-    NativeCompiling,
     NativeUnavailable,
-    compile_kernel_background,
+    compile_kernel,
     discard_kernel,
     find_cc,
 )
@@ -530,10 +529,9 @@ def _bind(so_path):
 def local_min_library():
     """The loaded fused-search library, or ``None`` when it cannot serve.
 
-    ``None`` while the background build runs (the caller runs the Python
-    search this time and asks again at its next start) and after a failed
-    build, which warns once per process.  A shared object that does not
-    load is discarded and rebuilt."""
+    A library not on disk is compiled before this returns.  ``None`` after
+    a failed build, which warns once per process.  A shared object that
+    does not load is discarded, and the next request rebuilds it."""
     try:
         key = (_C_SOURCE, find_cc()[1])
     except NativeUnavailable:
@@ -544,9 +542,7 @@ def local_min_library():
         return None if isinstance(cached, NativeUnavailable) else cached
     digest = library_digest()
     try:
-        so_path = compile_kernel_background(_C_SOURCE, digest)
-    except NativeCompiling:
-        return None
+        so_path = compile_kernel(_C_SOURCE, digest)
     except NativeUnavailable as exc:
         with _LIBRARIES_LOCK:
             first = key not in _LIBRARIES
@@ -755,13 +751,13 @@ class NativeObjective:
 def native_objective(representing):
     """A :class:`NativeObjective` armed for ``representing``'s start, or
     ``None`` when the start runs the Python search: another profile, arity
-    above :data:`MAX_ARITY`, or the kernel or the library not loaded (yet).
+    above :data:`MAX_ARITY`, or the kernel or the library unavailable.
     Later starts of a run on the same program :meth:`~NativeObjective.rearm`
     the objective instead of asking again.
 
-    The library is requested before the kernel is looked at, so its build
-    is queued at a process's first native start even when every kernel is
-    still compiling."""
+    The library is requested before the kernel, so a process's first
+    native start builds it even when the program's kernel cannot be
+    built."""
     if representing.profile is not ExecutionProfile.PENALTY_NATIVE \
             or representing.arity > MAX_ARITY:
         return None

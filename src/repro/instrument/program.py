@@ -414,21 +414,19 @@ class InstrumentedProgram:
         per-row loop."""
         return build_batch_kernel(self, saturated_mask)
 
-    def native_kernel(self, saturated_mask: int, wait: bool = True) -> NativeKernel:
+    def native_kernel(self, saturated_mask: int) -> NativeKernel:
         """The compiled-to-machine-code kernel of this program, set to
         evaluate under ``saturated_mask``.
 
         One kernel serves every mask (the mask is a runtime argument of the
         machine code), so it is cached on the program and a new mask costs a
         word-buffer write; the out-of-process ``cc`` compile
-        behind it is content-addressed on disk and memoized module-wide.
+        behind it runs at the first request, is content-addressed on disk
+        and memoized module-wide.
         ``native_kernel_builds`` counts true kernel constructions.  Raises
         :class:`~repro.instrument.native.cache.NativeUnavailable` when no C
-        compiler is present or the program cannot be emitted; callers
-        degrade to the scalar specialized tier.  With ``wait=False`` a cold
-        compile runs in the background and
-        :class:`~repro.instrument.native.cache.NativeCompiling` is raised
-        until it lands (callers serve the specialized tier meanwhile).
+        compiler is present, the program cannot be emitted or the build
+        fails; callers degrade to the scalar specialized tier.
         """
         if not self.units:
             raise NativeUnavailable(
@@ -437,7 +435,7 @@ class InstrumentedProgram:
             )
         kernel = self._native_kernel
         if kernel is None:
-            kernel = build_native_kernel(self, wait=wait)
+            kernel = build_native_kernel(self)
             self.native_kernel_builds += 1
             self._native_kernel = kernel
         kernel.use_mask(saturated_mask)

@@ -21,13 +21,19 @@ def propose_perturbation(
     The perturbation is Gaussian with a scale proportional to
     ``step_size * (1 + |x|)`` per coordinate: the relative component lets the
     chain explore the wide dynamic ranges floating-point inputs live on, while
-    the absolute component keeps the chain moving near zero.
+    the absolute component keeps the chain moving near zero.  A non-finite
+    coordinate restarts from 0.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    base = np.where(np.isfinite(x), x, 0.0)
-    scale = step_size * (1.0 + np.abs(base))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return base + rng.normal(size=x.shape) * scale
+    # Scalar floats, one coordinate at a time: on points of a few
+    # coordinates numpy's per-call overhead dwarfs the arithmetic, and each
+    # IEEE operation rounds the same either way.
+    z = rng.normal(size=x.size).tolist()
+    moved = []
+    for value, dz in zip(x.ravel().tolist(), z):
+        base = value if math.isfinite(value) else 0.0
+        moved.append(base + dz * (step_size * (1.0 + abs(base))))
+    return np.array(moved).reshape(x.shape)
 
 
 def metropolis_accept(

@@ -39,7 +39,6 @@ from repro.baselines.random_testing import RandomTester
 from repro.core.config import CoverMeConfig
 from repro.experiments.runner import CoverMeTool, Profile, coverme_tool, instrument_case
 from repro.fdlibm.suite import BenchmarkCase
-from repro.instrument.native.cache import finish_background_compiles
 from repro.store import JobKey, canonical_json, fingerprint_of, summary_to_dict
 
 # ---------------------------------------------------------------------------
@@ -329,13 +328,9 @@ def execute_job_remote(request: JobRequest, budget: Budget) -> tuple[dict, list[
     the specialization/native caches hanging off the instrumented programs)
     stays warm across the jobs it runs.
     Progress streaming is not available across the process boundary; the
-    coordinating service still emits queued/running/done events.
-
-    The job finishes the native kernel builds it queued in the background
-    before it returns: a compiler left running under an idle worker would
-    otherwise overlap the next job, or the caller's measurements, by
-    however far the build queue happened to have got.
+    coordinating service still emits queued/running/done events.  The
+    native kernels a job needs are compiled inside the job, so none is
+    still building when it returns.
     """
     executed = execute_job(request, budget)
-    finish_background_compiles()
     return executed.payload, executed.warnings

@@ -8,6 +8,8 @@ import pytest
 from repro.baselines.random_testing import RandomTester
 from repro.core.config import CoverMeConfig
 from repro.core.coverme import CoverMe, cover
+from repro.core.representing import RepresentingFunction
+from repro.engine.core import SearchEngine
 from repro.engine import scheduler as scheduler_module
 from repro.engine.scheduler import _STREAM_NORMAL, START_SCALE, StartScheduler
 from repro.engine import worker as worker_module
@@ -185,6 +187,27 @@ class TestEngineBehaviour:
         result = cover(sp.single_branch, CoverMeConfig(n_start=16, n_iter=3, seed=0))
         assert result.n_starts_used < 8
         assert result.evaluations == sum(t.evaluations for t in result.traces)
+
+    def test_newly_covered_decodes_what_each_accepted_start_added(self):
+        """A trace keeps its newly covered branches as a mask; reading
+        ``newly_covered`` gives the branches the start's minimum covers
+        that no earlier start had, and nothing for a rejected start."""
+        program = instrument(sp.nested_branches)
+        result = SearchEngine(program, CoverMeConfig(n_start=16, n_iter=3, seed=0)).run()
+        reference = RepresentingFunction(program)
+        seen: frozenset = frozenset()
+        added = []
+        for trace in result.traces:
+            assert isinstance(trace.newly_covered, frozenset)
+            if not trace.accepted:
+                assert trace.newly_covered == frozenset()
+                continue
+            covered = reference.evaluate_with_coverage(trace.minimum_point)[1].covered
+            assert trace.newly_covered == covered - seen
+            seen |= trace.newly_covered
+            added.append(sorted(trace.newly_covered))
+        assert seen == result.covered
+        assert len(added) >= 2  # more than one start added branches
 
 
 class TestBatchedExperiments:

@@ -17,20 +17,18 @@ the helper digest), the warm path (a kernel already on disk loads by digest
 without emitting C, its shape read from the exported ``sp_meta``; the
 specialized bail target is built only at the first bail), the stale/corrupt shared-object fallback (rejected, rebuilt,
 bit-identical), the disk cache's tolerance of concurrent builders' temp
-files (and the pruning of killed builds' stale ones), the background
-compiler (kernel absent: the specialized tier serves, no warning, and the
-kernel swaps in once ``cc`` lands; a queued kernel is emitted once; a main
-process or a forkserver pool worker finishes its queued builds before it
-exits, a process worker's job before it returns, and a forked child does
-not wait for its parent's), the
+files (and the pruning of killed builds' stale ones), compile on first use
+(on a cold cache the first native call builds the kernel and is served by
+it, with no warning, and a process leaves only finished files behind), the
 ``NativeUnavailable`` degradation
-(no compiler: one warning per program, identical results through the
-specialized tier), the ``repro native-cache`` CLI and the engine-level
+(no compiler or an unusable cache directory: one warning per program,
+identical results through the specialized tier), the ``repro native-cache``
+CLI and the engine-level
 identity of ``penalty-native`` vs ``penalty-specialized`` runs across
 worker pools.  The fused native Powell search (``local_min.py``) must match
 ``powell(BitPatternMemo(...))`` bit for bit, memo counters included, and
-fall back to the Python search -- library compiling or failed, arity above
-7 -- with identical results; exceptions in its bail callback propagate,
+fall back to the Python search -- library build failed, arity above 7 --
+with identical results; exceptions in its bail callback propagate,
 its C memo is freed per start, and native chunks are not primed.
 
 Every test that needs a C compiler self-skips when none is present, so the
@@ -47,7 +45,6 @@ import importlib.util
 import inspect
 import json
 import math
-import multiprocessing
 import os
 import pathlib
 import re
@@ -56,10 +53,8 @@ import struct
 import subprocess
 import sys
 import textwrap
-import threading
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -84,21 +79,16 @@ from repro.instrument.native import local_min
 from repro.instrument.native.cache import (
     COMPILE_TIMEOUT_S,
     DISK_CACHE_MAX,
-    NativeCompiling,
     NativeUnavailable,
     _prune_disk_cache,
-    _reset_background_for_tests,
     _reset_cc_probe_for_tests,
-    background_compile_stats,
     cc_available,
     compile_kernel,
-    compile_kernel_background,
     disk_cache_max,
     find_cc,
     native_cache_dir,
     native_cache_entries,
     native_clean_disk_cache,
-    wait_for_background,
 )
 from repro.instrument.native.c_backend import render_c
 from repro.instrument.native.emit import covered_words, emit_program_ir
@@ -858,17 +848,13 @@ class TestCachesAndDigest:
 
 
 @requires_cc
-class TestBackgroundCompile:
-    def test_absent_kernel_serves_specialized_then_swaps_in(
-        self, tmp_path, monkeypatch
-    ):
-        """Kernel absent -> the first native-tier calls run on the
-        specialized tier (transient state: no warning) while ``cc`` runs in
-        the background; once the build lands the kernel swaps in at the
-        next call boundary and the counters account for both phases."""
+class TestCompileOnFirstUse:
+    def test_cold_kernel_serves_the_first_call(self, tmp_path, monkeypatch):
+        """Kernel absent from disk -> the first native-tier call compiles it
+        and is served by it, bit-identical to the specialized tier, with no
+        warning; the batch path then serves from the same kernel."""
         monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))  # cold disk
         clear_native_cache()
-        _reset_background_for_tests()
         program = instrument(sp.paper_foo)
         native = RepresentingFunction(
             program, SaturationTracker(program), profile=ExecutionProfile.PENALTY_NATIVE
@@ -878,152 +864,40 @@ class TestBackgroundCompile:
             SaturationTracker(program),
             profile=ExecutionProfile.PENALTY_SPECIALIZED,
         )
-        stats_before = background_compile_stats()
         with warnings.catch_warnings():
-            # The compiling state is transient and must not trip the
-            # degradation warning machinery.
             warnings.simplefilter("error", RuntimeWarning)
             first = native([4.0])
-        assert native.native_respecializations == 0  # no kernel yet
-        assert native.native_pending_calls >= 1
-        assert native._native_ok  # not latched: this is not a degradation
+        assert native.native_respecializations == 1  # the kernel served it
+        assert native.native_pending_calls == 0
+        assert (tmp_path / f"{native._native_kernel.digest}.so").exists()
         assert _bits(first) == _bits(specialized([4.0]))
-        pending = native._native_pending
-        assert pending is not None
-        wait_for_background(pending)
-        stats = background_compile_stats()
-        assert stats["submitted"] == stats_before["submitted"] + 1
-        assert stats["compiled"] == stats_before["compiled"] + 1
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            second = native([4.0])
-        assert native.native_respecializations == 1  # swapped in
-        assert native._native_pending is None
-        assert _bits(second) == _bits(first)
-        # The batch path serves from the swapped-in kernel too.
         X = np.ascontiguousarray([[v] for v in _ADVERSARIAL], dtype=np.float64)
         values = native.evaluate_batch(X)
         assert native.batch_respecializations == 0
+        assert native.native_respecializations == 1
         for i in range(X.shape[0]):
             assert _bits(float(values[i])) == _bits(specialized(X[i]))
         clear_native_cache()
 
-    def test_background_jobs_deduplicate_by_digest(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
-        clear_native_cache()
-        _reset_background_for_tests()
-        program = instrument(sp.nested_boolean)
-        submitted_before = background_compile_stats()["submitted"]
-        instances = [
-            RepresentingFunction(
-                program,
-                SaturationTracker(program),
-                profile=ExecutionProfile.PENALTY_NATIVE,
-            )
-            for _ in range(3)
-        ]
-        args = [1.0] * program.arity
-        pendings = set()
-        for representing in instances:
-            representing(args)
-            pendings.add(representing._native_pending)
-        pendings.discard(None)  # a fast build may land mid-loop
-        assert len(pendings) <= 1  # all instances share one digest
-        stats = background_compile_stats()
-        assert stats["submitted"] <= submitted_before + 1  # de-duplicated
-        for pending in pendings:
-            wait_for_background(pending)
-        clear_native_cache()
 
-    def test_queued_kernel_is_emitted_once(
-        self, private_cache, counted_emits, monkeypatch
-    ):
-        """While a kernel's background build is queued, another request for
-        it raises ``NativeCompiling`` without emitting its C again."""
-        _reset_background_for_tests()
-        release = threading.Event()
-        real_compile = cache_module.compile_kernel
-
-        def held_compile(c_source, digest):
-            release.wait(60)
-            return real_compile(c_source, digest)
-
-        monkeypatch.setattr(cache_module, "compile_kernel", held_compile)
-        program = instrument(sp.paper_foo)
-        try:
-            with pytest.raises(NativeCompiling) as first:
-                build_native_kernel(program, wait=False)
-            with pytest.raises(NativeCompiling) as second:
-                build_native_kernel(program, wait=False)
-        finally:
-            release.set()
-        assert second.value.digest == first.value.digest
-        assert counted_emits == ["paper_foo"]
-        wait_for_background(first.value.digest)
-        kernel = build_native_kernel(program, wait=False)
-        assert kernel.digest == first.value.digest
-        assert counted_emits == ["paper_foo"]  # loaded from disk
-        _reset_background_for_tests()
-
-    def test_pruned_done_outcome_is_rebuilt_not_served_stale(
-        self, tmp_path, monkeypatch
-    ):
-        """A recorded "done" outcome whose .so was FIFO-pruned from disk
-        must be forgotten and rebuilt, never handed back as a dead path."""
-        from repro.instrument.native.cache import (
-            NativeCompiling,
-            compile_kernel_background,
-        )
-
-        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
-        _reset_background_for_tests()
-        digest = "ab" * 32
-        source = "int sp_dummy_prune(void) { return 7; }\n"
-        with pytest.raises(NativeCompiling):
-            compile_kernel_background(source, digest)
-        wait_for_background(digest)
-        so_path = tmp_path / f"{digest}.so"
-        assert so_path.exists()
-        # Simulate the FIFO prune deleting the entry while the "done"
-        # outcome is still recorded in the job table.
-        so_path.unlink()
-        so_path.with_suffix(".c").unlink()
-        with pytest.raises(NativeCompiling):
-            compile_kernel_background(source, digest)  # resubmit, not stale
-        wait_for_background(digest)
-        assert compile_kernel_background(source, digest) == so_path
-        assert so_path.exists()
-        _reset_background_for_tests()
-
-
-def _queue_build_in_worker(cache_dir: str):
-    """Request one kernel's background build and return its digest
-    (``None`` if it was already built)."""
+def _build_in_process(cache_dir: str) -> str:
+    """Request one kernel against ``cache_dir``; its digest."""
     os.environ["REPRO_NATIVE_CACHE"] = cache_dir
-    try:
-        build_native_kernel(instrument(sp.three_dimensional), wait=False)
-    except NativeCompiling as exc:
-        return exc.digest
-    return None
-
-
-def _assert_build_landed(directory: pathlib.Path, digest) -> None:
-    assert digest is not None  # the request really queued a build
-    assert (directory / f"{digest}.so").exists()
-    assert [p.name for p in directory.iterdir() if p.name.startswith(".")] == []
+    return build_native_kernel(instrument(sp.three_dimensional)).digest
 
 
 @requires_cc
 class TestBuildsFinishBeforeExit:
-    """A process that queued background builds finishes them before it
-    exits, so the next process finds the kernels on disk."""
-
-    def test_main_process_drains_at_exit(self, tmp_path):
+    def test_cold_request_leaves_the_kernel_and_no_temp_file(self, tmp_path):
+        """A process's cold request returns once its build is on disk: the
+        process leaves ``<digest>.so`` and no hidden temp file, and has no
+        build pending."""
         script = textwrap.dedent(
             """
             import sys
-            from tests.test_native import _queue_build_in_worker
-            print(_queue_build_in_worker(sys.argv[1]))
+            from repro.instrument.native.cache import background_compile_stats
+            from tests.test_native import _build_in_process
+            print(_build_in_process(sys.argv[1]), background_compile_stats()["pending"])
             """
         )
         root = pathlib.Path(__file__).resolve().parents[1]
@@ -1034,79 +908,10 @@ class TestBuildsFinishBeforeExit:
             cwd=str(root), capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        _assert_build_landed(tmp_path, proc.stdout.split()[-1])
-
-    def test_forkserver_pool_worker_drains_at_exit(self, tmp_path):
-        context = multiprocessing.get_context("forkserver")
-        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
-            digest = pool.submit(_queue_build_in_worker, str(tmp_path)).result(timeout=300)
-        _assert_build_landed(tmp_path, digest)
-
-    def test_forked_child_does_not_wait_for_a_dead_thread(self, tmp_path):
-        """The compile thread does not survive ``fork``: a child that exits
-        with its parent's build still queued must not block on it."""
-        script = textwrap.dedent(
-            """
-            import os, sys, time
-            from repro.instrument.native import cache
-
-            def held_compile(c_source, digest):
-                time.sleep(600)
-
-            cache.compile_kernel = held_compile
-            try:
-                cache.compile_kernel_background("int f(void) { return 0; }", "9a" * 32)
-            except cache.NativeCompiling:
-                pass
-            t0 = time.monotonic()
-            pid = os.fork()
-            if pid == 0:
-                sys.exit(0)  # a normal exit: the inherited exit hooks run
-            _, status = os.waitpid(pid, 0)
-            print(os.waitstatus_to_exitcode(status), time.monotonic() - t0)
-            os._exit(0)  # the parent's own build is held: skip its drain
-            """
-        )
-        root = pathlib.Path(__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(root / "src")
-        env["REPRO_NATIVE_CACHE"] = str(tmp_path)
-        proc = subprocess.run(
-            [sys.executable, "-c", script], env=env, cwd=str(root),
-            capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        exit_code, elapsed = proc.stdout.split()
-        assert exit_code == "0"
-        assert float(elapsed) < 30
-
-    def test_process_worker_job_finishes_its_builds(self, tmp_path, monkeypatch):
-        """A process worker's job returns only once the builds it queued
-        have landed: no compiler keeps running under the idle worker."""
-        from repro.service import jobs as jobs_module
-
-        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
-        _reset_background_for_tests()
-        real_compile = cache_module.compile_kernel
-
-        def slow_compile(c_source, digest):
-            time.sleep(0.5)
-            return real_compile(c_source, digest)
-
-        digest = "5e" * 32
-
-        def queue_build(request, budget):
-            with pytest.raises(NativeCompiling):
-                compile_kernel_background("int sp_job_drain(void) { return 3; }\n", digest)
-            return jobs_module.ExecutedJob(payload={"queued": digest})
-
-        monkeypatch.setattr(cache_module, "compile_kernel", slow_compile)
-        monkeypatch.setattr(jobs_module, "execute_job", queue_build)
-        payload, _ = jobs_module.execute_job_remote(None, None)
-        assert payload == {"queued": digest}
-        assert background_compile_stats()["pending"] == 0
-        _assert_build_landed(tmp_path, digest)
-        _reset_background_for_tests()
+        digest, pending = proc.stdout.split()[-2:]
+        assert pending == "0"
+        assert (tmp_path / f"{digest}.so").exists()
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
 
 
 def default_second_arg(x, y=2.0):
@@ -1362,15 +1167,14 @@ class TestStaleKernelFallback:
         assert _kernel_outputs(warm, X) == reference
         clear_native_cache()
 
-    def test_background_path_rebuilds_a_bad_file(
+    def test_first_native_call_rebuilds_a_bad_file_in_place(
         self, tmp_path, monkeypatch, counted_emits
     ):
-        """Under the non-blocking request a bad file triggers a background
-        rebuild: the specialized tier serves meanwhile, then the rebuilt
-        kernel swaps in with identical results."""
+        """A bad file at the digest is rejected at the first native call,
+        which rebuilds it in place with one emission and is served by the
+        rebuilt kernel."""
         monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
         clear_native_cache()
-        _reset_background_for_tests()
         program = instrument(sp.paper_foo)
         digest = kernel_digest(program)
         self._plant("no_sp_meta", digest, b"", "")
@@ -1385,19 +1189,13 @@ class TestStaleKernelFallback:
             profile=ExecutionProfile.PENALTY_SPECIALIZED,
         )
         first = native([4.0])
-        assert native.native_pending_calls == 1
-        wait_for_background(native._native_pending)
-        second = native([4.0])
         assert native.native_respecializations == 1
-        assert _bits(first) == _bits(second) == _bits(specialized([4.0]))
+        assert _bits(first) == _bits(specialized([4.0]))
         assert native._native_kernel.loaded.n_words == covered_words(
             program.n_conditionals)
-        # The loader read the planted file, rejected it and rebuilt it in
-        # place: one emission, and the file at the digest is the new kernel.
         assert native._native_kernel.digest == digest
         assert len(counted_emits) == emits_before + 1
         assert so_path.read_bytes() != planted
-        _reset_background_for_tests()
         clear_native_cache()
 
 
@@ -1459,38 +1257,6 @@ class TestDiskCacheRace:
         assert [e["digest"] for e in native_cache_entries()] == ["bb" * 32]
         assert _prune_disk_cache(tmp_path) == 0
         assert native_clean_disk_cache() == 1
-
-    @requires_cc
-    def test_background_worker_records_unexpected_errors(
-        self, tmp_path, monkeypatch
-    ):
-        """An unexpected exception in a background build is a ``failed``
-        outcome, not a dead worker and a digest pending forever."""
-        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
-        _reset_background_for_tests()
-        real_compile = cache_module.compile_kernel
-
-        def vanishing_compile(c_source, digest):
-            raise FileNotFoundError("renamed by a concurrent builder")
-
-        monkeypatch.setattr(cache_module, "compile_kernel", vanishing_compile)
-        digest = "ef" * 32
-        source = "int sp_dummy_bg(void) { return 1; }\n"
-        with pytest.raises(NativeCompiling):
-            compile_kernel_background(source, digest)
-        wait_for_background(digest, timeout=30)
-        assert background_compile_stats()["failed"] == 1
-        with pytest.raises(NativeUnavailable, match="background compile failed"):
-            compile_kernel_background(source, digest)
-        # The worker keeps serving later jobs.
-        monkeypatch.setattr(cache_module, "compile_kernel", real_compile)
-        other = "fe" * 32
-        with pytest.raises(NativeCompiling):
-            compile_kernel_background(source, other)
-        wait_for_background(other, timeout=60)
-        assert compile_kernel_background(source, other).exists()
-        _reset_background_for_tests()
-
 
 class TestCcProbeCache:
     def test_failed_probe_is_cached_per_process(self, tmp_path, monkeypatch):
@@ -1607,6 +1373,41 @@ class TestDegradation:
             )
         assert outcomes[0] == outcomes[1]
 
+    @requires_cc
+    def test_unusable_cache_directory_degrades_like_a_missing_compiler(
+        self, tmp_path, monkeypatch
+    ):
+        """A cache directory that cannot be created (its parent is a
+        regular file) fails each build with ``NativeUnavailable``: the run
+        warns once for the kernel and once for the fused-search library and
+        matches a ``penalty-specialized`` run.  A path under a file fails
+        for every user, root included, where a permission bit would not."""
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(blocker / "native-kernels"))
+        clear_native_cache()
+        local_min.clear_local_min_library()
+        try:
+            with pytest.raises(NativeUnavailable, match="NotADirectoryError"):
+                build_native_kernel(instrument(sp.three_dimensional))
+            outcomes = []
+            for profile in ("penalty-native", "penalty-specialized"):
+                config = CoverMeConfig(n_start=8, n_iter=2, seed=7, eval_profile=profile)
+                with warnings.catch_warnings(record=True) as seen:
+                    warnings.simplefilter("always")
+                    result = SearchEngine(instrument(sp.paper_foo), config).run()
+                outcomes.append((tuple(result.inputs), result.covered, result.evaluations))
+                messages = [str(w.message) for w in seen]
+                if profile == "penalty-native":
+                    tier = [m for m in messages if "native tier permanently unavailable" in m]
+                    search = [m for m in messages if "native local search unavailable" in m]
+                    assert len(tier) == 1 and len(search) == 1, messages
+            assert outcomes[0] == outcomes[1]
+            assert not blocker.with_name("native-kernels").exists()
+        finally:
+            clear_native_cache()
+            local_min.clear_local_min_library()
+
 
 @requires_cc
 class TestEngineIdentity:
@@ -1656,8 +1457,8 @@ class TestCompileFailureMidRun:
         degrades to the specialized tier, and the record is bit-identical
         to a ``penalty-specialized`` run, with exactly one degradation
         warning even when every warning is shown (one per program, not one
-        per start).  Builds run synchronously here, so the failure lands
-        mid-run whatever the machine's speed."""
+        per start).  Builds run in the requesting call, so the failure
+        lands mid-run whatever the machine's speed."""
         real_compile = cache_module.compile_kernel
         builds = []
 
@@ -1667,13 +1468,8 @@ class TestCompileFailureMidRun:
                 raise NativeUnavailable("cc failed mid-run")
             return real_compile(c_source, digest)
 
-        def synchronous(c_source, digest):
-            return cache_module.compile_kernel(c_source, digest)
-
-        monkeypatch.setattr(cache_module, "compile_kernel", failing_after_k)
         monkeypatch.setattr(kernel_module, "compile_kernel", failing_after_k)
-        monkeypatch.setattr(kernel_module, "compile_kernel_background", synchronous)
-        monkeypatch.setattr(local_min, "compile_kernel_background", synchronous)
+        monkeypatch.setattr(local_min, "compile_kernel", failing_after_k)
         local_min.clear_local_min_library()
         case = next(c for c in BENCHMARKS if c.function.startswith("tanh"))
 
@@ -1700,7 +1496,6 @@ class TestCacheShape:
         """A seeded multi-start run over N programs leaves exactly N kernel
         shared objects plus the fused-search library in an empty cache:
         saturation changes the mask during each run, never the kernel."""
-        _reset_background_for_tests()
         local_min.clear_local_min_library()
         targets = (sp.paper_foo, sp.nested_branches, sp.three_dimensional)
         try:
@@ -1708,7 +1503,6 @@ class TestCacheShape:
                 config = CoverMeConfig(n_start=12, n_iter=2, seed=11)
                 result = SearchEngine(instrument(target), config).run()
                 assert result.saturated  # later batches ran under new masks
-            cache_module.finish_background_compiles()
         finally:
             local_min.clear_local_min_library()
         names = sorted(p.name for p in private_cache.glob("*.so"))
@@ -1811,11 +1605,8 @@ class _FixedMask:
 
 @pytest.fixture
 def library():
-    """The fused-search library, waiting for its build if it is not on disk."""
+    """The fused-search library, built first if it is not on disk."""
     lib = local_min.local_min_library()
-    if lib is None:
-        wait_for_background(local_min.library_digest())
-        lib = local_min.local_min_library()
     assert lib is not None
     return lib
 
@@ -2067,9 +1858,11 @@ class TestFusedFallbacks:
             assert _start_key(fused) == _start_key(python), program.name
         assert fused_spy == [True, True, True, True]
 
-    def test_library_still_compiling_runs_the_python_search(
+    def test_cold_library_is_built_at_the_first_start(
         self, library, fused_spy, tmp_path, monkeypatch
     ):
+        """With no library on disk, a start builds it and runs the fused
+        search, silently, with the same result as a warm start."""
         program = instrument(sp.three_dimensional)
         task = _hard_task(program, [4.0, -1.0, 2.0])
         _prewarm(program, task)  # the kernel stays loaded in memory
@@ -2079,32 +1872,11 @@ class TestFusedFallbacks:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                compiling = run_start(program, _start_params(), task)
-            assert fused_spy == [True, False]
-            assert _start_key(compiling) == _start_key(fused)
-            wait_for_background(local_min.library_digest())
-            landed = run_start(program, _start_params(), task)
-            assert fused_spy == [True, False, True]
-            assert _start_key(landed) == _start_key(fused)
+                cold = run_start(program, _start_params(), task)
+            assert fused_spy == [True, True]
+            assert _start_key(cold) == _start_key(fused)
+            assert (tmp_path / f"{local_min.library_digest()}.so").exists()
         finally:
-            local_min.clear_local_min_library()
-
-    def test_library_is_queued_while_the_kernel_compiles(
-        self, private_cache, fused_spy
-    ):
-        """A process whose kernels are all still compiling at its starts
-        still queues the library, so its exit drain builds it too."""
-        local_min.clear_local_min_library()
-        _reset_background_for_tests()
-        program = instrument(sp.three_dimensional)
-        task = _hard_task(program, [4.0, -1.0, 2.0])
-        try:
-            run_start(program, _start_params(), task)
-            assert fused_spy == [False]  # the kernel was not there yet
-            wait_for_background(local_min.library_digest())
-            assert (private_cache / f"{local_min.library_digest()}.so").exists()
-        finally:
-            _reset_background_for_tests()
             local_min.clear_local_min_library()
 
     def test_failed_library_build_warns_once_and_runs_python(
@@ -2120,8 +1892,6 @@ class TestFusedFallbacks:
         monkeypatch.setattr(local_min, "_C_SOURCE", "#error deliberately broken\n")
         local_min.clear_local_min_library()
         try:
-            assert local_min.local_min_library() is None  # submitted, compiling
-            wait_for_background(local_min.library_digest())
             with pytest.warns(RuntimeWarning, match="native local search unavailable") as record:
                 first = run_start(program, _start_params(), task)
             assert len([w for w in record if "native local search" in str(w.message)]) == 1

@@ -50,6 +50,30 @@ class TestPerturbation:
         proposal = propose_perturbation(rng, x, 1.0)
         assert proposal.shape == (1,)
 
+    @pytest.mark.parametrize("step_size", [1.0, 0.37, 1e300])
+    def test_matches_the_array_formula_bit_for_bit(self, step_size):
+        """Each coordinate is ``base + z * (step * (1 + |base|))`` with
+        ``base`` the coordinate or 0 when it is not finite, rounded exactly
+        as the whole-array numpy expression rounds it, and the draw consumes
+        the generator's stream the same way."""
+        dbl_max = np.finfo(np.float64).max
+        tiny = np.finfo(np.float64).smallest_subnormal
+        special = [np.inf, -np.inf, np.nan, 0.0, -0.0, tiny, -tiny, 3 * tiny,
+                   np.finfo(np.float64).tiny, dbl_max, -dbl_max,
+                   np.nextafter(dbl_max, 0.0), 1.0, -1e-300, 1e16]
+        points = [np.array([value]) for value in special]
+        points += [np.array(special[i:i + 3]) for i in range(0, len(special), 3)]
+        new_rng, old_rng = np.random.default_rng(17), np.random.default_rng(17)
+        for x in points:
+            base = np.where(np.isfinite(x), x, 0.0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = base + old_rng.normal(size=x.shape) * (
+                    step_size * (1.0 + np.abs(base)))
+            got = propose_perturbation(new_rng, x, step_size)
+            assert got.shape == x.shape and got.dtype == np.float64
+            assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist(), x
+        assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
 
 class TestBasinhopping:
     def test_escapes_local_minimum(self, rng):
