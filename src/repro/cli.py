@@ -146,16 +146,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     native_p = sub.add_parser(
         "native-cache",
-        help="inspect or clean the on-disk native-kernel (.so) cache and "
-        "its instrumented entries (units, sources and specialized variants)",
+        help="inspect or clean the on-disk artifact store: native kernels, the "
+        "fused-search library and instrumented entries (units, sources, variants)",
     )
     native_sub = native_p.add_subparsers(dest="native_command", required=True)
     native_sub.add_parser(
-        "ls", help="count the instrumented entries; list cached native kernels, newest first"
+        "ls", help="count entries and bytes per kind; list every entry, newest first"
     )
-    native_sub.add_parser(
-        "clean", help="remove every cached native kernel, instrumented entry and temp file"
-    )
+    native_sub.add_parser("clean", help="remove every entry and temp file of the store")
 
     return parser
 
@@ -320,46 +318,27 @@ def _serve(args) -> int:
 
 
 def _native_cache(args) -> int:
-    from repro.instrument.native.cache import (
-        disk_cache_max,
-        native_cache_dir,
-        native_cache_entries,
-        native_clean_disk_cache,
-    )
     from repro.instrument.unit_cache import (
-        clean_instrumented_cache,
-        instrumented_cache_dir,
-        instrumented_cache_info,
+        clean_disk,
+        disk_entries,
+        disk_info,
+        native_cache_dir,
     )
 
-    directory = native_cache_dir()
     if args.native_command == "clean":
-        removed = native_clean_disk_cache()
-        print(f"native cache {directory}: removed {removed} kernels")
-        removed = clean_instrumented_cache()
-        print(f"instrumented cache {instrumented_cache_dir()}: removed {removed} entries")
+        print(f"store {native_cache_dir()}: removed {clean_disk()} entries")
         return 0
-    instrumented = instrumented_cache_info()
+    info = disk_info()
     print(
-        f"instrumented cache {instrumented_cache_dir()}: {instrumented['entries']} "
-        f"entries, {instrumented['bytes']} bytes total (bound {instrumented['max_entries']})"
+        f"store {native_cache_dir()}: {info['entries']} entries, {info['bytes']} "
+        f"bytes total, {info['temps']} temp files (bound {info['max_entries']})"
     )
-    bound = disk_cache_max()
-    entries = native_cache_entries()
-    if not entries:
-        print(f"native cache {directory}: empty (bound {bound})")
-        return 0
-    total = sum(entry["size"] for entry in entries)
-    print(
-        f"native cache {directory}: {len(entries)} kernels, "
-        f"{total} bytes total (bound {bound})"
-    )
-    print(f"{'digest':<18s}{'size':>10s}  source")
-    for entry in entries:
-        print(
-            f"{entry['digest'][:16]:<18s}{entry['size']:>10d}  "
-            f"{'yes' if entry['has_source'] else 'no'}"
-        )
+    for kind, counts in info["kinds"].items():
+        print(f"  {kind:<8s}{counts['entries']:>6d} entries{counts['bytes']:>12d} bytes")
+    print(f"{'kind':<9s}{'name':<18s}{'bytes':>10s}  files")
+    for entry in reversed(disk_entries()):
+        files = " ".join(sorted(path.suffix for path in entry.paths))
+        print(f"{entry.kind:<9s}{entry.name[:16]:<18s}{entry.size:>10d}  {files}")
     return 0
 
 

@@ -15,9 +15,11 @@ saturation mask down to machine code:
   IR into a translation unit exposing a scalar entry point, batch
   ``for``-loop entry points, the ``sp_meta`` shape constant and the
   ``sp_bail_reasons`` texts.
-* :mod:`repro.instrument.native.cache` -- compiler discovery, out-of-process
-  compilation via the system ``cc`` and a content-addressed, FIFO-bounded
-  shared-object cache on disk, loaded with :mod:`ctypes`.
+* :mod:`repro.instrument.native.cache` -- compiler discovery and
+  out-of-process compilation via the system ``cc`` into the on-disk
+  artifact store (:mod:`repro.instrument.unit_cache`), which holds the
+  content-addressed shared objects next to the instrumented entries under
+  one listing, bound and clean.
 * :mod:`repro.instrument.native.kernel` -- :class:`NativeKernel`, the
   runtime object the representing function dispatches to, with a per-row
   fallback onto the scalar :class:`SpecializedVariant` for inputs the native
@@ -39,10 +41,7 @@ __getattr__ = lazy_exports(__name__, {
     "repro.instrument.native.cache": (
         "NativeUnavailable",
         "cc_available",
-        "disk_cache_max",
         "native_cache_dir",
-        "native_cache_entries",
-        "native_clean_disk_cache",
     ),
     "repro.instrument.native.kernel": (
         "NativeKernel",
@@ -58,9 +57,6 @@ __all__ = [
     "build_native_kernel",
     "cc_available",
     "clear_native_cache",
-    "disk_cache_max",
     "native_cache_dir",
-    "native_cache_entries",
     "native_cache_info",
-    "native_clean_disk_cache",
 ]

@@ -1,23 +1,14 @@
-"""Compiler discovery and the content-addressed shared-object cache.
+"""Compiler discovery and the compile of shared objects into the store.
 
-Kernels are compiled out-of-process with the system C compiler into a
-cache directory keyed by a sha256 digest of everything that affects the
-generated code: per-unit ``(source sha256, function, start label)`` triples,
-the helpers and globals the units read, the Def. 4.1 epsilon the C bakes
-in, the backend name, the compiler version, the compile flags, the
-codegen ABI version and the bytes of the modules the C is generated from
-(see :func:`repro.instrument.native.kernel.kernel_digest`;
-the saturation mask is a runtime argument, so it is not part of the key).
-Identical programs reuse the ``.so`` across processes and runs: a warm
-request computes the digest and loads ``<digest>.so`` directly, checking the
-kernel's exported ``sp_meta`` shape instead of re-emitting its C source (see
-:mod:`repro.instrument.native.kernel`).  The directory is FIFO-bounded by
-mtime like the in-memory compiled caches; builds write hidden
-``.<digest>.*`` temp files and rename them into place, so listing and
-pruning skip dot-prefixed names and tolerate files that vanish under a
-concurrent builder.  Temp files older than :data:`COMPILE_TIMEOUT_S` are
-leftovers of killed builds and are pruned.  Every build runs in the call
-that asks for it and is on disk when that call returns; a cache directory
+Kernels and the fused-search library are compiled out-of-process with the
+system C compiler, in the call that asks for them, and published into the
+on-disk artifact store (:mod:`repro.instrument.unit_cache`).  A kernel is
+keyed by a sha256 digest of everything that affects the generated code
+(:func:`repro.instrument.native.kernel.kernel_digest`; the saturation mask
+is a runtime argument, so it is not part of the key).  Identical programs
+reuse the ``.so`` across processes and runs: a warm request computes the
+digest and loads ``<digest>.so`` directly, checking the kernel's exported
+``sp_meta`` shape instead of re-emitting its C source.  A cache directory
 that cannot be written is a :class:`NativeUnavailable` like a failed build.
 """
 
@@ -26,10 +17,15 @@ from __future__ import annotations
 import os
 import shutil
 import subprocess
-import tempfile
 import threading
-import time
 from pathlib import Path
+
+from repro.instrument.unit_cache import (
+    COMPILE_TIMEOUT_S,
+    native_cache_dir,
+    publishing,
+    remove_files,
+)
 
 #: Bump when the entry ABI changes (the kernel digest already covers the
 #: emitter's and backend's bytes, so a codegen change alone needs no bump).
@@ -44,17 +40,6 @@ from pathlib import Path
 #:    every entry, every site writes its covered bit, and ``sp_entry``
 #:    reports the last executed conditional.
 ABI_VERSION = 7
-
-#: Default upper bound on cached shared objects on disk (each entry keeps
-#: its .c source next to the .so for debuggability).  A kernel serves every
-#: mask of its program, so one ``default``-profile seed needs one kernel per
-#: suite entry and this keeps many source revisions warm.  Overridable per
-#: process via ``$REPRO_NATIVE_CACHE_MAX`` — see :func:`disk_cache_max`.
-DISK_CACHE_MAX = 1024
-
-#: Seconds one compiler invocation may take.  A hidden temp file older
-#: than this belongs to no live build.
-COMPILE_TIMEOUT_S = 120
 
 _CC_LOCK = threading.Lock()
 _CC_STATE: dict = {
@@ -76,19 +61,6 @@ class NativeUnavailable(RuntimeError):
 #: The compiler flags of every build (kernels and the fused-search library);
 #: the content digests of both cover them.
 CFLAGS = ("-O2", "-fPIC", "-shared", "-std=c99", "-ffp-contract=off", "-pthread")
-
-
-def disk_cache_max() -> int:
-    """The FIFO bound on on-disk kernels (``$REPRO_NATIVE_CACHE_MAX``)."""
-    override = os.environ.get("REPRO_NATIVE_CACHE_MAX", "").strip()
-    if override:
-        try:
-            value = int(override)
-        except ValueError:
-            return DISK_CACHE_MAX
-        if value >= 1:
-            return value
-    return DISK_CACHE_MAX
 
 
 def _probe_cc() -> None:
@@ -145,55 +117,6 @@ def cc_version() -> str | None:
     return _CC_STATE["version"]
 
 
-def native_cache_dir() -> Path:
-    """The on-disk kernel cache directory (``REPRO_NATIVE_CACHE`` override)."""
-    override = os.environ.get("REPRO_NATIVE_CACHE")
-    if override:
-        return Path(override)
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg) if xdg else Path.home() / ".cache"
-    return base / "repro" / "native-kernels"
-
-
-def _kernel_files(directory: Path) -> list:
-    """``(path, stat)`` of every finished kernel in ``directory``, oldest first.
-
-    Hidden ``.<digest>.*.so`` names are builds still in flight (pathlib's
-    ``*`` matches them) and are skipped; a kernel that a concurrent process
-    prunes between the listing and its ``stat`` is skipped too."""
-    files = []
-    for so_path in directory.glob("*.so"):
-        if so_path.name.startswith("."):
-            continue
-        try:
-            files.append((so_path, so_path.stat()))
-        except FileNotFoundError:
-            continue
-    files.sort(key=lambda item: item[1].st_mtime)
-    return files
-
-
-def _prune_disk_cache(directory: Path) -> int:
-    """FIFO-by-mtime bound on the number of cached kernels; also deletes
-    the hidden temp files of builds killed before their rename."""
-    stale = time.time() - COMPILE_TIMEOUT_S
-    for temp in directory.glob(".*"):
-        if temp.suffix not in (".c", ".so"):
-            continue
-        try:
-            if temp.stat().st_mtime < stale:
-                temp.unlink()
-        except FileNotFoundError:
-            continue
-    bound = disk_cache_max()
-    sos = [so_path for so_path, _stat in _kernel_files(directory)]
-    evicted = 0
-    while len(sos) - evicted > bound:
-        discard_kernel(sos[evicted])
-        evicted += 1
-    return evicted
-
-
 def compile_kernel(c_source: str, digest: str) -> Path:
     """Compile ``c_source`` into ``<digest>.so``, reusing a cached build.
 
@@ -205,51 +128,27 @@ def compile_kernel(c_source: str, digest: str) -> Path:
     so_path = directory / f"{digest}.so"
     if so_path.exists():
         return so_path
-    temps = []
     try:
-        directory.mkdir(parents=True, exist_ok=True)
-        # mkstemp names: two threads of one process may build one digest.
-        fd_c, tmp_c = tempfile.mkstemp(suffix=".c", prefix=f".{digest}.",
-                                       dir=str(directory))
-        temps.append(tmp_c)
-        with open(fd_c, "w") as tmp_c_file:
-            tmp_c_file.write(c_source)
-        fd, tmp_so = tempfile.mkstemp(suffix=".so", prefix=f".{digest}.",
-                                      dir=str(directory))
-        temps.append(tmp_so)
-        os.close(fd)
-        proc = subprocess.run(
-            [cc, *CFLAGS, "-o", tmp_so, tmp_c, "-lm"],
-            capture_output=True,
-            text=True,
-            timeout=COMPILE_TIMEOUT_S,
-        )
-        if proc.returncode != 0:
-            tail = "\n".join(proc.stderr.strip().splitlines()[-8:])
-            raise NativeUnavailable(f"compilation failed:\n{tail}")
-        os.replace(tmp_c, directory / f"{digest}.c")
-        os.replace(tmp_so, so_path)
+        with publishing(digest, ".c", ".so") as (tmp_c, tmp_so):
+            Path(tmp_c).write_text(c_source)
+            proc = subprocess.run(
+                [cc, *CFLAGS, "-o", tmp_so, tmp_c, "-lm"],
+                capture_output=True,
+                text=True,
+                timeout=COMPILE_TIMEOUT_S,
+            )
+            if proc.returncode != 0:
+                tail = "\n".join(proc.stderr.strip().splitlines()[-8:])
+                raise NativeUnavailable(f"compilation failed:\n{tail}")
     except (OSError, subprocess.SubprocessError) as exc:
-        _cleanup(*temps)
         raise NativeUnavailable(f"cannot build {digest[:12]} in {directory}: {exc!r}") from exc
-    except NativeUnavailable:
-        _cleanup(*temps)
-        raise
-    _prune_disk_cache(directory)
     return so_path
 
 
 def discard_kernel(so_path: Path) -> None:
-    """Delete one cached kernel and its C source (missing files are fine)."""
-    _cleanup(so_path, so_path.with_suffix(".c"))
-
-
-def _cleanup(*paths) -> None:
-    for path in paths:
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
+    """Delete one cached kernel or library and its C source (missing files
+    are fine)."""
+    remove_files(so_path, so_path.with_suffix(".c"))
 
 
 def background_compile_stats() -> dict:
@@ -257,36 +156,6 @@ def background_compile_stats() -> dict:
     queued.  Kept only because the benchmark harness still reads its
     ``compiled``, ``failed`` and ``pending`` keys in every pass."""
     return {"submitted": 0, "compiled": 0, "failed": 0, "pending": 0}
-
-
-def native_cache_entries() -> list[dict]:
-    """Describe the on-disk kernel cache, newest first."""
-    directory = native_cache_dir()
-    if not directory.is_dir():
-        return []
-    entries = []
-    for so_path, stat in reversed(_kernel_files(directory)):
-        entries.append({
-            "digest": so_path.stem,
-            "size": stat.st_size,
-            "mtime": stat.st_mtime,
-            "has_source": so_path.with_suffix(".c").exists(),
-        })
-    return entries
-
-
-def native_clean_disk_cache() -> int:
-    """Remove every cached kernel; returns the number of entries removed."""
-    directory = native_cache_dir()
-    if not directory.is_dir():
-        return 0
-    removed = 0
-    for so_path, _stat in _kernel_files(directory):
-        discard_kernel(so_path)
-        removed += 1
-    for stray in list(directory.glob(".*")):
-        _cleanup(stray)
-    return removed
 
 
 def _reset_cc_probe_for_tests() -> None:

@@ -63,7 +63,6 @@ from repro.instrument.native.cache import (
     discard_kernel,
     find_cc,
     native_cache_dir,
-    native_cache_entries,
 )
 from repro.instrument.native.emit import (
     FOLD_TYPES,
@@ -283,17 +282,16 @@ _NATIVE_CACHE_STATS = {"hits": 0, "misses": 0, "evictions": 0}
 
 
 def native_cache_info() -> dict:
-    """Size and hit/miss/evict statistics of the native-kernel cache.
+    """Size and hit/miss/evict statistics of the loaded-kernel cache.
 
-    ``disk_entries`` counts shared objects in the on-disk cache and ``cc``
-    is the detected compiler version line (``None`` without a compiler)."""
+    ``cc`` is the detected compiler version line (``None`` without a
+    compiler)."""
     with _NATIVE_CACHE_LOCK:
         info = {
             "entries": len(_NATIVE_CACHE),
             "max_entries": _NATIVE_CACHE_MAX,
             **_NATIVE_CACHE_STATS,
         }
-    info["disk_entries"] = len(native_cache_entries())
     info["cc"] = cc_version()
     return info
 
@@ -302,7 +300,7 @@ def clear_native_cache() -> None:
     """Drop every loaded kernel and reset the statistics (tests).
 
     The on-disk shared objects stay; use
-    :func:`repro.instrument.native.cache.native_clean_disk_cache` for those.
+    :func:`repro.instrument.unit_cache.clean_disk` for those.
     """
     with _NATIVE_CACHE_LOCK:
         _NATIVE_CACHE.clear()
@@ -391,8 +389,8 @@ def _emit_and_compile(program, digest):
     loaded = _open(so_path, digest, program.arity, ir.n_words)
     if loaded is None:
         # The .so can vanish between the build and the load when a
-        # concurrent build FIFO-prunes the directory; rebuild once rather
-        # than degrading permanently.
+        # concurrent write of any kind FIFO-prunes the store; rebuild once
+        # rather than degrading permanently.
         discard_kernel(so_path)
         so_path = compile_kernel(c_source, digest)
         loaded = _open(so_path, digest, program.arity, ir.n_words)

@@ -63,10 +63,10 @@ from repro.instrument.specialize import (
     specialized_unit,
 )
 from repro.instrument.unit_cache import (
+    disk_info,
     entry_key,
-    instrumented_cache_info,
     load_entry,
-    reset_instrumented_stats,
+    reset_disk_stats,
     store_entry,
 )
 
@@ -97,21 +97,20 @@ _CODE_CACHE_MAX = 512
 
 
 def compiled_cache_info() -> dict:
-    """Statistics of both compile-tier caches (for tests/diagnostics).
+    """Statistics of the compile tiers' caches (for tests/diagnostics).
 
     The top-level ``entries``/``max_entries`` keys describe the generic
-    compiled-unit cache (backwards compatible); ``instrumented`` nests its
-    disk layer's entry count, bytes and bound and this process's disk
-    hits/misses/writes (unit, source and variant entries alike),
-    ``specialized`` nests the specialization cache's size and
-    hit/miss/evict counters, and ``native`` the loaded
-    native-kernel cache's (plus its disk-cache entry count and the detected
-    compiler version).
+    compiled-unit cache; ``disk`` nests the on-disk artifact store's
+    :func:`~repro.instrument.unit_cache.disk_info` (entries and bytes per
+    kind, the bound, and this process's entry hits/misses and writes),
+    ``specialized`` the specialization cache's size and hit/miss/evict
+    counters, and ``native`` the loaded native-kernel cache's (plus the
+    detected compiler version).
     """
     return {
         "entries": len(_CODE_CACHE),
         "max_entries": _CODE_CACHE_MAX,
-        "instrumented": instrumented_cache_info(),
+        "disk": disk_info(),
         "specialized": specialized_cache_info(),
         "native": native_cache_info(),
     }
@@ -123,7 +122,7 @@ def clear_compiled_cache() -> None:
     disk entries stay)."""
     with _CODE_CACHE_LOCK:
         _CODE_CACHE.clear()
-    reset_instrumented_stats()
+    reset_disk_stats()
     clear_specialized_cache()
     clear_native_cache()
 

@@ -1,19 +1,20 @@
-"""Content-keyed on-disk cache of instrumented units and function sources.
+"""The on-disk artifact store of the compile tiers.
 
-Instrumenting a function costs a tokenize (``inspect.getsource``), the AST
-pass, the descendant analysis, ``ast.unparse`` and ``compile``: about 0.3 s
-for the 40 suite entries, paid again by every process.  This module keeps
-the results in ``native_cache_dir() / "instrumented"``, so a later process
-loads them instead of recomputing them:
+One directory, :func:`native_cache_dir`, keeps what instrumenting and
+compiling produce, so a later process loads it instead of recomputing it.
+It holds three kinds of entry:
 
-* a *unit* entry (written by :func:`repro.instrument.program.instrument`)
-  holds one target function's dedented source, compiled code object,
-  conditionals, descendant analysis and unparsed source;
-* a *source* entry (:func:`function_source`) holds ``inspect.getsource`` of
-  one function, which the native kernel digest hashes for every helper;
-* a *variant* entry (written by
-  :func:`repro.instrument.specialize.specialized_unit`) holds the compiled
-  code of one unit's mask-generic specialization: at most one per unit.
+* a *kernel*, ``<digest>.so`` and the ``<digest>.c`` it was compiled from
+  (:func:`repro.instrument.native.cache.compile_kernel`);
+* the fused-search *library*, ``local-min-<digest>.so`` and its ``.c``
+  (:mod:`repro.instrument.native.local_min`);
+* an *entry*, ``<key>.entry``, one marshalled value: a *unit*
+  (:func:`repro.instrument.program.instrument`: a function's dedented
+  source, code object, conditionals, descendant analysis and unparsed
+  source), a *source* (:func:`function_source`, which the kernel digest
+  hashes for every helper) or a *variant*
+  (:func:`repro.instrument.specialize.specialized_unit`: one unit's
+  compiled mask-generic specialization).
 
 An entry's key (:func:`entry_key`) is a sha256 over everything its value
 depends on: the sha256 of the bytes of the function's source file, read on
@@ -29,42 +30,51 @@ content alone: the unit's source digest, function name and start label,
 the bytes of the modules a variant bakes in (:data:`VARIANT_TOOLCHAIN`),
 and the interpreter.
 
-Values are ``marshal`` version 2 data, which has no back-references, so two
-threads or processes writing one key write the same bytes; an entry is
-written to a hidden temp file and published with ``os.replace``.  Each file
-starts with the sha256 of its payload: a truncated or corrupt entry reads as
-a miss and is overwritten.  An unwritable directory keeps the cold path,
-silently.  The directory is FIFO-bounded by mtime
-(:data:`DISK_ENTRIES_MAX`) and temp files of killed writers are pruned.
-Loading an entry executes marshalled code, so the directory has the trust
-boundary of the shared objects its parent directory holds, which are loaded
-with ``dlopen``: only its owner may write it.
+Entry values are ``marshal`` version 2 data, which has no back-references,
+so two threads or processes writing one key write the same bytes.  Each
+entry file starts with the sha256 of its payload: a truncated or corrupt
+entry reads as a miss and is overwritten.  An unwritable directory keeps
+the cold path, silently.
+
+Writers publish by renaming hidden temp files into place
+(:func:`publishing`); a lookup opens one path by its key and never lists
+the directory.  One listing (:func:`disk_entries`) owns every published
+file, a ``.c`` whose ``.so`` is gone included.  On it run one FIFO-by-mtime
+bound across kinds (:func:`disk_max`), applied at a process's first write
+and every :data:`_PRUNE_EVERY` writes after together with the deletion of
+hidden files older than :data:`COMPILE_TIMEOUT_S`; :func:`disk_info`; and
+:func:`clean_disk`.  A prune can evict a kernel another process just
+built; its loader rebuilds it once.
+
+Loading an entry executes marshalled code and loading a kernel runs
+``dlopen``: only the directory's owner may write it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import importlib.util
 import inspect
 import marshal
 import os
+import re
 import sys
 import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
-from repro.instrument.native.cache import native_cache_dir
+#: FIFO bound on the entries on disk, all kinds together.  A suite pass
+#: under both compiled tiers publishes 166: 40 kernels, the library and 125
+#: unit, variant and helper-source entries.
+MAX_ENTRIES = 2048
 
-#: FIFO bound on the entries on disk.  The 40 suite entries need 128: 50
-#: units (the entries and their helper callees), their 50 variants and the
-#: 28 helper sources their kernel digests hash.
-DISK_ENTRIES_MAX = 4096
-
-#: Seconds after which a hidden temp file belongs to no live writer.
-TEMP_STALE_S = 60
+#: Seconds one compiler invocation may take.  A hidden temp file older
+#: than this belongs to no live writer.
+COMPILE_TIMEOUT_S = 120
 
 #: The instrumenter's modules: their bytes are part of every unit key.
 TOOLCHAIN = ("ast_pass.py", "cfg.py", "program.py", "runtime.py", "unit_cache.py")
@@ -89,6 +99,10 @@ KERNEL_TOOLCHAIN = (
 #: writes after it.
 _PRUNE_EVERY = 64
 
+#: The names the store publishes: kernels and the library (a ``.so`` and
+#: its ``.c``), and entries.
+_PUBLISHED = re.compile(r"(?:local-min-)?[0-9a-f]{64}\.(?:so|c)|[0-9a-f]{64}\.entry")
+
 _SUFFIX = ".entry"
 _DIGEST_BYTES = 32
 
@@ -99,9 +113,26 @@ _LOCK = threading.Lock()
 _STATS = {"hits": 0, "misses": 0, "writes": 0}
 
 
-def instrumented_cache_dir() -> Path:
-    """The entry directory, under the native kernel cache directory."""
-    return native_cache_dir() / "instrumented"
+def native_cache_dir() -> Path:
+    """The store's directory (``$REPRO_NATIVE_CACHE``, else
+    ``$XDG_CACHE_HOME/repro/native-kernels`` or
+    ``~/.cache/repro/native-kernels``)."""
+    override = os.environ.get("REPRO_NATIVE_CACHE")
+    if override:
+        return Path(override)
+    xdg = os.environ.get("XDG_CACHE_HOME")
+    base = Path(xdg) if xdg else Path.home() / ".cache"
+    return base / "repro" / "native-kernels"
+
+
+def disk_max() -> int:
+    """The FIFO bound: ``$REPRO_NATIVE_CACHE_MAX`` when it is a positive
+    integer, else :data:`MAX_ENTRIES`."""
+    try:
+        value = int(os.environ.get("REPRO_NATIVE_CACHE_MAX", ""))
+    except ValueError:
+        return MAX_ENTRIES
+    return value if value >= 1 else MAX_ENTRIES
 
 
 @functools.cache
@@ -165,7 +196,7 @@ def load_entry(key: str, decode: Callable):
 
     A missing, truncated or corrupt entry, or one ``decode`` rejects with
     ``ValueError``/``TypeError``, is a miss."""
-    path = instrumented_cache_dir() / (key + _SUFFIX)
+    path = native_cache_dir() / (key + _SUFFIX)
     try:
         blob = path.read_bytes()
     except OSError:
@@ -192,24 +223,50 @@ def store_entry(key: str, value, func: Optional[Callable] = None, *params) -> No
     stale and passes no ``func``.  Failures to write are ignored."""
     if func is not None and entry_key(func, *params) != key:
         return
-    directory = instrumented_cache_dir()
     payload = marshal.dumps(value, 2)
-    tmp = None
+    try:
+        with publishing(key, _SUFFIX) as (temp,):
+            Path(temp).write_bytes(hashlib.sha256(payload).digest() + payload)
+    except OSError:
+        pass
+
+
+@contextlib.contextmanager
+def publishing(key: str, *suffixes: str):
+    """Yield one hidden temp file per suffix for the caller to fill, then
+    rename each to ``<key><suffix>``, in order, as one write of this
+    process; the write prunes the directory on the shared trigger.  When
+    the block or a rename raises, the temp files are deleted and the
+    exception propagates (``OSError`` for an unusable directory)."""
+    directory = native_cache_dir()
+    temps = []
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=f".{key}.", suffix=".tmp", dir=str(directory))
-        with open(fd, "wb") as handle:
-            handle.write(hashlib.sha256(payload).digest() + payload)
-        os.replace(tmp, directory / (key + _SUFFIX))
-    except OSError:
-        if tmp is not None:
-            _unlink(Path(tmp))
-        return
+        for suffix in suffixes:
+            # mkstemp names: two threads of one process may write one key.
+            fd, temp = tempfile.mkstemp(prefix=f".{key}.", suffix=suffix, dir=str(directory))
+            os.close(fd)
+            temps.append(temp)
+        yield temps
+        for temp, suffix in zip(temps, suffixes):
+            os.replace(temp, directory / (key + suffix))
+    except BaseException:
+        remove_files(*temps)
+        raise
     with _LOCK:
         _STATS["writes"] += 1
         prune = (_STATS["writes"] - 1) % _PRUNE_EVERY == 0
     if prune:
-        prune_entries()
+        prune_disk()
+
+
+def remove_files(*paths) -> None:
+    """Delete ``paths``; a file that is already gone is fine."""
+    for path in paths:
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
 
 
 def function_source(func: Callable) -> str:
@@ -234,74 +291,110 @@ def _decode_source(value) -> str:
     return value
 
 
-def _unlink(path: Path) -> bool:
+class DiskEntry(NamedTuple):
+    """One published entry: its kind (``kernel``, ``library`` or
+    ``entry``), its file name without suffix, its files, their total size
+    and the newest mtime among them."""
+
+    kind: str
+    name: str
+    paths: tuple
+    size: int
+    mtime: float
+
+
+def _kind(name: str) -> str:
+    if name.endswith(_SUFFIX):
+        return "entry"
+    return "library" if name.startswith("local-min-") else "kernel"
+
+
+def _scan(directory: Path) -> tuple[list, list]:
+    """The published entries in ``directory``, oldest first, and its hidden
+    temp files as ``(path, mtime)``.  A file a concurrent writer removes
+    between the listing and its ``stat`` is skipped."""
     try:
-        path.unlink()
+        names = os.listdir(directory)
     except OSError:
-        return False
-    return True
-
-
-def _entry_files(directory: Path) -> list:
-    """``(path, stat)`` of every published entry, oldest first (entries a
-    concurrent prune removes while listing are skipped)."""
-    files = []
-    for path in directory.glob("*" + _SUFFIX):
-        try:
-            files.append((path, path.stat()))
-        except FileNotFoundError:
+        return [], []
+    files: dict = {}
+    temps = []
+    for name in names:
+        hidden = name.startswith(".")
+        if not (hidden or _PUBLISHED.fullmatch(name)):
             continue
-    files.sort(key=lambda item: item[1].st_mtime)
-    return files
-
-
-def prune_entries() -> int:
-    """Delete stale temp files, then evict the oldest entries beyond the
-    bound; returns the number evicted."""
-    directory = instrumented_cache_dir()
-    if not directory.is_dir():
-        return 0
-    stale = time.time() - TEMP_STALE_S
-    for temp in directory.glob(".*"):
+        path = directory / name
         try:
-            if temp.stat().st_mtime < stale:
-                temp.unlink()
+            stat = path.stat()
         except OSError:
             continue
-    files = _entry_files(directory)
-    excess = max(0, len(files) - DISK_ENTRIES_MAX)
-    return sum(_unlink(path) for path, _stat in files[:excess])
+        if hidden:
+            temps.append((path, stat.st_mtime))
+        else:
+            files.setdefault((_kind(name), path.stem), []).append((path, stat))
+    entries = [
+        DiskEntry(kind, stem, tuple(path for path, _stat in group),
+                  sum(stat.st_size for _path, stat in group),
+                  max(stat.st_mtime for _path, stat in group))
+        for (kind, stem), group in files.items()
+    ]
+    entries.sort(key=lambda entry: entry.mtime)
+    return entries, temps
 
 
-def instrumented_cache_info() -> dict:
-    """Entries and bytes on disk, the bound, and this process's disk hits,
-    misses and writes."""
-    directory = instrumented_cache_dir()
-    files = _entry_files(directory) if directory.is_dir() else []
+def disk_entries() -> list:
+    """Every published entry of the store, oldest first."""
+    return _scan(native_cache_dir())[0]
+
+
+def prune_disk() -> int:
+    """Delete the temp files of killed writers, then evict the oldest
+    entries beyond :func:`disk_max`, whatever their kind; returns the
+    number evicted."""
+    entries, temps = _scan(native_cache_dir())
+    stale = time.time() - COMPILE_TIMEOUT_S
+    remove_files(*(path for path, mtime in temps if mtime < stale))
+    evicted = entries[:max(0, len(entries) - disk_max())]
+    for entry in evicted:
+        remove_files(*entry.paths)
+    return len(evicted)
+
+
+def clean_disk() -> int:
+    """Remove every entry and temp file; returns the number of entries
+    removed."""
+    entries, temps = _scan(native_cache_dir())
+    for entry in entries:
+        remove_files(*entry.paths)
+    remove_files(*(path for path, _mtime in temps))
+    return len(entries)
+
+
+def disk_info() -> dict:
+    """The store on disk and this process's use of it: the entries and
+    bytes of every kind together and of each kind
+    (``kernel``, ``library``, ``entry``), the temp files, the bound, this
+    process's entry lookups (``hits``, ``misses``) and its writes of every
+    kind."""
+    entries, temps = _scan(native_cache_dir())
+    kinds = {kind: {"entries": 0, "bytes": 0} for kind in ("kernel", "library", "entry")}
+    for entry in entries:
+        kinds[entry.kind]["entries"] += 1
+        kinds[entry.kind]["bytes"] += entry.size
     with _LOCK:
         stats = dict(_STATS)
     return {
-        "entries": len(files),
-        "bytes": sum(stat.st_size for _path, stat in files),
-        "max_entries": DISK_ENTRIES_MAX,
+        "entries": len(entries),
+        "bytes": sum(entry.size for entry in entries),
+        "temps": len(temps),
+        "max_entries": disk_max(),
+        "kinds": kinds,
         **stats,
     }
 
 
-def reset_instrumented_stats() -> None:
+def reset_disk_stats() -> None:
     """Zero this process's hit/miss/write counters (the disk is untouched)."""
     with _LOCK:
         for name in _STATS:
             _STATS[name] = 0
-
-
-def clean_instrumented_cache() -> int:
-    """Remove every entry and temp file; returns the number of entries
-    removed."""
-    directory = instrumented_cache_dir()
-    if not directory.is_dir():
-        return 0
-    removed = sum(_unlink(path) for path, _stat in _entry_files(directory))
-    for temp in directory.glob(".*"):
-        _unlink(temp)
-    return removed

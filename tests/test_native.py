@@ -16,14 +16,12 @@ bail reasons counted per site), the kernel/digest caches (including the ``-O3`` 
 the helper digest), the warm path (a kernel already on disk loads by digest
 without emitting C, its shape read from the exported ``sp_meta``; the
 specialized bail target is built only at the first bail), the stale/corrupt shared-object fallback (rejected, rebuilt,
-bit-identical), the disk cache's tolerance of concurrent builders' temp
-files (and the pruning of killed builds' stale ones), compile on first use
+bit-identical), compile on first use
 (on a cold cache the first native call builds the kernel and is served by
 it, with no warning, and a process leaves only finished files behind), the
 ``NativeUnavailable`` degradation
 (no compiler or an unusable cache directory: one warning per program,
-identical results through the specialized tier), the ``repro native-cache``
-CLI and the engine-level
+identical results through the specialized tier) and the engine-level
 identity of ``penalty-native`` vs ``penalty-specialized`` runs across
 worker pools.  The fused native Powell search (``local_min.py``) must match
 ``powell(BitPatternMemo(...))`` bit for bit, memo counters included, and
@@ -53,14 +51,12 @@ import struct
 import subprocess
 import sys
 import textwrap
-import time
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.cli import main as cli_main
 from repro.core.branch_distance import DEFAULT_EPSILON
 from repro.core.config import CoverMeConfig
 from repro.core.representing import RepresentingFunction
@@ -77,18 +73,12 @@ from repro.instrument.native import cache as cache_module
 from repro.instrument.native import kernel as kernel_module
 from repro.instrument.native import local_min
 from repro.instrument.native.cache import (
-    COMPILE_TIMEOUT_S,
-    DISK_CACHE_MAX,
     NativeUnavailable,
-    _prune_disk_cache,
     _reset_cc_probe_for_tests,
     cc_available,
     compile_kernel,
-    disk_cache_max,
     find_cc,
     native_cache_dir,
-    native_cache_entries,
-    native_clean_disk_cache,
 )
 from repro.instrument.native.c_backend import render_c
 from repro.instrument.native.emit import covered_words, emit_program_ir
@@ -814,7 +804,7 @@ class TestCachesAndDigest:
         clear_compiled_cache()
         info = compiled_cache_info()
         assert "native" in info
-        assert {"entries", "hits", "misses", "evictions", "disk_entries", "cc"} <= set(
+        assert {"entries", "hits", "misses", "evictions", "cc"} <= set(
             info["native"]
         )
         instrument(sp.paper_foo).native_kernel(0)
@@ -1199,65 +1189,6 @@ class TestStaleKernelFallback:
         clear_native_cache()
 
 
-class TestDiskCacheRace:
-    """Builders publish ``<digest>.so`` by renaming a hidden
-    ``.<digest>.*.so`` temp file; the cache's listing and pruning must
-    neither see nor evict those, nor die on a file renamed or pruned
-    between the listing and its ``stat``."""
-
-    @requires_cc
-    def test_in_flight_temp_files_are_neither_listed_nor_pruned(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
-        monkeypatch.setenv("REPRO_NATIVE_CACHE_MAX", "1")
-        in_flight = tmp_path / f".{'cd' * 32}.k3x9q1.so"
-        in_flight.write_bytes(b"half-written object")
-        now = time.time()
-        os.utime(in_flight, (now - 10, now - 10))  # the oldest in FIFO order
-        for index in range(2):
-            path = compile_kernel(
-                f"int sp_dummy{index}(void) {{ return {index}; }}\n",
-                f"{index:02d}" * 32,
-            )
-            os.utime(path, (now - 5 + index, now - 5 + index))
-        _prune_disk_cache(tmp_path)
-        assert in_flight.exists()  # another builder's file: not evicted
-        assert [e["digest"] for e in native_cache_entries()] == ["01" * 32]
-
-    def test_prune_deletes_temp_files_of_killed_builds(self, tmp_path):
-        """A temp file older than the compile timeout belongs to no live
-        build; a fresh one may, and stays."""
-        stale = [tmp_path / f".{'ab' * 32}.x1{suffix}" for suffix in (".c", ".so")]
-        fresh = tmp_path / f".{'ab' * 32}.y2.so"
-        for path in (*stale, fresh):
-            path.write_bytes(b"partial")
-        old = time.time() - COMPILE_TIMEOUT_S - 60
-        for path in stale:
-            os.utime(path, (old, old))
-        _prune_disk_cache(tmp_path)
-        assert [path.exists() for path in stale] == [False, False]
-        assert fresh.exists()
-
-    def test_listing_tolerates_kernels_that_vanish(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
-        for name in ("aa" * 32, "bb" * 32):
-            (tmp_path / f"{name}.so").write_bytes(b"\x7fELF")
-        vanished = f"{'aa' * 32}.so"
-        original_stat = pathlib.Path.stat
-
-        def racing_stat(self, *args, **kwargs):
-            # A concurrent prune removes the file after the directory
-            # listing but before its stat.
-            if self.name == vanished:
-                raise FileNotFoundError(str(self))
-            return original_stat(self, *args, **kwargs)
-
-        monkeypatch.setattr(pathlib.Path, "stat", racing_stat)
-        assert [e["digest"] for e in native_cache_entries()] == ["bb" * 32]
-        assert _prune_disk_cache(tmp_path) == 0
-        assert native_clean_disk_cache() == 1
-
 class TestCcProbeCache:
     def test_failed_probe_is_cached_per_process(self, tmp_path, monkeypatch):
         """A compiler-less host walks $REPRO_CC/cc/gcc/clang exactly once;
@@ -1509,47 +1440,6 @@ class TestCacheShape:
         kernels = [name for name in names if not name.startswith("local-min-")]
         assert len(kernels) == len(targets), names
         assert len(names) == len(targets) + 1, names
-
-
-@requires_cc
-class TestNativeCacheCLI:
-    def test_ls_and_clean_roundtrip(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
-        digest = "deadbeef" * 8
-        so_path = compile_kernel("int sp_dummy(void) { return 0; }\n", digest)
-        assert so_path.exists()
-        assert cli_main(["native-cache", "ls"]) == 0
-        out = capsys.readouterr().out
-        assert "1 kernels" in out and digest[:16] in out
-        # The summary line reports total on-disk size and the FIFO bound.
-        assert f"{so_path.stat().st_size} bytes total" in out
-        assert f"(bound {disk_cache_max()})" in out
-        assert cli_main(["native-cache", "clean"]) == 0
-        assert "removed 1" in capsys.readouterr().out
-        assert native_cache_entries() == []
-        assert cli_main(["native-cache", "ls"]) == 0
-        assert "empty" in capsys.readouterr().out
-
-    def test_cache_max_override_bounds_the_fifo(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
-        monkeypatch.setenv("REPRO_NATIVE_CACHE_MAX", "2")
-        assert disk_cache_max() == 2
-        for index in range(4):
-            digest = f"{index:02d}" * 32
-            path = compile_kernel(
-                f"int sp_dummy{index}(void) {{ return {index}; }}\n", digest
-            )
-            # Deterministic FIFO order regardless of filesystem timestamp
-            # granularity.
-            os.utime(path, (index, index))
-            os.utime(path.with_suffix(".c"), (index, index))
-        survivors = {entry["digest"] for entry in native_cache_entries()}
-        assert len(survivors) == 2
-        assert "00" * 32 not in survivors  # oldest evicted first
-        assert cli_main(["native-cache", "ls"]) == 0
-        assert "(bound 2)" in capsys.readouterr().out
-        monkeypatch.setenv("REPRO_NATIVE_CACHE_MAX", "not-a-number")
-        assert disk_cache_max() == DISK_CACHE_MAX  # malformed override falls back
 
 
 class TestFingerprintNeutrality:

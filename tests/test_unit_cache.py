@@ -1,4 +1,4 @@
-"""Tests of the content-keyed on-disk cache of instrumented units.
+"""Tests of the on-disk artifact store (``instrument/unit_cache.py``).
 
 A warm entry must give a program byte-identical to a cold instrumentation
 (source, conditionals, descendants, kernel digest) for every suite entry; a
@@ -6,9 +6,15 @@ fresh process with a warm directory must instrument the suite without a
 disk miss and without ``inspect.getsource``.  Editing the target's file, the
 pass parameters or the instrumenter invalidates an entry; a truncated entry
 is recomputed and overwritten with the same bytes; an unwritable directory
-and functions without a source file keep the cold path.  The directory is
-FIFO-bounded, stale temp files are pruned, and ``repro native-cache ls|clean``
-report and remove the entries.
+and functions without a source file keep the cold path.
+
+The store's bookkeeping is checked here for every kind of entry at once
+(kernels, the fused-search library, ``.entry`` files): one FIFO bound that
+evicts the oldest entry whatever its kind, at a write of any kind; stale
+temp files of killed writers pruned, in-flight ones kept; a listing that
+owns a ``.c`` whose ``.so`` is gone and tolerates files vanishing under a
+concurrent writer; and ``repro native-cache ls|clean`` reporting every
+file's bytes per kind and removing everything.
 """
 
 from __future__ import annotations
@@ -33,7 +39,15 @@ from repro.experiments.runner import instrument_case
 from repro.fdlibm.suite import BENCHMARKS
 from repro.instrument import ast_pass, unit_cache
 from repro.instrument.native import kernel
-from repro.instrument.native.cache import cc_available
+from repro.instrument.native.cache import cc_available, compile_kernel
+from repro.instrument.unit_cache import (
+    COMPILE_TIMEOUT_S,
+    MAX_ENTRIES,
+    clean_disk,
+    disk_entries,
+    disk_max,
+    prune_disk,
+)
 from repro.instrument.program import (
     _CODE_CACHE,
     clear_compiled_cache,
@@ -44,13 +58,17 @@ from tests import sample_programs as sp
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+requires_cc = pytest.mark.skipif(
+    not cc_available(), reason="no C compiler (cc/gcc/clang) on PATH"
+)
+
 
 @pytest.fixture
 def cache_dir(tmp_path, monkeypatch):
-    """An empty cache directory and cold in-memory caches."""
+    """An empty store directory and cold in-memory caches."""
     monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
     _forget_in_memory()
-    yield tmp_path / "instrumented"
+    yield tmp_path
     _forget_in_memory()
 
 
@@ -60,7 +78,7 @@ def _forget_in_memory() -> None:
 
 
 def _disk() -> dict:
-    return compiled_cache_info()["instrumented"]
+    return compiled_cache_info()["disk"]
 
 
 def _snapshot(program) -> tuple:
@@ -108,7 +126,7 @@ from repro.instrument.native.kernel import helper_digest
 from repro.instrument.program import compiled_cache_info
 programs = [instrument_case(case) for case in BENCHMARKS]
 digests = [helper_digest(program) for program in programs]
-print(json.dumps({"getsource": calls, **compiled_cache_info()["instrumented"]}))
+print(json.dumps({"getsource": calls, **compiled_cache_info()["disk"]}))
 """
 
 
@@ -247,10 +265,10 @@ class TestRobustness:
             assert instrument(namespace["execd"]).source == program.source
         finally:
             del linecache.cache[filename]
-        assert _disk() | {"max_entries": 0} == {
-            "entries": 0, "bytes": 0, "max_entries": 0, "hits": 0, "misses": 0, "writes": 0,
-        }
-        assert not cache_dir.exists()
+        info = _disk()
+        assert [info[name] for name in ("entries", "bytes", "hits", "misses", "writes")] == [
+            0, 0, 0, 0, 0]
+        assert list(cache_dir.iterdir()) == []
         assert len(_CODE_CACHE) == 1
 
     def test_concurrent_writers_publish_the_same_bytes(self, cache_dir):
@@ -284,6 +302,17 @@ class TestRobustness:
         assert _disk()["hits"] + _disk()["misses"] <= 8
 
 
+def _dummy_c(index: int) -> str:
+    return f"int sp_dummy{index}(void) {{ return {index}; }}\n"
+
+
+def _age(entry_paths, seconds: float) -> None:
+    """Set every file of an entry to one mtime: the FIFO order of entries
+    whatever the filesystem's timestamp granularity."""
+    for path in entry_paths:
+        os.utime(path, (seconds, seconds))
+
+
 class TestDiskBound:
     def _write(self, directory: Path, names) -> list:
         directory.mkdir(parents=True, exist_ok=True)
@@ -296,38 +325,161 @@ class TestDiskBound:
         return paths
 
     def test_fifo_evicts_the_oldest_entries(self, cache_dir, monkeypatch):
-        monkeypatch.setattr(unit_cache, "DISK_ENTRIES_MAX", 2)
+        monkeypatch.setenv("REPRO_NATIVE_CACHE_MAX", "2")
         paths = self._write(cache_dir, ["aa" * 32, "bb" * 32, "cc" * 32])
-        assert unit_cache.prune_entries() == 1
+        assert prune_disk() == 1
         assert [path.exists() for path in paths] == [False, True, True]
 
     def test_stale_temp_files_are_pruned(self, cache_dir):
-        cache_dir.mkdir(parents=True)
         stale, fresh = cache_dir / f".{'aa' * 32}.x.tmp", cache_dir / f".{'bb' * 32}.y.tmp"
         for path in (stale, fresh):
             path.write_bytes(b"partial")
-        old = time.time() - unit_cache.TEMP_STALE_S - 60
+        old = time.time() - COMPILE_TIMEOUT_S - 60
         os.utime(stale, (old, old))
-        unit_cache.prune_entries()
+        prune_disk()
         assert (stale.exists(), fresh.exists()) == (False, True)
         assert _disk()["entries"] == 0  # temp files are not entries
 
     def test_a_write_prunes(self, cache_dir, monkeypatch):
-        monkeypatch.setattr(unit_cache, "DISK_ENTRIES_MAX", 1)
+        monkeypatch.setenv("REPRO_NATIVE_CACHE_MAX", "1")
         (old,) = self._write(cache_dir, ["aa" * 32])
         instrument(sp.paper_foo)
         assert not old.exists()
         assert _disk()["entries"] == 1
+
+    @requires_cc
+    def test_the_bound_evicts_the_oldest_entry_of_any_kind(self, cache_dir, monkeypatch):
+        """A unit entry's write evicts an older kernel, and a kernel's build
+        evicts an older unit entry."""
+        monkeypatch.setenv("REPRO_NATIVE_CACHE_MAX", "1")
+        monkeypatch.setattr(unit_cache, "_PRUNE_EVERY", 1)
+        so_path = compile_kernel(_dummy_c(0), "aa" * 32)
+        _age((so_path, so_path.with_suffix(".c")), 0)
+        instrument(sp.paper_foo)
+        (unit,) = disk_entries()
+        assert unit.kind == "entry"
+        _age(unit.paths, 0)
+        compile_kernel(_dummy_c(1), "bb" * 32)
+        assert [(entry.kind, entry.name) for entry in disk_entries()] == [
+            ("kernel", "bb" * 32)]
+
+    def test_a_c_source_without_its_shared_object_is_an_entry(self, cache_dir, capsys):
+        """A kernel's ``.c`` is published before its ``.so``; a writer
+        killed between the two renames, or a ``.so`` deleted by hand,
+        leaves the ``.c`` alone.  It is listed, counted, pruned and
+        removed like any entry."""
+        orphan = cache_dir / f"{'ab' * 32}.c"
+        orphan.write_text(_dummy_c(0))
+        assert cli_main(["native-cache", "ls"]) == 0
+        out = capsys.readouterr().out
+        assert f"1 entries, {orphan.stat().st_size} bytes total" in out
+        assert cli_main(["native-cache", "clean"]) == 0
+        assert "removed 1 entries" in capsys.readouterr().out
+        assert list(cache_dir.iterdir()) == []
+
+
+class TestDiskCacheRace:
+    """Writers publish by renaming a hidden ``.<key>.*`` temp file; the
+    store's listing and pruning must neither see nor evict those, nor die
+    on a file renamed or pruned between the listing and its ``stat``."""
+
+    @requires_cc
+    def test_in_flight_temp_files_are_neither_listed_nor_pruned(
+        self, cache_dir, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_NATIVE_CACHE_MAX", "1")
+        in_flight = cache_dir / f".{'cd' * 32}.k3x9q1.so"
+        in_flight.write_bytes(b"half-written object")
+        now = time.time()
+        os.utime(in_flight, (now - 10, now - 10))  # the oldest in FIFO order
+        for index in range(2):
+            path = compile_kernel(_dummy_c(index), f"{index:02d}" * 32)
+            _age((path, path.with_suffix(".c")), now - 5 + index)
+        prune_disk()
+        assert in_flight.exists()  # another builder's file: not evicted
+        assert [entry.name for entry in disk_entries()] == ["01" * 32]
+
+    def test_prune_deletes_temp_files_of_killed_builds(self, cache_dir):
+        """A temp file older than the compile timeout belongs to no live
+        writer; a fresh one may, and stays."""
+        stale = [cache_dir / f".{'ab' * 32}.x1{suffix}" for suffix in (".c", ".so", ".tmp")]
+        fresh = cache_dir / f".{'ab' * 32}.y2.so"
+        for path in (*stale, fresh):
+            path.write_bytes(b"partial")
+        old = time.time() - COMPILE_TIMEOUT_S - 60
+        for path in stale:
+            os.utime(path, (old, old))
+        prune_disk()
+        assert [path.exists() for path in stale] == [False, False, False]
+        assert fresh.exists()
+
+    def test_listing_tolerates_kernels_that_vanish(self, cache_dir, monkeypatch):
+        for name in ("aa" * 32, "bb" * 32):
+            (cache_dir / f"{name}.so").write_bytes(b"\x7fELF")
+        vanished = f"{'aa' * 32}.so"
+        original_stat = Path.stat
+
+        def racing_stat(self, *args, **kwargs):
+            # A concurrent prune removes the file after the directory
+            # listing but before its stat.
+            if self.name == vanished:
+                raise FileNotFoundError(str(self))
+            return original_stat(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "stat", racing_stat)
+        assert [entry.name for entry in disk_entries()] == ["bb" * 32]
+        assert prune_disk() == 0
+        assert clean_disk() == 1
+
+
+@requires_cc
+class TestNativeCacheCLI:
+    def test_ls_and_clean_roundtrip(self, cache_dir, capsys):
+        digest = "deadbeef" * 8
+        so_path = compile_kernel(_dummy_c(0), digest)
+        library = compile_kernel(_dummy_c(1), "local-min-" + "ef" * 32)
+        files = (so_path, so_path.with_suffix(".c"), library, library.with_suffix(".c"))
+        assert cli_main(["native-cache", "ls"]) == 0
+        out = capsys.readouterr().out
+        assert digest[:16] in out
+        # The summary counts every file's bytes, each source included, and
+        # the bound; the library is reported apart from the kernels.
+        total = sum(path.stat().st_size for path in files)
+        assert f"2 entries, {total} bytes total, 0 temp files (bound {disk_max()})" in out
+        kernel_bytes = so_path.stat().st_size + so_path.with_suffix(".c").stat().st_size
+        assert f"kernel       1 entries{kernel_bytes:>12d} bytes" in out
+        assert "library      1 entries" in out
+        assert cli_main(["native-cache", "clean"]) == 0
+        assert "removed 2 entries" in capsys.readouterr().out
+        assert disk_entries() == [] and list(cache_dir.iterdir()) == []
+        assert cli_main(["native-cache", "ls"]) == 0
+        assert "0 entries, 0 bytes total" in capsys.readouterr().out
+
+    def test_cache_max_override_bounds_the_fifo(self, cache_dir, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_NATIVE_CACHE_MAX", "2")
+        monkeypatch.setattr(unit_cache, "_PRUNE_EVERY", 1)
+        assert disk_max() == 2
+        for index in range(4):
+            path = compile_kernel(_dummy_c(index), f"{index:02d}" * 32)
+            _age((path, path.with_suffix(".c")), index)
+        survivors = {entry.name for entry in disk_entries()}
+        assert len(survivors) == 2
+        assert "00" * 32 not in survivors  # oldest evicted first
+        assert cli_main(["native-cache", "ls"]) == 0
+        assert "(bound 2)" in capsys.readouterr().out
+        monkeypatch.setenv("REPRO_NATIVE_CACHE_MAX", "not-a-number")
+        assert disk_max() == MAX_ENTRIES  # malformed override falls back
 
 
 def test_cli_reports_and_cleans_instrumented_entries(cache_dir, capsys):
     instrument(sp.paper_foo, extra_functions=[sp.helper_goo])
     (cache_dir / f".{'aa' * 32}.x.tmp").write_bytes(b"partial")
     info = _disk()
-    assert info["entries"] == 2
+    assert info["entries"] == info["kinds"]["entry"]["entries"] == 2
     assert cli_main(["native-cache", "ls"]) == 0
     out = capsys.readouterr().out
-    assert f"2 entries, {info['bytes']} bytes total (bound {info['max_entries']})" in out
+    assert (f"2 entries, {info['bytes']} bytes total, 1 temp files "
+            f"(bound {info['max_entries']})") in out
     assert cli_main(["native-cache", "clean"]) == 0
     assert "removed 2 entries" in capsys.readouterr().out
     assert list(cache_dir.iterdir()) == []

@@ -7,7 +7,7 @@ units, one entry per unit, so a fresh process with a warm directory runs a
 and gets the same result.  A truncated or corrupt entry is a miss and is
 overwritten; changing any keyed module or the pass's tree ceilings misses;
 an unwritable directory keeps the cold path; ``repro native-cache ls|clean``
-count and remove the entries with the units.
+count and remove the entries with the units and the rest of the store.
 """
 
 from __future__ import annotations
@@ -38,11 +38,10 @@ MASKS = (0b0000, 0b0001, 0b0110, 0b1011, 0b1111)
 
 @pytest.fixture
 def cache_dir(tmp_path, monkeypatch):
-    """An empty cache directory and cold in-memory caches; yields the
-    instrumented entry directory."""
+    """An empty store directory and cold in-memory caches."""
     monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
     _forget_in_memory()
-    yield tmp_path / "instrumented"
+    yield tmp_path
     _forget_in_memory()
 
 
@@ -52,14 +51,14 @@ def _forget_in_memory() -> None:
 
 
 def _disk() -> tuple:
-    info = compiled_cache_info()["instrumented"]
+    info = compiled_cache_info()["disk"]
     return info["hits"], info["misses"], info["writes"]
 
 
 def _specialize_disk(program, mask: int = 0b0110) -> tuple:
     """The disk hits, misses and writes of ``program``'s variant build
     alone (the units' own lookups are counted before it)."""
-    unit_cache.reset_instrumented_stats()
+    unit_cache.reset_disk_stats()
     program.specialize(mask)
     return _disk()
 
@@ -112,7 +111,7 @@ info = compiled_cache_info()
 print(json.dumps({
     "built": built, "results": results, "units": sum(len(p.units) for p in programs),
     "builds": [p.specialization_builds for p in programs],
-    "specialized": info["specialized"], **info["instrumented"],
+    "specialized": info["specialized"], **info["disk"],
 }))
 """
 
@@ -144,14 +143,14 @@ def test_fresh_process_with_warm_cache_compiles_no_variant(tmp_path):
 
 def test_warm_variants_are_bit_identical(cache_dir):
     program = instrument(sp.nested_boolean)
-    unit_cache.reset_instrumented_stats()
+    unit_cache.reset_disk_stats()
     cold = {mask: _values(program, mask) for mask in MASKS}
     assert _disk() == (0, 1, 1)  # one variant entry serves every mask
     (entry,) = _variant_entries(program, cache_dir)
     assert entry.is_file()
     _forget_in_memory()
     program = instrument(sp.nested_boolean)
-    unit_cache.reset_instrumented_stats()
+    unit_cache.reset_disk_stats()
     assert {mask: _values(program, mask) for mask in MASKS} == cold
     assert _disk() == (1, 0, 0)
 
@@ -179,7 +178,7 @@ class TestRobustness:
 
     def _rerun(self) -> list:
         program = instrument(sp.nested_boolean)
-        unit_cache.reset_instrumented_stats()
+        unit_cache.reset_disk_stats()
         return _values(program, 0b0110)
 
     def test_truncated_entry_is_a_miss_and_overwritten(self, cache_dir):
@@ -281,13 +280,13 @@ def test_cli_reports_and_cleans_variant_entries(cache_dir, capsys):
     program = instrument(sp.nested_boolean)
     for mask in MASKS[:2]:
         program.specialize(mask)
-    info = unit_cache.instrumented_cache_info()
+    info = unit_cache.disk_info()
     assert info["entries"] == 2  # the unit and its variant
     assert cli_main(["native-cache", "ls"]) == 0
     out = capsys.readouterr().out
     assert (
-        f"instrumented cache {cache_dir}: 2 entries, {info['bytes']} bytes total "
-        f"(bound {unit_cache.DISK_ENTRIES_MAX})"
+        f"store {cache_dir}: 2 entries, {info['bytes']} bytes total, 0 temp files "
+        f"(bound {unit_cache.disk_max()})"
     ) in out
     assert "variants" not in out
     assert cli_main(["native-cache", "clean"]) == 0
