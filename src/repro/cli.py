@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
+import shutil
 import sys
 from pathlib import Path
 from typing import Optional
@@ -317,6 +319,20 @@ def _serve(args) -> int:
     return 0
 
 
+#: The subdirectory of the artifact store where caches written before the
+#: kinds shared one listing kept units, sources and variants (``variants/``
+#: below it).  Nothing reads it; ``native-cache ls`` reports it and
+#: ``native-cache clean`` removes it.
+_LEGACY_SUBDIR = "instrumented"
+
+
+def _legacy_dir(directory: Path) -> Optional[Path]:
+    """The store's pre-merge subdirectory, or ``None`` when it is absent
+    (or not a directory of its own)."""
+    legacy = directory / _LEGACY_SUBDIR
+    return legacy if legacy.is_dir() and not legacy.is_symlink() else None
+
+
 def _native_cache(args) -> int:
     from repro.instrument.unit_cache import (
         clean_disk,
@@ -325,16 +341,28 @@ def _native_cache(args) -> int:
         native_cache_dir,
     )
 
+    directory = native_cache_dir()
+    legacy = _legacy_dir(directory)
+    legacy_files = [] if legacy is None else [
+        path for path in legacy.rglob("*") if not path.is_dir()]
     if args.native_command == "clean":
-        print(f"store {native_cache_dir()}: removed {clean_disk()} entries")
+        removed = f"store {directory}: removed {clean_disk()} entries"
+        if legacy is not None:
+            shutil.rmtree(legacy)
+            removed += f" and the pre-merge {_LEGACY_SUBDIR}/ ({len(legacy_files)} files)"
+        print(removed)
         return 0
     info = disk_info()
     print(
-        f"store {native_cache_dir()}: {info['entries']} entries, {info['bytes']} "
+        f"store {directory}: {info['entries']} entries, {info['bytes']} "
         f"bytes total, {info['temps']} temp files (bound {info['max_entries']})"
     )
     for kind, counts in info["kinds"].items():
         print(f"  {kind:<8s}{counts['entries']:>6d} entries{counts['bytes']:>12d} bytes")
+    if legacy is not None:
+        size = sum(path.stat().st_size for path in legacy_files)
+        print(f"  {_LEGACY_SUBDIR}/ (pre-merge layout, unread; clean removes it): "
+              f"{len(legacy_files)} files, {size} bytes")
     print(f"{'kind':<9s}{'name':<18s}{'bytes':>10s}  files")
     for entry in reversed(disk_entries()):
         files = " ".join(sorted(path.suffix for path in entry.paths))
@@ -342,10 +370,34 @@ def _native_cache(args) -> int:
     return 0
 
 
+#: Exit status when standard output closes before the output is written
+#: (``repro ls | head``): that of a process killed by ``SIGPIPE``.
+EXIT_STDOUT_CLOSED = 128 + 13
+
+
 def main(argv: Optional[list[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        status = _dispatch(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # The reader went away: stop without a traceback.  Standard output
+        # is pointed at the null device so the flush at exit, which would
+        # meet the same closed pipe, succeeds.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):  # not a file descriptor
+            pass
+        finally:
+            os.close(devnull)
+        return EXIT_STDOUT_CLOSED
+    return status
+
+
+def _dispatch(args) -> int:
     from repro.store import SchemaVersionError
 
-    args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
             return _run_or_render(args, execute=True)

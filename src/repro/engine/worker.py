@@ -3,22 +3,30 @@
 A *start* is one basin-hopping launch of Algorithm 1's loop body (lines
 9-13): minimize the representing function from one starting point against a
 frozen snapshot of the saturation state, then evaluate the found minimum once
-more to obtain its coverage outcome.  The minimization loop runs under the
+more to obtain its coverage outcome.  The minimization runs under the
 configured execution profile (``PENALTY_NATIVE`` by default -- the optimizer
 only reads the scalar objective) with a bit-pattern memo in front of the
-objective; the final evaluation harvests the covered branches and the
-infeasible heuristic's last conditional, in one call of the program's native
-kernel under ``PENALTY_NATIVE`` (whose probe sites all record coverage) and
-on the allocation-free fast runtime otherwise or when the kernel bails on
-the minimum.  A start builds its random generator only when basin hopping
-first draws from it.  Starts within a batch share the same snapshot, so
+objective.  A start runs line 25's local search itself, through the
+local-minimizer registry, and stops there when it found a zero of
+``FOO_R`` (Sect. 5.2), as most starts do; only the others enter
+:func:`~repro.optimize.basinhopping.basinhopping`, which continues from
+that search's result and builds the start's random generator.  The final
+evaluation harvests the covered branches and the infeasible heuristic's
+last conditional, in one call of the program's native kernel under
+``PENALTY_NATIVE`` (whose probe sites all record coverage) and on the
+allocation-free fast runtime otherwise or when the kernel bails on the
+minimum.  Starts within a batch share the same snapshot, so
 :func:`prime_chunk` can evaluate all their starting points in one call.
 
 What does not change from start to start is built once per run, in a
 :class:`RunContext`: the tracker of a batch's snapshot (starts only read
-it) and, under ``PENALTY_NATIVE``, the fused search's C context, which each
-start re-arms with its own mask and an empty memo.  A start still gets its
-own representing function and random generator.
+it) and, under ``PENALTY_NATIVE``, the fused search's C context.  The
+context is re-armed (its mask words and the kernel's binding) once per
+snapshot and only emptied (``lm_reset``) for the other starts, so a fused
+start builds no representing function; the harvest calls the kernel
+through the context, and only a bail there builds one, for the fast
+runtime.  A Python-search start builds its own representing function and
+memo.
 
 Under the ``PENALTY_SPECIALIZED`` profile the batch's tracker snapshot
 freezes the saturation mask, and each start's representing function runs
@@ -46,6 +54,7 @@ from repro.instrument.native.local_min import native_objective
 from repro.instrument.program import InstrumentedProgram
 from repro.instrument.runtime import ExecutionProfile
 from repro.optimize.basinhopping import basinhopping
+from repro.optimize.local import get_local_minimizer
 from repro.optimize.memo import BitPatternMemo
 
 #: Sub-stream tag keeping start RNGs disjoint from the scheduler's draws.
@@ -57,27 +66,6 @@ _PRIMED_PROFILES = (ExecutionProfile.PENALTY_SPECIALIZED,)
 
 #: Direction-set sweeps each local search may take.
 LOCAL_MAX_ITERATIONS = 40
-
-
-class _LazyGenerator:
-    """A start's random generator, built at its first draw.
-
-    Most starts stop at their first local search and never draw, so the
-    ``np.random.default_rng`` construction is deferred to the first
-    attribute read; every draw goes to the one generator built from
-    ``seed``, so the stream is bit-identical to an eager one."""
-
-    __slots__ = ("_seed", "_rng")
-
-    def __init__(self, seed: list):
-        self._seed = seed
-        self._rng = None
-
-    def __getattr__(self, name: str):
-        rng = self._rng
-        if rng is None:
-            rng = self._rng = np.random.default_rng(self._seed)
-        return getattr(rng, name)
 
 
 @dataclass(frozen=True)
@@ -164,19 +152,22 @@ class RunContext:
     every start of the batch it belongs to (starts only read it), and
     :meth:`objective` builds the fused search's
     :class:`~repro.instrument.native.local_min.NativeObjective` at the run's
-    first start that can take the fused path and re-arms it for each later
-    one, so a run holds one C context.  :meth:`close` frees it; the owner
-    calls it when the run ends (``StartPool.close``), and :func:`run_start`
-    called without a context builds and closes one of its own.
+    first start that can take the fused path.  The objective is re-armed
+    (mask words, kernel binding) when a start brings another snapshot and
+    only reset (an empty memo) for the other starts, so a run holds one C
+    context.  :meth:`close` frees it; the owner calls it when the run ends
+    (``StartPool.close``), and :func:`run_start` called without a context
+    builds and closes one of its own.
     """
 
-    __slots__ = ("program", "_snapshot", "_tracker", "_fused")
+    __slots__ = ("program", "_snapshot", "_tracker", "_fused", "_armed")
 
     def __init__(self, program: InstrumentedProgram):
         self.program = program
         self._snapshot: Optional[tuple[int, int]] = None  # (covered, infeasible) of _tracker
         self._tracker: Optional[SaturationTracker] = None
-        self._fused = None
+        self._fused = None  # the NativeObjective; False once the run cannot fuse
+        self._armed: Optional[SaturationTracker] = None  # the snapshot _fused is armed for
 
     def tracker(self, task: StartTask) -> SaturationTracker:
         """The saturation snapshot of ``task``: the previous start's when
@@ -187,21 +178,44 @@ class RunContext:
             self._snapshot = snapshot
         return self._tracker
 
-    def objective(self, representing: RepresentingFunction):
-        """The fused search armed for ``representing``'s start, or ``None``
-        when the start runs the Python search."""
+    def representing(self, params: StartParams, task: StartTask) -> RepresentingFunction:
+        """A new representing function on ``task``'s snapshot."""
+        return RepresentingFunction(
+            self.program, self.tracker(task), profile=params.eval_profile,
+            native_threads=params.native_threads,
+        )
+
+    def objective(self, params: StartParams, task: StartTask):
+        """The fused search armed for ``task``'s start with an empty memo,
+        or ``None`` when the run's starts take the Python search."""
         fused = self._fused
+        if fused is False:
+            return None
+        tracker = self.tracker(task)
         if fused is None:
-            fused = self._fused = native_objective(representing)
+            fused = native_objective(self.representing(params, task))
+            if fused is None:
+                self._fused = False
+                return None
+            self._fused = fused
+        elif tracker is not self._armed:
+            fused.rearm(self.representing(params, task))
         else:
-            fused.rearm(representing)
+            fused.reset()
+        self._armed = tracker
         return fused
 
     def close(self) -> None:
         """Free the fused search's C context (idempotent)."""
         fused, self._fused = self._fused, None
-        if fused is not None:
+        self._armed = None
+        if fused:
             fused.close()
+
+
+def _stop_at_zero(x, f: float, accepted: bool) -> bool:
+    """Basin hopping's callback: a zero of ``FOO_R`` ends the start (Sect. 5.2)."""
+    return f <= 0.0
 
 
 def run_start(
@@ -234,52 +248,65 @@ def run_start(
 def _run_start(program, params, task, primed, context) -> StartResult:
     # The optimizer inner loop only consumes the scalar objective, so the
     # configured profile (default PENALTY_NATIVE) drives the loop, and the
-    # accepted minimum is re-executed below to harvest branches.  All
-    # profiles compute bit-identical values and outcomes, so this choice
-    # never changes seeded results.
-    representing = RepresentingFunction(
-        program, context.tracker(task), profile=params.eval_profile,
-        native_threads=params.native_threads,
-    )
-    # Within one start the saturation snapshot is frozen, so FOO_R is a pure
-    # function of the input bits and memoizing it is sound.  The memo wraps
-    # the objective *outside* basin hopping, which keeps no cache of its
-    # own.  Under penalty-native the memo is the run's C one, armed for this
-    # start, which also runs whole Powell searches natively (when the
-    # kernel and the fused-search library are loaded); its misses are
-    # counted into ``evaluations``.
-    fused = context.objective(representing)
-    objective = fused if fused is not None else BitPatternMemo(representing, arity=program.arity)
-    rng = _LazyGenerator([params.root_seed, _STREAM_WORKER, task.index])
-    found: list = []
-
-    def callback(x: np.ndarray, f: float, _accepted: bool) -> bool:
-        if f <= 0.0:  # a zero of FOO_R: stop this start (Sect. 5.2)
-            found.append(x.tolist())
-            return True
-        return False
-
-    try:
-        if primed is not None:
-            # The batched pass already executed FOO_R(x0); plant the value
-            # and credit the execution so ``evaluations`` is identical to
-            # the scalar path (where the optimizer's opening call is a memo
-            # miss).
-            objective.seed(task.x0, primed)
-            representing.evaluations += 1
+    # found minimum is re-executed below to harvest branches.  All profiles
+    # compute bit-identical values and outcomes, so this choice never
+    # changes seeded results.  Within one start the saturation snapshot is
+    # frozen, so FOO_R is a pure function of the input bits and memoizing
+    # it is sound: under penalty-native the memo is the run's C one, armed
+    # for this start, which also runs whole Powell searches natively (when
+    # the kernel and the fused-search library are loaded); otherwise it is
+    # a BitPatternMemo around the start's own representing function.
+    fused = context.objective(params, task)
+    if fused is None:
+        representing = context.representing(params, task)
+        objective = BitPatternMemo(representing, arity=program.arity)
+    else:
+        objective = fused
+    evaluations = 0
+    if primed is not None:
+        # The batched pass already executed FOO_R(x0); plant the value and
+        # credit the execution so ``evaluations`` is identical to the
+        # scalar path (where the optimizer's opening call is a memo miss).
+        objective.seed(task.x0, primed)
+        evaluations = 1
+    # Line 25 of Algorithm 1, through the registry (so a minimizer
+    # registered over "powell" sees every local search).  Most starts stop
+    # here, at a zero of FOO_R (Sect. 5.2), and never build basin hopping's
+    # random generator; the others hop on from this very result.
+    x0 = np.asarray(task.x0, dtype=float)
+    local_options = {"max_iterations": LOCAL_MAX_ITERATIONS}
+    result = get_local_minimizer(params.local_minimizer)(objective, x0, **local_options)
+    if not _stop_at_zero(result.x, result.fun, True) and params.n_iter > 0:
         result = basinhopping(
             objective,
-            task.x0,
+            x0,
             n_iter=params.n_iter,
             local_minimizer=params.local_minimizer,
-            rng=rng,
-            callback=callback,
-            local_options={"max_iterations": LOCAL_MAX_ITERATIONS},
+            rng=np.random.default_rng([params.root_seed, _STREAM_WORKER, task.index]),
+            callback=_stop_at_zero,
+            local_options=local_options,
+            first=result,
         )
-    finally:
-        if fused is not None:
-            representing.evaluations += fused.misses
-    x_star = found[0] if found else result.x.tolist()
+    x_star = result.x.tolist()
+    if fused is not None:
+        # Every memo miss executed the kernel once; the harvest is one more.
+        evaluations += fused.misses
+        row = fused.coverage(x_star)
+        if row is not None:
+            value, covered, last = row
+            return StartResult(
+                index=task.index,
+                x0=task.x0,
+                x_star=tuple(x_star),
+                value=value,
+                covered=covered,
+                last_conditional=None if last < 0 else last >> 1,
+                last_outcome=None if last < 0 else bool(last & 1),
+                evaluations=evaluations + 1,
+            )
+        # The kernel bailed on x*: a new representing function, which holds
+        # no kernel, harvests it on the fast runtime.
+        representing = context.representing(params, task)
     value, coverage = representing.evaluate_with_coverage(x_star)
     return StartResult(
         index=task.index,
@@ -289,5 +316,5 @@ def _run_start(program, params, task, primed, context) -> StartResult:
         covered=coverage.covered_mask(),
         last_conditional=coverage.last_conditional,
         last_outcome=coverage.last_outcome,
-        evaluations=representing.evaluations,
+        evaluations=evaluations + representing.evaluations,
     )

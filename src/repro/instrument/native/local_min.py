@@ -26,9 +26,13 @@ exception raised there unwinds the C search and is raised again from the
 Python call that started it.
 
 The C context (memo, mask words, bail callback) is built once per engine
-run, at its first start that takes the fused path, and re-armed for each
-later start: ``lm_reset`` empties the memo, zeroes its counters and copies
-in that start's mask, which the callback reads from a cell the re-arm sets.
+run, at its first start that takes the fused path.  It is re-armed when a
+start brings another saturation snapshot (:meth:`NativeObjective.rearm`
+copies in that snapshot's mask words, which the callback reads from a cell
+the re-arm sets, and binds the kernel to the mask) and reset for every
+other start (:meth:`NativeObjective.reset`); both end in ``lm_reset``,
+which empties the memo and zeroes its counters.  :meth:`NativeObjective.
+coverage` harvests the start's minimum on the kernel under the armed mask.
 The owner frees the context when its run ends
 (:class:`~repro.engine.worker.RunContext`).
 
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import threading
 import warnings
 
@@ -68,6 +73,9 @@ from repro.optimize.result import OptimizeResult
 
 #: Widest program the fused search serves (``np.sum`` order; see above).
 MAX_ARITY = 7
+
+#: Stand-in for a non-finite ``r`` (``LM_CLAMP`` below; see above).
+_CLAMP = 1.0e300
 
 _C_SOURCE = r"""
 /* Powell local search with a bit-pattern memo over a penalty kernel's
@@ -578,7 +586,8 @@ class NativeObjective:
     whole Powell search in one native call against the same memo.
     Construction arms the memo for ``representing``'s start; :meth:`rearm`
     empties it, zeroes its counters and arms it for another start on the
-    same kernel, so the starts of a run share one C context, one bail
+    same kernel, and :meth:`reset` empties it for another start under the
+    same mask, so the starts of a run share one C context, one bail
     callback and one set of buffers.  The context lives in C memory owned
     by this object: :meth:`close` frees it and must be called
     (:class:`~repro.engine.worker.RunContext` does so when its run ends).
@@ -660,9 +669,31 @@ class NativeObjective:
         if mask != armed[0]:
             store_mask(self._sat, mask)
             armed[0] = mask
+        self.representing = representing
         self._errors.clear()
         self._lib.lm_reset(ctx, self._sat_address)
-        self.representing = representing
+
+    def reset(self) -> None:
+        """Arm the memo for another start under the armed mask: empty it
+        and zero its counters."""
+        ctx = self._context()
+        self._errors.clear()
+        self._lib.lm_reset(ctx, self._sat_address)
+
+    def coverage(self, x):
+        """The armed start's coverage harvest at ``x`` (a list of
+        ``arity`` floats), one kernel call under the armed mask.
+
+        Returns :meth:`NativeKernel.coverage
+        <repro.instrument.native.kernel.NativeKernel.coverage>`'s ``(r,
+        covered_mask, last)`` with a non-finite ``r`` clamped as the memo
+        clamps it, or ``None`` when the row bails (counted as a bail)."""
+        kernel = self._kernel
+        kernel.use_mask(self._armed[0])
+        row = kernel.coverage(x)
+        if row is not None and not math.isfinite(row[0]):
+            return _CLAMP, row[1], row[2]
+        return row
 
     def _context(self):
         ctx = self._ctx

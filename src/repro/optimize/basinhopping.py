@@ -5,7 +5,10 @@ local minimizer ``LM``, then alternates Monte-Carlo moves (a random
 perturbation followed by local minimization) with Metropolis acceptance.  The
 best point ever visited is returned.  A ``callback`` may stop the loop early;
 CoverMe uses it to terminate as soon as a zero of the representing function is
-found (Sect. 5.2).
+found (Sect. 5.2).  A caller that has already run the first descent (the
+engine does, so a start that stops there never enters this loop) passes its
+result as ``first``: the loop continues from it exactly as if it had run the
+descent itself.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ def basinhopping(
     rng: Optional[np.random.Generator] = None,
     callback: Optional[Callable[[np.ndarray, float, bool], bool]] = None,
     local_options: Optional[dict] = None,
+    first: Optional[OptimizeResult] = None,
 ) -> OptimizeResult:
     """Minimize ``func`` with MCMC basin-hopping (Algorithm 1, lines 24-34).
 
@@ -48,6 +52,9 @@ def basinhopping(
         callback: Called after every iteration with ``(x, f, accepted)``;
             returning ``True`` stops the loop (the paper's ``call_back``).
         local_options: Extra keyword options forwarded to the local minimizer.
+        first: The result of line 25's descent from ``x0``, already run
+            with the same minimizer and options; the loop starts from it
+            instead of descending again (``x0`` is then not read).
 
     Returns:
         The best :class:`~repro.optimize.result.OptimizeResult` seen.
@@ -60,12 +67,10 @@ def basinhopping(
     )
     options = dict(local_options or {})
 
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    nfev = 0
-
     # Line 25: descend to the first local minimum.
-    local = minimize(func, x0, **options)
-    nfev += local.nfev
+    local = first if first is not None else minimize(
+        func, np.atleast_1d(np.asarray(x0, dtype=float)), **options)
+    nfev = local.nfev
     x_current = local.x
     f_current = local.fun
     best_x, best_f = x_current.copy(), f_current

@@ -32,6 +32,7 @@ persistence (used by the legacy one-shot experiment entry points).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import tempfile
@@ -74,6 +75,14 @@ class JobKey:
     profile_name: str = ""
 
     def fingerprint(self) -> str:
+        return self._fingerprint
+
+    @functools.cached_property
+    def _fingerprint(self) -> str:
+        # Computed once per key: the store and the service ask for it
+        # several times per job.  The key is frozen, so it cannot go stale,
+        # and it is kept outside the fields (``to_dict`` and equality
+        # never see it).
         payload = dataclasses.asdict(self)
         payload.pop("profile_name")
         return fingerprint_of(payload)

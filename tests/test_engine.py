@@ -9,15 +9,19 @@ from repro.baselines.random_testing import RandomTester
 from repro.core.config import CoverMeConfig
 from repro.core.coverme import CoverMe, cover
 from repro.core.representing import RepresentingFunction
+from repro.core.saturation import SaturationTracker
 from repro.engine.core import SearchEngine
 from repro.engine import scheduler as scheduler_module
 from repro.engine.scheduler import _STREAM_NORMAL, START_SCALE, StartScheduler
 from repro.engine import worker as worker_module
 from repro.engine.worker import StartParams, StartTask, run_start
 from repro.experiments.runner import Profile, compare_tools, coverme_tool
+from repro.instrument.native.local_min import native_objective
 from repro.instrument.program import instrument
 from repro.instrument.runtime import BranchId, branch_mask
 from repro.instrument.signature import ProgramSignature
+from repro.optimize.basinhopping import basinhopping
+from repro.optimize.memo import BitPatternMemo
 from tests import sample_programs as sp
 
 
@@ -37,8 +41,42 @@ class TestSeededDeterminism:
         assert tuple(other.inputs[:1]) != tuple(first[2][:1])
 
 
+def basinhopping_start(program, params: StartParams, task: StartTask) -> tuple:
+    """``task`` run as one basin-hopping call from ``x0``: an eagerly built
+    generator, a callback that stops at a zero of ``FOO_R`` and a harvest
+    through the representing function.  Returns what a start reports:
+    ``x*``, its value, covered word, last conditional and outcome, and
+    ``evaluations``."""
+    tracker = SaturationTracker.from_masks(program, task.covered, task.infeasible)
+    representing = RepresentingFunction(program, tracker, profile=params.eval_profile)
+    fused = native_objective(representing)
+    objective = fused if fused is not None else BitPatternMemo(representing, arity=program.arity)
+    try:
+        result = basinhopping(
+            objective, task.x0, n_iter=params.n_iter, local_minimizer=params.local_minimizer,
+            rng=np.random.default_rng([params.root_seed, worker_module._STREAM_WORKER, task.index]),
+            callback=lambda x, f, accepted: f <= 0.0,
+            local_options={"max_iterations": worker_module.LOCAL_MAX_ITERATIONS},
+        )
+        if fused is not None:
+            representing.evaluations += fused.misses
+    finally:
+        if fused is not None:
+            fused.close()
+    x_star = result.x.tolist()
+    value, coverage = representing.evaluate_with_coverage(x_star)
+    return (tuple(x_star), float(value), coverage.covered_mask(), coverage.last_conditional,
+            coverage.last_outcome, representing.evaluations)
+
+
+def start_outcome(result) -> tuple:
+    """What :func:`basinhopping_start` returns, read from a ``StartResult``."""
+    return (result.x_star, result.value, result.covered, result.last_conditional,
+            result.last_outcome, result.evaluations)
+
+
 class TestLazyStartGenerator:
-    """A start builds its random generator at its first draw."""
+    """A start builds its random generator only when it hops."""
 
     _PARAMS = StartParams(local_minimizer="powell", n_iter=3, root_seed=5,
                           eval_profile="penalty-specialized")
@@ -62,19 +100,17 @@ class TestLazyStartGenerator:
         assert result.value == 0.0
         assert built == []
 
-    def test_drawing_start_matches_an_eager_generator(self, built, monkeypatch):
+    def test_drawing_start_matches_an_eager_generator(self, built):
         """A start that hops draws from one generator with the eager seed,
-        so its trajectory is bit-identical to an eagerly built one."""
+        so its trajectory is bit-identical to one basin-hopping call with
+        an eagerly built generator."""
         program = instrument(sp.infeasible_inner)
         covered = frozenset({BranchId(0, True), BranchId(0, False), BranchId(1, False)})
         task = StartTask(index=7, x0=(3.0,), covered=branch_mask(covered), infeasible=0)
-        lazy = run_start(program, self._PARAMS, task)
+        hopping = run_start(program, self._PARAMS, task)
         assert built == [([5, worker_module._STREAM_WORKER, 7],)]
-        monkeypatch.setattr(worker_module, "_LazyGenerator", np.random.default_rng)
-        eager = run_start(program, self._PARAMS, task)
-        assert lazy.value > 0.0
-        assert (lazy.x_star, lazy.value, lazy.evaluations) == (
-            eager.x_star, eager.value, eager.evaluations)
+        assert hopping.value > 0.0
+        assert start_outcome(hopping) == basinhopping_start(program, self._PARAMS, task)
 
 
 class TestStartScheduler:

@@ -98,9 +98,11 @@ from repro.instrument.program import (
 )
 from repro.instrument.runtime import BranchId, ExecutionProfile, branch_mask
 from repro.instrument.signature import ProgramSignature
+from repro.optimize.local import register_local_minimizer
 from repro.optimize.local.powell import powell
 from repro.optimize.memo import DEFAULT_MAX_ENTRIES, BitPatternMemo
 from tests import sample_programs as sp
+from tests.test_engine import basinhopping_start, start_outcome
 from tests.test_specialize import PARITY_TARGETS, _run_fast
 
 requires_cc = pytest.mark.skipif(
@@ -2005,6 +2007,136 @@ class TestRunContext:
         with pytest.raises(RuntimeError, match="fallback exploded"):
             engine.run()
         assert counting_library.calls == {"lm_new": 1, "lm_free": 1}
+
+
+@pytest.fixture
+def basinhopping_entries(monkeypatch):
+    """Counts the starts that enter basin hopping."""
+    entries = []
+    original = worker_module.basinhopping
+
+    def spy(*args, **kwargs):
+        entries.append(kwargs["first"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(worker_module, "basinhopping", spy)
+    return entries
+
+
+def _infeasible_task(index: int = 0, x0: float = 3.0) -> StartTask:
+    """``infeasible_inner`` with only its infeasible branch open: every
+    local search ends above zero, so the start hops ``n_iter`` times."""
+    covered = branch_mask({BranchId(0, True), BranchId(0, False), BranchId(1, False)})
+    return StartTask(index=index, x0=(x0,), covered=covered, infeasible=0)
+
+
+@requires_cc
+class TestStartFlow:
+    """A native start runs its first local search itself and hops only
+    when that search found no zero of ``FOO_R``."""
+
+    def test_start_ending_at_its_first_search_builds_no_generator(
+        self, library, fused_spy, basinhopping_entries, monkeypatch
+    ):
+        built = []
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *args, **kwargs: built.append(args) or real(*args, **kwargs))
+        program = instrument(sp.single_branch)
+        program.native_kernel(0)
+        result = run_start(program, _start_params(), StartTask(0, (0.5,), 0, 0))
+        assert result.value == 0.0 and result.covered
+        assert fused_spy == [True]
+        assert built == [] and basinhopping_entries == []
+
+    def test_hopping_starts_match_one_basinhopping_call(
+        self, library, fused_spy, basinhopping_entries
+    ):
+        """x*, value, covered word, last conditional and evaluations are
+        those of the start run as one basin-hopping call from x0, also for
+        starts sharing one context across a snapshot change."""
+        by_name = {c.function.split("(")[0]: c for c in BENCHMARKS}
+        params = _start_params()
+        for program, scale in ((instrument(sp.three_dimensional), 4.0),
+                               (instrument(curved_valley), 2.0),
+                               (instrument(sp.infeasible_inner), 3.0),
+                               (instrument_case(by_name["ieee754_atan2"]), 2.5)):
+            hard = (_infeasible_task() if program.name == "infeasible_inner"
+                    else _hard_task(program, [0.0] * program.arity))
+            program.native_kernel(_prewarm(program, hard))
+            rng = np.random.default_rng(73)
+            tasks = [dataclasses.replace(hard if index < 4 else dataclasses.replace(hard, covered=0),
+                                         index=index,
+                                         x0=tuple(rng.normal(scale=scale, size=program.arity).tolist()))
+                     for index in range(6)]
+            hops_before = len(basinhopping_entries)
+            context = worker_module.RunContext(program)
+            try:
+                got = [run_start(program, params, task, context=context) for task in tasks]
+            finally:
+                context.close()
+            assert len(basinhopping_entries) > hops_before, program.name  # some starts hopped
+            expected = [basinhopping_start(program, params, task) for task in tasks]
+            assert [start_outcome(r) for r in got] == expected, program.name
+        assert all(fused_spy)
+
+    def test_bail_at_the_harvest_runs_the_fast_runtime_and_counts_one_bail(
+        self, library, fused_spy, monkeypatch
+    ):
+        """x* = 1e19 takes ``int()`` beyond int64: the kernel's harvest
+        bails once and the fast runtime gives the outcome the Python start
+        gives."""
+        program = instrument(trunc_overflows)
+        kernel = program.native_kernel(0)
+        task = StartTask(index=0, x0=(1e19,), covered=0, infeasible=0)
+        harvests = []
+        coverage = kernel_module.NativeKernel.coverage
+
+        def spy(self, args):
+            before = self.bails
+            row = coverage(self, args)
+            harvests.append((row, self.bails - before))
+            return row
+
+        fallbacks = []
+        evaluate_with_coverage = RepresentingFunction.evaluate_with_coverage
+        monkeypatch.setattr(kernel_module.NativeKernel, "coverage", spy)
+        monkeypatch.setattr(RepresentingFunction, "evaluate_with_coverage",
+                            lambda self, x: fallbacks.append(x) or evaluate_with_coverage(self, x))
+        bails = kernel.bails
+        fused = run_start(program, _start_params(), task)
+        fused_bails = kernel.bails - bails
+        assert harvests == [(None, 1)] and fallbacks == [[1e19]]
+        assert fused.x_star == (1e19,) and fused.value == 0.0
+        with monkeypatch.context() as patch:
+            patch.setattr(worker_module, "native_objective", lambda representing: None)
+            bails = kernel.bails
+            python = run_start(program, _start_params(), task)
+            assert kernel.bails - bails == fused_bails == 2  # one in the search, one at x*
+        assert _start_key(fused) == _start_key(python)
+        assert fused.covered == branch_mask({BranchId(0, True)})
+        assert fused_spy == [True]
+
+    def test_replaced_powell_serves_every_local_search(self, library, fused_spy):
+        seen = []
+
+        def counting(func, x0, **options):
+            seen.append(type(func))
+            return powell(func, x0, **options)
+
+        program = instrument(sp.infeasible_inner)
+        program.native_kernel(0)
+        params = _start_params(n_iter=3)
+        try:
+            register_local_minimizer("powell", counting, replace=True)
+            hopping = run_start(program, params, _infeasible_task())
+            hops = len(seen)
+            first = run_start(program, params, StartTask(1, (0.5,), 0, 0))
+        finally:
+            register_local_minimizer("powell", powell, replace=True)
+        assert hopping.value > 0.0 and first.value == 0.0
+        assert hops == 1 + params.n_iter and len(seen) == hops + 1
+        assert set(seen) == {local_min.NativeObjective} and fused_spy == [True, True]
 
 
 @requires_cc

@@ -11,6 +11,9 @@ change to the visited points, their order or their bits fails here.
 * :data:`PINNED`: seed-0 ``CoverMe(n_start=20, n_iter=5)`` runs under
   ``penalty-specialized`` -- the covered branches, ``evaluations``, the
   memo hits and misses summed over the starts, and the generated inputs.
+  The same runs under ``penalty-native`` (the fused C search, when a C
+  compiler is present) give the same branches, ``evaluations`` and inputs,
+  recorded before native starts ran their first local search themselves.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from repro.core.coverme import CoverMe
 from repro.engine import worker as worker_module
 from repro.experiments.runner import instrument_case
 from repro.fdlibm.suite import get_case
+from repro.instrument.native.cache import cc_available
 from repro.optimize.basinhopping import basinhopping
 from repro.optimize.local.powell import powell
 from repro.optimize.memo import BitPatternMemo
@@ -189,3 +193,26 @@ def test_seeded_specialized_result_is_pinned(name, monkeypatch):
     assert result.evaluations == evaluations
     assert (sum(m.hits for m in memos), sum(m.misses for m in memos)) == (hits, misses)
     assert tuple(" ".join(v.hex() for v in x) for x in result.inputs) == inputs
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_seeded_native_result_is_pinned(name, monkeypatch):
+    memos = []
+
+    class CountingMemo(BitPatternMemo):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            memos.append(self)
+
+    monkeypatch.setattr(worker_module, "BitPatternMemo", CountingMemo)
+    program = instrument_case(get_case(name))
+    config = CoverMeConfig(n_start=20, n_iter=5, seed=0, eval_profile="penalty-native")
+    result = CoverMe(program, config).run()
+    covered, evaluations, _hits, _misses, inputs = PINNED[name]
+    assert tuple(sorted(str(branch) for branch in result.covered)) == covered
+    assert result.evaluations == evaluations
+    assert tuple(" ".join(v.hex() for v in x) for x in result.inputs) == inputs
+    if cc_available():
+        assert memos == []  # every start took the fused search

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import pickle
 
 import pytest
 
@@ -23,6 +24,8 @@ from repro.store import (
     summary_from_dict,
     summary_to_dict,
 )
+from repro.store import runstore as runstore_module
+from repro.store.serialize import fingerprint_of
 
 
 def make_summary(**overrides) -> ToolRunSummary:
@@ -137,6 +140,18 @@ class TestComparisonRowSerialization:
         assert case_by_key(case.key) is case
 
 
+#: ``make_key()``'s fingerprint and its ``runs.jsonl`` line, as recorded
+#: before fingerprints were kept on the key.
+_PINNED_FINGERPRINT = "9fc57cd16d6bfa43de512ae998ffc675344db1455222c8a6334f0c352e454660"
+_PINNED_LINE = (
+    b'{"fingerprint":"' + _PINNED_FINGERPRINT.encode() + b'","key":{"budget_fingerprint":"b0",'
+    b'"case_key":"e_acos.c:ieee754_acos(double)","domain":"[[-1.0],[1.0]]",'
+    b'"measure_lines":false,"profile_fingerprint":"p0","profile_name":"smoke","seed":0,'
+    b'"source_hash":"abc123","tool":"Rand","tool_fingerprint":"t0"},'
+    b'"payload":{"summary":{"tool":"Rand"},"tool_evaluations":null},"schema":1}\n'
+)
+
+
 class TestJobKey:
     def test_profile_name_excluded_from_fingerprint(self):
         a = make_key(profile_name="smoke")
@@ -154,6 +169,39 @@ class TestJobKey:
     def test_key_dict_round_trip(self):
         key = make_key()
         assert JobKey.from_dict(key.to_dict()) == key
+
+    def test_fingerprint_is_computed_once_and_equals_a_fresh_computation(self, monkeypatch):
+        key = make_key()
+        fresh = fingerprint_of({k: v for k, v in dataclasses.asdict(key).items()
+                                if k != "profile_name"})
+        assert key.fingerprint() == fresh == _PINNED_FINGERPRINT
+        calls = []
+        monkeypatch.setattr(runstore_module, "fingerprint_of",
+                            lambda payload: calls.append(payload) or "recomputed")
+        assert key.fingerprint() == fresh  # served from the key, not recomputed
+        assert make_key().fingerprint() == "recomputed" and len(calls) == 1
+
+    def test_replaced_key_gets_its_own_fingerprint(self):
+        key = make_key()
+        key.fingerprint()
+        replaced = dataclasses.replace(key, measure_lines=True)
+        assert replaced.fingerprint() == make_key(measure_lines=True).fingerprint()
+        assert replaced.fingerprint() != key.fingerprint()
+        renamed = dataclasses.replace(key, profile_name="renamed")
+        assert renamed.fingerprint() == key.fingerprint()
+
+    def test_fingerprint_survives_a_pickle_round_trip(self):
+        key = make_key()
+        key.fingerprint()
+        for copy in (pickle.loads(pickle.dumps(key)), pickle.loads(pickle.dumps(make_key()))):
+            assert copy == key and hash(copy) == hash(key)
+            assert copy.fingerprint() == key.fingerprint() == _PINNED_FINGERPRINT
+            assert copy.to_dict() == key.to_dict()
+
+    def test_runs_jsonl_bytes_are_unchanged(self, tmp_path):
+        with RunStore(tmp_path / "store") as store:
+            store.put(make_key(), {"summary": {"tool": "Rand"}, "tool_evaluations": None})
+        assert (tmp_path / "store" / "runs.jsonl").read_bytes() == _PINNED_LINE
 
 
 class TestRunStore:

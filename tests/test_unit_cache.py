@@ -34,7 +34,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main as cli_main
+from repro.cli import EXIT_STDOUT_CLOSED, main as cli_main
 from repro.experiments.runner import instrument_case
 from repro.fdlibm.suite import BENCHMARKS
 from repro.instrument import ast_pass, unit_cache
@@ -483,6 +483,43 @@ def test_cli_reports_and_cleans_instrumented_entries(cache_dir, capsys):
     assert cli_main(["native-cache", "clean"]) == 0
     assert "removed 2 entries" in capsys.readouterr().out
     assert list(cache_dir.iterdir()) == []
+
+
+def test_cli_reports_and_cleans_the_pre_merge_directory(cache_dir, capsys):
+    """Caches written before the kinds shared one listing kept entries in
+    an ``instrumented/`` subdirectory (variants one level below); ``ls``
+    reports it and ``clean`` removes it with the store's entries."""
+    legacy = cache_dir / "instrumented"
+    (legacy / "variants").mkdir(parents=True)
+    (legacy / f"{'ab' * 32}.entry").write_bytes(b"unit")
+    (legacy / "variants" / f"{'cd' * 32}.entry").write_bytes(b"variant!")
+    instrument(sp.paper_foo)
+    entries = _disk()["entries"]
+    assert entries > 0
+    assert cli_main(["native-cache", "ls"]) == 0
+    assert ("instrumented/ (pre-merge layout, unread; clean removes it): 2 files, 12 bytes"
+            in capsys.readouterr().out)
+    assert cli_main(["native-cache", "clean"]) == 0
+    assert (f"removed {entries} entries and the pre-merge instrumented/ (2 files)"
+            in capsys.readouterr().out)
+    assert list(cache_dir.iterdir()) == []
+    assert cli_main(["native-cache", "ls"]) == 0
+    assert "instrumented/" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", (("native-cache", "ls"), ("ls", "--store", "absent")),
+                         ids=("native-cache-ls", "ls"))
+def test_listing_into_a_closed_pipe_exits_without_a_traceback(cache_dir, command):
+    """``repro native-cache ls | head`` whose reader is gone before the
+    listing is written: no traceback, the status of a SIGPIPE death."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), REPRO_NATIVE_CACHE=str(cache_dir))
+    child = subprocess.Popen([sys.executable, "-m", "repro", *command], cwd=cache_dir,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    child.stdout.close()  # the reader closes before the first line arrives
+    stderr = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=120) == EXIT_STDOUT_CLOSED == 141
+    assert b"Traceback" not in stderr and b"BrokenPipe" not in stderr, stderr.decode()
 
 
 def test_function_source_matches_inspect(cache_dir):
