@@ -669,9 +669,9 @@ class NativeObjective:
         if mask != armed[0]:
             store_mask(self._sat, mask)
             armed[0] = mask
-        self.representing = representing
         self._errors.clear()
         self._lib.lm_reset(ctx, self._sat_address)
+        self.representing = representing
 
     def reset(self) -> None:
         """Arm the memo for another start under the armed mask: empty it
